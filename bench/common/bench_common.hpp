@@ -88,9 +88,9 @@ struct TimingSample {
 TimingSample time_repeated(const std::function<real_t()>& sample,
                            int warmup = 1);
 
-/// Order-alternated paired-ratio estimate — the methodology the obs
-/// overhead gate introduced (ext_exec_scaling gate 2) and the pipeline
-/// overlap gate reuses. Runs `reps` pairs of the two samplers; each pair
+/// Order-alternated paired-ratio estimate — the methodology of the obs
+/// overhead gate (ext_exec_scaling gate 2). Runs `reps` pairs of the two
+/// samplers; each pair
 /// alternates which side runs first (a fixed order would bias every pair
 /// the same way under monotone ambient-load drift), and the reported ratio
 /// is the median over per-pair b/a (the median discards the odd

@@ -194,8 +194,6 @@ using namespace th;
                "[--core plu|slu] [--policy th|pangu|superlu|stream|dmdas] "
                "[--device a100|h100|5090|5060ti|mi50] [--ranks R] "
                "[--threads N] [--accum atomic|det] "
-               "[--pipeline on|off,lanes=N,depth=N,"
-               "container=sharded|heap|fifo] [--agg-lanes N] "
                "[--nrhs N] [--rhs-batch width=N,wait=SEC,"
                "sched=priority|levelset,det=0|1] "
                "[--block B] [--ordering mindeg|rcm|nd|natural] "
@@ -291,25 +289,6 @@ rhs::RhsOptions parse_rhs_batch(const std::string& s) {
   }
 }
 
-// --pipeline travels as a spec::PipelineSpec on the wire; the CLI converts
-// it into the scheduler's native PipelineOptions. A bare "--pipeline on"
-// takes every default.
-PipelineOptions parse_pipeline(const std::string& s) {
-  try {
-    const spec::PipelineSpec p = spec::parse_pipeline_spec(s);
-    PipelineOptions o;
-    o.enabled = p.enabled;
-    o.aggregate_lanes = p.lanes;
-    o.depth = p.depth;
-    o.container = p.container == "heap"   ? Container::Discipline::kHeap
-                  : p.container == "fifo" ? Container::Discipline::kFifo
-                                          : Container::Discipline::kSharded;
-    return o;
-  } catch (const spec::SpecError& e) {
-    usage((std::string("--pipeline: ") + e.what()).c_str());
-  }
-}
-
 Ordering parse_ordering(const std::string& o) {
   if (o == "mindeg") return Ordering::kMinDegree;
   if (o == "rcm") return Ordering::kRcm;
@@ -343,9 +322,6 @@ int main(int argc, char** argv) {
   int crash_soak_scenarios = 0;
   bool crash_kill = false;
   std::string rhs_batch_spec;
-  std::string pipeline_flag_spec;
-  bool pipeline_flag = false;
-  int agg_lanes = 0;  // 0 = take the spec's (or default) lane count
   int nrhs = 0;
   index_t n = 1600, block = 0;
   int ranks = 1, refine_iters = 0;
@@ -388,11 +364,6 @@ int main(int argc, char** argv) {
       nrhs = parse_int_strict("--nrhs", need("--nrhs"), 1);
     } else if (!std::strcmp(argv[i], "--rhs-batch")) {
       rhs_batch_spec = need("--rhs-batch");
-    } else if (!std::strcmp(argv[i], "--pipeline")) {
-      pipeline_flag_spec = need("--pipeline");
-      pipeline_flag = true;
-    } else if (!std::strcmp(argv[i], "--agg-lanes")) {
-      agg_lanes = parse_int_strict("--agg-lanes", need("--agg-lanes"), 1);
     } else if (!std::strcmp(argv[i], "--block")) {
       block = static_cast<index_t>(std::atoi(need("--block")));
     } else if (!std::strcmp(argv[i], "--ordering")) {
@@ -476,16 +447,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Parse eagerly so a malformed --rhs-batch, --pipeline or --faults errors
-  // even on runs that never reach a batched solve or a fault-injected
-  // schedule.
+  // Parse eagerly so a malformed --rhs-batch or --faults errors even on
+  // runs that never reach a batched solve or a fault-injected schedule.
   const rhs::RhsOptions rhs_opt = parse_rhs_batch(rhs_batch_spec);
-  PipelineOptions pipeline_opt =
-      pipeline_flag ? parse_pipeline(pipeline_flag_spec) : PipelineOptions{};
-  if (agg_lanes > 0) {
-    pipeline_opt.enabled = true;  // --agg-lanes alone implies --pipeline on
-    pipeline_opt.aggregate_lanes = agg_lanes;
-  }
   const FaultPlan fault_plan =
       faults_spec.empty() ? FaultPlan{} : parse_faults(faults_spec);
 
@@ -694,7 +658,6 @@ int main(int argc, char** argv) {
     so.mem.policy = mem::mem_policy_by_name(mem_policy);
     so.exec.workers = threads;
     so.exec.accum = exec::accum_mode_by_name(accum);
-    so.pipeline = pipeline_opt;
     so.abft.enabled = abft;
     so.abft.max_retries = abft_retries;
     so.validate_schedule = validate;

@@ -23,10 +23,10 @@ struct CollectorOptions {
 
 class Collector {
  public:
-  /// Which capacity bound rejected the last try_add() — the reason a batch
-  /// closed. kNone when the last admission succeeded (the batch closed
-  /// because the queues drained, not because a resource ran out). Feeds
-  /// the obs aggregate-stage events (DESIGN.md §12).
+  /// A capacity bound that stops admission: returned by last_reject()
+  /// for the last try_add() (kNone when it succeeded) and by
+  /// close_reason() for the batch as a whole, which feeds the obs
+  /// aggregate-stage events (DESIGN.md §12).
   enum class RejectReason : char { kNone, kCount, kBlocks, kShmem };
 
   Collector(const DeviceSpec& device, CollectorOptions opts = {})
@@ -65,6 +65,19 @@ class Collector {
   }
 
   RejectReason last_reject() const { return last_reject_; }
+
+  /// Why the open batch closes, derived at close time: the exhausted
+  /// resource when the batch is full (an exact fill never rejects a task,
+  /// so last_reject() alone would report kNone), else the last rejection,
+  /// else kNone — the queues drained first.
+  RejectReason close_reason() const {
+    if (!full()) return last_reject_;
+    if (opts_.capacity == CollectorOptions::Capacity::kCountOnly) {
+      return RejectReason::kCount;
+    }
+    return used_blocks_ >= device_.resident_blocks() ? RejectReason::kBlocks
+                                                     : RejectReason::kShmem;
+  }
 
   bool full() const {
     if (opts_.capacity == CollectorOptions::Capacity::kCountOnly) {

@@ -4,26 +4,18 @@
 // highest-priority (lowest key) stored task so low-priority work can never
 // overtake urgent work when the Collector tops up a batch.
 //
-// Three interchangeable backends satisfy the same ContainerLike concept:
-//   HeapContainer    — the original single binary heap (strict order).
-//   FifoContainer    — arrival order; the ablation bench swaps this in to
-//                      quantify the heap's contribution.
-//   ShardedContainer — per-shard heaps with atomic top keys and a
-//                      spinlocked claim, so concurrent aggregate lanes can
-//                      push while a consumer pops without a global lock.
-//                      With a single consumer (the scheduler event loop)
-//                      the pop order is identical to HeapContainer's,
-//                      which is what keeps det-mode batches bit-identical
-//                      across Container kinds.
-// The Container facade wraps the three in a variant so call sites keep the
+// Two interchangeable backends satisfy the same ContainerLike concept:
+//   HeapContainer — the paper's single binary heap (strict order; the det
+//                   reference).
+//   FifoContainer — arrival order; the ablation bench swaps this in to
+//                   quantify the heap's contribution.
+// The Container facade wraps both in a variant so call sites keep the
 // original value-type API and pick a backend per Discipline at runtime.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <concepts>
 #include <cstdint>
-#include <optional>
 #include <queue>
 #include <variant>
 #include <vector>
@@ -93,142 +85,16 @@ class FifoContainer {
   std::vector<index_t> fifo_;
 };
 
-/// Sharded priority structure for the pipelined aggregate stage.
-///
-/// Tasks hash by key into kShards independent min-heaps. Each shard
-/// publishes its current best key in an atomic, so pop() scans the tops
-/// lock-free, picks the global minimum, and only then takes that one
-/// shard's spinlock to claim the entry (re-validating under the lock and
-/// rescanning on a lost race). Pushes touch exactly one shard.
-///
-/// Ordering contract: priority keys embed the task id in their low bits
-/// (Prioritizer::priority_key / cp_key), so keys are unique and a single
-/// consumer whose pops do not race pushes observes the exact global
-/// priority order — bit-identical batch composition versus HeapContainer.
-/// Under concurrent push/claim the order is best-effort (each claim
-/// returns the best key visible at scan time) but no entry is ever lost
-/// or returned twice; that property is what the tsan test hammers.
-class ShardedContainer {
- public:
-  static constexpr int kShards = 8;
-  /// Sentinel "shard is empty" top key. Real keys never take this value:
-  /// the high bits hold the diagonal distance, which is far below 2^20.
-  static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
-
-  ShardedContainer() : shards_(kShards) {}
-
-  void push(std::uint64_t key, index_t id) {
-    TH_CHECK_MSG(key != kNoKey, "priority key collides with the empty sentinel");
-    Shard& s = shards_[shard_of(key)];
-    lock(s);
-    s.heap.push({key, id});
-    s.top.store(s.heap.top().first, std::memory_order_release);
-    unlock(s);
-    const std::size_t n = 1 + size_.fetch_add(1, std::memory_order_acq_rel);
-    std::size_t peak = peak_.load(std::memory_order_relaxed);
-    while (n > peak &&
-           !peak_.compare_exchange_weak(peak, n, std::memory_order_relaxed)) {
-    }
-  }
-
-  index_t pop() {
-    const std::optional<index_t> id = try_pop();
-    TH_CHECK_MSG(id.has_value(), "pop from empty Container");
-    return *id;
-  }
-
-  /// Claim the best visible entry, or nullopt when every shard scanned
-  /// empty. Concurrent pushes may race the scan, so nullopt means "was
-  /// empty at scan time", not "will stay empty" — concurrent claimers
-  /// coordinate on an external remaining-work count.
-  std::optional<index_t> try_pop() {
-    for (;;) {
-      int best = -1;
-      std::uint64_t best_key = kNoKey;
-      for (int i = 0; i < kShards; ++i) {
-        const std::uint64_t k = shards_[i].top.load(std::memory_order_acquire);
-        if (k < best_key) {
-          best_key = k;
-          best = i;
-        }
-      }
-      if (best < 0) return std::nullopt;
-      Shard& s = shards_[best];
-      lock(s);
-      if (s.heap.empty() || s.heap.top().first != best_key) {
-        unlock(s);  // lost the claim race (or a better key arrived): rescan
-        continue;
-      }
-      const index_t id = s.heap.top().second;
-      s.heap.pop();
-      s.top.store(s.heap.empty() ? kNoKey : s.heap.top().first,
-                  std::memory_order_release);
-      unlock(s);
-      size_.fetch_sub(1, std::memory_order_acq_rel);
-      return id;
-    }
-  }
-
-  bool empty() const { return size_.load(std::memory_order_acquire) == 0; }
-  std::size_t size() const { return size_.load(std::memory_order_acquire); }
-  std::size_t peak_size() const {
-    return peak_.load(std::memory_order_acquire);
-  }
-
-  // Moves happen only while single-threaded (facade construction /
-  // per-rank reset), so plain loads of the counters are safe.
-  ShardedContainer(ShardedContainer&& o) noexcept
-      : shards_(std::move(o.shards_)),
-        size_(o.size_.load(std::memory_order_relaxed)),
-        peak_(o.peak_.load(std::memory_order_relaxed)) {}
-  ShardedContainer& operator=(ShardedContainer&& o) noexcept {
-    shards_ = std::move(o.shards_);
-    size_.store(o.size_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    peak_.store(o.peak_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    return *this;
-  }
-
- private:
-  using Entry = std::pair<std::uint64_t, index_t>;  // (key, task id)
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> top{kNoKey};
-    std::atomic_flag claim{};  // spinlock guarding `heap`
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  };
-
-  static int shard_of(std::uint64_t key) {
-    // Fibonacci hash on the full key: neighbouring priorities (which
-    // differ only in the id bits) spread across shards.
-    return static_cast<int>((key * 0x9E3779B97F4A7C15ull) >> 61);
-  }
-  static void lock(Shard& s) {
-    while (s.claim.test_and_set(std::memory_order_acquire)) {
-    }
-  }
-  static void unlock(Shard& s) { s.claim.clear(std::memory_order_release); }
-
-  std::vector<Shard> shards_;
-  std::atomic<std::size_t> size_{0};
-  std::atomic<std::size_t> peak_{0};
-};
-
 static_assert(ContainerLike<HeapContainer>);
 static_assert(ContainerLike<FifoContainer>);
-static_assert(ContainerLike<ShardedContainer>);
 
-/// Runtime-selectable facade over the three backends.
+/// Runtime-selectable facade over the two backends.
 class Container {
  public:
-  enum class Discipline { kHeap, kFifo, kSharded };
+  enum class Discipline { kHeap, kFifo };
 
   explicit Container(Discipline d = Discipline::kHeap) : discipline_(d) {
-    switch (d) {
-      case Discipline::kHeap: impl_.emplace<HeapContainer>(); break;
-      case Discipline::kFifo: impl_.emplace<FifoContainer>(); break;
-      case Discipline::kSharded: impl_.emplace<ShardedContainer>(); break;
-    }
+    if (d == Discipline::kFifo) impl_.emplace<FifoContainer>();
   }
 
   /// Store a task under an explicit priority key (see Prioritizer::key).
@@ -260,7 +126,7 @@ class Container {
 
  private:
   Discipline discipline_;
-  std::variant<HeapContainer, FifoContainer, ShardedContainer> impl_;
+  std::variant<HeapContainer, FifoContainer> impl_;
 };
 
 }  // namespace th

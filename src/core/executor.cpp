@@ -70,19 +70,4 @@ BatchResult Executor::execute(const TaskGraph& graph,
   return r;
 }
 
-BatchResult Executor::price(const TaskGraph& graph,
-                            const std::vector<index_t>& batch) const {
-  TH_CHECK(!batch.empty());
-  std::vector<TaskCost> costs;
-  costs.reserve(batch.size());
-  for (index_t id : batch) costs.push_back(graph.task(id).cost);
-  BatchResult r;
-  const KernelTiming timing = model_.batch_timing(costs);
-  r.seconds = timing.total_s();
-  r.host_s = timing.host_s;
-  r.tasks = static_cast<int>(batch.size());
-  for (const TaskCost& c : costs) r.flops += c.flops;
-  return r;
-}
-
 }  // namespace th

@@ -12,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/container.hpp"
 #include "core/task_graph.hpp"
 #include "exec/backend.hpp"
 #include "exec/batch_executor.hpp"
@@ -42,28 +41,6 @@ struct ExecOptions {
   /// session's ScheduleOptions::exec here so all tenants share one
   /// process-wide lane set (DESIGN.md §14).
   exec::WorkerPool* pool = nullptr;
-};
-
-/// Aggregate↔batch software-pipelining knobs, grouped the way `exec`/
-/// `faults`/`checkpoint` are on ScheduleOptions (which nests one of these
-/// as `.pipeline`). When enabled (and the run shape supports it — see
-/// DESIGN.md §17 for the gating), the scheduler keeps forming batch k+1 on
-/// aggregate lanes while exec::BatchExecutor runs batch k, instead of
-/// strictly alternating the two stages.
-struct PipelineOptions {
-  /// Master switch. thsolve_cli --pipeline.
-  bool enabled = false;
-  /// Dedicated host threads preparing upcoming batches (BlockMap build +
-  /// target-tile densification). thsolve_cli --agg-lanes.
-  int aggregate_lanes = 1;
-  /// Outstanding-batch window (double buffering = 2): formation stalls
-  /// once this many batches are in flight behind the executor.
-  int depth = 2;
-  /// Container backend while pipelining (the sharded structure tolerates
-  /// concurrent push/claim); the plain heap stays selectable here for the
-  /// ablation bench. Ignored when `enabled` is false —
-  /// ScheduleOptions::container rules then.
-  Container::Discipline container = Container::Discipline::kSharded;
 };
 
 struct BatchResult {
@@ -112,21 +89,11 @@ class Executor {
                       const std::vector<char>& atomic_flags,
                       const ExecuteOptions& eo = {});
 
-  /// Price a batch on the cost model without touching the backend: the
-  /// model-side half of execute(), bit-identical in its outputs. The
-  /// pipelined scheduler uses this to keep the simulated timeline moving
-  /// while the numeric execution runs asynchronously on the pipeline.
-  BatchResult price(const TaskGraph& graph,
-                    const std::vector<index_t>& batch) const;
-
   const KernelCostModel& model() const { return model_; }
 
   /// Aggregate runtime counters (wall/busy/span time, slices, fallbacks)
   /// over every batch executed so far. Zeros on timing-only replays.
   const exec::ExecStats& exec_stats() const { return batch_exec_->stats(); }
-
-  /// The underlying batch executor (tests: pool hang injection).
-  exec::BatchExecutor& batch_executor() { return *batch_exec_; }
 
  private:
   KernelCostModel model_;

@@ -6,14 +6,12 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "exec/pipeline.hpp"
 #include "mem/tile_store.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/recorder.hpp"
 #include "resilience/validate.hpp"
 #include "support/error.hpp"
-#include "support/stopwatch.hpp"
 
 namespace th {
 
@@ -31,33 +29,6 @@ const char* policy_name(Policy p) {
       return "trojan-horse";
   }
   return "?";
-}
-
-std::vector<std::vector<index_t>> ScheduleResult::batch_members() const {
-  std::vector<std::vector<index_t>> out;
-  out.reserve(stats_.batches.size());
-  for (const BatchLog::Batch& b : stats_.batches.batches) {
-    out.push_back(b.members);
-  }
-  return out;
-}
-
-std::vector<char> ScheduleResult::batch_had_conflict() const {
-  std::vector<char> out;
-  out.reserve(stats_.batches.size());
-  for (const BatchLog::Batch& b : stats_.batches.batches) {
-    out.push_back(b.had_conflict ? 1 : 0);
-  }
-  return out;
-}
-
-std::vector<std::vector<char>> ScheduleResult::batch_status() const {
-  std::vector<std::vector<char>> out;
-  out.reserve(stats_.batches.size());
-  for (const BatchLog::Batch& b : stats_.batches.batches) {
-    out.push_back(b.status);
-  }
-  return out;
 }
 
 namespace {
@@ -173,23 +144,6 @@ void ScheduleOptions::validate() const {
                "carry no ledger/spill state");
   TH_CHECK_MSG(opt.exec.watchdog_s >= 0,
                "exec.watchdog_s must be >= 0, got " << opt.exec.watchdog_s);
-  if (opt.pipeline.enabled) {
-    // Cross-checks for the pipelined shape: overlapping aggregate and exec
-    // stages needs at least a driver plus one pool lane, and the CPU model
-    // has no separate exec stage to overlap with.
-    TH_CHECK_MSG(opt.exec.workers >= 2,
-                 "pipeline requires exec.workers >= 2 (stages must be able "
-                 "to overlap), got "
-                     << opt.exec.workers);
-    TH_CHECK_MSG(!opt.cpu_mode, "pipeline cannot be combined with cpu_mode");
-    TH_CHECK_MSG(
-        opt.pipeline.aggregate_lanes >= 1 && opt.pipeline.aggregate_lanes <= 16,
-        "pipeline.aggregate_lanes must be in [1, 16], got "
-            << opt.pipeline.aggregate_lanes);
-    TH_CHECK_MSG(opt.pipeline.depth >= 2 && opt.pipeline.depth <= 8,
-                 "pipeline.depth must be in [2, 8], got "
-                     << opt.pipeline.depth);
-  }
 }
 
 ScheduleResult simulate(const TaskGraph& graph, const ScheduleOptions& opt,
@@ -207,32 +161,9 @@ ScheduleResult simulate(const TaskGraph& graph, const ScheduleOptions& opt,
   // output is bit-identical to an uninstrumented build.
   const bool obs_on = obs::enabled();
 
-  // ---- Aggregate↔batch pipelining (exec::ExecPipeline, DESIGN.md §17) --
-  // Active only on the plain numeric TrojanHorse shape. There the
-  // simulated timeline is priced from the cost model alone (see
-  // Executor::price), so the numerics can run asynchronously behind the
-  // event loop — same batches, same order, same fold plans — without
-  // changing a single output bit. Every feature that inspects numeric
-  // outcomes mid-run (faults, ABFT, memory budgets, restarts,
-  // cancellation) falls back to the synchronous path instead.
-  const bool pipeline_active =
-      opt.pipeline.enabled && opt.policy == Policy::kTrojanHorse &&
-      !opt.cpu_mode && backend != nullptr && opt.faults.empty() &&
-      !opt.abft.enabled && !opt.mem.enabled() && opt.cancel == nullptr &&
-      !opt.resume.has_value();
-  std::optional<exec::ExecPipeline> pipeline;  // after executor: dtor order
-  if (pipeline_active) {
-    exec::ExecPipeline::Options popt;
-    popt.aggregate_lanes = opt.pipeline.aggregate_lanes;
-    popt.depth = opt.pipeline.depth;
-    pipeline.emplace(*backend, executor.batch_executor(), popt);
-  }
-  std::vector<std::size_t> pipe_blog;  // batch-log index per submitted batch
-
   std::vector<RankState> ranks(static_cast<std::size_t>(opt.n_ranks));
   for (auto& r : ranks) {
-    r.container = Container(pipeline_active ? opt.pipeline.container
-                                            : opt.container);
+    r.container = Container(opt.container);
     r.stream_free.assign(
         static_cast<std::size_t>(std::max(1, opt.n_streams)), 0.0);
   }
@@ -421,13 +352,6 @@ ScheduleResult simulate(const TaskGraph& graph, const ScheduleOptions& opt,
   real_t next_ckpt_t = ckpt_mode ? ckpt_interval : kNever;
 
   const bool collect = opt.collect_batches || opt.validate_schedule;
-  // Per-batch host stage costs (BatchLog host_agg_s/host_exec_s) are
-  // measured only on numeric TrojanHorse runs that collect batches — plus
-  // always when pipelining, where the pipeline needs the formation cost
-  // for its timings regardless.
-  const bool stage_timing = collect && backend != nullptr && !opt.cpu_mode &&
-                            opt.policy == Policy::kTrojanHorse;
-  const bool measure_form = stage_timing || pipeline_active;
   // Where each completed task's surviving trace appearance lives — the
   // retroactive lost-to-restart status flip targets it. (batch, member)
   std::vector<std::pair<index_t, index_t>> done_app;
@@ -937,7 +861,7 @@ ScheduleResult simulate(const TaskGraph& graph, const ScheduleOptions& opt,
       }
       agg_topup = static_cast<int>(batch.size()) - agg_urgent;
       agg_deferred = static_cast<int>(deferred.size());
-      agg_close = collector.last_reject();
+      agg_close = collector.close_reason();
       for (index_t id : deferred) {
         st.container.push(th_key(graph.task(id)), id);
       }
@@ -1013,10 +937,7 @@ ScheduleResult simulate(const TaskGraph& graph, const ScheduleOptions& opt,
     if (mem_mode) apply_pressure(t0);
     drain_arrivals(st, best_rank, t0);
 
-    const real_t form_cpu0 = measure_form ? thread_cpu_seconds() : 0;
     auto [batch, atomic] = form_batch(st);
-    const real_t form_s =
-        measure_form ? thread_cpu_seconds() - form_cpu0 : 0;
     if (batch.empty()) continue;  // only stale entries were pending
 
     // ---- Memory-budget enforcement (src/mem, DESIGN.md §13) ------------
@@ -1366,28 +1287,7 @@ ScheduleResult simulate(const TaskGraph& graph, const ScheduleOptions& opt,
     eo.run_guards = fault_mode && plan.numeric_guards && backend != nullptr;
     eo.guard = plan.guard;
     if (use_bv && backend != nullptr) eo.verify = &bv;
-    BatchResult br;
-    if (pipeline.has_value()) {
-      // Hand the numerics to the pipeline (asynchronous, strictly FIFO)
-      // and price the launch from the cost model alone. execute() would
-      // compute exactly the same BatchResult from the same inputs — in the
-      // pipeline-active shape eo is all-defaults and guards/ABFT are off —
-      // so the simulated timeline below is bit-identical either way.
-      std::vector<const Task*> ptasks;
-      ptasks.reserve(batch.size());
-      for (index_t id : batch) ptasks.push_back(&graph.task(id));
-      pipeline->submit(std::move(ptasks), atomic, form_s);
-      if (collect) pipe_blog.push_back(rstats.batches.size() - 1);
-      br = executor.price(graph, batch);
-    } else {
-      const real_t span0 = stage_timing ? executor.exec_stats().span_s : 0;
-      br = executor.execute(graph, batch, atomic, eo);
-      if (stage_timing) {
-        BatchLog::Batch& blog = rstats.batches.back();
-        blog.host_agg_s = form_s;
-        blog.host_exec_s = executor.exec_stats().span_s - span0;
-      }
-    }
+    const BatchResult br = executor.execute(graph, batch, atomic, eo);
 
     // ---- ABFT outcome processing (detect -> retry -> escalate) ----------
     std::vector<char> corrupt_retry;  // members rolled back & re-queued
@@ -1618,21 +1518,6 @@ ScheduleResult simulate(const TaskGraph& graph, const ScheduleOptions& opt,
     }
   }
 
-  if (pipeline.has_value()) {
-    // Hand-off barrier: every submitted batch's numerics complete (and any
-    // executor error surfaces here) before stats are read out and the
-    // caller can inspect tiles.
-    pipeline->drain();
-    if (collect) {
-      const std::vector<exec::PipelineBatchTiming>& pts = pipeline->timings();
-      for (std::size_t k = 0; k < pts.size() && k < pipe_blog.size(); ++k) {
-        BatchLog::Batch& blog = rstats.batches.batches[pipe_blog[k]];
-        blog.host_agg_s = pts[k].form_s + pts[k].prep_s;
-        blog.host_exec_s = pts[k].exec_span_s;
-      }
-    }
-  }
-
   result.makespan_s = result.trace.makespan_seconds();
   result.kernel_count = result.trace.kernel_count();
   result.mean_batch_size = result.trace.mean_batch_size();
@@ -1664,7 +1549,6 @@ ScheduleResult simulate(const TaskGraph& graph, const ScheduleOptions& opt,
     // (DESIGN.md §12 lists the name mapping).
     auto& reg = obs::Registry::global();
     reg.counter("th.sched.kernels").add(result.kernel_count);
-    reg.counter("th.sched.batches").add(result.kernel_count);
     reg.counter("th.sched.tasks").add(n);
     reg.counter("th.sched.atomic_tasks").add(result.atomic_tasks);
     reg.counter("th.sched.deferred_tasks").add(result.deferred_tasks);
@@ -1678,14 +1562,6 @@ ScheduleResult simulate(const TaskGraph& graph, const ScheduleOptions& opt,
     }
     reg.gauge("th.agg.container_peak")
         .set(static_cast<double>(container_peak));
-    if (pipeline.has_value()) {
-      const exec::PipelineStats& ps = pipeline->stats();
-      reg.counter("th.agg.pipeline_batches").add(ps.batches);
-      reg.counter("th.agg.prepped_tasks").add(ps.prepped_tasks);
-      reg.counter("th.agg.conflict_skipped_tasks").add(ps.skipped_tasks);
-      reg.gauge("th.agg.prep_cpu_s").add(ps.agg_cpu_s);
-      reg.gauge("th.agg.exposed_wait_s").add(ps.driver_wait_s);
-    }
     for (const RankStats& rsr : rstats.ranks) {
       reg.histogram("th.rank.busy_s").record(rsr.busy_s);
       reg.histogram("th.rank.kernels")

@@ -80,13 +80,6 @@ struct ScheduleOptions {
   abft::AbftOptions abft;
   /// Host-side numeric batch-execution knobs (workers/accum/watchdog).
   ExecOptions exec;
-  /// Aggregate↔batch software pipelining (exec::ExecPipeline, DESIGN.md
-  /// §17): form batch k+1 on aggregate lanes while batch k executes.
-  /// Applies to numeric kTrojanHorse runs without faults/ABFT/memory
-  /// budgets/cancellation — any other shape falls back to the synchronous
-  /// path (which is bit-identical anyway). thsolve_cli --pipeline /
-  /// --agg-lanes.
-  PipelineOptions pipeline;
   /// Memory-pressure robustness (src/mem): byte-accurate per-rank budget
   /// enforcement with the shrink-batch -> spill-cold-tiles -> OomError
   /// degradation ladder. budget_bytes == 0 (the default) keeps the exact
@@ -145,14 +138,6 @@ struct BatchLog {
     std::vector<char> status;
     /// Whether the batch contained an atomic (write-conflicting) member.
     bool had_conflict = false;
-    /// Host-side stage costs (filled on numeric kTrojanHorse runs when
-    /// batches are collected; zeros otherwise). host_agg_s is the
-    /// aggregate-stage CPU spent on this batch (formation, plus prep when
-    /// pipelined); host_exec_s is the executor's span (critical path).
-    /// bench/ext_pipeline_overlap reconstructs pipelined vs alternating
-    /// makespans from these.
-    real_t host_agg_s = 0;
-    real_t host_exec_s = 0;
   };
 
   std::vector<Batch> batches;
@@ -214,18 +199,6 @@ struct ScheduleResult {
                ? static_cast<real_t>(trace.total_flops()) / makespan_s / 1e9
                : 0;
   }
-
-  // --- Deprecated thin accessors (migration shims) -----------------------
-  // Prefer stats().*; these exist so out-of-tree callers of the pre-obs
-  // field API migrate incrementally and will be removed in a later PR.
-  const std::vector<RankStats>& ranks() const { return stats_.ranks; }
-  const FaultReport& faults() const { return stats_.faults; }
-  const th::abft::AbftStats& abft() const { return stats_.abft; }
-  const th::exec::ExecStats& exec() const { return stats_.exec; }
-  /// Materialised copies of the legacy parallel batch_* vectors.
-  std::vector<std::vector<index_t>> batch_members() const;
-  std::vector<char> batch_had_conflict() const;
-  std::vector<std::vector<char>> batch_status() const;
 
  private:
   ScheduleStats stats_;

@@ -50,7 +50,7 @@ void BatchExecutor::execute(NumericBackend& backend,
                             const std::vector<const Task*>& tasks,
                             const std::vector<char>& atomic_flags,
                             const std::vector<char>* skip,
-                            BatchVerify* verify, const BlockMap* premap) {
+                            BatchVerify* verify) {
   TH_CHECK(!tasks.empty());
   TH_CHECK(atomic_flags.size() == tasks.size());
   TH_CHECK(skip == nullptr || skip->size() == tasks.size());
@@ -60,9 +60,7 @@ void BatchExecutor::execute(NumericBackend& backend,
   const Stopwatch wall;
   const real_t caller_t0 = thread_cpu_seconds();
 
-  BlockMap local_map;
-  if (premap == nullptr) local_map = BlockMap::from_tasks(tasks);
-  const BlockMap& map = premap != nullptr ? *premap : local_map;
+  const BlockMap map = BlockMap::from_tasks(tasks);
 
   // Classify members and lay out deterministic-mode scratch.
   const std::size_t nb = tasks.size();

@@ -102,14 +102,10 @@ class BatchExecutor {
   /// With `verify` non-null the batch runs checksum-protected (and/or
   /// sabotaged): outcomes land in verify->outcome for the scheduler's
   /// detect-and-retry pass. Rethrows the first exception a lane's job
-  /// body threw (WorkerPool containment). `premap`, when non-null, is a
-  /// BlockMap already built from `tasks` on an aggregate lane (the
-  /// pipelined scheduler's prep stage) — passing it skips the in-line
-  /// rebuild.
+  /// body threw (WorkerPool containment).
   void execute(NumericBackend& backend, const std::vector<const Task*>& tasks,
                const std::vector<char>& atomic_flags,
-               const std::vector<char>* skip, BatchVerify* verify = nullptr,
-               const BlockMap* premap = nullptr);
+               const std::vector<char>* skip, BatchVerify* verify = nullptr);
 
   /// Direct pool access (tests: hang injection, degrade inspection).
   WorkerPool& pool() { return *pool_; }

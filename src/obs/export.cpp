@@ -16,11 +16,9 @@ constexpr int kHostPid = 2;  // host runtime (lanes)
 /// renders below the lanes instead of renumbering them.
 constexpr int kServiceTid = 1000;
 constexpr int kRhsTid = 1001;
-constexpr int kAggregateTid = 1002;
 int host_tid(int track) {
   if (track == kServiceTrack) return kServiceTid;
   if (track == kRhsTrack) return kRhsTid;
-  if (track == kAggregateTrack) return kAggregateTid;
   return track < 0 ? 0 : track + 1;
 }
 
@@ -84,7 +82,6 @@ void write_unified_trace(std::ostream& out, const Trace* sim,
   }
   bool service = false;
   bool rhs = false;
-  bool aggregate = false;
   for (const Event& e : events) {
     if (e.domain == Domain::kSim) {
       max_rank = std::max(max_rank, e.track);
@@ -92,8 +89,6 @@ void write_unified_trace(std::ostream& out, const Trace* sim,
       service = true;
     } else if (e.track == kRhsTrack) {
       rhs = true;
-    } else if (e.track == kAggregateTrack) {
-      aggregate = true;
     } else if (e.track < 0) {
       host_runtime = true;
     } else {
@@ -115,7 +110,6 @@ void write_unified_trace(std::ostream& out, const Trace* sim,
   if (host_runtime) emit_thread_name(out, kHostPid, 0, "runtime");
   if (service) emit_thread_name(out, kHostPid, kServiceTid, "service");
   if (rhs) emit_thread_name(out, kHostPid, kRhsTid, "rhs engine");
-  if (aggregate) emit_thread_name(out, kHostPid, kAggregateTid, "aggregate");
   for (int lane = 0; lane <= max_lane; ++lane) {
     emit_thread_name(out, kHostPid, host_tid(lane),
                      "lane " + std::to_string(lane));

@@ -44,13 +44,6 @@ constexpr int kServiceTrack = -2;
 /// "service".
 constexpr int kRhsTrack = -3;
 
-/// Host-domain track for the pipelined scheduler's aggregate lanes
-/// (exec::ExecPipeline): one span per batch prepared ahead of execution,
-/// so aggregate/exec overlap reads directly off the trace next to the
-/// "exec batch" spans on the runtime track. The exporter renders it as an
-/// "aggregate" thread next to "rhs engine".
-constexpr int kAggregateTrack = -4;
-
 struct Event {
   const char* name = "";
   const char* cat = "";

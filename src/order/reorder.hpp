@@ -29,9 +29,10 @@ const char* ordering_name(Ordering o);
 /// connected component.
 Permutation rcm_order(const Csr& a);
 
-/// Quotient-graph minimum-degree ordering (element absorption, exact
-/// external degrees). Quality comparable to classic MMD at the problem
-/// sizes this repository targets.
+/// Quotient-graph minimum-degree ordering (element absorption, AMD-style
+/// approximate external degrees: an upper bound on the exact boundary
+/// union, see mindeg.cpp). Quality comparable to classic MMD at the
+/// problem sizes this repository targets.
 Permutation min_degree_order(const Csr& a);
 
 /// Recursive level-set nested dissection; leaves smaller than `leaf_size`

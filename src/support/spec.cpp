@@ -242,47 +242,4 @@ std::string render_rhs_spec(const RhsSpec& s) {
   return os.str();
 }
 
-PipelineSpec parse_pipeline_spec(const std::string& spec) {
-  PipelineSpec s;
-  // The first token may be a bare on/off (no '='), which parse_spec_items
-  // rejects by design — split it off before handing over the remainder.
-  std::string rest = spec;
-  const std::size_t comma = spec.find(',');
-  const std::string head = spec.substr(0, comma);
-  if (head == "on" || head == "off") {
-    s.enabled = head == "on";
-    rest = comma == std::string::npos ? std::string() : spec.substr(comma + 1);
-  }
-  for (const SpecItem& it : parse_spec_items(rest)) {
-    const std::string& key = it.key;
-    const std::string& val = it.value;
-    if (key == "lanes") {
-      s.lanes = static_cast<int>(spec_int(key, val));
-      if (s.lanes < 1 || s.lanes > 16) {
-        bad(key, "wants 1..16 aggregate lanes, got '" + val + "'");
-      }
-    } else if (key == "depth") {
-      s.depth = static_cast<int>(spec_int(key, val));
-      if (s.depth < 2 || s.depth > 8) {
-        bad(key, "wants a 2..8 batch window, got '" + val + "'");
-      }
-    } else if (key == "container") {
-      if (val != "sharded" && val != "heap" && val != "fifo") {
-        bad(key, "wants sharded|heap|fifo, got '" + val + "'");
-      }
-      s.container = val;
-    } else {
-      throw SpecError("unknown spec key: '" + key + "'", key);
-    }
-  }
-  return s;
-}
-
-std::string render_pipeline_spec(const PipelineSpec& s) {
-  std::ostringstream os;
-  os << (s.enabled ? "on" : "off") << ",lanes=" << s.lanes
-     << ",depth=" << s.depth << ",container=" << s.container;
-  return os.str();
-}
-
 }  // namespace th::spec

@@ -78,22 +78,4 @@ struct RhsSpec {
 RhsSpec parse_rhs_spec(const std::string& spec);
 std::string render_rhs_spec(const RhsSpec& s);
 
-/// Aggregate↔batch pipeline configuration as it travels on the wire (the
-/// `thsolve_cli --pipeline` flag). A plain struct rather than
-/// th::PipelineOptions because support sits below src/core — the CLI
-/// converts.
-struct PipelineSpec {
-  bool enabled = true;              // the flag's presence means "on"
-  int lanes = 1;                    // aggregate prep lanes (1..16)
-  int depth = 2;                    // outstanding-batch window (2..8)
-  std::string container = "sharded";  // "sharded" | "heap" | "fifo"
-};
-
-/// Parse "on|off[,lanes=N][,depth=N][,container=sharded|heap|fifo]". The
-/// leading on/off token is optional (bare "lanes=2" implies on). Unknown
-/// keys, malformed values, and out-of-range lanes/depth throw SpecError.
-/// parse_pipeline_spec(render_pipeline_spec(s)) == s exactly.
-PipelineSpec parse_pipeline_spec(const std::string& spec);
-std::string render_pipeline_spec(const PipelineSpec& s);
-
 }  // namespace th::spec

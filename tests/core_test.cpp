@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <utility>
 
+#include "core/coalesce.hpp"
 #include "core/collector.hpp"
 #include "core/container.hpp"
 #include "core/executor.hpp"
@@ -190,6 +192,41 @@ TEST(Collector, CountOnlyMode) {
   EXPECT_FALSE(c.try_add(t));
 }
 
+TEST(Collector, ExactFillReportsExhaustedResource) {
+  // A batch filled to exactly its cap never rejects a task, so the close
+  // reason must come from the exhausted resource, not the last rejection.
+  CollectorOptions opts;
+  opts.capacity = CollectorOptions::Capacity::kCountOnly;
+  opts.max_task_count = 3;
+  Collector c(DeviceSpec{}, opts);
+  for (index_t i = 0; i < 3; ++i) {
+    Task t = make_task(TaskType::kSsssm, 0, i + 1, 0);
+    t.id = i;
+    ASSERT_TRUE(c.try_add(t));
+  }
+  EXPECT_TRUE(c.full());
+  EXPECT_EQ(c.last_reject(), Collector::RejectReason::kNone);
+  EXPECT_EQ(c.close_reason(), Collector::RejectReason::kCount);
+
+  DeviceSpec d;
+  d.sm_count = 2;
+  d.max_blocks_per_sm = 4;  // 8 resident blocks
+  d.shmem_per_sm_kib = 1024;
+  Collector b(d);
+  for (index_t i = 0; i < 4; ++i) {
+    Task t = make_task(TaskType::kSsssm, 0, i + 1, 0, /*blocks=*/2);
+    t.id = i;
+    ASSERT_TRUE(b.try_add(t));
+  }
+  EXPECT_EQ(b.close_reason(), Collector::RejectReason::kBlocks);
+
+  // A partial batch whose queues drained closes as kNone.
+  Collector drained(d);
+  Task t = make_task(TaskType::kSsssm, 0, 1, 0, /*blocks=*/2);
+  ASSERT_TRUE(drained.try_add(t));
+  EXPECT_EQ(drained.close_reason(), Collector::RejectReason::kNone);
+}
+
 TEST(BlockTaskMap, BinarySearchDispatch) {
   Task a = make_task(TaskType::kGetrf, 0, 0, 0, 10);
   Task b = make_task(TaskType::kTstrf, 0, 1, 0, 9);
@@ -350,6 +387,68 @@ TEST(Container, FifoPopsInArrivalOrder) {
     c.push(/*key=*/static_cast<std::uint64_t>(1000 - i), /*id=*/i);
   }
   for (index_t i = 0; i < 10; ++i) EXPECT_EQ(c.pop(), i);
+}
+
+TEST(Container, FacadeSelectsDiscipline) {
+  Container heap(Container::Discipline::kHeap);
+  Container fifo(Container::Discipline::kFifo);
+  for (Container* c : {&heap, &fifo}) {
+    c->push(/*key=*/3, 30);
+    c->push(/*key=*/1, 10);
+    c->push(/*key=*/2, 20);
+  }
+  // The heap pops by key; fifo pops in arrival order.
+  EXPECT_EQ(heap.pop(), 10);
+  EXPECT_EQ(fifo.pop(), 30);
+  EXPECT_EQ(heap.discipline(), Container::Discipline::kHeap);
+  EXPECT_EQ(fifo.discipline(), Container::Discipline::kFifo);
+  EXPECT_EQ(heap.size(), 2u);
+  EXPECT_EQ(heap.peak_size(), 3u);
+  EXPECT_EQ(fifo.peak_size(), 3u);
+  while (!heap.empty()) heap.pop();
+  EXPECT_THROW(heap.pop(), Error);
+}
+
+// ---- CoalesceQueue -----------------------------------------------------
+
+TEST(CoalesceQueue, WidthClosesExactlyAtCap) {
+  CoalesceQueue<int> q(3, 0);
+  q.submit(1, 0.0);
+  q.submit(2, 0.1);
+  EXPECT_FALSE(q.poll(0.2).has_value());
+  q.submit(3, 0.2);
+  const auto closed = q.poll(0.3);
+  ASSERT_TRUE(closed.has_value());
+  EXPECT_EQ(closed->reason, CloseReason::kWidth);
+  EXPECT_EQ(closed->members, (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CoalesceQueue, TimeoutClosesPartialBatch) {
+  CoalesceQueue<int> q(8, 0.5);
+  q.submit(7, 1.0);
+  EXPECT_FALSE(q.poll(1.4).has_value());
+  const auto closed = q.poll(1.5);
+  ASSERT_TRUE(closed.has_value());
+  EXPECT_EQ(closed->reason, CloseReason::kTimeout);
+  EXPECT_EQ(closed->members, (std::vector<int>{7}));
+  EXPECT_EQ(closed->closed_s, 1.5);
+}
+
+TEST(CoalesceQueue, FlushDrainsAndKeepsWidthReason) {
+  CoalesceQueue<int> q(2, 0);
+  EXPECT_FALSE(q.flush(0.0).has_value());  // nothing pending
+  q.submit(1, 0.0);
+  const auto partial = q.flush(1.0);
+  ASSERT_TRUE(partial.has_value());
+  EXPECT_EQ(partial->reason, CloseReason::kFlush);
+  // A full queue closes as kWidth even on the flush path.
+  q.submit(2, 2.0);
+  q.submit(3, 2.0);
+  const auto full = q.flush(3.0);
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(full->reason, CloseReason::kWidth);
+  EXPECT_EQ(std::string(close_reason_name(CloseReason::kTimeout)), "timeout");
 }
 
 TEST(Container, UrgentDrainsBeforeDeferredAtEqualReadiness) {

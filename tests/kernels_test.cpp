@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "gen/generators.hpp"
 #include "kernels/dense.hpp"
 #include "kernels/flops.hpp"
+#include "kernels/simd.hpp"
 #include "kernels/tile.hpp"
 #include "sparse/ops.hpp"
 #include "support/rng.hpp"
@@ -273,6 +275,41 @@ TEST(Flops, CountsArePositiveAndMonotone) {
   EXPECT_EQ(gemm_flops(2, 3, 4), 48);
   EXPECT_EQ(gemm_flops(2, 3, 4, 0.5), 24);
   EXPECT_EQ(words_to_bytes(10), 80);
+}
+
+// ---- SIMD inner loops --------------------------------------------------
+
+TEST(Simd, AxpyMinusMatchesScalarBitwise) {
+  std::vector<real_t> x(67), y(67), ref(67);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = 1.0 / (1.0 + static_cast<real_t>(i));
+    y[i] = ref[i] = 3.0 - 0.125 * static_cast<real_t>(i);
+  }
+  const real_t alpha = 1.0 / 3.0;
+  for (std::size_t i = 0; i < ref.size(); ++i) ref[i] -= x[i] * alpha;
+  simd::axpy_minus(static_cast<index_t>(x.size()), x.data(), alpha, y.data());
+  EXPECT_EQ(std::memcmp(y.data(), ref.data(), y.size() * sizeof(real_t)), 0);
+}
+
+TEST(Simd, ScaleMatchesScalarBitwise) {
+  std::vector<real_t> x(61), ref(61);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = ref[i] = 0.7 + static_cast<real_t>(i) * 0.031;
+  }
+  const real_t alpha = 1.0 / 7.0;
+  for (real_t& v : ref) v *= alpha;
+  simd::scale(static_cast<index_t>(x.size()), x.data(), alpha);
+  EXPECT_EQ(std::memcmp(x.data(), ref.data(), x.size() * sizeof(real_t)), 0);
+}
+
+TEST(Simd, DispatchNameIsCoherent) {
+  const char* name = simd::dispatch_name();
+  ASSERT_NE(name, nullptr);
+  if (simd::avx2_active()) {
+    EXPECT_STREQ(name, "avx2");
+  } else {
+    EXPECT_TRUE(std::strncmp(name, "portable", 8) == 0) << name;
+  }
 }
 
 }  // namespace
