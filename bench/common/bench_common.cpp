@@ -211,8 +211,6 @@ PeakRss peak_rss() {
   return r;  // no usable source; available() == false
 }
 
-offset_t peak_rss_bytes() { return peak_rss().bytes; }
-
 void emit(const Table& table, const std::string& stem) {
   std::fputs(table.to_string().c_str(), stdout);
   std::error_code ec;

@@ -141,7 +141,4 @@ struct PeakRss {
 /// one source falls through to the next instead of being reported as 0.
 PeakRss peak_rss();
 
-/// Back-compat shim: peak_rss().bytes (0 when unavailable).
-offset_t peak_rss_bytes();
-
 }  // namespace th::bench

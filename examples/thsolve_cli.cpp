@@ -230,6 +230,22 @@ int parse_int_strict(const char* what, const char* val, int lo) {
   return static_cast<int>(v);
 }
 
+// Strict real parse for flag values: the whole token must be a finite
+// number >= 0 ("lots", "1x", "-1" all exit 2 with a message; atof would
+// silently turn them into 0 or a truncated value).
+double parse_real_strict(const char* what, const char* val) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(val, &end);
+  if (end == val || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+      v < 0) {
+    usage((std::string(what) + " wants a non-negative number, got \"" + val +
+           "\"")
+              .c_str());
+  }
+  return v;
+}
+
 Csr make_generated(const std::string& kind, index_t n) {
   const std::uint64_t seed = 20260131;
   if (kind == "grid2d") {
@@ -310,7 +326,7 @@ int main(int argc, char** argv) {
   std::string accum = "atomic";
   std::string spill_dir, mem_policy = "spill";
   real_t mem_gib = 0;
-  real_t ckpt_write = 0;
+  real_t ckpt_interval = 0, ckpt_write = 0;
   bool validate = false;
   bool serve_mode = false;
   int serve_requests = 200, serve_tenants = 4, serve_patterns = 12;
@@ -344,7 +360,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--gen")) {
       gen_kind = need("--gen");
     } else if (!std::strcmp(argv[i], "--n")) {
-      n = static_cast<index_t>(std::atoi(need("--n")));
+      n = static_cast<index_t>(parse_int_strict("--n", need("--n"), 1));
     } else if (!std::strcmp(argv[i], "--core")) {
       core = need("--core");
     } else if (!std::strcmp(argv[i], "--policy")) {
@@ -352,7 +368,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--device")) {
       device = need("--device");
     } else if (!std::strcmp(argv[i], "--ranks")) {
-      ranks = std::atoi(need("--ranks"));
+      ranks = parse_int_strict("--ranks", need("--ranks"), 1);
     } else if (!std::strcmp(argv[i], "--threads")) {
       threads = parse_int_strict("--threads", need("--threads"), 1);
     } else if (!std::strcmp(argv[i], "--accum")) {
@@ -365,11 +381,12 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--rhs-batch")) {
       rhs_batch_spec = need("--rhs-batch");
     } else if (!std::strcmp(argv[i], "--block")) {
-      block = static_cast<index_t>(std::atoi(need("--block")));
+      block =
+          static_cast<index_t>(parse_int_strict("--block", need("--block"), 0));
     } else if (!std::strcmp(argv[i], "--ordering")) {
       ordering = need("--ordering");
     } else if (!std::strcmp(argv[i], "--refine")) {
-      refine_iters = std::atoi(need("--refine"));
+      refine_iters = parse_int_strict("--refine", need("--refine"), 0);
     } else if (!std::strcmp(argv[i], "--abft")) {
       abft = true;
     } else if (!std::strcmp(argv[i], "--abft-retries")) {
@@ -388,8 +405,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--faults")) {
       faults_spec = need("--faults");
     } else if (!std::strcmp(argv[i], "--mem-gib")) {
-      mem_gib = std::atof(need("--mem-gib"));
-      if (mem_gib < 0) usage("--mem-gib wants a non-negative GiB count");
+      mem_gib = parse_real_strict("--mem-gib", need("--mem-gib"));
     } else if (!std::strcmp(argv[i], "--spill-dir")) {
       spill_dir = need("--spill-dir");
     } else if (!std::strcmp(argv[i], "--mem-policy")) {
@@ -400,8 +416,12 @@ int main(int argc, char** argv) {
       }
     } else if (!std::strcmp(argv[i], "--ckpt-interval")) {
       ckpt_interval_spec = need("--ckpt-interval");
+      if (ckpt_interval_spec != "auto") {
+        ckpt_interval =
+            parse_real_strict("--ckpt-interval", ckpt_interval_spec.c_str());
+      }
     } else if (!std::strcmp(argv[i], "--ckpt-write")) {
-      ckpt_write = std::atof(need("--ckpt-write"));
+      ckpt_write = parse_real_strict("--ckpt-write", need("--ckpt-write"));
     } else if (!std::strcmp(argv[i], "--ckpt-out")) {
       ckpt_out_path = need("--ckpt-out");
     } else if (!std::strcmp(argv[i], "--resume")) {
@@ -420,7 +440,7 @@ int main(int argc, char** argv) {
       serve_patterns =
           parse_int_strict("--serve-patterns", need("--serve-patterns"), 1);
     } else if (!std::strcmp(argv[i], "--serve-load")) {
-      serve_load = std::atof(need("--serve-load"));
+      serve_load = parse_real_strict("--serve-load", need("--serve-load"));
       if (serve_load <= 0) usage("--serve-load wants a positive multiple");
     } else if (!std::strcmp(argv[i], "--serve-seed")) {
       serve_seed = static_cast<std::uint64_t>(
@@ -667,7 +687,7 @@ int main(int argc, char** argv) {
         so.checkpoint.mode = CheckpointPolicy::Mode::kAuto;
       } else {
         so.checkpoint.mode = CheckpointPolicy::Mode::kInterval;
-        so.checkpoint.interval_s = std::atof(ckpt_interval_spec.c_str());
+        so.checkpoint.interval_s = ckpt_interval;
       }
       if (ckpt_write > 0) so.checkpoint.write_cost_s = ckpt_write;
     }

@@ -263,9 +263,10 @@ FaultPlan random_corruption_plan(std::uint64_t seed, const TaskGraph& graph,
       case 1: nf.kind = NumericFaultKind::kScaledEntry; break;
       default: nf.kind = NumericFaultKind::kSilentNaN; break;
     }
-    // One fault per task: a second corruption of the same tile in the
-    // same batch would still be detected but muddies injected/handled
-    // accounting in the soak's assertions.
+    // One fault per task. The scheduler would cope with a second one (it
+    // plants at most one corruption per task per attempt and keeps the
+    // rest for the retry); the dedupe stays so fixed soak seeds keep
+    // drawing the plans they always drew.
     bool dup = false;
     for (const NumericFault& prev : plan.numeric_faults) {
       if (prev.task_id == nf.task_id) dup = true;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 #include <sstream>
+#include <unordered_map>
 
 #include "support/error.hpp"
 
@@ -321,6 +322,50 @@ ValidationReport validate_schedule(const TaskGraph& graph,
     TH_VALIDATE_ISSUE(rep, "per-rank stats sized " << stats.ranks.size()
                                                    << ", expected "
                                                    << opt.n_ranks);
+  }
+
+  // ---- Write conflicts match the batch members --------------------------
+  // A batch conflicts exactly when two or more SSSSM members update one
+  // (row, col) tile, and every such member counts toward atomic_tasks.
+  // With atomic batching off the Trojan Horse defers the second update
+  // instead; the CPU model's bulk steps still take every ready task.
+  {
+    offset_t conflicting = 0;
+    std::unordered_map<std::uint64_t, offset_t> writers;  // tile -> members
+    for (std::size_t k = 0; k < nrec; ++k) {
+      writers.clear();
+      for (const index_t id : blog[k].members) {
+        if (id < 0 || id >= n) continue;
+        const Task& t = graph.task(id);
+        if (t.type != TaskType::kSsssm) continue;
+        ++writers[(static_cast<std::uint64_t>(static_cast<std::uint32_t>(t.row))
+                   << 32) |
+                  static_cast<std::uint32_t>(t.col)];
+      }
+      offset_t in_batch = 0;
+      for (const auto& [tile, members] : writers) {
+        if (members > 1) in_batch += members;
+      }
+      conflicting += in_batch;
+      if ((in_batch > 0) != blog[k].had_conflict) {
+        TH_VALIDATE_ISSUE(rep, "kernel " << k << " has " << in_batch
+                                         << " write-conflicting SSSSM "
+                                            "member(s) but had_conflict is "
+                                         << blog[k].had_conflict);
+      }
+      if (in_batch > 0 && !opt.allow_atomic_batching && !opt.cpu_mode) {
+        TH_VALIDATE_ISSUE(rep, "kernel " << k << " batches " << in_batch
+                                         << " write-conflicting SSSSM "
+                                            "member(s) with atomic batching "
+                                            "off");
+      }
+    }
+    if (conflicting != result.atomic_tasks) {
+      TH_VALIDATE_ISSUE(rep, "atomic_tasks " << result.atomic_tasks
+                                             << " != " << conflicting
+                                             << " write-conflicting members "
+                                                "in the batch log");
+    }
   }
 
   // ---- Fault accounting balances ----------------------------------------

@@ -20,6 +20,10 @@
 //   * exclusivity    — kernels on one rank never overlap (at most
 //                      n_streams overlap under the multi-stream policy);
 //   * rank death     — a dead rank launches nothing after its failure;
+//   * conflicts      — a batch's had_conflict flag is set exactly when two
+//                      SSSSM members write one tile, never with atomic
+//                      batching off (outside CPU mode), and the conflicting
+//                      members sum to atomic_tasks;
 //   * accounting     — injected == handled + fatal, and the per-kind
 //                      counters match the timeline evidence.
 //

@@ -372,7 +372,10 @@ class RecordReader {
     }
     need(static_cast<std::size_t>(size) * sizeof(T), field);
     std::vector<T> v(static_cast<std::size_t>(size));
-    std::memcpy(v.data(), payload_.data() + pos_, v.size() * sizeof(T));
+    // An empty vector's data() may be null, which memcpy does not allow.
+    if (!v.empty()) {
+      std::memcpy(v.data(), payload_.data() + pos_, v.size() * sizeof(T));
+    }
     pos_ += v.size() * sizeof(T);
     return v;
   }

@@ -222,6 +222,38 @@ TEST(AbftEndToEnd, DetectsEverySilentKind) {
   }
 }
 
+TEST(AbftEndToEnd, TwoCorruptionsOnOneTaskLandOnSeparateAttempts) {
+  // Two silent corruptions of one task: planting both on one attempt would
+  // give them one verdict (two bit flips even cancel out) and leave the
+  // fault ledger short. Each must land on its own attempt, be detected and
+  // be retried; validate_schedule checks the ledger balances.
+  const Csr a = abft_matrix();
+  const real_t res_clean = clean_residual(a);
+  const NumericFaultKind plans[][2] = {
+      {NumericFaultKind::kBitFlip, NumericFaultKind::kScaledEntry},
+      {NumericFaultKind::kBitFlip, NumericFaultKind::kBitFlip}};
+  for (const auto& kinds : plans) {
+    InstanceOptions io;
+    io.core = SolverCore::kPlu;
+    io.block = 16;
+    SolverInstance inst(a, io);
+    ScheduleOptions so = abft_sched(true);
+    for (const NumericFaultKind kind : kinds) {
+      NumericFault nf;
+      nf.task_id = last_task_of(inst.graph(), TaskType::kSsssm);
+      nf.kind = kind;
+      so.faults.numeric_faults.push_back(nf);
+    }
+    const ScheduleResult r = inst.run_numeric(so);
+    const std::string plan = numeric_fault_name(kinds[1]);
+    EXPECT_EQ(r.stats().abft.silent_injected, 2) << plan;
+    EXPECT_EQ(r.stats().abft.corrupt_detected, 2) << plan;
+    EXPECT_EQ(r.stats().abft.retries, 2) << plan;
+    EXPECT_TRUE(r.stats().faults.fully_accounted()) << plan;
+    EXPECT_NEAR(residual_of(inst, a), res_clean, 1e-12) << plan;
+  }
+}
+
 TEST(AbftEndToEnd, BudgetExhaustionEscalatesToRefinement) {
   const Csr a = abft_matrix();
   InstanceOptions io;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/scheduler.hpp"
+#include "resilience/validate.hpp"
 
 namespace th {
 namespace {
@@ -209,6 +210,57 @@ TEST(TrojanHorseSchedule, UrgentTasksPreemptContainerTasks) {
   EXPECT_LE(r.kernel_count, 2);
   (void)f;
   (void)ids;
+}
+
+TEST(TrojanHorseSchedule, WriteConflictsAreFlaggedOrDeferred) {
+  // Two SSSSM updates of tile (2, 2) ready in the same layer.
+  TaskGraph g;
+  g.add_task(make_task(TaskType::kSsssm, 0, 2, 2));
+  g.add_task(make_task(TaskType::kSsssm, 1, 2, 2));
+  g.finalize();
+  auto run = [&](auto mutate) {
+    ScheduleOptions o = base_options(Policy::kTrojanHorse);
+    mutate(o);
+    return simulate(g, o, nullptr);
+  };
+  auto conflict_batches = [](const ScheduleResult& r) {
+    int k = 0;
+    for (const BatchLog::Batch& b : r.stats().batches.batches) {
+      k += b.had_conflict;
+    }
+    return k;
+  };
+
+  // TH batches both, atomically.
+  const ScheduleResult th = run([](ScheduleOptions&) {});
+  EXPECT_EQ(th.kernel_count, 1);
+  EXPECT_EQ(th.atomic_tasks, 2);
+  EXPECT_EQ(conflict_batches(th), 1);
+
+  // Atomic batching off: the second update waits for a later batch.
+  const ScheduleResult serial =
+      run([](ScheduleOptions& o) { o.allow_atomic_batching = false; });
+  EXPECT_GE(serial.deferred_tasks, 1);
+  EXPECT_EQ(serial.atomic_tasks, 0);
+  EXPECT_EQ(conflict_batches(serial), 0);
+
+  // The CPU model's bulk step takes both and flags them like TH.
+  const ScheduleResult cpu =
+      run([](ScheduleOptions& o) { o.cpu_mode = true; });
+  EXPECT_EQ(cpu.kernel_count, 1);
+  EXPECT_EQ(cpu.atomic_tasks, 2);
+  EXPECT_EQ(conflict_batches(cpu), 1);
+
+  // The validator holds the flags and the counter to the batch members.
+  ScheduleOptions o = base_options(Policy::kTrojanHorse);
+  ScheduleResult bad = th;
+  bad.stats().batches[0].had_conflict = false;
+  EXPECT_FALSE(validate_schedule(g, o, bad).ok());
+  bad = th;
+  bad.atomic_tasks = 1;
+  EXPECT_FALSE(validate_schedule(g, o, bad).ok());
+  o.allow_atomic_batching = false;
+  EXPECT_FALSE(validate_schedule(g, o, th).ok());
 }
 
 TEST(MultiStream, OverlapsKernelsAcrossStreams) {
