@@ -8,7 +8,8 @@
 // instead of the filled graph. Degrees use the AMD-style upper bound
 // |A_v| + sum_e (|L_e| - 1) instead of the exact boundary union — the
 // standard trade of slight ordering quality for near-linear runtime.
-// Supervariable detection is omitted.
+// Supervariable detection is omitted. The elimination order is finished by
+// an etree postorder (reorder.hpp).
 #include <algorithm>
 #include <queue>
 #include <vector>
@@ -33,7 +34,7 @@ struct HeapItem {
 
 }  // namespace
 
-Permutation min_degree_order(const Csr& a) {
+Permutation detail::min_degree_elimination(const Csr& a) {
   const AdjacencyGraph g = build_adjacency(a);
   const index_t n = g.n;
 
@@ -130,6 +131,10 @@ Permutation min_degree_order(const Csr& a) {
 
   TH_ASSERT(is_valid_permutation(order));
   return order;
+}
+
+Permutation min_degree_order(const Csr& a) {
+  return etree_postorder(a, detail::min_degree_elimination(a));
 }
 
 }  // namespace th

@@ -22,8 +22,8 @@ void dissect(const AdjacencyGraph& g, std::vector<index_t> verts,
              const Csr& a_for_leaf, std::vector<index_t>& out) {
   if (verts.empty()) return;
   if (static_cast<index_t>(verts.size()) <= leaf_size) {
-    // Leaf: keep natural relative order (callers that want MD leaves can
-    // post-process; at leaf sizes <= 64 the difference is noise).
+    // Leaf: keep natural relative order; the final etree postorder
+    // renumbers it (at leaf sizes <= 64 the fill difference is noise).
     out.insert(out.end(), verts.begin(), verts.end());
     for (index_t v : verts) mask[v] = 0;
     return;
@@ -106,7 +106,7 @@ Permutation nested_dissection_order(const Csr& a, index_t leaf_size) {
   order.reserve(all.size());
   dissect(g, std::move(all), mask, leaf_size, a, order);
   TH_ASSERT(is_valid_permutation(order));
-  return order;
+  return etree_postorder(a, order);
 }
 
 const char* ordering_name(Ordering o) {

@@ -441,10 +441,24 @@ RequestId SolverService::pick_from_tenant(const std::string& tenant) const {
   if (qit == tenant_queues_.end()) return -1;
   RequestId best = -1;
   const Pending* best_p = nullptr;
+  // Per-session causality: the queue is in admission order, so a write
+  // (factor/refactor) is eligible only as its session's oldest pending
+  // request, and a solve only while no older write of its session waits.
+  struct Seen {
+    bool any = false;
+    bool write = false;
+  };
+  std::map<SessionId, Seen> seen;
   for (const RequestId id : qit->second) {
     const auto pit = pending_.find(id);
     if (pit == pending_.end()) continue;  // stale (shed/cancelled earlier)
     const Pending& p = pit->second;
+    Seen& ss = seen[p.session];
+    const bool write = p.req.kind != RequestKind::kSolve;
+    const bool eligible = write ? !ss.any : !ss.write;
+    ss.any = true;
+    ss.write = ss.write || write;
+    if (!eligible) continue;
     if (best_p == nullptr || p.req.priority > best_p->req.priority ||
         (p.req.priority == best_p->req.priority &&
          (p.req.deadline_s < best_p->req.deadline_s ||
@@ -775,13 +789,13 @@ void SolverService::dispatch_one() {
     batch.push_back(std::move(p));
     while (!other_tenant_waiting &&
            static_cast<index_t>(batch.size()) < opt_.rhs.max_width) {
+      // Stop at the session's next write: later solves must see its
+      // factors, not the current ones.
       RequestId extra = -1;
       for (const auto& [eid, ep] : pending_) {
-        if (ep.session == batch.front().session &&
-            ep.req.kind == RequestKind::kSolve) {
-          extra = eid;
-          break;
-        }
+        if (ep.session != batch.front().session) continue;
+        if (ep.req.kind == RequestKind::kSolve) extra = eid;
+        break;
       }
       if (extra < 0) break;
       auto eit = pending_.find(extra);

@@ -361,7 +361,9 @@ class SolverService {
 
   real_t backlog_estimate_s() const;
   real_t estimate_service_s(const Session& s, RequestKind kind) const;
-  /// Highest priority, then earliest deadline, then FIFO within a tenant.
+  /// Highest priority, then earliest deadline, then FIFO within a tenant,
+  /// among the requests that keep per-session causality: no request passes
+  /// an older write of its session, and no write passes any older request.
   RequestId pick_from_tenant(const std::string& tenant) const;
   /// Fair-share pick across tenants (round-robin cursor); -1 when idle.
   RequestId pick_next();

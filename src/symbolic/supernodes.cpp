@@ -27,9 +27,11 @@ SupernodePartition find_supernodes(const FillPattern& fill,
     bool extend = false;
     if (j < n) {
       const bool chain = etree.parent[j - 1] == j;
-      // Exact nesting shrinks the count by 1; relaxation tolerates up to
-      // relax_slack additional missing rows (padded with explicit zeros).
-      const bool nested = col_count(j) >= col_count(j - 1) - 1 - relax_slack;
+      // parent(j-1) == j gives struct(L_j) ⊇ struct(L_{j-1}) \ {j-1}, so
+      // col_count(j) >= col_count(j-1) - 1 always holds. Exact nesting is
+      // equality; relaxation lets column j add up to relax_slack rows that
+      // column j-1 lacks (padded with explicit zeros in j-1's panel).
+      const bool nested = col_count(j) <= col_count(j - 1) - 1 + relax_slack;
       const bool fits = j - cur_start < max_size;
       extend = chain && nested && fits;
     }

@@ -21,10 +21,11 @@ struct SupernodePartition {
 
 /// (Relaxed) supernodes with a maximum width cap (the paper tunes
 /// SuperLU's max supernode size to 256). Column j joins the supernode of
-/// j-1 iff parent(j-1) == j in the etree, the column count shrinks by at
-/// most 1 + relax_slack (exact pattern nesting when relax_slack == 0), and
-/// the cap is not exceeded. Relaxation (amalgamation) trades a small amount
-/// of explicit-zero padding for wider panels — exactly SuperLU's "relaxed
+/// j-1 iff parent(j-1) == j in the etree, column j has at most relax_slack
+/// rows that column j-1 lacks (col_count(j) <= col_count(j-1) - 1 +
+/// relax_slack; exact pattern nesting when relax_slack == 0), and the cap
+/// is not exceeded. Relaxation (amalgamation) trades a small amount of
+/// explicit-zero padding for wider panels — exactly SuperLU's "relaxed
 /// supernodes". Padded entries remain exact zeros through factorisation,
 /// so numerics are unaffected.
 SupernodePartition find_supernodes(const FillPattern& fill,

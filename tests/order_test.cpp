@@ -2,13 +2,21 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
+
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gen/generators.hpp"
 #include "order/graph.hpp"
 #include "sparse/convert.hpp"
 #include "order/reorder.hpp"
+#include "solvers/driver.hpp"
 #include "sparse/ops.hpp"
 #include "support/rng.hpp"
+#include "symbolic/etree.hpp"
 #include "symbolic/fill.hpp"
 
 namespace th {
@@ -150,6 +158,87 @@ TEST(Orderings, AllValidOnIrregularMatrix) {
     EXPECT_TRUE(is_valid_permutation(compute_ordering(a, o)))
         << ordering_name(o);
   }
+}
+
+// ---- etree postorder -------------------------------------------------------
+
+// Stand-ins for the registry's grid2d, grid3d, circuit and cage families.
+std::vector<std::pair<std::string, Csr>> stand_ins() {
+  return {{"grid2d", finalize_system(grid2d_laplacian(30, 30), 1)},
+          {"grid3d", finalize_system(grid3d_laplacian(10, 10, 10), 1)},
+          {"circuit", finalize_system(circuit_like(1000, 2.6, 3, 7), 1)},
+          {"cage", finalize_system(cage_like(1000, 5, 0.1, 8), 1)}};
+}
+
+offset_t nnz_lu(const Csr& a, const Permutation& p) {
+  return symbolic_fill(apply_symmetric_permutation(a, p)).nnz_lu();
+}
+
+TEST(Postorder, PreservesFillOfAnyPermutation) {
+  for (const auto& [name, a] : stand_ins()) {
+    const std::pair<const char*, Permutation> perms[] = {
+        {"natural", identity_permutation(a.n_rows)},
+        {"rcm", rcm_order(a)},
+        {"mindeg-elimination", detail::min_degree_elimination(a)},
+    };
+    for (const auto& [pname, p] : perms) {
+      const Permutation q = etree_postorder(a, p);
+      ASSERT_TRUE(is_valid_permutation(q)) << name << " " << pname;
+      EXPECT_EQ(nnz_lu(a, q), nnz_lu(a, p)) << name << " " << pname;
+    }
+  }
+}
+
+TEST(Postorder, MinDegreeAndNdOutputsArePostordered) {
+  for (const auto& [name, a] : stand_ins()) {
+    for (Ordering o : {Ordering::kMinDegree, Ordering::kNestedDissection}) {
+      const Permutation p = compute_ordering(a, o);
+      const EliminationTree t =
+          elimination_tree(apply_symmetric_permutation(a, p));
+      EXPECT_EQ(postorder(t), identity_permutation(a.n_rows))
+          << name << " " << ordering_name(o);
+    }
+  }
+}
+
+// FNV-1a over the little-endian bytes of the permutation.
+std::uint64_t fnv1a(const Permutation& p) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (index_t v : p) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (static_cast<std::uint32_t>(v) >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(Postorder, RcmAndNaturalAreUnchanged) {
+  // RCM is not postordered: its value is its band, which a postorder
+  // would scatter. The hashes pin its output on each stand-in.
+  const std::map<std::string, std::uint64_t> rcm_golden = {
+      {"grid2d", 0x69221c5a11a7b3bbull},
+      {"grid3d", 0xfc866b85a919a3b7ull},
+      {"circuit", 0x91d07542382c0227ull},
+      {"cage", 0x9d9dddb34eb7f44full},
+  };
+  for (const auto& [name, a] : stand_ins()) {
+    EXPECT_EQ(fnv1a(compute_ordering(a, Ordering::kRcm)), rcm_golden.at(name))
+        << name;
+    EXPECT_EQ(compute_ordering(a, Ordering::kNatural),
+              identity_permutation(a.n_rows))
+        << name;
+  }
+}
+
+TEST(Postorder, KeepsThePluTaskDagSmall) {
+  // Un-postordered min-degree scattered supernodes across tiles and built
+  // 40,822 tasks here for a fill pattern that ~8,000 tasks cover.
+  const Csr a = finalize_system(grid2d_laplacian(70, 70), 1);
+  InstanceOptions io;
+  io.core = SolverCore::kPlu;
+  const SolverInstance inst(a, io);
+  EXPECT_LE(inst.graph().size(), 10000);
 }
 
 }  // namespace

@@ -340,6 +340,49 @@ TEST(SolverService, RoundRobinKeepsFloodingTenantFromStarvingOthers) {
   for (const Completion& c : done) EXPECT_TRUE(c.ok()) << c.detail;
 }
 
+// ---- per-session causality ------------------------------------------------
+
+TEST(SolverService, RequestsNeverPassAnOlderWriteOfTheirSession) {
+  SolverService svc(small_service());
+  const SessionId sid = svc.open_session("alice", grid(12, 1));
+
+  // An interactive solve queued behind a normal-priority factor must wait
+  // for it instead of failing on a session that has no factors yet.
+  Request f;
+  f.kind = RequestKind::kFactor;
+  const serve::RequestId factor = svc.submit(sid, f);
+  Request urgent;
+  urgent.kind = RequestKind::kSolve;
+  urgent.priority = Priority::kInteractive;
+  const serve::RequestId first = svc.submit(sid, urgent);
+  // A refactor between two solves: the earlier solve may not coalesce the
+  // later one past it, and the later, higher-priority solve may not pass
+  // it either.
+  Request early;
+  early.kind = RequestKind::kSolve;
+  early.value_seed = 3;
+  const serve::RequestId before = svc.submit(sid, early);
+  Request r;
+  r.kind = RequestKind::kRefactor;
+  r.value_seed = 9;
+  const serve::RequestId refactor = svc.submit(sid, r);
+  const serve::RequestId after = svc.submit(sid, urgent);
+
+  const std::vector<Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 5u);
+  std::map<serve::RequestId, Completion> by_id;
+  for (const Completion& c : done) {
+    EXPECT_TRUE(c.ok()) << c.detail;
+    by_id[c.id] = c;
+  }
+  EXPECT_GE(by_id[first].start_s, by_id[factor].finish_s);
+  EXPECT_GE(by_id[before].start_s, by_id[factor].finish_s);
+  EXPECT_LE(by_id[before].finish_s, by_id[refactor].start_s);
+  EXPECT_LE(by_id[first].finish_s, by_id[refactor].start_s);
+  EXPECT_GE(by_id[after].start_s, by_id[refactor].finish_s);
+  EXPECT_EQ(svc.stats().failed, 0);
+}
+
 // ---- stats / obs reconciliation -------------------------------------------
 
 TEST(SolverService, StatsReconcileWithRegistryAndSymbolicSpans) {
