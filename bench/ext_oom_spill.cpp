@@ -84,7 +84,6 @@ int main() {
   so.n_ranks = ranks;
   so.policy = Policy::kTrojanHorse;
   so.exec.workers = 2;
-  so.exec.accum = exec::AccumMode::kDeterministic;
 
   // Run A: unconstrained (1 TiB budget, large enough to never degrade) —
   // measures the true high-water mark and the baseline makespan.

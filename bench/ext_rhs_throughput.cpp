@@ -10,7 +10,7 @@
 //   (b) the level-set ablation is reported at width 16 next to the
 //       priority-DAG schedule, and the priority-DAG schedule batches
 //       kernels the per-level baseline cannot;
-//   (c) det mode is bit-stable — solutions are bitwise identical across
+//   (c) solves are bit-stable — solutions are bitwise identical across
 //       worker counts {1,2,4,8} and batch widths {1,4,16}, and every
 //       solution's scaled residual stays tiny;
 //   (d) the th.rhs.* registry mirror reconciles with RhsStats exactly.
@@ -121,7 +121,7 @@ bool bitwise_equal(const std::vector<std::vector<real_t>>& a,
 int main() {
   banner("rhs throughput extension",
          "Batched multi-RHS SpTRSV engine: width scaling, level-set "
-         "ablation, det-mode bit-stability, obs reconciliation.");
+         "ablation, bit-stability, obs reconciliation.");
 
   const obs::Session obs_session(true);
 
@@ -200,7 +200,7 @@ int main() {
   gate(worst_residual(a, inst, cols, run_lvl) < 1e-8,
        "level-set ablation stays correct");
 
-  // ---- (c) det mode: bitwise across worker counts and widths --------------
+  // ---- (c) bitwise across worker counts and widths ------------------------
   const int det_rhs = 16;
   const std::vector<std::vector<real_t>> det_cols(cols.begin(),
                                                   cols.begin() + det_rhs);
@@ -213,7 +213,6 @@ int main() {
       dso.exec.workers = workers;
       rhs::RhsOptions ropt;
       ropt.max_width = w;
-      ropt.det = true;
       const RunOutcome run = run_engine(inst, dso, ropt, det_cols);
       total += run.stats;
       if (ref.empty()) {

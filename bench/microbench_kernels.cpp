@@ -53,20 +53,6 @@ void BM_GemmMinus(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmMinus)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 
-void BM_GemmMinusAtomic(benchmark::State& state) {
-  const auto n = static_cast<index_t>(state.range(0));
-  Rng rng(3);
-  const std::vector<real_t> a = random_matrix(n, rng, false);
-  const std::vector<real_t> b = random_matrix(n, rng, false);
-  std::vector<real_t> c = random_matrix(n, rng, false);
-  for (auto _ : state) {
-    gemm_minus_atomic(n, n, n, a.data(), n, b.data(), n, c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_GemmMinusAtomic)->Arg(32)->Arg(64);
-
 void BM_SparseSsssm(benchmark::State& state) {
   const index_t n = 64;
   const double density = static_cast<double>(state.range(0)) / 100.0;
@@ -89,7 +75,7 @@ void BM_SparseSsssm(benchmark::State& state) {
   c.freeze();
   c.densify();
   for (auto _ : state) {
-    tile_ssssm(c, l, u, /*atomic=*/false);
+    tile_ssssm(c, l, u);
     benchmark::DoNotOptimize(c.dense_data());
   }
 }

@@ -16,10 +16,6 @@
 //     --threads <int>            host worker threads for the numeric batch
 //                                runtime (default $TH_THREADS or 1); each
 //                                worker plays a CUDA block
-//     --accum <atomic|det>       Schur accumulation for write-conflicting
-//                                batch members: lock-free atomic adds
-//                                (paper-faithful, default) or deterministic
-//                                scratch + ordered reduction
 //     --nrhs <int>               after factoring, run a batched multi-RHS
 //                                SpTRSV phase: N right-hand sides solved as
 //                                block solves through src/rhs, printing
@@ -27,7 +23,7 @@
 //                                (PLU core only)
 //     --rhs-batch <spec>         batching engine configuration, a spec
 //                                string "width=N,wait=SEC,sched=priority|
-//                                levelset,det=0|1"; applies to --nrhs and
+//                                levelset"; applies to --nrhs and
 //                                to --serve's solve coalescing
 //     --block <int>              tile size / max supernode (default core's)
 //     --ordering <mindeg|rcm|nd|natural>              (default mindeg)
@@ -193,9 +189,8 @@ using namespace th;
                "usage: thsolve_cli [--matrix f.mtx | --gen KIND --n N] "
                "[--core plu|slu] [--policy th|pangu|superlu|stream|dmdas] "
                "[--device a100|h100|5090|5060ti|mi50] [--ranks R] "
-               "[--threads N] [--accum atomic|det] "
-               "[--nrhs N] [--rhs-batch width=N,wait=SEC,"
-               "sched=priority|levelset,det=0|1] "
+               "[--threads N] [--nrhs N] [--rhs-batch width=N,wait=SEC,"
+               "sched=priority|levelset] "
                "[--block B] [--ordering mindeg|rcm|nd|natural] "
                "[--refine I] [--abft] [--abft-retries N] [--trace out.json] "
                "[--trace-out unified.json] [--metrics-out m.json|m.csv] "
@@ -298,7 +293,6 @@ rhs::RhsOptions parse_rhs_batch(const std::string& s) {
     o.max_width = static_cast<index_t>(r.width);
     o.max_wait_s = static_cast<real_t>(r.wait_s);
     o.schedule = rhs::solve_schedule_by_name(r.schedule);
-    o.det = r.det;
     return o;
   } catch (const spec::SpecError& e) {
     usage((std::string("--rhs-batch: ") + e.what()).c_str());
@@ -323,7 +317,6 @@ int main(int argc, char** argv) {
   std::string core = "plu", policy = "th", device = "a100";
   std::string ordering = "mindeg";
   std::string ckpt_interval_spec, ckpt_out_path, resume_path;
-  std::string accum = "atomic";
   std::string spill_dir, mem_policy = "spill";
   real_t mem_gib = 0;
   real_t ckpt_interval = 0, ckpt_write = 0;
@@ -371,11 +364,6 @@ int main(int argc, char** argv) {
       ranks = parse_int_strict("--ranks", need("--ranks"), 1);
     } else if (!std::strcmp(argv[i], "--threads")) {
       threads = parse_int_strict("--threads", need("--threads"), 1);
-    } else if (!std::strcmp(argv[i], "--accum")) {
-      accum = need("--accum");
-      if (accum != "atomic" && accum != "det") {
-        usage("--accum wants atomic or det");
-      }
     } else if (!std::strcmp(argv[i], "--nrhs")) {
       nrhs = parse_int_strict("--nrhs", need("--nrhs"), 1);
     } else if (!std::strcmp(argv[i], "--rhs-batch")) {
@@ -677,7 +665,6 @@ int main(int argc, char** argv) {
     so.mem.spill_dir = spill_dir;
     so.mem.policy = mem::mem_policy_by_name(mem_policy);
     so.exec.workers = threads;
-    so.exec.accum = exec::accum_mode_by_name(accum);
     so.abft.enabled = abft;
     so.abft.max_retries = abft_retries;
     so.validate_schedule = validate;
@@ -741,11 +728,10 @@ int main(int argc, char** argv) {
                 r.mean_batch_size, r.achieved_gflops(),
                 static_cast<long long>(inst.nnz_lu()));
     if (threads > 1) {
-      std::printf("exec: %d host threads (%s accum): wall %.1f ms, span "
-                  "%.1f ms, busy %.1f ms, %ld slices, %ld whole-task "
-                  "fallbacks\n",
-                  r.stats().exec.workers, accum.c_str(),
-                  r.stats().exec.wall_s * 1e3, r.stats().exec.span_s * 1e3,
+      std::printf("exec: %d host threads: wall %.1f ms, span %.1f ms, "
+                  "busy %.1f ms, %ld slices, %ld whole-task fallbacks\n",
+                  r.stats().exec.workers, r.stats().exec.wall_s * 1e3,
+                  r.stats().exec.span_s * 1e3,
                   r.stats().exec.busy_s * 1e3, r.stats().exec.slices,
                   r.stats().exec.fallback_tasks);
     }
@@ -876,8 +862,7 @@ int main(int argc, char** argv) {
                     blockbuf.begin() + static_cast<std::size_t>(j) * nn);
         }
         const rhs::BlockSolveResult br = bsolver.solve(
-            blockbuf.data(), static_cast<index_t>(w), ropt.schedule,
-            ropt.det);
+            blockbuf.data(), static_cast<index_t>(w), ropt.schedule);
         virt_s += br.makespan_s();
         kernels += br.kernel_count();
         ++batches;
@@ -892,12 +877,12 @@ int main(int argc, char** argv) {
                          a, x, rhs_cols[static_cast<std::size_t>(at + j)]));
         }
       }
-      std::printf("rhs: %d rhs in %d batch(es) (width cap %d, %s schedule"
-                  "%s): virtual %.3f ms, %.1f RHS/s, %lld kernels, dag %lld "
-                  "build(s) / %lld reuse(s), max scaled residual %.2e\n",
+      std::printf("rhs: %d rhs in %d batch(es) (width cap %d, %s "
+                  "schedule): virtual %.3f ms, %.1f RHS/s, %lld kernels, "
+                  "dag %lld build(s) / %lld reuse(s), max scaled residual "
+                  "%.2e\n",
                   nrhs, batches, static_cast<int>(ropt.max_width),
-                  rhs::solve_schedule_name(ropt.schedule),
-                  ropt.det ? ", det" : "", virt_s * 1e3,
+                  rhs::solve_schedule_name(ropt.schedule), virt_s * 1e3,
                   virt_s > 0 ? nrhs / virt_s : 0.0, kernels,
                   static_cast<long long>(bsolver.dag().builds()),
                   static_cast<long long>(bsolver.dag().reuses()), worst);

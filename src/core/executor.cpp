@@ -10,7 +10,6 @@ Executor::Executor(KernelCostModel model, NumericBackend* backend,
   TH_CHECK(opt.workers >= 1);
   exec::BatchExecOptions bopt;
   bopt.n_threads = opt.workers;
-  bopt.accum = opt.accum;
   bopt.watchdog_s = opt.watchdog_s;
   bopt.shared_pool = opt.pool;
   batch_exec_ = std::make_unique<exec::BatchExecutor>(bopt);

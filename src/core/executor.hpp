@@ -3,8 +3,8 @@
 // Runs one heterogeneous batch as a single simulated kernel launch:
 // * the numeric bodies execute on the host through exec::BatchExecutor — a
 //   persistent worker pool where each worker plays a CUDA block, routed to
-//   its task via the shared exec::BlockMap (Figure 7), with atomic or
-//   deterministic Schur accumulation for write-conflicting SSSSM members;
+//   its task via the shared exec::BlockMap (Figure 7), with deterministic
+//   Schur accumulation for write-conflicting SSSSM members;
 // * the simulated duration comes from the KernelCostModel, which derives
 //   occupancy from the same BlockMap.
 #pragma once
@@ -27,10 +27,9 @@ struct ExecOptions {
   /// Host threads for numeric batch execution (exec::BatchExecutor lanes,
   /// each playing a CUDA block). thsolve_cli --threads / TH_THREADS.
   int workers = 1;
-  /// How write-conflicting SSSSM members accumulate when workers > 1:
-  /// atomic fetch-add in place (paper-faithful) or per-task scratch folded
-  /// in batch order (bit-reproducible). thsolve_cli --accum.
-  exec::AccumMode accum = exec::AccumMode::kAtomic;
+  /// Inert: accumulation is always deterministic. Kept because the frozen
+  /// perfbench harness still sets it.
+  exec::AccumMode accum = exec::AccumMode::kDeterministic;
   /// WorkerPool hung-lane watchdog period in seconds (0 disables): a lane
   /// that never starts within the period is taken over by the caller and
   /// the pool degrades to the responsive width for subsequent batches.
@@ -72,8 +71,7 @@ class Executor {
  public:
   /// `backend` may be null for timing-only replays (the numeric results
   /// were already validated in an earlier run). `opt.workers > 1` executes
-  /// batch members block-sliced on a persistent thread pool; `opt.accum`
-  /// selects how write-conflicting members fold their updates;
+  /// batch members block-sliced on a persistent thread pool;
   /// `opt.watchdog_s` (0 = off) arms the pool's hung-lane watchdog.
   Executor(KernelCostModel model, NumericBackend* backend,
            const ExecOptions& opt = {});
@@ -82,8 +80,9 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Execute one batch. `atomic_flags[i]` marks batch member i as needing
-  /// atomic accumulation (write conflict with another member).
+  /// Execute one batch. `atomic_flags[i]` marks batch member i as
+  /// write-conflicting with another member (atomicAdd on the modelled GPU;
+  /// an ordered scratch fold on the host).
   BatchResult execute(const TaskGraph& graph,
                       const std::vector<index_t>& batch,
                       const std::vector<char>& atomic_flags,

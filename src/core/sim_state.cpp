@@ -524,9 +524,9 @@ FormedBatch SimState::form_batch(RankState& st) {
   if (opt.cpu_mode) {
     // CPU solvers keep all cores busy with whatever is ready: consume the
     // whole pool in one task-parallel step (conflicting SSSSM updates are
-    // reduced per-core, so no atomics are needed in the model — but they
-    // still need atomic accumulation when the numeric backend runs them on
-    // a worker pool).
+    // reduced per-core, so no atomics are needed in the model; the host
+    // runtime still folds them in batch order when it runs the batch on a
+    // worker pool).
     drain_queues(st, false, [&](index_t id) {
       if (entry_stale(id)) return;
       if (track_pending) in_queue[id] = 0;
@@ -681,10 +681,10 @@ void SimState::make_room(int rank, offset_t bytes, const char* what,
 
 // Before the batch launches its rank must hold: the batch members'
 // resident inputs (pinned; spilled ones reloaded at the modelled
-// bandwidth), plus transient launch demand — output staging, det-mode
-// scratch, ABFT snapshot+checksum buffers. When that does not fit the
-// degradation ladder escalates: shrink the batch width, then spill cold
-// tiles out of core, then fail with a typed OomError.
+// bandwidth), plus transient launch demand — output staging and ABFT
+// snapshot+checksum buffers. When that does not fit the degradation
+// ladder escalates: shrink the batch width, then spill cold tiles out of
+// core, then fail with a typed OomError.
 void SimState::reserve_memory(Launch& l) {
   if (!mem_mode || on_cpu_fallback(l.rank)) return;
   std::vector<index_t>& batch = l.batch.ids;
@@ -729,10 +729,8 @@ void SimState::reserve_memory(Launch& l) {
     for (std::size_t i = 0; i < keep; ++i) {
       const Task& t = graph.task(batch[i]);
       d += t.out_bytes;  // output staging for the launch
-      if (l.batch.atomic[i] != 0 &&
-          opt.exec.accum == exec::AccumMode::kDeterministic) {
-        d += t.out_bytes;  // private det-mode accumulation scratch
-      }
+      // Conflicting members accumulate atomically on the modelled GPU;
+      // the host's private fold scratch has no device counterpart.
       if (abft_mode) {
         // Target snapshot plus row+column checksum vectors
         // (~2*sqrt(elems) doubles).

@@ -1,6 +1,5 @@
 // NumericBackend — the contract between the schedulers/runtime and a
-// solver core's numeric kernels, plus the Schur-accumulation mode of the
-// batch runtime.
+// solver core's numeric kernels.
 //
 // The baseline interface is task-granular: run_task() executes one
 // GETRF/TSTRF/GEESM/SSSSM body whole. The block-level extension lets the
@@ -8,9 +7,14 @@
 // row/column, Figure 7) so several workers can cooperate on a single large
 // task; backends that do not override it keep whole-task execution via the
 // runtime's fallback path.
+//
+// Host accumulation has one mode: write-conflicting SSSSM members of a
+// batch accumulate into private scratch folded in batch order, or run
+// whole in the ordered epilogue (DESIGN.md "Accumulation"). The modelled
+// GPU still resolves such conflicts with atomicAdd; that is priced by the
+// cost model (ScheduleOptions::allow_atomic_batching), not executed here.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "core/task.hpp"
@@ -21,39 +25,24 @@ namespace th {
 
 namespace exec {
 
-/// How write-conflicting SSSSM batch members accumulate into their shared
-/// target tile.
+/// Inert: deterministic accumulation is the only host mode. Kept declared
+/// because the frozen perfbench harness still names it.
 enum class AccumMode {
-  /// Lock-free fetch-add in place — the host analogue of the paper's
-  /// atomicAdd path. Fast, but FP addition order varies run to run.
-  kAtomic,
-  /// Each conflicting member accumulates into a private zero-initialised
-  /// scratch buffer; the runtime folds the buffers into the target in
-  /// batch order after the parallel phase. Bit-reproducible across thread
-  /// counts (the batch composition does not depend on the worker count).
   kDeterministic,
 };
-
-inline const char* accum_mode_name(AccumMode m) {
-  return m == AccumMode::kAtomic ? "atomic" : "det";
-}
-
-inline AccumMode accum_mode_by_name(const std::string& name) {
-  if (name == "atomic") return AccumMode::kAtomic;
-  if (name == "det" || name == "deterministic") return AccumMode::kDeterministic;
-  throw Error("unknown accumulation mode: " + name + " (want atomic|det)");
-}
 
 }  // namespace exec
 
 /// Solver-side numeric execution of a single task. Implementations must be
 /// safe to call concurrently for tasks within one batch (the scheduler
 /// guarantees batched tasks are mutually independent except for SSSSM
-/// write conflicts, which are flagged `atomic`).
+/// write conflicts, which the runtime never runs concurrently in place).
 class NumericBackend {
  public:
   virtual ~NumericBackend() = default;
-  virtual void run_task(const Task& t, bool atomic) = 0;
+  /// The bool is inert (always false); the frozen perfbench harness
+  /// overrides this signature.
+  virtual void run_task(const Task& t, bool) = 0;
 
   /// Plant a numeric fault into the task's target block before it runs
   /// (fault-injection testing). Returns false when the backend has no
@@ -125,7 +114,7 @@ class NumericBackend {
   // When the scheduler spills a cold factor tile out of core it asks the
   // backend for the tile's dense payload (written to a TileStore "THTS"
   // file) and hands the exact bytes back before a consumer batch runs.
-  // Reload restores the identical payload, so det-mode accumulation stays
+  // Reload restores the identical payload, so accumulation stays
   // bit-reproducible with spilling on or off. The defaults opt out: an
   // empty payload means "nothing to persist" and the scheduler prices the
   // spill in the model only.
@@ -152,23 +141,23 @@ class NumericBackend {
   virtual void prepare_task(const Task& t) { (void)t; }
 
   /// Execute CUDA blocks [b0, b1) of the task (0-based within the task;
-  /// one block per target row or column as priced in Task::cost).
-  /// `atomic` mirrors run_task. When `into` is non-null the blocks must
-  /// accumulate into that zero-initialised scratch buffer instead of the
-  /// real target (deterministic mode). Return false when the task type has
-  /// no block-level body — the runtime then runs the task whole, via
-  /// run_task(), on the worker that claimed its first block.
-  virtual bool run_blocks(const Task& t, index_t b0, index_t b1, bool atomic,
+  /// one block per target row or column as priced in Task::cost). The
+  /// bool is inert (always false), as in run_task. When `into` is non-null
+  /// the blocks must accumulate into that zero-initialised scratch buffer
+  /// instead of the real target (a write-conflicting member). Return false
+  /// when the task type has no block-level body — the runtime then runs
+  /// the task whole, via run_task(), on the worker that claimed its first
+  /// block.
+  virtual bool run_blocks(const Task& t, index_t b0, index_t b1, bool,
                           real_t* into) {
     (void)t;
     (void)b0;
     (void)b1;
-    (void)atomic;
     (void)into;
     return false;
   }
 
-  /// Scratch elements (real_t) deterministic mode needs for this task's
+  /// Scratch elements (real_t) a write-conflicting member needs for its
   /// private accumulation buffer. 0 means unsupported: the runtime then
   /// serialises the conflicting member in the ordered batch epilogue
   /// instead — slower, but still deterministic.
@@ -178,8 +167,8 @@ class NumericBackend {
   }
 
   /// Fold the task's scratch accumulation into the real target. Called
-  /// serially, in batch order — the ordered reduction that makes
-  /// deterministic mode reproducible.
+  /// serially, in batch order — the ordered reduction that makes results
+  /// reproducible across thread counts.
   virtual void apply_scratch(const Task& t, const real_t* scratch) {
     (void)t;
     (void)scratch;

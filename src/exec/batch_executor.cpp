@@ -21,9 +21,8 @@ namespace {
 /// How one batch member executes.
 enum class Mode : char {
   kInPlace,  // plain writes, no conflict
-  kAtomic,   // atomic accumulation in place
-  kScratch,  // det mode: accumulate into private scratch, fold in epilogue
-  kSerial,   // det mode, backend without scratch: run whole in the epilogue
+  kScratch,  // conflict: accumulate into private scratch, fold in epilogue
+  kSerial,   // conflict, backend without scratch: run whole in the epilogue
   kSkip,     // simulated kernel crash: priced but not executed
 };
 
@@ -62,7 +61,7 @@ void BatchExecutor::execute(NumericBackend& backend,
 
   const BlockMap map = BlockMap::from_tasks(tasks);
 
-  // Classify members and lay out deterministic-mode scratch.
+  // Classify members and lay out the conflict scratch.
   const std::size_t nb = tasks.size();
   std::vector<Mode> mode(nb, Mode::kInPlace);
   std::vector<offset_t> scratch_at(nb, -1);
@@ -71,9 +70,7 @@ void BatchExecutor::execute(NumericBackend& backend,
     if (skip != nullptr && (*skip)[i] != 0) {
       mode[i] = Mode::kSkip;
     } else if (atomic_flags[i] != 0) {
-      if (opt_.accum == AccumMode::kAtomic) {
-        mode[i] = Mode::kAtomic;
-      } else if (const offset_t sz = backend.scratch_size(*tasks[i]); sz > 0) {
+      if (const offset_t sz = backend.scratch_size(*tasks[i]); sz > 0) {
         mode[i] = Mode::kScratch;
         scratch_at[i] = scratch_total;
         scratch_total += sz;
@@ -146,13 +143,13 @@ void BatchExecutor::execute(NumericBackend& backend,
               m == Mode::kScratch
                   ? scratch_.data() + scratch_at[static_cast<std::size_t>(pos)]
                   : nullptr;
-          if (backend.run_blocks(t, l0, l1, m == Mode::kAtomic, into)) {
+          if (backend.run_blocks(t, l0, l1, false, into)) {
             ++slices;
           } else if (l0 == 0) {
             // No block-level body: the lane holding the task's first block
             // runs it whole; lanes holding later slices of it fall through.
             TH_ASSERT(into == nullptr);  // scratch implies block support
-            backend.run_task(t, m == Mode::kAtomic);
+            backend.run_task(t, false);
             fallbacks.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -165,7 +162,7 @@ void BatchExecutor::execute(NumericBackend& backend,
   }, "exec blocks");
 
   // Ordered epilogue, one fixed order regardless of thread count: fold
-  // det-mode scratch and run serialised members in batch position order.
+  // conflict scratch and run serialised members in batch position order.
   long det_reds = 0;
   for (std::size_t i = 0; i < nb; ++i) {
     if (mode[i] == Mode::kScratch) {

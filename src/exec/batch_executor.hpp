@@ -7,10 +7,10 @@
 // (Figure 7); a task whose backend has no block-level body runs whole on
 // the worker that owns its first block.
 //
-// Write-conflicting SSSSM members accumulate either atomically in place
-// (AccumMode::kAtomic, paper-faithful) or into per-task scratch buffers
-// folded serially in batch order after the parallel phase
-// (AccumMode::kDeterministic, bit-reproducible across thread counts).
+// Write-conflicting SSSSM members accumulate into per-task scratch buffers
+// folded serially in batch order after the parallel phase (or, when the
+// backend has no scratch form, run whole in that ordered epilogue), so
+// results are bit-reproducible across thread counts.
 #pragma once
 
 #include <cstddef>
@@ -68,7 +68,6 @@ struct BatchVerify {
 
 struct BatchExecOptions {
   int n_threads = 1;
-  AccumMode accum = AccumMode::kAtomic;
   /// Blocks per round-robin chunk: small enough to interleave the
   /// heterogeneous batch evenly across lanes, large enough that one lane
   /// usually covers a whole task (a task split across lanes pays for its
@@ -92,11 +91,11 @@ class BatchExecutor {
   explicit BatchExecutor(const BatchExecOptions& opt);
 
   int n_threads() const { return pool_->width(); }
-  AccumMode accum() const { return opt_.accum; }
   const ExecStats& stats() const { return stats_; }
 
-  /// Execute one batch. tasks[i] runs with atomic accumulation when
-  /// atomic_flags[i] is set (write conflict with another member); members
+  /// Execute one batch. tasks[i] accumulates into private scratch folded
+  /// in batch order when atomic_flags[i] is set (write conflict with
+  /// another member; the modelled GPU resolves it with atomicAdd); members
   /// flagged in `skip` are not executed — their simulated kernel crashed,
   /// so they are priced but re-run by the scheduler on a later attempt.
   /// With `verify` non-null the batch runs checksum-protected (and/or
@@ -116,7 +115,7 @@ class BatchExecutor {
   std::unique_ptr<WorkerPool> own_pool_;  // null when borrowing shared_pool
   WorkerPool* pool_;
   ExecStats stats_;
-  std::vector<real_t> scratch_;     // det-mode buffers, one batch at a time
+  std::vector<real_t> scratch_;     // conflict buffers, one batch at a time
   std::vector<real_t> lane_busy_;   // per-lane CPU seconds, last batch
   std::vector<long> lane_slices_;
 };

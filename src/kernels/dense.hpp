@@ -7,8 +7,6 @@
 // producing NaNs.
 #pragma once
 
-#include <atomic>
-
 #include "support/types.hpp"
 
 namespace th {
@@ -31,23 +29,5 @@ void trsm_upper_right(index_t m, index_t n, const real_t* u, index_t ldu,
 /// C := C - A * B (m x k times k x n). The SSSSM Schur update body.
 void gemm_minus(index_t m, index_t n, index_t k, const real_t* a, index_t lda,
                 const real_t* b, index_t ldb, real_t* c, index_t ldc);
-
-/// Same as gemm_minus but accumulates with relaxed atomic adds
-/// (std::atomic_ref), allowing concurrent updates from conflicting SSSSM
-/// tasks in one batch (paper §2.3, tasks 9S0/9S1) — the host-side
-/// equivalent of CUDA atomicAdd on FP64. All concurrent writers of `c`
-/// during the batch must also use atomic access.
-void gemm_minus_atomic(index_t m, index_t n, index_t k, const real_t* a,
-                       index_t lda, const real_t* b, index_t ldb, real_t* c,
-                       index_t ldc);
-
-/// Atomic fetch-add on a plain double via std::atomic_ref.
-inline void atomic_add(real_t& target, real_t delta) {
-  std::atomic_ref<real_t> ref(target);
-  real_t cur = ref.load(std::memory_order_relaxed);
-  while (!ref.compare_exchange_weak(cur, cur + delta,
-                                    std::memory_order_relaxed)) {
-  }
-}
 
 }  // namespace th

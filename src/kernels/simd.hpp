@@ -16,7 +16,7 @@
 //     -fopenmp-simd (kernels/CMakeLists.txt probes for it and defines
 //     TH_OMP_SIMD), plain scalar otherwise.
 //
-// Bit-exactness contract (det-mode identity depends on it): every path
+// Bit-exactness contract (factor identity depends on it): every path
 // computes each element as one IEEE-754 multiply followed by one subtract —
 // the AVX2 path deliberately uses _mm256_mul_pd + _mm256_sub_pd rather than
 // an FMA, and the scalar bodies split the product into its own statement so

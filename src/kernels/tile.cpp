@@ -201,7 +201,6 @@ namespace {
 // column-column method the paper's Executor uses — each column p of sparse
 // L scaled by U(p, j) accumulates into C(:, j). Columns are independent,
 // so a slice is bitwise identical to that part of the whole-tile kernel.
-template <bool kAtomic>
 void ssssm_sparse_l(real_t* cd, index_t ldc, const Tile& l, const Tile& u,
                     index_t c0, index_t c1) {
   const real_t* ud = u.dense_data();
@@ -212,12 +211,7 @@ void ssssm_sparse_l(real_t* cd, index_t ldc, const Tile& l, const Tile& u,
       const real_t upj = ucol[p];
       if (upj == 0.0) continue;
       for (offset_t q = l.col_ptr()[p]; q < l.col_ptr()[p + 1]; ++q) {
-        const real_t delta = -l.values()[q] * upj;
-        if constexpr (kAtomic) {
-          atomic_add(ccol[l.row_idx()[q]], delta);
-        } else {
-          ccol[l.row_idx()[q]] += delta;
-        }
+        ccol[l.row_idx()[q]] += -l.values()[q] * upj;
       }
     }
   }
@@ -226,7 +220,7 @@ void ssssm_sparse_l(real_t* cd, index_t ldc, const Tile& l, const Tile& u,
 }  // namespace
 
 void tile_ssssm_cols(real_t* c_data, index_t ldc, const Tile& l,
-                     const Tile& u, bool atomic, index_t c0, index_t c1) {
+                     const Tile& u, index_t c0, index_t c1) {
   TH_CHECK(l.cols() == u.rows());
   // The U operand is consumed dense in both paths (the paper gathers the
   // right operand into dense shared memory).
@@ -235,29 +229,20 @@ void tile_ssssm_cols(real_t* c_data, index_t ldc, const Tile& l,
   TH_CHECK(c0 >= 0 && c0 <= c1 && c1 <= u.cols());
   if (c0 == c1) return;
   if (l.storage() == Tile::Storage::kSparse) {
-    if (atomic) {
-      ssssm_sparse_l<true>(c_data, ldc, l, u, c0, c1);
-    } else {
-      ssssm_sparse_l<false>(c_data, ldc, l, u, c0, c1);
-    }
+    ssssm_sparse_l(c_data, ldc, l, u, c0, c1);
     return;
   }
   real_t* cs = c_data + static_cast<offset_t>(c0) * ldc;
   const real_t* us = u.dense_data() + static_cast<offset_t>(c0) * u.ld();
-  if (atomic) {
-    gemm_minus_atomic(l.rows(), c1 - c0, l.cols(), l.dense_data(), l.ld(),
-                      us, u.ld(), cs, ldc);
-  } else {
-    gemm_minus(l.rows(), c1 - c0, l.cols(), l.dense_data(), l.ld(), us,
-               u.ld(), cs, ldc);
-  }
+  gemm_minus(l.rows(), c1 - c0, l.cols(), l.dense_data(), l.ld(), us,
+             u.ld(), cs, ldc);
 }
 
-void tile_ssssm(Tile& c, const Tile& l, const Tile& u, bool atomic) {
+void tile_ssssm(Tile& c, const Tile& l, const Tile& u) {
   TH_CHECK(l.cols() == u.rows());
   TH_CHECK(c.rows() == l.rows() && c.cols() == u.cols());
   c.densify();
-  tile_ssssm_cols(c.dense_data(), c.ld(), l, u, atomic, 0, c.cols());
+  tile_ssssm_cols(c.dense_data(), c.ld(), l, u, 0, c.cols());
 }
 
 void tile_tstrf_rows(Tile& target, const Tile& diag_factored, index_t r0,

@@ -113,9 +113,7 @@ void tile_geesm(Tile& target, const Tile& diag_factored);
 
 /// SSSSM: C(i,j) -= L(i,k) * U(k,j). Sparse L tiles use the column-column
 /// sparse kernel from the paper's Executor; dense inputs use gemm_minus.
-/// With `atomic` set, accumulation into C uses atomic adds so conflicting
-/// updates may run concurrently within a batch.
-void tile_ssssm(Tile& c, const Tile& l, const Tile& u, bool atomic);
+void tile_ssssm(Tile& c, const Tile& l, const Tile& u);
 
 // ---- Block-sliced (re-entrant) kernel forms ----------------------------
 //
@@ -136,9 +134,8 @@ void tile_geesm_cols(Tile& target, const Tile& diag_factored, index_t c0,
 
 /// SSSSM on target columns [c0, c1), accumulating into `c_data` (leading
 /// dimension ldc, same shape as the target tile) — either the target's
-/// dense storage or a deterministic-mode scratch buffer. `atomic` selects
-/// atomic accumulation for write-conflicting batch members.
+/// dense storage or a write-conflicting member's private scratch buffer.
 void tile_ssssm_cols(real_t* c_data, index_t ldc, const Tile& l,
-                     const Tile& u, bool atomic, index_t c0, index_t c1);
+                     const Tile& u, index_t c0, index_t c1);
 
 }  // namespace th

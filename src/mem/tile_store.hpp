@@ -4,8 +4,8 @@
 // frame (support/binio RecordWriter: 4-byte magic, u32 version, u64
 // payload length, payload, u32 crc32c) — the same framing as the
 // checkpoint ("THCK"), fault-report ("THFR") and journal ("THWJ") formats.
-// Reload restores the exact bytes that were spilled, so det-mode
-// accumulation stays bit-identical with spilling on or off. Readers throw
+// Reload restores the exact bytes that were spilled, so factors stay
+// bit-identical with spilling on or off. Readers throw
 // bin::IoError with a byte offset on truncated files AND on any flipped
 // bit (the CRC covers header and payload).
 //

@@ -12,7 +12,7 @@ namespace th {
 namespace {
 
 constexpr char kCkptMagic[4] = {'T', 'H', 'C', 'K'};
-constexpr std::uint32_t kCkptVersion = 2;
+constexpr std::uint32_t kCkptVersion = 3;
 constexpr char kReportMagic[4] = {'T', 'H', 'F', 'R'};
 constexpr std::uint32_t kReportVersion = 2;
 // Plausibility bound on a whole checkpoint payload: far beyond any
@@ -98,7 +98,16 @@ void save_checkpoint(std::ostream& out, const CheckpointState& s) {
   rec.put_vector(s.finish_time);
   rec.put_vector(s.attempts);
   rec.put_vector(s.owner);
-  rec.put_vector(s.pending);
+  // Pending entries go out field by field, never as raw structs: the
+  // struct's padding bytes would carry stale heap contents into the file.
+  std::vector<index_t> pending_id;
+  std::vector<real_t> pending_arrival;
+  for (const CheckpointState::Pending& p : s.pending) {
+    pending_id.push_back(p.id);
+    pending_arrival.push_back(p.arrival_s);
+  }
+  rec.put_vector(pending_id);
+  rec.put_vector(pending_arrival);
   rec.put_vector(s.rank_free);
   rec.put_vector(s.stream_free);
   rec.put_vector(s.rank_dead);
@@ -129,7 +138,14 @@ CheckpointState load_checkpoint(std::istream& in) {
     s.finish_time = rec.get_vector<real_t>(nt, "finish times");
     s.attempts = rec.get_vector<int>(nt, "attempts");
     s.owner = rec.get_vector<int>(nt, "owner map");
-    s.pending = rec.get_vector<CheckpointState::Pending>(nt, "pending tasks");
+    const auto pending_id = rec.get_vector<index_t>(nt, "pending ids");
+    const auto pending_arrival =
+        rec.get_vector<real_t>(nt, "pending arrivals");
+    TH_CHECK_MSG(pending_id.size() == pending_arrival.size(),
+                 "checkpoint pending ids and arrivals differ in length");
+    for (std::size_t i = 0; i < pending_id.size(); ++i) {
+      s.pending.push_back({pending_id[i], pending_arrival[i]});
+    }
     s.rank_free = rec.get_vector<real_t>(nr, "rank clocks");
     s.stream_free = rec.get_vector<real_t>(
         nr * static_cast<std::uint64_t>(s.n_streams), "stream clocks");

@@ -115,9 +115,11 @@ struct CheckpointState {
 
 // ---- On-disk formats ------------------------------------------------------
 
-/// Checkpoint format "THCK" version 2: one CRC32C-framed record
+/// Checkpoint format "THCK" version 3: one CRC32C-framed record
 /// (bin::RecordWriter layout) holding the schedule state, immediately
-/// followed by a framed "THFR" record with the fault report. Bit rot
+/// followed by a framed "THFR" record with the fault report. Every field
+/// is written explicitly (no struct padding), so one logical state always
+/// saves to the same bytes; version 2 files fail the load. Bit rot
 /// anywhere in either record fails the load as bin::IoError with the
 /// record's byte offset and the failing field's name.
 void save_checkpoint(std::ostream& out, const CheckpointState& s);

@@ -38,9 +38,10 @@ struct RhsOptions {
   real_t max_wait_s = 0;
   /// kPriorityDag (aggregate-and-batch) or kLevelSet (per-task baseline).
   SolveSchedule schedule = SolveSchedule::kPriorityDag;
-  /// Deterministic accumulation: solutions bit-identical across worker
-  /// counts and batch widths (TriSolveBackend fold plans).
-  bool det = false;
+  /// Inert: block solves are always bit-identical across worker counts
+  /// and batch widths (TriSolveBackend fold plans). Kept because the
+  /// frozen perfbench harness still sets it.
+  bool det = true;
 
   /// Throws th::Error on nonsensical configurations.
   void validate() const;

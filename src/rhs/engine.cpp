@@ -161,7 +161,7 @@ void RhsEngine::execute(RhsBatch batch, std::vector<RhsCompletion>& out) {
               block.begin() + static_cast<std::size_t>(j) * n_);
   }
   const BlockSolveResult r =
-      solver_.solve(block.data(), width, opt_.schedule, opt_.det);
+      solver_.solve(block.data(), width, opt_.schedule);
   const real_t finish_s = start_s + r.makespan_s();
   stats_.busy_s += r.makespan_s();
 

@@ -59,27 +59,23 @@ BlockSolver::BlockSolver(const PluFactorization& fact,
 ScheduleOptions BlockSolver::run_options(SolveSchedule schedule) const {
   ScheduleOptions run = base_;
   run.policy = solve_policy(schedule);
-  // The TriSolveBackend owns determinism via its fold plan; the executor
-  // always runs the solve batches in atomic mode (its own det-mode scratch
-  // keys on the factorisation's conflict structure, not the solve's).
-  run.exec.accum = exec::AccumMode::kAtomic;
   return run;
 }
 
 BlockSolveResult BlockSolver::solve(real_t* x, index_t nrhs,
-                                    SolveSchedule schedule, bool det) {
+                                    SolveSchedule schedule, bool) {
   TH_CHECK_MSG(x != nullptr, "block solve needs caller storage");
   const SolveDag::Graphs& g = dag_.graphs(nrhs);
   const ScheduleOptions run = run_options(schedule);
   BlockSolveResult out;
   {
     TriSolveBackend backend(fact_, x, nrhs, /*forward=*/true,
-                            det ? &dag_.forward_fold() : nullptr);
+                            dag_.forward_fold());
     out.forward = simulate(g.forward, run, &backend);
   }
   {
     TriSolveBackend backend(fact_, x, nrhs, /*forward=*/false,
-                            det ? &dag_.backward_fold() : nullptr);
+                            dag_.backward_fold());
     out.backward = simulate(g.backward, run, &backend);
   }
   return out;

@@ -40,8 +40,7 @@ SolveSchedule solve_schedule_by_name(const std::string& name);
 Policy solve_policy(SolveSchedule s);
 
 /// Per-factorization cache of solve task DAGs, keyed by block width. Fold
-/// plans (deterministic accumulation) are width-independent and built at
-/// most once.
+/// plans are width-independent and built at most once.
 class SolveDag {
  public:
   explicit SolveDag(const PluFactorization& fact,
@@ -87,7 +86,7 @@ struct BlockSolveResult {
 
 /// Executes block solves over the cached DAGs. `base` is the scheduling
 /// template (ranks, cluster model, exec pool); the solver overrides only
-/// the policy (from the schedule mode) and the accumulation mode.
+/// the policy (from the schedule mode).
 class BlockSolver {
  public:
   BlockSolver(const PluFactorization& fact, const ScheduleOptions& base,
@@ -95,10 +94,11 @@ class BlockSolver {
 
   /// Solve L U X = B in place: `x` is n x nrhs column-major in the
   /// permuted ordering, holding B on entry and X on return. Requires the
-  /// numeric phase to have completed. `det` selects fold-plan
-  /// accumulation — bit-identical across worker counts and widths.
+  /// numeric phase to have completed. Fold-plan accumulation keeps results
+  /// bit-identical across worker counts and widths. The bool is inert
+  /// (kept for the frozen perfbench harness, which passes it).
   BlockSolveResult solve(real_t* x, index_t nrhs, SolveSchedule schedule,
-                         bool det);
+                         bool = true);
 
   /// Timing-only virtual cost of a width-`nrhs` block solve. Valid before
   /// the numeric phase (costs depend only on the tile pattern).

@@ -605,11 +605,7 @@ CrashSoakReport run_crash_soak(const CrashSoakOptions& opt) {
   TH_CHECK_MSG(opt.scenarios >= 1, "crash soak needs scenarios >= 1");
   TH_CHECK_MSG(!opt.dir.empty(), "crash soak needs a scratch directory");
 
-  // Bitwise cross-run comparison needs deterministic accumulation on both
-  // the factorization and the batched-solve paths.
   ServeOptions base = opt.serve;
-  base.sched.exec.accum = exec::AccumMode::kDeterministic;
-  base.rhs.det = true;
   base.durable = DurableOptions{};
   base.validate();
 

@@ -64,9 +64,9 @@ struct CrashSoakOptions {
   /// Scratch root; every scenario/kill-point gets its own journal
   /// directory under it. Required.
   std::string dir;
-  /// Base service configuration; the soak overwrites `durable` per run
-  /// and forces deterministic accumulation (exec + rhs) so factors are
-  /// bitwise comparable across runs.
+  /// Base service configuration; the soak overwrites `durable` per run.
+  /// Host accumulation is always deterministic, so factors are bitwise
+  /// comparable across runs.
   ServeOptions serve;
   /// Crash by fork() + SIGKILL (process-level death) instead of the
   /// in-process CrashError. POSIX only.

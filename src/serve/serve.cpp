@@ -24,12 +24,6 @@
 
 namespace th::serve {
 
-real_t solve_cost_s(offset_t nnz_lu, const DeviceSpec& gpu) {
-  const real_t bytes = 16.0 * static_cast<real_t>(nnz_lu);
-  const real_t bw = gpu.bandwidth_efficiency * gpu.mem_bw_tbs * 1e12;
-  return bytes / bw + 64.0 * gpu.launch_latency_us * 1e-6;
-}
-
 namespace {
 
 InstanceOptions instance_options(const ScheduleOptions& sched) {

@@ -193,7 +193,7 @@ struct ServeOptions {
   bool shed_on_full = true;
   /// Batched multi-RHS solve engine configuration: every session's kSolve
   /// requests coalesce through an rhs::RhsEngine sharing the session's
-  /// factorization (width cap, close policy, schedule mode, det mode).
+  /// factorization (width cap, close policy, schedule mode).
   rhs::RhsOptions rhs;
   /// Durability: write-ahead session journal, CRC-protected artifacts and
   /// crash/restart recovery (serve/journal.hpp). Off unless a journal
@@ -427,15 +427,6 @@ class SolverService {
   offset_t crash_appends_ = 0;
   std::set<std::size_t> crash_fired_;
 };
-
-/// Legacy closed-form solve cost: the factors streamed once (values +
-/// indices, L and U), bandwidth-bound on the modelled device, plus a
-/// per-level launch allowance. The service itself now prices and charges
-/// solves by replaying the width-1 solve DAGs (rhs::BlockSolver::
-/// estimate_s) — the same model the batching engine executes under — but
-/// the closed form is kept for coarse capacity arithmetic that has no
-/// factorization in hand.
-real_t solve_cost_s(offset_t nnz_lu, const DeviceSpec& gpu);
 
 /// FNV-1a hash of a matrix's sparsity structure (n, row_ptr, col_idx) —
 /// the symbolic-cache key. Values do not participate: two matrices with

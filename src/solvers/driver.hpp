@@ -88,6 +88,8 @@ class SolverInstance {
   /// used by the SpTRSV extension (solvers/trisolve.hpp).
   PluFactorization* plu_factorization() { return plu_.get(); }
   const PluFactorization* plu_factorization() const { return plu_.get(); }
+  /// The SLU factorisation (null when the PLU core was selected).
+  const SluFactorization* slu_factorization() const { return slu_.get(); }
 
  private:
   InstanceOptions opts_;

@@ -17,7 +17,7 @@ class PluFactorization::Backend : public NumericBackend {
  public:
   explicit Backend(TileMatrix& tiles) : tiles_(tiles), abft_guard_(tiles) {}
 
-  void run_task(const Task& t, bool atomic) override {
+  void run_task(const Task& t, bool) override {
     switch (t.type) {
       case TaskType::kGetrf:
         tile_getrf(*tiles_.tile(t.row, t.col));
@@ -28,21 +28,10 @@ class PluFactorization::Backend : public NumericBackend {
       case TaskType::kGeesm:
         tile_geesm(*tiles_.tile(t.row, t.col), *tiles_.tile(t.k, t.k));
         break;
-      case TaskType::kSsssm: {
-        Tile& c = *tiles_.tile(t.row, t.col);
-        if (atomic) {
-          // Concurrent conflicting updates: densification of the shared
-          // target must happen exactly once, under the lock; the
-          // accumulation itself is atomic and lock-free.
-          std::lock_guard<std::mutex> lk(
-              densify_mu_[static_cast<std::size_t>(t.row * 31 + t.col) %
-                          kMutexes]);
-          c.densify();
-        }
-        tile_ssssm(c, *tiles_.tile(t.row, t.k), *tiles_.tile(t.k, t.col),
-                   atomic);
+      case TaskType::kSsssm:
+        tile_ssssm(*tiles_.tile(t.row, t.col), *tiles_.tile(t.row, t.k),
+                   *tiles_.tile(t.k, t.col));
         break;
-      }
     }
   }
 
@@ -55,7 +44,7 @@ class PluFactorization::Backend : public NumericBackend {
     if (t.type != TaskType::kGetrf) tiles_.tile(t.row, t.col)->densify();
   }
 
-  bool run_blocks(const Task& t, index_t b0, index_t b1, bool atomic,
+  bool run_blocks(const Task& t, index_t b0, index_t b1, bool,
                   real_t* into) override {
     switch (t.type) {
       case TaskType::kGetrf:
@@ -71,14 +60,13 @@ class PluFactorization::Backend : public NumericBackend {
                         b0, b1);
         return true;
       case TaskType::kSsssm: {
-        // cuda_blocks = target columns. `into` (deterministic mode) is a
-        // zeroed scratch of the target's shape: the slice accumulates
-        // -L*U there and apply_scratch folds it in batch order.
+        // cuda_blocks = target columns. `into` (a write-conflicting
+        // member) is a zeroed scratch of the target's shape: the slice
+        // accumulates -L*U there and apply_scratch folds it in batch order.
         Tile& c = *tiles_.tile(t.row, t.col);
         real_t* out = into != nullptr ? into : c.dense_data();
         tile_ssssm_cols(out, c.ld(), *tiles_.tile(t.row, t.k),
-                        *tiles_.tile(t.k, t.col),
-                        into == nullptr && atomic, b0, b1);
+                        *tiles_.tile(t.k, t.col), b0, b1);
         return true;
       }
     }
@@ -246,14 +234,12 @@ class PluFactorization::Backend : public NumericBackend {
   void restore_block(const Task& t, const std::vector<real_t>& data) override {
     Tile* tile = tiles_.tile(t.row, t.col);
     if (tile == nullptr || data.empty()) return;
-    tile->adopt_dense(data);  // byte-exact: det-mode output is unchanged
+    tile->adopt_dense(data);  // byte-exact: the output is unchanged
   }
 
  private:
-  static constexpr std::size_t kMutexes = 64;
   TileMatrix& tiles_;
   abft::TileGuard abft_guard_;
-  std::mutex densify_mu_[kMutexes];
 };
 
 // ---- Construction ---------------------------------------------------------

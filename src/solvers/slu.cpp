@@ -22,7 +22,7 @@ class SluFactorization::Backend : public NumericBackend {
  public:
   explicit Backend(SluFactorization& f) : f_(f) {}
 
-  void run_task(const Task& t, bool atomic) override {
+  void run_task(const Task& t, bool) override {
     switch (t.type) {
       case TaskType::kGetrf: {
         Supernode& s = f_.sn_[t.k];
@@ -48,7 +48,7 @@ class SluFactorization::Backend : public NumericBackend {
         break;
       }
       case TaskType::kSsssm:
-        run_ssssm(t, atomic);
+        run_ssssm(t);
         break;
     }
   }
@@ -63,7 +63,9 @@ class SluFactorization::Backend : public NumericBackend {
     return *it;
   }
 
-  void run_ssssm(const Task& t, bool atomic) {
+  // Write-conflicting members never run concurrently: the backend has no
+  // scratch form, so the runtime serialises them in its ordered epilogue.
+  void run_ssssm(const Task& t) {
     Supernode& s = f_.sn_[t.k];
     const Segment& li = find_segment(s, t.row);
     const Segment& uj = find_segment(s, t.col);
@@ -109,12 +111,7 @@ class SluFactorization::Backend : public NumericBackend {
           dest = dst_i.upan.data() + (gr - dst_i.c0) +
                  static_cast<offset_t>(pos) * dst_i.width();
         }
-        const real_t delta = scratch[a + static_cast<offset_t>(b) * mi];
-        if (atomic) {
-          atomic_add(*dest, delta);
-        } else {
-          *dest += delta;
-        }
+        *dest += scratch[a + static_cast<offset_t>(b) * mi];
       }
     }
   }
@@ -172,6 +169,16 @@ SluFactorization::SluFactorization(const Csr& a, const SluOptions& opts)
   assemble(sym, fill);
   backend_ = std::make_unique<Backend>(*this);
   build_graph();
+}
+
+std::vector<real_t> SluFactorization::values() const {
+  std::vector<real_t> v;
+  for (const Supernode& s : sn_) {
+    v.insert(v.end(), s.diag.begin(), s.diag.end());
+    v.insert(v.end(), s.lpan.begin(), s.lpan.end());
+    v.insert(v.end(), s.upan.begin(), s.upan.end());
+  }
+  return v;
 }
 
 index_t SluFactorization::below_pos(index_t s, index_t r) const {

@@ -53,6 +53,10 @@ class SluFactorization {
   /// Triangular solves with the computed factors (permuted ordering).
   std::vector<real_t> solve(const std::vector<real_t>& b) const;
 
+  /// Every stored factor value, supernode by supernode (diagonal block,
+  /// L panel, U panel) — for bitwise comparisons across runs.
+  std::vector<real_t> values() const;
+
  private:
   class Backend;
   friend class Backend;

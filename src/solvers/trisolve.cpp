@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "kernels/dense.hpp"
 #include "kernels/flops.hpp"
 #include "support/error.hpp"
 
@@ -122,37 +121,31 @@ SolveFoldPlan build_solve_fold_plan(const TilePattern& p, bool forward) {
 
 TriSolveBackend::TriSolveBackend(const PluFactorization& fact, real_t* x,
                                  index_t nrhs, bool forward,
-                                 const SolveFoldPlan* fold)
+                                 const SolveFoldPlan& fold)
     : fact_(fact), x_(x), nrhs_(nrhs), forward_(forward), fold_(fold) {
-  if (fold_ != nullptr) {
-    TH_CHECK_MSG(fold_->forward == forward,
-                 "solve fold plan direction does not match the backend");
-    scratch_.assign(
-        static_cast<std::size_t>(fold_->scratch_rows) * nrhs_, 0.0);
-  }
+  TH_CHECK_MSG(fold_.forward == forward,
+               "solve fold plan direction does not match the backend");
+  scratch_.assign(static_cast<std::size_t>(fold_.scratch_rows) * nrhs_, 0.0);
 }
 
-void TriSolveBackend::run_task(const Task& t, bool /*atomic*/) {
+void TriSolveBackend::run_task(const Task& t, bool) {
   const index_t bs = fact_.pattern().tile_size;
   const index_t n = fact_.pattern().n;
   if (t.type == kDiagSolve) {
     const Tile& d = *fact_.tiles().tile(t.k, t.k);
     const index_t w = d.rows();
     real_t* xk = x_ + static_cast<offset_t>(t.k) * bs;
-    if (fold_ != nullptr) {
-      // Deterministic mode: fold the incoming update contributions in
-      // ascending source-block order before substituting. Every producer
-      // task finished before this one (DAG dependency), and the executor's
-      // batch barriers order their scratch writes before this read.
-      for (const index_t src :
-           fold_->fold_cols[static_cast<std::size_t>(t.k)]) {
-        const offset_t off = fold_->tile_offset.at(std::make_pair(t.k, src));
-        const real_t* scr = scratch_.data() + off * nrhs_;
-        for (index_t r = 0; r < nrhs_; ++r) {
-          real_t* col = xk + static_cast<offset_t>(r) * n;
-          const real_t* s = scr + static_cast<offset_t>(r) * w;
-          for (index_t i = 0; i < w; ++i) col[i] -= s[i];
-        }
+    // Fold the incoming update contributions in ascending source-block
+    // order before substituting. Every producer task finished before this
+    // one (DAG dependency), and the executor's batch barriers order their
+    // scratch writes before this read.
+    for (const index_t src : fold_.fold_cols[static_cast<std::size_t>(t.k)]) {
+      const offset_t off = fold_.tile_offset.at(std::make_pair(t.k, src));
+      const real_t* scr = scratch_.data() + off * nrhs_;
+      for (index_t r = 0; r < nrhs_; ++r) {
+        real_t* col = xk + static_cast<offset_t>(r) * n;
+        const real_t* s = scr + static_cast<offset_t>(r) * w;
+        for (index_t i = 0; i < w; ++i) col[i] -= s[i];
       }
     }
     for (index_t r = 0; r < nrhs_; ++r) {
@@ -177,50 +170,27 @@ void TriSolveBackend::run_task(const Task& t, bool /*atomic*/) {
         }
       }
     }
-  } else {
-    // x[row] -= T(row, col) * x[col].
-    const Tile& tile = *fact_.tiles().tile(t.row, t.col);
-    const real_t* xc = x_ + static_cast<offset_t>(t.col) * bs;
-    if (fold_ != nullptr) {
-      // Accumulate the positive contribution T(row, col) * x[col] into the
-      // tile's private scratch region (bi x nrhs, column-major); the
-      // diagonal task subtracts it later in plan order. Regions are
-      // disjoint across tasks, so no atomics are needed.
-      const offset_t off =
-          fold_->tile_offset.at(std::make_pair(t.row, t.col));
-      real_t* scr = scratch_.data() + off * nrhs_;
-      const index_t bi = tile.rows();
-      for (index_t r = 0; r < nrhs_; ++r) {
-        real_t* out = scr + static_cast<offset_t>(r) * bi;
-        const real_t* in = xc + static_cast<offset_t>(r) * n;
-        for (index_t c = 0; c < tile.cols(); ++c) {
-          const real_t v = in[c];
-          if (v == 0.0) continue;
-          const real_t* tc =
-              tile.dense_data() + static_cast<offset_t>(c) * tile.ld();
-          for (index_t i = 0; i < bi; ++i) out[i] += tc[i] * v;
-        }
-      }
-      return;
-    }
-    // Atomic path: solve updates conflict on the target block *row*
-    // (x[row]), not on the (row, col) key the factorisation scheduler uses
-    // for SSSSM conflict detection — so accumulation is unconditionally
-    // atomic here. With a single-worker executor this costs one
-    // uncontended CAS per element.
-    real_t* xr = x_ + static_cast<offset_t>(t.row) * bs;
-    for (index_t r = 0; r < nrhs_; ++r) {
-      real_t* out = xr + static_cast<offset_t>(r) * n;
-      const real_t* in = xc + static_cast<offset_t>(r) * n;
-      for (index_t c = 0; c < tile.cols(); ++c) {
-        const real_t v = in[c];
-        if (v == 0.0) continue;
-        const real_t* tc =
-            tile.dense_data() + static_cast<offset_t>(c) * tile.ld();
-        for (index_t i = 0; i < tile.rows(); ++i) {
-          atomic_add(out[i], -tc[i] * v);
-        }
-      }
+    return;
+  }
+  // x[row] -= T(row, col) * x[col]: accumulate the positive contribution
+  // T(row, col) * x[col] into the tile's private scratch region (bi x nrhs,
+  // column-major); the diagonal task subtracts it later in plan order.
+  // Regions are disjoint across tasks, so concurrent updates of one block
+  // row need no synchronisation.
+  const Tile& tile = *fact_.tiles().tile(t.row, t.col);
+  const real_t* xc = x_ + static_cast<offset_t>(t.col) * bs;
+  const offset_t off = fold_.tile_offset.at(std::make_pair(t.row, t.col));
+  real_t* scr = scratch_.data() + off * nrhs_;
+  const index_t bi = tile.rows();
+  for (index_t r = 0; r < nrhs_; ++r) {
+    real_t* out = scr + static_cast<offset_t>(r) * bi;
+    const real_t* in = xc + static_cast<offset_t>(r) * n;
+    for (index_t c = 0; c < tile.cols(); ++c) {
+      const real_t v = in[c];
+      if (v == 0.0) continue;
+      const real_t* tc =
+          tile.dense_data() + static_cast<offset_t>(c) * tile.ld();
+      for (index_t i = 0; i < bi; ++i) out[i] += tc[i] * v;
     }
   }
 }
@@ -228,7 +198,11 @@ void TriSolveBackend::run_task(const Task& t, bool /*atomic*/) {
 PluTriangularSolver::PluTriangularSolver(const PluFactorization& fact,
                                          index_t nrhs,
                                          const ProcessGrid& grid)
-    : fact_(fact), nrhs_(nrhs) {
+    : fact_(fact),
+      nrhs_(nrhs),
+      forward_fold_(build_solve_fold_plan(fact.pattern(), /*forward=*/true)),
+      backward_fold_(
+          build_solve_fold_plan(fact.pattern(), /*forward=*/false)) {
   TH_CHECK(nrhs >= 1);
   forward_ = build_solve_graph(fact, /*forward=*/true, nrhs, grid);
   backward_ = build_solve_graph(fact, /*forward=*/false, nrhs, grid);
@@ -242,28 +216,16 @@ TriSolveResult PluTriangularSolver::solve(const real_t* b, real_t* x,
     std::copy(b, b + static_cast<offset_t>(n) * nrhs_, x);
   }
 
-  const bool det = opt.exec.accum == exec::AccumMode::kDeterministic;
-  ScheduleOptions run = opt;
-  // The backend owns determinism (fold plan); the executor's own det-mode
-  // scratch keys on the factorisation's conflict structure and would only
-  // serialise updates in the ordered epilogue.
-  run.exec.accum = exec::AccumMode::kAtomic;
-  if (det && !forward_fold_) {
-    forward_fold_ = build_solve_fold_plan(fact_.pattern(), /*forward=*/true);
-    backward_fold_ =
-        build_solve_fold_plan(fact_.pattern(), /*forward=*/false);
-  }
-
   TriSolveResult out;
   {
     TriSolveBackend backend(fact_, x, nrhs_, /*forward=*/true,
-                            det ? &*forward_fold_ : nullptr);
-    out.forward = simulate(forward_, run, &backend);
+                            forward_fold_);
+    out.forward = simulate(forward_, opt, &backend);
   }
   {
     TriSolveBackend backend(fact_, x, nrhs_, /*forward=*/false,
-                            det ? &*backward_fold_ : nullptr);
-    out.backward = simulate(backward_, run, &backend);
+                            backward_fold_);
+    out.backward = simulate(backward_, opt, &backend);
   }
   return out;
 }

@@ -14,18 +14,15 @@
 // right-hand sides into block solves over these DAGs, DESIGN.md §15), and
 // bench/ext_rhs_throughput gates its throughput scaling.
 //
-// Accumulation modes. Update tasks into one block row commute; the
-// paper-faithful path accumulates them with atomic adds, whose FP ordering
-// varies with the schedule and worker count. When the caller asks for
-// deterministic accumulation (ScheduleOptions::exec.accum == det), the
-// backend instead gives every update task a private scratch region and the
-// consuming diagonal task folds the contributions in ascending
-// source-block order before substituting — bit-identical results across
-// thread counts, batch widths and scheduling policies.
+// Accumulation. Update tasks into one block row commute; the paper's GPU
+// accumulates them with atomicAdd. On the host every update task fills a
+// private scratch region and the consuming diagonal task folds the
+// contributions in ascending source-block order before substituting —
+// bit-identical results across thread counts, batch widths and scheduling
+// policies.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -44,7 +41,7 @@ namespace th {
 TaskGraph build_solve_graph(const PluFactorization& fact, bool forward,
                             index_t nrhs, const ProcessGrid& grid = {});
 
-/// Deterministic-accumulation plan for one solve direction: a private
+/// Accumulation plan for one solve direction: a private
 /// scratch slot per off-diagonal tile (update task) and, per block row,
 /// the ascending source-block fold order its diagonal task applies. Built
 /// from the tile pattern alone; independent of nrhs (offsets are in rows —
@@ -63,25 +60,25 @@ SolveFoldPlan build_solve_fold_plan(const TilePattern& pattern, bool forward);
 
 /// Numeric backend for one solve direction over a caller-owned block of
 /// right-hand sides: `x` is n x nrhs column-major in the permuted
-/// ordering, solved in place. Without a fold plan, update tasks
-/// atomic_add into x (conflicts key on the target block *row*, not the
-/// (row, col) key the factorisation scheduler uses, so accumulation is
-/// unconditionally atomic). With one, updates fill private scratch and
-/// diagonal tasks fold them in plan order — deterministic mode.
+/// ordering, solved in place. Updates fill private scratch and diagonal
+/// tasks fold them in `fold` order (the plan must outlive the backend and
+/// match its direction). Update tasks conflict on the target block *row*,
+/// not the (row, col) key the factorisation scheduler flags, so the plan,
+/// not the executor, keeps them race-free.
 class TriSolveBackend : public NumericBackend {
  public:
   TriSolveBackend(const PluFactorization& fact, real_t* x, index_t nrhs,
-                  bool forward, const SolveFoldPlan* fold = nullptr);
+                  bool forward, const SolveFoldPlan& fold);
 
-  void run_task(const Task& t, bool atomic) override;
+  void run_task(const Task& t, bool) override;
 
  private:
   const PluFactorization& fact_;
   real_t* x_;
   index_t nrhs_;
   bool forward_;
-  const SolveFoldPlan* fold_;
-  std::vector<real_t> scratch_;  // fold mode: scratch_rows * nrhs, zeroed
+  const SolveFoldPlan& fold_;
+  std::vector<real_t> scratch_;  // scratch_rows * nrhs, zeroed
 };
 
 /// Result of a scheduled triangular-solve phase. The solution stays in the
@@ -109,18 +106,16 @@ class PluTriangularSolver {
   /// Solve L U X = B under the given scheduling options. `b` and `x` are
   /// n x nrhs, column-major, in the permuted ordering; `x` is
   /// caller-provided storage and may alias `b` (in-place solve — no copy).
-  /// opt.exec.accum == det selects the fold-plan backend (bit-identical
-  /// across worker counts and batch widths); the scheduler itself then
-  /// runs with atomic accumulation, since the backend owns determinism.
+  /// Bit-identical across worker counts and batch widths (fold plans).
   TriSolveResult solve(const real_t* b, real_t* x, const ScheduleOptions& opt);
 
  private:
   const PluFactorization& fact_;
   index_t nrhs_;
+  SolveFoldPlan forward_fold_;
+  SolveFoldPlan backward_fold_;
   TaskGraph forward_;
   TaskGraph backward_;
-  std::optional<SolveFoldPlan> forward_fold_;   // built on first det solve
-  std::optional<SolveFoldPlan> backward_fold_;
 };
 
 }  // namespace th

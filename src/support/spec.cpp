@@ -226,8 +226,6 @@ RhsSpec parse_rhs_spec(const std::string& spec) {
         bad(key, "wants priority|levelset, got '" + val + "'");
       }
       s.schedule = val;
-    } else if (key == "det") {
-      s.det = spec_int(key, val) != 0;
     } else {
       throw SpecError("unknown spec key: '" + key + "'", key);
     }
@@ -237,8 +235,7 @@ RhsSpec parse_rhs_spec(const std::string& spec) {
 
 std::string render_rhs_spec(const RhsSpec& s) {
   std::ostringstream os;
-  os << "width=" << s.width << ",wait=" << s.wait_s << ",sched=" << s.schedule
-     << ",det=" << (s.det ? 1 : 0);
+  os << "width=" << s.width << ",wait=" << s.wait_s << ",sched=" << s.schedule;
   return os.str();
 }
 

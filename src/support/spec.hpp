@@ -69,10 +69,9 @@ struct RhsSpec {
   int width = 16;               // block-solve width cap (>= 1)
   double wait_s = 0;            // oldest-entry wait bound (>= 0; 0 = off)
   std::string schedule = "priority";  // "priority" | "levelset"
-  bool det = false;             // deterministic accumulation
 };
 
-/// Parse "width=N,wait=SEC,sched=priority|levelset,det=0|1". Unknown keys,
+/// Parse "width=N,wait=SEC,sched=priority|levelset". Unknown keys,
 /// malformed values, width < 1, wait < 0 and unknown schedules throw
 /// SpecError. parse_rhs_spec(render_rhs_spec(s)) == s exactly.
 RhsSpec parse_rhs_spec(const std::string& spec);

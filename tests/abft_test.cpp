@@ -116,10 +116,10 @@ ScheduleOptions abft_sched(bool abft) {
   ScheduleOptions so;
   so.policy = Policy::kTrojanHorse;
   so.cluster = single_gpu(device_a100());
+  // Accumulation is deterministic: a rolled-back-and-retried run must
+  // land on the clean run's residual to 1e-12, so fold order may not
+  // wobble.
   so.exec.workers = 3;
-  // Deterministic accumulation: a rolled-back-and-retried run must land on
-  // the clean run's residual to 1e-12, so fold order may not wobble.
-  so.exec.accum = exec::AccumMode::kDeterministic;
   so.abft.enabled = abft;
   so.validate_schedule = true;  // exercises the status-3 bookkeeping checks
   return so;
@@ -376,7 +376,7 @@ TEST(CorruptionSoak, SeededCampaignsDetectRetryAndMatchCleanResidual) {
         60);
     ADD_FAILURE() << "seed " << (seed + static_cast<std::uint64_t>(sc))
                   << ": " << out.why << "\n  repro: thsolve_cli --gen banded "
-                  << "--n 240 --block 16 --threads 3 --accum det --abft "
+                  << "--n 240 --block 16 --threads 3 --abft "
                   << "--validate --faults " << fault_plan_spec(minimal);
   }
 }

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/coalesce.hpp"
 #include "core/collector.hpp"
@@ -247,20 +250,27 @@ TEST(BlockTaskMap, BinarySearchDispatch) {
   EXPECT_EQ(map.start_of(3), 30);
 }
 
-// A backend that counts executions and checks atomic flags.
+// A backend that counts executions and records, in call order, the tasks
+// run on the thread that constructed it (the executor's caller).
 class CountingBackend : public NumericBackend {
  public:
-  void run_task(const Task& t, bool atomic) override {
+  void run_task(const Task& t, bool) override {
     ++count_;
-    (void)t;
-    if (atomic) ++atomic_count_;
+    if (std::this_thread::get_id() != caller_) return;
+    const std::lock_guard<std::mutex> lock(mu_);
+    on_caller_.push_back(t.id);
   }
   int count() const { return count_.load(); }
-  int atomic_count() const { return atomic_count_.load(); }
+  std::vector<index_t> on_caller() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return on_caller_;
+  }
 
  private:
   std::atomic<int> count_{0};
-  std::atomic<int> atomic_count_{0};
+  const std::thread::id caller_ = std::this_thread::get_id();
+  std::mutex mu_;
+  std::vector<index_t> on_caller_;
 };
 
 TEST(Executor, ExecutesEveryBatchMemberOnce) {
@@ -291,11 +301,18 @@ TEST(Executor, WorkerPoolExecutesAll) {
   Executor ex(KernelCostModel(DeviceSpec{}), &backend, ExecOptions{.workers = 4});
   std::vector<index_t> batch(n);
   for (index_t i = 0; i < n; ++i) batch[i] = i;
-  // Two consecutive batches exercise pool reuse.
+  // Two consecutive batches exercise pool reuse. The backend has neither
+  // block bodies nor scratch, so every member runs whole: unflagged ones
+  // on the worker lanes, flagged (write-conflicting) ones serially in the
+  // ordered epilogue, on the caller's thread in batch order.
   ex.execute(g, batch, std::vector<char>(n, 0));
+  const std::size_t before = backend.on_caller().size();
   ex.execute(g, batch, std::vector<char>(n, 1));
   EXPECT_EQ(backend.count(), 2 * n);
-  EXPECT_EQ(backend.atomic_count(), n);
+  EXPECT_EQ(ex.exec_stats().fallback_tasks, 2 * n);
+  const std::vector<index_t> calls = backend.on_caller();
+  ASSERT_EQ(calls.size() - before, static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) EXPECT_EQ(calls[before + i], i);
 }
 
 TEST(Executor, NullBackendTimesOnly) {

@@ -1,10 +1,11 @@
 // Tests of the parallel batch-execution runtime (src/exec): BlockMap
 // dispatch, WorkerPool lanes, the BatchExecutor's slicing/accumulation
 // contracts against a mock backend, and end-to-end parallel numeric
-// factorisation — atomic and deterministic — against the serial path.
+// factorisation against the serial path, bitwise across thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -167,10 +168,9 @@ class MockBackend : public NumericBackend {
     for (auto& c : covered_) c = 0;
   }
 
-  void run_task(const Task& t, bool atomic) override {
+  void run_task(const Task& t, bool) override {
     const std::lock_guard<std::mutex> lock(mu_);
     whole_.push_back(t.id);
-    whole_atomic_.push_back(atomic);
   }
 
   void prepare_task(const Task& t) override {
@@ -178,12 +178,11 @@ class MockBackend : public NumericBackend {
     prepared_.insert(t.id);
   }
 
-  bool run_blocks(const Task& t, index_t b0, index_t b1, bool atomic,
+  bool run_blocks(const Task& t, index_t b0, index_t b1, bool,
                   real_t* into) override {
     if (t.type == TaskType::kGetrf) return false;  // sequential body
     EXPECT_TRUE(b0 >= 0 && b0 < b1 && b1 <= t.cost.cuda_blocks);
     covered_[static_cast<std::size_t>(t.id)].fetch_add(b1 - b0);
-    if (atomic) saw_atomic_ = true;
     if (into != nullptr) {
       // Scratch arrives zero-initialised; slices of one task may run on
       // different lanes concurrently, so each deposits only into its own
@@ -213,10 +212,8 @@ class MockBackend : public NumericBackend {
   std::vector<std::atomic<index_t>> covered_;  // blocks run per task id
   bool with_scratch_;
   std::vector<index_t> whole_;       // run_task calls, in call order
-  std::vector<bool> whole_atomic_;
   std::set<index_t> prepared_;
   std::vector<std::pair<index_t, real_t>> folded_;  // apply_scratch order
-  std::atomic<bool> saw_atomic_{false};
 };
 
 TEST(BatchExecutor, EveryBlockRunsExactlyOnce) {
@@ -261,19 +258,6 @@ TEST(BatchExecutor, SequentialTaskFallsBackWholeOnFirstBlockLane) {
   EXPECT_EQ(ex.stats().fallback_tasks, 1);
 }
 
-TEST(BatchExecutor, AtomicModePassesFlagThrough) {
-  std::vector<Task> storage = {make_task(TaskType::kSsssm, 0, 4),
-                               make_task(TaskType::kSsssm, 1, 4)};
-  std::vector<const Task*> batch = {&storage[0], &storage[1]};
-  MockBackend mock(2);
-  exec::BatchExecOptions opt;
-  opt.accum = exec::AccumMode::kAtomic;
-  exec::BatchExecutor ex(opt);
-  ex.execute(mock, batch, std::vector<char>{1, 1}, nullptr);
-  EXPECT_TRUE(mock.saw_atomic_.load());
-  EXPECT_TRUE(mock.folded_.empty());  // no scratch in atomic mode
-}
-
 TEST(BatchExecutor, DeterministicModeFoldsScratchInBatchOrder) {
   std::vector<Task> storage;
   for (index_t i = 0; i < 5; ++i) {
@@ -284,7 +268,6 @@ TEST(BatchExecutor, DeterministicModeFoldsScratchInBatchOrder) {
   MockBackend mock(5, /*with_scratch=*/true);
   exec::BatchExecOptions opt;
   opt.n_threads = 4;
-  opt.accum = exec::AccumMode::kDeterministic;
   opt.chunk_blocks = 2;
   exec::BatchExecutor ex(opt);
   ex.execute(mock, batch, std::vector<char>{0, 1, 1, 0, 1}, nullptr);
@@ -298,26 +281,23 @@ TEST(BatchExecutor, DeterministicModeFoldsScratchInBatchOrder) {
     EXPECT_DOUBLE_EQ(sum,
                      static_cast<real_t>(storage[id].cost.cuda_blocks));
   }
-  EXPECT_FALSE(mock.saw_atomic_.load());
   EXPECT_EQ(ex.stats().det_reductions, 3);
 }
 
 TEST(BatchExecutor, DeterministicModeWithoutScratchSerialises) {
   // scratch_size() == 0: the conflicting member must run whole in the
-  // ordered epilogue instead (still deterministic, never atomic).
+  // ordered epilogue instead (still deterministic).
   std::vector<Task> storage = {make_task(TaskType::kSsssm, 0, 4),
                                make_task(TaskType::kSsssm, 1, 4)};
   std::vector<const Task*> batch = {&storage[0], &storage[1]};
   MockBackend mock(2, /*with_scratch=*/false);
   exec::BatchExecOptions opt;
   opt.n_threads = 2;
-  opt.accum = exec::AccumMode::kDeterministic;
   exec::BatchExecutor ex(opt);
   ex.execute(mock, batch, std::vector<char>{0, 1}, nullptr);
   EXPECT_EQ(mock.coverage(0), 4);  // unconflicted member still sliced
   ASSERT_EQ(mock.whole_.size(), 1u);
   EXPECT_EQ(mock.whole_[0], 1);
-  EXPECT_FALSE(mock.whole_atomic_[0]);
   EXPECT_EQ(mock.coverage(1), 0);  // and never sliced in parallel
   EXPECT_EQ(ex.stats().fallback_tasks, 1);
 }
@@ -336,7 +316,6 @@ TEST(BatchExecutor, DeterministicSkipContributesNoScratchFolds) {
   MockBackend mock(5, /*with_scratch=*/true);
   exec::BatchExecOptions opt;
   opt.n_threads = 4;
-  opt.accum = exec::AccumMode::kDeterministic;
   opt.chunk_blocks = 2;
   exec::BatchExecutor ex(opt);
   const std::vector<char> skip = {0, 1, 0, 1, 0};
@@ -353,7 +332,6 @@ TEST(BatchExecutor, DeterministicSkipContributesNoScratchFolds) {
   EXPECT_EQ(mock.coverage(3), 0);
   EXPECT_EQ(mock.prepared_.count(1), 0u);
   EXPECT_EQ(mock.prepared_.count(3), 0u);
-  EXPECT_FALSE(mock.saw_atomic_.load());
   EXPECT_EQ(ex.stats().det_reductions, 3);
   EXPECT_EQ(ex.stats().fallback_tasks, 0);
 }
@@ -428,13 +406,11 @@ TEST(BatchExecutor, SkippedMembersNeverExecute) {
 
 Csr exec_matrix() { return finalize_system(banded_random(300, 12, 0.4, 7), 7); }
 
-ScheduleResult factor(SolverInstance& inst, int threads,
-                      exec::AccumMode accum) {
+ScheduleResult factor(SolverInstance& inst, int threads) {
   ScheduleOptions so;
   so.policy = Policy::kTrojanHorse;
   so.cluster = single_gpu(device_a100());
   so.exec.workers = threads;
-  so.exec.accum = accum;
   return inst.run_numeric(so);
 }
 
@@ -444,21 +420,6 @@ real_t solve_residual(SolverInstance& inst, const Csr& a) {
   return scaled_residual(a, x, b);
 }
 
-TEST(ParallelFactor, AtomicMatchesSerialResidual) {
-  const Csr a = exec_matrix();
-  for (const int threads : {1, 2, 4, 8}) {
-    InstanceOptions io;
-    io.core = SolverCore::kPlu;
-    io.block = 16;
-    SolverInstance inst(a, io);
-    const ScheduleResult r = factor(inst, threads, exec::AccumMode::kAtomic);
-    EXPECT_LT(solve_residual(inst, a), 1e-10) << threads << " threads";
-    EXPECT_EQ(r.stats().exec.workers, threads);
-    EXPECT_GT(r.stats().exec.slices, 0);
-    EXPECT_GT(r.atomic_tasks, 0);  // the conflict path was actually exercised
-  }
-}
-
 TEST(ParallelFactor, DeterministicMatchesSerialResidual) {
   const Csr a = exec_matrix();
   for (const int threads : {1, 2, 4, 8}) {
@@ -466,41 +427,62 @@ TEST(ParallelFactor, DeterministicMatchesSerialResidual) {
     io.core = SolverCore::kPlu;
     io.block = 16;
     SolverInstance inst(a, io);
-    const ScheduleResult r =
-        factor(inst, threads, exec::AccumMode::kDeterministic);
+    const ScheduleResult r = factor(inst, threads);
     EXPECT_LT(solve_residual(inst, a), 1e-10) << threads << " threads";
+    EXPECT_EQ(r.stats().exec.workers, threads);
+    EXPECT_GT(r.stats().exec.slices, 0);
     EXPECT_GT(r.stats().exec.det_reductions, 0);  // scratch folds actually happened
   }
 }
 
-TEST(ParallelFactor, DeterministicModeIsBitIdenticalAcrossThreadCounts) {
-  const Csr a = exec_matrix();
-  std::vector<std::unique_ptr<SolverInstance>> insts;
-  for (const int threads : {1, 2, 4, 8}) {
-    InstanceOptions io;
-    io.core = SolverCore::kPlu;
-    io.block = 16;
-    insts.push_back(std::make_unique<SolverInstance>(a, io));
-    factor(*insts.back(), threads, exec::AccumMode::kDeterministic);
+// Every factor value of a finished instance, in a fixed storage order:
+// PLU tiles row-major over the tile grid (an absent tile adds nothing),
+// or the SLU supernode panels.
+std::vector<real_t> factor_values(const SolverInstance& inst) {
+  if (inst.plu_factorization() == nullptr) {
+    return inst.slu_factorization()->values();
   }
-  const TileMatrix& ref = insts[0]->plu_factorization()->tiles();
-  for (std::size_t v = 1; v < insts.size(); ++v) {
-    const TileMatrix& got = insts[v]->plu_factorization()->tiles();
-    for (index_t i = 0; i < ref.nt(); ++i) {
-      for (index_t j = 0; j < ref.nt(); ++j) {
-        ASSERT_EQ(ref.has(i, j), got.has(i, j));
-        if (!ref.has(i, j)) continue;
-        const Tile& rt = *ref.tile(i, j);
-        const Tile& gt = *got.tile(i, j);
-        for (index_t c = 0; c < rt.cols(); ++c) {
-          for (index_t r = 0; r < rt.rows(); ++r) {
-            // Bitwise identity, not a tolerance: the ordered reduction must
-            // erase the thread count from the result entirely.
-            ASSERT_EQ(rt.at(r, c), gt.at(r, c))
-                << "tile (" << i << "," << j << ") entry (" << r << "," << c
-                << ") differs between 1 and " << (1 << v) << " threads";
-          }
-        }
+  const TileMatrix& tm = inst.plu_factorization()->tiles();
+  std::vector<real_t> v;
+  for (index_t i = 0; i < tm.nt(); ++i) {
+    for (index_t j = 0; j < tm.nt(); ++j) {
+      if (!tm.has(i, j)) continue;
+      const Tile& t = *tm.tile(i, j);
+      for (index_t c = 0; c < t.cols(); ++c) {
+        for (index_t r = 0; r < t.rows(); ++r) v.push_back(t.at(r, c));
+      }
+    }
+  }
+  return v;
+}
+
+TEST(ParallelFactor, DeterministicModeIsBitIdenticalAcrossThreadCounts) {
+  // Default ExecOptions: deterministic accumulation is the only mode. PLU
+  // folds conflicting members' scratch in batch order; SLU (no scratch
+  // form) runs them whole in the ordered epilogue.
+  const Csr a = exec_matrix();
+  for (const SolverCore core : {SolverCore::kPlu, SolverCore::kSlu}) {
+    const char* name = core == SolverCore::kPlu ? "plu" : "slu";
+    std::vector<real_t> ref;
+    for (const int threads : {1, 2, 4, 8}) {
+      InstanceOptions io;
+      io.core = core;
+      io.block = 16;
+      SolverInstance inst(a, io);
+      const ScheduleResult r = factor(inst, threads);
+      EXPECT_GT(r.atomic_tasks, 0) << name;  // conflicts were exercised
+      const std::vector<real_t> got = factor_values(inst);
+      if (threads == 1) {
+        ref = got;
+        continue;
+      }
+      ASSERT_EQ(got.size(), ref.size()) << name;
+      for (std::size_t e = 0; e < ref.size(); ++e) {
+        // Bitwise identity, not a tolerance: the ordered reduction must
+        // erase the thread count from the result entirely.
+        ASSERT_EQ(std::memcmp(&got[e], &ref[e], sizeof(real_t)), 0)
+            << name << " factor value " << e << " differs between 1 and "
+            << threads << " threads";
       }
     }
   }
@@ -508,14 +490,13 @@ TEST(ParallelFactor, DeterministicModeIsBitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelFactor, SluBackendFallsBackWholeTaskDeterministically) {
   // The SLU core has no block-level bodies: every member runs whole, and
-  // deterministic mode serialises conflicting members in the epilogue. The
-  // result must still solve.
+  // the runtime serialises conflicting members in the epilogue. The result
+  // must still solve.
   const Csr a = finalize_system(grid2d_laplacian(18, 18), 1);
   InstanceOptions io;
   io.core = SolverCore::kSlu;
   SolverInstance inst(a, io);
-  const ScheduleResult r =
-      factor(inst, 4, exec::AccumMode::kDeterministic);
+  const ScheduleResult r = factor(inst, 4);
   EXPECT_GT(r.stats().exec.fallback_tasks, 0);
   EXPECT_EQ(r.stats().exec.slices, 0);
   EXPECT_LT(solve_residual(inst, a), 1e-10);
@@ -527,7 +508,7 @@ TEST(ParallelFactor, ExecStatsAreCoherent) {
   io.core = SolverCore::kPlu;
   io.block = 16;
   SolverInstance inst(a, io);
-  const ScheduleResult r = factor(inst, 4, exec::AccumMode::kAtomic);
+  const ScheduleResult r = factor(inst, 4);
   EXPECT_EQ(r.stats().exec.workers, 4);
   EXPECT_GT(r.stats().exec.batches, 0);
   EXPECT_GT(r.stats().exec.wall_s, 0);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "gen/generators.hpp"
@@ -123,36 +122,6 @@ TEST(DenseGemm, MinusMatchesReference) {
   }
 }
 
-TEST(DenseGemm, AtomicMatchesPlainSequentially) {
-  Rng rng(13);
-  const index_t m = 4, k = 3, n = 5;
-  std::vector<real_t> a(static_cast<std::size_t>(m) * k);
-  std::vector<real_t> b(static_cast<std::size_t>(k) * n);
-  for (real_t& v : a) v = rng.uniform(-1.0, 1.0);
-  for (real_t& v : b) v = rng.uniform(-1.0, 1.0);
-  std::vector<real_t> c1(static_cast<std::size_t>(m) * n, 1.0);
-  std::vector<real_t> c2 = c1;
-  gemm_minus(m, n, k, a.data(), m, b.data(), k, c1.data(), m);
-  gemm_minus_atomic(m, n, k, a.data(), m, b.data(), k, c2.data(), m);
-  for (std::size_t i = 0; i < c1.size(); ++i) EXPECT_DOUBLE_EQ(c1[i], c2[i]);
-}
-
-TEST(AtomicAdd, ConcurrentAccumulationIsExact) {
-  // Sum of integers is exact in FP64, so concurrent accumulation must give
-  // the exact total regardless of interleaving.
-  real_t target = 0.0;
-  constexpr int kThreads = 8;
-  constexpr int kAdds = 5000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kAdds; ++i) atomic_add(target, 1.0);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_DOUBLE_EQ(target, kThreads * kAdds);
-}
-
 TEST(Tile, InsertFreezeAt) {
   Tile t(4, 3);
   t.insert(2, 1, 5.0);
@@ -217,8 +186,8 @@ TEST(TileKernels, SsssmSparseMatchesDense) {
   u.densify();
   Tile c1 = make_sparse_tile(6, 7, 0.5);
   Tile c2 = c1;
-  tile_ssssm(c1, l_sparse, u, /*atomic=*/false);
-  tile_ssssm(c2, l_dense, u, /*atomic=*/false);
+  tile_ssssm(c1, l_sparse, u);
+  tile_ssssm(c2, l_dense, u);
   for (index_t r = 0; r < 6; ++r) {
     for (index_t c = 0; c < 7; ++c) {
       EXPECT_NEAR(c1.at(r, c), c2.at(r, c), 1e-12);

@@ -575,7 +575,6 @@ TEST_F(SchedulerMem, NumericSpillIoRoundTripsFactorsByteExact) {
   // on-disk THTS store — the factors must come back bit-identical.
   ScheduleOptions so = base_options();
   so.exec.workers = 2;
-  so.exec.accum = exec::AccumMode::kDeterministic;
 
   SolverInstance model(a_, io_);
   const mem::FootprintProjection fp = mem::project_footprint(model.graph(), 2);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "resilience/checkpoint.hpp"
 #include "resilience/validate.hpp"
 #include "sim/cluster.hpp"
+#include "support/binio.hpp"
 #include "support/error.hpp"
 
 namespace th {
@@ -202,6 +204,39 @@ TEST(CheckpointIO, RejectsBadMagicAndVersion) {
 
   std::stringstream in3(bytes.substr(0, bytes.size() / 2));  // truncated
   EXPECT_THROW(load_checkpoint(in3), Error);
+}
+
+TEST(CheckpointIO, SavedBytesIgnoreStructPadding) {
+  // Pending is {int32 id, double arrival}: each entry carries padding.
+  // Two buffers holding the same logical entries over different stale
+  // bytes must save to byte-identical files.
+  static_assert(sizeof(CheckpointState::Pending) >
+                sizeof(index_t) + sizeof(real_t));
+  const auto save_over = [](unsigned char stale) {
+    CheckpointState s = sample_state();
+    const std::vector<CheckpointState::Pending> want = {{2, 0.03},
+                                                        {3, 0.04}};
+    std::vector<CheckpointState::Pending> buf(want.size());
+    std::memset(static_cast<void*>(buf.data()), stale,
+                buf.size() * sizeof(CheckpointState::Pending));
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      buf[i].id = want[i].id;
+      buf[i].arrival_s = want[i].arrival_s;
+    }
+    s.pending = std::move(buf);
+    std::stringstream ss;
+    save_checkpoint(ss, s);
+    return ss.str();
+  };
+  const std::string a = save_over(0x00);
+  EXPECT_EQ(a, save_over(0xa5));
+
+  // The previous format (version 2, raw structs) fails with the typed
+  // error rather than being misread.
+  std::string v2 = a;
+  v2[4] = 2;
+  std::stringstream in(v2);
+  EXPECT_THROW(load_checkpoint(in), bin::IoError);
 }
 
 TEST(FaultReportIO, RoundTripEmptyPartialFatal) {

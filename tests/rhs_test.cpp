@@ -157,12 +157,12 @@ TEST(RhsOptionsValidate, RejectsNonsense) {
 TEST_F(RhsEngineTest, SolveDagBuildsOncePerWidthThenReuses) {
   BlockSolver solver(*inst_->plu_factorization(), *sched_);
   std::vector<real_t> b = apply_permutation(rhs_for(1), inst_->permutation());
-  solver.solve(b.data(), 1, SolveSchedule::kPriorityDag, false);
+  solver.solve(b.data(), 1, SolveSchedule::kPriorityDag);
   EXPECT_EQ(solver.dag().builds(), 1);
   EXPECT_EQ(solver.dag().reuses(), 0);
 
   std::vector<real_t> b2 = apply_permutation(rhs_for(2), inst_->permutation());
-  solver.solve(b2.data(), 1, SolveSchedule::kPriorityDag, false);
+  solver.solve(b2.data(), 1, SolveSchedule::kPriorityDag);
   EXPECT_EQ(solver.dag().builds(), 1);  // same width: cache hit
   EXPECT_EQ(solver.dag().reuses(), 1);
 
@@ -170,7 +170,7 @@ TEST_F(RhsEngineTest, SolveDagBuildsOncePerWidthThenReuses) {
   for (int j = 0; j < 4; ++j) {
     std::copy(b.begin(), b.end(), wide.begin() + j * b.size());
   }
-  solver.solve(wide.data(), 4, SolveSchedule::kPriorityDag, false);
+  solver.solve(wide.data(), 4, SolveSchedule::kPriorityDag);
   EXPECT_EQ(solver.dag().builds(), 2);  // new width: one more build
   EXPECT_EQ(solver.dag().reuses(), 1);
 }
@@ -192,7 +192,7 @@ TEST_F(RhsEngineTest, BlockSolveMatchesSequentialDriver) {
 
   BlockSolver solver(*inst_->plu_factorization(), *sched_);
   std::vector<real_t> x = apply_permutation(b, inst_->permutation());
-  solver.solve(x.data(), 1, SolveSchedule::kPriorityDag, false);
+  solver.solve(x.data(), 1, SolveSchedule::kPriorityDag);
   const std::vector<real_t> got =
       apply_inverse_permutation(x, inst_->permutation());
   ASSERT_EQ(got.size(), x_ref.size());
@@ -209,9 +209,9 @@ TEST_F(RhsEngineTest, LevelSetScheduleIsCorrectButLaunchBound) {
   std::vector<real_t> x_pri = apply_permutation(b, inst_->permutation());
   std::vector<real_t> x_lvl = x_pri;
   const rhs::BlockSolveResult pri =
-      solver.solve(x_pri.data(), 1, SolveSchedule::kPriorityDag, false);
+      solver.solve(x_pri.data(), 1, SolveSchedule::kPriorityDag);
   const rhs::BlockSolveResult lvl =
-      solver.solve(x_lvl.data(), 1, SolveSchedule::kLevelSet, false);
+      solver.solve(x_lvl.data(), 1, SolveSchedule::kLevelSet);
 
   const std::vector<real_t> got =
       apply_inverse_permutation(x_lvl, inst_->permutation());
@@ -330,7 +330,6 @@ TEST_F(RhsEngineTest, DetModeIsBitwiseAcrossWorkersAndWidths) {
       so.exec.workers = workers;
       RhsOptions opt;
       opt.max_width = width;
-      opt.det = true;
       RhsEngine eng(*inst_->plu_factorization(), opt, so);
       for (std::size_t i = 0; i < bs.size(); ++i) {
         eng.submit(entry(bs[i], i), 0.0);
