@@ -167,6 +167,8 @@ int main() {
     total.cancelled += st.cancelled;
     total.deadline_misses += st.deadline_misses;
     total.failed += st.failed;
+    total.failed_no_factors += st.failed_no_factors;
+    total.failed_error += st.failed_error;
     total.rejected_queue_full += st.rejected_queue_full;
     total.rejected_deadline += st.rejected_deadline;
     total.rejected_mem += st.rejected_mem;
@@ -292,6 +294,10 @@ int main() {
           static_cast<std::int64_t>(total.deadline_misses) &&
       reg.counter("th.serve.failed").value() ==
           static_cast<std::int64_t>(total.failed) &&
+      reg.counter("th.serve.failed.no_factors").value() ==
+          static_cast<std::int64_t>(total.failed_no_factors) &&
+      reg.counter("th.serve.failed.error").value() ==
+          static_cast<std::int64_t>(total.failed_error) &&
       reg.counter("th.serve.cache.hits").value() ==
           static_cast<std::int64_t>(total.cache_hits) &&
       reg.counter("th.serve.cache.misses").value() ==

@@ -3,11 +3,12 @@
 // paper's related work singles sparse triangular solve out as an essential
 // component; its task structure is even more launch-bound than the
 // factorisation's (one tiny kernel per tile), so the Trojan Horse helps it
-// at least as much. Reports per-task vs batched kernel counts and modelled
-// times for forward+backward solves with 1 and 8 right-hand sides.
+// at least as much. Reports per-task (rhs::BlockSolver's level-set
+// schedule) vs batched (its priority-DAG schedule) kernel counts and
+// modelled times for forward+backward solves with 1 and 8 right-hand sides.
 #include "common/bench_common.hpp"
 #include "gen/registry.hpp"
-#include "solvers/trisolve.hpp"
+#include "rhs/solve_dag.hpp"
 
 using namespace th;
 using namespace th::bench;
@@ -32,30 +33,25 @@ int main() {
     numeric_opts.policy = Policy::kTrojanHorse;
     numeric_opts.cluster = single_gpu(device_a100());
     inst.run_numeric(numeric_opts);
-    PluFactorization* fact = inst.plu_factorization();
 
+    rhs::BlockSolver solver(*inst.plu_factorization(), numeric_opts);
     for (index_t nrhs : {1, 8}) {
-      std::vector<real_t> b(
+      // Both solves run in place on B = all ones.
+      std::vector<real_t> x_th(
           static_cast<std::size_t>(a.n_rows) * static_cast<std::size_t>(nrhs),
           1.0);
-      ScheduleOptions th_opts = numeric_opts;
-      ScheduleOptions base_opts = numeric_opts;
-      base_opts.policy = Policy::kPriorityPerTask;
+      std::vector<real_t> x_base = x_th;
+      const rhs::BlockSolveResult rt =
+          solver.solve(x_th.data(), nrhs, rhs::SolveSchedule::kPriorityDag);
+      const rhs::BlockSolveResult rb =
+          solver.solve(x_base.data(), nrhs, rhs::SolveSchedule::kLevelSet);
 
-      std::vector<real_t> x_th(b.size());
-      std::vector<real_t> x_base(b.size());
-      PluTriangularSolver s1(*fact, nrhs);
-      const TriSolveResult rt = s1.solve(b.data(), x_th.data(), th_opts);
-      PluTriangularSolver s2(*fact, nrhs);
-      const TriSolveResult rb = s2.solve(b.data(), x_base.data(), base_opts);
-
-      const offset_t tasks =
-          s1.forward_graph().size() + s1.backward_graph().size();
-      const offset_t k_base =
-          rb.forward.kernel_count + rb.backward.kernel_count;
-      const offset_t k_th = rt.forward.kernel_count + rt.backward.kernel_count;
-      const real_t t_base = rb.forward.makespan_s + rb.backward.makespan_s;
-      const real_t t_th = rt.forward.makespan_s + rt.backward.makespan_s;
+      const rhs::SolveDag::Graphs& g = solver.dag().graphs(nrhs);
+      const offset_t tasks = g.forward.size() + g.backward.size();
+      const offset_t k_base = rb.kernel_count();
+      const offset_t k_th = rt.kernel_count();
+      const real_t t_base = rb.makespan_s();
+      const real_t t_th = rt.makespan_s();
       t.add_row({m->name, std::to_string(nrhs), fmt_count(tasks),
                  fmt_count(k_base), fmt_count(k_th),
                  fmt_fixed(t_base * 1e3, 3), fmt_fixed(t_th * 1e3, 3),

@@ -3,7 +3,7 @@
 // A downstream-user-shaped tool: pick a matrix (file or generator), a
 // solver core, a scheduling policy, a modelled device and a rank count;
 // get the full pipeline report, optional iterative refinement, and an
-// optional Chrome trace of the schedule.
+// optional Chrome trace of the run (--trace-out).
 //
 //   thsolve_cli [options]
 //     --matrix <path.mtx>        Matrix Market input (made diag-dominant)
@@ -34,7 +34,6 @@
 //                                iterative refinement
 //     --abft-retries <n>         re-runs per corrupt task before escalating
 //                                (default: the fault plan's retry budget)
-//     --trace <out.json>         write a Chrome trace of the schedule
 //     --trace-out <out.json>     write the *unified* observability trace:
 //                                simulated kernel timeline plus host
 //                                runtime/exec-lane spans and aggregate-
@@ -143,9 +142,9 @@
 //                    plan seed / retry budget / base backoff
 //
 // Example: a 16-rank run where every kernel has a 0.1% transient fault
-// rate and rank 3 dies 2 ms in:
+// rate and rank 3 dies 2 ms in (one command line):
 //
-//   thsolve_cli --gen grid2d --n 10000 --ranks 16 \
+//   thsolve_cli --gen grid2d --n 10000 --ranks 16
 //       --faults transient=0.001,kill=3@0.002,guards=1
 #include <algorithm>
 #include <cerrno>
@@ -170,7 +169,6 @@
 #include "serve/serve.hpp"
 #include "serve/trace.hpp"
 #include "sim/cluster.hpp"
-#include "sim/trace_export.hpp"
 #include "solvers/driver.hpp"
 #include "solvers/refine.hpp"
 #include "sparse/convert.hpp"
@@ -192,7 +190,7 @@ using namespace th;
                "[--threads N] [--nrhs N] [--rhs-batch width=N,wait=SEC,"
                "sched=priority|levelset] "
                "[--block B] [--ordering mindeg|rcm|nd|natural] "
-               "[--refine I] [--abft] [--abft-retries N] [--trace out.json] "
+               "[--refine I] [--abft] [--abft-retries N] "
                "[--trace-out unified.json] [--metrics-out m.json|m.csv] "
                "[--faults transient=P,kill=R@T,cpu=R@T,restart=R@T,"
                "degrade=A-B@F,nan=ID,inf=ID,tinypivot=ID,bitflip=ID,"
@@ -312,7 +310,7 @@ Ordering parse_ordering(const std::string& o) {
 int main(int argc, char** argv) {
   using namespace th;
 
-  std::string matrix_path, gen_kind = "grid2d", trace_path, faults_spec;
+  std::string matrix_path, gen_kind = "grid2d", faults_spec;
   std::string trace_out_path, metrics_out_path;
   std::string core = "plu", policy = "th", device = "a100";
   std::string ordering = "mindeg";
@@ -380,8 +378,6 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--abft-retries")) {
       abft_retries =
           parse_int_strict("--abft-retries", need("--abft-retries"), 0);
-    } else if (!std::strcmp(argv[i], "--trace")) {
-      trace_path = need("--trace");
     } else if (!std::strcmp(argv[i], "--trace-out")) {
       trace_out_path = need("--trace-out");
     } else if (!std::strncmp(argv[i], "--trace-out=", 12)) {
@@ -584,6 +580,9 @@ int main(int argc, char** argv) {
                   static_cast<long long>(st.deadline_misses),
                   static_cast<long long>(st.failed),
                   static_cast<long long>(st.degraded_runs));
+      std::printf("serve: failed by reason: %lld no-factors, %lld error\n",
+                  static_cast<long long>(st.failed_no_factors),
+                  static_cast<long long>(st.failed_error));
       std::printf("serve: symbolic cache %.0f%% hit (%lld/%lld), queue high "
                   "water %lld\n",
                   st.cache_hit_rate() * 100.0,
@@ -697,9 +696,6 @@ int main(int argc, char** argv) {
                   static_cast<long long>(r.kernel_count), policy.c_str(),
                   ranks, so.cluster.gpu.name.c_str());
       try {
-        if (!trace_path.empty()) {
-          write_chrome_trace_file(trace_path, r.trace, "thsolve " + policy);
-        }
         if (!trace_out_path.empty()) {
           obs::write_unified_trace_file(trace_out_path, &r.trace,
                                         obs::Recorder::global(),
@@ -895,11 +891,6 @@ int main(int argc, char** argv) {
     }
 
     try {
-      if (!trace_path.empty()) {
-        write_chrome_trace_file(trace_path, r.trace, "thsolve " + policy);
-        std::printf("schedule trace written to %s (open in chrome://tracing)\n",
-                    trace_path.c_str());
-      }
       if (!trace_out_path.empty()) {
         obs::write_unified_trace_file(trace_out_path, &r.trace,
                                       obs::Recorder::global(),

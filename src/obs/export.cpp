@@ -98,11 +98,11 @@ void write_unified_trace(std::ostream& out, const Trace* sim,
 
   out << "{\"traceEvents\":[\n";
   out << R"({"name":"process_name","ph":"M","pid":)" << kSimPid
-      << R"(,"args":{"name":")" << process_name << R"( (simulated cluster)"
+      << R"(,"args":{"name":")" << process_name << " (simulated cluster)"
       << "\"}}";
   out << ",\n"
       << R"({"name":"process_name","ph":"M","pid":)" << kHostPid
-      << R"(,"args":{"name":")" << process_name << R"( (host runtime)"
+      << R"(,"args":{"name":")" << process_name << " (host runtime)"
       << "\"}}";
   for (int rank = 0; rank <= max_rank; ++rank) {
     emit_thread_name(out, kSimPid, rank, "rank " + std::to_string(rank));
@@ -116,8 +116,8 @@ void write_unified_trace(std::ostream& out, const Trace* sim,
   }
 
   out.precision(6);
-  // Simulated kernel timeline — identical span shapes to the legacy
-  // sim/trace_export.hpp writer, so existing tooling keeps working.
+  // Simulated kernel timeline: one span per kernel (batch size, GFLOPS)
+  // plus its host launch/preparation share as a nested span.
   if (sim != nullptr) {
     for (const KernelRecord& r : sim->records()) {
       const double start_us = r.start_s * 1e6;

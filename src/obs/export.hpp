@@ -1,12 +1,12 @@
 // Unified Chrome-trace / perfetto export.
 //
 // Merges the simulated-kernel timeline (sim::Trace, pid 1, one thread per
-// rank — same span shapes as sim/trace_export.hpp) with the obs::Recorder
-// event stream: sim-domain spans/instants land on the rank threads of
-// pid 1 (track -1 becomes a global instant), host-domain events land on
-// pid 2 with one thread per executor lane plus a "runtime" thread for
-// batch-level spans and watchdog actions. Load the file in
-// chrome://tracing or https://ui.perfetto.dev.
+// rank, one span per kernel) with the obs::Recorder event stream:
+// sim-domain spans/instants land on the rank threads of pid 1 (track -1
+// becomes a global instant), host-domain events land on pid 2 with one
+// thread per executor lane plus a "runtime" thread for batch-level spans
+// and watchdog actions. Load the file in chrome://tracing or
+// https://ui.perfetto.dev.
 #pragma once
 
 #include <ostream>

@@ -2,8 +2,7 @@
 // multi-RHS SpTRSV serving engine (`th::rhs`, DESIGN.md §15).
 //
 // A factor-once/solve-many service executes the same forward/backward
-// triangular-solve task DAGs thousands of times per factorization. The
-// legacy PluTriangularSolver rebuilt both DAGs per construction; SolveDag
+// triangular-solve task DAGs thousands of times per factorization. SolveDag
 // builds each (direction, nrhs) pair exactly once per factorization and
 // reuses it across every batch, counting builds vs reuses so the payoff is
 // observable (th.rhs.dag.*). BlockSolver executes a block of right-hand

@@ -296,10 +296,13 @@ std::string run_serve_scenario(const ServeOptions& sopt,
     const offset_t accounted = st.completed + st.shed + st.cancelled +
                                st.deadline_misses + st.failed;
     if (st.submitted != static_cast<offset_t>(ids.size()) ||
-        accounted != st.submitted) {
+        accounted != st.submitted ||
+        st.failed_no_factors + st.failed_error != st.failed) {
       std::ostringstream os;
       os << "accounting leak: submitted=" << st.submitted << " accounted="
-         << accounted << " admitted=" << ids.size();
+         << accounted << " admitted=" << ids.size() << " failed="
+         << st.failed << " (" << st.failed_no_factors << " no-factors + "
+         << st.failed_error << " error)";
       return os.str();
     }
     // Invariant 3: the queues actually drained.

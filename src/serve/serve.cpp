@@ -119,6 +119,8 @@ void ServeStats::publish_metrics() const {
   reg.counter("th.serve.cancelled").add(cancelled);
   reg.counter("th.serve.deadline_misses").add(deadline_misses);
   reg.counter("th.serve.failed").add(failed);
+  reg.counter("th.serve.failed.no_factors").add(failed_no_factors);
+  reg.counter("th.serve.failed.error").add(failed_error);
   reg.counter("th.serve.rejected.queue_full").add(rejected_queue_full);
   reg.counter("th.serve.rejected.deadline").add(rejected_deadline);
   reg.counter("th.serve.rejected.mem").add(rejected_mem);
@@ -620,6 +622,7 @@ void SolverService::run_factor(Session& s, Pending& p, real_t start_s) {
     // abort-time estimate, and charging zero keeps the clock deterministic.
     s.needs_rebuild = true;
     s.factored = false;
+    ++stats_.failed_error;
     finish(std::move(p), Completion::Status::kFailed, start_s, start_s, -1,
            e.what());
   }
@@ -654,6 +657,7 @@ void SolverService::run_solve_batch(Session& s, std::vector<Pending> batch,
                                     real_t start_s) {
   if (!s.factored) {
     for (Pending& p : batch) {
+      ++stats_.failed_no_factors;
       finish(std::move(p), Completion::Status::kFailed, start_s, start_s, -1,
              "session has no valid factors (factor/refactor did not "
              "complete)");

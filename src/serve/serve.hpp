@@ -208,7 +208,8 @@ struct ServeOptions {
 /// publish_metrics() so registry snapshots reconcile with this struct by
 /// construction. submitted counts *admitted* requests only — rejected ones
 /// threw RejectedError and never entered a queue; every admitted request
-/// ends in exactly one of completed/shed/cancelled/deadline_misses/failed.
+/// ends in exactly one of completed/shed/cancelled/deadline_misses/failed,
+/// and failed splits by reason into failed_no_factors + failed_error.
 struct ServeStats {
   offset_t sessions_opened = 0;
   offset_t cache_hits = 0;    // session opens that reused cached symbolics
@@ -219,6 +220,8 @@ struct ServeStats {
   offset_t cancelled = 0;
   offset_t deadline_misses = 0;
   offset_t failed = 0;
+  offset_t failed_no_factors = 0;  // solves on a session without valid factors
+  offset_t failed_error = 0;       // typed aborts (e.g. OomError)
   offset_t rejected_queue_full = 0;
   offset_t rejected_deadline = 0;
   offset_t rejected_mem = 0;

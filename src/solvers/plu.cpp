@@ -7,6 +7,7 @@
 
 #include "abft/tile_guard.hpp"
 #include "kernels/flops.hpp"
+#include "solvers/trisolve.hpp"
 #include "support/error.hpp"
 
 namespace th {
@@ -412,82 +413,9 @@ void PluFactorization::build_graph() {
 
 std::vector<real_t> PluFactorization::solve(
     const std::vector<real_t>& b) const {
-  const index_t n = pattern_.n;
-  TH_CHECK(static_cast<index_t>(b.size()) == n);
-  const index_t nt = pattern_.nt;
-  const index_t bs = pattern_.tile_size;
+  TH_CHECK(static_cast<index_t>(b.size()) == pattern_.n);
   std::vector<real_t> x = b;
-
-  auto tile_dense = [&](index_t i, index_t j) -> const Tile* {
-    const Tile* t = tiles_->tile(i, j);
-    if (t != nullptr) {
-      TH_CHECK_MSG(t->storage() == Tile::Storage::kDense,
-                   "solve() before numeric factorisation completed");
-    }
-    return t;
-  };
-
-  // Forward solve L y = b (unit diagonal; L strictly below the diagonal of
-  // diagonal tiles plus all tiles with i > j).
-  for (index_t J = 0; J < nt; ++J) {
-    const Tile* diag = tile_dense(J, J);
-    TH_ASSERT(diag != nullptr);
-    const index_t w = diag->cols();
-    real_t* xj = x.data() + static_cast<offset_t>(J) * bs;
-    // Within-tile forward substitution.
-    const real_t* d = diag->dense_data();
-    for (index_t c = 0; c < w; ++c) {
-      const real_t xc = xj[c];
-      if (xc == 0.0) continue;
-      for (index_t r = c + 1; r < w; ++r) {
-        xj[r] -= d[r + c * static_cast<offset_t>(diag->ld())] * xc;
-      }
-    }
-    // Panel updates below.
-    for (index_t I = J + 1; I < nt; ++I) {
-      const Tile* lt = tiles_->tile(I, J);
-      if (lt == nullptr) continue;
-      const real_t* ld = tile_dense(I, J)->dense_data();
-      real_t* xi = x.data() + static_cast<offset_t>(I) * bs;
-      for (index_t c = 0; c < lt->cols(); ++c) {
-        const real_t xc = xj[c];
-        if (xc == 0.0) continue;
-        for (index_t r = 0; r < lt->rows(); ++r) {
-          xi[r] -= ld[r + c * static_cast<offset_t>(lt->ld())] * xc;
-        }
-      }
-    }
-  }
-
-  // Backward solve U x = y (non-unit diagonal).
-  for (index_t J = nt - 1; J >= 0; --J) {
-    const Tile* diag = tile_dense(J, J);
-    const index_t w = diag->cols();
-    real_t* xj = x.data() + static_cast<offset_t>(J) * bs;
-    // Updates from tiles right of the diagonal.
-    for (index_t K = J + 1; K < nt; ++K) {
-      const Tile* ut = tiles_->tile(J, K);
-      if (ut == nullptr) continue;
-      const real_t* ud = tile_dense(J, K)->dense_data();
-      const real_t* xk = x.data() + static_cast<offset_t>(K) * bs;
-      for (index_t c = 0; c < ut->cols(); ++c) {
-        const real_t xc = xk[c];
-        if (xc == 0.0) continue;
-        for (index_t r = 0; r < ut->rows(); ++r) {
-          xj[r] -= ud[r + c * static_cast<offset_t>(ut->ld())] * xc;
-        }
-      }
-    }
-    // Within-tile backward substitution.
-    const real_t* d = diag->dense_data();
-    for (index_t c = w - 1; c >= 0; --c) {
-      real_t acc = xj[c];
-      for (index_t r = c + 1; r < w; ++r) {
-        acc -= d[c + r * static_cast<offset_t>(diag->ld())] * xj[r];
-      }
-      xj[c] = acc / d[c + c * static_cast<offset_t>(diag->ld())];
-    }
-  }
+  tri_solve_in_order(*this, x.data());
   return x;
 }
 

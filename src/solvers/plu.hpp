@@ -51,7 +51,9 @@ class PluFactorization {
 
   /// Triangular solves with the computed factors: returns x with
   /// L U x = b (b in the *permuted* ordering). Must be called after the
-  /// numeric phase completed.
+  /// numeric phase completed. Runs the block solve's tasks
+  /// (solvers/trisolve.hpp) at width 1 without the scheduler, so x equals
+  /// every column of an rhs::BlockSolver solve bit for bit.
   std::vector<real_t> solve(const std::vector<real_t>& b) const;
 
   /// Transpose solve: returns z with (L U)^T z = U^T L^T z = c. Needed by

@@ -15,6 +15,44 @@ namespace {
 constexpr TaskType kDiagSolve = TaskType::kGetrf;
 constexpr TaskType kUpdate = TaskType::kSsssm;
 
+// The two task kernels, per right-hand-side column.
+
+// Update task body: out[0, t.rows()) += T * x_src, the positive
+// contribution the consuming diagonal task subtracts in fold order.
+void add_update(const Tile& t, const real_t* x_src, real_t* out) {
+  const real_t* td = t.dense_data();
+  const index_t bi = t.rows();
+  for (index_t c = 0; c < t.cols(); ++c) {
+    const real_t v = x_src[c];
+    if (v == 0.0) continue;
+    const real_t* tc = td + static_cast<offset_t>(c) * t.ld();
+    for (index_t i = 0; i < bi; ++i) out[i] += tc[i] * v;
+  }
+}
+
+// Diagonal task body after the fold: unit-lower (forward) or non-unit
+// upper (backward) substitution within the diagonal tile.
+void substitute(const Tile& d, real_t* col, bool forward) {
+  const index_t w = d.rows();
+  const real_t* dd = d.dense_data();
+  if (forward) {
+    for (index_t c = 0; c < w; ++c) {
+      const real_t xc = col[c];
+      if (xc == 0.0) continue;
+      const real_t* dc = dd + static_cast<offset_t>(c) * w;
+      for (index_t i = c + 1; i < w; ++i) col[i] -= dc[i] * xc;
+    }
+  } else {
+    for (index_t c = w - 1; c >= 0; --c) {
+      real_t acc = col[c];
+      for (index_t i = c + 1; i < w; ++i) {
+        acc -= dd[c + static_cast<offset_t>(i) * w] * col[i];
+      }
+      col[c] = acc / dd[c + static_cast<offset_t>(c) * w];
+    }
+  }
+}
+
 }  // namespace
 
 TaskGraph build_solve_graph(const PluFactorization& fact, bool forward,
@@ -98,19 +136,22 @@ TaskGraph build_solve_graph(const PluFactorization& fact, bool forward,
 SolveFoldPlan build_solve_fold_plan(const TilePattern& p, bool forward) {
   SolveFoldPlan plan;
   plan.forward = forward;
+  plan.nt = p.nt;
+  plan.tile_offset.assign(p.present.size(), -1);
   plan.fold_cols.assign(static_cast<std::size_t>(p.nt), {});
   for (index_t k = 0; k < p.nt; ++k) {
     if (forward) {
       for (const index_t i : p.col_tiles_below(k)) {
-        plan.tile_offset.emplace(std::make_pair(i, k), plan.scratch_rows);
+        plan.tile_offset[static_cast<std::size_t>(i) * p.nt + k] =
+            plan.scratch_rows;
         plan.scratch_rows += p.rows_in_tile(i);
-        // Outer loop ascends k, so each row's fold list is ascending — the
-        // order the sequential reference subtracts the panels in.
+        // Outer loop ascends k, so each row's fold list is ascending.
         plan.fold_cols[static_cast<std::size_t>(i)].push_back(k);
       }
     } else {
       for (const index_t j : p.row_tiles_right(k)) {
-        plan.tile_offset.emplace(std::make_pair(k, j), plan.scratch_rows);
+        plan.tile_offset[static_cast<std::size_t>(k) * p.nt + j] =
+            plan.scratch_rows;
         plan.scratch_rows += p.rows_in_tile(k);
         plan.fold_cols[static_cast<std::size_t>(k)].push_back(j);
       }
@@ -140,8 +181,7 @@ void TriSolveBackend::run_task(const Task& t, bool) {
     // one (DAG dependency), and the executor's batch barriers order their
     // scratch writes before this read.
     for (const index_t src : fold_.fold_cols[static_cast<std::size_t>(t.k)]) {
-      const offset_t off = fold_.tile_offset.at(std::make_pair(t.k, src));
-      const real_t* scr = scratch_.data() + off * nrhs_;
+      const real_t* scr = scratch_.data() + fold_.offset(t.k, src) * nrhs_;
       for (index_t r = 0; r < nrhs_; ++r) {
         real_t* col = xk + static_cast<offset_t>(r) * n;
         const real_t* s = scr + static_cast<offset_t>(r) * w;
@@ -149,85 +189,47 @@ void TriSolveBackend::run_task(const Task& t, bool) {
       }
     }
     for (index_t r = 0; r < nrhs_; ++r) {
-      real_t* col = xk + static_cast<offset_t>(r) * n;
-      if (forward_) {
-        // Unit-lower substitution within the diagonal tile.
-        for (index_t c = 0; c < w; ++c) {
-          const real_t xc = col[c];
-          if (xc == 0.0) continue;
-          for (index_t i = c + 1; i < w; ++i) {
-            col[i] -= d.dense_data()[i + static_cast<offset_t>(c) * w] * xc;
-          }
-        }
-      } else {
-        // Non-unit upper substitution.
-        for (index_t c = w - 1; c >= 0; --c) {
-          real_t acc = col[c];
-          for (index_t i = c + 1; i < w; ++i) {
-            acc -= d.dense_data()[c + static_cast<offset_t>(i) * w] * col[i];
-          }
-          col[c] = acc / d.dense_data()[c + static_cast<offset_t>(c) * w];
-        }
-      }
+      substitute(d, xk + static_cast<offset_t>(r) * n, forward_);
     }
     return;
   }
-  // x[row] -= T(row, col) * x[col]: accumulate the positive contribution
-  // T(row, col) * x[col] into the tile's private scratch region (bi x nrhs,
-  // column-major); the diagonal task subtracts it later in plan order.
-  // Regions are disjoint across tasks, so concurrent updates of one block
-  // row need no synchronisation.
+  // x[row] -= T(row, col) * x[col]: accumulate into the tile's private
+  // scratch region (bi x nrhs, column-major). Regions are disjoint across
+  // tasks, so concurrent updates of one block row need no synchronisation.
   const Tile& tile = *fact_.tiles().tile(t.row, t.col);
   const real_t* xc = x_ + static_cast<offset_t>(t.col) * bs;
-  const offset_t off = fold_.tile_offset.at(std::make_pair(t.row, t.col));
-  real_t* scr = scratch_.data() + off * nrhs_;
-  const index_t bi = tile.rows();
+  real_t* scr = scratch_.data() + fold_.offset(t.row, t.col) * nrhs_;
   for (index_t r = 0; r < nrhs_; ++r) {
-    real_t* out = scr + static_cast<offset_t>(r) * bi;
-    const real_t* in = xc + static_cast<offset_t>(r) * n;
-    for (index_t c = 0; c < tile.cols(); ++c) {
-      const real_t v = in[c];
-      if (v == 0.0) continue;
-      const real_t* tc =
-          tile.dense_data() + static_cast<offset_t>(c) * tile.ld();
-      for (index_t i = 0; i < bi; ++i) out[i] += tc[i] * v;
+    add_update(tile, xc + static_cast<offset_t>(r) * n,
+               scr + static_cast<offset_t>(r) * tile.rows());
+  }
+}
+
+void tri_solve_in_order(const PluFactorization& fact, real_t* x) {
+  const TilePattern& p = fact.pattern();
+  const index_t nt = p.nt;
+  const index_t bs = p.tile_size;
+  // One update's contribution at a time: block row k folds each update
+  // right after computing it, so no per-tile scratch is needed.
+  std::vector<real_t> contrib(static_cast<std::size_t>(bs));
+  for (const bool forward : {true, false}) {
+    for (index_t s = 0; s < nt; ++s) {
+      const index_t k = forward ? s : nt - 1 - s;
+      const index_t w = p.rows_in_tile(k);
+      real_t* xk = x + static_cast<offset_t>(k) * bs;
+      // The update tasks into block row k in fold order (ascending source);
+      // every source block is already solved.
+      const index_t src_end = forward ? k : nt;
+      for (index_t src = forward ? 0 : k + 1; src < src_end; ++src) {
+        const Tile* t = fact.tiles().tile(k, src);
+        if (t == nullptr) continue;
+        std::fill_n(contrib.begin(), w, 0.0);
+        add_update(*t, x + static_cast<offset_t>(src) * bs, contrib.data());
+        for (index_t i = 0; i < w; ++i) xk[i] -= contrib[i];
+      }
+      substitute(*fact.tiles().tile(k, k), xk, forward);
     }
   }
-}
-
-PluTriangularSolver::PluTriangularSolver(const PluFactorization& fact,
-                                         index_t nrhs,
-                                         const ProcessGrid& grid)
-    : fact_(fact),
-      nrhs_(nrhs),
-      forward_fold_(build_solve_fold_plan(fact.pattern(), /*forward=*/true)),
-      backward_fold_(
-          build_solve_fold_plan(fact.pattern(), /*forward=*/false)) {
-  TH_CHECK(nrhs >= 1);
-  forward_ = build_solve_graph(fact, /*forward=*/true, nrhs, grid);
-  backward_ = build_solve_graph(fact, /*forward=*/false, nrhs, grid);
-}
-
-TriSolveResult PluTriangularSolver::solve(const real_t* b, real_t* x,
-                                          const ScheduleOptions& opt) {
-  TH_CHECK_MSG(b != nullptr && x != nullptr, "solve needs b and x storage");
-  const index_t n = fact_.pattern().n;
-  if (x != b) {
-    std::copy(b, b + static_cast<offset_t>(n) * nrhs_, x);
-  }
-
-  TriSolveResult out;
-  {
-    TriSolveBackend backend(fact_, x, nrhs_, /*forward=*/true,
-                            forward_fold_);
-    out.forward = simulate(forward_, opt, &backend);
-  }
-  {
-    TriSolveBackend backend(fact_, x, nrhs_, /*forward=*/false,
-                            backward_fold_);
-    out.backward = simulate(backward_, opt, &backend);
-  }
-  return out;
 }
 
 }  // namespace th

@@ -7,12 +7,15 @@
 // backward (U x = y) task DAGs over the factored tiles — one diagonal
 // substitution task per block row plus one update task per off-diagonal
 // tile — and executes them through the standard scheduler, supporting
-// multiple right-hand sides solved as one block.
+// multiple right-hand sides solved as one block. These are the only tile
+// substitution kernels: the single solve (PluFactorization::solve, through
+// tri_solve_in_order) runs the same tasks at width 1 in one fixed order, so
+// it equals every column of a block solve bit for bit.
 //
 // SpTRSV is first-class here: the serving stack's hot path under
 // factor-once/solve-many load is this module (src/rhs batches tenant
-// right-hand sides into block solves over these DAGs, DESIGN.md §15), and
-// bench/ext_rhs_throughput gates its throughput scaling.
+// right-hand sides into block solves over these DAGs with rhs::BlockSolver,
+// DESIGN.md §15), and bench/ext_rhs_throughput gates its throughput scaling.
 //
 // Accumulation. Update tasks into one block row commute; the paper's GPU
 // accumulates them with atomicAdd. On the host every update task fills a
@@ -22,8 +25,6 @@
 // policies.
 #pragma once
 
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "core/scheduler.hpp"
@@ -47,13 +48,20 @@ TaskGraph build_solve_graph(const PluFactorization& fact, bool forward,
 /// from the tile pattern alone; independent of nrhs (offsets are in rows —
 /// a tile's element region is [row_offset * nrhs, (row_offset + bi) * nrhs)).
 struct SolveFoldPlan {
-  /// (target block row, source block col) -> scratch row offset.
-  std::map<std::pair<index_t, index_t>, offset_t> tile_offset;
+  /// Scratch row offset of the update task on tile (target block row,
+  /// source block col), indexed like TilePattern::present (row * nt + col);
+  /// -1 where this direction has no update.
+  std::vector<offset_t> tile_offset;
   /// Per block row, the source block columns folded before substitution,
-  /// ascending — the same order the sequential reference visits them.
+  /// ascending — the order tri_solve_in_order folds them in too.
   std::vector<std::vector<index_t>> fold_cols;
   offset_t scratch_rows = 0;
+  index_t nt = 0;
   bool forward = true;
+
+  offset_t offset(index_t row, index_t col) const {
+    return tile_offset[static_cast<std::size_t>(row) * nt + col];
+  }
 };
 
 SolveFoldPlan build_solve_fold_plan(const TilePattern& pattern, bool forward);
@@ -81,41 +89,12 @@ class TriSolveBackend : public NumericBackend {
   std::vector<real_t> scratch_;  // scratch_rows * nrhs, zeroed
 };
 
-/// Result of a scheduled triangular-solve phase. The solution stays in the
-/// caller's buffer — no vectors ride along on the hot path.
-struct TriSolveResult {
-  ScheduleResult forward;   // L-solve schedule
-  ScheduleResult backward;  // U-solve schedule
-
-  real_t makespan_s() const {
-    return forward.makespan_s + backward.makespan_s;
-  }
-};
-
-class PluTriangularSolver {
- public:
-  /// `nrhs` right-hand sides are solved together; costs scale with nrhs.
-  /// Graph construction needs only the symbolic pattern; solve() requires
-  /// the numeric phase to have completed (tiles dense).
-  PluTriangularSolver(const PluFactorization& fact, index_t nrhs,
-                      const ProcessGrid& grid = {});
-
-  const TaskGraph& forward_graph() const { return forward_; }
-  const TaskGraph& backward_graph() const { return backward_; }
-
-  /// Solve L U X = B under the given scheduling options. `b` and `x` are
-  /// n x nrhs, column-major, in the permuted ordering; `x` is
-  /// caller-provided storage and may alias `b` (in-place solve — no copy).
-  /// Bit-identical across worker counts and batch widths (fold plans).
-  TriSolveResult solve(const real_t* b, real_t* x, const ScheduleOptions& opt);
-
- private:
-  const PluFactorization& fact_;
-  index_t nrhs_;
-  SolveFoldPlan forward_fold_;
-  SolveFoldPlan backward_fold_;
-  TaskGraph forward_;
-  TaskGraph backward_;
-};
+/// The single solve, L U x = b in place on one right-hand side (n values,
+/// permuted ordering): every task of both solve DAGs on the calling
+/// thread, without the scheduler, in one fixed topological order — per
+/// block row k (ascending forward, descending backward) its updates in
+/// fold order, then its diagonal task. It runs TriSolveBackend's kernels,
+/// so x equals every column of a scheduled block solve bit for bit.
+void tri_solve_in_order(const PluFactorization& fact, real_t* x);
 
 }  // namespace th

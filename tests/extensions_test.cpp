@@ -1,18 +1,17 @@
 // Tests for the extension modules: parallel triangular solve (SpTRSV),
 // iterative refinement, the critical-path priority metric, upward ranks,
-// and the Chrome trace exporter.
+// and the simulated-kernel spans of the Chrome trace exporter.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 
 #include "gen/generators.hpp"
+#include "obs/export.hpp"
+#include "rhs/solve_dag.hpp"
 #include "sim/cluster.hpp"
-#include "sim/trace_export.hpp"
 #include "solvers/driver.hpp"
 #include "solvers/refine.hpp"
-#include "solvers/trisolve.hpp"
 #include "sparse/ops.hpp"
 
 namespace th {
@@ -36,70 +35,19 @@ std::unique_ptr<SolverInstance> factored_instance(const Csr& a,
   return inst;
 }
 
-TEST(TriSolve, MatchesSequentialSolveSingleRhs) {
-  const Csr a = finalize_system(grid2d_laplacian(15, 15), 2);
-  auto inst = factored_instance(a);
-  PluFactorization* fact = inst->plu_factorization();
-  ASSERT_NE(fact, nullptr);
-
-  // Permuted right-hand side (trisolve operates in permuted space).
-  std::vector<real_t> pb(static_cast<std::size_t>(a.n_rows));
-  for (std::size_t i = 0; i < pb.size(); ++i) {
-    pb[i] = 0.5 + static_cast<real_t>(i % 5);
-  }
-  const std::vector<real_t> x_seq = fact->solve(pb);
-
-  PluTriangularSolver solver(*fact, /*nrhs=*/1);
-  std::vector<real_t> x(pb.size());
-  solver.solve(pb.data(), x.data(), th_opts());
-  for (std::size_t i = 0; i < x_seq.size(); ++i) {
-    EXPECT_NEAR(x[i], x_seq[i], 1e-10) << "component " << i;
-  }
-}
-
-TEST(TriSolve, MultipleRhsAllCorrect) {
-  const Csr a = finalize_system(cage_like(200, 5, 0.1, 4), 4);
-  auto inst = factored_instance(a);
-  PluFactorization* fact = inst->plu_factorization();
-  const index_t n = a.n_rows;
-  const index_t nrhs = 3;
-
-  std::vector<real_t> b(static_cast<std::size_t>(n) * nrhs);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = std::sin(static_cast<real_t>(i) * 0.37) + 1.5;
-  }
-  PluTriangularSolver solver(*fact, nrhs);
-  // In-place solve: x aliases b (the API contract allows it).
-  std::vector<real_t> x = b;
-  solver.solve(x.data(), x.data(), th_opts());
-
-  // Each column must match the sequential single-RHS solve.
-  for (index_t c = 0; c < nrhs; ++c) {
-    const std::vector<real_t> col(b.begin() + static_cast<offset_t>(c) * n,
-                                  b.begin() + static_cast<offset_t>(c + 1) * n);
-    const std::vector<real_t> expect = fact->solve(col);
-    for (index_t i = 0; i < n; ++i) {
-      ASSERT_NEAR(x[static_cast<offset_t>(c) * n + i], expect[i], 1e-10)
-          << "rhs " << c << " row " << i;
-    }
-  }
-}
-
 TEST(TriSolve, BatchingReducesSolveKernels) {
   const Csr a = finalize_system(grid2d_laplacian(20, 20), 6);
   auto inst = factored_instance(a, 8);
-  PluFactorization* fact = inst->plu_factorization();
-  PluTriangularSolver solver(*fact, 1);
-  std::vector<real_t> b(static_cast<std::size_t>(a.n_rows), 1.0);
+  rhs::BlockSolver solver(*inst->plu_factorization(), th_opts());
+  std::vector<real_t> x_th(static_cast<std::size_t>(a.n_rows), 1.0);
+  std::vector<real_t> x_base = x_th;
 
-  std::vector<real_t> x_th(b.size());
-  std::vector<real_t> x_base(b.size());
-  const TriSolveResult th = solver.solve(b.data(), x_th.data(), th_opts());
-  PluTriangularSolver solver2(*fact, 1);
-  const TriSolveResult base =
-      solver2.solve(b.data(), x_base.data(), th_opts(Policy::kPriorityPerTask));
+  const rhs::BlockSolveResult th =
+      solver.solve(x_th.data(), 1, rhs::SolveSchedule::kPriorityDag);
+  const rhs::BlockSolveResult base =
+      solver.solve(x_base.data(), 1, rhs::SolveSchedule::kLevelSet);
 
-  EXPECT_EQ(base.forward.kernel_count, solver.forward_graph().size());
+  EXPECT_EQ(base.forward.kernel_count, solver.dag().graphs(1).forward.size());
   EXPECT_LT(th.forward.kernel_count, base.forward.kernel_count);
   EXPECT_LT(th.backward.kernel_count, base.backward.kernel_count);
   // Same numeric answer either way.
@@ -112,9 +60,9 @@ TEST(TriSolve, GraphShapesAreSane) {
   const Csr a = finalize_system(banded_random(180, 8, 0.5, 3), 3);
   auto inst = factored_instance(a, 12);
   PluFactorization* fact = inst->plu_factorization();
-  PluTriangularSolver solver(*fact, 2);
-  const TaskGraph& f = solver.forward_graph();
-  const TaskGraph& bwd = solver.backward_graph();
+  rhs::SolveDag dag(*fact);
+  const TaskGraph& f = dag.graphs(2).forward;
+  const TaskGraph& bwd = dag.graphs(2).backward;
   const index_t nt = fact->pattern().nt;
   // nt diagonal tasks plus one update per strictly-lower / upper tile.
   EXPECT_GE(f.size(), nt);
@@ -205,15 +153,22 @@ TEST(CriticalPath, MetricChangesScheduleDeterministically) {
   EXPECT_GT(rb.makespan_s, 0);
 }
 
+// The simulated-kernel spans of the unified trace writer, with no
+// recorder events mixed in.
+std::string unified_trace(const Trace& trace,
+                          const std::string& process_name = "trojan-horse") {
+  std::ostringstream os;
+  obs::write_unified_trace(os, &trace, obs::Recorder(), process_name);
+  return os.str();
+}
+
 TEST(TraceExport, ValidChromeJsonStructure) {
   Trace trace;
   trace.record({0, 0.0, 1e-3, 1e-4, 5000, 3});
   trace.record({1, 5e-4, 2e-3, 5e-5, 8000, 7});
-  std::ostringstream os;
-  write_chrome_trace(os, trace, "unit-test");
-  const std::string s = os.str();
+  const std::string s = unified_trace(trace, "unit-test");
   EXPECT_NE(s.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(s.find("\"unit-test\""), std::string::npos);
+  EXPECT_NE(s.find("\"unit-test (simulated cluster)\""), std::string::npos);
   EXPECT_NE(s.find("batch of 3 tasks"), std::string::npos);
   EXPECT_NE(s.find("batch of 7 tasks"), std::string::npos);
   EXPECT_NE(s.find("host launch+prep"), std::string::npos);
@@ -230,14 +185,16 @@ TEST(TraceExport, ValidChromeJsonStructure) {
 TEST(TraceExport, FileRoundTrip) {
   Trace trace;
   trace.record({0, 0.0, 1e-3, 0.0, 100, 1});
-  const std::string path = "trace_export_test.json";
-  write_chrome_trace_file(path, trace);
+  const obs::Recorder empty;
+  const std::string path = "unified_trace_test.json";
+  obs::write_unified_trace_file(path, &trace, empty, "trojan-horse");
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream ss;
   ss << in.rdbuf();
   EXPECT_NE(ss.str().find("traceEvents"), std::string::npos);
-  EXPECT_THROW(write_chrome_trace_file("/nonexistent-dir/x.json", trace),
+  EXPECT_THROW(obs::write_unified_trace_file("/nonexistent-dir/x.json", &trace,
+                                             empty, "trojan-horse"),
                Error);
 }
 
@@ -247,9 +204,7 @@ TEST(TraceExport, RealScheduleExports) {
   io.block = 12;
   SolverInstance inst(a, io);
   const ScheduleResult r = inst.run_timing(th_opts());
-  std::ostringstream os;
-  write_chrome_trace(os, r.trace);
-  EXPECT_GT(os.str().size(), 100u);
+  EXPECT_GT(unified_trace(r.trace).size(), 100u);
 }
 
 }  // namespace

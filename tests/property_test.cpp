@@ -137,7 +137,9 @@ TEST(SchedulerProperties, BiggerDeviceNeverMoreKernels) {
     o.policy = Policy::kTrojanHorse;
     o.cluster = single_gpu(dev);
     const offset_t kernels = inst.run_timing(o).kernel_count;
-    if (prev >= 0) EXPECT_LE(kernels, prev) << dev.name;
+    if (prev >= 0) {
+      EXPECT_LE(kernels, prev) << dev.name;
+    }
     prev = kernels;
   }
 }

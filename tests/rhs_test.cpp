@@ -1,8 +1,9 @@
 // Batched multi-RHS SpTRSV serving engine (src/rhs, DESIGN.md §15): the
 // batcher's close policy, the solve-DAG cache, block-solve correctness
 // against the sequential driver, deterministic accumulation across worker
-// counts and batch widths, shedding at batch boundaries, obs
-// reconciliation, and the serve-layer integration (solve coalescing).
+// counts and batch widths, the single-vs-block bitwise contract, shedding
+// at batch boundaries, obs reconciliation, and the serve-layer integration
+// (solve coalescing).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -402,6 +403,48 @@ TEST_F(RhsEngineTest, StatsReconcileWithObsRegistry) {
     if (std::string(e.name) == "rhs block solve") ++spans;
   }
   EXPECT_EQ(spans, static_cast<offset_t>(st.batches));
+}
+
+// ---- single-vs-block bitwise contract -------------------------------------
+
+// PluFactorization::solve runs the block solve's own tasks at width 1, so
+// every column of a block solve equals it bit for bit — at any width and
+// worker count.
+TEST(SolveContract, SingleSolveEqualsEveryBlockColumn) {
+  const Csr mats[] = {finalize_system(grid2d_laplacian(30, 30), 3),
+                      finalize_system(cage_like(400, 5, 0.1, 4), 4)};
+  for (const Csr& a : mats) {
+    InstanceOptions io;
+    io.core = SolverCore::kPlu;
+    io.block = 16;
+    SolverInstance inst(a, io);
+    inst.run_numeric(ScheduleOptions{});
+    const PluFactorization& fact = *inst.plu_factorization();
+    const std::size_t n = static_cast<std::size_t>(a.n_rows);
+
+    for (const int workers : {1, 4}) {
+      ScheduleOptions so;
+      so.exec.workers = workers;
+      BlockSolver solver(fact, so);
+      for (const index_t width : {1, 3, 16}) {
+        Rng rng(static_cast<std::uint64_t>(100 * workers + width));
+        std::vector<real_t> b(n * static_cast<std::size_t>(width));
+        for (real_t& v : b) v = rng.uniform(-1, 1);
+        std::vector<real_t> x = b;
+        solver.solve(x.data(), width, SolveSchedule::kPriorityDag);
+        for (index_t j = 0; j < width; ++j) {
+          const auto col = b.begin() + static_cast<std::ptrdiff_t>(j * n);
+          const std::vector<real_t> single =
+              fact.solve(std::vector<real_t>(col, col + n));
+          EXPECT_EQ(std::memcmp(single.data(), x.data() + j * n,
+                                n * sizeof(real_t)),
+                    0)
+              << "n=" << n << " workers=" << workers << " width=" << width
+              << " column=" << j;
+        }
+      }
+    }
+  }
 }
 
 // ---- serve integration ----------------------------------------------------

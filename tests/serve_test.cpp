@@ -310,6 +310,42 @@ TEST(SolverService, MidRunAbandonCancelsAtBatchBoundaryAndSessionRecovers) {
   EXPECT_LT(done[1].residual, 1e-9);
 }
 
+TEST(SolverService, FailureReasonsAreCountedAndPublished) {
+  const obs::Session obs_session(true);
+  SolverService svc(small_service());
+  const SessionId sid = svc.open_session("alice", grid(12, 1));
+
+  // A solve before any factorization has no factors to solve with.
+  Request sol;
+  sol.kind = RequestKind::kSolve;
+  svc.submit(sid, sol);
+  std::vector<Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].status, Completion::Status::kFailed);
+
+  // A factorization admitted unbudgeted, then dispatched under a one-byte
+  // budget: the memory ladder runs dry and the run aborts with OomError.
+  Request f;
+  f.kind = RequestKind::kFactor;
+  svc.submit(sid, f);
+  svc.set_mem_budget(1);
+  done = svc.drain();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].status, Completion::Status::kFailed);
+
+  const serve::ServeStats& st = svc.stats();
+  EXPECT_EQ(st.failed, 2);
+  EXPECT_EQ(st.failed_no_factors, 1);
+  EXPECT_EQ(st.failed_error, 1);
+  st.publish_metrics();
+  auto& reg = obs::Registry::global();
+  EXPECT_EQ(reg.counter("th.serve.failed").value(), 2);
+  EXPECT_EQ(reg.counter("th.serve.failed.no_factors").value(),
+            static_cast<std::int64_t>(st.failed_no_factors));
+  EXPECT_EQ(reg.counter("th.serve.failed.error").value(),
+            static_cast<std::int64_t>(st.failed_error));
+}
+
 // ---- fair-share dispatch --------------------------------------------------
 
 TEST(SolverService, RoundRobinKeepsFloodingTenantFromStarvingOthers) {

@@ -54,7 +54,9 @@ TEST(Etree, ParentsAlwaysLarger) {
   const Csr a = finalize_system(cage_like(150, 5, 0.1, 8), 8);
   const EliminationTree t = elimination_tree(a);
   for (index_t v = 0; v < t.n(); ++v) {
-    if (t.parent[v] != -1) EXPECT_GT(t.parent[v], v);
+    if (t.parent[v] != -1) {
+      EXPECT_GT(t.parent[v], v);
+    }
   }
 }
 
@@ -65,7 +67,9 @@ TEST(Etree, PostorderChildrenBeforeParents) {
   std::vector<index_t> position(post.size());
   for (std::size_t i = 0; i < post.size(); ++i) position[post[i]] = i;
   for (index_t v = 0; v < t.n(); ++v) {
-    if (t.parent[v] != -1) EXPECT_LT(position[v], position[t.parent[v]]);
+    if (t.parent[v] != -1) {
+      EXPECT_LT(position[v], position[t.parent[v]]);
+    }
   }
 }
 
