@@ -16,7 +16,7 @@
 //       replay must still converge to the reference bitwise;
 //   (c) recovery is fast: rehydrating committed factors from artifacts
 //       costs <= 25% of the cold symbolic+numeric re-factorization it
-//       replaces;
+//       replaces (each side best of two runs);
 //   (d) the th.durable.* registry mirror reconciles with DurableStats
 //       exactly, and every restart emits one "recovery" span.
 //
@@ -110,25 +110,34 @@ int main() {
   // of re-running the numerics) is the whole point of the artifact store.
   const index_t side = fast_mode() ? 17 : 18;
   const Csr a = finalize_system(grid3d_laplacian(side, side, side), 3);
+  const std::string spare = scratch("th_crash_recovery_cost_spare");
   const std::string dir = scratch("th_crash_recovery_cost");
   serve::ServeOptions durable = base_options();
-  durable.durable.journal_dir = dir;
   durable.durable.fsync = false;
 
+  // Two cold runs into fresh journal dirs, best-of-two like the restarts
+  // below, so one noisy sample cannot decide the gate on either side. The
+  // restarts recover from the second run's journal.
   double open_s = 0;
   double cold_s = 0;
-  {
+  for (const std::string& d : {spare, dir}) {
+    durable.durable.journal_dir = d;
     serve::SolverService svc(durable);
     const auto t0 = std::chrono::steady_clock::now();
     const serve::SessionId sid = svc.open_session("bench", a);
-    open_s = wall_s(t0);
+    const double open = wall_s(t0);
     serve::Request f;
     f.kind = serve::RequestKind::kFactor;
     f.idem_key = 1;
     svc.submit(sid, f);
     svc.drain();
-    cold_s = wall_s(t0);
+    const double cold = wall_s(t0);
+    if (cold_s == 0 || cold < cold_s) {
+      cold_s = cold;
+      open_s = open;
+    }
   }  // crash: the service dies with one committed factorization
+  std::filesystem::remove_all(spare);
 
   const offset_t spans_before = [] {
     offset_t n = 0;

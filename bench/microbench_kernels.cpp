@@ -1,9 +1,11 @@
-// Google-benchmark microbenchmarks of the host-side primitives: dense and
-// sparse tile kernels, the BlockTaskMap dispatch, Container operations and
-// the Collector admission path. These measure the *real* host cost of the
-// building blocks (unlike the figure benches, which report modelled GPU
-// time).
+// Google-benchmark microbenchmarks of the host-side primitives: dense
+// kernels, the SSSSM tile task, the BlockTaskMap dispatch, Container
+// operations and the Collector admission path. These measure the *real*
+// host cost of the building blocks (unlike the figure benches, which
+// report modelled GPU time).
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
 
 #include "core/collector.hpp"
 #include "core/container.hpp"
@@ -53,20 +55,28 @@ void BM_GemmMinus(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmMinus)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 
-void BM_SparseSsssm(benchmark::State& state) {
+// One 64x64 SSSSM tile task: dense L (TSTRF output), U with the given
+// percentage of nonzero entries (fill3d's SSSSM operands have about 10%
+// nonzero U(p,j)). Items are the useful flops, 2*64 per nonzero U(p,j).
+void BM_TileSsssm(benchmark::State& state) {
   const index_t n = 64;
   const double density = static_cast<double>(state.range(0)) / 100.0;
   Rng rng(4);
   Tile l(n, n);
-  for (index_t c = 0; c < n; ++c) {
-    for (index_t r = 0; r < n; ++r) {
-      if (rng.next_real() < density) l.insert(r, c, rng.uniform(-1, 1));
-    }
+  for (index_t cc = 0; cc < n; ++cc) {
+    for (index_t r = 0; r < n; ++r) l.insert(r, cc, rng.uniform(-1, 1));
   }
   l.freeze();
+  l.densify();
   Tile u(n, n);
+  std::int64_t u_nnz = 0;
   for (index_t cc = 0; cc < n; ++cc) {
-    for (index_t r = 0; r < n; ++r) u.insert(r, cc, rng.uniform(-1, 1));
+    for (index_t r = 0; r < n; ++r) {
+      if (rng.next_real() < density) {
+        u.insert(r, cc, rng.uniform(-1, 1));
+        ++u_nnz;
+      }
+    }
   }
   u.freeze();
   u.densify();
@@ -78,8 +88,9 @@ void BM_SparseSsssm(benchmark::State& state) {
     tile_ssssm(c, l, u);
     benchmark::DoNotOptimize(c.dense_data());
   }
+  state.SetItemsProcessed(state.iterations() * 2 * n * u_nnz);
 }
-BENCHMARK(BM_SparseSsssm)->Arg(5)->Arg(25)->Arg(75);
+BENCHMARK(BM_TileSsssm)->Arg(5)->Arg(10)->Arg(25)->Arg(100);
 
 void BM_BlockTaskMapLookup(benchmark::State& state) {
   const auto tasks = static_cast<index_t>(state.range(0));

@@ -43,8 +43,13 @@ void trsm_lower_left_unit(index_t m, index_t n, const real_t* l, index_t ldl,
   }
 }
 
-void trsm_upper_right(index_t m, index_t n, const real_t* u, index_t ldu,
-                      real_t* b, index_t ldb) {
+namespace {
+
+// Portable reference bodies: right-looking, one axpy_minus per nonzero
+// coefficient. The AVX2 bodies below give every element the same IEEE
+// operations in the same order.
+void trsm_upper_right_portable(index_t m, index_t n, const real_t* u,
+                               index_t ldu, real_t* b, index_t ldb) {
   for (index_t k = 0; k < n; ++k) {
     const real_t ukk = u[k + k * static_cast<offset_t>(ldu)];
     TH_CHECK_MSG(std::fabs(ukk) > kTinyPivot,
@@ -61,8 +66,9 @@ void trsm_upper_right(index_t m, index_t n, const real_t* u, index_t ldu,
   }
 }
 
-void gemm_minus(index_t m, index_t n, index_t k, const real_t* a, index_t lda,
-                const real_t* b, index_t ldb, real_t* c, index_t ldc) {
+void gemm_minus_portable(index_t m, index_t n, index_t k, const real_t* a,
+                         index_t lda, const real_t* b, index_t ldb, real_t* c,
+                         index_t ldc) {
   for (index_t j = 0; j < n; ++j) {
     real_t* colc = c + j * static_cast<offset_t>(ldc);
     for (index_t p = 0; p < k; ++p) {
@@ -72,6 +78,143 @@ void gemm_minus(index_t m, index_t n, index_t k, const real_t* a, index_t lda,
       simd::axpy_minus(m, cola, bpj, colc);
     }
   }
+}
+
+#if defined(TH_KERNELS_SIMD_AVX2)
+// Register-resident bodies. A target column's nonzero coefficients are
+// gathered, in ascending source order, into a fixed stack list; each row
+// block of the column is then loaded once, receives one mul and one sub
+// per list entry, and is stored once. A longer list is folded in chunks,
+// which keeps the order.
+constexpr index_t kFoldChunk = 64;
+
+struct FoldList {
+  const real_t* col[kFoldChunk];
+  real_t coef[kFoldChunk];
+  index_t len = 0;
+};
+
+// c[i] = (...((c[i] - x_0[i]*a_0) - x_1[i]*a_1) ...) for i in [0, m).
+__attribute__((target("avx2"))) void fold_minus_avx2(index_t m,
+                                                     const FoldList& f,
+                                                     real_t* c) {
+  if (f.len == 0) return;
+  index_t i = 0;
+  for (; i + 16 <= m; i += 16) {
+    __m256d c0 = _mm256_loadu_pd(c + i);
+    __m256d c1 = _mm256_loadu_pd(c + i + 4);
+    __m256d c2 = _mm256_loadu_pd(c + i + 8);
+    __m256d c3 = _mm256_loadu_pd(c + i + 12);
+    for (index_t q = 0; q < f.len; ++q) {
+      const real_t* x = f.col[q] + i;
+      const __m256d a = _mm256_set1_pd(f.coef[q]);
+      c0 = _mm256_sub_pd(c0, _mm256_mul_pd(_mm256_loadu_pd(x), a));
+      c1 = _mm256_sub_pd(c1, _mm256_mul_pd(_mm256_loadu_pd(x + 4), a));
+      c2 = _mm256_sub_pd(c2, _mm256_mul_pd(_mm256_loadu_pd(x + 8), a));
+      c3 = _mm256_sub_pd(c3, _mm256_mul_pd(_mm256_loadu_pd(x + 12), a));
+    }
+    _mm256_storeu_pd(c + i, c0);
+    _mm256_storeu_pd(c + i + 4, c1);
+    _mm256_storeu_pd(c + i + 8, c2);
+    _mm256_storeu_pd(c + i + 12, c3);
+  }
+  for (; i + 4 <= m; i += 4) {
+    __m256d c0 = _mm256_loadu_pd(c + i);
+    for (index_t q = 0; q < f.len; ++q) {
+      const __m256d a = _mm256_set1_pd(f.coef[q]);
+      c0 = _mm256_sub_pd(c0, _mm256_mul_pd(_mm256_loadu_pd(f.col[q] + i), a));
+    }
+    _mm256_storeu_pd(c + i, c0);
+  }
+  for (; i < m; ++i) {
+    real_t acc = c[i];
+    for (index_t q = 0; q < f.len; ++q) {
+      const real_t p = f.col[q][i] * f.coef[q];
+      acc = acc - p;
+    }
+    c[i] = acc;
+  }
+}
+
+// c -= sum over p in [0, len) with coef[p] != 0.0, ascending, of
+// src(:,p) * coef[p], where src(:,p) = src + p*ld. The zero test runs four
+// coefficients per compare (NEQ_UQ keeps NaN, drops +-0.0, as != does).
+__attribute__((target("avx2"))) void gather_fold_minus_avx2(
+    index_t m, const real_t* coef, index_t len, const real_t* src,
+    index_t ld, real_t* c) {
+  FoldList f;
+  auto push = [&](index_t p) {
+    f.col[f.len] = src + p * static_cast<offset_t>(ld);
+    f.coef[f.len] = coef[p];
+    if (++f.len == kFoldChunk) {
+      fold_minus_avx2(m, f, c);
+      f.len = 0;
+    }
+  };
+  const __m256d zero = _mm256_setzero_pd();
+  index_t p = 0;
+  for (; p + 4 <= len; p += 4) {
+    unsigned mask = static_cast<unsigned>(_mm256_movemask_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(coef + p), zero, _CMP_NEQ_UQ)));
+    while (mask != 0) {
+      push(p + __builtin_ctz(mask));
+      mask &= mask - 1;
+    }
+  }
+  for (; p < len; ++p) {
+    if (coef[p] != 0.0) push(p);
+  }
+  fold_minus_avx2(m, f, c);
+}
+
+// Left-looking: column j folds in every final column k < j with
+// U(k,j) != 0, then is scaled by 1/U(j,j).
+__attribute__((target("avx2"))) void trsm_upper_right_avx2(
+    index_t m, index_t n, const real_t* u, index_t ldu, real_t* b,
+    index_t ldb) {
+  for (index_t j = 0; j < n; ++j) {
+    const real_t* ucol = u + j * static_cast<offset_t>(ldu);
+    const real_t ujj = ucol[j];
+    TH_CHECK_MSG(std::fabs(ujj) > kTinyPivot,
+                 "singular U diagonal in trsm_upper_right at " << j);
+    real_t* colj = b + j * static_cast<offset_t>(ldb);
+    gather_fold_minus_avx2(m, ucol, j, b, ldb, colj);
+    simd::detail::scale_avx2(m, colj, 1.0 / ujj);
+  }
+}
+
+__attribute__((target("avx2"))) void gemm_minus_avx2(
+    index_t m, index_t n, index_t k, const real_t* a, index_t lda,
+    const real_t* b, index_t ldb, real_t* c, index_t ldc) {
+  for (index_t j = 0; j < n; ++j) {
+    gather_fold_minus_avx2(m, b + j * static_cast<offset_t>(ldb), k, a, lda,
+                           c + j * static_cast<offset_t>(ldc));
+  }
+}
+#endif  // TH_KERNELS_SIMD_AVX2
+
+}  // namespace
+
+void trsm_upper_right(index_t m, index_t n, const real_t* u, index_t ldu,
+                      real_t* b, index_t ldb) {
+#if defined(TH_KERNELS_SIMD_AVX2)
+  if (simd::avx2_active()) {
+    trsm_upper_right_avx2(m, n, u, ldu, b, ldb);
+    return;
+  }
+#endif
+  trsm_upper_right_portable(m, n, u, ldu, b, ldb);
+}
+
+void gemm_minus(index_t m, index_t n, index_t k, const real_t* a, index_t lda,
+                const real_t* b, index_t ldb, real_t* c, index_t ldc) {
+#if defined(TH_KERNELS_SIMD_AVX2)
+  if (simd::avx2_active()) {
+    gemm_minus_avx2(m, n, k, a, lda, b, ldb, c, ldc);
+    return;
+  }
+#endif
+  gemm_minus_portable(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 }  // namespace th

@@ -1,6 +1,11 @@
 // Dense microkernels on column-major buffers. These are the numeric bodies
-// of the four Executor task types (GETRF / TSTRF / GEESM / SSSSM) in their
-// dense form; kernels/tile.hpp provides the sparse-block variants.
+// of the four Executor task types (GETRF / TSTRF / GEESM / SSSSM);
+// kernels/tile.hpp wraps them as tile-level task bodies.
+//
+// Bitwise contract: each output element receives one IEEE multiply and one
+// subtract per nonzero coefficient, in ascending coefficient index, so
+// every dispatch path (kernels/simd.hpp) rounds identically. DESIGN.md §17
+// has the kernel forms.
 //
 // No pivoting anywhere: generated systems are diagonally dominant
 // (DESIGN.md §7). A zero/tiny pivot throws th::Error rather than silently
@@ -22,11 +27,14 @@ void trsm_lower_left_unit(index_t m, index_t n, const real_t* l, index_t ldl,
                           real_t* b, index_t ldb);
 
 /// B := B * U^{-1}, where U is n x n upper triangular (non-unit diagonal),
-/// B is m x n. Used by TSTRF: L(i,k) = A(i,k) U(k,k)^{-1}.
+/// B is m x n. Used by TSTRF: L(i,k) = A(i,k) U(k,k)^{-1}. Rows are
+/// independent. Throws on the first |U(j,j)| < tiny, leaving B partly
+/// solved.
 void trsm_upper_right(index_t m, index_t n, const real_t* u, index_t ldu,
                       real_t* b, index_t ldb);
 
-/// C := C - A * B (m x k times k x n). The SSSSM Schur update body.
+/// C := C - A * B (m x k times k x n). The SSSSM Schur update body; terms
+/// with B(p,j) == 0 are skipped. C must not overlap A or B.
 void gemm_minus(index_t m, index_t n, index_t k, const real_t* a, index_t lda,
                 const real_t* b, index_t ldb, real_t* c, index_t ldc);
 

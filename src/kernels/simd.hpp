@@ -17,12 +17,21 @@
 //     TH_OMP_SIMD), plain scalar otherwise.
 //
 // Bit-exactness contract (factor identity depends on it): every path
-// computes each element as one IEEE-754 multiply followed by one subtract —
-// the AVX2 path deliberately uses _mm256_mul_pd + _mm256_sub_pd rather than
-// an FMA, and the scalar bodies split the product into its own statement so
-// ISO-mode -ffp-contract=on cannot contract it either. All paths therefore
-// produce bitwise-identical results, and the runtime dispatch never changes
-// numerics — only throughput. DESIGN.md §17 carries the dispatch table.
+// computes each element as one IEEE-754 multiply followed by one subtract.
+// Two things guarantee that, and nothing else does:
+//
+//   - no FMA-capable target: the AVX2 functions are target("avx2") only
+//     (no "fma", no avx512f), and the default build sets no -march;
+//   - -ffp-contract=off on every TU (src/CMakeLists.txt and the root
+//     CMakeLists.txt). GCC's C++ default is -ffp-contract=fast, which
+//     fuses a * b and a later subtract into an FMA across statements and
+//     across _mm256_mul_pd/_mm256_sub_pd whenever the target has one
+//     (e.g. -march=native); splitting the product into its own statement
+//     does not stop it.
+//
+// All paths therefore produce bitwise-identical results, and the runtime
+// dispatch never changes numerics — only throughput. DESIGN.md §17 carries
+// the dispatch table.
 #pragma once
 
 #include "support/types.hpp"
@@ -46,7 +55,7 @@ inline void axpy_minus_portable(index_t n, const real_t* x, real_t alpha,
                                 real_t* y) {
   TH_PRAGMA_SIMD
   for (index_t i = 0; i < n; ++i) {
-    const real_t p = x[i] * alpha;  // own statement: no FMA contraction
+    const real_t p = x[i] * alpha;
     y[i] = y[i] - p;
   }
 }
@@ -68,8 +77,7 @@ __attribute__((target("avx2"))) inline void axpy_minus_avx2(index_t n,
   for (; i + 4 <= n; i += 4) {
     const __m256d vx = _mm256_loadu_pd(x + i);
     const __m256d vy = _mm256_loadu_pd(y + i);
-    // mul then sub — NOT vfmsub — to stay bitwise identical to the
-    // portable path.
+    // mul then sub, not vfnmadd: bitwise identical to the portable path.
     _mm256_storeu_pd(y + i, _mm256_sub_pd(vy, _mm256_mul_pd(vx, va)));
   }
   for (; i < n; ++i) {

@@ -195,43 +195,17 @@ void tile_geesm(Tile& target, const Tile& diag_factored) {
                        target.dense_data(), target.ld());
 }
 
-namespace {
-
-// Sparse-L SSSSM on columns [c0, c1): C -= L_sparse * U_dense via the
-// column-column method the paper's Executor uses — each column p of sparse
-// L scaled by U(p, j) accumulates into C(:, j). Columns are independent,
-// so a slice is bitwise identical to that part of the whole-tile kernel.
-void ssssm_sparse_l(real_t* cd, index_t ldc, const Tile& l, const Tile& u,
-                    index_t c0, index_t c1) {
-  const real_t* ud = u.dense_data();
-  for (index_t j = c0; j < c1; ++j) {
-    const real_t* ucol = ud + static_cast<offset_t>(j) * u.ld();
-    real_t* ccol = cd + static_cast<offset_t>(j) * ldc;
-    for (index_t p = 0; p < l.cols(); ++p) {
-      const real_t upj = ucol[p];
-      if (upj == 0.0) continue;
-      for (offset_t q = l.col_ptr()[p]; q < l.col_ptr()[p + 1]; ++q) {
-        ccol[l.row_idx()[q]] += -l.values()[q] * upj;
-      }
-    }
-  }
-}
-
-}  // namespace
-
 void tile_ssssm_cols(real_t* c_data, index_t ldc, const Tile& l,
                      const Tile& u, index_t c0, index_t c1) {
   TH_CHECK(l.cols() == u.rows());
-  // The U operand is consumed dense in both paths (the paper gathers the
-  // right operand into dense shared memory).
+  // Both operands are factor output, which TSTRF/GEESM leave dense: every
+  // SSSSM(i,k,j) depends on TSTRF(i,k) and GEESM(k,j).
+  TH_CHECK_MSG(l.storage() == Tile::Storage::kDense,
+               "SSSSM requires a factored (dense) L operand");
   TH_CHECK_MSG(u.storage() == Tile::Storage::kDense,
                "SSSSM requires a factored (dense) U operand");
   TH_CHECK(c0 >= 0 && c0 <= c1 && c1 <= u.cols());
   if (c0 == c1) return;
-  if (l.storage() == Tile::Storage::kSparse) {
-    ssssm_sparse_l(c_data, ldc, l, u, c0, c1);
-    return;
-  }
   real_t* cs = c_data + static_cast<offset_t>(c0) * ldc;
   const real_t* us = u.dense_data() + static_cast<offset_t>(c0) * u.ld();
   gemm_minus(l.rows(), c1 - c0, l.cols(), l.dense_data(), l.ld(), us,

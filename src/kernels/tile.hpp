@@ -1,9 +1,8 @@
 // Tiles: the unit of storage and computation of the PLU (PanguLU-style)
-// solver core. A tile starts out sparse (CSC within the tile) if its
-// density is below a threshold and is densified on first write — original
-// A-tiles are genuinely read through sparse kernels, while factor output is
-// stored dense (simplification documented in DESIGN.md §7; the *cost
-// model* uses symbolic sparsity, so scheduling behaviour is unaffected).
+// solver core. A tile starts out sparse (CSC within the tile) and is
+// densified on first write, so every kernel operand that is factor output
+// is dense (simplification documented in DESIGN.md §7; the *cost model*
+// uses symbolic sparsity, so scheduling behaviour is unaffected).
 #pragma once
 
 #include <memory>
@@ -111,8 +110,8 @@ void tile_tstrf(Tile& target, const Tile& diag_factored);
 /// GEESM: U(k,j) = L(k,k)^{-1} * A(k,j); densifies the target.
 void tile_geesm(Tile& target, const Tile& diag_factored);
 
-/// SSSSM: C(i,j) -= L(i,k) * U(k,j). Sparse L tiles use the column-column
-/// sparse kernel from the paper's Executor; dense inputs use gemm_minus.
+/// SSSSM: C(i,j) -= L(i,k) * U(k,j) via gemm_minus, which skips the zero
+/// entries of U. L and U must be dense (factored); densifies C.
 void tile_ssssm(Tile& c, const Tile& l, const Tile& u);
 
 // ---- Block-sliced (re-entrant) kernel forms ----------------------------
@@ -135,6 +134,7 @@ void tile_geesm_cols(Tile& target, const Tile& diag_factored, index_t c0,
 /// SSSSM on target columns [c0, c1), accumulating into `c_data` (leading
 /// dimension ldc, same shape as the target tile) — either the target's
 /// dense storage or a write-conflicting member's private scratch buffer.
+/// L and U must be dense.
 void tile_ssssm_cols(real_t* c_data, index_t ldc, const Tile& l,
                      const Tile& u, index_t c0, index_t c1);
 

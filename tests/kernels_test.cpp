@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "gen/generators.hpp"
@@ -166,35 +169,6 @@ TEST(TileMatrix, AssembleMatchesSource) {
   EXPECT_EQ(tm.total_nnz(), a.nnz());
 }
 
-TEST(TileKernels, SsssmSparseMatchesDense) {
-  // C -= L * U computed twice: once with sparse L, once densified.
-  Rng rng(31);
-  auto make_sparse_tile = [&](index_t rows, index_t cols, real_t density) {
-    Tile t(rows, cols);
-    for (index_t c = 0; c < cols; ++c) {
-      for (index_t r = 0; r < rows; ++r) {
-        if (rng.next_real() < density) t.insert(r, c, rng.uniform(-1, 1));
-      }
-    }
-    t.freeze();
-    return t;
-  };
-  Tile l_sparse = make_sparse_tile(6, 5, 0.3);
-  Tile l_dense = l_sparse;
-  l_dense.densify();
-  Tile u = make_sparse_tile(5, 7, 0.8);
-  u.densify();
-  Tile c1 = make_sparse_tile(6, 7, 0.5);
-  Tile c2 = c1;
-  tile_ssssm(c1, l_sparse, u);
-  tile_ssssm(c2, l_dense, u);
-  for (index_t r = 0; r < 6; ++r) {
-    for (index_t c = 0; c < 7; ++c) {
-      EXPECT_NEAR(c1.at(r, c), c2.at(r, c), 1e-12);
-    }
-  }
-}
-
 TEST(TileKernels, GetrfTstrfGeesmConsistency) {
   // Factor a 2x2 block matrix via tile kernels and verify L*U == A on the
   // off-diagonal blocks.
@@ -244,6 +218,239 @@ TEST(Flops, CountsArePositiveAndMonotone) {
   EXPECT_EQ(gemm_flops(2, 3, 4), 48);
   EXPECT_EQ(gemm_flops(2, 3, 4, 0.5), 24);
   EXPECT_EQ(words_to_bytes(10), 80);
+}
+
+// ---- Bitwise kernel contract -------------------------------------------
+//
+// gemm_minus and trsm_upper_right must give every element exactly the IEEE
+// operations of the right-looking loops below (one multiply, one subtract
+// per nonzero coefficient, ascending coefficient index), on every dispatch
+// path. The references are those loops with scalar inner bodies.
+
+void ref_gemm_minus(index_t m, index_t n, index_t k, const real_t* a,
+                    index_t lda, const real_t* b, index_t ldb, real_t* c,
+                    index_t ldc) {
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t p = 0; p < k; ++p) {
+      const real_t bpj = b[p + static_cast<std::size_t>(j) * ldb];
+      if (bpj == 0.0) continue;
+      for (index_t i = 0; i < m; ++i) {
+        const real_t prod = a[i + static_cast<std::size_t>(p) * lda] * bpj;
+        real_t& cij = c[i + static_cast<std::size_t>(j) * ldc];
+        cij = cij - prod;
+      }
+    }
+  }
+}
+
+void ref_trsm_upper_right(index_t m, index_t n, const real_t* u, index_t ldu,
+                          real_t* b, index_t ldb) {
+  for (index_t k = 0; k < n; ++k) {
+    const real_t inv = 1.0 / u[k + static_cast<std::size_t>(k) * ldu];
+    real_t* colk = b + static_cast<std::size_t>(k) * ldb;
+    for (index_t i = 0; i < m; ++i) colk[i] = colk[i] * inv;
+    for (index_t j = k + 1; j < n; ++j) {
+      const real_t ukj = u[k + static_cast<std::size_t>(j) * ldu];
+      if (ukj == 0.0) continue;
+      real_t* colj = b + static_cast<std::size_t>(j) * ldb;
+      for (index_t i = 0; i < m; ++i) {
+        const real_t prod = colk[i] * ukj;
+        colj[i] = colj[i] - prod;
+      }
+    }
+  }
+}
+
+// Random values with explicit +0.0 / -0.0 entries sprinkled in.
+std::vector<real_t> signed_zero_values(std::size_t n, Rng& rng) {
+  std::vector<real_t> v(n);
+  for (real_t& x : v) {
+    const real_t r = rng.next_real();
+    x = r < 0.05 ? 0.0 : (r < 0.10 ? -0.0 : rng.uniform(-1.0, 1.0));
+  }
+  return v;
+}
+
+// k x n coefficients, nonzero (and not +-0) with probability `density`.
+std::vector<real_t> sparse_coefficients(index_t k, index_t n, index_t ld,
+                                        real_t density, Rng& rng) {
+  std::vector<real_t> b(static_cast<std::size_t>(ld) * std::max<index_t>(n, 1),
+                        0.0);
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t p = 0; p < k; ++p) {
+      real_t& v = b[p + static_cast<std::size_t>(j) * ld];
+      v = rng.next_real() < density ? rng.uniform(-1.0, 1.0)
+                                    : (rng.next_real() < 0.5 ? 0.0 : -0.0);
+    }
+  }
+  return b;
+}
+
+bool same_bits(const std::vector<real_t>& x, const std::vector<real_t>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(real_t)) == 0;
+}
+
+TEST(KernelContract, GemmMinusMatchesRightLookingBitwise) {
+  Rng rng(41);
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  for (index_t m : {1, 3, 15, 16, 17, 64}) {
+    for (index_t n : {0, 1, 5, 64}) {
+      // k = 150 folds the coefficient list in several chunks.
+      for (index_t k : {0, 1, 7, 64, 150}) {
+        for (real_t density : {0.1, 1.0}) {
+          const index_t lda = m + 2, ldb = k + 1, ldc = m + 3;
+          std::vector<real_t> a = signed_zero_values(
+              static_cast<std::size_t>(lda) * std::max<index_t>(k, 1), rng);
+          if (k > 3) {
+            a[static_cast<std::size_t>(m - 1) + lda * 1] = inf;
+            a[0 + static_cast<std::size_t>(lda) * 3] = nan;
+          }
+          const std::vector<real_t> b =
+              sparse_coefficients(k, n, ldb, density, rng);
+          const std::vector<real_t> c0 = signed_zero_values(
+              static_cast<std::size_t>(ldc) * std::max<index_t>(n, 1), rng);
+          std::vector<real_t> want = c0, got = c0;
+          ref_gemm_minus(m, n, k, a.data(), lda, b.data(), ldb, want.data(),
+                         ldc);
+          gemm_minus(m, n, k, a.data(), lda, b.data(), ldb, got.data(), ldc);
+          EXPECT_TRUE(same_bits(got, want))
+              << "m=" << m << " n=" << n << " k=" << k << " density="
+              << density;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelContract, TrsmUpperRightMatchesRightLookingBitwise) {
+  Rng rng(43);
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  for (index_t m : {1, 3, 15, 16, 17, 64}) {
+    // n = 100 with a dense U gives columns with more than one chunk of
+    // coefficients.
+    for (index_t n : {0, 1, 5, 64, 100}) {
+      for (real_t density : {0.1, 1.0}) {
+        const index_t ldu = n + 1, ldb = m + 3;
+        std::vector<real_t> u = sparse_coefficients(n, n, ldu, density, rng);
+        for (index_t j = 0; j < n; ++j) {
+          for (index_t i = j + 1; i < n; ++i) {
+            u[i + static_cast<std::size_t>(j) * ldu] = 0.0;
+          }
+          u[j + static_cast<std::size_t>(j) * ldu] = rng.uniform(1.0, 2.0);
+        }
+        std::vector<real_t> b0 = signed_zero_values(
+            static_cast<std::size_t>(ldb) * std::max<index_t>(n, 1), rng);
+        if (n > 3) {
+          b0[static_cast<std::size_t>(m - 1) + ldb * 1] = inf;
+          b0[0 + static_cast<std::size_t>(ldb) * 2] = nan;
+        }
+        std::vector<real_t> want = b0, got = b0;
+        ref_trsm_upper_right(m, n, u.data(), ldu, want.data(), ldb);
+        trsm_upper_right(m, n, u.data(), ldu, got.data(), ldb);
+        EXPECT_TRUE(same_bits(got, want))
+            << "m=" << m << " n=" << n << " density=" << density;
+      }
+    }
+  }
+}
+
+TEST(KernelContract, TrsmUpperRightThrowsOnTinyPivot) {
+  const index_t n = 3;
+  std::vector<real_t> u{2.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 4.0};
+  std::vector<real_t> b(2 * n, 1.0);
+  EXPECT_THROW(trsm_upper_right(2, n, u.data(), n, b.data(), 2), Error);
+}
+
+// a = b = 1 + 2^-30 and c = fl(a*b): mul-then-sub leaves exactly 0, while a
+// fused multiply-subtract leaves -2^-60 (the rounding error of a*b). m in
+// {1, 4, 16} reaches the scalar, 4-wide and 16-wide row bodies.
+TEST(KernelContract, NoFmaContraction) {
+  volatile real_t av = 1.0 + 0x1.0p-30;  // not a compile-time constant
+  const real_t a = av;
+  const real_t c = a * a;
+  ASSERT_NE(std::fma(a, a, -c), 0.0);  // the product is inexact
+  for (index_t m : {1, 4, 16}) {
+    std::vector<real_t> x(static_cast<std::size_t>(m), a);
+    std::vector<real_t> y(static_cast<std::size_t>(m), c);
+    const real_t coef = a;
+    gemm_minus(m, 1, 1, x.data(), m, &coef, 1, y.data(), m);
+    for (real_t v : y) EXPECT_EQ(v, 0.0) << "gemm_minus m=" << m;
+
+    // Column 1 of B*U^{-1} with U = [1 a; 0 1] is c - a*a.
+    std::vector<real_t> b(static_cast<std::size_t>(2 * m), a);
+    std::fill(b.begin() + m, b.end(), c);
+    const std::vector<real_t> u{1.0, 0.0, a, 1.0};
+    trsm_upper_right(m, 2, u.data(), 2, b.data(), m);
+    for (index_t i = 0; i < m; ++i) {
+      EXPECT_EQ(b[static_cast<std::size_t>(m + i)], 0.0)
+          << "trsm_upper_right m=" << m;
+    }
+  }
+}
+
+// A dense tile with random entries: diagonally dominant when `dd`, and with
+// about 10% of its off-diagonal entries nonzero when `sparse`.
+Tile dense_tile(index_t rows, index_t cols, Rng& rng, bool dd, bool sparse) {
+  Tile t(rows, cols);
+  for (index_t c = 0; c < cols; ++c) {
+    for (index_t r = 0; r < rows; ++r) {
+      if (dd && r == c) {
+        t.insert(r, c, rng.uniform(-1, 1) + rows + 1);
+      } else if (!sparse || rng.next_real() < 0.1) {
+        t.insert(r, c, rng.uniform(-1, 1));
+      }
+    }
+  }
+  t.freeze();
+  t.densify();
+  return t;
+}
+
+std::vector<real_t> tile_bytes(const Tile& t) {
+  return std::vector<real_t>(
+      t.dense_data(),
+      t.dense_data() + static_cast<std::size_t>(t.rows()) * t.cols());
+}
+
+TEST(KernelContract, SlicedTileKernelsMatchWholeTileBitwise) {
+  Rng rng(47);
+  const index_t b = 40;
+  Tile diag = dense_tile(b, b, rng, true, false);
+  tile_getrf(diag);
+
+  const Tile a = dense_tile(b, b, rng, false, false);
+  Tile whole = a;
+  tile_tstrf(whole, diag);
+  Tile sliced = a;
+  for (index_t r0 = 0; r0 < b; r0 += 17) {
+    tile_tstrf_rows(sliced, diag, r0, std::min(b, r0 + 17));
+  }
+  EXPECT_TRUE(same_bits(tile_bytes(sliced), tile_bytes(whole)));
+
+  const Tile l = dense_tile(b, b, rng, false, false);
+  const Tile u = dense_tile(b, b, rng, false, true);
+  const Tile c = dense_tile(b, b, rng, false, false);
+  Tile c_whole = c;
+  tile_ssssm(c_whole, l, u);
+  Tile c_sliced = c;
+  for (index_t c0 = 0; c0 < b; c0 += 9) {
+    tile_ssssm_cols(c_sliced.dense_data(), c_sliced.ld(), l, u, c0,
+                    std::min(b, c0 + 9));
+  }
+  EXPECT_TRUE(same_bits(tile_bytes(c_sliced), tile_bytes(c_whole)));
+}
+
+TEST(KernelContract, SsssmRejectsSparseL) {
+  Rng rng(53);
+  Tile l(4, 4);
+  l.insert(1, 2, 1.0);
+  l.freeze();
+  const Tile u = dense_tile(4, 4, rng, false, false);
+  Tile c = dense_tile(4, 4, rng, false, false);
+  EXPECT_THROW(tile_ssssm(c, l, u), Error);
 }
 
 // ---- SIMD inner loops --------------------------------------------------
