@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -171,6 +172,26 @@ ScheduleResult MatrixBench::run_custom(SolverCore core,
   SolverInstance& inst = instance(core);
   inst.set_grid(make_process_grid(opt.n_ranks));
   return inst.run_timing(opt);
+}
+
+bool tiles_identical(const TileMatrix& x, const TileMatrix& y) {
+  if (x.nt() != y.nt()) return false;
+  for (index_t i = 0; i < x.nt(); ++i) {
+    for (index_t j = 0; j < x.nt(); ++j) {
+      const Tile* a = x.tile(i, j);
+      const Tile* b = y.tile(i, j);
+      if ((a == nullptr) != (b == nullptr)) return false;
+      if (a == nullptr) continue;
+      if (a->rows() != b->rows() || a->cols() != b->cols()) return false;
+      const std::size_t bytes = static_cast<std::size_t>(a->rows()) *
+                                static_cast<std::size_t>(a->cols()) *
+                                sizeof(real_t);
+      if (std::memcmp(a->dense_data(), b->dense_data(), bytes) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 FactorFootprint factor_footprint(const TaskGraph& g, int n_ranks) {

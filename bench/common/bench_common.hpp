@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "kernels/tile.hpp"
 #include "sim/cluster.hpp"
 #include "solvers/driver.hpp"
 #include "support/table.hpp"
@@ -112,6 +113,10 @@ void emit(const Table& table, const std::string& stem);
 
 /// Print a short header naming the reproduced figure/table.
 void banner(const std::string& what, const std::string& detail);
+
+/// True when both tile matrices have the same shape, the same present
+/// tiles and byte-identical tile contents (bitwise factor comparison).
+bool tiles_identical(const TileMatrix& x, const TileMatrix& y);
 
 /// Peak per-rank factor storage in bytes: the largest, over ranks, sum of
 /// factor-block outputs (GETRF/TSTRF/GEESM tasks) owned by one rank, and

@@ -21,7 +21,6 @@
 //   (e) the th.serve.* registry mirror reconciles with ServeStats exactly.
 //
 // Any violated gate exits 1, so CI can hold the line.
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -44,37 +43,6 @@ int g_failures = 0;
 void gate(bool ok, const char* what) {
   std::printf("  gate: %-58s %s\n", what, ok ? "PASS" : "FAIL");
   if (!ok) ++g_failures;
-}
-
-bool tiles_identical(const TileMatrix& x, const TileMatrix& y) {
-  if (x.nt() != y.nt()) return false;
-  for (index_t i = 0; i < x.nt(); ++i) {
-    for (index_t j = 0; j < x.nt(); ++j) {
-      const Tile* a = x.tile(i, j);
-      const Tile* b = y.tile(i, j);
-      if ((a == nullptr) != (b == nullptr)) return false;
-      if (a == nullptr) continue;
-      if (a->storage() != b->storage() || a->rows() != b->rows() ||
-          a->cols() != b->cols()) {
-        return false;
-      }
-      if (a->storage() == Tile::Storage::kDense) {
-        const std::size_t bytes = static_cast<std::size_t>(a->rows()) *
-                                  static_cast<std::size_t>(a->cols()) *
-                                  sizeof(real_t);
-        if (std::memcmp(a->dense_data(), b->dense_data(), bytes) != 0) {
-          return false;
-        }
-      } else {
-        if (a->values().size() != b->values().size() ||
-            std::memcmp(a->values().data(), b->values().data(),
-                        a->values().size() * sizeof(real_t)) != 0) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
 }
 
 struct LoadPoint {

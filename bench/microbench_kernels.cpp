@@ -64,26 +64,22 @@ void BM_TileSsssm(benchmark::State& state) {
   Rng rng(4);
   Tile l(n, n);
   for (index_t cc = 0; cc < n; ++cc) {
-    for (index_t r = 0; r < n; ++r) l.insert(r, cc, rng.uniform(-1, 1));
+    for (index_t r = 0; r < n; ++r) {
+      l.dense_data()[r + cc * l.ld()] = rng.uniform(-1, 1);
+    }
   }
-  l.freeze();
-  l.densify();
   Tile u(n, n);
   std::int64_t u_nnz = 0;
   for (index_t cc = 0; cc < n; ++cc) {
     for (index_t r = 0; r < n; ++r) {
       if (rng.next_real() < density) {
-        u.insert(r, cc, rng.uniform(-1, 1));
+        u.dense_data()[r + cc * u.ld()] = rng.uniform(-1, 1);
         ++u_nnz;
       }
     }
   }
-  u.freeze();
-  u.densify();
   Tile c(n, n);
-  c.insert(0, 0, 1.0);
-  c.freeze();
-  c.densify();
+  c.dense_data()[0] = 1.0;
   for (auto _ : state) {
     tile_ssssm(c, l, u);
     benchmark::DoNotOptimize(c.dense_data());

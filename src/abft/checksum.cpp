@@ -9,41 +9,20 @@ namespace th::abft {
 void add_matvec(const Tile& a, const real_t* x, real_t* y, real_t alpha) {
   const index_t rows = a.rows();
   const index_t cols = a.cols();
-  if (a.storage() == Tile::Storage::kDense) {
-    const real_t* d = a.dense_data();
-    for (index_t j = 0; j < cols; ++j) {
-      const real_t ax = alpha * x[j];
-      for (index_t i = 0; i < rows; ++i) y[i] += d[i + j * rows] * ax;
-    }
-    return;
-  }
-  const auto& cp = a.col_ptr();
-  const auto& ri = a.row_idx();
-  const auto& vv = a.values();
+  const real_t* d = a.dense_data();
   for (index_t j = 0; j < cols; ++j) {
     const real_t ax = alpha * x[j];
-    for (offset_t p = cp[j]; p < cp[j + 1]; ++p) y[ri[p]] += vv[p] * ax;
+    for (index_t i = 0; i < rows; ++i) y[i] += d[i + j * rows] * ax;
   }
 }
 
 void add_vecmat(const Tile& a, const real_t* x, real_t* y, real_t alpha) {
   const index_t rows = a.rows();
   const index_t cols = a.cols();
-  if (a.storage() == Tile::Storage::kDense) {
-    const real_t* d = a.dense_data();
-    for (index_t j = 0; j < cols; ++j) {
-      real_t s = 0;
-      for (index_t i = 0; i < rows; ++i) s += x[i] * d[i + j * rows];
-      y[j] += alpha * s;
-    }
-    return;
-  }
-  const auto& cp = a.col_ptr();
-  const auto& ri = a.row_idx();
-  const auto& vv = a.values();
+  const real_t* d = a.dense_data();
   for (index_t j = 0; j < cols; ++j) {
     real_t s = 0;
-    for (offset_t p = cp[j]; p < cp[j + 1]; ++p) s += x[ri[p]] * vv[p];
+    for (index_t i = 0; i < rows; ++i) s += x[i] * d[i + j * rows];
     y[j] += alpha * s;
   }
 }
@@ -52,36 +31,19 @@ void row_sums_into(const Tile& a, std::vector<real_t>& out) {
   const index_t rows = a.rows();
   const index_t cols = a.cols();
   out.assign(static_cast<std::size_t>(rows), real_t{0});
-  if (a.storage() == Tile::Storage::kDense) {
-    const real_t* d = a.dense_data();
-    for (index_t j = 0; j < cols; ++j)
-      for (index_t i = 0; i < rows; ++i) out[i] += d[i + j * rows];
-    return;
-  }
-  const auto& cp = a.col_ptr();
-  const auto& ri = a.row_idx();
-  const auto& vv = a.values();
-  for (offset_t p = 0; p < cp[cols]; ++p) out[ri[p]] += vv[p];
+  const real_t* d = a.dense_data();
+  for (index_t j = 0; j < cols; ++j)
+    for (index_t i = 0; i < rows; ++i) out[i] += d[i + j * rows];
 }
 
 void col_sums_into(const Tile& a, std::vector<real_t>& out) {
   const index_t rows = a.rows();
   const index_t cols = a.cols();
   out.assign(static_cast<std::size_t>(cols), real_t{0});
-  if (a.storage() == Tile::Storage::kDense) {
-    const real_t* d = a.dense_data();
-    for (index_t j = 0; j < cols; ++j) {
-      real_t s = 0;
-      for (index_t i = 0; i < rows; ++i) s += d[i + j * rows];
-      out[j] = s;
-    }
-    return;
-  }
-  const auto& cp = a.col_ptr();
-  const auto& vv = a.values();
+  const real_t* d = a.dense_data();
   for (index_t j = 0; j < cols; ++j) {
     real_t s = 0;
-    for (offset_t p = cp[j]; p < cp[j + 1]; ++p) s += vv[p];
+    for (index_t i = 0; i < rows; ++i) s += d[i + j * rows];
     out[j] = s;
   }
 }
@@ -99,8 +61,6 @@ std::vector<real_t> col_sums(const Tile& a) {
 }
 
 std::vector<real_t> upper_row_sums(const Tile& lu) {
-  TH_CHECK_MSG(lu.storage() == Tile::Storage::kDense,
-               "packed LU tile must be dense");
   const index_t n = lu.rows();
   const index_t cols = lu.cols();
   const real_t* d = lu.dense_data();
@@ -111,8 +71,6 @@ std::vector<real_t> upper_row_sums(const Tile& lu) {
 }
 
 std::vector<real_t> unit_lower_col_sums(const Tile& lu) {
-  TH_CHECK_MSG(lu.storage() == Tile::Storage::kDense,
-               "packed LU tile must be dense");
   const index_t n = lu.rows();
   const index_t cols = lu.cols();
   std::vector<real_t> v(n, real_t{1});
@@ -124,8 +82,6 @@ std::vector<real_t> unit_lower_col_sums(const Tile& lu) {
 
 std::vector<real_t> unit_lower_matvec(const Tile& lu,
                                       const std::vector<real_t>& x) {
-  TH_CHECK_MSG(lu.storage() == Tile::Storage::kDense,
-               "packed LU tile must be dense");
   const index_t n = lu.rows();
   const real_t* d = lu.dense_data();
   std::vector<real_t> y(x);  // unit diagonal
@@ -137,8 +93,6 @@ std::vector<real_t> unit_lower_matvec(const Tile& lu,
 }
 
 std::vector<real_t> upper_vecmat(const Tile& lu, const std::vector<real_t>& x) {
-  TH_CHECK_MSG(lu.storage() == Tile::Storage::kDense,
-               "packed LU tile must be dense");
   const index_t n = lu.rows();
   const index_t cols = lu.cols();
   const real_t* d = lu.dense_data();

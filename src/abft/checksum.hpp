@@ -3,8 +3,7 @@
 // Everything here is O(b^2) per tile against the kernels' O(b^3): the sums
 // are formed once per target per batch and the invariant verification is a
 // handful of matrix-vector products against the tile the kernel just
-// wrote. Helpers accept both tile storages — original A-tiles may still be
-// sparse CSC, factor output is dense.
+// wrote.
 #pragma once
 
 #include <vector>
@@ -29,19 +28,19 @@ std::vector<real_t> col_sums(const Tile& a);
 void row_sums_into(const Tile& a, std::vector<real_t>& out);
 void col_sums_into(const Tile& a, std::vector<real_t>& out);
 
-// ---- Packed-LU sum helpers (dense diagonal factor, L unit-lower) -------
+// ---- Packed-LU sum helpers (factored diagonal tile, L unit-lower) -------
 
 /// Row sums of the upper factor U (diagonal included): u[i] = sum_{j>=i}
-/// U(i,j). `lu` must be dense.
+/// U(i,j).
 std::vector<real_t> upper_row_sums(const Tile& lu);
 
 /// Column sums of the unit-lower factor L: v[j] = 1 + sum_{i>j} L(i,j).
 std::vector<real_t> unit_lower_col_sums(const Tile& lu);
 
-/// y = L * x with L the packed unit-lower factor of `lu` (dense).
+/// y = L * x with L the packed unit-lower factor of `lu`.
 std::vector<real_t> unit_lower_matvec(const Tile& lu, const std::vector<real_t>& x);
 
-/// y = x^T * U with U the packed upper factor of `lu` (dense).
+/// y = x^T * U with U the packed upper factor of `lu`.
 std::vector<real_t> upper_vecmat(const Tile& lu, const std::vector<real_t>& x);
 
 /// Entry-wise |a[i] - b[i]| <= tol * max(1, linf(a), linf(b)). Vectors must

@@ -64,9 +64,6 @@ void TileGuard::capture_run(std::size_t job) {
                              static_cast<index_t>(k & 0xffffffffu));
   TH_CHECK(target != nullptr);
   if (ctx.fresh) {
-    // All four kernels write a dense target; densifying before the
-    // snapshot keeps rollback a plain memcpy and changes no values.
-    target->densify();
     const std::size_t size = static_cast<std::size_t>(target->rows()) *
                              static_cast<std::size_t>(target->cols());
     ctx.snapshot.resize(size);
@@ -171,8 +168,7 @@ void TileGuard::rollback(const Task& t) {
   Ctx& ctx = it->second;
   if (ctx.rolled_back) return;  // shared SSSSM target: restore once
   Tile* target = tiles_.tile(t.row, t.col);
-  TH_CHECK(target != nullptr &&
-           target->storage() == Tile::Storage::kDense);
+  TH_CHECK(target != nullptr);
   std::memcpy(target->dense_data(), ctx.snapshot.data(),
               ctx.snapshot.size() * sizeof(real_t));
   ctx.rolled_back = true;

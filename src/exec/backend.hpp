@@ -77,7 +77,7 @@ class NumericBackend {
   // abft_capture() and verify always passes.
 
   /// Snapshot the task's target block and record its pre-execution
-  /// row/column checksums. Serial, after prepare_task().
+  /// row/column checksums. Serial.
   virtual void abft_capture(const Task& t) { (void)t; }
 
   /// Cheap serial half of capture: register the member and queue its
@@ -135,9 +135,9 @@ class NumericBackend {
 
   // ---- Block-level extension (exec::BatchExecutor) ----------------------
 
-  /// Serial prologue run once per task before any of its blocks execute —
-  /// e.g. densify the output tile so concurrent slices only touch disjoint
-  /// rows/columns of a stable buffer. Called from a single thread.
+  /// Inert: nothing calls it, since tiles are dense from assembly and a
+  /// task needs no preparation before its slices run. Kept declared
+  /// because the frozen perfbench harness overrides it.
   virtual void prepare_task(const Task& t) { (void)t; }
 
   /// Execute CUDA blocks [b0, b1) of the task (0-based within the task;

@@ -81,13 +81,6 @@ void BatchExecutor::execute(NumericBackend& backend,
   }
   scratch_.assign(static_cast<std::size_t>(scratch_total), 0.0);
 
-  // Serial prologue: per-task preparation (densify targets, ...) for every
-  // member that runs sliced in the parallel phase.
-  for (std::size_t i = 0; i < nb; ++i) {
-    if (mode[i] == Mode::kSkip || mode[i] == Mode::kSerial) continue;
-    backend.prepare_task(*tasks[i]);
-  }
-
   // ABFT capture: snapshot + pre-execution checksums for every member that
   // will run (including epilogue-serialised ones). Planning is serial and
   // cheap; the heavy per-target jobs (snapshot, sums, SSSSM delta folds)

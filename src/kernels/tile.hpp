@@ -1,8 +1,8 @@
 // Tiles: the unit of storage and computation of the PLU (PanguLU-style)
-// solver core. A tile starts out sparse (CSC within the tile) and is
-// densified on first write, so every kernel operand that is factor output
-// is dense (simplification documented in DESIGN.md §7; the *cost model*
-// uses symbolic sparsity, so scheduling behaviour is unaffected).
+// solver core. A tile is a dense column-major buffer from assembly on:
+// TileMatrix scatters A's entries into zeroed tiles and the four kernels
+// update them in place (DESIGN.md §3; the *cost model* uses symbolic
+// sparsity, so scheduling behaviour is unaffected).
 #pragma once
 
 #include <memory>
@@ -15,64 +15,30 @@ namespace th {
 
 class Tile {
  public:
-  enum class Storage { kSparse, kDense };
-
-  /// Construct an empty (all-zero) sparse tile.
+  /// Construct an all-zero tile.
   Tile(index_t rows, index_t cols);
 
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }
-  Storage storage() const { return storage_; }
 
-  /// Structural nonzero count (exact for sparse, counted for dense).
+  /// Number of entries that are not zero.
   offset_t nnz() const;
-  real_t density() const {
-    return static_cast<real_t>(nnz()) /
-           (static_cast<real_t>(rows_) * static_cast<real_t>(cols_));
-  }
 
-  /// Insert entries while building (sparse storage only, before freeze()).
-  void insert(index_t r, index_t c, real_t v);
-  /// Sort/compress the inserted entries into CSC form.
-  void freeze();
-
-  /// Convert to dense column-major storage (no-op if already dense).
-  void densify();
-
-  /// Mutable dense buffer; requires dense storage.
-  real_t* dense_data();
-  const real_t* dense_data() const;
+  /// Column-major storage with leading dimension ld() == rows().
+  real_t* dense_data() { return dense_.data(); }
+  const real_t* dense_data() const { return dense_.data(); }
   index_t ld() const { return rows_; }
 
-  /// Move the dense buffer out (out-of-core spill, src/mem). Requires
-  /// dense storage; the tile keeps its shape but every dense access until
-  /// the matching adopt_dense() is invalid.
-  std::vector<real_t> release_dense();
-  /// Install a rows()*cols() column-major buffer as the dense storage —
-  /// the inverse of release_dense(), also used to restore a spilled
-  /// payload byte-exact.
+  /// Install a rows()*cols() column-major buffer as the storage — restores
+  /// a spilled payload byte-exact (out-of-core spill, src/mem).
   void adopt_dense(std::vector<real_t> data);
 
-  /// Sparse view; requires sparse storage.
-  const std::vector<offset_t>& col_ptr() const { return col_ptr_; }
-  const std::vector<index_t>& row_idx() const { return row_idx_; }
-  const std::vector<real_t>& values() const { return values_; }
-
-  /// Read one element regardless of storage (slow; tests only).
+  /// Read one element (bounds-checked; tests only).
   real_t at(index_t r, index_t c) const;
 
  private:
   index_t rows_;
   index_t cols_;
-  Storage storage_ = Storage::kSparse;
-  // Sparse (CSC) representation.
-  std::vector<offset_t> col_ptr_;
-  std::vector<index_t> row_idx_;
-  std::vector<real_t> values_;
-  bool frozen_ = false;
-  std::vector<index_t> pending_cols_;  // column of each inserted entry,
-                                       // consumed by freeze()
-  // Dense representation (column-major, ld = rows_).
   std::vector<real_t> dense_;
 };
 
@@ -101,17 +67,17 @@ class TileMatrix {
 
 // ---- Tile-level numeric kernels (the four task bodies) -----------------
 
-/// GETRF: in-place LU of a diagonal tile (densifies it).
+/// GETRF: in-place LU of a diagonal tile.
 void tile_getrf(Tile& diag);
 
-/// TSTRF: L(i,k) = A(i,k) * U(k,k)^{-1}; densifies the target.
+/// TSTRF: L(i,k) = A(i,k) * U(k,k)^{-1}, in place.
 void tile_tstrf(Tile& target, const Tile& diag_factored);
 
-/// GEESM: U(k,j) = L(k,k)^{-1} * A(k,j); densifies the target.
+/// GEESM: U(k,j) = L(k,k)^{-1} * A(k,j), in place.
 void tile_geesm(Tile& target, const Tile& diag_factored);
 
 /// SSSSM: C(i,j) -= L(i,k) * U(k,j) via gemm_minus, which skips the zero
-/// entries of U. L and U must be dense (factored); densifies C.
+/// entries of U.
 void tile_ssssm(Tile& c, const Tile& l, const Tile& u);
 
 // ---- Block-sliced (re-entrant) kernel forms ----------------------------
@@ -120,21 +86,19 @@ void tile_ssssm(Tile& c, const Tile& l, const Tile& u);
 // in Task::cost.cuda_blocks. Each kernel iterates its rows/columns
 // independently, so executing a slice [b0, b1) is bitwise identical to the
 // corresponding part of the whole-tile kernel — concurrent slices of one
-// task need no synchronisation beyond a densified target.
+// task write disjoint rows/columns and need no synchronisation.
 
-/// TSTRF restricted to target rows [r0, r1). Target must already be dense
-/// (NumericBackend::prepare_task densifies it once, serially).
+/// TSTRF restricted to target rows [r0, r1).
 void tile_tstrf_rows(Tile& target, const Tile& diag_factored, index_t r0,
                      index_t r1);
 
-/// GEESM restricted to target columns [c0, c1). Target must be dense.
+/// GEESM restricted to target columns [c0, c1).
 void tile_geesm_cols(Tile& target, const Tile& diag_factored, index_t c0,
                      index_t c1);
 
 /// SSSSM on target columns [c0, c1), accumulating into `c_data` (leading
 /// dimension ldc, same shape as the target tile) — either the target's
-/// dense storage or a write-conflicting member's private scratch buffer.
-/// L and U must be dense.
+/// storage or a write-conflicting member's private scratch buffer.
 void tile_ssssm_cols(real_t* c_data, index_t ldc, const Tile& l,
                      const Tile& u, index_t c0, index_t c1);
 

@@ -573,6 +573,11 @@ void SolverService::run_factor(Session& s, Pending& p, real_t start_s) {
       retire_engine(s);
       s.inst = std::make_shared<SolverInstance>(
           a, instance_options(opt_.sched), *s.inst);
+      // Lend the pattern from the new instance from now on, so the cache
+      // does not pin a replaced instance and all its factor tiles.
+      if (const auto c = cache_.find(s.pattern_hash); c != cache_.end()) {
+        c->second.donor = s.inst;
+      }
       s.needs_rebuild = false;
       s.factored = false;
     }
@@ -907,6 +912,8 @@ void SolverService::commit_factor(SessionId sid, Session& s,
   // journal record — strictly in that order, so the record's presence
   // proves the artifact set is complete and an orphaned artifact from a
   // crash mid-commit is ignorable garbage.
+  TH_CHECK_MSG(s.inst->numeric_done(),
+               "factor commit before the numeric phase ran");
   mem::TileStore store(journal_->factor_dir(sid, gen), opt_.durable.fsync);
   const TileMatrix& tiles = s.inst->plu_factorization()->tiles();
   const index_t nt = tiles.nt();
@@ -914,9 +921,6 @@ void SolverService::commit_factor(SessionId sid, Session& s,
     for (index_t j = 0; j < nt; ++j) {
       const Tile* t = tiles.tile(i, j);
       if (t == nullptr) continue;
-      TH_CHECK_MSG(t->storage() == Tile::Storage::kDense,
-                   "factor commit before the numeric phase densified tile ("
-                       << i << ", " << j << ")");
       const real_t* d = t->dense_data();
       const std::size_t count =
           static_cast<std::size_t>(t->rows()) * t->cols();

@@ -38,13 +38,6 @@ class PluFactorization::Backend : public NumericBackend {
 
   // ---- Block-level API (exec::BatchExecutor) ----------------------------
 
-  void prepare_task(const Task& t) override {
-    // Densify the output tile once, serially, so concurrent slices write
-    // disjoint rows/columns of a stable buffer. GETRF has no block body
-    // (sequential elimination) — its whole-task fallback densifies itself.
-    if (t.type != TaskType::kGetrf) tiles_.tile(t.row, t.col)->densify();
-  }
-
   bool run_blocks(const Task& t, index_t b0, index_t b1, bool,
                   real_t* into) override {
     switch (t.type) {
@@ -82,7 +75,7 @@ class PluFactorization::Backend : public NumericBackend {
 
   void apply_scratch(const Task& t, const real_t* scratch) override {
     Tile& c = *tiles_.tile(t.row, t.col);
-    real_t* d = c.dense_data();  // prepare_task densified it
+    real_t* d = c.dense_data();
     const offset_t n = static_cast<offset_t>(c.rows()) * c.cols();
     for (offset_t i = 0; i < n; ++i) d[i] += scratch[i];
   }
@@ -90,7 +83,6 @@ class PluFactorization::Backend : public NumericBackend {
   bool inject_fault(const Task& t, NumericFaultKind kind) override {
     Tile* tile = tiles_.tile(t.row, t.col);
     if (tile == nullptr) return false;
-    tile->densify();
     real_t* d = tile->dense_data();
     const auto ld = static_cast<offset_t>(tile->ld());
     if (silent_fault_kind(kind)) {
@@ -153,9 +145,7 @@ class PluFactorization::Backend : public NumericBackend {
   GuardReport guard_task(const Task& t, const GuardPolicy& policy) override {
     GuardReport g;
     Tile* tile = tiles_.tile(t.row, t.col);
-    if (tile == nullptr || tile->storage() != Tile::Storage::kDense) {
-      return g;  // sparse-path SSSSM wrote no dense block to scan
-    }
+    if (tile == nullptr) return g;
     real_t* d = tile->dense_data();
     const auto ld = static_cast<offset_t>(tile->ld());
     real_t maxabs = 0;
@@ -224,9 +214,7 @@ class PluFactorization::Backend : public NumericBackend {
 
   std::vector<real_t> extract_block(const Task& t) override {
     const Tile* tile = tiles_.tile(t.row, t.col);
-    if (tile == nullptr || tile->storage() != Tile::Storage::kDense) {
-      return {};  // sparse factor blocks are not spilled
-    }
+    if (tile == nullptr) return {};
     const real_t* d = tile->dense_data();
     return std::vector<real_t>(
         d, d + static_cast<offset_t>(tile->rows()) * tile->cols());
@@ -282,8 +270,9 @@ void PluFactorization::build_graph() {
 
   // Device footprint helpers. One CUDA block per column (GETRF/GEESM/SSSSM)
   // or per row (TSTRF), as in Figure 7 of the paper.
-  // Tile density from the exact scalar fill — the basis for both sparse/
-  // dense kernel selection and flop pricing (PanguLU's kernels skip zeros).
+  // Tile density from the exact scalar fill prices the modelled kernels:
+  // their flops (PanguLU's kernels skip zeros) and the sparse/dense
+  // efficiency flag. The host kernels run every tile dense regardless.
   auto tile_density = [&](index_t i, index_t j) {
     const offset_t nz =
         pattern_.fill_nnz[static_cast<std::size_t>(i) * nt + j];
@@ -318,7 +307,7 @@ void PluFactorization::build_graph() {
       t.cost.bytes = words_to_bytes(2 * static_cast<offset_t>(bk) * bk);
       t.cost.cuda_blocks = bk;
       t.cost.shmem_per_block = static_cast<offset_t>(bk) * 8;
-      t.cost.sparse = false;  // diagonal tiles densify under fill
+      t.cost.sparse = false;  // diagonal tiles fill in
       t.out_bytes = words_to_bytes(static_cast<offset_t>(bk) * bk);
       t.owner_rank = opts_.grid.owner(k, k);
       cons(k, k) = graph_.add_task(t);
@@ -427,19 +416,10 @@ std::vector<real_t> PluFactorization::solve_transpose(
   const index_t bs = pattern_.tile_size;
   std::vector<real_t> x = c;
 
-  auto tile_dense = [&](index_t i, index_t j) -> const Tile* {
-    const Tile* t = tiles_->tile(i, j);
-    if (t != nullptr) {
-      TH_CHECK_MSG(t->storage() == Tile::Storage::kDense,
-                   "solve_transpose() before numeric factorisation");
-    }
-    return t;
-  };
-
   // Forward: U^T y = c. U^T is lower triangular (non-unit); iterate block
   // rows ascending, using U tiles (J, K) with K > J transposed.
   for (index_t J = 0; J < nt; ++J) {
-    const Tile* diag = tile_dense(J, J);
+    const Tile* diag = tiles_->tile(J, J);
     TH_ASSERT(diag != nullptr);
     const index_t w = diag->cols();
     real_t* xj = x.data() + static_cast<offset_t>(J) * bs;
@@ -457,7 +437,7 @@ std::vector<real_t> PluFactorization::solve_transpose(
     for (index_t K = J + 1; K < nt; ++K) {
       const Tile* ut = tiles_->tile(J, K);
       if (ut == nullptr) continue;
-      const real_t* ud = tile_dense(J, K)->dense_data();
+      const real_t* ud = ut->dense_data();
       real_t* xk = x.data() + static_cast<offset_t>(K) * bs;
       for (index_t cidx = 0; cidx < ut->cols(); ++cidx) {
         real_t acc = 0;
@@ -477,7 +457,7 @@ std::vector<real_t> PluFactorization::solve_transpose(
     for (index_t I = J + 1; I < nt; ++I) {
       const Tile* lt = tiles_->tile(I, J);
       if (lt == nullptr) continue;
-      const real_t* ld = tile_dense(I, J)->dense_data();
+      const real_t* ld = lt->dense_data();
       const real_t* xi = x.data() + static_cast<offset_t>(I) * bs;
       for (index_t cidx = 0; cidx < lt->cols(); ++cidx) {
         real_t acc = 0;
@@ -488,7 +468,7 @@ std::vector<real_t> PluFactorization::solve_transpose(
       }
     }
     // Within-tile: solve L(J,J)^T z_J = rhs (upper, unit diagonal).
-    const Tile* diag = tile_dense(J, J);
+    const Tile* diag = tiles_->tile(J, J);
     const index_t w = diag->cols();
     const real_t* d = diag->dense_data();
     for (index_t r = w - 1; r >= 0; --r) {

@@ -19,7 +19,8 @@ namespace th {
 struct PluOptions {
   index_t tile_size = 64;      // paper tunes PanguLU's block size to 512 at
                                // SuiteSparse scale; 64 matches our stand-ins
-  real_t sparse_density_threshold = 0.25;  // tiles below are "sparse" tasks
+  real_t sparse_density_threshold = 0.25;  // tiles below are priced as
+                                           // "sparse" tasks (model only)
   ProcessGrid grid;            // block-cyclic ownership
 };
 
@@ -57,7 +58,8 @@ class PluFactorization {
   std::vector<real_t> solve(const std::vector<real_t>& b) const;
 
   /// Transpose solve: returns z with (L U)^T z = U^T L^T z = c. Needed by
-  /// the 1-norm condition estimator (solvers/condest.hpp).
+  /// the 1-norm condition estimator (solvers/condest.hpp). Must be called
+  /// after the numeric phase completed; it cannot check this itself.
   std::vector<real_t> solve_transpose(const std::vector<real_t>& c) const;
 
  private:

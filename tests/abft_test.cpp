@@ -30,34 +30,30 @@ Tile dense_square(index_t n, std::uint64_t seed) {
   Rng rng(seed);
   for (index_t c = 0; c < n; ++c) {
     for (index_t r = 0; r < n; ++r) {
-      t.insert(r, c, rng.uniform(-1.0, 1.0) + (r == c ? n : 0.0));
+      t.dense_data()[r + c * t.ld()] =
+          rng.uniform(-1.0, 1.0) + (r == c ? n : 0.0);
     }
   }
-  t.freeze();
-  t.densify();
   return t;
 }
 
-TEST(Checksum, RowColSumsOnBothStorages) {
-  // 2x3 tile: [[1, 0, 2], [0, 3, 4]] — first as frozen CSC, then dense.
+TEST(Checksum, RowColSums) {
+  // 2x3 tile: [[1, 0, 2], [0, 3, 4]].
   Tile t(2, 3);
-  t.insert(0, 0, 1.0);
-  t.insert(1, 1, 3.0);
-  t.insert(0, 2, 2.0);
-  t.insert(1, 2, 4.0);
-  t.freeze();
-  for (int pass = 0; pass < 2; ++pass) {
-    const std::vector<real_t> rs = abft::row_sums(t);
-    const std::vector<real_t> cs = abft::col_sums(t);
-    ASSERT_EQ(rs.size(), 2u);
-    ASSERT_EQ(cs.size(), 3u);
-    EXPECT_DOUBLE_EQ(rs[0], 3.0);
-    EXPECT_DOUBLE_EQ(rs[1], 7.0);
-    EXPECT_DOUBLE_EQ(cs[0], 1.0);
-    EXPECT_DOUBLE_EQ(cs[1], 3.0);
-    EXPECT_DOUBLE_EQ(cs[2], 6.0);
-    t.densify();
-  }
+  real_t* d = t.dense_data();
+  d[0 + 0 * 2] = 1.0;
+  d[1 + 1 * 2] = 3.0;
+  d[0 + 2 * 2] = 2.0;
+  d[1 + 2 * 2] = 4.0;
+  const std::vector<real_t> rs = abft::row_sums(t);
+  const std::vector<real_t> cs = abft::col_sums(t);
+  ASSERT_EQ(rs.size(), 2u);
+  ASSERT_EQ(cs.size(), 3u);
+  EXPECT_DOUBLE_EQ(rs[0], 3.0);
+  EXPECT_DOUBLE_EQ(rs[1], 7.0);
+  EXPECT_DOUBLE_EQ(cs[0], 1.0);
+  EXPECT_DOUBLE_EQ(cs[1], 3.0);
+  EXPECT_DOUBLE_EQ(cs[2], 6.0);
 }
 
 TEST(Checksum, MatchScalesToleranceAndRejectsNaN) {

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cstring>
 #include <mutex>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -173,11 +172,6 @@ class MockBackend : public NumericBackend {
     whole_.push_back(t.id);
   }
 
-  void prepare_task(const Task& t) override {
-    const std::lock_guard<std::mutex> lock(mu_);
-    prepared_.insert(t.id);
-  }
-
   bool run_blocks(const Task& t, index_t b0, index_t b1, bool,
                   real_t* into) override {
     if (t.type == TaskType::kGetrf) return false;  // sequential body
@@ -212,7 +206,6 @@ class MockBackend : public NumericBackend {
   std::vector<std::atomic<index_t>> covered_;  // blocks run per task id
   bool with_scratch_;
   std::vector<index_t> whole_;       // run_task calls, in call order
-  std::set<index_t> prepared_;
   std::vector<std::pair<index_t, real_t>> folded_;  // apply_scratch order
 };
 
@@ -234,7 +227,6 @@ TEST(BatchExecutor, EveryBlockRunsExactlyOnce) {
       EXPECT_EQ(mock.coverage(i), storage[i].cost.cuda_blocks)
           << "task " << i << " at " << threads << " threads";
     }
-    EXPECT_EQ(mock.prepared_.size(), 9u);
     EXPECT_TRUE(mock.whole_.empty());
     EXPECT_GT(ex.stats().slices, 0);
     EXPECT_EQ(ex.stats().fallback_tasks, 0);
@@ -330,8 +322,6 @@ TEST(BatchExecutor, DeterministicSkipContributesNoScratchFolds) {
   }
   EXPECT_EQ(mock.coverage(1), 0);
   EXPECT_EQ(mock.coverage(3), 0);
-  EXPECT_EQ(mock.prepared_.count(1), 0u);
-  EXPECT_EQ(mock.prepared_.count(3), 0u);
   EXPECT_EQ(ex.stats().det_reductions, 3);
   EXPECT_EQ(ex.stats().fallback_tasks, 0);
 }
@@ -398,8 +388,6 @@ TEST(BatchExecutor, SkippedMembersNeverExecute) {
   EXPECT_EQ(mock.coverage(0), 0);
   EXPECT_TRUE(mock.whole_.empty());  // skipped GETRF does not fall back
   EXPECT_EQ(mock.coverage(2), 4);
-  EXPECT_EQ(mock.prepared_.count(0), 0u);
-  EXPECT_EQ(mock.prepared_.count(2), 1u);
 }
 
 // ---- End-to-end parallel factorisation ---------------------------------

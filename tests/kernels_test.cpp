@@ -125,48 +125,79 @@ TEST(DenseGemm, MinusMatchesReference) {
   }
 }
 
-TEST(Tile, InsertFreezeAt) {
-  Tile t(4, 3);
-  t.insert(2, 1, 5.0);
-  t.insert(0, 0, 1.0);
-  t.insert(3, 1, -2.0);
-  t.freeze();
-  EXPECT_EQ(t.nnz(), 3);
-  EXPECT_DOUBLE_EQ(t.at(2, 1), 5.0);
-  EXPECT_DOUBLE_EQ(t.at(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(t.at(1, 2), 0.0);
-  EXPECT_NEAR(t.density(), 3.0 / 12.0, 1e-12);
+// Writes one entry of a tile's column-major storage.
+void set(Tile& t, index_t r, index_t c, real_t v) {
+  t.dense_data()[r + static_cast<std::size_t>(c) * t.ld()] = v;
 }
 
-TEST(Tile, DensifyPreservesValues) {
-  Tile t(3, 3);
-  t.insert(1, 2, 4.0);
-  t.insert(0, 0, -1.0);
-  t.freeze();
-  t.densify();
-  EXPECT_EQ(t.storage(), Tile::Storage::kDense);
-  EXPECT_DOUBLE_EQ(t.at(1, 2), 4.0);
-  EXPECT_DOUBLE_EQ(t.at(0, 0), -1.0);
-  EXPECT_EQ(t.nnz(), 2);
+TEST(Tile, ZeroedColumnMajorStorage) {
+  Tile t(4, 3);
+  EXPECT_EQ(t.ld(), 4);
+  EXPECT_EQ(t.nnz(), 0);
+  for (std::size_t i = 0; i < 12; ++i) {
+    EXPECT_FALSE(std::signbit(t.dense_data()[i]));
+    EXPECT_EQ(t.dense_data()[i], 0.0);
+  }
+  set(t, 2, 1, 5.0);
+  set(t, 0, 0, 1.0);
+  set(t, 3, 1, -2.0);
+  EXPECT_EQ(t.nnz(), 3);
+  EXPECT_DOUBLE_EQ(t.dense_data()[2 + 1 * 4], 5.0);
+  EXPECT_DOUBLE_EQ(t.at(2, 1), 5.0);
+  EXPECT_DOUBLE_EQ(t.at(0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(t.at(3, 1), -2.0);
+  EXPECT_DOUBLE_EQ(t.at(1, 2), 0.0);
+  EXPECT_THROW(t.at(4, 0), Error);
 }
 
 TEST(TileMatrix, AssembleMatchesSource) {
-  const Csr a = finalize_system(cage_like(60, 4, 0.2, 21), 21);
-  const TilePattern p = tile_symbolic(a, 8);
-  const TileMatrix tm(a, p);
-  const auto dense = to_dense(a);
-  for (index_t r = 0; r < a.n_rows; ++r) {
-    for (index_t c = 0; c < a.n_cols; ++c) {
-      const Tile* t = tm.tile(r / 8, c / 8);
-      const real_t expected = dense[static_cast<std::size_t>(r) * a.n_cols + c];
-      if (t == nullptr) {
-        EXPECT_EQ(expected, 0.0);
-      } else {
-        EXPECT_DOUBLE_EQ(t->at(r % 8, c % 8), expected);
+  // The circuit's dense rails fill tiles that hold no entry of A.
+  int fill_only = 0;
+  for (const Csr& a : {finalize_system(cage_like(60, 4, 0.2, 21), 21),
+                       finalize_system(circuit_like(120, 3.0, 2, 21), 21)}) {
+    const TilePattern p = tile_symbolic(a, 8);
+    const TileMatrix tm(a, p);
+    const auto dense = to_dense(a);
+    for (index_t r = 0; r < a.n_rows; ++r) {
+      for (index_t c = 0; c < a.n_cols; ++c) {
+        const Tile* t = tm.tile(r / 8, c / 8);
+        const real_t expected =
+            dense[static_cast<std::size_t>(r) * a.n_cols + c];
+        if (t == nullptr) {
+          EXPECT_EQ(expected, 0.0);
+        } else {
+          EXPECT_DOUBLE_EQ(t->at(r % 8, c % 8), expected);
+        }
+      }
+    }
+    EXPECT_EQ(tm.total_nnz(), a.nnz());
+
+    // A fill-only tile (present in the pattern, no entry of A) holds
+    // exactly +0.0 bytes.
+    const index_t nt = tm.nt();
+    std::vector<char> has_a(static_cast<std::size_t>(nt) * nt, 0);
+    for (index_t r = 0; r < a.n_rows; ++r) {
+      for (offset_t q = a.row_ptr[r]; q < a.row_ptr[r + 1]; ++q) {
+        has_a[static_cast<std::size_t>(r / 8) * nt + a.col_idx[q] / 8] = 1;
+      }
+    }
+    for (index_t i = 0; i < nt; ++i) {
+      for (index_t j = 0; j < nt; ++j) {
+        const Tile* t = tm.tile(i, j);
+        if (t == nullptr || has_a[static_cast<std::size_t>(i) * nt + j]) {
+          continue;
+        }
+        ++fill_only;
+        const std::vector<real_t> zeros(
+            static_cast<std::size_t>(t->rows()) * t->cols(), 0.0);
+        EXPECT_EQ(std::memcmp(t->dense_data(), zeros.data(),
+                              zeros.size() * sizeof(real_t)),
+                  0)
+            << i << "," << j;
       }
     }
   }
-  EXPECT_EQ(tm.total_nnz(), a.nnz());
+  EXPECT_GT(fill_only, 0);
 }
 
 TEST(TileKernels, GetrfTstrfGeesmConsistency) {
@@ -180,10 +211,9 @@ TEST(TileKernels, GetrfTstrfGeesmConsistency) {
       for (index_t r = 0; r < b; ++r) {
         real_t v = rng.uniform(-1, 1);
         if (dd && r == c) v += b + 1;
-        t.insert(r, c, v);
+        set(t, r, c, v);
       }
     }
-    t.freeze();
     return t;
   };
   Tile diag = rnd_tile(true);
@@ -398,14 +428,12 @@ Tile dense_tile(index_t rows, index_t cols, Rng& rng, bool dd, bool sparse) {
   for (index_t c = 0; c < cols; ++c) {
     for (index_t r = 0; r < rows; ++r) {
       if (dd && r == c) {
-        t.insert(r, c, rng.uniform(-1, 1) + rows + 1);
+        set(t, r, c, rng.uniform(-1, 1) + rows + 1);
       } else if (!sparse || rng.next_real() < 0.1) {
-        t.insert(r, c, rng.uniform(-1, 1));
+        set(t, r, c, rng.uniform(-1, 1));
       }
     }
   }
-  t.freeze();
-  t.densify();
   return t;
 }
 
@@ -441,16 +469,6 @@ TEST(KernelContract, SlicedTileKernelsMatchWholeTileBitwise) {
                     std::min(b, c0 + 9));
   }
   EXPECT_TRUE(same_bits(tile_bytes(c_sliced), tile_bytes(c_whole)));
-}
-
-TEST(KernelContract, SsssmRejectsSparseL) {
-  Rng rng(53);
-  Tile l(4, 4);
-  l.insert(1, 2, 1.0);
-  l.freeze();
-  const Tile u = dense_tile(4, 4, rng, false, false);
-  Tile c = dense_tile(4, 4, rng, false, false);
-  EXPECT_THROW(tile_ssssm(c, l, u), Error);
 }
 
 // ---- SIMD inner loops --------------------------------------------------

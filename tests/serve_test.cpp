@@ -127,6 +127,42 @@ TEST(SolverService, SecondOpenOnSamePatternHitsTheCache) {
   EXPECT_EQ(svc.cache_size(), 2u);
 }
 
+TEST(SolverService, CacheStillLendsThePatternAfterItsDonorIsReplaced) {
+  // Refactors move the cache's donor to each rebuilt instance, so the
+  // replaced ones are freed. Once A retires, B's open must still hit the
+  // cache and build a numerically whole instance.
+  SolverService svc(small_service());
+  const SessionId a = svc.open_session("alice", grid(12, 1));
+  EXPECT_EQ(svc.stats().cache_misses, 1);
+  Request f;
+  f.kind = RequestKind::kFactor;
+  svc.submit(a, f);
+  for (const std::uint64_t seed : {3u, 4u}) {
+    Request r;
+    r.kind = RequestKind::kRefactor;
+    r.value_seed = seed;
+    svc.submit(a, r);
+  }
+  for (const Completion& c : svc.drain()) EXPECT_TRUE(c.ok()) << c.detail;
+  EXPECT_TRUE(svc.retire_session(a));
+
+  const SessionId b = svc.open_session("bob", grid(12, 2));
+  EXPECT_EQ(svc.stats().cache_hits, 1);
+  EXPECT_EQ(svc.stats().cache_misses, 1);
+  EXPECT_EQ(svc.cache_size(), 1u);
+  svc.submit(b, f);
+  Request sol;
+  sol.kind = RequestKind::kSolve;
+  sol.value_seed = 77;
+  svc.submit(b, sol);
+  const std::vector<Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_TRUE(done[0].ok()) << done[0].detail;
+  ASSERT_TRUE(done[1].ok()) << done[1].detail;
+  EXPECT_LT(done[1].residual, 1e-9);
+  EXPECT_GE(done[1].residual, 0);
+}
+
 // ---- admission control: all three typed reasons ---------------------------
 
 TEST(SolverService, MemInfeasiblePatternIsRejectedAtOpen) {
