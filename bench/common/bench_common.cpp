@@ -1,7 +1,5 @@
 #include "common/bench_common.hpp"
 
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -183,10 +181,13 @@ bool tiles_identical(const TileMatrix& x, const TileMatrix& y) {
       if ((a == nullptr) != (b == nullptr)) return false;
       if (a == nullptr) continue;
       if (a->rows() != b->rows() || a->cols() != b->cols()) return false;
-      const std::size_t bytes = static_cast<std::size_t>(a->rows()) *
-                                static_cast<std::size_t>(a->cols()) *
-                                sizeof(real_t);
-      if (std::memcmp(a->dense_data(), b->dense_data(), bytes) != 0) {
+      if (!std::ranges::equal(a->row_idx(), b->row_idx()) ||
+          !std::ranges::equal(a->col_idx(), b->col_idx())) {
+        return false;
+      }
+      const auto bytes =
+          static_cast<std::size_t>(a->panel_size()) * sizeof(real_t);
+      if (bytes > 0 && std::memcmp(a->data(), b->data(), bytes) != 0) {
         return false;
       }
     }
@@ -202,34 +203,6 @@ FactorFootprint factor_footprint(const TaskGraph& g, int n_ranks) {
   f.max_rank_bytes = p.peak_rank_bytes;
   f.imbalance = p.imbalance;
   return f;
-}
-
-PeakRss peak_rss() {
-  PeakRss r;
-  // Linux: VmHWM from /proc/self/status is the authoritative high-water
-  // mark. A missing file (non-Linux, restricted /proc), a missing line or
-  // a value that does not parse to a positive KiB count all fall through
-  // to getrusage instead of masquerading as a measured zero.
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (status.good() && std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) != 0) continue;
-    char* end = nullptr;
-    const long long kib = std::strtoll(line.c_str() + 6, &end, 10);
-    if (end != line.c_str() + 6 && kib > 0) {
-      r.bytes = static_cast<offset_t>(kib) * 1024;
-      r.source = "VmHWM";
-      return r;
-    }
-    break;  // malformed VmHWM line: try the fallback
-  }
-  struct rusage ru {};
-  if (getrusage(RUSAGE_SELF, &ru) == 0 && ru.ru_maxrss > 0) {
-    r.bytes = static_cast<offset_t>(ru.ru_maxrss) * 1024;  // KiB on Linux
-    r.source = "getrusage";
-    return r;
-  }
-  return r;  // no usable source; available() == false
 }
 
 void emit(const Table& table, const std::string& stem) {
@@ -251,9 +224,7 @@ namespace {
 void print_peak_rss() {
   const PeakRss rss = peak_rss();
   if (rss.available()) {
-    std::printf("[peak RSS %.1f MiB (%s)]\n",
-                static_cast<double>(rss.bytes) / (1024.0 * 1024.0),
-                rss.source);
+    std::printf("[peak RSS %.1f MiB (%s)]\n", rss.mib(), rss.source);
   } else {
     // Degrade loudly: an unavailable measurement is reported as such, not
     // as a confusing "0.0 MiB" (no /proc/self/status VmHWM and getrusage

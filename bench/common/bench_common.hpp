@@ -14,6 +14,7 @@
 #include "kernels/tile.hpp"
 #include "sim/cluster.hpp"
 #include "solvers/driver.hpp"
+#include "support/rss.hpp"
 #include "support/table.hpp"
 
 namespace th::bench {
@@ -115,7 +116,8 @@ void emit(const Table& table, const std::string& stem);
 void banner(const std::string& what, const std::string& detail);
 
 /// True when both tile matrices have the same shape, the same present
-/// tiles and byte-identical tile contents (bitwise factor comparison).
+/// tiles, the same envelope lists and byte-identical panels (bitwise
+/// factor comparison).
 bool tiles_identical(const TileMatrix& x, const TileMatrix& y);
 
 /// Peak per-rank factor storage in bytes: the largest, over ranks, sum of
@@ -127,23 +129,5 @@ struct FactorFootprint {
   real_t imbalance = 1.0;  // max rank bytes / mean rank bytes
 };
 FactorFootprint factor_footprint(const TaskGraph& g, int n_ranks);
-
-/// Process peak resident-set size with its provenance. banner() registers
-/// an atexit hook that prints it, so every bench reports host memory next
-/// to its timings; when no source is usable the hook says *why* instead of
-/// printing a bare zero.
-struct PeakRss {
-  offset_t bytes = 0;
-  /// Which source produced the number: "VmHWM" (/proc/self/status) or
-  /// "getrusage". nullptr = no source available; `bytes` is meaningless.
-  const char* source = nullptr;
-
-  bool available() const { return source != nullptr; }
-};
-
-/// VmHWM from /proc/self/status where it exists (Linux), falling back to
-/// getrusage's ru_maxrss; an unparseable or implausible (zero) value from
-/// one source falls through to the next instead of being reported as 0.
-PeakRss peak_rss();
 
 }  // namespace th::bench

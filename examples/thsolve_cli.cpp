@@ -175,6 +175,7 @@
 #include "sparse/io.hpp"
 #include "sparse/ops.hpp"
 #include "support/rng.hpp"
+#include "support/rss.hpp"
 #include "support/spec.hpp"
 
 namespace {
@@ -723,6 +724,21 @@ int main(int argc, char** argv) {
                 r.makespan_s * 1e3, static_cast<long long>(r.kernel_count),
                 r.mean_batch_size, r.achieved_gflops(),
                 static_cast<long long>(inst.nnz_lu()));
+    if (const PluFactorization* plu = inst.plu_factorization()) {
+      // Factor storage against the nonzeros it holds: the envelope
+      // panels' padding, next to the process's peak memory.
+      const offset_t words = plu->tiles().stored_words();
+      const offset_t nnz = inst.nnz_lu();
+      const PeakRss rss = peak_rss();
+      std::printf("tiles: %lld stored words for nnz(L+U)=%lld (%.2fx), ",
+                  static_cast<long long>(words), static_cast<long long>(nnz),
+                  nnz > 0 ? static_cast<double>(words) / nnz : 0.0);
+      if (rss.available()) {
+        std::printf("%s %.1f MiB\n", rss.source, rss.mib());
+      } else {
+        std::printf("peak RSS unavailable\n");
+      }
+    }
     if (threads > 1) {
       std::printf("exec: %d host threads: wall %.1f ms, span %.1f ms, "
                   "busy %.1f ms, %ld slices, %ld whole-task fallbacks\n",

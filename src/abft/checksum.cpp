@@ -6,45 +6,51 @@
 
 namespace th::abft {
 
+// The general-tile sums walk the panel and land in in-tile coordinates:
+// vectors are rows()/cols() long and entries outside the envelope are 0.
+
 void add_matvec(const Tile& a, const real_t* x, real_t* y, real_t alpha) {
-  const index_t rows = a.rows();
-  const index_t cols = a.cols();
-  const real_t* d = a.dense_data();
-  for (index_t j = 0; j < cols; ++j) {
-    const real_t ax = alpha * x[j];
-    for (index_t i = 0; i < rows; ++i) y[i] += d[i + j * rows] * ax;
+  const auto rows = a.row_idx();
+  const auto cols = a.col_idx();
+  const real_t* d = a.data();
+  for (index_t j = 0; j < a.panel_cols(); ++j) {
+    const real_t ax = alpha * x[cols[j]];
+    const real_t* dc = d + static_cast<offset_t>(j) * a.ld();
+    for (index_t i = 0; i < a.panel_rows(); ++i) y[rows[i]] += dc[i] * ax;
   }
 }
 
 void add_vecmat(const Tile& a, const real_t* x, real_t* y, real_t alpha) {
-  const index_t rows = a.rows();
-  const index_t cols = a.cols();
-  const real_t* d = a.dense_data();
-  for (index_t j = 0; j < cols; ++j) {
+  const auto rows = a.row_idx();
+  const auto cols = a.col_idx();
+  const real_t* d = a.data();
+  for (index_t j = 0; j < a.panel_cols(); ++j) {
+    const real_t* dc = d + static_cast<offset_t>(j) * a.ld();
     real_t s = 0;
-    for (index_t i = 0; i < rows; ++i) s += x[i] * d[i + j * rows];
-    y[j] += alpha * s;
+    for (index_t i = 0; i < a.panel_rows(); ++i) s += x[rows[i]] * dc[i];
+    y[cols[j]] += alpha * s;
   }
 }
 
 void row_sums_into(const Tile& a, std::vector<real_t>& out) {
-  const index_t rows = a.rows();
-  const index_t cols = a.cols();
-  out.assign(static_cast<std::size_t>(rows), real_t{0});
-  const real_t* d = a.dense_data();
-  for (index_t j = 0; j < cols; ++j)
-    for (index_t i = 0; i < rows; ++i) out[i] += d[i + j * rows];
+  out.assign(static_cast<std::size_t>(a.rows()), real_t{0});
+  const auto rows = a.row_idx();
+  const real_t* d = a.data();
+  for (index_t j = 0; j < a.panel_cols(); ++j) {
+    const real_t* dc = d + static_cast<offset_t>(j) * a.ld();
+    for (index_t i = 0; i < a.panel_rows(); ++i) out[rows[i]] += dc[i];
+  }
 }
 
 void col_sums_into(const Tile& a, std::vector<real_t>& out) {
-  const index_t rows = a.rows();
-  const index_t cols = a.cols();
-  out.assign(static_cast<std::size_t>(cols), real_t{0});
-  const real_t* d = a.dense_data();
-  for (index_t j = 0; j < cols; ++j) {
+  out.assign(static_cast<std::size_t>(a.cols()), real_t{0});
+  const auto cols = a.col_idx();
+  const real_t* d = a.data();
+  for (index_t j = 0; j < a.panel_cols(); ++j) {
+    const real_t* dc = d + static_cast<offset_t>(j) * a.ld();
     real_t s = 0;
-    for (index_t i = 0; i < rows; ++i) s += d[i + j * rows];
-    out[j] = s;
+    for (index_t i = 0; i < a.panel_rows(); ++i) s += dc[i];
+    out[cols[j]] = s;
   }
 }
 
@@ -60,10 +66,13 @@ std::vector<real_t> col_sums(const Tile& a) {
   return c;
 }
 
+// The packed-LU helpers read a factored diagonal tile, which is full.
+
 std::vector<real_t> upper_row_sums(const Tile& lu) {
+  TH_CHECK(lu.full());
   const index_t n = lu.rows();
   const index_t cols = lu.cols();
-  const real_t* d = lu.dense_data();
+  const real_t* d = lu.data();
   std::vector<real_t> u(n, real_t{0});
   for (index_t j = 0; j < cols; ++j)
     for (index_t i = 0; i <= j && i < n; ++i) u[i] += d[i + j * n];
@@ -71,10 +80,11 @@ std::vector<real_t> upper_row_sums(const Tile& lu) {
 }
 
 std::vector<real_t> unit_lower_col_sums(const Tile& lu) {
+  TH_CHECK(lu.full());
   const index_t n = lu.rows();
   const index_t cols = lu.cols();
   std::vector<real_t> v(n, real_t{1});
-  const real_t* d = lu.dense_data();
+  const real_t* d = lu.data();
   for (index_t j = 0; j < cols && j < n; ++j)
     for (index_t i = j + 1; i < n; ++i) v[j] += d[i + j * n];
   return v;
@@ -82,8 +92,9 @@ std::vector<real_t> unit_lower_col_sums(const Tile& lu) {
 
 std::vector<real_t> unit_lower_matvec(const Tile& lu,
                                       const std::vector<real_t>& x) {
+  TH_CHECK(lu.full());
   const index_t n = lu.rows();
-  const real_t* d = lu.dense_data();
+  const real_t* d = lu.data();
   std::vector<real_t> y(x);  // unit diagonal
   for (index_t j = 0; j + 1 < n && j < lu.cols(); ++j) {
     const real_t xj = x[j];
@@ -93,9 +104,10 @@ std::vector<real_t> unit_lower_matvec(const Tile& lu,
 }
 
 std::vector<real_t> upper_vecmat(const Tile& lu, const std::vector<real_t>& x) {
+  TH_CHECK(lu.full());
   const index_t n = lu.rows();
   const index_t cols = lu.cols();
-  const real_t* d = lu.dense_data();
+  const real_t* d = lu.data();
   std::vector<real_t> y(cols, real_t{0});
   for (index_t j = 0; j < cols; ++j)
     for (index_t i = 0; i <= j && i < n; ++i) y[j] += x[i] * d[i + j * n];

@@ -1,6 +1,6 @@
 #include "abft/tile_guard.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 #include "support/error.hpp"
 
@@ -64,11 +64,9 @@ void TileGuard::capture_run(std::size_t job) {
                              static_cast<index_t>(k & 0xffffffffu));
   TH_CHECK(target != nullptr);
   if (ctx.fresh) {
-    const std::size_t size = static_cast<std::size_t>(target->rows()) *
-                             static_cast<std::size_t>(target->cols());
-    ctx.snapshot.resize(size);
-    std::memcpy(ctx.snapshot.data(), target->dense_data(),
-                size * sizeof(real_t));
+    // copy_n, not memcpy: a 0×0 panel has no storage (a null data()).
+    ctx.snapshot.resize(static_cast<std::size_t>(target->panel_size()));
+    std::copy_n(target->data(), target->panel_size(), ctx.snapshot.data());
     if (!ctx.carried) {
       row_sums_into(*target, ctx.pre_row);
       col_sums_into(*target, ctx.pre_col);
@@ -169,8 +167,7 @@ void TileGuard::rollback(const Task& t) {
   if (ctx.rolled_back) return;  // shared SSSSM target: restore once
   Tile* target = tiles_.tile(t.row, t.col);
   TH_CHECK(target != nullptr);
-  std::memcpy(target->dense_data(), ctx.snapshot.data(),
-              ctx.snapshot.size() * sizeof(real_t));
+  std::copy_n(ctx.snapshot.data(), ctx.snapshot.size(), target->data());
   ctx.rolled_back = true;
 }
 

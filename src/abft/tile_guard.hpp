@@ -64,7 +64,7 @@ class TileGuard {
  private:
   struct Ctx {
     TaskType type = TaskType::kGetrf;
-    std::vector<real_t> snapshot;  // pre-batch dense target, column-major
+    std::vector<real_t> snapshot;  // pre-batch target panel, column-major
     std::vector<real_t> pre_row, pre_col;
     std::vector<real_t> exp_row, exp_col;    // accumulated SSSSM deltas
     std::vector<real_t> post_row, post_col;  // actual sums found at verify

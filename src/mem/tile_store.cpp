@@ -13,7 +13,9 @@ namespace th::mem {
 namespace {
 
 constexpr char kMagic[4] = {'T', 'H', 'T', 'S'};
-constexpr std::uint32_t kVersion = 2;
+// v3: the payload is the tile's envelope panel (DESIGN.md §3), not a
+// dense b×b block; a v2 file fails with the typed version error.
+constexpr std::uint32_t kVersion = 3;
 constexpr char kManifestMagic[4] = {'T', 'H', 'T', 'M'};
 constexpr std::uint32_t kManifestVersion = 1;
 // Plausibility bound on a tile payload: 2^31 doubles (16 GiB) dwarfs any

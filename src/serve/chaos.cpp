@@ -149,6 +149,7 @@ std::string run_serve_scenario(const ServeOptions& sopt,
     std::map<std::pair<int, int>, SessionId> sessions;
     std::vector<RequestId> ids;  // every admitted id, abandon's pick pool
     std::vector<RequestId> solve_ids;  // admitted solves, midcancel's pool
+    std::map<RequestId, std::uint64_t> refactor_seeds;  // admitted refactors
     offset_t mem_budget = sopt.mem_budget_bytes;
     std::uint64_t s = trace.opt.seed ^ 0xa0761d6478bd642fULL;
 
@@ -270,6 +271,9 @@ std::string run_serve_scenario(const ServeOptions& sopt,
           const RequestId id = svc.submit(sid, r);
           ids.push_back(id);
           if (e.kind == RequestKind::kSolve) solve_ids.push_back(id);
+          if (e.kind == RequestKind::kRefactor) {
+            refactor_seeds.emplace(id, e.value_seed);
+          }
         } catch (const RejectedError&) {
           // typed admission refusal: always legitimate
         }
@@ -315,6 +319,72 @@ std::string run_serve_scenario(const ServeOptions& sopt,
         std::ostringstream os;
         os << "completed solve " << c.id << " has residual " << c.residual;
         return os.str();
+      }
+    }
+    // Invariant 5: per-session causality. A completed solve ran against
+    // the factors of the latest completed factor/refactor of its session
+    // submitted before it: that write finished before the solve started
+    // and the solve carries its value seed, and no completed write
+    // submitted after the solve started before the solve finished. A solve
+    // that failed for missing factors still ran after that write. A
+    // refactor factored its own request's values.
+    std::map<RequestId, const Completion*> by_id;  // ascending = submission
+    for (const Completion& c : done) {
+      if (c.ok() || (c.kind == RequestKind::kSolve &&
+                     c.status == Completion::Status::kFailed)) {
+        by_id.emplace(c.id, &c);
+      }
+    }
+    auto is_write = [](const Completion* c) {
+      return c->kind != RequestKind::kSolve;
+    };
+    std::map<SessionId, const Completion*> last_write;
+    for (const auto& [id, c] : by_id) {
+      if (c->kind == RequestKind::kRefactor &&
+          c->value_seed != refactor_seeds.at(id)) {
+        std::ostringstream os;
+        os << "refactor " << id << " factored values of seed "
+           << c->value_seed << ", not its own " << refactor_seeds.at(id);
+        return os.str();
+      }
+      if (is_write(c)) {
+        last_write[c->session] = c;
+        continue;
+      }
+      std::ostringstream os;
+      os.precision(12);
+      os << completion_status_name(c->status) << " solve " << id
+         << " of session " << c->session << " ";
+      const auto w = last_write.find(c->session);
+      if (!c->ok()) {
+        if (w == last_write.end() || w->second->finish_s <= c->start_s) {
+          continue;  // legitimately without factors
+        }
+        os << "failed at " << c->start_s << " before its session's write "
+           << w->second->id << " finished at " << w->second->finish_s;
+        return os.str();
+      }
+      if (w == last_write.end()) {
+        os << "had no completed factorization submitted before it";
+        return os.str();
+      }
+      if (w->second->finish_s > c->start_s ||
+          w->second->value_seed != c->value_seed) {
+        os << "started at " << c->start_s << " against factors of seed "
+           << c->value_seed << ", but its session's latest write before it ("
+           << w->second->id << ") finished at " << w->second->finish_s
+           << " with seed " << w->second->value_seed;
+        return os.str();
+      }
+      for (auto y = by_id.upper_bound(id); y != by_id.end(); ++y) {
+        const Completion* later = y->second;
+        if (later->session == c->session && is_write(later) &&
+            later->start_s < c->finish_s) {
+          os << "finished at " << c->finish_s << ", after younger write "
+             << later->id << " of its session started at "
+             << later->start_s;
+          return os.str();
+        }
       }
     }
     return "";

@@ -89,8 +89,8 @@ std::vector<Misbehavior> shrink_misbehaviors(
     int budget = 100);
 
 /// Run one scenario: replay the trace with the misbehaviors injected and
-/// check the service's accounting/correctness invariants. Returns an empty
-/// string on success, the finding otherwise.
+/// check the service's accounting, correctness and per-session causality
+/// invariants. Returns an empty string on success, the finding otherwise.
 std::string run_serve_scenario(const ServeOptions& sopt,
                                const ServeTrace& trace,
                                const std::vector<Misbehavior>& misbehaviors);

@@ -499,6 +499,9 @@ void SolverService::finish(Pending p, Completion::Status status,
   c.finish_s = finish_s;
   c.residual = residual;
   c.detail = std::move(detail);
+  if (status == Completion::Status::kDone) {
+    c.value_seed = sessions_.at(p.session).current_seed;
+  }
   switch (status) {
     case Completion::Status::kDone:
       ++stats_.completed;
@@ -573,6 +576,9 @@ void SolverService::run_factor(Session& s, Pending& p, real_t start_s) {
       retire_engine(s);
       s.inst = std::make_shared<SolverInstance>(
           a, instance_options(opt_.sched), *s.inst);
+      // The instance holds the refactor's values from here on, even if
+      // this run fails and a later factor reuses them.
+      if (refactor) s.current_seed = p.req.value_seed;
       // Lend the pattern from the new instance from now on, so the cache
       // does not pin a replaced instance and all its factor tiles.
       if (const auto c = cache_.find(s.pattern_hash); c != cache_.end()) {
@@ -585,7 +591,6 @@ void SolverService::run_factor(Session& s, Pending& p, real_t start_s) {
     const real_t end_s = start_s + r.makespan_s;
     now_s_ = end_s;
     s.factored = true;
-    if (refactor) s.current_seed = p.req.value_seed;
     s.est_factor_s = r.makespan_s;  // refresh the admission estimate
     if (refactor) {
       ++stats_.refactors;
@@ -908,10 +913,11 @@ void SolverService::commit_factor(SessionId sid, Session& s,
                                   std::uint64_t idem_key) {
   if (journal_ == nullptr) return;
   const std::uint32_t gen = s.generation;
-  // Publish the full tile set, then the manifest certifying it, then the
-  // journal record — strictly in that order, so the record's presence
-  // proves the artifact set is complete and an orphaned artifact from a
-  // crash mid-commit is ignorable garbage.
+  // Publish every tile's packed panel (a 0×0 panel as an empty payload),
+  // then the manifest certifying them, then the journal record — strictly
+  // in that order, so the record's presence proves the artifact set is
+  // complete and an orphaned artifact from a crash mid-commit is ignorable
+  // garbage.
   TH_CHECK_MSG(s.inst->numeric_done(),
                "factor commit before the numeric phase ran");
   mem::TileStore store(journal_->factor_dir(sid, gen), opt_.durable.fsync);
@@ -921,10 +927,8 @@ void SolverService::commit_factor(SessionId sid, Session& s,
     for (index_t j = 0; j < nt; ++j) {
       const Tile* t = tiles.tile(i, j);
       if (t == nullptr) continue;
-      const real_t* d = t->dense_data();
-      const std::size_t count =
-          static_cast<std::size_t>(t->rows()) * t->cols();
-      store.spill(i * nt + j, std::vector<real_t>(d, d + count));
+      store.spill(i * nt + j,
+                  std::vector<real_t>(t->data(), t->data() + t->panel_size()));
     }
   }
   store.write_manifest();
@@ -1025,8 +1029,7 @@ bool SolverService::rehydrate_factors(SessionId sid, Session& s,
     }
     Tile* t = tiles.tile(e.tile_id / nt, e.tile_id % nt);
     if (t == nullptr ||
-        e.payload_len !=
-            static_cast<std::uint64_t>(t->rows()) * t->cols()) {
+        e.payload_len != static_cast<std::uint64_t>(t->panel_size())) {
       return false;
     }
     std::vector<real_t> payload;
@@ -1048,7 +1051,7 @@ bool SolverService::rehydrate_factors(SessionId sid, Session& s,
       ++durable_stats_.quarantined;
       return false;
     }
-    t->adopt_dense(std::move(payload));
+    t->adopt_panel(std::move(payload));
     ++durable_stats_.tiles_rehydrated;
   }
   s.inst->restore_numeric_done();

@@ -161,6 +161,10 @@ struct Completion {
   real_t finish_s = 0;   // virtual completion time
   /// Scaled residual of a completed solve; -1 otherwise.
   real_t residual = -1;
+  /// Value seed of the factorization behind a kDone request: the values a
+  /// factor/refactor factored, or those of the factors a solve ran
+  /// against (0 = the session's original values). 0 when not kDone.
+  std::uint64_t value_seed = 0;
   /// Human-readable context (shedding culprit, cancellation cause, error).
   std::string detail;
 

@@ -55,12 +55,12 @@ class PluFactorization::Backend : public NumericBackend {
         return true;
       case TaskType::kSsssm: {
         // cuda_blocks = target columns. `into` (a write-conflicting
-        // member) is a zeroed scratch of the target's shape: the slice
+        // member) is a zeroed scratch of the target's panel: the slice
         // accumulates -L*U there and apply_scratch folds it in batch order.
         Tile& c = *tiles_.tile(t.row, t.col);
-        real_t* out = into != nullptr ? into : c.dense_data();
-        tile_ssssm_cols(out, c.ld(), *tiles_.tile(t.row, t.k),
-                        *tiles_.tile(t.k, t.col), b0, b1);
+        tile_ssssm_cols(c, into != nullptr ? into : c.data(),
+                        *tiles_.tile(t.row, t.k), *tiles_.tile(t.k, t.col),
+                        b0, b1);
         return true;
       }
     }
@@ -69,21 +69,21 @@ class PluFactorization::Backend : public NumericBackend {
 
   offset_t scratch_size(const Task& t) override {
     if (t.type != TaskType::kSsssm) return 0;
-    const Tile& c = *tiles_.tile(t.row, t.col);
-    return static_cast<offset_t>(c.rows()) * c.cols();
+    return tiles_.tile(t.row, t.col)->panel_size();
   }
 
   void apply_scratch(const Task& t, const real_t* scratch) override {
     Tile& c = *tiles_.tile(t.row, t.col);
-    real_t* d = c.dense_data();
-    const offset_t n = static_cast<offset_t>(c.rows()) * c.cols();
+    real_t* d = c.data();
+    const offset_t n = c.panel_size();
     for (offset_t i = 0; i < n; ++i) d[i] += scratch[i];
   }
 
   bool inject_fault(const Task& t, NumericFaultKind kind) override {
+    // Faults land on panel positions; a 0×0 panel has no storage to hit.
     Tile* tile = tiles_.tile(t.row, t.col);
-    if (tile == nullptr) return false;
-    real_t* d = tile->dense_data();
+    if (tile == nullptr || tile->panel_size() == 0) return false;
+    real_t* d = tile->data();
     const auto ld = static_cast<offset_t>(tile->ld());
     if (silent_fault_kind(kind)) {
       // Silent corruption in the freshly written output (the runtime calls
@@ -91,7 +91,7 @@ class PluFactorization::Backend : public NumericBackend {
       // unambiguously above the checksum tolerance — an SDC in a tiny
       // mantissa bit is numerically indistinguishable from roundoff and
       // not worth a retry in the first place.
-      const offset_t n = static_cast<offset_t>(tile->rows()) * tile->cols();
+      const offset_t n = tile->panel_size();
       offset_t at = 0;
       real_t maxabs = 0;
       for (offset_t i = 0; i < n; ++i) {
@@ -122,20 +122,20 @@ class PluFactorization::Backend : public NumericBackend {
       return true;
     }
     if (kind == NumericFaultKind::kTinyPivot) {
-      // Sever the last in-tile row/column and leave a near-zero pivot.
+      // Sever the last panel row/column and leave a near-zero pivot.
       // Elimination keeps a zero column zero, so the tiny value survives
       // factorisation intact for the guard to find — without ever feeding
       // huge multipliers into the rest of the tile.
-      const index_t p = std::min(tile->rows(), tile->cols()) - 1;
-      for (index_t r = 0; r < tile->rows(); ++r) d[r + p * ld] = 0.0;
-      for (index_t c = 0; c < tile->cols(); ++c) d[p + c * ld] = 0.0;
+      const index_t p = std::min(tile->panel_rows(), tile->panel_cols()) - 1;
+      for (index_t r = 0; r < tile->panel_rows(); ++r) d[r + p * ld] = 0.0;
+      for (index_t c = 0; c < tile->panel_cols(); ++c) d[p + c * ld] = 0.0;
       d[p + p * ld] = 1e-30;
       return true;
     }
     // Plant off the tile diagonal: the guard scrubs the entry to zero, a
     // bounded single-entry perturbation (a zeroed *diagonal* entry would
     // leave a zero pivot behind for GETRF to trip over).
-    const index_t r = tile->rows() > 1 ? 1 : 0;
+    const index_t r = tile->panel_rows() > 1 ? 1 : 0;
     d[r] = kind == NumericFaultKind::kInf
                ? std::numeric_limits<real_t>::infinity()
                : std::numeric_limits<real_t>::quiet_NaN();
@@ -146,23 +146,22 @@ class PluFactorization::Backend : public NumericBackend {
     GuardReport g;
     Tile* tile = tiles_.tile(t.row, t.col);
     if (tile == nullptr) return g;
-    real_t* d = tile->dense_data();
+    real_t* d = tile->data();
     const auto ld = static_cast<offset_t>(tile->ld());
     real_t maxabs = 0;
-    for (index_t c = 0; c < tile->cols(); ++c) {
-      for (index_t r = 0; r < tile->rows(); ++r) {
-        real_t& v = d[r + c * ld];
-        if (!std::isfinite(v)) {
-          v = 0.0;
-          ++g.nonfinite_scrubbed;
-        } else {
-          maxabs = std::max(maxabs, std::abs(v));
-        }
+    for (offset_t i = 0; i < tile->panel_size(); ++i) {
+      real_t& v = d[i];
+      if (!std::isfinite(v)) {
+        v = 0.0;
+        ++g.nonfinite_scrubbed;
+      } else {
+        maxabs = std::max(maxabs, std::abs(v));
       }
     }
     if (t.type == TaskType::kGetrf) {
       // SuperLU_DIST-style static pivoting: bump pivots that would blow up
-      // the triangular solves to +/- the relative threshold.
+      // the triangular solves to +/- the relative threshold. Diagonal
+      // tiles are full, so panel and in-tile positions agree.
       const real_t thresh =
           policy.tiny_pivot_rel * (maxabs > 0 ? maxabs : 1.0);
       const index_t w = std::min(tile->rows(), tile->cols());
@@ -213,17 +212,17 @@ class PluFactorization::Backend : public NumericBackend {
   // ---- Out-of-core hooks (src/mem) --------------------------------------
 
   std::vector<real_t> extract_block(const Task& t) override {
+    // The packed panel; a 0×0 panel has nothing to persist.
     const Tile* tile = tiles_.tile(t.row, t.col);
     if (tile == nullptr) return {};
-    const real_t* d = tile->dense_data();
-    return std::vector<real_t>(
-        d, d + static_cast<offset_t>(tile->rows()) * tile->cols());
+    return std::vector<real_t>(tile->data(),
+                               tile->data() + tile->panel_size());
   }
 
   void restore_block(const Task& t, const std::vector<real_t>& data) override {
     Tile* tile = tiles_.tile(t.row, t.col);
     if (tile == nullptr || data.empty()) return;
-    tile->adopt_dense(data);  // byte-exact: the output is unchanged
+    tile->adopt_panel(data);  // byte-exact: the output is unchanged
   }
 
  private:
@@ -272,7 +271,7 @@ void PluFactorization::build_graph() {
   // or per row (TSTRF), as in Figure 7 of the paper.
   // Tile density from the exact scalar fill prices the modelled kernels:
   // their flops (PanguLU's kernels skip zeros) and the sparse/dense
-  // efficiency flag. The host kernels run every tile dense regardless.
+  // efficiency flag. The host kernels run on the envelope panels.
   auto tile_density = [&](index_t i, index_t j) {
     const offset_t nz =
         pattern_.fill_nnz[static_cast<std::size_t>(i) * nt + j];
@@ -416,6 +415,19 @@ std::vector<real_t> PluFactorization::solve_transpose(
   const index_t bs = pattern_.tile_size;
   std::vector<real_t> x = c;
 
+  // x_dst[cols[q]] -= (T^T x_src)[q] over an off-diagonal panel T: its
+  // columns dot the source entries its rows select.
+  auto sub_transposed = [](const Tile& t, const real_t* src, real_t* dst) {
+    const auto rows = t.row_idx();
+    const auto cols = t.col_idx();
+    for (index_t q = 0; q < t.panel_cols(); ++q) {
+      const real_t* tc = t.data() + static_cast<offset_t>(q) * t.ld();
+      real_t acc = 0;
+      for (index_t p = 0; p < t.panel_rows(); ++p) acc += tc[p] * src[rows[p]];
+      dst[cols[q]] -= acc;
+    }
+  };
+
   // Forward: U^T y = c. U^T is lower triangular (non-unit); iterate block
   // rows ascending, using U tiles (J, K) with K > J transposed.
   for (index_t J = 0; J < nt; ++J) {
@@ -423,7 +435,7 @@ std::vector<real_t> PluFactorization::solve_transpose(
     TH_ASSERT(diag != nullptr);
     const index_t w = diag->cols();
     real_t* xj = x.data() + static_cast<offset_t>(J) * bs;
-    const real_t* d = diag->dense_data();
+    const real_t* d = diag->data();
     // Within-tile: solve U(J,J)^T y_J = rhs (lower, non-unit).
     for (index_t r = 0; r < w; ++r) {
       real_t acc = xj[r];
@@ -437,15 +449,7 @@ std::vector<real_t> PluFactorization::solve_transpose(
     for (index_t K = J + 1; K < nt; ++K) {
       const Tile* ut = tiles_->tile(J, K);
       if (ut == nullptr) continue;
-      const real_t* ud = ut->dense_data();
-      real_t* xk = x.data() + static_cast<offset_t>(K) * bs;
-      for (index_t cidx = 0; cidx < ut->cols(); ++cidx) {
-        real_t acc = 0;
-        for (index_t r = 0; r < ut->rows(); ++r) {
-          acc += ud[r + static_cast<offset_t>(cidx) * ut->ld()] * xj[r];
-        }
-        xk[cidx] -= acc;
-      }
+      sub_transposed(*ut, xj, x.data() + static_cast<offset_t>(K) * bs);
     }
   }
 
@@ -457,20 +461,12 @@ std::vector<real_t> PluFactorization::solve_transpose(
     for (index_t I = J + 1; I < nt; ++I) {
       const Tile* lt = tiles_->tile(I, J);
       if (lt == nullptr) continue;
-      const real_t* ld = lt->dense_data();
-      const real_t* xi = x.data() + static_cast<offset_t>(I) * bs;
-      for (index_t cidx = 0; cidx < lt->cols(); ++cidx) {
-        real_t acc = 0;
-        for (index_t r = 0; r < lt->rows(); ++r) {
-          acc += ld[r + static_cast<offset_t>(cidx) * lt->ld()] * xi[r];
-        }
-        xj[cidx] -= acc;
-      }
+      sub_transposed(*lt, x.data() + static_cast<offset_t>(I) * bs, xj);
     }
     // Within-tile: solve L(J,J)^T z_J = rhs (upper, unit diagonal).
     const Tile* diag = tiles_->tile(J, J);
     const index_t w = diag->cols();
-    const real_t* d = diag->dense_data();
+    const real_t* d = diag->data();
     for (index_t r = w - 1; r >= 0; --r) {
       real_t acc = xj[r];
       for (index_t k = r + 1; k < w; ++k) {

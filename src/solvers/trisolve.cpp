@@ -1,6 +1,7 @@
 #include "solvers/trisolve.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "kernels/flops.hpp"
 #include "support/error.hpp"
@@ -17,24 +18,32 @@ constexpr TaskType kUpdate = TaskType::kSsssm;
 
 // The two task kernels, per right-hand-side column.
 
-// Update task body: out[0, t.rows()) += T * x_src, the positive
-// contribution the consuming diagonal task subtracts in fold order.
+// Update task body: out[0, t.panel_rows()) += T * x_src over the panel,
+// the positive contribution (in panel rows, from zero) that the consuming
+// diagonal task subtracts in fold order.
 void add_update(const Tile& t, const real_t* x_src, real_t* out) {
-  const real_t* td = t.dense_data();
-  const index_t bi = t.rows();
-  for (index_t c = 0; c < t.cols(); ++c) {
-    const real_t v = x_src[c];
+  const real_t* td = t.data();
+  const index_t m = t.panel_rows();
+  const auto cols = t.col_idx();
+  for (index_t c = 0; c < t.panel_cols(); ++c) {
+    const real_t v = x_src[cols[c]];
     if (v == 0.0) continue;
     const real_t* tc = td + static_cast<offset_t>(c) * t.ld();
-    for (index_t i = 0; i < bi; ++i) out[i] += tc[i] * v;
+    for (index_t i = 0; i < m; ++i) out[i] += tc[i] * v;
   }
+}
+
+// Fold one update's contribution into its block row: col[rows[i]] -= s[i].
+void fold_update(std::span<const index_t> rows, const real_t* s,
+                 real_t* col) {
+  for (std::size_t i = 0; i < rows.size(); ++i) col[rows[i]] -= s[i];
 }
 
 // Diagonal task body after the fold: unit-lower (forward) or non-unit
 // upper (backward) substitution within the diagonal tile.
 void substitute(const Tile& d, real_t* col, bool forward) {
   const index_t w = d.rows();
-  const real_t* dd = d.dense_data();
+  const real_t* dd = d.data();  // diagonal tiles are full: ld() == w
   if (forward) {
     for (index_t c = 0; c < w; ++c) {
       const real_t xc = col[c];
@@ -144,7 +153,7 @@ SolveFoldPlan build_solve_fold_plan(const TilePattern& p, bool forward) {
       for (const index_t i : p.col_tiles_below(k)) {
         plan.tile_offset[static_cast<std::size_t>(i) * p.nt + k] =
             plan.scratch_rows;
-        plan.scratch_rows += p.rows_in_tile(i);
+        plan.scratch_rows += static_cast<offset_t>(p.env_rows(i, k).size());
         // Outer loop ascends k, so each row's fold list is ascending.
         plan.fold_cols[static_cast<std::size_t>(i)].push_back(k);
       }
@@ -152,7 +161,7 @@ SolveFoldPlan build_solve_fold_plan(const TilePattern& p, bool forward) {
       for (const index_t j : p.row_tiles_right(k)) {
         plan.tile_offset[static_cast<std::size_t>(k) * p.nt + j] =
             plan.scratch_rows;
-        plan.scratch_rows += p.rows_in_tile(k);
+        plan.scratch_rows += static_cast<offset_t>(p.env_rows(k, j).size());
         plan.fold_cols[static_cast<std::size_t>(k)].push_back(j);
       }
     }
@@ -174,18 +183,19 @@ void TriSolveBackend::run_task(const Task& t, bool) {
   const index_t n = fact_.pattern().n;
   if (t.type == kDiagSolve) {
     const Tile& d = *fact_.tiles().tile(t.k, t.k);
-    const index_t w = d.rows();
     real_t* xk = x_ + static_cast<offset_t>(t.k) * bs;
     // Fold the incoming update contributions in ascending source-block
     // order before substituting. Every producer task finished before this
     // one (DAG dependency), and the executor's batch barriers order their
     // scratch writes before this read.
     for (const index_t src : fold_.fold_cols[static_cast<std::size_t>(t.k)]) {
+      const auto rows = fact_.tiles().tile(t.k, src)->row_idx();
       const real_t* scr = scratch_.data() + fold_.offset(t.k, src) * nrhs_;
       for (index_t r = 0; r < nrhs_; ++r) {
-        real_t* col = xk + static_cast<offset_t>(r) * n;
-        const real_t* s = scr + static_cast<offset_t>(r) * w;
-        for (index_t i = 0; i < w; ++i) col[i] -= s[i];
+        fold_update(rows,
+                    scr + static_cast<offset_t>(r) *
+                              static_cast<offset_t>(rows.size()),
+                    xk + static_cast<offset_t>(r) * n);
       }
     }
     for (index_t r = 0; r < nrhs_; ++r) {
@@ -194,14 +204,15 @@ void TriSolveBackend::run_task(const Task& t, bool) {
     return;
   }
   // x[row] -= T(row, col) * x[col]: accumulate into the tile's private
-  // scratch region (bi x nrhs, column-major). Regions are disjoint across
-  // tasks, so concurrent updates of one block row need no synchronisation.
+  // scratch region (panel rows x nrhs, column-major). Regions are disjoint
+  // across tasks, so concurrent updates of one block row need no
+  // synchronisation.
   const Tile& tile = *fact_.tiles().tile(t.row, t.col);
   const real_t* xc = x_ + static_cast<offset_t>(t.col) * bs;
   real_t* scr = scratch_.data() + fold_.offset(t.row, t.col) * nrhs_;
   for (index_t r = 0; r < nrhs_; ++r) {
     add_update(tile, xc + static_cast<offset_t>(r) * n,
-               scr + static_cast<offset_t>(r) * tile.rows());
+               scr + static_cast<offset_t>(r) * tile.panel_rows());
   }
 }
 
@@ -215,7 +226,6 @@ void tri_solve_in_order(const PluFactorization& fact, real_t* x) {
   for (const bool forward : {true, false}) {
     for (index_t s = 0; s < nt; ++s) {
       const index_t k = forward ? s : nt - 1 - s;
-      const index_t w = p.rows_in_tile(k);
       real_t* xk = x + static_cast<offset_t>(k) * bs;
       // The update tasks into block row k in fold order (ascending source);
       // every source block is already solved.
@@ -223,9 +233,9 @@ void tri_solve_in_order(const PluFactorization& fact, real_t* x) {
       for (index_t src = forward ? 0 : k + 1; src < src_end; ++src) {
         const Tile* t = fact.tiles().tile(k, src);
         if (t == nullptr) continue;
-        std::fill_n(contrib.begin(), w, 0.0);
+        std::fill_n(contrib.begin(), t->panel_rows(), 0.0);
         add_update(*t, x + static_cast<offset_t>(src) * bs, contrib.data());
-        for (index_t i = 0; i < w; ++i) xk[i] -= contrib[i];
+        fold_update(t->row_idx(), contrib.data(), xk);
       }
       substitute(*fact.tiles().tile(k, k), xk, forward);
     }

@@ -6,11 +6,24 @@
 // Horse schedule over (Figure 4 of the paper).
 #pragma once
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "sparse/csr.hpp"
 
 namespace th {
+
+/// The symbolic envelope of every tile: the sorted in-tile rows and the
+/// sorted in-tile columns that hold at least one scalar L+U nonzero. Cells
+/// are indexed like TilePattern::present; each list is a slice of `idx`.
+/// A tile (I,J) above the diagonal shares its lists with (J,I) transposed
+/// (the fill pattern is structurally symmetric).
+struct TileEnvelope {
+  std::vector<offset_t> row_off, col_off;  // slice starts in idx
+  std::vector<index_t> row_len, col_len;   // slice lengths
+  std::vector<index_t> idx;
+};
 
 struct TilePattern {
   index_t n = 0;          // matrix dimension
@@ -25,10 +38,27 @@ struct TilePattern {
   std::vector<offset_t> a_nnz;
 
   /// Scalar-fill nonzeros of L+U that fall in each tile, computed from the
-  /// exact symbolic factorisation. This is what kernel selection (sparse vs
-  /// dense) and the cost model use as tile density — block-level boolean
-  /// fill alone would wildly overestimate the work in sparse tiles.
+  /// exact symbolic factorisation. The cost model prices tile density from
+  /// it — block-level boolean fill alone would wildly overestimate the
+  /// work in sparse tiles.
   std::vector<offset_t> fill_nnz;
+
+  /// Envelope lists of every tile, built with fill_nnz. Shared, so copies
+  /// of a pattern (TileMatrix, the serve layer's symbolic donors) point at
+  /// one set of lists. Diagonal tiles are full; a present tile with
+  /// fill_nnz == 0 has empty lists.
+  std::shared_ptr<const TileEnvelope> envelope;
+
+  std::span<const index_t> env_rows(index_t i, index_t j) const {
+    const std::size_t c = static_cast<std::size_t>(i) * nt + j;
+    return {envelope->idx.data() + envelope->row_off[c],
+            static_cast<std::size_t>(envelope->row_len[c])};
+  }
+  std::span<const index_t> env_cols(index_t i, index_t j) const {
+    const std::size_t c = static_cast<std::size_t>(i) * nt + j;
+    return {envelope->idx.data() + envelope->col_off[c],
+            static_cast<std::size_t>(envelope->col_len[c])};
+  }
 
   bool has(index_t i, index_t j) const {
     return present[static_cast<std::size_t>(i) * nt + j] != 0;

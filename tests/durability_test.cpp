@@ -490,9 +490,8 @@ TileSnapshot snapshot_tiles(const SolverInstance& inst) {
     for (index_t j = 0; j < tiles.nt(); ++j) {
       const Tile* t = tiles.tile(i, j);
       if (t == nullptr) continue;
-      const real_t* d = t->dense_data();
-      out[{i, j}] = std::vector<real_t>(
-          d, d + static_cast<std::size_t>(t->rows()) * t->cols());
+      const real_t* d = t->data();
+      out[{i, j}] = std::vector<real_t>(d, d + t->panel_size());
     }
   }
   return out;
@@ -672,6 +671,69 @@ TEST(DurableServe, CorruptTileQuarantinesAndDegradesToRecompute) {
     }
   }
   EXPECT_EQ(ds.idem_duplicates, 0);
+  EXPECT_EQ(svc.stats().factors, 1);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DurableServe, V2TileFileFailsTypedAndRecomputes) {
+  // A THTS v2 file (a dense b×b payload, written before tiles became
+  // envelope panels) must fail with the typed version error, and its
+  // generation must recompute rather than rehydrate.
+  const std::string dir = scratch_dir("serve_thts_v2");
+  const Csr a = grid(10, 2);
+  SessionId sid = -1;
+  {
+    SolverService svc(durable_service(dir));
+    sid = svc.open_session("alice", a);
+    Request f;
+    f.kind = RequestKind::kFactor;
+    f.idem_key = 43;
+    svc.submit(sid, f);
+    svc.drain();
+    mem::TileStore store(svc.journal()->factor_dir(sid, 0));
+    const auto entries =
+        mem::TileStore::load_manifest_file(store.manifest_path());
+    ASSERT_FALSE(entries.empty());
+    const index_t id = entries.front().tile_id;
+    bin::RecordWriter v2("THTS", 2);
+    v2.put<std::int32_t>(id);
+    v2.put_vector(std::vector<real_t>(16 * 16, 1.0));
+    std::ofstream out(store.path_of(id), std::ios::binary | std::ios::trunc);
+    v2.finish(out);
+    out.close();
+    std::ifstream in(store.path_of(id), std::ios::binary);
+    try {
+      (void)mem::TileStore::load_tile(in);
+      FAIL() << "expected bin::IoError";
+    } catch (const bin::IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
+          << e.what();
+    }
+  }
+
+  SolverService svc(durable_service(dir, /*recover=*/true));
+  const DurableStats& ds = svc.durable_stats();
+  EXPECT_EQ(ds.sessions_recovered, 1);
+  EXPECT_EQ(ds.factors_rehydrated, 0);
+  EXPECT_GE(ds.quarantined, 1);
+  EXPECT_GE(ds.recompute_fallbacks, 1);
+  EXPECT_EQ(svc.open_session("alice", a), sid);
+  Request f;
+  f.kind = RequestKind::kFactor;
+  f.idem_key = 43;
+  svc.submit(sid, f);
+  Request sv;
+  sv.kind = RequestKind::kSolve;
+  sv.value_seed = 5;
+  svc.submit(sid, sv);
+  const std::vector<Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 2u);
+  for (const Completion& c : done) {
+    EXPECT_TRUE(c.ok()) << c.detail;
+    if (c.kind == RequestKind::kSolve) {
+      EXPECT_LE(c.residual, 1e-8);
+    }
+  }
   EXPECT_EQ(svc.stats().factors, 1);
   std::filesystem::remove_all(dir);
 }

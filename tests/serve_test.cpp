@@ -11,12 +11,14 @@
 #include <vector>
 
 #include "gen/generators.hpp"
+#include "kernels/tile.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/recorder.hpp"
 #include "serve/chaos.hpp"
 #include "serve/serve.hpp"
 #include "serve/trace.hpp"
+#include "solvers/plu.hpp"
 #include "support/cancel.hpp"
 
 namespace th {
@@ -125,6 +127,56 @@ TEST(SolverService, SecondOpenOnSamePatternHitsTheCache) {
   svc.open_session("carol", grid(13, 1));
   EXPECT_EQ(svc.stats().cache_misses, 2);
   EXPECT_EQ(svc.cache_size(), 2u);
+}
+
+TEST(SolverService, DonorBuiltInstanceSharesItsDonorsEnvelopeLists) {
+  SolverService svc(small_service());
+  const SessionId s1 = svc.open_session("alice", grid(12, 1));
+  const SessionId s2 = svc.open_session("bob", grid(12, 2));
+  ASSERT_EQ(svc.stats().cache_hits, 1);
+  auto shares = [&] {
+    const PluFactorization* x = svc.session_instance(s1)->plu_factorization();
+    const PluFactorization* y = svc.session_instance(s2)->plu_factorization();
+    if (x->pattern().envelope != y->pattern().envelope) return false;
+    const TileMatrix& tx = x->tiles();
+    const TileMatrix& ty = y->tiles();
+    for (index_t i = 0; i < tx.nt(); ++i) {
+      for (index_t j = 0; j < tx.nt(); ++j) {
+        const Tile* a = tx.tile(i, j);
+        const Tile* b = ty.tile(i, j);
+        if ((a == nullptr) != (b == nullptr)) return false;
+        if (a == nullptr) continue;
+        // The same list storage, not merely equal lists.
+        if (a->row_idx().data() != b->row_idx().data() ||
+            a->col_idx().data() != b->col_idx().data() ||
+            a->panel_size() != b->panel_size()) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  EXPECT_TRUE(shares());
+  for (const SessionId sid : {s1, s2}) {
+    Request f;
+    f.kind = RequestKind::kFactor;
+    svc.submit(sid, f);
+    Request sol;
+    sol.kind = RequestKind::kSolve;
+    sol.value_seed = 78;
+    svc.submit(sid, sol);
+  }
+  const std::vector<Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 4u);
+  for (const Completion& c : done) {
+    EXPECT_TRUE(c.ok()) << c.detail;
+    if (c.kind == RequestKind::kSolve) {
+      EXPECT_LT(c.residual, 1e-9);
+      EXPECT_GE(c.residual, 0);
+    }
+  }
+  // Refactors rebuild each instance through the donor path: still shared.
+  EXPECT_TRUE(shares());
 }
 
 TEST(SolverService, CacheStillLendsThePatternAfterItsDonorIsReplaced) {
@@ -453,6 +505,37 @@ TEST(SolverService, RequestsNeverPassAnOlderWriteOfTheirSession) {
   EXPECT_LE(by_id[first].finish_s, by_id[refactor].start_s);
   EXPECT_GE(by_id[after].start_s, by_id[refactor].finish_s);
   EXPECT_EQ(svc.stats().failed, 0);
+  // Each completion names the values it ran against.
+  EXPECT_EQ(by_id[factor].value_seed, 0u);
+  EXPECT_EQ(by_id[first].value_seed, 0u);
+  EXPECT_EQ(by_id[before].value_seed, 0u);
+  EXPECT_EQ(by_id[refactor].value_seed, 9u);
+  EXPECT_EQ(by_id[after].value_seed, 9u);
+}
+
+TEST(ServeChaos, CausalityInvariantHoldsOnInterleavedWrites) {
+  // The same interleaving as above, as a chaos scenario: invariant 5
+  // checks each completed solve against its session's latest write.
+  serve::ServeTrace trace;
+  trace.opt.n_patterns = 1;
+  trace.opt.base_n = 10;
+  trace.opt.n_tenants = 1;
+  const std::vector<std::pair<RequestKind, Priority>> kinds{
+      {RequestKind::kFactor, Priority::kNormal},
+      {RequestKind::kSolve, Priority::kInteractive},
+      {RequestKind::kSolve, Priority::kNormal},
+      {RequestKind::kRefactor, Priority::kNormal},
+      {RequestKind::kSolve, Priority::kInteractive},
+      {RequestKind::kRefactor, Priority::kBatch},
+      {RequestKind::kSolve, Priority::kInteractive}};
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    serve::TraceEvent e;
+    e.kind = kinds[i].first;
+    e.priority = kinds[i].second;
+    e.value_seed = 100 + i;
+    trace.events.push_back(e);
+  }
+  EXPECT_EQ(serve::run_serve_scenario(small_service(), trace, {}), "");
 }
 
 // ---- stats / obs reconciliation -------------------------------------------

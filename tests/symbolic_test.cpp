@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "gen/generators.hpp"
+#include "order/perm.hpp"
 #include "order/reorder.hpp"
 #include "solvers/slu.hpp"
 #include "sparse/convert.hpp"
@@ -251,6 +254,89 @@ TEST(Tiles, LastTileMayBeSmaller) {
   EXPECT_EQ(p.nt, 4);
   EXPECT_EQ(p.rows_in_tile(3), 1);
   EXPECT_EQ(p.rows_in_tile(0), 8);
+}
+
+// Dense LU without pivoting: the numeric ground truth for the envelope.
+std::vector<real_t> dense_lu(const Csr& a) {
+  const index_t n = a.n_rows;
+  std::vector<real_t> m = to_dense(a);  // row-major
+  for (index_t k = 0; k < n; ++k) {
+    const real_t piv = m[static_cast<std::size_t>(k) * n + k];
+    for (index_t i = k + 1; i < n; ++i) {
+      real_t& lik = m[static_cast<std::size_t>(i) * n + k];
+      if (lik == 0.0) continue;
+      lik /= piv;
+      for (index_t j = k + 1; j < n; ++j) {
+        m[static_cast<std::size_t>(i) * n + j] -=
+            lik * m[static_cast<std::size_t>(k) * n + j];
+      }
+    }
+  }
+  return m;
+}
+
+TEST(Tiles, EnvelopeHoldsEveryNumericNonzero) {
+  index_t empty = 0;  // present tiles without scalar fill, over all cases
+  const Csr circuit = finalize_system(circuit_like(120, 3.0, 2, 21), 21);
+  const Csr grid = finalize_system(grid2d_laplacian(11, 11), 3);
+  // Natural order, and the solver's default (min-degree) order, whose block
+  // fill holds present tiles without scalar fill.
+  const Csr grid_md = apply_symmetric_permutation(
+      grid, compute_ordering(grid, Ordering::kMinDegree));
+  for (const Csr& a : {circuit, grid, grid_md}) {
+    for (const index_t b : {8, 16}) {
+      const TilePattern p = tile_symbolic(a, b);
+      ASSERT_NE(p.envelope, nullptr);
+      auto holds = [](std::span<const index_t> list, index_t x) {
+        return std::binary_search(list.begin(), list.end(), x);
+      };
+      const std::vector<real_t> lu = dense_lu(a);
+      const index_t n = a.n_rows;
+      offset_t nonzeros = 0;
+      for (index_t i = 0; i < n; ++i) {
+        for (index_t j = 0; j < n; ++j) {
+          if (lu[static_cast<std::size_t>(i) * n + j] == 0.0) continue;
+          ++nonzeros;
+          const index_t I = i / b, J = j / b;
+          ASSERT_TRUE(p.has(I, J)) << i << "," << j;
+          EXPECT_TRUE(holds(p.env_rows(I, J), i - I * b) &&
+                      holds(p.env_cols(I, J), j - J * b))
+              << "numeric nonzero (" << i << "," << j << ") outside tile ("
+              << I << "," << J << ")'s envelope, b=" << b;
+        }
+      }
+      EXPECT_GT(nonzeros, a.nnz());
+      for (index_t I = 0; I < p.nt; ++I) {
+        for (index_t J = 0; J < p.nt; ++J) {
+          if (!p.has(I, J)) continue;
+          const auto rows = p.env_rows(I, J);
+          const auto cols = p.env_cols(I, J);
+          EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+          EXPECT_TRUE(std::is_sorted(cols.begin(), cols.end()));
+          if (I == J) {
+            // Diagonal tiles are full: every pivot is a nonzero.
+            EXPECT_EQ(static_cast<index_t>(rows.size()), p.rows_in_tile(I));
+            EXPECT_EQ(static_cast<index_t>(cols.size()), p.rows_in_tile(J));
+          }
+          const offset_t fill =
+              p.fill_nnz[static_cast<std::size_t>(I) * p.nt + J];
+          if (fill == 0) {
+            EXPECT_TRUE(rows.empty() && cols.empty()) << I << "," << J;
+            ++empty;
+          } else {
+            EXPECT_GE(static_cast<offset_t>(rows.size() * cols.size()),
+                      fill);
+          }
+          // Above the diagonal a tile's lists are its mirror's, transposed.
+          if (I < J) {
+            EXPECT_TRUE(std::ranges::equal(rows, p.env_cols(J, I)));
+            EXPECT_TRUE(std::ranges::equal(cols, p.env_rows(J, I)));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(empty, 0);
 }
 
 }  // namespace
