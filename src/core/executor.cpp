@@ -8,11 +8,18 @@ Executor::Executor(KernelCostModel model, NumericBackend* backend,
                    const ExecOptions& opt)
     : model_(std::move(model)), backend_(backend) {
   TH_CHECK(opt.workers >= 1);
+  // Timing-only replays execute no numerics, so they start no threads.
+  if (backend_ == nullptr) return;
   exec::BatchExecOptions bopt;
   bopt.n_threads = opt.workers;
   bopt.watchdog_s = opt.watchdog_s;
   bopt.shared_pool = opt.pool;
   batch_exec_ = std::make_unique<exec::BatchExecutor>(bopt);
+}
+
+const exec::ExecStats& Executor::exec_stats() const {
+  static const exec::ExecStats kNone{};
+  return batch_exec_ != nullptr ? batch_exec_->stats() : kNone;
 }
 
 Executor::~Executor() = default;

@@ -70,9 +70,10 @@ struct ExecuteOptions {
 class Executor {
  public:
   /// `backend` may be null for timing-only replays (the numeric results
-  /// were already validated in an earlier run). `opt.workers > 1` executes
-  /// batch members block-sliced on a persistent thread pool;
-  /// `opt.watchdog_s` (0 = off) arms the pool's hung-lane watchdog.
+  /// were already validated in an earlier run, or run elsewhere); those
+  /// start no threads. `opt.workers > 1` executes batch members
+  /// block-sliced on a persistent thread pool; `opt.watchdog_s` (0 = off)
+  /// arms the pool's hung-lane watchdog.
   Executor(KernelCostModel model, NumericBackend* backend,
            const ExecOptions& opt = {});
   ~Executor();
@@ -91,13 +92,14 @@ class Executor {
   const KernelCostModel& model() const { return model_; }
 
   /// Aggregate runtime counters (wall/busy/span time, slices, fallbacks)
-  /// over every batch executed so far. Zeros on timing-only replays.
-  const exec::ExecStats& exec_stats() const { return batch_exec_->stats(); }
+  /// over every batch executed so far. Default-constructed (zero
+  /// counters) on timing-only replays.
+  const exec::ExecStats& exec_stats() const;
 
  private:
   KernelCostModel model_;
   NumericBackend* backend_;
-  std::unique_ptr<exec::BatchExecutor> batch_exec_;
+  std::unique_ptr<exec::BatchExecutor> batch_exec_;  // null without backend
 };
 
 }  // namespace th

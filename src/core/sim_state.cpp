@@ -1184,7 +1184,9 @@ ScheduleResult SimState::finish() {
     }
     rstats.faults.publish_metrics();
     rstats.abft.publish_metrics();
-    rstats.exec.publish_metrics();
+    // Only runs that execute numerics report th.exec.*: a timing-only
+    // replay must not overwrite a factor run's gauges.
+    if (backend != nullptr) rstats.exec.publish_metrics();
     rstats.mem.publish_metrics();
     if (mem_mode) {
       for (const mem::RankLedger& led : ledgers) {

@@ -39,8 +39,8 @@ struct RhsOptions {
   /// kPriorityDag (aggregate-and-batch) or kLevelSet (per-task baseline).
   SolveSchedule schedule = SolveSchedule::kPriorityDag;
   /// Inert: block solves are always bit-identical across worker counts
-  /// and batch widths (TriSolveBackend fold plans). Kept because the
-  /// frozen perfbench harness still sets it.
+  /// and batch widths (tri_solve_in_order). Kept because the frozen
+  /// perfbench harness still sets it.
   bool det = true;
 
   /// Throws th::Error on nonsensical configurations.

@@ -2,8 +2,8 @@
 // DESIGN.md §15).
 //
 // Composes the RhsBatcher (admission/coalescing, close policy) with the
-// BlockSolver (cached solve DAGs, priority-DAG or level-set scheduling,
-// deterministic accumulation) into the repeated-solve hot path of a
+// BlockSolver (cached solve DAGs priced under priority-DAG or level-set
+// scheduling, in-order numerics) into the repeated-solve hot path of a
 // factor-once/solve-many service:
 //
 //   submit()  — enqueue a right-hand side (permuted ordering) with its
@@ -17,8 +17,8 @@
 // The clock is virtual — the caller passes `now_s`, the engine charges
 // the simulated block-solve makespans — so batching decisions and
 // completion times are bit-reproducible from the submission sequence. The
-// numerics execute for real on the host (through the scheduling template's
-// exec::WorkerPool when one is set). Every counter mirrors into the obs
+// numerics execute for real on the host, in order on the calling thread
+// (tri_solve_in_order). Every counter mirrors into the obs
 // registry as th.rhs.* (publish_metrics), and each block solve emits a
 // recorder span on the dedicated "rhs engine" track.
 #pragma once
@@ -79,8 +79,8 @@ class RhsEngine {
  public:
   /// `fact` must outlive the engine (the serve layer retires an engine
   /// whenever a session's factorization is rebuilt). `sched` is the
-  /// scheduling template for the block solves — policy and accumulation
-  /// are overridden per RhsOptions.
+  /// scheduling template for pricing the block solves — the policy is
+  /// overridden per RhsOptions.
   RhsEngine(const PluFactorization& fact, const RhsOptions& opt,
             const ScheduleOptions& sched, const ProcessGrid& grid = {});
 

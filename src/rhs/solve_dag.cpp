@@ -37,55 +37,30 @@ const SolveDag::Graphs& SolveDag::graphs(index_t nrhs) {
   return cache_.emplace(nrhs, std::move(g)).first->second;
 }
 
-const SolveFoldPlan& SolveDag::forward_fold() {
-  if (!forward_fold_) {
-    forward_fold_ = build_solve_fold_plan(fact_.pattern(), /*forward=*/true);
-  }
-  return *forward_fold_;
-}
-
-const SolveFoldPlan& SolveDag::backward_fold() {
-  if (!backward_fold_) {
-    backward_fold_ =
-        build_solve_fold_plan(fact_.pattern(), /*forward=*/false);
-  }
-  return *backward_fold_;
-}
-
 BlockSolver::BlockSolver(const PluFactorization& fact,
                          const ScheduleOptions& base, const ProcessGrid& grid)
     : fact_(fact), base_(base), dag_(fact, grid) {}
 
-ScheduleOptions BlockSolver::run_options(SolveSchedule schedule) const {
+BlockSolveResult BlockSolver::price(index_t nrhs, SolveSchedule schedule) {
+  const SolveDag::Graphs& g = dag_.graphs(nrhs);
   ScheduleOptions run = base_;
   run.policy = solve_policy(schedule);
-  return run;
+  BlockSolveResult out;
+  out.forward = simulate(g.forward, run, nullptr);
+  out.backward = simulate(g.backward, run, nullptr);
+  return out;
 }
 
 BlockSolveResult BlockSolver::solve(real_t* x, index_t nrhs,
                                     SolveSchedule schedule, bool) {
   TH_CHECK_MSG(x != nullptr, "block solve needs caller storage");
-  const SolveDag::Graphs& g = dag_.graphs(nrhs);
-  const ScheduleOptions run = run_options(schedule);
-  BlockSolveResult out;
-  {
-    TriSolveBackend backend(fact_, x, nrhs, /*forward=*/true,
-                            dag_.forward_fold());
-    out.forward = simulate(g.forward, run, &backend);
-  }
-  {
-    TriSolveBackend backend(fact_, x, nrhs, /*forward=*/false,
-                            dag_.backward_fold());
-    out.backward = simulate(g.backward, run, &backend);
-  }
+  const BlockSolveResult out = price(nrhs, schedule);
+  tri_solve_in_order(fact_, x, nrhs);
   return out;
 }
 
 real_t BlockSolver::estimate_s(index_t nrhs, SolveSchedule schedule) {
-  const SolveDag::Graphs& g = dag_.graphs(nrhs);
-  const ScheduleOptions run = run_options(schedule);
-  return simulate(g.forward, run, nullptr).makespan_s +
-         simulate(g.backward, run, nullptr).makespan_s;
+  return price(nrhs, schedule).makespan_s();
 }
 
 }  // namespace th::rhs

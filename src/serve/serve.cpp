@@ -640,10 +640,8 @@ void SolverService::run_factor(Session& s, Pending& p, real_t start_s) {
 
 rhs::RhsEngine& SolverService::ensure_engine(Session& s) {
   if (!s.engine) {
-    ScheduleOptions so = opt_.sched;
-    so.exec.pool = &pool_;
     s.engine = std::make_unique<rhs::RhsEngine>(
-        *s.inst->plu_factorization(), opt_.rhs, so,
+        *s.inst->plu_factorization(), opt_.rhs, opt_.sched,
         make_process_grid(opt_.sched.n_ranks));
   }
   return *s.engine;

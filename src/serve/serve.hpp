@@ -40,8 +40,9 @@
 //   * Batched solves — kSolve requests against one session coalesce
 //     through its rhs::RhsEngine (src/rhs) into a single block solve of
 //     configurable width over the session's cached solve DAGs, executing
-//     real SpTRSV numerics on the shared pool; cancellation, abandonment
-//     and deadlines are honoured at the batch boundary.
+//     real SpTRSV numerics in order on the dispatching thread;
+//     cancellation, abandonment and deadlines are honoured at the batch
+//     boundary.
 //
 // The service clock is *virtual*: it advances by the simulated makespans
 // of the dispatched runs (plus a deterministic solve-cost model), never by
@@ -180,7 +181,8 @@ const char* completion_status_name(Completion::Status s);
 /// degradation ladder's second rung — its memory budget.
 struct ServeOptions {
   ScheduleOptions sched;
-  /// Width of the single WorkerPool shared by every session's batches.
+  /// Width of the single WorkerPool shared by every session's
+  /// factorizations.
   int exec_workers = 2;
   /// Global queue bound; submissions beyond it are shed-or-rejected.
   int max_queued_global = 32;
@@ -322,7 +324,7 @@ class SolverService {
   /// benches compare served factors bitwise against standalone runs.
   const SolverInstance* session_instance(SessionId sid) const;
 
-  /// The one worker pool every dispatched batch executes on.
+  /// The one worker pool every dispatched factorization executes on.
   exec::WorkerPool& pool() { return pool_; }
 
  private:

@@ -403,7 +403,7 @@ std::vector<real_t> PluFactorization::solve(
     const std::vector<real_t>& b) const {
   TH_CHECK(static_cast<index_t>(b.size()) == pattern_.n);
   std::vector<real_t> x = b;
-  tri_solve_in_order(*this, x.data());
+  tri_solve_in_order(*this, x.data(), 1);
   return x;
 }
 

@@ -52,9 +52,9 @@ class PluFactorization {
 
   /// Triangular solves with the computed factors: returns x with
   /// L U x = b (b in the *permuted* ordering). Must be called after the
-  /// numeric phase completed. Runs the block solve's tasks
-  /// (solvers/trisolve.hpp) at width 1 without the scheduler, so x equals
-  /// every column of an rhs::BlockSolver solve bit for bit.
+  /// numeric phase completed. Runs tri_solve_in_order (solvers/trisolve.hpp)
+  /// at width 1; rhs::BlockSolver runs it at the block's width, so x equals
+  /// every column of a block solve bit for bit.
   std::vector<real_t> solve(const std::vector<real_t>& b) const;
 
   /// Transpose solve: returns z with (L U)^T z = U^T L^T z = c. Needed by

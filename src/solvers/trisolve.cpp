@@ -16,11 +16,11 @@ namespace {
 constexpr TaskType kDiagSolve = TaskType::kGetrf;
 constexpr TaskType kUpdate = TaskType::kSsssm;
 
-// The two task kernels, per right-hand-side column.
+// The task kernels, per right-hand-side column.
 
 // Update task body: out[0, t.panel_rows()) += T * x_src over the panel,
-// the positive contribution (in panel rows, from zero) that the consuming
-// diagonal task subtracts in fold order.
+// the positive contribution (in panel rows, from zero) that fold_update
+// then subtracts from the target block row.
 void add_update(const Tile& t, const real_t* x_src, real_t* out) {
   const real_t* td = t.data();
   const index_t m = t.panel_rows();
@@ -142,102 +142,38 @@ TaskGraph build_solve_graph(const PluFactorization& fact, bool forward,
   return g;
 }
 
-SolveFoldPlan build_solve_fold_plan(const TilePattern& p, bool forward) {
-  SolveFoldPlan plan;
-  plan.forward = forward;
-  plan.nt = p.nt;
-  plan.tile_offset.assign(p.present.size(), -1);
-  plan.fold_cols.assign(static_cast<std::size_t>(p.nt), {});
-  for (index_t k = 0; k < p.nt; ++k) {
-    if (forward) {
-      for (const index_t i : p.col_tiles_below(k)) {
-        plan.tile_offset[static_cast<std::size_t>(i) * p.nt + k] =
-            plan.scratch_rows;
-        plan.scratch_rows += static_cast<offset_t>(p.env_rows(i, k).size());
-        // Outer loop ascends k, so each row's fold list is ascending.
-        plan.fold_cols[static_cast<std::size_t>(i)].push_back(k);
-      }
-    } else {
-      for (const index_t j : p.row_tiles_right(k)) {
-        plan.tile_offset[static_cast<std::size_t>(k) * p.nt + j] =
-            plan.scratch_rows;
-        plan.scratch_rows += static_cast<offset_t>(p.env_rows(k, j).size());
-        plan.fold_cols[static_cast<std::size_t>(k)].push_back(j);
-      }
-    }
-  }
-  return plan;
-}
-
-TriSolveBackend::TriSolveBackend(const PluFactorization& fact, real_t* x,
-                                 index_t nrhs, bool forward,
-                                 const SolveFoldPlan& fold)
-    : fact_(fact), x_(x), nrhs_(nrhs), forward_(forward), fold_(fold) {
-  TH_CHECK_MSG(fold_.forward == forward,
-               "solve fold plan direction does not match the backend");
-  scratch_.assign(static_cast<std::size_t>(fold_.scratch_rows) * nrhs_, 0.0);
-}
-
-void TriSolveBackend::run_task(const Task& t, bool) {
-  const index_t bs = fact_.pattern().tile_size;
-  const index_t n = fact_.pattern().n;
-  if (t.type == kDiagSolve) {
-    const Tile& d = *fact_.tiles().tile(t.k, t.k);
-    real_t* xk = x_ + static_cast<offset_t>(t.k) * bs;
-    // Fold the incoming update contributions in ascending source-block
-    // order before substituting. Every producer task finished before this
-    // one (DAG dependency), and the executor's batch barriers order their
-    // scratch writes before this read.
-    for (const index_t src : fold_.fold_cols[static_cast<std::size_t>(t.k)]) {
-      const auto rows = fact_.tiles().tile(t.k, src)->row_idx();
-      const real_t* scr = scratch_.data() + fold_.offset(t.k, src) * nrhs_;
-      for (index_t r = 0; r < nrhs_; ++r) {
-        fold_update(rows,
-                    scr + static_cast<offset_t>(r) *
-                              static_cast<offset_t>(rows.size()),
-                    xk + static_cast<offset_t>(r) * n);
-      }
-    }
-    for (index_t r = 0; r < nrhs_; ++r) {
-      substitute(d, xk + static_cast<offset_t>(r) * n, forward_);
-    }
-    return;
-  }
-  // x[row] -= T(row, col) * x[col]: accumulate into the tile's private
-  // scratch region (panel rows x nrhs, column-major). Regions are disjoint
-  // across tasks, so concurrent updates of one block row need no
-  // synchronisation.
-  const Tile& tile = *fact_.tiles().tile(t.row, t.col);
-  const real_t* xc = x_ + static_cast<offset_t>(t.col) * bs;
-  real_t* scr = scratch_.data() + fold_.offset(t.row, t.col) * nrhs_;
-  for (index_t r = 0; r < nrhs_; ++r) {
-    add_update(tile, xc + static_cast<offset_t>(r) * n,
-               scr + static_cast<offset_t>(r) * tile.panel_rows());
-  }
-}
-
-void tri_solve_in_order(const PluFactorization& fact, real_t* x) {
+void tri_solve_in_order(const PluFactorization& fact, real_t* x,
+                        index_t nrhs) {
+  TH_CHECK(nrhs >= 1);
   const TilePattern& p = fact.pattern();
   const index_t nt = p.nt;
   const index_t bs = p.tile_size;
+  const index_t n = p.n;
   // One update's contribution at a time: block row k folds each update
   // right after computing it, so no per-tile scratch is needed.
   std::vector<real_t> contrib(static_cast<std::size_t>(bs));
   for (const bool forward : {true, false}) {
     for (index_t s = 0; s < nt; ++s) {
       const index_t k = forward ? s : nt - 1 - s;
-      real_t* xk = x + static_cast<offset_t>(k) * bs;
-      // The update tasks into block row k in fold order (ascending source);
-      // every source block is already solved.
+      const offset_t row_k = static_cast<offset_t>(k) * bs;
+      // The update tasks into block row k in ascending source order; every
+      // source block is already solved.
       const index_t src_end = forward ? k : nt;
       for (index_t src = forward ? 0 : k + 1; src < src_end; ++src) {
         const Tile* t = fact.tiles().tile(k, src);
         if (t == nullptr) continue;
-        std::fill_n(contrib.begin(), t->panel_rows(), 0.0);
-        add_update(*t, x + static_cast<offset_t>(src) * bs, contrib.data());
-        fold_update(t->row_idx(), contrib.data(), xk);
+        const offset_t row_src = static_cast<offset_t>(src) * bs;
+        for (index_t r = 0; r < nrhs; ++r) {
+          real_t* xr = x + static_cast<offset_t>(r) * n;
+          std::fill_n(contrib.begin(), t->panel_rows(), 0.0);
+          add_update(*t, xr + row_src, contrib.data());
+          fold_update(t->row_idx(), contrib.data(), xr + row_k);
+        }
       }
-      substitute(*fact.tiles().tile(k, k), xk, forward);
+      const Tile& d = *fact.tiles().tile(k, k);
+      for (index_t r = 0; r < nrhs; ++r) {
+        substitute(d, x + static_cast<offset_t>(r) * n + row_k, forward);
+      }
     }
   }
 }

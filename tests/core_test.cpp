@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <mutex>
 #include <random>
 #include <string>
@@ -322,6 +324,25 @@ TEST(Executor, NullBackendTimesOnly) {
   Executor ex(KernelCostModel(DeviceSpec{}), nullptr);
   const BatchResult r = ex.execute(g, {0}, {0});
   EXPECT_GT(r.seconds, 0);
+}
+
+// A timing-only replay executes no numerics, so a multi-worker Executor
+// without a backend starts no pool threads and reports no exec batches.
+TEST(Executor, NullBackendStartsNoThreads) {
+  const auto threads = [] {
+    const std::filesystem::directory_iterator it("/proc/self/task");
+    return std::distance(std::filesystem::begin(it),
+                         std::filesystem::end(it));
+  };
+  TaskGraph g;
+  g.add_task(make_task(TaskType::kGetrf, 0, 0, 0));
+  g.finalize();
+  const auto before = threads();
+  Executor ex(KernelCostModel(DeviceSpec{}), nullptr,
+              ExecOptions{.workers = 4});
+  ex.execute(g, {0}, {0});
+  EXPECT_EQ(threads(), before);
+  EXPECT_EQ(ex.exec_stats().batches, 0);
 }
 
 // ---- Collector capacity bounds (property-style) -------------------------

@@ -5,6 +5,7 @@
 // off (DESIGN.md §12).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -328,6 +329,37 @@ TEST(EnabledPath, MetricsReconcileWithScheduleResult) {
   EXPECT_EQ(reg.counter("th.exec.batches").value(),
             r.stats().exec.batches);
   EXPECT_GT(obs::Recorder::global().size(), 0u);
+}
+
+// th.exec.* covers only runs that execute numerics: an observed
+// timing-only replay (a solve priced after a factorization) leaves the
+// factor run's exec gauges and counters as they were.
+TEST(EnabledPath, TimingOnlyReplayLeavesExecMetrics) {
+  const Csr a = finalize_system(grid2d_laplacian(12, 12), 1);
+  InstanceOptions io;
+  io.core = SolverCore::kPlu;
+  io.block = 16;
+  ScheduleOptions so;
+  so.policy = Policy::kTrojanHorse;
+  so.cluster = single_gpu(device_a100());
+  so.exec.workers = 2;
+
+  const obs::Session session(true);
+  SolverInstance inst(a, io);
+  const ScheduleResult r = inst.run_numeric(so);
+  obs::Registry& reg = obs::Registry::global();
+  ASSERT_EQ(reg.gauge("th.exec.workers").value(), 2);
+  const std::int64_t batches = reg.counter("th.exec.batches").value();
+  EXPECT_EQ(batches, r.stats().exec.batches);
+
+  ScheduleOptions replay = so;
+  replay.exec.workers = 3;
+  const ScheduleResult t = simulate(inst.graph(), replay, nullptr);
+  EXPECT_EQ(t.stats().exec.batches, 0);
+  EXPECT_EQ(reg.gauge("th.exec.workers").value(), 2);
+  EXPECT_EQ(reg.counter("th.exec.batches").value(), batches);
+  EXPECT_EQ(reg.counter("th.sched.kernels").value(),
+            r.kernel_count + t.kernel_count);
 }
 
 }  // namespace

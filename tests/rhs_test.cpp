@@ -407,9 +407,10 @@ TEST_F(RhsEngineTest, StatsReconcileWithObsRegistry) {
 
 // ---- single-vs-block bitwise contract -------------------------------------
 
-// PluFactorization::solve runs the block solve's own tasks at width 1, so
-// every column of a block solve equals it bit for bit — at any width and
-// worker count.
+// A block solve runs tri_solve_in_order at the block's width and
+// PluFactorization::solve runs it at width 1; each column gets the width-1
+// operation sequence, so every column of a block solve equals the single
+// solve bit for bit — at any width and worker count.
 TEST(SolveContract, SingleSolveEqualsEveryBlockColumn) {
   const Csr mats[] = {finalize_system(grid2d_laplacian(30, 30), 3),
                       finalize_system(cage_like(400, 5, 0.1, 4), 4)};
@@ -445,6 +446,150 @@ TEST(SolveContract, SingleSolveEqualsEveryBlockColumn) {
       }
     }
   }
+}
+
+// ---- solve DAG: structure and pricing --------------------------------------
+
+// The host numerics do not run in the solve DAG's order, so the DAG's
+// edges are checked directly: an update depends only on its source row's
+// diagonal task and feeds only its target row's, and a diagonal task waits
+// for exactly the updates into its row — one per present tile of the
+// triangle being solved.
+TEST(SolveDagStructure, UpdatesLinkSourceAndTargetDiagonals) {
+  const Csr mats[] = {finalize_system(grid2d_laplacian(30, 30), 3),
+                      finalize_system(cage_like(400, 5, 0.1, 4), 4)};
+  for (const Csr& a : mats) {
+    InstanceOptions io;
+    io.core = SolverCore::kPlu;
+    io.block = 16;
+    const SolverInstance inst(a, io);
+    const PluFactorization& fact = *inst.plu_factorization();
+    const TilePattern& p = fact.pattern();
+    for (const bool forward : {true, false}) {
+      const TaskGraph g = build_solve_graph(fact, forward, 3);
+      std::vector<index_t> diag(static_cast<std::size_t>(p.nt), -1);
+      std::vector<std::vector<index_t>> updates_into(
+          static_cast<std::size_t>(p.nt));
+      for (index_t id = 0; id < g.size(); ++id) {
+        const Task& t = g.task(id);
+        if (t.type == TaskType::kGetrf) {
+          ASSERT_EQ(t.row, t.k);
+          ASSERT_EQ(t.col, t.k);
+          diag[static_cast<std::size_t>(t.k)] = id;
+        } else {
+          ASSERT_EQ(t.type, TaskType::kSsssm);
+          ASSERT_TRUE(p.has(t.row, t.col));
+          ASSERT_TRUE(forward ? t.col < t.row : t.col > t.row);
+          updates_into[static_cast<std::size_t>(t.row)].push_back(id);
+        }
+      }
+      for (index_t k = 0; k < p.nt; ++k) {
+        ASSERT_GE(diag[static_cast<std::size_t>(k)], 0) << "block row " << k;
+      }
+      for (index_t id = 0; id < g.size(); ++id) {
+        const Task& t = g.task(id);
+        if (t.type != TaskType::kSsssm) continue;
+        const auto [pb, pe] = g.predecessors(id);
+        ASSERT_EQ(pe - pb, 1) << "update " << id;
+        EXPECT_EQ(*pb, diag[static_cast<std::size_t>(t.col)]);
+        const auto [sb, se] = g.successors(id);
+        ASSERT_EQ(se - sb, 1) << "update " << id;
+        EXPECT_EQ(*sb, diag[static_cast<std::size_t>(t.row)]);
+      }
+      for (index_t k = 0; k < p.nt; ++k) {
+        const auto [pb, pe] = g.predecessors(diag[static_cast<std::size_t>(k)]);
+        std::vector<index_t> preds(pb, pe);
+        std::vector<index_t> want = updates_into[static_cast<std::size_t>(k)];
+        std::sort(preds.begin(), preds.end());
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(preds, want) << "forward=" << forward << " row " << k;
+        offset_t present = 0;
+        for (index_t src = 0; src < p.nt; ++src) {
+          if (forward ? src < k : src > k) present += p.has(k, src);
+        }
+        EXPECT_EQ(static_cast<offset_t>(want.size()), present)
+            << "forward=" << forward << " row " << k;
+      }
+      for (const SolveSchedule sched :
+           {SolveSchedule::kPriorityDag, SolveSchedule::kLevelSet}) {
+        ScheduleOptions so;
+        so.policy = rhs::solve_policy(sched);
+        so.validate_schedule = true;
+        EXPECT_NO_THROW(simulate(g, so, nullptr))
+            << "forward=" << forward << " "
+            << rhs::solve_schedule_name(sched);
+      }
+    }
+  }
+}
+
+// estimate_s and solve price one replay, so the cost admission is charged
+// and the cost a block solve reports are the same number — also with ABFT
+// on and a memory budget tight enough to shrink solve batches. A replay
+// that throws leaves the caller's block untouched.
+TEST(SolveDagPricing, EstimateEqualsExecutedMakespan) {
+  const Csr a = finalize_system(grid2d_laplacian(30, 30), 3);
+  InstanceOptions io;
+  io.core = SolverCore::kPlu;
+  io.block = 16;
+  SolverInstance inst(a, io);
+  inst.run_numeric(ScheduleOptions{});
+  const PluFactorization& fact = *inst.plu_factorization();
+  const std::size_t n = static_cast<std::size_t>(a.n_rows);
+
+  // Half the unconstrained high water of the widest priced solve.
+  ScheduleOptions probe;
+  probe.n_ranks = 4;
+  probe.mem.budget_bytes = offset_t{1} << 40;
+  const TaskGraph wide = build_solve_graph(fact, true, 16, make_process_grid(4));
+  const offset_t high =
+      simulate(wide, probe, nullptr).stats().mem.high_water_bytes;
+  ASSERT_GT(high, 0);
+
+  ScheduleOptions plain;
+  ScheduleOptions tight;
+  tight.n_ranks = 4;
+  tight.abft.enabled = true;
+  tight.mem.budget_bytes = high / 2;
+  offset_t shrinks = 0;
+  for (const ScheduleOptions* so : {&plain, &tight}) {
+    BlockSolver solver(fact, *so, make_process_grid(so->n_ranks));
+    for (const SolveSchedule sched :
+         {SolveSchedule::kPriorityDag, SolveSchedule::kLevelSet}) {
+      for (const index_t width : {1, 3, 16}) {
+        const real_t est = solver.estimate_s(width, sched);
+        Rng rng(static_cast<std::uint64_t>(width));
+        std::vector<real_t> x(n * static_cast<std::size_t>(width));
+        for (real_t& v : x) v = rng.uniform(-1, 1);
+        const rhs::BlockSolveResult r = solver.solve(x.data(), width, sched);
+        const real_t got = r.makespan_s();
+        EXPECT_EQ(std::memcmp(&est, &got, sizeof(real_t)), 0)
+            << "abft=" << so->abft.enabled << " width=" << width << " "
+            << rhs::solve_schedule_name(sched) << ": " << est
+            << " != " << got;
+        if (so == &tight) {
+          shrinks += r.forward.stats().mem.batch_shrinks +
+                     r.backward.stats().mem.batch_shrinks;
+        }
+      }
+    }
+  }
+  EXPECT_GT(shrinks, 0) << "the tight budget never shrank a solve batch";
+
+  // A fired token aborts the pricing replay before any numerics run.
+  CancelToken token;
+  token.cancel();
+  ScheduleOptions cancelled;
+  cancelled.cancel = &token;
+  BlockSolver solver(fact, cancelled);
+  Rng rng(7);
+  std::vector<real_t> x(n * 4);
+  for (real_t& v : x) v = rng.uniform(-1, 1);
+  const std::vector<real_t> before = x;
+  EXPECT_THROW(solver.solve(x.data(), 4, SolveSchedule::kPriorityDag),
+               CancelledError);
+  EXPECT_EQ(std::memcmp(before.data(), x.data(), x.size() * sizeof(real_t)),
+            0);
 }
 
 // ---- serve integration ----------------------------------------------------
