@@ -64,7 +64,6 @@ void TileGuard::capture_run(std::size_t job) {
                              static_cast<index_t>(k & 0xffffffffu));
   TH_CHECK(target != nullptr);
   if (ctx.fresh) {
-    // copy_n, not memcpy: a 0×0 panel has no storage (a null data()).
     ctx.snapshot.resize(static_cast<std::size_t>(target->panel_size()));
     std::copy_n(target->data(), target->panel_size(), ctx.snapshot.data());
     if (!ctx.carried) {

@@ -67,6 +67,8 @@ Tile::Tile(index_t rows, index_t cols, std::span<const index_t> row_idx,
       lists_owner_(std::move(owner)) {
   TH_CHECK(rows > 0 && cols > 0);
   TH_CHECK_MSG(lists_owner_ != nullptr, "a tile panel must own its lists");
+  TH_CHECK_MSG(!row_idx.empty() && !col_idx.empty(),
+               "a tile panel needs at least one row and one column");
   TH_CHECK_MSG(sorted_in(row_idx, rows) && sorted_in(col_idx, cols),
                "tile envelope lists must be sorted in-tile indices");
   data_.assign(static_cast<std::size_t>(panel_size()), 0.0);
@@ -182,7 +184,7 @@ void tile_tstrf_rows(Tile& target, const Tile& diag_factored, index_t r0,
   TH_CHECK(r0 >= 0 && r0 <= r1 && r1 <= target.rows());
   const auto [p0, p1] = panel_range(target.row_idx(), r0, r1);
   const index_t n = target.panel_cols();
-  if (p0 == p1 || n == 0) return;
+  if (p0 == p1) return;
   const real_t* u = diag_factored.data();
   index_t ldu = diag_factored.ld();
   if (n != diag_factored.cols()) {
@@ -212,7 +214,7 @@ void tile_geesm_cols(Tile& target, const Tile& diag_factored, index_t c0,
   TH_CHECK(c0 >= 0 && c0 <= c1 && c1 <= target.cols());
   const auto [p0, p1] = panel_range(target.col_idx(), c0, c1);
   const index_t m = target.panel_rows();
-  if (p0 == p1 || m == 0) return;
+  if (p0 == p1) return;
   const real_t* l = diag_factored.data();
   index_t ldl = diag_factored.ld();
   if (m != diag_factored.rows()) {
@@ -242,7 +244,7 @@ void tile_ssssm_cols(const Tile& c, real_t* c_data, const Tile& l,
   TH_CHECK(c0 >= 0 && c0 <= c1 && c1 <= u.cols());
   const auto [u0, u1] = panel_range(u.col_idx(), c0, c1);
   const index_t m = l.panel_rows();
-  if (u0 == u1 || m == 0 || c.panel_size() == 0) return;
+  if (u0 == u1) return;
 
   // Inner indices: L's columns ∩ U's rows, as positions in each list. An
   // index missing from either side multiplies an exact zero.

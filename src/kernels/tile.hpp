@@ -2,10 +2,11 @@
 // solver core. A tile is an envelope panel (DESIGN.md §3): the sorted
 // in-tile rows and columns of its symbolic L+U nonzeros (from the
 // TilePattern's envelope) and a dense column-major block over exactly those
-// rows × columns. Diagonal tiles are full; a present tile without scalar
-// fill is a 0×0 panel. TileMatrix scatters A's entries into zeroed panels
-// and the four kernels update them in place. Every entry outside a panel
-// is a structural zero of the factors, so the panel is the whole tile.
+// rows × columns. Diagonal tiles are full, and every panel has at least one
+// row and one column (a tile exists only where it holds scalar fill).
+// TileMatrix scatters A's entries into zeroed panels and the four kernels
+// update them in place. Every entry outside a panel is a structural zero
+// of the factors, so the panel is the whole tile.
 #pragma once
 
 #include <memory>
@@ -21,8 +22,8 @@ class Tile {
  public:
   /// A full rows × cols tile (every in-tile row and column listed), zeroed.
   Tile(index_t rows, index_t cols);
-  /// A zeroed panel over sorted in-tile row and column lists. `owner`
-  /// (required) keeps the lists alive for the tile and its copies;
+  /// A zeroed panel over sorted, non-empty in-tile row and column lists.
+  /// `owner` (required) keeps the lists alive for the tile and its copies;
   /// TileMatrix passes its pattern's envelope.
   Tile(index_t rows, index_t cols, std::span<const index_t> row_idx,
        std::span<const index_t> col_idx, std::shared_ptr<const void> owner);

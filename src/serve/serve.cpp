@@ -911,11 +911,10 @@ void SolverService::commit_factor(SessionId sid, Session& s,
                                   std::uint64_t idem_key) {
   if (journal_ == nullptr) return;
   const std::uint32_t gen = s.generation;
-  // Publish every tile's packed panel (a 0×0 panel as an empty payload),
-  // then the manifest certifying them, then the journal record — strictly
-  // in that order, so the record's presence proves the artifact set is
-  // complete and an orphaned artifact from a crash mid-commit is ignorable
-  // garbage.
+  // Publish every tile's packed panel, then the manifest certifying them,
+  // then the journal record — strictly in that order, so the record's
+  // presence proves the artifact set is complete and an orphaned artifact
+  // from a crash mid-commit is ignorable garbage.
   TH_CHECK_MSG(s.inst->numeric_done(),
                "factor commit before the numeric phase ran");
   mem::TileStore store(journal_->factor_dir(sid, gen), opt_.durable.fsync);

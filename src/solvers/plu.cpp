@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 
 #include "abft/tile_guard.hpp"
 #include "kernels/flops.hpp"
@@ -11,6 +12,28 @@
 #include "support/error.hpp"
 
 namespace th {
+
+namespace {
+
+// Tiles whose scalar-fill density is below this are priced as "sparse"
+// tasks (model only).
+constexpr real_t kSparseDensityThreshold = 0.25;
+
+// True when two sorted index lists share an entry.
+bool lists_meet(std::span<const index_t> a, std::span<const index_t> b) {
+  for (std::size_t p = 0, q = 0; p < a.size() && q < b.size();) {
+    if (a[p] < b[q]) {
+      ++p;
+    } else if (b[q] < a[p]) {
+      ++q;
+    } else {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 // ---- Numeric backend ------------------------------------------------------
 
@@ -80,9 +103,9 @@ class PluFactorization::Backend : public NumericBackend {
   }
 
   bool inject_fault(const Task& t, NumericFaultKind kind) override {
-    // Faults land on panel positions; a 0×0 panel has no storage to hit.
+    // Faults land on panel positions.
     Tile* tile = tiles_.tile(t.row, t.col);
-    if (tile == nullptr || tile->panel_size() == 0) return false;
+    if (tile == nullptr) return false;
     real_t* d = tile->data();
     const auto ld = static_cast<offset_t>(tile->ld());
     if (silent_fault_kind(kind)) {
@@ -212,7 +235,7 @@ class PluFactorization::Backend : public NumericBackend {
   // ---- Out-of-core hooks (src/mem) --------------------------------------
 
   std::vector<real_t> extract_block(const Task& t) override {
-    // The packed panel; a 0×0 panel has nothing to persist.
+    // The packed panel.
     const Tile* tile = tiles_.tile(t.row, t.col);
     if (tile == nullptr) return {};
     return std::vector<real_t>(tile->data(),
@@ -221,7 +244,7 @@ class PluFactorization::Backend : public NumericBackend {
 
   void restore_block(const Task& t, const std::vector<real_t>& data) override {
     Tile* tile = tiles_.tile(t.row, t.col);
-    if (tile == nullptr || data.empty()) return;
+    if (tile == nullptr) return;
     tile->adopt_panel(data);  // byte-exact: the output is unchanged
   }
 
@@ -280,7 +303,7 @@ void PluFactorization::build_graph() {
     return std::min<real_t>(1.0, static_cast<real_t>(nz) / area);
   };
   auto is_sparse = [&](index_t i, index_t j) {
-    return tile_density(i, j) < opts_.sparse_density_threshold;
+    return tile_density(i, j) < kSparseDensityThreshold;
   };
 
   // Task ids for the final (consumer) task of each tile, so SSSSM
@@ -353,7 +376,9 @@ void PluFactorization::build_graph() {
     }
   }
 
-  // Pass 2: SSSSM tasks + all dependencies.
+  // Pass 2: SSSSM tasks + all dependencies. SSSSM (i,k,j) exists iff
+  // L(i,k)'s envelope columns meet U(k,j)'s envelope rows: otherwise every
+  // product term multiplies a structural zero.
   for (index_t k = 0; k < nt; ++k) {
     const index_t f_k = cons(k, k);
     const std::vector<index_t> col = pattern_.col_tiles_below(k);
@@ -364,9 +389,13 @@ void PluFactorization::build_graph() {
     const index_t bk = pattern_.rows_in_tile(k);
     for (const index_t i : col) {
       const index_t bi = pattern_.rows_in_tile(i);
+      const auto inner = pattern_.env_cols(i, k);
       for (const index_t j : row) {
+        if (!lists_meet(inner, pattern_.env_rows(k, j))) continue;
         const index_t bj = pattern_.rows_in_tile(j);
-        TH_ASSERT(pattern_.has(i, j));  // guaranteed by block fill
+        // A shared inner index c gives L(r,c) != 0 and U(c,s) != 0 with
+        // c < r, s, so the scalar fill holds (r,s): C(i,j) is present.
+        TH_ASSERT(pattern_.has(i, j));
         Task t;
         t.type = TaskType::kSsssm;
         t.k = k;

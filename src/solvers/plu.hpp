@@ -1,9 +1,10 @@
 // PLU — the PanguLU-style sparse-block solver core.
 //
-// The (reordered) matrix is cut into fixed b-by-b tiles; block symbolic
-// elimination predicts the L+U tile pattern; the numeric phase is the
-// right-looking block algorithm of Figure 4: GETRF on diagonal tiles,
-// TSTRF/GEESM on panel tiles, SSSSM Schur updates on trailing tiles. The
+// The (reordered) matrix is cut into fixed b-by-b tiles; the scalar
+// symbolic fill decides which tiles exist (symbolic/tiles.hpp); the numeric
+// phase is the right-looking block algorithm of Figure 4: GETRF on diagonal
+// tiles, TSTRF/GEESM on panel tiles, and an SSSSM Schur update for each
+// (i,k,j) whose L(i,k) and U(k,j) share an inner index. The
 // task DAG, per-task device costs, and 2-D block-cyclic ownership feed the
 // Trojan Horse scheduling layer; the numeric bodies run on host tiles.
 #pragma once
@@ -19,8 +20,6 @@ namespace th {
 struct PluOptions {
   index_t tile_size = 64;      // paper tunes PanguLU's block size to 512 at
                                // SuiteSparse scale; 64 matches our stand-ins
-  real_t sparse_density_threshold = 0.25;  // tiles below are priced as
-                                           // "sparse" tasks (model only)
   ProcessGrid grid;            // block-cyclic ownership
 };
 

@@ -7,12 +7,6 @@
 
 namespace th {
 
-offset_t TilePattern::tile_count() const {
-  offset_t c = 0;
-  for (char v : present) c += (v != 0);
-  return c;
-}
-
 std::vector<index_t> TilePattern::col_tiles_below(index_t J) const {
   std::vector<index_t> out;
   for (index_t i = J + 1; i < nt; ++i) {
@@ -38,24 +32,7 @@ TilePattern tile_symbolic(const Csr& a, index_t tile_size) {
   p.nt = (a.n_rows + tile_size - 1) / tile_size;
   const std::size_t cells =
       static_cast<std::size_t>(p.nt) * static_cast<std::size_t>(p.nt);
-  p.present.assign(cells, 0);
-  p.a_nnz.assign(cells, 0);
   p.fill_nnz.assign(cells, 0);
-
-  for (index_t r = 0; r < a.n_rows; ++r) {
-    const index_t I = r / tile_size;
-    for (offset_t q = a.row_ptr[r]; q < a.row_ptr[r + 1]; ++q) {
-      const index_t J = a.col_idx[q] / tile_size;
-      const std::size_t cell =
-          static_cast<std::size_t>(I) * p.nt + static_cast<std::size_t>(J);
-      p.present[cell] = 1;
-      ++p.a_nnz[cell];
-    }
-  }
-  // Diagonal tiles must exist (they hold the pivots).
-  for (index_t k = 0; k < p.nt; ++k) {
-    p.present[static_cast<std::size_t>(k) * p.nt + k] = 1;
-  }
 
   // Exact scalar fill binned into tiles: entry (i,j) of L contributes to
   // tile (i/b, j/b), and its structural mirror to (j/b, i/b); the diagonal
@@ -128,22 +105,12 @@ TilePattern tile_symbolic(const Csr& a, index_t tile_size) {
     p.envelope = std::move(env);
   }
 
-  // Boolean right-looking block elimination. For each k, the tiles of
-  // column k below the diagonal times the tiles of row k right of the
-  // diagonal produce Schur fill.
+  // A tile exists iff it holds scalar fill; the diagonal tiles (the
+  // pivots) always do.
+  p.present.resize(cells);
+  for (std::size_t c = 0; c < cells; ++c) p.present[c] = p.fill_nnz[c] != 0;
   for (index_t k = 0; k < p.nt; ++k) {
-    std::vector<index_t> col;
-    std::vector<index_t> row;
-    for (index_t i = k + 1; i < p.nt; ++i) {
-      if (p.has(i, k)) col.push_back(i);
-    }
-    for (index_t j = k + 1; j < p.nt; ++j) {
-      if (p.has(k, j)) row.push_back(j);
-    }
-    for (const index_t i : col) {
-      char* base = p.present.data() + static_cast<std::size_t>(i) * p.nt;
-      for (const index_t j : row) base[j] = 1;
-    }
+    p.present[static_cast<std::size_t>(k) * p.nt + k] = 1;
   }
   return p;
 }

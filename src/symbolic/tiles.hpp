@@ -1,9 +1,10 @@
 // Tile-level (2-D block) symbolic structure — the PanguLU-style blocking.
 //
-// The matrix is cut into a fixed grid of b-by-b tiles; boolean block
-// elimination on the tile pattern predicts which tiles of L+U are nonzero,
-// which is exactly the task structure the PLU solver core and the Trojan
-// Horse schedule over (Figure 4 of the paper).
+// The matrix is cut into a fixed grid of b-by-b tiles, and the exact scalar
+// symbolic factorisation decides which tiles of L+U exist: a tile is
+// present iff it holds a scalar nonzero of L+U (diagonal tiles always are).
+// Those tiles and their envelopes are the task structure the PLU solver
+// core and the Trojan Horse schedule over (Figure 4 of the paper).
 #pragma once
 
 #include <memory>
@@ -30,23 +31,19 @@ struct TilePattern {
   index_t tile_size = 0;  // b
   index_t nt = 0;         // number of tile rows/cols = ceil(n / b)
 
-  /// present[I * nt + J] != 0 iff tile (I, J) is structurally nonzero in
-  /// L+U (after block fill).
+  /// present[I * nt + J] != 0 iff fill_nnz of tile (I, J) is nonzero or
+  /// I == J.
   std::vector<char> present;
 
-  /// Nonzeros of A that fall in each present tile (0 for pure-fill tiles).
-  std::vector<offset_t> a_nnz;
-
   /// Scalar-fill nonzeros of L+U that fall in each tile, computed from the
-  /// exact symbolic factorisation. The cost model prices tile density from
-  /// it — block-level boolean fill alone would wildly overestimate the
-  /// work in sparse tiles.
+  /// exact symbolic factorisation. It decides which tiles exist, and the
+  /// cost model prices tile density from it.
   std::vector<offset_t> fill_nnz;
 
   /// Envelope lists of every tile, built with fill_nnz. Shared, so copies
   /// of a pattern (TileMatrix, the serve layer's symbolic donors) point at
-  /// one set of lists. Diagonal tiles are full; a present tile with
-  /// fill_nnz == 0 has empty lists.
+  /// one set of lists. Diagonal tiles are full; every other present tile
+  /// has non-empty lists, and an absent one empty lists.
   std::shared_ptr<const TileEnvelope> envelope;
 
   std::span<const index_t> env_rows(index_t i, index_t j) const {
@@ -64,9 +61,6 @@ struct TilePattern {
     return present[static_cast<std::size_t>(i) * nt + j] != 0;
   }
 
-  /// Number of structurally nonzero tiles.
-  offset_t tile_count() const;
-
   /// Tiles of block-column J below the diagonal (i > J), ascending.
   std::vector<index_t> col_tiles_below(index_t J) const;
   /// Tiles of block-row I right of the diagonal (j > I), ascending.
@@ -77,9 +71,11 @@ struct TilePattern {
   }
 };
 
-/// Build the tile pattern of A and run boolean block LU elimination
-/// (right-looking): for every k, present(i,k) & present(k,j) => present(i,j)
-/// for i,j > k. Also requires/forces all diagonal tiles present.
+/// Build the tile pattern of A from its scalar symbolic fill: fill_nnz,
+/// the envelopes and the present tiles (those with fill, plus the
+/// diagonal). The pattern is closed under the Schur updates that exist: if
+/// L(i,k)'s envelope columns meet U(k,j)'s envelope rows, tile (i,j) has
+/// fill.
 TilePattern tile_symbolic(const Csr& a, index_t tile_size);
 
 /// nnz(L+U) from the scalar symbolic fill binned into tiles (exact for a

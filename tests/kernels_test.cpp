@@ -669,33 +669,17 @@ TEST(PackedKernels, SsssmMatchesDenseReferenceOnARunOfCsRows) {
   EXPECT_EQ(stored_mismatches(got, ref), 0);
 }
 
-TEST(PackedKernels, EmptyPanelsAreNoOps) {
+TEST(PackedKernels, EmptyPanelsAreRejected) {
+  // A tile exists only where it holds scalar fill, so a panel always has a
+  // row and a column; building one without is a caller bug.
   Rng rng(65);
-  PackedCase pc(rng);
-  const index_t b = pc.b;
+  const index_t b = 40;
   const std::vector<index_t> none;
   const std::vector<index_t> some = random_list(b, 12, rng);
-  const Tile empty = make_panel(b, none, none);
-  EXPECT_EQ(empty.panel_size(), 0);
-  EXPECT_EQ(empty.nnz(), 0);
-  EXPECT_EQ(empty.at(3, 4), 0.0);
-
-  Tile target = empty;
-  tile_tstrf(target, pc.diag);
-  tile_geesm(target, pc.diag);
-  tile_ssssm(target, random_panel(b, some, some, 1.0, rng),
-             random_panel(b, some, some, 1.0, rng));
-  EXPECT_EQ(target.panel_size(), 0);
-
-  // An empty L or U leaves C's bytes untouched.
-  const Tile c = random_panel(b, some, some, 1.0, rng);
-  const Tile full = random_panel(b, some, some, 1.0, rng);
-  Tile c1 = c;
-  tile_ssssm(c1, empty, full);
-  EXPECT_TRUE(same_bits(tile_bytes(c1), tile_bytes(c)));
-  Tile c2 = c;
-  tile_ssssm(c2, full, empty);
-  EXPECT_TRUE(same_bits(tile_bytes(c2), tile_bytes(c)));
+  EXPECT_THROW(make_panel(b, none, none), Error);
+  EXPECT_THROW(make_panel(b, none, some), Error);
+  EXPECT_THROW(make_panel(b, some, none), Error);
+  EXPECT_EQ(make_panel(b, {7}, {3}).panel_size(), 1);
 }
 
 // ---- SIMD inner loops --------------------------------------------------

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <set>
 #include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "gen/generators.hpp"
 #include "order/perm.hpp"
 #include "order/reorder.hpp"
+#include "solvers/plu.hpp"
 #include "solvers/slu.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
@@ -200,34 +202,77 @@ TEST(Tiles, PatternCoversMatrixAndDiagonal) {
   }
 }
 
-TEST(Tiles, BlockFillIsClosedUnderElimination) {
-  const Csr a = finalize_system(cage_like(100, 5, 0.15, 13), 13);
-  const TilePattern p = tile_symbolic(a, 10);
-  for (index_t k = 0; k < p.nt; ++k) {
-    for (index_t i = k + 1; i < p.nt; ++i) {
-      if (!p.has(i, k)) continue;
-      for (index_t j = k + 1; j < p.nt; ++j) {
-        if (p.has(k, j)) {
-          EXPECT_TRUE(p.has(i, j)) << "fill (" << i << "," << j
-                                   << ") missing from step " << k;
+// The solver's default ordering on three matrix families; min-degree on
+// the grid leaves many tile pairs whose product has no shared inner index.
+std::vector<Csr> tile_cases() {
+  std::vector<Csr> out;
+  for (const Csr& a : {finalize_system(grid2d_laplacian(16, 16), 3),
+                       finalize_system(circuit_like(150, 3.0, 2, 21), 21),
+                       finalize_system(cage_like(130, 5, 0.1, 11), 11)}) {
+    out.push_back(apply_symmetric_permutation(
+        a, compute_ordering(a, Ordering::kMinDegree)));
+  }
+  return out;
+}
+
+TEST(Tiles, SsssmTasksAreExactlyTheMeetingProducts) {
+  for (const Csr& a : tile_cases()) {
+    for (const index_t b : {8, 16}) {
+      PluOptions opts;
+      opts.tile_size = b;
+      const PluFactorization f(a, opts);
+      const TilePattern& p = f.pattern();
+      std::set<std::tuple<index_t, index_t, index_t>> in_graph;
+      for (const Task& t : f.graph().tasks()) {
+        if (t.type != TaskType::kSsssm) continue;
+        EXPECT_TRUE(in_graph.emplace(t.row, t.k, t.col).second)
+            << "duplicate SSSSM (" << t.row << "," << t.k << "," << t.col
+            << ")";
+        EXPECT_TRUE(p.has(t.row, t.col));
+      }
+      std::set<std::tuple<index_t, index_t, index_t>> meeting;
+      for (index_t k = 0; k < p.nt; ++k) {
+        for (index_t i = k + 1; i < p.nt; ++i) {
+          if (!p.has(i, k)) continue;
+          for (index_t j = k + 1; j < p.nt; ++j) {
+            if (!p.has(k, j)) continue;
+            const auto lc = p.env_cols(i, k);
+            const auto ur = p.env_rows(k, j);
+            if (std::ranges::find_first_of(lc, ur) != lc.end()) {
+              meeting.emplace(i, k, j);
+            }
+          }
         }
       }
+      EXPECT_FALSE(meeting.empty());
+      EXPECT_EQ(in_graph, meeting) << "n=" << a.n_rows << " b=" << b;
     }
   }
 }
 
-TEST(Tiles, ScalarFillIsSubsetOfBlockFill) {
-  // Tile-level elimination over-approximates scalar fill: every scalar
-  // fill entry must fall inside a present tile.
-  const Csr a = finalize_system(cage_like(90, 4, 0.2, 17), 17);
-  const index_t b = 8;
-  const TilePattern p = tile_symbolic(a, b);
-  const FillPattern f = symbolic_fill(a);
-  for (index_t j = 0; j < f.n; ++j) {
-    for (offset_t q = f.col_ptr[j]; q < f.col_ptr[j + 1]; ++q) {
-      const index_t i = f.row_idx[q];
-      EXPECT_TRUE(p.has(i / b, j / b)) << i << "," << j;
-      EXPECT_TRUE(p.has(j / b, i / b));  // symmetric pattern
+TEST(Tiles, PresentTilesAreTheBinnedScalarFill) {
+  for (const Csr& a : tile_cases()) {
+    for (const index_t b : {8, 16}) {
+      const TilePattern p = tile_symbolic(a, b);
+      const FillPattern f = symbolic_fill(a);
+      std::vector<char> binned(static_cast<std::size_t>(p.nt) * p.nt, 0);
+      for (index_t k = 0; k < p.nt; ++k) {
+        binned[static_cast<std::size_t>(k) * p.nt + k] = 1;
+      }
+      for (index_t j = 0; j < f.n; ++j) {
+        for (offset_t q = f.col_ptr[j]; q < f.col_ptr[j + 1]; ++q) {
+          const index_t i = f.row_idx[q];
+          binned[static_cast<std::size_t>(i / b) * p.nt + j / b] = 1;
+          binned[static_cast<std::size_t>(j / b) * p.nt + i / b] = 1;
+        }
+      }
+      for (index_t I = 0; I < p.nt; ++I) {
+        for (index_t J = 0; J < p.nt; ++J) {
+          EXPECT_EQ(p.has(I, J),
+                    binned[static_cast<std::size_t>(I) * p.nt + J] != 0)
+              << "tile (" << I << "," << J << "), b=" << b;
+        }
+      }
     }
   }
 }
@@ -276,11 +321,9 @@ std::vector<real_t> dense_lu(const Csr& a) {
 }
 
 TEST(Tiles, EnvelopeHoldsEveryNumericNonzero) {
-  index_t empty = 0;  // present tiles without scalar fill, over all cases
   const Csr circuit = finalize_system(circuit_like(120, 3.0, 2, 21), 21);
   const Csr grid = finalize_system(grid2d_laplacian(11, 11), 3);
-  // Natural order, and the solver's default (min-degree) order, whose block
-  // fill holds present tiles without scalar fill.
+  // Natural order, and the solver's default (min-degree) order.
   const Csr grid_md = apply_symmetric_permutation(
       grid, compute_ordering(grid, Ordering::kMinDegree));
   for (const Csr& a : {circuit, grid, grid_md}) {
@@ -317,16 +360,14 @@ TEST(Tiles, EnvelopeHoldsEveryNumericNonzero) {
             // Diagonal tiles are full: every pivot is a nonzero.
             EXPECT_EQ(static_cast<index_t>(rows.size()), p.rows_in_tile(I));
             EXPECT_EQ(static_cast<index_t>(cols.size()), p.rows_in_tile(J));
+          } else {
+            // Every other present tile holds scalar fill, so both its
+            // lists are non-empty.
+            EXPECT_FALSE(rows.empty() || cols.empty()) << I << "," << J;
           }
           const offset_t fill =
               p.fill_nnz[static_cast<std::size_t>(I) * p.nt + J];
-          if (fill == 0) {
-            EXPECT_TRUE(rows.empty() && cols.empty()) << I << "," << J;
-            ++empty;
-          } else {
-            EXPECT_GE(static_cast<offset_t>(rows.size() * cols.size()),
-                      fill);
-          }
+          EXPECT_GE(static_cast<offset_t>(rows.size() * cols.size()), fill);
           // Above the diagonal a tile's lists are its mirror's, transposed.
           if (I < J) {
             EXPECT_TRUE(std::ranges::equal(rows, p.env_cols(J, I)));
@@ -336,7 +377,6 @@ TEST(Tiles, EnvelopeHoldsEveryNumericNonzero) {
       }
     }
   }
-  EXPECT_GT(empty, 0);
 }
 
 }  // namespace
