@@ -246,7 +246,7 @@ PairedRatio paired_ratio(const std::function<real_t()>& sample_a,
     (void)sample_b();
   }
   PairedRatio out;
-  std::vector<real_t> ratios;
+  std::vector<real_t> ratios, as, bs;
   ratios.reserve(static_cast<std::size_t>(reps > 0 ? reps : 0));
   for (int i = 0; i < reps; ++i) {
     const bool b_first = (i % 2) != 0;
@@ -259,12 +259,24 @@ PairedRatio paired_ratio(const std::function<real_t()>& sample_a,
       b = sample_b();
     }
     if (a > 0) ratios.push_back(b / a);
-    out.best_a = i == 0 ? a : std::min(out.best_a, a);
-    out.best_b = i == 0 ? b : std::min(out.best_b, b);
+    as.push_back(a);
+    bs.push_back(b);
   }
-  std::sort(ratios.begin(), ratios.end());
+  for (std::vector<real_t>* v : {&ratios, &as, &bs}) {
+    std::sort(v->begin(), v->end());
+  }
   out.pairs = static_cast<int>(ratios.size());
-  if (!ratios.empty()) out.median_ratio = ratios[ratios.size() / 2];
+  if (!ratios.empty()) {
+    out.median_ratio = ratios[ratios.size() / 2];
+    out.q1_ratio = ratios[ratios.size() / 4];
+    out.q3_ratio = ratios[ratios.size() * 3 / 4];
+  }
+  if (!as.empty()) {
+    out.median_a = as[as.size() / 2];
+    out.median_b = bs[bs.size() / 2];
+    out.best_a = as.front();
+    out.best_b = bs.front();
+  }
   return out;
 }
 

@@ -97,9 +97,13 @@ TimingSample time_repeated(const std::function<real_t()>& sample,
 /// the same way under monotone ambient-load drift), and the reported ratio
 /// is the median over per-pair b/a (the median discards the odd
 /// descheduled sample). Pairs whose `a` sample is non-positive are
-/// dropped.
+/// dropped. Quartiles are nearest-rank.
 struct PairedRatio {
   real_t median_ratio = 1;  // median over pairs of sample_b / sample_a
+  real_t q1_ratio = 1;      // lower quartile of the per-pair ratios
+  real_t q3_ratio = 1;      // upper quartile of the per-pair ratios
+  real_t median_a = 0;      // median over pairs of sample_a's value
+  real_t median_b = 0;      // median over pairs of sample_b's value
   real_t best_a = 0;        // min over pairs of sample_a's value
   real_t best_b = 0;        // min over pairs of sample_b's value
   int pairs = 0;            // pairs that produced a usable ratio

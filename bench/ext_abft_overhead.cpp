@@ -18,7 +18,6 @@
 //    is a second-order term, and the 15% wall-time budget is enforced by
 //    exit code, making CI the regression gate for the verification
 //    path's cost.
-#include <algorithm>
 #include <cstdio>
 
 #include "common/bench_common.hpp"
@@ -45,25 +44,21 @@ ScheduleOptions exec_options(bool abft) {
 }
 
 struct Measurement {
-  TimingSample base;
-  TimingSample prot;
-  real_t pair_overhead = 0;  // min over interleaved base/abft pairs
+  PairedRatio pr;  // per-pair abft/clean wall-time ratios
   offset_t verified = 0;
   offset_t detected = 0;
   real_t capture_s = 0;
   real_t verify_s = 0;
 };
 
-/// `min_reps` lifts the repetition floor above repeat_count() for the
-/// gated measurement. Shared CI boxes make a single wall-clock ratio
-/// useless — background load and the frequency governor swing individual
-/// samples by tens of percent in either direction. So the gated statistic
-/// is the MINIMUM over `min_reps` back-to-back base/abft pairs of the
-/// per-pair overhead ratio: the two runs of a pair see near-identical
-/// machine conditions, a genuine cost regression in the checksum path
-/// inflates every pair, and transient noise can only push individual
-/// pairs up — the min stays put unless the regression is real.
-Measurement measure(const Csr& a, index_t block, int min_reps = 1) {
+/// Shared CI boxes make a single wall-clock ratio useless: background load
+/// and the frequency governor swing individual samples by tens of percent
+/// in either direction. So each sample is a clean/abft pair whose two runs
+/// see near-identical machine conditions, the pairs alternate which side
+/// runs first, and the statistic is the median of the per-pair ratios: a
+/// genuine cost regression in the checksum path moves every pair, while
+/// one slow run moves one pair, which the median ignores.
+Measurement measure(const Csr& a, index_t block, int pairs) {
   InstanceOptions io;
   io.core = SolverCore::kPlu;
   io.block = block;
@@ -83,36 +78,23 @@ Measurement measure(const Csr& a, index_t block, int min_reps = 1) {
     }
     return s;
   };
-  if (min_reps <= repeat_count()) {
-    m.base = time_repeated([&]() { return once(false); });
-    m.prot = time_repeated([&]() { return once(true); });
-    m.pair_overhead = m.prot.median / m.base.median - 1;
-    return m;
-  }
-  once(false);
-  once(true);  // warmup
-  m.pair_overhead = 1e30;
-  for (int rep = 0; rep < min_reps; ++rep) {
-    const real_t b = once(false);
-    const real_t p = once(true);
-    m.pair_overhead = std::min(m.pair_overhead, p / b - 1);
-    m.base.best = rep == 0 ? b : std::min(m.base.best, b);
-    m.prot.best = rep == 0 ? p : std::min(m.prot.best, p);
-  }
-  m.base.median = m.base.best;
-  m.prot.median = m.prot.best;
-  m.base.repeats = m.prot.repeats = min_reps;
+  m.pr = paired_ratio([&] { return once(false); }, [&] { return once(true); },
+                      pairs);
   return m;
 }
 
 void add_row(Table& t, const std::string& name, const Measurement& m,
              const char* gated) {
-  const real_t over = m.pair_overhead;
-  t.add_row({name, fmt_fixed(m.base.median * 1e3, 3),
-             fmt_fixed(m.prot.median * 1e3, 3),
-             fmt_fixed(over * 100, 2) + "%", std::to_string(m.verified),
-             std::to_string(m.detected), fmt_fixed(m.capture_s * 1e3, 3),
-             fmt_fixed(m.verify_s * 1e3, 3), gated});
+  const auto pct = [](real_t ratio) {
+    return fmt_fixed((ratio - 1) * 100, 2) + "%";
+  };
+  t.add_row({name, std::to_string(m.pr.pairs),
+             fmt_fixed(m.pr.median_a * 1e3, 3),
+             fmt_fixed(m.pr.median_b * 1e3, 3), pct(m.pr.median_ratio),
+             pct(m.pr.q1_ratio), pct(m.pr.q3_ratio),
+             std::to_string(m.verified), std::to_string(m.detected),
+             fmt_fixed(m.capture_s * 1e3, 3), fmt_fixed(m.verify_s * 1e3, 3),
+             gated});
 }
 
 }  // namespace
@@ -124,12 +106,13 @@ int main() {
          "operating point gated at 15%.");
 
   Table t("ABFT overhead: clean vs checksum-verified numeric execution");
-  t.set_header({"Workload", "base (ms)", "abft (ms)", "overhead", "verified",
+  t.set_header({"Workload", "pairs", "base median (ms)", "abft median (ms)",
+                "overhead median", "overhead q1", "overhead q3", "verified",
                 "detected", "capture (ms)", "verify (ms)", "gate"});
 
   for (const PaperMatrix& pm : paper_matrices()) {
     if (fast_mode() && pm.role == MatrixRole::kScaleOut) continue;
-    add_row(t, pm.name, measure(pm.make(), 48), "report");
+    add_row(t, pm.name, measure(pm.make(), 48, repeat_count()), "report");
   }
 
   // Gated operating point: bandwidth 512 at tile 128 keeps every SSSSM in
@@ -140,7 +123,7 @@ int main() {
   add_row(t, "dense-band n=2048 b=512", gate, "<= 15%");
   emit(t, "ext_abft_overhead");
 
-  const real_t over = gate.pair_overhead;
+  const real_t over = gate.pr.median_ratio - 1;
   if (over > kOverheadBudget) {
     std::fprintf(stderr,
                  "FAIL: dense-tile ABFT overhead %.2f%% exceeds the %.0f%% "

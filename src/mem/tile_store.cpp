@@ -17,7 +17,9 @@ constexpr char kMagic[4] = {'T', 'H', 'T', 'S'};
 // dense b×b block; a v2 file fails with the typed version error.
 constexpr std::uint32_t kVersion = 3;
 constexpr char kManifestMagic[4] = {'T', 'H', 'T', 'M'};
-constexpr std::uint32_t kManifestVersion = 1;
+// v2: the manifest leads with the TileLayout its tiles belong to; a v1
+// manifest fails with the typed version error and its factors recompute.
+constexpr std::uint32_t kManifestVersion = 2;
 // Plausibility bound on a tile payload: 2^31 doubles (16 GiB) dwarfs any
 // modelled tile; a longer length prefix means the file is corrupt.
 constexpr std::uint64_t kMaxPayload = 1ULL << 31;
@@ -63,10 +65,12 @@ std::pair<index_t, std::vector<real_t>> TileStore::load_tile(
 }
 
 void TileStore::save_manifest(std::ostream& out,
-                              const std::vector<TileManifestEntry>& entries) {
+                              const TileManifest& manifest) {
   bin::RecordWriter rec(kManifestMagic, kManifestVersion);
-  rec.put<std::uint64_t>(entries.size());
-  for (const TileManifestEntry& e : entries) {
+  rec.put<std::uint32_t>(manifest.layout.perm_crc);
+  rec.put<std::int32_t>(manifest.layout.block);
+  rec.put<std::uint64_t>(manifest.entries.size());
+  for (const TileManifestEntry& e : manifest.entries) {
     rec.put<std::int32_t>(e.tile_id);
     rec.put<std::uint64_t>(e.payload_len);
     rec.put<std::uint32_t>(e.payload_crc);
@@ -74,14 +78,17 @@ void TileStore::save_manifest(std::ostream& out,
   rec.finish(out);
 }
 
-std::vector<TileManifestEntry> TileStore::load_manifest(std::istream& in) {
-  bin::RecordReader rec(in, kManifestMagic, kManifestVersion,
-                        "tile manifest",
-                        bin::kRecordHeaderBytes + kMaxManifestEntries * 20);
+TileManifest TileStore::load_manifest(std::istream& in) {
+  bin::RecordReader rec(
+      in, kManifestMagic, kManifestVersion, "tile manifest",
+      bin::kRecordHeaderBytes + 16 + kMaxManifestEntries * 20);
+  TileManifest m;
+  m.layout.perm_crc = rec.get<std::uint32_t>("manifest permutation crc");
+  m.layout.block = rec.get<std::int32_t>("manifest tile size");
   const auto count = rec.get<std::uint64_t>("entry count");
   TH_CHECK_MSG(count <= kMaxManifestEntries,
                "implausible tile manifest entry count " << count);
-  std::vector<TileManifestEntry> entries;
+  std::vector<TileManifestEntry>& entries = m.entries;
   entries.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t k = 0; k < count; ++k) {
     TileManifestEntry e;
@@ -91,25 +98,24 @@ std::vector<TileManifestEntry> TileStore::load_manifest(std::istream& in) {
     entries.push_back(e);
   }
   rec.finish();
-  return entries;
+  return m;
 }
 
-std::vector<TileManifestEntry> TileStore::load_manifest_file(
-    const std::string& path) {
+TileManifest TileStore::load_manifest_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   TH_CHECK_MSG(in.good(), "cannot open tile manifest '" << path << "'");
   return load_manifest(in);
 }
 
-std::string TileStore::write_manifest() const {
+std::string TileStore::write_manifest(const TileLayout& layout) const {
   TH_CHECK_MSG(io(), "manifest write on a model-only tile store");
-  std::vector<TileManifestEntry> rows;
-  rows.reserve(entries_.size());
-  for (const auto& [id, e] : entries_) rows.push_back(e);
+  TileManifest m;
+  m.layout = layout;
+  m.entries.reserve(entries_.size());
+  for (const auto& [id, e] : entries_) m.entries.push_back(e);
   const std::string path = manifest_path();
   fsio::atomic_write_file(
-      path, [&rows](std::ostream& out) { save_manifest(out, rows); },
-      durable_);
+      path, [&m](std::ostream& out) { save_manifest(out, m); }, durable_);
   return path;
 }
 

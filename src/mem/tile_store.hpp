@@ -9,11 +9,12 @@
 // bin::IoError with a byte offset on truncated files AND on any flipped
 // bit (the CRC covers header and payload).
 //
-// A store can additionally keep a manifest ("THTM"): the id, payload
-// length and payload CRC32C of every tile it has written. The durability
-// layer writes the manifest atomically *after* the tiles it describes, so
-// a manifest's presence certifies a complete, verifiable artifact set —
-// the factor-commit protocol in src/serve/journal relies on exactly this.
+// A store can additionally keep a manifest ("THTM"): the factor layout the
+// tiles belong to, then the id, payload length and payload CRC32C of every
+// tile it has written. The durability layer writes the manifest atomically
+// *after* the tiles it describes, so a manifest's presence certifies a
+// complete, verifiable artifact set — the factor-commit protocol in
+// src/serve/journal relies on exactly this.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,21 @@ struct TileManifestEntry {
   index_t tile_id = -1;
   std::uint64_t payload_len = 0;  // element count (real_t)
   std::uint32_t payload_crc = 0;  // crc32c over the payload bytes
+};
+
+/// The factor layout a manifest's tiles belong to. Tile ids and panel
+/// shapes are functions of the fill-reducing permutation and the tile
+/// size, so a reader adopts the tiles only under the same pair.
+struct TileLayout {
+  std::uint32_t perm_crc = 0;  // crc32c over the permutation's entries
+  index_t block = 0;           // tile size
+  bool operator==(const TileLayout&) const = default;
+};
+
+/// A decoded THTM manifest.
+struct TileManifest {
+  TileLayout layout;
+  std::vector<TileManifestEntry> entries;
 };
 
 class TileStore {
@@ -63,10 +79,10 @@ class TileStore {
   const std::map<index_t, TileManifestEntry>& entries() const {
     return entries_;
   }
-  /// Atomically publish `dir()/manifest.thtm` describing entries();
-  /// returns the manifest path. Must be called *after* the tiles it
-  /// describes are on disk — the commit-protocol ordering.
-  std::string write_manifest() const;
+  /// Atomically publish `dir()/manifest.thtm` describing entries() under
+  /// `layout`; returns the manifest path. Must be called *after* the tiles
+  /// it describes are on disk — the commit-protocol ordering.
+  std::string write_manifest(const TileLayout& layout) const;
   std::string manifest_path() const;
 
   /// Stream-level THTS codec (used directly by the round-trip tests).
@@ -76,11 +92,9 @@ class TileStore {
 
   /// THTM manifest codec. load_manifest throws bin::IoError on any
   /// corruption (the manifest is itself a framed record).
-  static void save_manifest(std::ostream& out,
-                            const std::vector<TileManifestEntry>& entries);
-  static std::vector<TileManifestEntry> load_manifest(std::istream& in);
-  static std::vector<TileManifestEntry> load_manifest_file(
-      const std::string& path);
+  static void save_manifest(std::ostream& out, const TileManifest& manifest);
+  static TileManifest load_manifest(std::istream& in);
+  static TileManifest load_manifest_file(const std::string& path);
 
   std::string path_of(index_t tile_id) const;
 

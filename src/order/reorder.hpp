@@ -3,8 +3,8 @@
 // Three algorithms are provided, mirroring what SuperLU_DIST / PanguLU /
 // PaStiX deployments typically choose from:
 //   * RCM            — bandwidth reduction (cheap, good for banded systems)
-//   * Minimum degree — quotient-graph (element) minimum-degree, the AMD
-//                      family used as the paper's default reordering
+//   * Minimum degree — approximate minimum degree (Amestoy, Davis & Duff),
+//                      the paper's default reordering
 //   * Nested dissection — level-set bisection, best for PDE grids
 //
 // All operate on the symmetrized pattern of A and return a new-from-old
@@ -37,10 +37,9 @@ const char* ordering_name(Ordering o);
 /// connected component.
 Permutation rcm_order(const Csr& a);
 
-/// Quotient-graph minimum-degree ordering (element absorption, AMD-style
-/// approximate external degrees: an upper bound on the exact boundary
-/// union, see mindeg.cpp), etree-postordered. Quality comparable to
-/// classic MMD at the problem sizes this repository targets.
+/// Approximate minimum degree (AMD: supervariables, mass elimination,
+/// aggressive absorption and the |L_e \ L_p| degree bound, see amd.cpp),
+/// etree-postordered.
 Permutation min_degree_order(const Csr& a);
 
 /// Recursive level-set nested dissection, etree-postordered; leaves of at
@@ -54,9 +53,9 @@ Permutation nested_dissection_order(const Csr& a, index_t leaf_size = 64);
 Permutation etree_postorder(const Csr& a, const Permutation& p);
 
 namespace detail {
-/// The quotient-graph elimination order that min_degree_order() postorders.
-/// Exposed only so tests can check that the postorder preserves its fill.
-Permutation min_degree_elimination(const Csr& a);
+/// The AMD elimination order that min_degree_order() postorders. Exposed
+/// only so tests can check that the postorder preserves its fill.
+Permutation amd_elimination(const Csr& a);
 }  // namespace detail
 
 /// Dispatch on the Ordering enum.

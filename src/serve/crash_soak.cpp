@@ -188,7 +188,8 @@ std::string verify_commit_artifacts(SessionJournal& j,
   mem::TileStore store(j.factor_dir(c.session, c.generation));
   std::vector<mem::TileManifestEntry> entries;
   try {
-    entries = mem::TileStore::load_manifest_file(store.manifest_path());
+    entries =
+        mem::TileStore::load_manifest_file(store.manifest_path()).entries;
   } catch (const Error& e) {
     std::ostringstream os;
     os << "committed work lost: session " << c.session << " gen "
@@ -252,7 +253,8 @@ std::string snapshot_last_commits(SessionJournal& j, const FoldedWal& w,
     mem::TileStore store(j.factor_dir(last.session, last.generation));
     std::vector<mem::TileManifestEntry> entries;
     try {
-      entries = mem::TileStore::load_manifest_file(store.manifest_path());
+      entries =
+          mem::TileStore::load_manifest_file(store.manifest_path()).entries;
       TilePayloads& tiles = out[snapshot_key(s)];
       for (const mem::TileManifestEntry& e : entries) {
         tiles[e.tile_id] = store.reload(e.tile_id);
@@ -457,7 +459,7 @@ std::string run_corruption_drill(const ServeOptions& base,
     const JournalRecord& last = victim->commits.back();
     mem::TileStore store(j.factor_dir(last.session, last.generation));
     const auto entries =
-        mem::TileStore::load_manifest_file(store.manifest_path());
+        mem::TileStore::load_manifest_file(store.manifest_path()).entries;
     const std::string path = store.path_of(entries.front().tile_id);
 
     std::ifstream in(path, std::ios::binary);

@@ -33,6 +33,17 @@ InstanceOptions instance_options(const ScheduleOptions& sched) {
   return io;
 }
 
+// The layout a session's committed tiles belong to: its permutation and
+// tile size. A build with another ordering lays the same pattern out
+// differently, and its tiles must not be adopted.
+mem::TileLayout factor_layout(const SolverInstance& inst) {
+  const Permutation& p = inst.permutation();
+  mem::TileLayout layout;
+  layout.perm_crc = bin::crc32c(p.data(), p.size() * sizeof(index_t));
+  layout.block = inst.plu_factorization()->tiles().tile_size();
+  return layout;
+}
+
 }  // namespace
 
 const char* priority_name(Priority p) {
@@ -928,7 +939,7 @@ void SolverService::commit_factor(SessionId sid, Session& s,
                   std::vector<real_t>(t->data(), t->data() + t->panel_size()));
     }
   }
-  store.write_manifest();
+  store.write_manifest(factor_layout(*s.inst));
   maybe_crash("commit");
   JournalRecord rec;
   rec.event = JournalEvent::kCommit;
@@ -994,9 +1005,9 @@ std::vector<SessionId> SolverService::recovered_sessions() const {
 bool SolverService::rehydrate_factors(SessionId sid, Session& s,
                                       std::uint32_t gen) {
   const std::string dir = journal_->factor_dir(sid, gen);
-  std::vector<mem::TileManifestEntry> entries;
+  mem::TileManifest manifest;
   try {
-    entries = mem::TileStore::load_manifest_file(dir + "/manifest.thtm");
+    manifest = mem::TileStore::load_manifest_file(dir + "/manifest.thtm");
   } catch (const bin::IoError&) {
     // Bit rot in the manifest: quarantine it; the whole generation is
     // untrusted and the factorization recomputes.
@@ -1006,6 +1017,10 @@ bool SolverService::rehydrate_factors(SessionId sid, Session& s,
   } catch (const Error&) {
     return false;  // manifest missing (artifact dir lost wholesale)
   }
+  if (manifest.layout != factor_layout(*s.inst)) {
+    return false;  // laid out under another ordering or tile size: recompute
+  }
+  const std::vector<mem::TileManifestEntry>& entries = manifest.entries;
 
   TileMatrix& tiles = s.inst->plu_factorization()->tiles();
   const index_t nt = tiles.nt();

@@ -32,7 +32,7 @@ namespace th {
 struct SluOptions {
   index_t max_supernode = 32;  // paper uses 256 at SuiteSparse scale; our
                                // stand-ins are ~50x smaller
-  index_t relax_slack = 4;     // relaxed-supernode amalgamation slack
+  index_t relax_slack = 3;     // relaxed-supernode amalgamation slack
   ProcessGrid grid;
 };
 

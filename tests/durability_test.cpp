@@ -415,7 +415,7 @@ TEST(DurableServe, JournalsOpenCommitRetireInOrder) {
   for (std::uint32_t gen : {0u, 1u}) {
     mem::TileStore store(j.factor_dir(rep.records[1].session, gen));
     const auto entries =
-        mem::TileStore::load_manifest_file(store.manifest_path());
+        mem::TileStore::load_manifest_file(store.manifest_path()).entries;
     EXPECT_FALSE(entries.empty());
     for (const mem::TileManifestEntry& e : entries) {
       EXPECT_EQ(store.reload(e.tile_id).size(), e.payload_len);
@@ -638,7 +638,7 @@ TEST(DurableServe, CorruptTileQuarantinesAndDegradesToRecompute) {
     // Bit rot inside one committed tile artifact.
     mem::TileStore store(svc.journal()->factor_dir(sid, 0));
     const auto entries =
-        mem::TileStore::load_manifest_file(store.manifest_path());
+        mem::TileStore::load_manifest_file(store.manifest_path()).entries;
     ASSERT_FALSE(entries.empty());
     flip_byte(store.path_of(entries.front().tile_id),
               bin::kRecordHeaderBytes + 5);
@@ -675,6 +675,58 @@ TEST(DurableServe, CorruptTileQuarantinesAndDegradesToRecompute) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(DurableServe, FactorsOfAnotherLayoutRecompute) {
+  // n = 64 fits one full diagonal tile, so a factor committed under another
+  // permutation has the same tile count and panel length. Only the
+  // manifest's layout tells it apart, and it must recompute.
+  const std::string dir = scratch_dir("serve_layout");
+  const Csr a = grid(8, 2);
+  SessionId sid = -1;
+  {
+    SolverService svc(durable_service(dir));
+    sid = svc.open_session("alice", a);
+    Request f;
+    f.kind = RequestKind::kFactor;
+    f.idem_key = 44;
+    svc.submit(sid, f);
+    svc.drain();
+    mem::TileStore store(svc.journal()->factor_dir(sid, 0));
+    mem::TileManifest m =
+        mem::TileStore::load_manifest_file(store.manifest_path());
+    ASSERT_EQ(m.entries.size(), 1u);
+    m.layout.perm_crc ^= 1u;
+    std::ofstream out(store.manifest_path(),
+                      std::ios::binary | std::ios::trunc);
+    mem::TileStore::save_manifest(out, m);
+  }
+
+  SolverService svc(durable_service(dir, /*recover=*/true));
+  const DurableStats& ds = svc.durable_stats();
+  EXPECT_EQ(ds.sessions_recovered, 1);
+  EXPECT_EQ(ds.factors_rehydrated, 0);
+  EXPECT_EQ(ds.quarantined, 0);  // well-formed, just not this layout
+  EXPECT_GE(ds.recompute_fallbacks, 1);
+  EXPECT_EQ(svc.open_session("alice", a), sid);
+  Request f;
+  f.kind = RequestKind::kFactor;
+  f.idem_key = 44;
+  svc.submit(sid, f);
+  Request sv;
+  sv.kind = RequestKind::kSolve;
+  sv.value_seed = 5;
+  svc.submit(sid, sv);
+  const std::vector<Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 2u);
+  for (const Completion& c : done) {
+    EXPECT_TRUE(c.ok()) << c.detail;
+    if (c.kind == RequestKind::kSolve) {
+      EXPECT_LT(c.residual, 1e-9);
+    }
+  }
+  EXPECT_EQ(svc.stats().factors, 1);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(DurableServe, V2TileFileFailsTypedAndRecomputes) {
   // A THTS v2 file (a dense b×b payload, written before tiles became
   // envelope panels) must fail with the typed version error, and its
@@ -692,7 +744,7 @@ TEST(DurableServe, V2TileFileFailsTypedAndRecomputes) {
     svc.drain();
     mem::TileStore store(svc.journal()->factor_dir(sid, 0));
     const auto entries =
-        mem::TileStore::load_manifest_file(store.manifest_path());
+        mem::TileStore::load_manifest_file(store.manifest_path()).entries;
     ASSERT_FALSE(entries.empty());
     const index_t id = entries.front().tile_id;
     bin::RecordWriter v2("THTS", 2);

@@ -394,6 +394,11 @@ TEST(BatchExecutor, SkippedMembersNeverExecute) {
 
 Csr exec_matrix() { return finalize_system(banded_random(300, 12, 0.4, 7), 7); }
 
+// The conflict tests tile exec_matrix() at b = 12: under AMD its fill is
+// sparse enough at b = 16 that no batch holds two PLU updates of one tile,
+// and the folds they check would never run.
+constexpr index_t kConflictBlock = 12;
+
 ScheduleResult factor(SolverInstance& inst, int threads) {
   ScheduleOptions so;
   so.policy = Policy::kTrojanHorse;
@@ -413,7 +418,7 @@ TEST(ParallelFactor, DeterministicMatchesSerialResidual) {
   for (const int threads : {1, 2, 4, 8}) {
     InstanceOptions io;
     io.core = SolverCore::kPlu;
-    io.block = 16;
+    io.block = kConflictBlock;
     SolverInstance inst(a, io);
     const ScheduleResult r = factor(inst, threads);
     EXPECT_LT(solve_residual(inst, a), 1e-10) << threads << " threads";
@@ -455,7 +460,7 @@ TEST(ParallelFactor, DeterministicModeIsBitIdenticalAcrossThreadCounts) {
     for (const int threads : {1, 2, 4, 8}) {
       InstanceOptions io;
       io.core = core;
-      io.block = 16;
+      io.block = kConflictBlock;
       SolverInstance inst(a, io);
       const ScheduleResult r = factor(inst, threads);
       EXPECT_GT(r.atomic_tasks, 0) << name;  // conflicts were exercised

@@ -288,9 +288,12 @@ TEST(TileStore, ManifestRoundTripsAndDetectsBitFlips) {
   mem::TileStore store(dir, /*durable=*/true);
   store.spill(0, std::vector<real_t>(8, 1.0));
   store.spill(5, std::vector<real_t>(12, -2.5));
-  const std::string mpath = store.write_manifest();
+  const mem::TileLayout layout{0xdeadbeefu, 16};
+  const std::string mpath = store.write_manifest(layout);
 
-  const auto entries = mem::TileStore::load_manifest_file(mpath);
+  const mem::TileManifest m = mem::TileStore::load_manifest_file(mpath);
+  EXPECT_EQ(m.layout, layout);
+  const std::vector<mem::TileManifestEntry>& entries = m.entries;
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].tile_id, 0);
   EXPECT_EQ(entries[0].payload_len, 8u);
@@ -312,6 +315,14 @@ TEST(TileStore, ManifestRoundTripsAndDetectsBitFlips) {
   raw[raw.size() / 2] = static_cast<char>(raw[raw.size() / 2] ^ 0x04);
   std::istringstream in(raw);
   EXPECT_THROW((void)mem::TileStore::load_manifest(in), bin::IoError);
+
+  // A v1 manifest (no layout) fails with the typed version error.
+  bin::RecordWriter v1("THTM", 1);
+  v1.put<std::uint64_t>(0);
+  std::ostringstream v1_out;
+  v1.finish(v1_out);
+  std::istringstream v1_in(v1_out.str());
+  EXPECT_THROW((void)mem::TileStore::load_manifest(v1_in), bin::IoError);
 }
 
 TEST(TileStore, ReloadRacesConcurrentSpillOfDifferentTile) {

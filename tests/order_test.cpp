@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "gen/generators.hpp"
+#include "gen/registry.hpp"
 #include "order/graph.hpp"
 #include "sparse/convert.hpp"
 #include "order/reorder.hpp"
@@ -116,18 +117,21 @@ TEST(Rcm, ReducesBandwidthOfShuffledGrid) {
   EXPECT_LT(bandwidth(rcm), bandwidth(shuffled) / 2);
 }
 
-TEST(Rcm, HandlesDisconnectedComponents) {
-  // Block-diagonal: two disjoint grids.
+// Block-diagonal [g 0; 0 g]: two disjoint copies of g.
+Csr two_copies(const Csr& g) {
   Coo c;
-  const Csr g1 = grid2d_laplacian(4, 4);
-  c.n_rows = c.n_cols = 32;
-  for (index_t r = 0; r < 16; ++r) {
-    for (offset_t p = g1.row_ptr[r]; p < g1.row_ptr[r + 1]; ++p) {
-      c.add(r, g1.col_idx[p], g1.values[p]);
-      c.add(r + 16, g1.col_idx[p] + 16, g1.values[p]);
+  c.n_rows = c.n_cols = 2 * g.n_rows;
+  for (index_t r = 0; r < g.n_rows; ++r) {
+    for (offset_t p = g.row_ptr[r]; p < g.row_ptr[r + 1]; ++p) {
+      c.add(r, g.col_idx[p], g.values[p]);
+      c.add(r + g.n_rows, g.col_idx[p] + g.n_rows, g.values[p]);
     }
   }
-  const Csr a = coo_to_csr(c);
+  return coo_to_csr(c);
+}
+
+TEST(Rcm, HandlesDisconnectedComponents) {
+  const Csr a = two_copies(grid2d_laplacian(4, 4));
   EXPECT_TRUE(is_valid_permutation(rcm_order(a)));
   EXPECT_TRUE(is_valid_permutation(min_degree_order(a)));
   EXPECT_TRUE(is_valid_permutation(nested_dissection_order(a)));
@@ -135,6 +139,10 @@ TEST(Rcm, HandlesDisconnectedComponents) {
 
 offset_t fill_nnz(const Csr& a, const Permutation& p) {
   return symbolic_fill(apply_symmetric_permutation(a, p)).nnz_l();
+}
+
+offset_t nnz_lu(const Csr& a, const Permutation& p) {
+  return symbolic_fill(apply_symmetric_permutation(a, p)).nnz_lu();
 }
 
 TEST(MinDegree, ReducesFillVsNatural) {
@@ -160,6 +168,107 @@ TEST(Orderings, AllValidOnIrregularMatrix) {
   }
 }
 
+// ---- approximate minimum degree -------------------------------------------
+
+// A symmetric pattern from an undirected edge list, diagonal included.
+Csr from_edges(index_t n, const std::vector<std::pair<index_t, index_t>>& e) {
+  Coo c;
+  c.n_rows = c.n_cols = n;
+  for (index_t v = 0; v < n; ++v) c.add(v, v, 1.0);
+  for (const auto& [u, v] : e) {
+    c.add(u, v, 1.0);
+    c.add(v, u, 1.0);
+  }
+  return finalize_system(coo_to_csr(c), 1);
+}
+
+TEST(Amd, StarKeepsTheHubToTheEndWithoutFill) {
+  // The hub outlasts every leaf but one: with one leaf left, both have
+  // degree 1 and either order is fill-free.
+  const index_t n = 50;
+  std::vector<std::pair<index_t, index_t>> edges;
+  for (index_t v = 1; v < n; ++v) edges.emplace_back(0, v);
+  const Csr a = from_edges(n, edges);
+  const Permutation p = min_degree_order(a);
+  ASSERT_TRUE(is_valid_permutation(p));
+  EXPECT_TRUE(p[n - 1] == 0 || p[n - 2] == 0);
+  EXPECT_EQ(nnz_lu(a, p), 3 * n - 2);
+}
+
+TEST(Amd, CliqueWithPendantsIsEliminatedWithoutFill) {
+  // Clique vertices 0..m-1, pendant m + i on clique vertex i. After the
+  // pendants go, the first clique pivot leaves every other clique vertex
+  // adjacent to nothing but the new element: mass elimination takes the
+  // whole clique in one step.
+  const index_t m = 12;
+  std::vector<std::pair<index_t, index_t>> edges;
+  for (index_t u = 0; u < m; ++u) {
+    for (index_t v = u + 1; v < m; ++v) edges.emplace_back(u, v);
+    edges.emplace_back(u, m + u);
+  }
+  const Csr a = from_edges(2 * m, edges);
+  const Permutation elim = detail::amd_elimination(a);
+  ASSERT_TRUE(is_valid_permutation(elim));
+  for (index_t k = 0; k < m; ++k) EXPECT_GE(elim[k], m) << k;
+  EXPECT_EQ(nnz_lu(a, min_degree_order(a)), a.nnz());
+}
+
+TEST(Amd, CliquesAroundAHubMergeAndKeepTheHubLast) {
+  // Four 5-cliques, every vertex also tied to hub 20. The members of a
+  // clique become indistinguishable once one of them is eliminated, are
+  // merged into one supervariable and leave in one block.
+  const index_t t = 4, m = 5, hub = t * m;
+  std::vector<std::pair<index_t, index_t>> edges;
+  for (index_t c = 0; c < t; ++c) {
+    for (index_t u = c * m; u < (c + 1) * m; ++u) {
+      for (index_t v = u + 1; v < (c + 1) * m; ++v) edges.emplace_back(u, v);
+      edges.emplace_back(u, hub);
+    }
+  }
+  const Csr a = from_edges(hub + 1, edges);
+  const Permutation elim = detail::amd_elimination(a);
+  ASSERT_TRUE(is_valid_permutation(elim));
+  EXPECT_EQ(elim.back(), hub);
+  for (index_t k = 0; k < t * m; ++k) {
+    EXPECT_EQ(elim[k] / m, elim[k - k % m] / m) << k;  // blocks by clique
+  }
+  EXPECT_EQ(nnz_lu(a, min_degree_order(a)), a.nnz());
+}
+
+TEST(Amd, DegenerateInputs) {
+  const Csr diagonal = from_edges(5, {});
+  EXPECT_TRUE(is_valid_permutation(min_degree_order(diagonal)));
+  EXPECT_EQ(nnz_lu(diagonal, min_degree_order(diagonal)), 5);
+  EXPECT_EQ(min_degree_order(from_edges(1, {})), Permutation{0});
+
+  // Two disjoint copies of a grid fill exactly twice one copy.
+  const Csr g = finalize_system(grid2d_laplacian(6, 6), 1);
+  const Csr two = two_copies(g);
+  const Permutation p = min_degree_order(two);
+  ASSERT_TRUE(is_valid_permutation(p));
+  EXPECT_EQ(nnz_lu(two, p), 2 * nnz_lu(g, min_degree_order(g)));
+}
+
+TEST(Amd, FillIsAtMostTheQuotientGraphMindegs) {
+  // nnz(L+U) of the quotient-graph minimum degree AMD replaced, on the
+  // perfbench matrices and every registry stand-in.
+  std::vector<std::pair<std::string, Csr>> cases = {
+      {"pde2d", finalize_system(grid2d_laplacian(70, 70), 1)},
+      {"fill3d", finalize_system(grid3d_laplacian(18, 18, 18), 1)}};
+  for (const PaperMatrix& m : paper_matrices()) {
+    cases.emplace_back(m.name, m.make());
+  }
+  const std::map<std::string, offset_t> mindeg_fill = {
+      {"pde2d", 361856},       {"fill3d", 1807408}, {"c-71", 1896934},
+      {"cage12", 1283200},     {"para-8", 942332},  {"Lin", 832795},
+      {"Ga41As41H72", 4451572}, {"RM07R", 1786648}, {"cage13", 2062882},
+      {"audikw_1", 315433},    {"nlpkkt80", 483736}, {"Serena", 558476}};
+  ASSERT_EQ(cases.size(), mindeg_fill.size());
+  for (const auto& [name, a] : cases) {
+    EXPECT_LE(nnz_lu(a, min_degree_order(a)), mindeg_fill.at(name)) << name;
+  }
+}
+
 // ---- etree postorder -------------------------------------------------------
 
 // Stand-ins for the registry's grid2d, grid3d, circuit and cage families.
@@ -170,16 +279,12 @@ std::vector<std::pair<std::string, Csr>> stand_ins() {
           {"cage", finalize_system(cage_like(1000, 5, 0.1, 8), 1)}};
 }
 
-offset_t nnz_lu(const Csr& a, const Permutation& p) {
-  return symbolic_fill(apply_symmetric_permutation(a, p)).nnz_lu();
-}
-
 TEST(Postorder, PreservesFillOfAnyPermutation) {
   for (const auto& [name, a] : stand_ins()) {
     const std::pair<const char*, Permutation> perms[] = {
         {"natural", identity_permutation(a.n_rows)},
         {"rcm", rcm_order(a)},
-        {"mindeg-elimination", detail::min_degree_elimination(a)},
+        {"amd-elimination", detail::amd_elimination(a)},
     };
     for (const auto& [pname, p] : perms) {
       const Permutation q = etree_postorder(a, p);
@@ -213,21 +318,43 @@ std::uint64_t fnv1a(const Permutation& p) {
   return h;
 }
 
-TEST(Postorder, RcmAndNaturalAreUnchanged) {
+TEST(Postorder, RcmNdAndNaturalAreUnchanged) {
   // RCM is not postordered: its value is its band, which a postorder
-  // would scatter. The hashes pin its output on each stand-in.
+  // would scatter. The hashes pin RCM's and ND's output on each stand-in.
   const std::map<std::string, std::uint64_t> rcm_golden = {
       {"grid2d", 0x69221c5a11a7b3bbull},
       {"grid3d", 0xfc866b85a919a3b7ull},
       {"circuit", 0x91d07542382c0227ull},
       {"cage", 0x9d9dddb34eb7f44full},
   };
+  const std::map<std::string, std::uint64_t> nd_golden = {
+      {"grid2d", 0x9b6101734f917e6full},
+      {"grid3d", 0x26088caf0f593ab7ull},
+      {"circuit", 0x1f8f3e386a9aa9dbull},
+      {"cage", 0xcc1116f311daf72bull},
+  };
   for (const auto& [name, a] : stand_ins()) {
     EXPECT_EQ(fnv1a(compute_ordering(a, Ordering::kRcm)), rcm_golden.at(name))
+        << name;
+    EXPECT_EQ(fnv1a(compute_ordering(a, Ordering::kNestedDissection)),
+              nd_golden.at(name))
         << name;
     EXPECT_EQ(compute_ordering(a, Ordering::kNatural),
               identity_permutation(a.n_rows))
         << name;
+  }
+}
+
+TEST(Amd, OutputIsPinned) {
+  // AMD is deterministic: equal degrees are broken by bucket order alone.
+  const std::map<std::string, std::uint64_t> golden = {
+      {"grid2d", 0x5e50edb00b2002bfull},
+      {"grid3d", 0x643c58627dfd03e7ull},
+      {"circuit", 0xf8c8d586c54b7da3ull},
+      {"cage", 0xdc683438db010b5bull},
+  };
+  for (const auto& [name, a] : stand_ins()) {
+    EXPECT_EQ(fnv1a(min_degree_order(a)), golden.at(name)) << name;
   }
 }
 
