@@ -4,7 +4,7 @@
 // host mode) and reports wall, busy and span time from the executor's
 // counters.
 //
-// The speedup column is span-based: span = serial prologue/epilogue plus
+// The speedup column is span-based: span = the executor's serial share plus
 // the slowest lane of every batch, measured with the per-thread CPU clock
 // (CLOCK_THREAD_CPUTIME_ID). Unlike wall time this is meaningful on
 // machines (or CI containers) with fewer cores than lanes — it is the
@@ -33,8 +33,6 @@ struct Run {
   real_t wall_s = 0;
   real_t busy_s = 0;
   real_t span_s = 0;   // median over TH_REPEAT samples
-  long slices = 0;
-  long fallbacks = 0;
   long det_reductions = 0;
 };
 
@@ -56,8 +54,8 @@ int main() {
 
   const int threads_sweep[] = {1, 2, 4, 8};
   Table t("Executor strong scaling (PLU numeric phase, host threads)");
-  t.set_header({"threads", "wall ms", "busy ms", "span ms", "slices",
-                "fallbacks", "det folds", "span speedup"});
+  t.set_header({"threads", "wall ms", "busy ms", "span ms",
+                "ordered reductions", "span speedup"});
 
   bool gate_ok = true;
   real_t base_span = 0;
@@ -78,8 +76,6 @@ int main() {
           const ScheduleResult r = inst.run_numeric(so);
           run.wall_s = sw.seconds();
           run.busy_s = r.stats().exec.busy_s;
-          run.slices = r.stats().exec.slices;
-          run.fallbacks = r.stats().exec.fallback_tasks;
           run.det_reductions = r.stats().exec.det_reductions;
           return r.stats().exec.span_s;
         },
@@ -89,7 +85,6 @@ int main() {
     const real_t speedup = run.span_s > 0 ? base_span / run.span_s : 0;
     t.add_row({std::to_string(threads), fmt_fixed(run.wall_s * 1e3, 1),
                fmt_fixed(run.busy_s * 1e3, 1), fmt_fixed(run.span_s * 1e3, 1),
-               fmt_count(run.slices), fmt_count(run.fallbacks),
                fmt_count(run.det_reductions), fmt_speedup(speedup)});
     if (threads == 4 && speedup < 2.0) {
       std::printf("GATE FAILED: span speedup at 4 threads is %.2fx "

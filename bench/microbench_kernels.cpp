@@ -12,7 +12,6 @@
 
 #include "core/collector.hpp"
 #include "core/container.hpp"
-#include "core/executor.hpp"
 #include "kernels/dense.hpp"
 #include "kernels/tile.hpp"
 #include "support/rng.hpp"
@@ -155,24 +154,6 @@ void BM_TileSsssmPacked(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * terms);
 }
 BENCHMARK(BM_TileSsssmPacked);
-
-void BM_BlockTaskMapLookup(benchmark::State& state) {
-  const auto tasks = static_cast<index_t>(state.range(0));
-  std::vector<Task> storage(static_cast<std::size_t>(tasks));
-  std::vector<const Task*> batch;
-  Rng rng(5);
-  for (index_t i = 0; i < tasks; ++i) {
-    storage[i].cost.cuda_blocks = rng.index_in(1, 64);
-    batch.push_back(&storage[i]);
-  }
-  const exec::BlockMap map = exec::BlockMap::from_tasks(batch);
-  index_t block = 0;
-  for (auto _ : state) {
-    block = (block + 97) % map.total_blocks();
-    benchmark::DoNotOptimize(map.task_of_block(block));
-  }
-}
-BENCHMARK(BM_BlockTaskMapLookup)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_ContainerPushPop(benchmark::State& state) {
   Rng rng(6);

@@ -741,11 +741,11 @@ int main(int argc, char** argv) {
     }
     if (threads > 1) {
       std::printf("exec: %d host threads: wall %.1f ms, span %.1f ms, "
-                  "busy %.1f ms, %ld slices, %ld whole-task fallbacks\n",
+                  "busy %.1f ms, %ld ordered reductions\n",
                   r.stats().exec.workers, r.stats().exec.wall_s * 1e3,
                   r.stats().exec.span_s * 1e3,
-                  r.stats().exec.busy_s * 1e3, r.stats().exec.slices,
-                  r.stats().exec.fallback_tasks);
+                  r.stats().exec.busy_s * 1e3,
+                  r.stats().exec.det_reductions);
     }
     if (r.stats().abft.enabled) {
       std::printf("abft: %lld task(s) verified, %lld corrupt detected, "

@@ -9,7 +9,7 @@ namespace th::abft {
 void TileGuard::capture_plan(const Task& t) {
   Tile* target = tiles_.tile(t.row, t.col);
   TH_CHECK_MSG(target != nullptr, "abft capture on absent tile");
-  const std::uint64_t k = key(t);
+  const std::uint64_t k = t.target_key();
   auto it = ctx_.find(k);
   if (it == ctx_.end()) {
     Ctx ctx;
@@ -152,7 +152,7 @@ bool TileGuard::verify_ctx(const Task& t, Ctx& ctx, real_t rel_tol) {
 }
 
 bool TileGuard::verify(const Task& t, real_t rel_tol) {
-  auto it = ctx_.find(key(t));
+  auto it = ctx_.find(t.target_key());
   if (it == ctx_.end()) return true;  // never captured: nothing to check
   Ctx& ctx = it->second;
   if (ctx.verdict < 0) ctx.verdict = verify_ctx(t, ctx, rel_tol) ? 0 : 1;
@@ -160,7 +160,7 @@ bool TileGuard::verify(const Task& t, real_t rel_tol) {
 }
 
 void TileGuard::rollback(const Task& t) {
-  auto it = ctx_.find(key(t));
+  auto it = ctx_.find(t.target_key());
   TH_CHECK_MSG(it != ctx_.end(), "abft rollback without capture");
   Ctx& ctx = it->second;
   if (ctx.rolled_back) return;  // shared SSSSM target: restore once

@@ -59,7 +59,7 @@ class TileGuard {
 
   /// Forget any carried sums for the task's target — call when the tile is
   /// modified outside a captured batch (e.g. a guard scrubbed it).
-  void invalidate(const Task& t) { carry_.erase(key(t)); }
+  void invalidate(const Task& t) { carry_.erase(t.target_key()); }
 
  private:
   struct Ctx {
@@ -75,11 +75,6 @@ class TileGuard {
     bool rolled_back = false;
   };
 
-  static std::uint64_t key(const Task& t) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(t.row))
-            << 32) |
-           static_cast<std::uint32_t>(t.col);
-  }
   bool verify_ctx(const Task& t, Ctx& ctx, real_t rel_tol);
 
   TileMatrix& tiles_;

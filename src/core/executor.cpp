@@ -26,10 +26,8 @@ Executor::~Executor() = default;
 
 BatchResult Executor::execute(const TaskGraph& graph,
                               const std::vector<index_t>& batch,
-                              const std::vector<char>& atomic_flags,
                               const ExecuteOptions& eo) {
   TH_CHECK(!batch.empty());
-  TH_CHECK(atomic_flags.size() == batch.size());
   TH_CHECK(eo.skip_numeric == nullptr ||
            eo.skip_numeric->size() == batch.size());
 
@@ -44,8 +42,7 @@ BatchResult Executor::execute(const TaskGraph& graph,
 
   BatchResult r;
   if (backend_ != nullptr) {
-    batch_exec_->execute(*backend_, tasks, atomic_flags, eo.skip_numeric,
-                         eo.verify);
+    batch_exec_->execute(*backend_, tasks, eo.skip_numeric, eo.verify);
     if (eo.run_guards) {
       // Guards scan freshly written factor/update blocks (GETRF diagonals
       // and SSSSM targets); sequential — tiles are small and GuardReport
@@ -61,11 +58,6 @@ BatchResult Executor::execute(const TaskGraph& graph,
         r.guards.merge(g);
       }
     }
-  } else {
-    // Timing-only replay still materialises the block->task dispatch table
-    // so every task's block count is validated the same way.
-    const exec::BlockMap map = exec::BlockMap::from_tasks(tasks);
-    TH_ASSERT(map.total_blocks() > 0);
   }
 
   const KernelTiming timing = model_.batch_timing(costs);

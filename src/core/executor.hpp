@@ -2,11 +2,11 @@
 //
 // Runs one heterogeneous batch as a single simulated kernel launch:
 // * the numeric bodies execute on the host through exec::BatchExecutor — a
-//   persistent worker pool where each worker plays a CUDA block, routed to
-//   its task via the shared exec::BlockMap (Figure 7), with deterministic
-//   Schur accumulation for write-conflicting SSSSM members;
+//   persistent worker pool that runs the members of each target tile
+//   whole, in batch order, on one lane, so write-conflicting SSSSM members
+//   accumulate in the simulated order at any width;
 // * the simulated duration comes from the KernelCostModel, which derives
-//   occupancy from the same BlockMap.
+//   occupancy from the batch's summed CUDA-block counts (Figure 7).
 #pragma once
 
 #include <memory>
@@ -24,8 +24,8 @@ namespace th {
 /// the way `faults`/`abft`/`checkpoint` already are on ScheduleOptions
 /// (which nests one of these as `.exec`).
 struct ExecOptions {
-  /// Host threads for numeric batch execution (exec::BatchExecutor lanes,
-  /// each playing a CUDA block). thsolve_cli --threads / TH_THREADS.
+  /// Host threads for numeric batch execution (exec::BatchExecutor
+  /// lanes). thsolve_cli --threads / TH_THREADS.
   int workers = 1;
   /// Inert: accumulation is always deterministic. Kept because the frozen
   /// perfbench harness still sets it.
@@ -71,9 +71,9 @@ class Executor {
  public:
   /// `backend` may be null for timing-only replays (the numeric results
   /// were already validated in an earlier run, or run elsewhere); those
-  /// start no threads. `opt.workers > 1` executes batch members
-  /// block-sliced on a persistent thread pool; `opt.watchdog_s` (0 = off)
-  /// arms the pool's hung-lane watchdog.
+  /// start no threads. `opt.workers > 1` executes batch members on a
+  /// persistent thread pool, one lane per target tile; `opt.watchdog_s`
+  /// (0 = off) arms the pool's hung-lane watchdog.
   Executor(KernelCostModel model, NumericBackend* backend,
            const ExecOptions& opt = {});
   ~Executor();
@@ -81,17 +81,15 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Execute one batch. `atomic_flags[i]` marks batch member i as
-  /// write-conflicting with another member (atomicAdd on the modelled GPU;
-  /// an ordered scratch fold on the host).
+  /// Execute one batch. Members that update one target (atomicAdd on the
+  /// modelled GPU) run in batch order on one host lane.
   BatchResult execute(const TaskGraph& graph,
                       const std::vector<index_t>& batch,
-                      const std::vector<char>& atomic_flags,
                       const ExecuteOptions& eo = {});
 
   const KernelCostModel& model() const { return model_; }
 
-  /// Aggregate runtime counters (wall/busy/span time, slices, fallbacks)
+  /// Aggregate runtime counters (wall/busy/span time, ordered reductions)
   /// over every batch executed so far. Default-constructed (zero
   /// counters) on timing-only replays.
   const exec::ExecStats& exec_stats() const;

@@ -47,14 +47,6 @@ std::uint64_t order_key(Policy policy, const TaskGraph& g, const Task& t) {
   }
 }
 
-// Key of the tile a task writes: SSSSM members with equal keys conflict,
-// and ABFT groups corrupt members by it.
-std::uint64_t target_key(const Task& t) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(t.row))
-          << 32) |
-         static_cast<std::uint32_t>(t.col);
-}
-
 // Pop every entry of a rank's queues — arrivals first when asked, then the
 // pool, the urgent heap and the Container — handing each id to `visit`.
 template <class Visit>
@@ -525,8 +517,7 @@ FormedBatch SimState::form_batch(RankState& st) {
     // CPU solvers keep all cores busy with whatever is ready: consume the
     // whole pool in one task-parallel step (conflicting SSSSM updates are
     // reduced per-core, so no atomics are needed in the model; the host
-    // runtime still folds them in batch order when it runs the batch on a
-    // worker pool).
+    // runtime runs each target's members in batch order on one lane).
     drain_queues(st, false, [&](index_t id) {
       if (entry_stale(id)) return;
       if (track_pending) in_queue[id] = 0;
@@ -563,7 +554,7 @@ void SimState::aggregate(RankState& st, FormedBatch& b) {
     const Task& t = graph.task(id);
     const bool serialise =
         !opt.allow_atomic_batching && t.type == TaskType::kSsssm;
-    if (serialise && targets.count(target_key(t)) > 0) {
+    if (serialise && targets.count(t.target_key()) > 0) {
       deferred.push_back(id);
       ++result.deferred_tasks;
       return true;  // skipped but not "full"
@@ -571,7 +562,7 @@ void SimState::aggregate(RankState& st, FormedBatch& b) {
     if (!collector.try_add(t)) return false;
     b.ids.push_back(id);
     if (track_pending) in_queue[id] = 0;
-    if (serialise) targets.insert(target_key(t));
+    if (serialise) targets.insert(t.target_key());
     return true;
   };
 
@@ -598,7 +589,9 @@ void SimState::aggregate(RankState& st, FormedBatch& b) {
 }
 
 // Per-member atomic flags: every SSSSM member whose target tile another
-// SSSSM member of the batch also updates (paper §2.3).
+// SSSSM member of the batch also updates (paper §2.3). They feed the
+// modelled accounting only (atomic_tasks, had_conflict); the host runs a
+// target's members in batch order on one lane without them.
 std::vector<char> SimState::conflict_flags(
     const std::vector<index_t>& ids) const {
   std::vector<char> atomic(ids.size(), 0);
@@ -606,7 +599,7 @@ std::vector<char> SimState::conflict_flags(
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const Task& t = graph.task(ids[i]);
     if (t.type != TaskType::kSsssm) continue;
-    const auto [it, fresh] = first.try_emplace(target_key(t), i);
+    const auto [it, fresh] = first.try_emplace(t.target_key(), i);
     if (!fresh) atomic[i] = atomic[it->second] = 1;
   }
   return atomic;
@@ -729,8 +722,8 @@ void SimState::reserve_memory(Launch& l) {
     for (std::size_t i = 0; i < keep; ++i) {
       const Task& t = graph.task(batch[i]);
       d += t.out_bytes;  // output staging for the launch
-      // Conflicting members accumulate atomically on the modelled GPU;
-      // the host's private fold scratch has no device counterpart.
+      // Conflicting members accumulate atomically, in place, on the
+      // modelled GPU.
       if (abft_mode) {
         // Target snapshot plus row+column checksum vectors
         // (~2*sqrt(elems) doubles).
@@ -949,7 +942,7 @@ BatchResult SimState::execute(Launch& l) {
   eo.run_guards = fault_mode && plan.numeric_guards && backend != nullptr;
   eo.guard = plan.guard;
   if (l.verified()) eo.verify = &l.bv;
-  const BatchResult br = executor.execute(graph, batch, l.batch.atomic, eo);
+  const BatchResult br = executor.execute(graph, batch, eo);
   if (br.guards.fired()) {
     freport.guards.merge(br.guards);
     freport.escalate_refinement = true;
@@ -978,7 +971,7 @@ void SimState::settle_abft(Launch& l) {
     // (a re-run member's update would otherwise be lost for the others).
     std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (bv.outcome[i]) groups[target_key(graph.task(batch[i]))].push_back(i);
+      if (bv.outcome[i]) groups[graph.task(batch[i]).target_key()].push_back(i);
     }
     for (const auto& [tk, members] : groups) {
       bool any_within = false;

@@ -7,6 +7,8 @@
 // can price it.
 #pragma once
 
+#include <cstdint>
+
 #include "sim/device.hpp"
 #include "support/types.hpp"
 
@@ -38,6 +40,14 @@ struct Task {
   index_t diag_distance() const {
     const index_t d = row - col;
     return d < 0 ? -d : d;
+  }
+
+  /// Key of the target block (row, col): batch members with equal keys
+  /// write one block.
+  std::uint64_t target_key() const {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(row))
+            << 32) |
+           static_cast<std::uint32_t>(col);
   }
 };
 

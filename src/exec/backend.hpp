@@ -1,18 +1,13 @@
 // NumericBackend — the contract between the schedulers/runtime and a
 // solver core's numeric kernels.
 //
-// The baseline interface is task-granular: run_task() executes one
-// GETRF/TSTRF/GEESM/SSSSM body whole. The block-level extension lets the
-// BatchExecutor slice a task into its CUDA blocks (one block per target
-// row/column, Figure 7) so several workers can cooperate on a single large
-// task; backends that do not override it keep whole-task execution via the
-// runtime's fallback path.
-//
-// Host accumulation has one mode: write-conflicting SSSSM members of a
-// batch accumulate into private scratch folded in batch order, or run
-// whole in the ordered epilogue (DESIGN.md "Accumulation"). The modelled
-// GPU still resolves such conflicts with atomicAdd; that is priced by the
-// cost model (ScheduleOptions::allow_atomic_batching), not executed here.
+// The interface is task-granular: run_task() executes one GETRF/TSTRF/
+// GEESM/SSSSM body whole, in place. The BatchExecutor runs the members of
+// a batch that share a target tile on one lane, in batch order, so a
+// target's updates arrive in the simulated order at any width (DESIGN.md
+// §10). The modelled GPU still resolves such write conflicts with
+// atomicAdd; that is priced by the cost model
+// (ScheduleOptions::allow_atomic_batching), not executed here.
 #pragma once
 
 #include <vector>
@@ -34,9 +29,10 @@ enum class AccumMode {
 }  // namespace exec
 
 /// Solver-side numeric execution of a single task. Implementations must be
-/// safe to call concurrently for tasks within one batch (the scheduler
-/// guarantees batched tasks are mutually independent except for SSSSM
-/// write conflicts, which the runtime never runs concurrently in place).
+/// safe to call concurrently for tasks of one batch with different targets
+/// (the scheduler guarantees batched tasks are mutually independent except
+/// for updates of one target, which the runtime runs on one lane in
+/// order).
 class NumericBackend {
  public:
   virtual ~NumericBackend() = default;
@@ -133,21 +129,16 @@ class NumericBackend {
     (void)data;
   }
 
-  // ---- Block-level extension (exec::BatchExecutor) ----------------------
+  // ---- Inert hooks ------------------------------------------------------
+  //
+  // Nothing calls these: the runtime runs every member whole through
+  // run_task(). They stay declared because the frozen perfbench harness
+  // overrides them.
 
-  /// Inert: nothing calls it, since tiles are dense from assembly and a
-  /// task needs no preparation before its slices run. Kept declared
-  /// because the frozen perfbench harness overrides it.
+  /// Inert (see above).
   virtual void prepare_task(const Task& t) { (void)t; }
 
-  /// Execute CUDA blocks [b0, b1) of the task (0-based within the task;
-  /// one block per target row or column as priced in Task::cost). The
-  /// bool is inert (always false), as in run_task. When `into` is non-null
-  /// the blocks must accumulate into that zero-initialised scratch buffer
-  /// instead of the real target (a write-conflicting member). Return false
-  /// when the task type has no block-level body — the runtime then runs
-  /// the task whole, via run_task(), on the worker that claimed its first
-  /// block.
+  /// Inert (see above). Returns false: no block-level body.
   virtual bool run_blocks(const Task& t, index_t b0, index_t b1, bool,
                           real_t* into) {
     (void)t;
@@ -157,18 +148,13 @@ class NumericBackend {
     return false;
   }
 
-  /// Scratch elements (real_t) a write-conflicting member needs for its
-  /// private accumulation buffer. 0 means unsupported: the runtime then
-  /// serialises the conflicting member in the ordered batch epilogue
-  /// instead — slower, but still deterministic.
+  /// Inert (see above). Returns 0: no scratch form.
   virtual offset_t scratch_size(const Task& t) {
     (void)t;
     return 0;
   }
 
-  /// Fold the task's scratch accumulation into the real target. Called
-  /// serially, in batch order — the ordered reduction that makes results
-  /// reproducible across thread counts.
+  /// Inert (see above).
   virtual void apply_scratch(const Task& t, const real_t* scratch) {
     (void)t;
     (void)scratch;

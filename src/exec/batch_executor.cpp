@@ -1,10 +1,7 @@
 #include "exec/batch_executor.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <ctime>
-#include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -12,29 +9,16 @@
 #include "support/stopwatch.hpp"
 
 namespace th::exec {
-namespace {
 
 // Per-lane busy time (and the batch span derived from it) uses
 // th::thread_cpu_seconds (support/stopwatch.hpp): immune to preemption, so
 // it stays meaningful on machines with fewer cores than lanes.
 
-/// How one batch member executes.
-enum class Mode : char {
-  kInPlace,  // plain writes, no conflict
-  kScratch,  // conflict: accumulate into private scratch, fold in epilogue
-  kSerial,   // conflict, backend without scratch: run whole in the epilogue
-  kSkip,     // simulated kernel crash: priced but not executed
-};
-
-}  // namespace
-
 BatchExecutor::BatchExecutor(const BatchExecOptions& opt)
-    : opt_(opt),
-      own_pool_(opt.shared_pool != nullptr
+    : own_pool_(opt.shared_pool != nullptr
                     ? nullptr
                     : std::make_unique<WorkerPool>(opt.n_threads)),
       pool_(opt.shared_pool != nullptr ? opt.shared_pool : own_pool_.get()) {
-  TH_CHECK(opt.chunk_blocks > 0);
   TH_CHECK(opt.watchdog_s >= 0);
   // A borrowed pool keeps its owner's watchdog configuration — many
   // executors share it and must not fight over the period.
@@ -42,16 +26,13 @@ BatchExecutor::BatchExecutor(const BatchExecOptions& opt)
   // Sized for the full width: the watchdog may shrink the pool later, but
   // every batch indexes lanes [0, width-at-dispatch).
   lane_busy_.assign(static_cast<std::size_t>(pool_->width()), 0.0);
-  lane_slices_.assign(static_cast<std::size_t>(pool_->width()), 0);
 }
 
 void BatchExecutor::execute(NumericBackend& backend,
                             const std::vector<const Task*>& tasks,
-                            const std::vector<char>& atomic_flags,
                             const std::vector<char>* skip,
                             BatchVerify* verify) {
   TH_CHECK(!tasks.empty());
-  TH_CHECK(atomic_flags.size() == tasks.size());
   TH_CHECK(skip == nullptr || skip->size() == tasks.size());
   const bool obs_on = obs::enabled();
   obs::Recorder& rec = obs::Recorder::global();
@@ -59,38 +40,41 @@ void BatchExecutor::execute(NumericBackend& backend,
   const Stopwatch wall;
   const real_t caller_t0 = thread_cpu_seconds();
 
-  const BlockMap map = BlockMap::from_tasks(tasks);
-
-  // Classify members and lay out the conflict scratch.
+  // Group the members that run by target tile, numbering groups in
+  // first-member order; a member joining an existing group is one ordered
+  // reduction.
   const std::size_t nb = tasks.size();
-  std::vector<Mode> mode(nb, Mode::kInPlace);
-  std::vector<offset_t> scratch_at(nb, -1);
-  offset_t scratch_total = 0;
+  group_.assign(nb, -1);
+  group_of_.clear();
+  offset_t runs = 0;
+  long det_reds = 0;
   for (std::size_t i = 0; i < nb; ++i) {
-    if (skip != nullptr && (*skip)[i] != 0) {
-      mode[i] = Mode::kSkip;
-    } else if (atomic_flags[i] != 0) {
-      if (const offset_t sz = backend.scratch_size(*tasks[i]); sz > 0) {
-        mode[i] = Mode::kScratch;
-        scratch_at[i] = scratch_total;
-        scratch_total += sz;
-      } else {
-        mode[i] = Mode::kSerial;
-      }
-    }
+    if (skip != nullptr && (*skip)[i] != 0) continue;
+    ++runs;
+    const auto [it, fresh] = group_of_.try_emplace(
+        tasks[i]->target_key(), static_cast<int>(group_of_.size()));
+    if (!fresh) ++det_reds;
+    group_[i] = it->second;
   }
-  scratch_.assign(static_cast<std::size_t>(scratch_total), 0.0);
+
+  // Group g runs on lane g % width, its members in batch position order:
+  // a fixed rule, so per-lane work never depends on OS scheduling, and
+  // concurrent lanes never write one target. `width` is read just before
+  // each fork-join, because the watchdog may shrink the pool in between.
+  const auto for_lane_members = [&](int lane, int width, auto&& fn) {
+    for (std::size_t i = 0; i < nb; ++i) {
+      if (group_[i] >= 0 && group_[i] % width == lane) fn(i);
+    }
+  };
 
   // ABFT capture: snapshot + pre-execution checksums for every member that
-  // will run (including epilogue-serialised ones). Planning is serial and
-  // cheap; the heavy per-target jobs (snapshot, sums, SSSSM delta folds)
-  // drain on the worker lanes — distinct jobs touch distinct targets, so
-  // they need no coordination.
+  // will run. Planning is serial and cheap; the heavy per-target jobs
+  // (snapshot, sums, SSSSM delta folds) drain on the worker lanes —
+  // distinct jobs touch distinct targets, so they need no coordination.
   if (verify != nullptr && verify->abft) {
     const Stopwatch cap;
     for (std::size_t i = 0; i < nb; ++i) {
-      if (mode[i] == Mode::kSkip) continue;
-      backend.abft_capture_plan(*tasks[i]);
+      if (group_[i] >= 0) backend.abft_capture_plan(*tasks[i]);
     }
     if (const std::size_t jobs = backend.abft_capture_jobs(); jobs > 0) {
       const std::size_t cw = static_cast<std::size_t>(pool_->width());
@@ -105,67 +89,17 @@ void BatchExecutor::execute(NumericBackend& backend,
     verify->capture_s += cap.seconds();
   }
 
-  // Parallel phase: the block range is cut into fixed chunks owned
-  // round-robin by lane — the host analogue of CUDA's static blockIdx
-  // assignment (each block knows its id before the kernel runs; nothing is
-  // negotiated at runtime). Static ownership keeps per-lane work — and the
-  // span derived from it — independent of how the OS interleaves the
-  // lanes, so the scaling numbers survive core-starved CI machines.
-  std::atomic<long> fallbacks{0};
-  const index_t total = map.total_blocks();
-  const index_t width = static_cast<index_t>(pool_->width());
+  const int width = pool_->width();
   std::fill(lane_busy_.begin(), lane_busy_.end(), 0.0);
-  std::fill(lane_slices_.begin(), lane_slices_.end(), 0);
-  pool_->run([&](int lane) {
-    const real_t t0 = thread_cpu_seconds();
-    long slices = 0;
-    for (index_t chunk = static_cast<index_t>(lane) * opt_.chunk_blocks;
-         chunk < total; chunk += width * opt_.chunk_blocks) {
-      const index_t chunk_end =
-          std::min<index_t>(chunk + opt_.chunk_blocks, total);
-      index_t b = chunk;
-      index_t pos = map.task_of_block(b);
-      while (b < chunk_end) {
-        const index_t e = std::min(chunk_end, map.start_of(pos + 1));
-        const Mode m = mode[static_cast<std::size_t>(pos)];
-        if (m != Mode::kSkip && m != Mode::kSerial) {
-          const Task& t = *tasks[static_cast<std::size_t>(pos)];
-          const index_t l0 = b - map.start_of(pos);
-          const index_t l1 = e - map.start_of(pos);
-          real_t* into =
-              m == Mode::kScratch
-                  ? scratch_.data() + scratch_at[static_cast<std::size_t>(pos)]
-                  : nullptr;
-          if (backend.run_blocks(t, l0, l1, false, into)) {
-            ++slices;
-          } else if (l0 == 0) {
-            // No block-level body: the lane holding the task's first block
-            // runs it whole; lanes holding later slices of it fall through.
-            TH_ASSERT(into == nullptr);  // scratch implies block support
-            backend.run_task(t, false);
-            fallbacks.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        b = e;
-        ++pos;
-      }
-    }
-    lane_busy_[static_cast<std::size_t>(lane)] = thread_cpu_seconds() - t0;
-    lane_slices_[static_cast<std::size_t>(lane)] = slices;
-  }, "exec blocks");
-
-  // Ordered epilogue, one fixed order regardless of thread count: fold
-  // conflict scratch and run serialised members in batch position order.
-  long det_reds = 0;
-  for (std::size_t i = 0; i < nb; ++i) {
-    if (mode[i] == Mode::kScratch) {
-      backend.apply_scratch(*tasks[i], scratch_.data() + scratch_at[i]);
-      ++det_reds;
-    } else if (mode[i] == Mode::kSerial) {
-      backend.run_task(*tasks[i], false);
-      fallbacks.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  pool_->run(
+      [&](int lane) {
+        const real_t t0 = thread_cpu_seconds();
+        for_lane_members(lane, width, [&](std::size_t i) {
+          backend.run_task(*tasks[i], false);
+        });
+        lane_busy_[static_cast<std::size_t>(lane)] = thread_cpu_seconds() - t0;
+      },
+      "exec tasks");
 
   if (verify != nullptr) {
     // Plant silent corruption into the outputs the kernels just wrote —
@@ -173,42 +107,25 @@ void BatchExecutor::execute(NumericBackend& backend,
     // sit when the checksum pass reaches the tile.
     for (const auto& [member, kind] : verify->sabotage) {
       TH_CHECK(member < nb);
-      if (mode[member] == Mode::kSkip) continue;
+      if (group_[member] < 0) continue;
       if (backend.inject_fault(*tasks[member], kind)) ++verify->sabotaged;
     }
     verify->outcome.assign(nb, 0);
     if (verify->abft) {
       const Stopwatch ver;
-      // Verification is independent per target, so group members by their
-      // target tile and check the groups on the worker lanes. Members
-      // sharing a target stay in one group (the backend memoizes the
-      // verdict per target, and concurrent verify of one target would
-      // race on it). Outcome slots are per member — no write conflicts.
-      std::unordered_map<std::uint64_t, std::size_t> gidx;
-      std::vector<std::vector<std::size_t>> groups;
-      for (std::size_t i = 0; i < nb; ++i) {
-        if (mode[i] == Mode::kSkip) continue;
-        ++verify->verified;
-        const Task& t = *tasks[i];
-        const std::uint64_t k =
-            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(t.row))
-             << 32) |
-            static_cast<std::uint32_t>(t.col);
-        const auto [it, fresh] = gidx.try_emplace(k, groups.size());
-        if (fresh) groups.emplace_back();
-        groups[it->second].push_back(i);
-      }
-      if (!groups.empty()) {
-        const std::size_t vw = static_cast<std::size_t>(pool_->width());
+      // Verification is independent per target, so it runs on the same
+      // per-target groups: members sharing a target stay on one lane (the
+      // backend memoizes the verdict per target, and concurrent verify of
+      // one target would race on it). Outcome slots are per member.
+      verify->verified += runs;
+      if (runs > 0) {
+        const int vw = pool_->width();
         pool_->run(
             [&](int lane) {
-              for (std::size_t g = static_cast<std::size_t>(lane);
-                   g < groups.size(); g += vw) {
-                for (const std::size_t i : groups[g]) {
-                  if (!backend.abft_verify(*tasks[i], verify->rel_tol))
-                    verify->outcome[i] = 1;
-                }
-              }
+              for_lane_members(lane, vw, [&](std::size_t i) {
+                if (!backend.abft_verify(*tasks[i], verify->rel_tol))
+                  verify->outcome[i] = 1;
+              });
             },
             "abft verify");
       }
@@ -218,20 +135,19 @@ void BatchExecutor::execute(NumericBackend& backend,
 
   real_t busy = 0;
   real_t span_max = 0;
-  for (index_t l = 0; l < width; ++l) {
+  for (int l = 0; l < width; ++l) {
     const real_t lb = lane_busy_[static_cast<std::size_t>(l)];
     busy += lb;
     span_max = std::max(span_max, lb);
-    stats_.slices += lane_slices_[static_cast<std::size_t>(l)];
   }
-  // The caller's CPU time minus its lane-0 share isolates the serial
-  // prologue + epilogue, which sits on the critical path at any width.
+  // The caller's CPU time minus its lane-0 share isolates the serial part
+  // (grouping, ABFT planning and verification bookkeeping), which sits on
+  // the critical path at any width.
   const real_t serial_s = std::max<real_t>(
       0.0, (thread_cpu_seconds() - caller_t0) - lane_busy_[0]);
   stats_.busy_s += busy + serial_s;
   stats_.span_s += span_max + serial_s;
   stats_.wall_s += wall.seconds();
-  stats_.fallback_tasks += fallbacks.load(std::memory_order_relaxed);
   stats_.det_reductions += det_reds;
   const int prev_degraded = stats_.lanes_degraded;
   stats_.workers = pool_->width();  // post-batch: reflects watchdog degrades
@@ -246,8 +162,8 @@ void BatchExecutor::execute(NumericBackend& backend,
                   stats_.workers);
     }
     rec.span(obs::Domain::kHost, -1, "exec batch", "exec", batch_t0,
-             rec.host_now(), "tasks", static_cast<std::int64_t>(nb), "blocks",
-             static_cast<std::int64_t>(total));
+             rec.host_now(), "tasks", static_cast<std::int64_t>(nb), "targets",
+             static_cast<std::int64_t>(group_of_.size()));
   }
 }
 
@@ -256,7 +172,6 @@ void ExecStats::publish_metrics() const {
   reg.gauge("th.exec.wall_s").add(wall_s);
   reg.gauge("th.exec.busy_s").add(busy_s);
   reg.gauge("th.exec.span_s").add(span_s);
-  reg.counter("th.exec.slices").add(slices);
   reg.counter("th.exec.fallback_tasks").add(fallback_tasks);
   reg.counter("th.exec.det_reductions").add(det_reductions);
   reg.gauge("th.exec.workers").set(workers);

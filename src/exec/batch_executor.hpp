@@ -1,25 +1,22 @@
 // BatchExecutor — the paper's Executor (§3.4) realised on host threads:
-// one heterogeneous batch becomes one "kernel launch" on a persistent
-// WorkerPool, with each worker playing a set of CUDA blocks. The global
-// block range is cut into chunks owned round-robin by lane (the host
-// analogue of the kernel's static blockIdx assignment) and every block is
-// routed to its owning task through the BlockMap's binary search
-// (Figure 7); a task whose backend has no block-level body runs whole on
-// the worker that owns its first block.
-//
-// Write-conflicting SSSSM members accumulate into per-task scratch buffers
-// folded serially in batch order after the parallel phase (or, when the
-// backend has no scratch form, run whole in that ordered epilogue), so
-// results are bit-reproducible across thread counts.
+// one heterogeneous batch becomes one fork-join on a persistent WorkerPool.
+// The batch's members are grouped by target tile (row, col); each group
+// runs whole (NumericBackend::run_task), in batch position order, in place,
+// on one lane, and groups go to lanes round-robin in first-member order.
+// A target's updates therefore reach it in the simulated order at any
+// width, so results are bit-reproducible across thread counts with no
+// scratch and no serial epilogue, and per-lane work never depends on how
+// the OS schedules the lanes.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "exec/backend.hpp"
-#include "exec/block_map.hpp"
 #include "exec/worker_pool.hpp"
 
 namespace th::exec {
@@ -28,14 +25,16 @@ namespace th::exec {
 struct ExecStats {
   real_t wall_s = 0;  // wall-clock spent inside execute()
   real_t busy_s = 0;  // summed per-lane CPU time (thread CPU clock) plus
-                      // the serial prologue/epilogue share
-  real_t span_s = 0;  // critical path: serial prologue/epilogue plus the
+                      // the caller's serial share
+  real_t span_s = 0;  // critical path: the serial share plus the
                       // slowest lane of each batch. Measured with the
                       // per-thread CPU clock, so it stays meaningful when
                       // the machine has fewer cores than lanes.
-  long slices = 0;          // block-range slices executed via run_blocks
-  long fallback_tasks = 0;  // members executed whole via run_task
-  long det_reductions = 0;  // scratch buffers folded in the ordered epilogue
+  /// Always 0: every member runs whole through run_task, so there is no
+  /// fallback path. Kept because the frozen perfbench harness reads it.
+  long fallback_tasks = 0;
+  long det_reductions = 0;  // members run after an earlier member of the
+                            // same target (the ordered reductions)
   int workers = 1;          // current (responsive) pool width
   int batches = 0;          // execute() calls
   int lanes_degraded = 0;   // lanes the watchdog wrote off as hung
@@ -68,11 +67,6 @@ struct BatchVerify {
 
 struct BatchExecOptions {
   int n_threads = 1;
-  /// Blocks per round-robin chunk: small enough to interleave the
-  /// heterogeneous batch evenly across lanes, large enough that one lane
-  /// usually covers a whole task (a task split across lanes pays for its
-  /// L/U inputs once per lane).
-  index_t chunk_blocks = 32;
   /// WorkerPool hung-lane watchdog period in seconds; 0 disables. A lane
   /// that never starts its work within the period is taken over by the
   /// caller and the pool degrades to the responsive width.
@@ -93,17 +87,16 @@ class BatchExecutor {
   int n_threads() const { return pool_->width(); }
   const ExecStats& stats() const { return stats_; }
 
-  /// Execute one batch. tasks[i] accumulates into private scratch folded
-  /// in batch order when atomic_flags[i] is set (write conflict with
-  /// another member; the modelled GPU resolves it with atomicAdd); members
-  /// flagged in `skip` are not executed — their simulated kernel crashed,
-  /// so they are priced but re-run by the scheduler on a later attempt.
+  /// Execute one batch: members sharing a target run in batch order on
+  /// one lane (where the modelled GPU resolves such a write conflict with
+  /// atomicAdd); members flagged in `skip` are not executed — their
+  /// simulated kernel crashed, so they are priced but re-run by the
+  /// scheduler on a later attempt.
   /// With `verify` non-null the batch runs checksum-protected (and/or
   /// sabotaged): outcomes land in verify->outcome for the scheduler's
   /// detect-and-retry pass. Rethrows the first exception a lane's job
   /// body threw (WorkerPool containment).
   void execute(NumericBackend& backend, const std::vector<const Task*>& tasks,
-               const std::vector<char>& atomic_flags,
                const std::vector<char>* skip, BatchVerify* verify = nullptr);
 
   /// Direct pool access (tests: hang injection, degrade inspection).
@@ -111,13 +104,12 @@ class BatchExecutor {
   bool pool_is_shared() const { return own_pool_ == nullptr; }
 
  private:
-  BatchExecOptions opt_;
   std::unique_ptr<WorkerPool> own_pool_;  // null when borrowing shared_pool
   WorkerPool* pool_;
   ExecStats stats_;
-  std::vector<real_t> scratch_;     // conflict buffers, one batch at a time
-  std::vector<real_t> lane_busy_;   // per-lane CPU seconds, last batch
-  std::vector<long> lane_slices_;
+  std::vector<real_t> lane_busy_;  // per-lane CPU seconds, last batch
+  std::vector<int> group_;         // per member: target group, -1 = skipped
+  std::unordered_map<std::uint64_t, int> group_of_;  // target -> group
 };
 
 }  // namespace th::exec

@@ -19,15 +19,6 @@ index_t find_pos(std::span<const index_t> idx, index_t x) {
                                      : -1;
 }
 
-// Panel positions [p0, p1) of the in-tile range [lo, hi).
-std::pair<index_t, index_t> panel_range(std::span<const index_t> idx,
-                                        index_t lo, index_t hi) {
-  const auto b = std::lower_bound(idx.begin(), idx.end(), lo);
-  const auto e = std::lower_bound(b, idx.end(), hi);
-  return {static_cast<index_t>(b - idx.begin()),
-          static_cast<index_t>(e - idx.begin())};
-}
-
 bool sorted_in(std::span<const index_t> idx, index_t extent) {
   for (std::size_t p = 0; p < idx.size(); ++p) {
     if (idx[p] < 0 || idx[p] >= extent) return false;
@@ -167,24 +158,8 @@ void tile_getrf(Tile& diag) {
 }
 
 void tile_tstrf(Tile& target, const Tile& diag_factored) {
-  tile_tstrf_rows(target, diag_factored, 0, target.rows());
-}
-
-void tile_geesm(Tile& target, const Tile& diag_factored) {
-  tile_geesm_cols(target, diag_factored, 0, target.cols());
-}
-
-void tile_ssssm(Tile& c, const Tile& l, const Tile& u) {
-  tile_ssssm_cols(c, c.data(), l, u, 0, c.cols());
-}
-
-void tile_tstrf_rows(Tile& target, const Tile& diag_factored, index_t r0,
-                     index_t r1) {
   TH_CHECK(target.cols() == diag_factored.rows() && diag_factored.full());
-  TH_CHECK(r0 >= 0 && r0 <= r1 && r1 <= target.rows());
-  const auto [p0, p1] = panel_range(target.row_idx(), r0, r1);
   const index_t n = target.panel_cols();
-  if (p0 == p1) return;
   const real_t* u = diag_factored.data();
   index_t ldu = diag_factored.ld();
   if (n != diag_factored.cols()) {
@@ -202,19 +177,13 @@ void tile_tstrf_rows(Tile& target, const Tile& diag_factored, index_t r0,
     u = pu;
     ldu = n;
   }
-  // trsm_upper_right treats rows independently: offsetting the base
-  // pointer by p0 panel rows solves exactly those rows, bitwise identical
-  // to the whole-tile call.
-  trsm_upper_right(p1 - p0, n, u, ldu, target.data() + p0, target.ld());
+  trsm_upper_right(target.panel_rows(), n, u, ldu, target.data(),
+                   target.ld());
 }
 
-void tile_geesm_cols(Tile& target, const Tile& diag_factored, index_t c0,
-                     index_t c1) {
+void tile_geesm(Tile& target, const Tile& diag_factored) {
   TH_CHECK(target.rows() == diag_factored.cols() && diag_factored.full());
-  TH_CHECK(c0 >= 0 && c0 <= c1 && c1 <= target.cols());
-  const auto [p0, p1] = panel_range(target.col_idx(), c0, c1);
   const index_t m = target.panel_rows();
-  if (p0 == p1) return;
   const real_t* l = diag_factored.data();
   index_t ldl = diag_factored.ld();
   if (m != diag_factored.rows()) {
@@ -232,19 +201,14 @@ void tile_geesm_cols(Tile& target, const Tile& diag_factored, index_t c0,
     l = pl;
     ldl = m;
   }
-  trsm_lower_left_unit(m, p1 - p0, l, ldl,
-                       target.data() + static_cast<offset_t>(p0) * target.ld(),
+  trsm_lower_left_unit(m, target.panel_cols(), l, ldl, target.data(),
                        target.ld());
 }
 
-void tile_ssssm_cols(const Tile& c, real_t* c_data, const Tile& l,
-                     const Tile& u, index_t c0, index_t c1) {
+void tile_ssssm(Tile& c, const Tile& l, const Tile& u) {
   TH_CHECK(l.cols() == u.rows());
   TH_CHECK(c.rows() == l.rows() && c.cols() == u.cols());
-  TH_CHECK(c0 >= 0 && c0 <= c1 && c1 <= u.cols());
-  const auto [u0, u1] = panel_range(u.col_idx(), c0, c1);
   const index_t m = l.panel_rows();
-  if (u0 == u1) return;
 
   // Inner indices: L's columns ∩ U's rows, as positions in each list. An
   // index missing from either side multiplies an exact zero.
@@ -276,33 +240,32 @@ void tile_ssssm_cols(const Tile& c, real_t* c_data, const Tile& l,
     rmap[ii] = q < c.panel_rows() && cr[q] == lr[ii] ? q : -1;
   }
 
-  // Target columns: U's columns in the slice that C's envelope holds (one
-  // C lacks is a structurally zero product, dropped). The fold works on
-  // gathered copies of C's target rows, scattered back after.
+  // Target columns: U's columns that C's envelope holds (one C lacks is a
+  // structurally zero product, dropped). The fold works on gathered copies
+  // of C's target rows, scattered back after.
   thread_local std::vector<real_t*> dst_buf, col_buf;
   thread_local std::vector<real_t> tmp_buf;
-  const index_t n = u1 - u0;
+  const index_t n = u.panel_cols();
   real_t** dst = workspace(dst_buf, static_cast<std::size_t>(n));
   real_t** cols = workspace(col_buf, static_cast<std::size_t>(n));
   real_t* tmp = workspace(tmp_buf, static_cast<std::size_t>(m) * n);
   const auto uc = u.col_idx();
   const auto cc = c.col_idx();
   for (index_t j = 0, q = 0; j < n; ++j) {
-    const index_t col = uc[u0 + j];
+    const index_t col = uc[j];
     while (q < c.panel_cols() && cc[q] < col) ++q;
     if (q == c.panel_cols() || cc[q] != col) {
       dst[j] = cols[j] = nullptr;
       continue;
     }
-    dst[j] = c_data + static_cast<offset_t>(q) * c.ld();
+    dst[j] = c.data() + static_cast<offset_t>(q) * c.ld();
     cols[j] = tmp + static_cast<offset_t>(j) * m;
     for (index_t ii = 0; ii < m; ++ii) {
       cols[j][ii] = rmap[ii] >= 0 ? dst[j][rmap[ii]] : 0.0;
     }
   }
-  gemm_minus_indexed(m, n, k, l.data(), l.ld(), lpos,
-                     u.data() + static_cast<offset_t>(u0) * u.ld(), u.ld(),
-                     upos, cols);
+  gemm_minus_indexed(m, n, k, l.data(), l.ld(), lpos, u.data(), u.ld(), upos,
+                     cols);
   for (index_t j = 0; j < n; ++j) {
     if (dst[j] == nullptr) continue;
     for (index_t ii = 0; ii < m; ++ii) {

@@ -120,27 +120,4 @@ void tile_geesm(Tile& target, const Tile& diag_factored);
 /// SSSSM: C(i,j) -= L(i,k) * U(k,j), skipping the zero entries of U.
 void tile_ssssm(Tile& c, const Tile& l, const Tile& u);
 
-// ---- Block-sliced (re-entrant) kernel forms ----------------------------
-//
-// One CUDA block per target row (TSTRF) or column (GEESM/SSSSM), as priced
-// in Task::cost.cuda_blocks. A slice is a logical in-tile range, mapped
-// onto the panel's lists. Each kernel iterates its rows/columns
-// independently, so executing a slice [b0, b1) is bitwise identical to the
-// corresponding part of the whole-tile kernel — concurrent slices of one
-// task write disjoint rows/columns and need no synchronisation.
-
-/// TSTRF restricted to in-tile target rows [r0, r1).
-void tile_tstrf_rows(Tile& target, const Tile& diag_factored, index_t r0,
-                     index_t r1);
-
-/// GEESM restricted to in-tile target columns [c0, c1).
-void tile_geesm_cols(Tile& target, const Tile& diag_factored, index_t c0,
-                     index_t c1);
-
-/// SSSSM on in-tile target columns [c0, c1), accumulating into `c_data`:
-/// a buffer in `c`'s panel layout (leading dimension c.ld()) — either the
-/// target's storage or a write-conflicting member's private scratch.
-void tile_ssssm_cols(const Tile& c, real_t* c_data, const Tile& l,
-                     const Tile& u, index_t c0, index_t c1);
-
 }  // namespace th

@@ -338,9 +338,7 @@ ValidationReport validate_schedule(const TaskGraph& graph,
         if (id < 0 || id >= n) continue;
         const Task& t = graph.task(id);
         if (t.type != TaskType::kSsssm) continue;
-        ++writers[(static_cast<std::uint64_t>(static_cast<std::uint32_t>(t.row))
-                   << 32) |
-                  static_cast<std::uint32_t>(t.col)];
+        ++writers[t.target_key()];
       }
       offset_t in_batch = 0;
       for (const auto& [tile, members] : writers) {

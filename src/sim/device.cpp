@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 
-#include "exec/block_map.hpp"
 #include "support/error.hpp"
 
 namespace th {
@@ -77,18 +76,18 @@ KernelTiming KernelCostModel::batch_timing(
   offset_t total_bytes = 0;
   real_t weighted_eff_flops = 0;  // flops weighted by per-task efficiency
   real_t max_block_seconds = 0;
+  index_t total_blocks = 0;  // the kernel's grid: every task's CUDA blocks
 
-  // The same prefix-sum block layout the batch runtime dispatches through
-  // (exec::BatchExecutor): cost model and executed schedule agree on block
-  // counts by construction. Also validates every count is positive.
-  const exec::BlockMap map = exec::BlockMap::from_costs(tasks);
-
+  const offset_t resident = spec_.resident_blocks();
+  TH_CHECK(resident > 0);
   // A single CUDA block can at best use one SM slot: its throughput share.
   const real_t per_block_gflops =
-      spec_.fp64_peak_tflops * 1e3 /
-      static_cast<real_t>(spec_.resident_blocks());
+      spec_.fp64_peak_tflops * 1e3 / static_cast<real_t>(resident);
 
   for (const TaskCost& t : tasks) {
+    // A zero-block task could never be reached by any CUDA block.
+    TH_CHECK(t.cuda_blocks > 0);
+    total_blocks += t.cuda_blocks;
     total_flops += t.flops;
     total_bytes += t.bytes;
     const real_t eff =
@@ -107,8 +106,11 @@ KernelTiming KernelCostModel::batch_timing(
       total_flops > 0 ? weighted_eff_flops / static_cast<real_t>(total_flops)
                       : spec_.dense_efficiency;
 
-  // Occupancy: fraction of resident block slots this kernel fills.
-  const real_t occupancy = map.occupancy(spec_.resident_blocks());
+  // Occupancy: fraction of resident block slots this kernel fills,
+  // clamped to 1 (an oversubscribed grid runs in waves).
+  const real_t occupancy =
+      std::min<real_t>(1.0, static_cast<real_t>(total_blocks) /
+                                static_cast<real_t>(resident));
 
   const real_t compute_s =
       static_cast<real_t>(total_flops) /

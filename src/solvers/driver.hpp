@@ -89,6 +89,7 @@ class SolverInstance {
   PluFactorization* plu_factorization() { return plu_.get(); }
   const PluFactorization* plu_factorization() const { return plu_.get(); }
   /// The SLU factorisation (null when the PLU core was selected).
+  SluFactorization* slu_factorization() { return slu_.get(); }
   const SluFactorization* slu_factorization() const { return slu_.get(); }
 
  private:

@@ -59,49 +59,6 @@ class PluFactorization::Backend : public NumericBackend {
     }
   }
 
-  // ---- Block-level API (exec::BatchExecutor) ----------------------------
-
-  bool run_blocks(const Task& t, index_t b0, index_t b1, bool,
-                  real_t* into) override {
-    switch (t.type) {
-      case TaskType::kGetrf:
-        return false;  // within-tile elimination is sequential
-      case TaskType::kTstrf:
-        // cuda_blocks = target rows (one block per row).
-        tile_tstrf_rows(*tiles_.tile(t.row, t.col), *tiles_.tile(t.k, t.k),
-                        b0, b1);
-        return true;
-      case TaskType::kGeesm:
-        // cuda_blocks = target columns.
-        tile_geesm_cols(*tiles_.tile(t.row, t.col), *tiles_.tile(t.k, t.k),
-                        b0, b1);
-        return true;
-      case TaskType::kSsssm: {
-        // cuda_blocks = target columns. `into` (a write-conflicting
-        // member) is a zeroed scratch of the target's panel: the slice
-        // accumulates -L*U there and apply_scratch folds it in batch order.
-        Tile& c = *tiles_.tile(t.row, t.col);
-        tile_ssssm_cols(c, into != nullptr ? into : c.data(),
-                        *tiles_.tile(t.row, t.k), *tiles_.tile(t.k, t.col),
-                        b0, b1);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  offset_t scratch_size(const Task& t) override {
-    if (t.type != TaskType::kSsssm) return 0;
-    return tiles_.tile(t.row, t.col)->panel_size();
-  }
-
-  void apply_scratch(const Task& t, const real_t* scratch) override {
-    Tile& c = *tiles_.tile(t.row, t.col);
-    real_t* d = c.data();
-    const offset_t n = c.panel_size();
-    for (offset_t i = 0; i < n; ++i) d[i] += scratch[i];
-  }
-
   bool inject_fault(const Task& t, NumericFaultKind kind) override {
     // Faults land on panel positions.
     Tile* tile = tiles_.tile(t.row, t.col);

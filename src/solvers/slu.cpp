@@ -63,8 +63,8 @@ class SluFactorization::Backend : public NumericBackend {
     return *it;
   }
 
-  // Write-conflicting members never run concurrently: the backend has no
-  // scratch form, so the runtime serialises them in its ordered epilogue.
+  // Write-conflicting members never run concurrently: the runtime runs a
+  // target's members in batch order on one lane.
   void run_ssssm(const Task& t) {
     Supernode& s = f_.sn_[t.k];
     const Segment& li = find_segment(s, t.row);

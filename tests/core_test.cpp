@@ -232,26 +232,6 @@ TEST(Collector, ExactFillReportsExhaustedResource) {
   EXPECT_EQ(drained.close_reason(), Collector::RejectReason::kNone);
 }
 
-TEST(BlockTaskMap, BinarySearchDispatch) {
-  Task a = make_task(TaskType::kGetrf, 0, 0, 0, 10);
-  Task b = make_task(TaskType::kTstrf, 0, 1, 0, 9);
-  Task c = make_task(TaskType::kGeesm, 0, 0, 1, 11);
-  Task d = make_task(TaskType::kSsssm, 0, 1, 1, 15);
-  const std::vector<const Task*> batch{&a, &b, &c, &d};
-  const exec::BlockMap map = exec::BlockMap::from_tasks(batch);
-  // The exact Figure-7 example: 10 + 9 + 11 + 15 = 45 blocks.
-  EXPECT_EQ(map.total_blocks(), 45);
-  EXPECT_EQ(map.task_of_block(0), 0);
-  EXPECT_EQ(map.task_of_block(9), 0);
-  EXPECT_EQ(map.task_of_block(10), 1);
-  EXPECT_EQ(map.task_of_block(18), 1);
-  EXPECT_EQ(map.task_of_block(19), 2);
-  EXPECT_EQ(map.task_of_block(29), 2);
-  EXPECT_EQ(map.task_of_block(30), 3);
-  EXPECT_EQ(map.task_of_block(44), 3);
-  EXPECT_EQ(map.start_of(3), 30);
-}
-
 // A backend that counts executions and records, in call order, the tasks
 // run on the thread that constructed it (the executor's caller).
 class CountingBackend : public NumericBackend {
@@ -285,7 +265,7 @@ TEST(Executor, ExecutesEveryBatchMemberOnce) {
   Executor ex(KernelCostModel(DeviceSpec{}), &backend, ExecOptions{.workers = 1});
   std::vector<index_t> batch;
   for (index_t i = 0; i < 20; ++i) batch.push_back(i);
-  const BatchResult r = ex.execute(g, batch, std::vector<char>(20, 0));
+  const BatchResult r = ex.execute(g, batch);
   EXPECT_EQ(backend.count(), 20);
   EXPECT_EQ(r.tasks, 20);
   EXPECT_EQ(r.flops, 20 * 1000);
@@ -298,23 +278,31 @@ TEST(Executor, WorkerPoolExecutesAll) {
   for (index_t i = 0; i < n; ++i) {
     g.add_task(make_task(TaskType::kSsssm, 0, i + 1, 0));
   }
+  // n more updates of one target tile, (1, 0).
+  for (index_t i = 0; i < n; ++i) {
+    g.add_task(make_task(TaskType::kSsssm, i + 1, 1, 0));
+  }
   g.finalize();
   CountingBackend backend;
   Executor ex(KernelCostModel(DeviceSpec{}), &backend, ExecOptions{.workers = 4});
-  std::vector<index_t> batch(n);
-  for (index_t i = 0; i < n; ++i) batch[i] = i;
-  // Two consecutive batches exercise pool reuse. The backend has neither
-  // block bodies nor scratch, so every member runs whole: unflagged ones
-  // on the worker lanes, flagged (write-conflicting) ones serially in the
-  // ordered epilogue, on the caller's thread in batch order.
-  ex.execute(g, batch, std::vector<char>(n, 0));
+  std::vector<index_t> distinct(n);
+  std::vector<index_t> shared(n);
+  for (index_t i = 0; i < n; ++i) {
+    distinct[i] = i;
+    shared[i] = n + i;
+  }
+  // Two consecutive batches exercise pool reuse. Members of one target
+  // form one group, and the first group runs on lane 0 — the caller — in
+  // batch order.
+  ex.execute(g, distinct);
   const std::size_t before = backend.on_caller().size();
-  ex.execute(g, batch, std::vector<char>(n, 1));
+  ex.execute(g, shared);
   EXPECT_EQ(backend.count(), 2 * n);
-  EXPECT_EQ(ex.exec_stats().fallback_tasks, 2 * n);
+  EXPECT_EQ(ex.exec_stats().fallback_tasks, 0);
+  EXPECT_EQ(ex.exec_stats().det_reductions, n - 1);
   const std::vector<index_t> calls = backend.on_caller();
   ASSERT_EQ(calls.size() - before, static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i) EXPECT_EQ(calls[before + i], i);
+  for (index_t i = 0; i < n; ++i) EXPECT_EQ(calls[before + i], n + i);
 }
 
 TEST(Executor, NullBackendTimesOnly) {
@@ -322,7 +310,7 @@ TEST(Executor, NullBackendTimesOnly) {
   g.add_task(make_task(TaskType::kGetrf, 0, 0, 0));
   g.finalize();
   Executor ex(KernelCostModel(DeviceSpec{}), nullptr);
-  const BatchResult r = ex.execute(g, {0}, {0});
+  const BatchResult r = ex.execute(g, {0});
   EXPECT_GT(r.seconds, 0);
 }
 
@@ -340,7 +328,7 @@ TEST(Executor, NullBackendStartsNoThreads) {
   const auto before = threads();
   Executor ex(KernelCostModel(DeviceSpec{}), nullptr,
               ExecOptions{.workers = 4});
-  ex.execute(g, {0}, {0});
+  ex.execute(g, {0});
   EXPECT_EQ(threads(), before);
   EXPECT_EQ(ex.exec_stats().batches, 0);
 }

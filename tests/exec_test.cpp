@@ -1,9 +1,10 @@
-// Tests of the parallel batch-execution runtime (src/exec): BlockMap
-// dispatch, WorkerPool lanes, the BatchExecutor's slicing/accumulation
-// contracts against a mock backend, and end-to-end parallel numeric
-// factorisation against the serial path, bitwise across thread counts.
+// Tests of the parallel batch-execution runtime (src/exec): WorkerPool
+// lanes, the BatchExecutor's one-lane-per-target contract against a mock
+// backend, and end-to-end parallel numeric factorisation against a serial
+// replay of the simulated batches, bitwise at every thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <mutex>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "exec/batch_executor.hpp"
-#include "exec/block_map.hpp"
 #include "exec/worker_pool.hpp"
 #include "gen/generators.hpp"
 #include "sim/cluster.hpp"
@@ -21,39 +21,6 @@
 
 namespace th {
 namespace {
-
-// ---- BlockMap ----------------------------------------------------------
-
-TEST(BlockMap, PrefixSumsAndBinarySearch) {
-  const exec::BlockMap map(std::vector<index_t>{3, 1, 4});
-  EXPECT_EQ(map.size(), 3);
-  EXPECT_EQ(map.total_blocks(), 8);
-  EXPECT_EQ(map.start_of(0), 0);
-  EXPECT_EQ(map.start_of(1), 3);
-  EXPECT_EQ(map.start_of(2), 4);
-  EXPECT_EQ(map.start_of(3), 8);
-  EXPECT_EQ(map.blocks_of(0), 3);
-  EXPECT_EQ(map.blocks_of(1), 1);
-  EXPECT_EQ(map.blocks_of(2), 4);
-  const index_t want[] = {0, 0, 0, 1, 2, 2, 2, 2};
-  for (index_t b = 0; b < 8; ++b) EXPECT_EQ(map.task_of_block(b), want[b]);
-  EXPECT_THROW(map.task_of_block(8), Error);
-  EXPECT_THROW(map.task_of_block(-1), Error);
-}
-
-TEST(BlockMap, EmptyAndValidation) {
-  const exec::BlockMap empty;
-  EXPECT_EQ(empty.size(), 0);
-  EXPECT_EQ(empty.total_blocks(), 0);
-  EXPECT_THROW(exec::BlockMap(std::vector<index_t>{2, 0, 1}), Error);
-}
-
-TEST(BlockMap, OccupancyClampsAtOne) {
-  const exec::BlockMap map(std::vector<index_t>{8, 8});
-  EXPECT_DOUBLE_EQ(map.occupancy(32), 0.5);
-  EXPECT_DOUBLE_EQ(map.occupancy(16), 1.0);
-  EXPECT_DOUBLE_EQ(map.occupancy(4), 1.0);  // oversubscribed: runs in waves
-}
 
 // ---- WorkerPool --------------------------------------------------------
 
@@ -147,199 +114,108 @@ TEST(WorkerPool, WidthOneSpawnsNoThreads) {
 
 // ---- BatchExecutor against a mock backend ------------------------------
 
-Task make_task(TaskType type, index_t id, index_t blocks) {
+Task make_task(index_t id, index_t row, index_t col) {
   Task t;
   t.id = id;
-  t.type = type;
-  t.k = 0;
-  t.row = id;
-  t.col = 0;
-  t.cost.cuda_blocks = blocks;
+  t.type = TaskType::kSsssm;
+  t.row = row;
+  t.col = col;
+  t.cost.cuda_blocks = 4;
   return t;
 }
 
-/// Records exactly which block ranges / whole tasks ran, keyed by task id.
-class MockBackend : public NumericBackend {
+/// Logs (thread, task id) for every run_task and abft_verify call, in call
+/// order.
+class LoggingBackend : public NumericBackend {
  public:
-  explicit MockBackend(index_t n_tasks, bool with_scratch = false)
-      : covered_(static_cast<std::size_t>(n_tasks)),
-        with_scratch_(with_scratch) {
-    for (auto& c : covered_) c = 0;
-  }
+  struct Call {
+    std::thread::id lane;
+    index_t id;
+  };
 
-  void run_task(const Task& t, bool) override {
-    const std::lock_guard<std::mutex> lock(mu_);
-    whole_.push_back(t.id);
-  }
-
-  bool run_blocks(const Task& t, index_t b0, index_t b1, bool,
-                  real_t* into) override {
-    if (t.type == TaskType::kGetrf) return false;  // sequential body
-    EXPECT_TRUE(b0 >= 0 && b0 < b1 && b1 <= t.cost.cuda_blocks);
-    covered_[static_cast<std::size_t>(t.id)].fetch_add(b1 - b0);
-    if (into != nullptr) {
-      // Scratch arrives zero-initialised; slices of one task may run on
-      // different lanes concurrently, so each deposits only into its own
-      // disjoint block slots (the contract real backends honour: one
-      // column range per block).
-      for (index_t b = b0; b < b1; ++b) into[b] += 1.0;
-    }
+  void run_task(const Task& t, bool) override { log(runs_, t); }
+  bool abft_verify(const Task& t, real_t) override {
+    log(verifies_, t);
     return true;
   }
 
-  offset_t scratch_size(const Task& t) override {
-    return with_scratch_ ? t.cost.cuda_blocks : 0;
-  }
+  std::vector<Call> runs_;
+  std::vector<Call> verifies_;
 
-  void apply_scratch(const Task& t, const real_t* scratch) override {
-    real_t sum = 0;
-    for (index_t b = 0; b < t.cost.cuda_blocks; ++b) sum += scratch[b];
+ private:
+  void log(std::vector<Call>& calls, const Task& t) {
     const std::lock_guard<std::mutex> lock(mu_);
-    folded_.emplace_back(t.id, sum);
+    calls.push_back({std::this_thread::get_id(), t.id});
   }
-
-  index_t coverage(index_t id) const {
-    return covered_[static_cast<std::size_t>(id)].load();
-  }
-
   std::mutex mu_;
-  std::vector<std::atomic<index_t>> covered_;  // blocks run per task id
-  bool with_scratch_;
-  std::vector<index_t> whole_;       // run_task calls, in call order
-  std::vector<std::pair<index_t, real_t>> folded_;  // apply_scratch order
 };
 
-TEST(BatchExecutor, EveryBlockRunsExactlyOnce) {
-  for (const int threads : {1, 2, 4}) {
-    std::vector<Task> storage;
-    for (index_t i = 0; i < 9; ++i) {
-      storage.push_back(make_task(TaskType::kSsssm, i, 1 + (i * 7) % 23));
-    }
-    std::vector<const Task*> batch;
-    for (const Task& t : storage) batch.push_back(&t);
-    MockBackend mock(9);
-    exec::BatchExecOptions opt;
-    opt.n_threads = threads;
-    opt.chunk_blocks = 3;  // force chunks to straddle task boundaries
-    exec::BatchExecutor ex(opt);
-    ex.execute(mock, batch, std::vector<char>(9, 0), nullptr);
-    for (index_t i = 0; i < 9; ++i) {
-      EXPECT_EQ(mock.coverage(i), storage[i].cost.cuda_blocks)
-          << "task " << i << " at " << threads << " threads";
-    }
-    EXPECT_TRUE(mock.whole_.empty());
-    EXPECT_GT(ex.stats().slices, 0);
-    EXPECT_EQ(ex.stats().fallback_tasks, 0);
-  }
+/// Member ids in call order.
+std::vector<index_t> ids_of(const std::vector<LoggingBackend::Call>& calls) {
+  std::vector<index_t> ids;
+  for (const auto& c : calls) ids.push_back(c.id);
+  return ids;
 }
 
-TEST(BatchExecutor, SequentialTaskFallsBackWholeOnFirstBlockLane) {
-  // GETRF has no block body; it must run whole exactly once even when its
-  // block range spans several chunks.
-  std::vector<Task> storage = {make_task(TaskType::kGetrf, 0, 10),
-                               make_task(TaskType::kSsssm, 1, 5)};
-  std::vector<const Task*> batch = {&storage[0], &storage[1]};
-  MockBackend mock(2);
-  exec::BatchExecOptions opt;
-  opt.n_threads = 4;
-  opt.chunk_blocks = 2;
-  exec::BatchExecutor ex(opt);
-  ex.execute(mock, batch, std::vector<char>(2, 0), nullptr);
-  EXPECT_EQ(mock.whole_, std::vector<index_t>{0});
-  EXPECT_EQ(mock.coverage(1), 5);
-  EXPECT_EQ(ex.stats().fallback_tasks, 1);
-}
-
-TEST(BatchExecutor, DeterministicModeFoldsScratchInBatchOrder) {
+TEST(BatchExecutor, EachTargetRunsWholeOnOneLaneInBatchOrder) {
+  // Members 1, 4 and 7 update one target (5, 2), interleaved with
+  // independent members; 3 and 6 are skipped (one of them an update of
+  // the shared target).
   std::vector<Task> storage;
-  for (index_t i = 0; i < 5; ++i) {
-    storage.push_back(make_task(TaskType::kSsssm, i, 3 + i));
-  }
+  for (index_t i = 0; i < 9; ++i) storage.push_back(make_task(i, 10 + i, 0));
+  for (const index_t i : {1, 4, 6, 7}) storage[i] = make_task(i, 5, 2);
   std::vector<const Task*> batch;
   for (const Task& t : storage) batch.push_back(&t);
-  MockBackend mock(5, /*with_scratch=*/true);
+  const std::vector<char> skip = {0, 0, 0, 1, 0, 0, 1, 0, 0};
+  LoggingBackend mock;
   exec::BatchExecOptions opt;
   opt.n_threads = 4;
-  opt.chunk_blocks = 2;
   exec::BatchExecutor ex(opt);
-  ex.execute(mock, batch, std::vector<char>{0, 1, 1, 0, 1}, nullptr);
-  // Conflicting members 1, 2, 4 fold in batch order, each having deposited
-  // exactly its block count into scratch[0].
-  ASSERT_EQ(mock.folded_.size(), 3u);
-  EXPECT_EQ(mock.folded_[0].first, 1);
-  EXPECT_EQ(mock.folded_[1].first, 2);
-  EXPECT_EQ(mock.folded_[2].first, 4);
-  for (const auto& [id, sum] : mock.folded_) {
-    EXPECT_DOUBLE_EQ(sum,
-                     static_cast<real_t>(storage[id].cost.cuda_blocks));
-  }
-  EXPECT_EQ(ex.stats().det_reductions, 3);
-}
+  exec::BatchVerify bv;
+  bv.abft = true;
+  ex.execute(mock, batch, &skip, &bv);
 
-TEST(BatchExecutor, DeterministicModeWithoutScratchSerialises) {
-  // scratch_size() == 0: the conflicting member must run whole in the
-  // ordered epilogue instead (still deterministic).
-  std::vector<Task> storage = {make_task(TaskType::kSsssm, 0, 4),
-                               make_task(TaskType::kSsssm, 1, 4)};
-  std::vector<const Task*> batch = {&storage[0], &storage[1]};
-  MockBackend mock(2, /*with_scratch=*/false);
-  exec::BatchExecOptions opt;
-  opt.n_threads = 2;
-  exec::BatchExecutor ex(opt);
-  ex.execute(mock, batch, std::vector<char>{0, 1}, nullptr);
-  EXPECT_EQ(mock.coverage(0), 4);  // unconflicted member still sliced
-  ASSERT_EQ(mock.whole_.size(), 1u);
-  EXPECT_EQ(mock.whole_[0], 1);
-  EXPECT_EQ(mock.coverage(1), 0);  // and never sliced in parallel
-  EXPECT_EQ(ex.stats().fallback_tasks, 1);
-}
-
-TEST(BatchExecutor, DeterministicSkipContributesNoScratchFolds) {
-  // Deterministic accumulation with a non-null skip vector: members the
-  // scheduler marked skipped (crashed attempts) must neither slice nor
-  // fold their scratch, while surviving conflicted members still fold in
-  // batch order.
-  std::vector<Task> storage;
-  for (index_t i = 0; i < 5; ++i) {
-    storage.push_back(make_task(TaskType::kSsssm, i, 3 + i));
+  for (const auto* calls : {&mock.runs_, &mock.verifies_}) {
+    // Every member that is not skipped ran exactly once; skipped never.
+    std::vector<index_t> ids = ids_of(*calls);
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(ids, (std::vector<index_t>{0, 1, 2, 4, 5, 7, 8}));
+    // The shared target's members ran on one lane, in batch order.
+    std::vector<index_t> shared;
+    std::thread::id lane;
+    for (const auto& c : *calls) {
+      if (storage[c.id].row != 5) continue;
+      if (shared.empty()) lane = c.lane;
+      EXPECT_EQ(c.lane, lane) << "member " << c.id;
+      shared.push_back(c.id);
+    }
+    EXPECT_EQ(shared, (std::vector<index_t>{1, 4, 7}));
+    // Groups go to lanes round-robin in first-member order: member 0's
+    // group is the first, so it runs on lane 0, the caller.
+    for (const auto& c : *calls) {
+      if (c.id == 0) {
+        EXPECT_EQ(c.lane, std::this_thread::get_id());
+      }
+    }
   }
-  std::vector<const Task*> batch;
-  for (const Task& t : storage) batch.push_back(&t);
-  MockBackend mock(5, /*with_scratch=*/true);
-  exec::BatchExecOptions opt;
-  opt.n_threads = 4;
-  opt.chunk_blocks = 2;
-  exec::BatchExecutor ex(opt);
-  const std::vector<char> skip = {0, 1, 0, 1, 0};
-  ex.execute(mock, batch, std::vector<char>(5, 1), &skip);
-  // Only the surviving members 0, 2, 4 folded, in batch order.
-  ASSERT_EQ(mock.folded_.size(), 3u);
-  EXPECT_EQ(mock.folded_[0].first, 0);
-  EXPECT_EQ(mock.folded_[1].first, 2);
-  EXPECT_EQ(mock.folded_[2].first, 4);
-  for (const auto& [id, sum] : mock.folded_) {
-    EXPECT_DOUBLE_EQ(sum, static_cast<real_t>(storage[id].cost.cuda_blocks));
-  }
-  EXPECT_EQ(mock.coverage(1), 0);
-  EXPECT_EQ(mock.coverage(3), 0);
-  EXPECT_EQ(ex.stats().det_reductions, 3);
+  EXPECT_EQ(bv.verified, 7);
+  EXPECT_EQ(ex.stats().det_reductions, 2);  // members 4 and 7
   EXPECT_EQ(ex.stats().fallback_tasks, 0);
 }
 
 TEST(BatchExecutor, VerifyCountsNonSkippedMembers) {
-  // The ABFT exchange at the exec layer: with a backend whose default
-  // abft hooks accept everything, every non-skipped member is verified
-  // and no outcome is flagged.
-  std::vector<Task> storage = {make_task(TaskType::kSsssm, 0, 4),
-                               make_task(TaskType::kSsssm, 1, 4),
-                               make_task(TaskType::kSsssm, 2, 4)};
+  // The ABFT exchange at the exec layer: with a backend whose verify
+  // accepts everything, every non-skipped member is verified and no
+  // outcome is flagged.
+  std::vector<Task> storage = {make_task(0, 0, 0), make_task(1, 1, 0),
+                               make_task(2, 2, 0)};
   std::vector<const Task*> batch = {&storage[0], &storage[1], &storage[2]};
-  MockBackend mock(3);
+  LoggingBackend mock;
   exec::BatchExecutor ex(exec::BatchExecOptions{});
   exec::BatchVerify bv;
   bv.abft = true;
   const std::vector<char> skip = {0, 1, 0};
-  ex.execute(mock, batch, std::vector<char>(3, 0), &skip, &bv);
+  ex.execute(mock, batch, &skip, &bv);
   EXPECT_EQ(bv.verified, 2);
   ASSERT_EQ(bv.outcome.size(), 3u);
   for (const char c : bv.outcome) EXPECT_EQ(c, 0);
@@ -348,46 +224,30 @@ TEST(BatchExecutor, VerifyCountsNonSkippedMembers) {
 
 TEST(BatchExecutor, WatchdogDegradesHungLaneMidBatch) {
   std::vector<Task> storage;
-  for (index_t i = 0; i < 6; ++i) {
-    storage.push_back(make_task(TaskType::kSsssm, i, 4));
-  }
+  for (index_t i = 0; i < 6; ++i) storage.push_back(make_task(i, i, 0));
   std::vector<const Task*> batch;
   for (const Task& t : storage) batch.push_back(&t);
-  MockBackend mock(6);
+  const std::vector<index_t> all = {0, 1, 2, 3, 4, 5};
+  LoggingBackend mock;
   exec::BatchExecOptions opt;
   opt.n_threads = 4;
-  opt.chunk_blocks = 2;
   opt.watchdog_s = 0.05;
   exec::BatchExecutor ex(opt);
   ex.pool().inject_hang(1);
-  ex.execute(mock, batch, std::vector<char>(6, 0), nullptr);
-  // Every block still ran exactly once (the caller claimed the hung
-  // lane's chunks) and the pool shrank instead of hanging.
-  for (index_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(mock.coverage(i), storage[i].cost.cuda_blocks) << "task " << i;
-  }
+  ex.execute(mock, batch, nullptr);
+  // Every member still ran exactly once (the caller claimed the hung
+  // lane's members) and the pool shrank instead of hanging.
+  std::vector<index_t> ids = ids_of(mock.runs_);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, all);
   EXPECT_EQ(ex.stats().lanes_degraded, 1);
   EXPECT_EQ(ex.pool().width(), 3);
   // The next batch runs at the degraded width without further loss.
-  MockBackend mock2(6);
-  ex.execute(mock2, batch, std::vector<char>(6, 0), nullptr);
-  for (index_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(mock2.coverage(i), storage[i].cost.cuda_blocks);
-  }
-}
-
-TEST(BatchExecutor, SkippedMembersNeverExecute) {
-  std::vector<Task> storage = {make_task(TaskType::kSsssm, 0, 4),
-                               make_task(TaskType::kGetrf, 1, 2),
-                               make_task(TaskType::kSsssm, 2, 4)};
-  std::vector<const Task*> batch = {&storage[0], &storage[1], &storage[2]};
-  MockBackend mock(3);
-  exec::BatchExecutor ex(exec::BatchExecOptions{});
-  const std::vector<char> skip = {1, 1, 0};
-  ex.execute(mock, batch, std::vector<char>(3, 0), &skip);
-  EXPECT_EQ(mock.coverage(0), 0);
-  EXPECT_TRUE(mock.whole_.empty());  // skipped GETRF does not fall back
-  EXPECT_EQ(mock.coverage(2), 4);
+  LoggingBackend mock2;
+  ex.execute(mock2, batch, nullptr);
+  ids = ids_of(mock2.runs_);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, all);
 }
 
 // ---- End-to-end parallel factorisation ---------------------------------
@@ -396,14 +256,16 @@ Csr exec_matrix() { return finalize_system(banded_random(300, 12, 0.4, 7), 7); }
 
 // The conflict tests tile exec_matrix() at b = 12: under AMD its fill is
 // sparse enough at b = 16 that no batch holds two PLU updates of one tile,
-// and the folds they check would never run.
+// and the ordered reductions they check would never run.
 constexpr index_t kConflictBlock = 12;
 
-ScheduleResult factor(SolverInstance& inst, int threads) {
+ScheduleResult factor(SolverInstance& inst, int threads,
+                      bool collect_batches = false) {
   ScheduleOptions so;
   so.policy = Policy::kTrojanHorse;
   so.cluster = single_gpu(device_a100());
   so.exec.workers = threads;
+  so.collect_batches = collect_batches;
   return inst.run_numeric(so);
 }
 
@@ -423,8 +285,8 @@ TEST(ParallelFactor, DeterministicMatchesSerialResidual) {
     const ScheduleResult r = factor(inst, threads);
     EXPECT_LT(solve_residual(inst, a), 1e-10) << threads << " threads";
     EXPECT_EQ(r.stats().exec.workers, threads);
-    EXPECT_GT(r.stats().exec.slices, 0);
-    EXPECT_GT(r.stats().exec.det_reductions, 0);  // scratch folds actually happened
+    // Ordered reductions (same-target members) actually happened.
+    EXPECT_GT(r.stats().exec.det_reductions, 0);
   }
 }
 
@@ -449,49 +311,55 @@ std::vector<real_t> factor_values(const SolverInstance& inst) {
   return v;
 }
 
-TEST(ParallelFactor, DeterministicModeIsBitIdenticalAcrossThreadCounts) {
-  // Default ExecOptions: deterministic accumulation is the only mode. PLU
-  // folds conflicting members' scratch in batch order; SLU (no scratch
-  // form) runs them whole in the ordered epilogue.
+TEST(ParallelFactor, EveryWidthEqualsTheSerialReplayOfItsBatches) {
+  // The host contract: a factorization at any thread count equals, bit
+  // for bit, running every simulated batch's members through run_task in
+  // (batch, member) order on one thread. Both cores, with write-conflicting
+  // members present (atomic_tasks > 0).
   const Csr a = exec_matrix();
   for (const SolverCore core : {SolverCore::kPlu, SolverCore::kSlu}) {
     const char* name = core == SolverCore::kPlu ? "plu" : "slu";
-    std::vector<real_t> ref;
+    InstanceOptions io;
+    io.core = core;
+    io.block = kConflictBlock;
     for (const int threads : {1, 2, 4, 8}) {
-      InstanceOptions io;
-      io.core = core;
-      io.block = kConflictBlock;
       SolverInstance inst(a, io);
-      const ScheduleResult r = factor(inst, threads);
+      const ScheduleResult r = factor(inst, threads, /*collect_batches=*/true);
       EXPECT_GT(r.atomic_tasks, 0) << name;  // conflicts were exercised
-      const std::vector<real_t> got = factor_values(inst);
-      if (threads == 1) {
-        ref = got;
-        continue;
+      EXPECT_EQ(r.stats().exec.fallback_tasks, 0) << name;
+
+      SolverInstance replay(a, io);
+      NumericBackend& backend = core == SolverCore::kPlu
+                                    ? replay.plu_factorization()->backend()
+                                    : replay.slu_factorization()->backend();
+      for (const BatchLog::Batch& b : r.stats().batches.batches) {
+        for (std::size_t m = 0; m < b.members.size(); ++m) {
+          ASSERT_EQ(b.status[m], 0);  // a clean run: every member completed
+          backend.run_task(replay.graph().task(b.members[m]), false);
+        }
       }
-      ASSERT_EQ(got.size(), ref.size()) << name;
-      for (std::size_t e = 0; e < ref.size(); ++e) {
-        // Bitwise identity, not a tolerance: the ordered reduction must
-        // erase the thread count from the result entirely.
-        ASSERT_EQ(std::memcmp(&got[e], &ref[e], sizeof(real_t)), 0)
-            << name << " factor value " << e << " differs between 1 and "
-            << threads << " threads";
+
+      const std::vector<real_t> got = factor_values(inst);
+      const std::vector<real_t> want = factor_values(replay);
+      ASSERT_EQ(got.size(), want.size()) << name;
+      for (std::size_t e = 0; e < want.size(); ++e) {
+        // Bitwise identity, not a tolerance: the thread count must vanish
+        // from the result entirely.
+        ASSERT_EQ(std::memcmp(&got[e], &want[e], sizeof(real_t)), 0)
+            << name << " factor value " << e << " at " << threads
+            << " threads differs from the serial replay";
       }
     }
   }
 }
 
-TEST(ParallelFactor, SluBackendFallsBackWholeTaskDeterministically) {
-  // The SLU core has no block-level bodies: every member runs whole, and
-  // the runtime serialises conflicting members in the epilogue. The result
-  // must still solve.
+TEST(ParallelFactor, SluFactorsSolveAtFourThreads) {
   const Csr a = finalize_system(grid2d_laplacian(18, 18), 1);
   InstanceOptions io;
   io.core = SolverCore::kSlu;
   SolverInstance inst(a, io);
   const ScheduleResult r = factor(inst, 4);
-  EXPECT_GT(r.stats().exec.fallback_tasks, 0);
-  EXPECT_EQ(r.stats().exec.slices, 0);
+  EXPECT_EQ(r.stats().exec.workers, 4);
   EXPECT_LT(solve_residual(inst, a), 1e-10);
 }
 

@@ -421,54 +421,15 @@ TEST(KernelContract, NoFmaContraction) {
   }
 }
 
-// A dense tile with random entries: diagonally dominant when `dd`, and with
-// about 10% of its off-diagonal entries nonzero when `sparse`.
-Tile dense_tile(index_t rows, index_t cols, Rng& rng, bool dd, bool sparse) {
-  Tile t(rows, cols);
-  for (index_t c = 0; c < cols; ++c) {
-    for (index_t r = 0; r < rows; ++r) {
-      if (dd && r == c) {
-        set(t, r, c, rng.uniform(-1, 1) + rows + 1);
-      } else if (!sparse || rng.next_real() < 0.1) {
-        set(t, r, c, rng.uniform(-1, 1));
-      }
+// A full, diagonally dominant b×b tile with random entries.
+Tile dominant_tile(index_t b, Rng& rng) {
+  Tile t(b, b);
+  for (index_t c = 0; c < b; ++c) {
+    for (index_t r = 0; r < b; ++r) {
+      set(t, r, c, rng.uniform(-1, 1) + (r == c ? b + 1 : 0));
     }
   }
   return t;
-}
-
-std::vector<real_t> tile_bytes(const Tile& t) {
-  return std::vector<real_t>(
-      t.data(),
-      t.data() + t.panel_size());
-}
-
-TEST(KernelContract, SlicedTileKernelsMatchWholeTileBitwise) {
-  Rng rng(47);
-  const index_t b = 40;
-  Tile diag = dense_tile(b, b, rng, true, false);
-  tile_getrf(diag);
-
-  const Tile a = dense_tile(b, b, rng, false, false);
-  Tile whole = a;
-  tile_tstrf(whole, diag);
-  Tile sliced = a;
-  for (index_t r0 = 0; r0 < b; r0 += 17) {
-    tile_tstrf_rows(sliced, diag, r0, std::min(b, r0 + 17));
-  }
-  EXPECT_TRUE(same_bits(tile_bytes(sliced), tile_bytes(whole)));
-
-  const Tile l = dense_tile(b, b, rng, false, false);
-  const Tile u = dense_tile(b, b, rng, false, true);
-  const Tile c = dense_tile(b, b, rng, false, false);
-  Tile c_whole = c;
-  tile_ssssm(c_whole, l, u);
-  Tile c_sliced = c;
-  for (index_t c0 = 0; c0 < b; c0 += 9) {
-    tile_ssssm_cols(c_sliced, c_sliced.data(), l, u, c0,
-                    std::min(b, c0 + 9));
-  }
-  EXPECT_TRUE(same_bits(tile_bytes(c_sliced), tile_bytes(c_whole)));
 }
 
 // ---- Envelope-panel kernels against the dense b×b reference -------------
@@ -542,12 +503,12 @@ int stored_mismatches(const Tile& t, const std::vector<real_t>& ref) {
 struct PackedCase {
   index_t b = 40;
   Tile diag;
-  explicit PackedCase(Rng& rng) : diag(dense_tile(40, 40, rng, true, false)) {
+  explicit PackedCase(Rng& rng) : diag(dominant_tile(40, rng)) {
     tile_getrf(diag);
   }
 };
 
-TEST(PackedKernels, TstrfMatchesDenseReferenceWholeAndSliced) {
+TEST(PackedKernels, TstrfMatchesDenseReference) {
   Rng rng(61);
   PackedCase pc(rng);
   const index_t b = pc.b;
@@ -570,14 +531,9 @@ TEST(PackedKernels, TstrfMatchesDenseReferenceWholeAndSliced) {
   Tile whole = a;
   tile_tstrf(whole, diag);
   EXPECT_EQ(stored_mismatches(whole, ref), 0);
-  Tile sliced = a;
-  for (index_t r0 = 0; r0 < b; r0 += 7) {
-    tile_tstrf_rows(sliced, diag, r0, std::min(b, r0 + 7));
-  }
-  EXPECT_TRUE(same_bits(tile_bytes(sliced), tile_bytes(whole)));
 }
 
-TEST(PackedKernels, GeesmMatchesDenseReferenceWholeAndSliced) {
+TEST(PackedKernels, GeesmMatchesDenseReference) {
   Rng rng(62);
   PackedCase pc(rng);
   const index_t b = pc.b;
@@ -598,11 +554,6 @@ TEST(PackedKernels, GeesmMatchesDenseReferenceWholeAndSliced) {
   Tile whole = a;
   tile_geesm(whole, diag);
   EXPECT_EQ(stored_mismatches(whole, ref), 0);
-  Tile sliced = a;
-  for (index_t c0 = 0; c0 < b; c0 += 6) {
-    tile_geesm_cols(sliced, diag, c0, std::min(b, c0 + 6));
-  }
-  EXPECT_TRUE(same_bits(tile_bytes(sliced), tile_bytes(whole)));
 }
 
 TEST(PackedKernels, SsssmMatchesDenseReferenceWithDroppedRowsAndColumns) {
@@ -639,11 +590,6 @@ TEST(PackedKernels, SsssmMatchesDenseReferenceWithDroppedRowsAndColumns) {
     Tile whole = c;
     tile_ssssm(whole, l, u);
     EXPECT_EQ(stored_mismatches(whole, ref), 0) << c_has_all_rows;
-    Tile sliced = c;
-    for (index_t c0 = 0; c0 < b; c0 += 9) {
-      tile_ssssm_cols(sliced, sliced.data(), l, u, c0, std::min(b, c0 + 9));
-    }
-    EXPECT_TRUE(same_bits(tile_bytes(sliced), tile_bytes(whole)));
   }
 }
 

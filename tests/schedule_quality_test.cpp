@@ -148,6 +148,35 @@ TEST(Figure9, Para8PluIsLatencyBound) {
               0.02 * 1.158);
 }
 
+TEST(Figure12, Rm07rPluThAt16H100sIsBoundByInterNodeLatency) {
+  // Why PanguLU+TH stops strong-scaling from 8 to 16 H100s on RM07R
+  // (0.662 -> 0.701 ms): at 16 ranks the 4x4 block-cyclic grid spans the
+  // cluster's two 8-GPU nodes, so dependency chains cross InfiniBand, whose
+  // 5 us latency replaces NVLink's 2 us on those hops. The busiest rank runs
+  // 0.29 ms of kernels in a 0.70 ms makespan, so the run is latency-bound
+  // and the slower hops show. With the inter-node latency set to the
+  // intra-node one, 16 GPUs beat 8 again (0.629 ms); infinite bandwidth
+  // alone does not (0.685 ms). The pins show when that changes.
+  const Csr a = paper_matrix("RM07R").make();
+  InstanceOptions io;
+  io.core = SolverCore::kPlu;
+  io.block = 48;  // fig12_scaleout's PLU tile
+  io.preordered = min_degree_order(a);
+  SolverInstance inst(a, io);
+  const auto makespan = [&](const ClusterSpec& c, int ranks) {
+    inst.set_grid(make_process_grid(ranks));
+    ScheduleOptions o;
+    o.cluster = c;
+    o.n_ranks = ranks;
+    o.policy = Policy::kTrojanHorse;
+    return inst.run_timing(o).makespan_s;
+  };
+  ClusterSpec h100 = cluster_h100();
+  EXPECT_NEAR(makespan(h100, 16) / makespan(h100, 8), 1.059, 0.02 * 1.059);
+  h100.inter_node_latency_s = h100.intra_node_latency_s;
+  EXPECT_NEAR(makespan(h100, 16) / makespan(h100, 8), 0.950, 0.02 * 0.950);
+}
+
 TEST(ScheduleQuality, KernelCountReductionOrdersLikeThePaper) {
   // Table 5/6 shape: SLU's reduction rate is far below PLU's.
   auto rate = [&](SolverCore core, Policy base) {

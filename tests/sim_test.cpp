@@ -60,6 +60,26 @@ TEST(Device, OccupancyScalesThroughput) {
   EXPECT_GT(m.single_seconds(narrow), 5 * m.single_seconds(wide));
 }
 
+TEST(Device, OccupancyClampsAtOneAndZeroBlockTasksAreRejected) {
+  // Occupancy is the batch's summed CUDA blocks over the resident slots,
+  // clamped to 1: an oversubscribed grid runs in waves, so doubling every
+  // task's blocks past the machine's slots leaves the compute time alone.
+  const KernelCostModel m(device_a100());
+  const index_t resident = static_cast<index_t>(m.spec().resident_blocks());
+  TaskCost full = small_task(1e9, resident);
+  full.bytes = 0;
+  TaskCost twice = full;
+  twice.cuda_blocks = 2 * resident;
+  const std::vector<TaskCost> at_slots(4, full);
+  const std::vector<TaskCost> past_slots(4, twice);
+  EXPECT_DOUBLE_EQ(m.batch_timing(at_slots).exec_s,
+                   m.batch_timing(past_slots).exec_s);
+  // A zero-block task could never be reached by any CUDA block.
+  TaskCost none = small_task();
+  none.cuda_blocks = 0;
+  EXPECT_THROW(m.batch_timing({small_task(), none}), Error);
+}
+
 TEST(Device, SparseTasksRunAtLowerEfficiency) {
   const KernelCostModel m(device_a100());
   TaskCost dense = small_task(1e9, 4000, false);
