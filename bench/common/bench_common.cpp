@@ -173,26 +173,20 @@ ScheduleResult MatrixBench::run_custom(SolverCore core,
 }
 
 bool tiles_identical(const TileMatrix& x, const TileMatrix& y) {
-  if (x.nt() != y.nt()) return false;
-  for (index_t i = 0; i < x.nt(); ++i) {
-    for (index_t j = 0; j < x.nt(); ++j) {
-      const Tile* a = x.tile(i, j);
-      const Tile* b = y.tile(i, j);
-      if ((a == nullptr) != (b == nullptr)) return false;
-      if (a == nullptr) continue;
-      if (a->rows() != b->rows() || a->cols() != b->cols()) return false;
-      if (!std::ranges::equal(a->row_idx(), b->row_idx()) ||
-          !std::ranges::equal(a->col_idx(), b->col_idx())) {
-        return false;
-      }
-      const auto bytes =
-          static_cast<std::size_t>(a->panel_size()) * sizeof(real_t);
-      if (bytes > 0 && std::memcmp(a->data(), b->data(), bytes) != 0) {
-        return false;
-      }
-    }
-  }
-  return true;
+  // Equal counts, and every tile of x present in y: the same tile set.
+  if (x.nt() != y.nt() || x.size() != y.size()) return false;
+  bool same = true;
+  x.for_each([&](index_t i, index_t j, const Tile& a) {
+    const Tile* b = y.tile(i, j);
+    same = same && b != nullptr && a.rows() == b->rows() &&
+           a.cols() == b->cols() &&
+           std::ranges::equal(a.row_idx(), b->row_idx()) &&
+           std::ranges::equal(a.col_idx(), b->col_idx()) &&
+           std::memcmp(a.data(), b->data(),
+                       static_cast<std::size_t>(a.panel_size()) *
+                           sizeof(real_t)) == 0;
+  });
+  return same;
 }
 
 FactorFootprint factor_footprint(const TaskGraph& g, int n_ranks) {

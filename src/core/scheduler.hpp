@@ -169,8 +169,9 @@ struct ScheduleStats {
   /// run actually executed numerics under checksum protection.
   abft::AbftStats abft;
   /// Host-runtime counters from the parallel batch executor (wall/busy/
-  /// span seconds, slices, whole-task fallbacks). Zeros on timing-only
-  /// replays — simulated time never depends on them.
+  /// span seconds, per-target whole-task groups and their ordered
+  /// reductions). Zeros on timing-only replays — simulated time never
+  /// depends on them.
   exec::ExecStats exec;
   /// Memory-robustness accounting (budget high water, tiles spilled and
   /// reloaded, batches shrunk, pressure events). enabled only when the run

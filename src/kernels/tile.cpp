@@ -87,30 +87,29 @@ real_t Tile::at(index_t r, index_t c) const {
   return data_[static_cast<std::size_t>(pc) * ld() + pr];
 }
 
-TileMatrix::TileMatrix(const Csr& a, const TilePattern& pattern)
-    : pattern_(pattern) {
-  TH_CHECK(a.n_rows == pattern.n && a.n_cols == pattern.n);
-  TH_CHECK(pattern_.envelope != nullptr);
-  const index_t nt = pattern_.nt;
-  tiles_.resize(static_cast<std::size_t>(nt) * nt);
-  const index_t b = pattern_.tile_size;
-  for (index_t i = 0; i < nt; ++i) {
-    for (index_t j = 0; j < nt; ++j) {
-      if (pattern_.has(i, j)) {
-        tiles_[static_cast<std::size_t>(i) * nt + j] = std::make_unique<Tile>(
-            pattern_.rows_in_tile(i), pattern_.rows_in_tile(j),
-            pattern_.env_rows(i, j), pattern_.env_cols(i, j),
-            pattern_.envelope);
-      }
-    }
+TileMatrix::TileMatrix(const Csr& a,
+                       std::shared_ptr<const TilePattern> pattern)
+    : pattern_(std::move(pattern)) {
+  const TilePattern& p = *pattern_;
+  TH_CHECK(a.n_rows == p.n && a.n_cols == p.n);
+  tiles_.reserve(static_cast<std::size_t>(p.nt + 2 * p.col_ptr.back()));
+  auto add = [&](index_t i, index_t j) {
+    tiles_.emplace_back(p.rows_in_tile(i), p.rows_in_tile(j),
+                        p.env_rows(i, j), p.env_cols(i, j), pattern_);
+  };
+  for (index_t k = 0; k < p.nt; ++k) {
+    add(k, k);
+    for (const index_t i : p.below(k)) add(i, k);
+    for (const index_t i : p.below(k)) add(k, i);
   }
   // A's rows are duplicate-free (sparse/convert.hpp), so each entry lands
-  // in its own slot and every other slot of a panel stays +0.0. The
+  // in its own panel entry and every other one stays +0.0. The
   // envelope covers A's pattern (the fill includes it).
+  const index_t b = p.tile_size;
   for (index_t r = 0; r < a.n_rows; ++r) {
     const index_t I = r / b;
-    for (offset_t p = a.row_ptr[r]; p < a.row_ptr[r + 1]; ++p) {
-      const index_t cidx = a.col_idx[p];
+    for (offset_t q = a.row_ptr[r]; q < a.row_ptr[r + 1]; ++q) {
+      const index_t cidx = a.col_idx[q];
       const index_t J = cidx / b;
       Tile* t = tile(I, J);
       TH_ASSERT(t != nullptr);
@@ -119,34 +118,39 @@ TileMatrix::TileMatrix(const Csr& a, const TilePattern& pattern)
       TH_CHECK_MSG(pr >= 0 && pc >= 0,
                    "entry (" << r << "," << cidx
                              << ") of A lies outside its tile's envelope");
-      t->data()[static_cast<offset_t>(pc) * t->ld() + pr] = a.values[p];
+      t->data()[static_cast<offset_t>(pc) * t->ld() + pr] = a.values[q];
     }
   }
 }
 
-Tile* TileMatrix::tile(index_t i, index_t j) {
+offset_t TileMatrix::slot(index_t i, index_t j) const {
   TH_CHECK(i >= 0 && i < nt() && j >= 0 && j < nt());
-  return tiles_[static_cast<std::size_t>(i) * nt() + j].get();
+  const index_t k = std::min(i, j);
+  const auto& col_ptr = pattern_->col_ptr;
+  if (i == j) return k + 2 * col_ptr[k];
+  const offset_t q = pattern_->find(i, j);
+  if (q < 0) return -1;
+  return k + (i > j ? col_ptr[k] : col_ptr[k + 1]) + 1 + q;
+}
+
+Tile* TileMatrix::tile(index_t i, index_t j) {
+  return const_cast<Tile*>(std::as_const(*this).tile(i, j));
 }
 
 const Tile* TileMatrix::tile(index_t i, index_t j) const {
-  TH_CHECK(i >= 0 && i < nt() && j >= 0 && j < nt());
-  return tiles_[static_cast<std::size_t>(i) * nt() + j].get();
+  const offset_t s = slot(i, j);
+  return s < 0 ? nullptr : &tiles_[static_cast<std::size_t>(s)];
 }
 
 offset_t TileMatrix::total_nnz() const {
   offset_t total = 0;
-  for (const auto& t : tiles_) {
-    if (t) total += t->nnz();
-  }
+  for (const Tile& t : tiles_) total += t.nnz();
   return total;
 }
 
 offset_t TileMatrix::stored_words() const {
   offset_t total = 0;
-  for (const auto& t : tiles_) {
-    if (t) total += t->panel_size();
-  }
+  for (const Tile& t : tiles_) total += t.panel_size();
   return total;
 }
 

@@ -1,9 +1,10 @@
 // Tiles: the unit of storage and computation of the PLU (PanguLU-style)
 // solver core. A tile is an envelope panel (DESIGN.md §3): the sorted
-// in-tile rows and columns of its symbolic L+U nonzeros (from the
-// TilePattern's envelope) and a dense column-major block over exactly those
-// rows × columns. Diagonal tiles are full, and every panel has at least one
-// row and one column (a tile exists only where it holds scalar fill).
+// in-tile rows and columns of its symbolic L+U nonzeros (the
+// TilePattern's envelope lists) and a dense column-major block over
+// exactly those rows × columns. Diagonal tiles are full, and every panel
+// has at least one row and one column (a tile exists only where it holds
+// scalar fill).
 // TileMatrix scatters A's entries into zeroed panels and the four kernels
 // update them in place. Every entry outside a panel is a structural zero
 // of the factors, so the panel is the whole tile.
@@ -24,7 +25,7 @@ class Tile {
   Tile(index_t rows, index_t cols);
   /// A zeroed panel over sorted, non-empty in-tile row and column lists.
   /// `owner` (required) keeps the lists alive for the tile and its copies;
-  /// TileMatrix passes its pattern's envelope.
+  /// TileMatrix passes its pattern.
   Tile(index_t rows, index_t cols, std::span<const index_t> row_idx,
        std::span<const index_t> col_idx, std::shared_ptr<const void> owner);
 
@@ -71,20 +72,50 @@ class Tile {
   std::vector<real_t> data_;
 };
 
-/// The tiled matrix: owns one Tile per structurally present block of the
-/// TilePattern (absent blocks stay null and are structurally zero), each a
-/// panel over the pattern's envelope lists.
+/// The tiled matrix: one Tile per structurally present block of the
+/// TilePattern (absent blocks are structurally zero), each a panel over the
+/// pattern's envelope lists. The pattern is shared, not copied: the
+/// donor-built factorisations of the serve layer hold one pattern.
 class TileMatrix {
  public:
-  TileMatrix(const Csr& a, const TilePattern& pattern);
+  TileMatrix(const Csr& a, std::shared_ptr<const TilePattern> pattern);
 
-  index_t nt() const { return pattern_.nt; }
-  index_t tile_size() const { return pattern_.tile_size; }
-  const TilePattern& pattern() const { return pattern_; }
+  index_t nt() const { return pattern_->nt; }
+  index_t tile_size() const { return pattern_->tile_size; }
+  const TilePattern& pattern() const { return *pattern_; }
 
-  bool has(index_t i, index_t j) const { return tile(i, j) != nullptr; }
+  /// Tile (i, j), or null when it is absent.
   Tile* tile(index_t i, index_t j);
   const Tile* tile(index_t i, index_t j) const;
+
+  /// Lower tile q of block column k, (tile_row[q], k) for q in
+  /// [col_ptr[k], col_ptr[k + 1]), and its mirror (k, tile_row[q]), found
+  /// without a search.
+  const Tile& lower(index_t k, offset_t q) const {
+    return tiles_[k + pattern_->col_ptr[k] + 1 + q];
+  }
+  const Tile& upper(index_t k, offset_t q) const {
+    return tiles_[k + pattern_->col_ptr[k + 1] + 1 + q];
+  }
+
+  /// Number of present tiles, and tile (i, j)'s slot in [0, size()), or
+  /// -1 when it is absent.
+  offset_t size() const { return static_cast<offset_t>(tiles_.size()); }
+  offset_t slot(index_t i, index_t j) const;
+
+  /// Calls f(i, j, tile) on every present tile: per block column k, the
+  /// diagonal tile, then each tile (I, k) below it with its mirror (k, I).
+  template <typename F>
+  void for_each(F&& f) const {
+    const TilePattern& p = *pattern_;
+    for (index_t k = 0; k < p.nt; ++k) {
+      f(k, k, tiles_[k + 2 * p.col_ptr[k]]);
+      for (offset_t q = p.col_ptr[k]; q < p.col_ptr[k + 1]; ++q) {
+        f(p.tile_row[q], k, lower(k, q));
+        f(k, p.tile_row[q], upper(k, q));
+      }
+    }
+  }
 
   /// Exact nnz over all tiles (post-factorisation this is nnz(L+U) with the
   /// diagonal counted once).
@@ -94,8 +125,10 @@ class TileMatrix {
   offset_t stored_words() const;
 
  private:
-  TilePattern pattern_;
-  std::vector<std::unique_ptr<Tile>> tiles_;
+  std::shared_ptr<const TilePattern> pattern_;
+  /// Per block column k: the diagonal tile, the tiles below it, then their
+  /// mirrors — the order the triangular solves stream them in.
+  std::vector<Tile> tiles_;
 };
 
 // ---- Tile-level numeric kernels (the four task bodies) -----------------

@@ -931,14 +931,10 @@ void SolverService::commit_factor(SessionId sid, Session& s,
   mem::TileStore store(journal_->factor_dir(sid, gen), opt_.durable.fsync);
   const TileMatrix& tiles = s.inst->plu_factorization()->tiles();
   const index_t nt = tiles.nt();
-  for (index_t i = 0; i < nt; ++i) {
-    for (index_t j = 0; j < nt; ++j) {
-      const Tile* t = tiles.tile(i, j);
-      if (t == nullptr) continue;
-      store.spill(i * nt + j,
-                  std::vector<real_t>(t->data(), t->data() + t->panel_size()));
-    }
-  }
+  tiles.for_each([&](index_t i, index_t j, const Tile& t) {
+    store.spill(i * nt + j,
+                std::vector<real_t>(t.data(), t.data() + t.panel_size()));
+  });
   store.write_manifest(factor_layout(*s.inst));
   maybe_crash("commit");
   JournalRecord rec;
@@ -1024,24 +1020,26 @@ bool SolverService::rehydrate_factors(SessionId sid, Session& s,
 
   TileMatrix& tiles = s.inst->plu_factorization()->tiles();
   const index_t nt = tiles.nt();
-  offset_t structural = 0;
-  for (index_t i = 0; i < nt; ++i) {
-    for (index_t j = 0; j < nt; ++j) {
-      if (tiles.tile(i, j) != nullptr) ++structural;
-    }
-  }
-  if (static_cast<offset_t>(entries.size()) != structural) {
+  if (static_cast<offset_t>(entries.size()) != tiles.size()) {
     return false;  // manifest disagrees with the pattern: recompute
   }
 
+  // Each present tile must be named exactly once: with the count equal, a
+  // repeated entry would leave another tile holding unfactored values.
+  std::vector<char> seen(static_cast<std::size_t>(tiles.size()), 0);
   mem::TileStore store(dir, /*durable=*/false);
   for (const mem::TileManifestEntry& e : entries) {
     if (e.tile_id < 0 || e.tile_id >= static_cast<index_t>(nt) * nt) {
       return false;
     }
-    Tile* t = tiles.tile(e.tile_id / nt, e.tile_id % nt);
-    if (t == nullptr ||
-        e.payload_len != static_cast<std::uint64_t>(t->panel_size())) {
+    const index_t i = e.tile_id / nt;
+    const index_t j = e.tile_id % nt;
+    const offset_t slot = tiles.slot(i, j);
+    if (slot < 0 || seen[static_cast<std::size_t>(slot)]++ != 0) {
+      return false;  // absent from the pattern, or named twice
+    }
+    Tile* t = tiles.tile(i, j);
+    if (e.payload_len != static_cast<std::uint64_t>(t->panel_size())) {
       return false;
     }
     std::vector<real_t> payload;

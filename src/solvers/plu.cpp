@@ -218,7 +218,8 @@ NumericBackend& PluFactorization::backend() { return *backend_; }
 
 PluFactorization::PluFactorization(const Csr& a, const PluOptions& opts)
     : opts_(opts),
-      pattern_(tile_symbolic(a, opts.tile_size)),
+      pattern_(std::make_shared<const TilePattern>(
+          tile_symbolic(a, opts.tile_size))),
       tiles_(std::make_unique<TileMatrix>(a, pattern_)),
       backend_(std::make_unique<Backend>(*tiles_)) {
   build_graph();
@@ -231,21 +232,21 @@ PluFactorization::PluFactorization(const Csr& a, const PluOptions& opts,
       tiles_(std::make_unique<TileMatrix>(a, pattern_)),
       backend_(std::make_unique<Backend>(*tiles_)),
       graph_(donor.graph_) {
-  // Structure is borrowed wholesale: neither tile_symbolic() nor
+  // Structure is shared wholesale: neither tile_symbolic() nor
   // build_graph() runs. Only the numeric assembly above (scattering A's
   // values into fresh tiles) is new work, so `a` must tile to the donor's
   // pattern — the serve layer guarantees this via its pattern-hash cache
   // key and SolverInstance re-checks the CSR structure before getting here.
-  TH_CHECK_MSG(a.n_rows == pattern_.n,
-               "symbolic donor dimension mismatch: matrix n=" << a.n_rows
-                                                              << ", pattern n="
-                                                              << pattern_.n);
+  TH_CHECK_MSG(a.n_rows == pattern_->n,
+               "symbolic donor dimension mismatch: matrix n="
+                   << a.n_rows << ", pattern n=" << pattern_->n);
   TH_CHECK_MSG(opts.tile_size == donor.opts_.tile_size,
                "symbolic donor tile size mismatch");
 }
 
 void PluFactorization::build_graph() {
-  const index_t nt = pattern_.nt;
+  const TilePattern& p = *pattern_;
+  const index_t nt = p.nt;
 
   // Device footprint helpers. One CUDA block per column (GETRF/GEESM/SSSSM)
   // or per row (TSTRF), as in Figure 7 of the paper.
@@ -253,28 +254,22 @@ void PluFactorization::build_graph() {
   // their flops (PanguLU's kernels skip zeros) and the sparse/dense
   // efficiency flag. The host kernels run on the envelope panels.
   auto tile_density = [&](index_t i, index_t j) {
-    const offset_t nz =
-        pattern_.fill_nnz[static_cast<std::size_t>(i) * nt + j];
-    const real_t area = static_cast<real_t>(pattern_.rows_in_tile(i)) *
-                        static_cast<real_t>(pattern_.rows_in_tile(j));
-    return std::min<real_t>(1.0, static_cast<real_t>(nz) / area);
-  };
-  auto is_sparse = [&](index_t i, index_t j) {
-    return tile_density(i, j) < kSparseDensityThreshold;
+    const real_t area = static_cast<real_t>(p.rows_in_tile(i)) *
+                        static_cast<real_t>(p.rows_in_tile(j));
+    return std::min<real_t>(1.0, static_cast<real_t>(p.fill(i, j)) / area);
   };
 
-  // Task ids for the final (consumer) task of each tile, so SSSSM
-  // producers can attach dependencies: for tile (i,j), the consumer is
-  // GETRF (i==j), TSTRF (i>j, step j) or GEESM (i<j, step i).
-  std::vector<index_t> consumer(
-      static_cast<std::size_t>(nt) * static_cast<std::size_t>(nt), -1);
+  // Task ids for the final (consumer) task of each tile, by TileMatrix
+  // slot, so SSSSM producers can attach dependencies: for tile (i,j), the
+  // consumer is GETRF (i==j), TSTRF (i>j, step j) or GEESM (i<j, step i).
+  std::vector<index_t> consumer(static_cast<std::size_t>(tiles_->size()), -1);
   auto cons = [&](index_t i, index_t j) -> index_t& {
-    return consumer[static_cast<std::size_t>(i) * nt + j];
+    return consumer[static_cast<std::size_t>(tiles_->slot(i, j))];
   };
 
   // Pass 1: create GETRF / TSTRF / GEESM tasks (the per-tile consumers).
   for (index_t k = 0; k < nt; ++k) {
-    const index_t bk = pattern_.rows_in_tile(k);
+    const index_t bk = p.rows_in_tile(k);
     {
       Task t;
       t.type = TaskType::kGetrf;
@@ -291,8 +286,8 @@ void PluFactorization::build_graph() {
       t.owner_rank = opts_.grid.owner(k, k);
       cons(k, k) = graph_.add_task(t);
     }
-    for (const index_t i : pattern_.col_tiles_below(k)) {
-      const index_t bi = pattern_.rows_in_tile(i);
+    for (const index_t i : p.below(k)) {
+      const index_t bi = p.rows_in_tile(i);
       Task t;
       t.type = TaskType::kTstrf;
       t.k = k;
@@ -306,13 +301,13 @@ void PluFactorization::build_graph() {
                          static_cast<offset_t>(bk) * bk);
       t.cost.cuda_blocks = bi;  // one block per row of the target
       t.cost.shmem_per_block = static_cast<offset_t>(bk) * 8;
-      t.cost.sparse = is_sparse(i, k);
+      t.cost.sparse = tile_density(i, k) < kSparseDensityThreshold;
       t.out_bytes = words_to_bytes(static_cast<offset_t>(bi) * bk);
       t.owner_rank = opts_.grid.owner(i, k);
       cons(i, k) = graph_.add_task(t);
     }
-    for (const index_t j : pattern_.row_tiles_right(k)) {
-      const index_t bj = pattern_.rows_in_tile(j);
+    for (const index_t j : p.below(k)) {
+      const index_t bj = p.rows_in_tile(j);
       Task t;
       t.type = TaskType::kGeesm;
       t.k = k;
@@ -326,7 +321,7 @@ void PluFactorization::build_graph() {
                          static_cast<offset_t>(bk) * bk);
       t.cost.cuda_blocks = bj;  // one block per column of the target
       t.cost.shmem_per_block = static_cast<offset_t>(bk) * 8;
-      t.cost.sparse = is_sparse(k, j);
+      t.cost.sparse = tile_density(k, j) < kSparseDensityThreshold;
       t.out_bytes = words_to_bytes(static_cast<offset_t>(bk) * bj);
       t.owner_rank = opts_.grid.owner(k, j);
       cons(k, j) = graph_.add_task(t);
@@ -335,24 +330,29 @@ void PluFactorization::build_graph() {
 
   // Pass 2: SSSSM tasks + all dependencies. SSSSM (i,k,j) exists iff
   // L(i,k)'s envelope columns meet U(k,j)'s envelope rows: otherwise every
-  // product term multiplies a structural zero.
+  // product term multiplies a structural zero. Block row k's tiles right
+  // of the diagonal are the mirrors of block column k's below it.
   for (index_t k = 0; k < nt; ++k) {
     const index_t f_k = cons(k, k);
-    const std::vector<index_t> col = pattern_.col_tiles_below(k);
-    const std::vector<index_t> row = pattern_.row_tiles_right(k);
-    for (const index_t i : col) graph_.add_dependency(f_k, cons(i, k));
-    for (const index_t j : row) graph_.add_dependency(f_k, cons(k, j));
+    const auto below = p.below(k);
+    for (const index_t i : below) graph_.add_dependency(f_k, cons(i, k));
+    for (const index_t j : below) graph_.add_dependency(f_k, cons(k, j));
 
-    const index_t bk = pattern_.rows_in_tile(k);
-    for (const index_t i : col) {
-      const index_t bi = pattern_.rows_in_tile(i);
-      const auto inner = pattern_.env_cols(i, k);
-      for (const index_t j : row) {
-        if (!lists_meet(inner, pattern_.env_rows(k, j))) continue;
-        const index_t bj = pattern_.rows_in_tile(j);
+    const index_t bk = p.rows_in_tile(k);
+    for (offset_t qi = p.col_ptr[k]; qi < p.col_ptr[k + 1]; ++qi) {
+      const index_t i = p.tile_row[qi];
+      const index_t bi = p.rows_in_tile(i);
+      const auto inner = tiles_->lower(k, qi).col_idx();
+      const index_t l_cons = cons(i, k);
+      const real_t l_dens = tile_density(i, k);
+      for (offset_t qj = p.col_ptr[k]; qj < p.col_ptr[k + 1]; ++qj) {
+        if (!lists_meet(inner, tiles_->upper(k, qj).row_idx())) continue;
+        const index_t j = p.tile_row[qj];
+        const index_t bj = p.rows_in_tile(j);
         // A shared inner index c gives L(r,c) != 0 and U(c,s) != 0 with
         // c < r, s, so the scalar fill holds (r,s): C(i,j) is present.
-        TH_ASSERT(pattern_.has(i, j));
+        const offset_t target = tiles_->slot(i, j);
+        TH_ASSERT(target >= 0);
         Task t;
         t.type = TaskType::kSsssm;
         t.k = k;
@@ -360,7 +360,7 @@ void PluFactorization::build_graph() {
         t.col = j;
         // Column-column SSSSM: every nonzero of L(i,k) multiplies the
         // dense columns of U(k,j) — flops scale with both densities.
-        const real_t ldens = std::max<real_t>(tile_density(i, k), 0.01);
+        const real_t ldens = std::max<real_t>(l_dens, 0.01);
         const real_t udens = std::max<real_t>(tile_density(k, j), 0.01);
         t.cost.flops = std::max<offset_t>(
             1, gemm_flops(bi, bj, bk, ldens * udens));
@@ -369,15 +369,15 @@ void PluFactorization::build_graph() {
                                       2 * static_cast<offset_t>(bi) * bj);
         t.cost.cuda_blocks = bj;
         t.cost.shmem_per_block = static_cast<offset_t>(bi) * 8;
-        t.cost.sparse = is_sparse(i, k);
+        t.cost.sparse = l_dens < kSparseDensityThreshold;
         t.out_bytes = words_to_bytes(static_cast<offset_t>(bi) * bj);
         t.atomic_ok = true;
         t.owner_rank = opts_.grid.owner(i, j);
         const index_t s = graph_.add_task(t);
-        graph_.add_dependency(cons(i, k), s);
+        graph_.add_dependency(l_cons, s);
         graph_.add_dependency(cons(k, j), s);
         // The Schur result must land before the tile's own consumer runs.
-        graph_.add_dependency(s, cons(i, j));
+        graph_.add_dependency(s, consumer[static_cast<std::size_t>(target)]);
       }
     }
   }
@@ -387,7 +387,7 @@ void PluFactorization::build_graph() {
 
 std::vector<real_t> PluFactorization::solve(
     const std::vector<real_t>& b) const {
-  TH_CHECK(static_cast<index_t>(b.size()) == pattern_.n);
+  TH_CHECK(static_cast<index_t>(b.size()) == pattern_->n);
   std::vector<real_t> x = b;
   tri_solve_in_order(*this, x.data(), 1);
   return x;
@@ -395,10 +395,10 @@ std::vector<real_t> PluFactorization::solve(
 
 std::vector<real_t> PluFactorization::solve_transpose(
     const std::vector<real_t>& c) const {
-  const index_t n = pattern_.n;
-  TH_CHECK(static_cast<index_t>(c.size()) == n);
-  const index_t nt = pattern_.nt;
-  const index_t bs = pattern_.tile_size;
+  const TilePattern& p = *pattern_;
+  TH_CHECK(static_cast<index_t>(c.size()) == p.n);
+  const index_t nt = p.nt;
+  const index_t bs = p.tile_size;
   std::vector<real_t> x = c;
 
   // x_dst[cols[q]] -= (T^T x_src)[q] over an off-diagonal panel T: its
@@ -409,7 +409,7 @@ std::vector<real_t> PluFactorization::solve_transpose(
     for (index_t q = 0; q < t.panel_cols(); ++q) {
       const real_t* tc = t.data() + static_cast<offset_t>(q) * t.ld();
       real_t acc = 0;
-      for (index_t p = 0; p < t.panel_rows(); ++p) acc += tc[p] * src[rows[p]];
+      for (index_t r = 0; r < t.panel_rows(); ++r) acc += tc[r] * src[rows[r]];
       dst[cols[q]] -= acc;
     }
   };
@@ -432,10 +432,9 @@ std::vector<real_t> PluFactorization::solve_transpose(
       xj[r] = acc / d[r + static_cast<offset_t>(r) * diag->ld()];
     }
     // Propagate to later block rows: x_K -= U(J,K)^T y_J for K > J.
-    for (index_t K = J + 1; K < nt; ++K) {
-      const Tile* ut = tiles_->tile(J, K);
-      if (ut == nullptr) continue;
-      sub_transposed(*ut, xj, x.data() + static_cast<offset_t>(K) * bs);
+    for (offset_t q = p.col_ptr[J]; q < p.col_ptr[J + 1]; ++q) {
+      sub_transposed(tiles_->upper(J, q), xj,
+                     x.data() + static_cast<offset_t>(p.tile_row[q]) * bs);
     }
   }
 
@@ -444,10 +443,9 @@ std::vector<real_t> PluFactorization::solve_transpose(
   for (index_t J = nt - 1; J >= 0; --J) {
     real_t* xj = x.data() + static_cast<offset_t>(J) * bs;
     // Gather contributions from later block rows: x_J -= L(I,J)^T z_I.
-    for (index_t I = J + 1; I < nt; ++I) {
-      const Tile* lt = tiles_->tile(I, J);
-      if (lt == nullptr) continue;
-      sub_transposed(*lt, x.data() + static_cast<offset_t>(I) * bs, xj);
+    for (offset_t q = p.col_ptr[J]; q < p.col_ptr[J + 1]; ++q) {
+      sub_transposed(tiles_->lower(J, q),
+                     x.data() + static_cast<offset_t>(p.tile_row[q]) * bs, xj);
     }
     // Within-tile: solve L(J,J)^T z_J = rhs (upper, unit diagonal).
     const Tile* diag = tiles_->tile(J, J);

@@ -28,9 +28,10 @@ class PluFactorization {
  public:
   PluFactorization(const Csr& a, const PluOptions& opts);
   /// Donor-copy construction — the serve layer's symbolic-cache fast path.
-  /// Borrows the donor's tile pattern and task DAG (both pure functions of
-  /// the sparsity structure) and rebuilds only the numeric state: fresh
-  /// tiles assembled from `a`'s values plus a backend bound to them.
+  /// Shares the donor's tile pattern and copies its task DAG (both pure
+  /// functions of the sparsity structure); rebuilds only the numeric
+  /// state: fresh tiles assembled from `a`'s values plus a backend bound
+  /// to them.
   /// Requires `a` to have the donor's (permuted) sparsity structure and
   /// the same tile size; skips tile_symbolic() and build_graph() entirely.
   PluFactorization(const Csr& a, const PluOptions& opts,
@@ -39,7 +40,7 @@ class PluFactorization {
 
   const TaskGraph& graph() const { return graph_; }
   TaskGraph& mutable_graph() { return graph_; }
-  const TilePattern& pattern() const { return pattern_; }
+  const TilePattern& pattern() const { return *pattern_; }
   TileMatrix& tiles() { return *tiles_; }
   const TileMatrix& tiles() const { return *tiles_; }
 
@@ -64,7 +65,7 @@ class PluFactorization {
  private:
   class Backend;
   PluOptions opts_;
-  TilePattern pattern_;
+  std::shared_ptr<const TilePattern> pattern_;
   std::unique_ptr<TileMatrix> tiles_;
   std::unique_ptr<Backend> backend_;
   TaskGraph graph_;

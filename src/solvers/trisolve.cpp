@@ -90,52 +90,30 @@ TaskGraph build_solve_graph(const PluFactorization& fact, bool forward,
   }
 
   // One update task per off-diagonal tile of the triangle being solved,
-  // feeding the destination block row's diagonal task.
+  // feeding the destination block row's diagonal task: x_i -= L(i,k) x_k
+  // forward, x_k -= U(k,i) x_i backward, for each block row i in below(k).
   for (index_t k = 0; k < nt; ++k) {
-    if (forward) {
-      for (const index_t i : p.col_tiles_below(k)) {
-        const index_t bi = p.rows_in_tile(i);
-        const index_t bk = p.rows_in_tile(k);
-        Task t;
-        t.type = kUpdate;
-        t.k = k;
-        t.row = i;
-        t.col = k;
-        t.cost.flops = 2 * static_cast<offset_t>(bi) * bk * nrhs;
-        t.cost.bytes = words_to_bytes(static_cast<offset_t>(bi) * bk +
-                                      2 * static_cast<offset_t>(bi) * nrhs);
-        t.cost.cuda_blocks = std::max<index_t>(1, bi / 16);
-        t.cost.shmem_per_block = static_cast<offset_t>(bk) * 8;
-        t.out_bytes = words_to_bytes(static_cast<offset_t>(bi) * nrhs);
-        t.atomic_ok = true;  // updates into block i commute
-        t.owner_rank = grid.owner(i, k);
-        const index_t id = g.add_task(t);
-        g.add_dependency(diag_id[k], id);
-        g.add_dependency(id, diag_id[i]);
-      }
-    } else {
-      for (const index_t j : p.row_tiles_right(k)) {
-        // Backward: x_k -= U(k, j) x_j, so the update targets block k and
-        // depends on block j's diagonal task.
-        const index_t bk = p.rows_in_tile(k);
-        const index_t bj = p.rows_in_tile(j);
-        Task t;
-        t.type = kUpdate;
-        t.k = j;
-        t.row = k;
-        t.col = j;
-        t.cost.flops = 2 * static_cast<offset_t>(bk) * bj * nrhs;
-        t.cost.bytes = words_to_bytes(static_cast<offset_t>(bk) * bj +
-                                      2 * static_cast<offset_t>(bk) * nrhs);
-        t.cost.cuda_blocks = std::max<index_t>(1, bk / 16);
-        t.cost.shmem_per_block = static_cast<offset_t>(bj) * 8;
-        t.out_bytes = words_to_bytes(static_cast<offset_t>(bk) * nrhs);
-        t.atomic_ok = true;
-        t.owner_rank = grid.owner(k, j);
-        const index_t id = g.add_task(t);
-        g.add_dependency(diag_id[j], id);
-        g.add_dependency(id, diag_id[k]);
-      }
+    for (const index_t i : p.below(k)) {
+      const index_t dst = forward ? i : k;
+      const index_t src = forward ? k : i;
+      const index_t bd = p.rows_in_tile(dst);
+      const index_t bsrc = p.rows_in_tile(src);
+      Task t;
+      t.type = kUpdate;
+      t.k = src;
+      t.row = dst;
+      t.col = src;
+      t.cost.flops = 2 * static_cast<offset_t>(bd) * bsrc * nrhs;
+      t.cost.bytes = words_to_bytes(static_cast<offset_t>(bd) * bsrc +
+                                    2 * static_cast<offset_t>(bd) * nrhs);
+      t.cost.cuda_blocks = std::max<index_t>(1, bd / 16);
+      t.cost.shmem_per_block = static_cast<offset_t>(bsrc) * 8;
+      t.out_bytes = words_to_bytes(static_cast<offset_t>(bd) * nrhs);
+      t.atomic_ok = true;  // updates into block dst commute
+      t.owner_rank = grid.owner(dst, src);
+      const index_t id = g.add_task(t);
+      g.add_dependency(diag_id[src], id);
+      g.add_dependency(id, diag_id[dst]);
     }
   }
   g.finalize();
@@ -149,30 +127,39 @@ void tri_solve_in_order(const PluFactorization& fact, real_t* x,
   const index_t nt = p.nt;
   const index_t bs = p.tile_size;
   const index_t n = p.n;
-  // One update's contribution at a time: block row k folds each update
-  // right after computing it, so no per-tile scratch is needed.
+  // One update's contribution at a time, folded right after it is
+  // computed, so no per-tile scratch is needed.
   std::vector<real_t> contrib(static_cast<std::size_t>(bs));
+  // x[block dst] -= T x[block src], for every right-hand side.
+  auto update = [&](const Tile& t, index_t dst, index_t src) {
+    for (index_t r = 0; r < nrhs; ++r) {
+      real_t* xr = x + static_cast<offset_t>(r) * n;
+      std::fill_n(contrib.begin(), t.panel_rows(), 0.0);
+      add_update(t, xr + static_cast<offset_t>(src) * bs, contrib.data());
+      fold_update(t.row_idx(), contrib.data(),
+                  xr + static_cast<offset_t>(dst) * bs);
+    }
+  };
+  // Every block row takes its updates in ascending source order, each
+  // from a solved block: the forward sweep pushes solved block k into the
+  // rows below it, the backward sweep pulls block row k's sources j > k.
   for (const bool forward : {true, false}) {
     for (index_t s = 0; s < nt; ++s) {
       const index_t k = forward ? s : nt - 1 - s;
-      const offset_t row_k = static_cast<offset_t>(k) * bs;
-      // The update tasks into block row k in ascending source order; every
-      // source block is already solved.
-      const index_t src_end = forward ? k : nt;
-      for (index_t src = forward ? 0 : k + 1; src < src_end; ++src) {
-        const Tile* t = fact.tiles().tile(k, src);
-        if (t == nullptr) continue;
-        const offset_t row_src = static_cast<offset_t>(src) * bs;
-        for (index_t r = 0; r < nrhs; ++r) {
-          real_t* xr = x + static_cast<offset_t>(r) * n;
-          std::fill_n(contrib.begin(), t->panel_rows(), 0.0);
-          add_update(*t, xr + row_src, contrib.data());
-          fold_update(t->row_idx(), contrib.data(), xr + row_k);
+      if (!forward) {
+        for (offset_t q = p.col_ptr[k]; q < p.col_ptr[k + 1]; ++q) {
+          update(fact.tiles().upper(k, q), k, p.tile_row[q]);
         }
       }
       const Tile& d = *fact.tiles().tile(k, k);
       for (index_t r = 0; r < nrhs; ++r) {
-        substitute(d, x + static_cast<offset_t>(r) * n + row_k, forward);
+        substitute(d, x + static_cast<offset_t>(r) * n +
+                          static_cast<offset_t>(k) * bs, forward);
+      }
+      if (forward) {
+        for (offset_t q = p.col_ptr[k]; q < p.col_ptr[k + 1]; ++q) {
+          update(fact.tiles().lower(k, q), p.tile_row[q], k);
+        }
       }
     }
   }

@@ -4,10 +4,12 @@
 // symbolic factorisation decides which tiles of L+U exist: a tile is
 // present iff it holds a scalar nonzero of L+U (diagonal tiles always are).
 // Those tiles and their envelopes are the task structure the PLU solver
-// core and the Trojan Horse schedule over (Figure 4 of the paper).
+// core and the Trojan Horse schedule over (Figure 4 of the paper). The
+// fill is structurally symmetric, so only the strictly lower block
+// triangle is stored (DESIGN.md §3); an upper tile reads its mirror.
 #pragma once
 
-#include <memory>
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -15,65 +17,80 @@
 
 namespace th {
 
-/// The symbolic envelope of every tile: the sorted in-tile rows and the
-/// sorted in-tile columns that hold at least one scalar L+U nonzero. Cells
-/// are indexed like TilePattern::present; each list is a slice of `idx`.
-/// A tile (I,J) above the diagonal shares its lists with (J,I) transposed
-/// (the fill pattern is structurally symmetric).
-struct TileEnvelope {
-  std::vector<offset_t> row_off, col_off;  // slice starts in idx
-  std::vector<index_t> row_len, col_len;   // slice lengths
-  std::vector<index_t> idx;
-};
-
 struct TilePattern {
   index_t n = 0;          // matrix dimension
   index_t tile_size = 0;  // b
   index_t nt = 0;         // number of tile rows/cols = ceil(n / b)
 
-  /// present[I * nt + J] != 0 iff fill_nnz of tile (I, J) is nonzero or
-  /// I == J.
-  std::vector<char> present;
+  /// Block column J's lower tiles (I, J), I > J, are the positions
+  /// [col_ptr[J], col_ptr[J + 1]) of the per-tile arrays, I ascending.
+  std::vector<offset_t> col_ptr;  // nt + 1
+  std::vector<index_t> tile_row;  // I of each lower tile
+  /// Scalar L+U fill of each lower tile (as much as its mirror's) and each
+  /// diagonal tile: it decides which tiles exist and prices tile density.
+  std::vector<offset_t> tile_fill;
+  std::vector<offset_t> diag_fill;
+  /// Lower tile p's envelope, its sorted in-tile rows and columns holding
+  /// an L+U nonzero: env[env_ptr[2p], env_ptr[2p + 1]) and
+  /// env[env_ptr[2p + 1], env_ptr[2p + 2]), both non-empty.
+  std::vector<offset_t> env_ptr;
+  std::vector<index_t> env;
+  std::vector<index_t> iota;  // 0..b-1: the full diagonal tiles' lists
 
-  /// Scalar-fill nonzeros of L+U that fall in each tile, computed from the
-  /// exact symbolic factorisation. It decides which tiles exist, and the
-  /// cost model prices tile density from it.
-  std::vector<offset_t> fill_nnz;
+  /// Block rows I > k of block column k's tiles, ascending; by symmetry
+  /// also the block columns J > k of block row k's tiles.
+  std::span<const index_t> below(index_t k) const {
+    return {tile_row.data() + col_ptr[k],
+            static_cast<std::size_t>(col_ptr[k + 1] - col_ptr[k])};
+  }
 
-  /// Envelope lists of every tile, built with fill_nnz. Shared, so copies
-  /// of a pattern (TileMatrix, the serve layer's symbolic donors) point at
-  /// one set of lists. Diagonal tiles are full; every other present tile
-  /// has non-empty lists, and an absent one empty lists.
-  std::shared_ptr<const TileEnvelope> envelope;
+  /// Position of the lower tile of the pair (i,j), (j,i), found in block
+  /// column min(i, j); -1 when the pair is absent or i == j.
+  offset_t find(index_t i, index_t j) const {
+    const auto last = tile_row.begin() + col_ptr[std::min(i, j) + 1];
+    const auto it = std::lower_bound(
+        tile_row.begin() + col_ptr[std::min(i, j)], last, std::max(i, j));
+    return it != last && *it == std::max(i, j) ? it - tile_row.begin() : -1;
+  }
+  bool has(index_t i, index_t j) const { return i == j || find(i, j) >= 0; }
+  /// Scalar fill of tile (i, j); 0 when absent.
+  offset_t fill(index_t i, index_t j) const {
+    if (i == j) return diag_fill[i];
+    const offset_t p = find(i, j);
+    return p < 0 ? 0 : tile_fill[p];
+  }
 
+  /// Envelope of tile (i, j): full on the diagonal, its mirror's lists
+  /// swapped above it, empty when absent.
   std::span<const index_t> env_rows(index_t i, index_t j) const {
-    const std::size_t c = static_cast<std::size_t>(i) * nt + j;
-    return {envelope->idx.data() + envelope->row_off[c],
-            static_cast<std::size_t>(envelope->row_len[c])};
+    return env_list(i, j, i < j);
   }
   std::span<const index_t> env_cols(index_t i, index_t j) const {
-    const std::size_t c = static_cast<std::size_t>(i) * nt + j;
-    return {envelope->idx.data() + envelope->col_off[c],
-            static_cast<std::size_t>(envelope->col_len[c])};
+    return env_list(i, j, i > j);
   }
-
-  bool has(index_t i, index_t j) const {
-    return present[static_cast<std::size_t>(i) * nt + j] != 0;
-  }
-
-  /// Tiles of block-column J below the diagonal (i > J), ascending.
-  std::vector<index_t> col_tiles_below(index_t J) const;
-  /// Tiles of block-row I right of the diagonal (j > I), ascending.
-  std::vector<index_t> row_tiles_right(index_t I) const;
 
   index_t rows_in_tile(index_t I) const {
     return std::min<index_t>(tile_size, n - I * tile_size);
   }
+
+ private:
+  // The diagonal tile's full list, else the row list of the pair's lower
+  // tile, or with `cols` its column list.
+  std::span<const index_t> env_list(index_t i, index_t j, bool cols) const {
+    if (i == j) {
+      return {iota.data(), static_cast<std::size_t>(rows_in_tile(i))};
+    }
+    const offset_t p = find(i, j);
+    if (p < 0) return {};
+    const offset_t s = 2 * p + (cols ? 1 : 0);
+    return {env.data() + env_ptr[s],
+            static_cast<std::size_t>(env_ptr[s + 1] - env_ptr[s])};
+  }
 };
 
-/// Build the tile pattern of A from its scalar symbolic fill: fill_nnz,
-/// the envelopes and the present tiles (those with fill, plus the
-/// diagonal). The pattern is closed under the Schur updates that exist: if
+/// Build the tile pattern of A from its scalar symbolic fill: the present
+/// tiles (those with fill, plus the diagonal), their fill counts and
+/// envelopes. The pattern is closed under the Schur updates that exist: if
 /// L(i,k)'s envelope columns meet U(k,j)'s envelope rows, tile (i,j) has
 /// fill.
 TilePattern tile_symbolic(const Csr& a, index_t tile_size);

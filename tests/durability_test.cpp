@@ -727,6 +727,57 @@ TEST(DurableServe, FactorsOfAnotherLayoutRecompute) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(DurableServe, DuplicateManifestEntryRecomputes) {
+  // A well-formed manifest with the right entry count that names one tile
+  // twice and omits another: adopting it would leave the omitted tile
+  // holding A's unfactored values. Each present tile must appear once.
+  const std::string dir = scratch_dir("serve_dup_entry");
+  const Csr a = grid(10, 2);  // n = 100: two block rows at b = 64
+  SessionId sid = -1;
+  {
+    SolverService svc(durable_service(dir));
+    sid = svc.open_session("alice", a);
+    Request f;
+    f.kind = RequestKind::kFactor;
+    f.idem_key = 45;
+    svc.submit(sid, f);
+    svc.drain();
+    mem::TileStore store(svc.journal()->factor_dir(sid, 0));
+    mem::TileManifest m =
+        mem::TileStore::load_manifest_file(store.manifest_path());
+    ASSERT_GE(m.entries.size(), 2u);
+    m.entries[1] = m.entries[0];
+    std::ofstream out(store.manifest_path(),
+                      std::ios::binary | std::ios::trunc);
+    mem::TileStore::save_manifest(out, m);
+  }
+
+  SolverService svc(durable_service(dir, /*recover=*/true));
+  const DurableStats& ds = svc.durable_stats();
+  EXPECT_EQ(ds.sessions_recovered, 1);
+  EXPECT_EQ(ds.factors_rehydrated, 0);
+  EXPECT_GE(ds.recompute_fallbacks, 1);
+  EXPECT_EQ(svc.open_session("alice", a), sid);
+  Request f;
+  f.kind = RequestKind::kFactor;
+  f.idem_key = 45;
+  svc.submit(sid, f);
+  Request sv;
+  sv.kind = RequestKind::kSolve;
+  sv.value_seed = 5;
+  svc.submit(sid, sv);
+  const std::vector<Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 2u);
+  for (const Completion& c : done) {
+    EXPECT_TRUE(c.ok()) << c.detail;
+    if (c.kind == RequestKind::kSolve) {
+      EXPECT_LT(c.residual, 1e-9);
+    }
+  }
+  EXPECT_EQ(svc.stats().factors, 1);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(DurableServe, V2TileFileFailsTypedAndRecomputes) {
   // A THTS v2 file (a dense b×b payload, written before tiles became
   // envelope panels) must fail with the typed version error, and its

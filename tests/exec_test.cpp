@@ -297,17 +297,13 @@ std::vector<real_t> factor_values(const SolverInstance& inst) {
   if (inst.plu_factorization() == nullptr) {
     return inst.slu_factorization()->values();
   }
-  const TileMatrix& tm = inst.plu_factorization()->tiles();
   std::vector<real_t> v;
-  for (index_t i = 0; i < tm.nt(); ++i) {
-    for (index_t j = 0; j < tm.nt(); ++j) {
-      if (!tm.has(i, j)) continue;
-      const Tile& t = *tm.tile(i, j);
-      for (index_t c = 0; c < t.cols(); ++c) {
-        for (index_t r = 0; r < t.rows(); ++r) v.push_back(t.at(r, c));
-      }
-    }
-  }
+  inst.plu_factorization()->tiles().for_each(
+      [&](index_t, index_t, const Tile& t) {
+        for (index_t c = 0; c < t.cols(); ++c) {
+          for (index_t r = 0; r < t.rows(); ++r) v.push_back(t.at(r, c));
+        }
+      });
   return v;
 }
 

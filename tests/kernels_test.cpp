@@ -157,8 +157,8 @@ TEST(TileMatrix, AssembleMatchesSource) {
   int fill_only = 0;
   for (const Csr& a : {finalize_system(cage_like(60, 4, 0.2, 21), 21),
                        finalize_system(circuit_like(120, 3.0, 2, 21), 21)}) {
-    const TilePattern p = tile_symbolic(a, 8);
-    const TileMatrix tm(a, p);
+    const TileMatrix tm(
+        a, std::make_shared<const TilePattern>(tile_symbolic(a, 8)));
     const auto dense = to_dense(a);
     for (index_t r = 0; r < a.n_rows; ++r) {
       for (index_t c = 0; c < a.n_cols; ++c) {

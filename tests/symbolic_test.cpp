@@ -277,20 +277,49 @@ TEST(Tiles, PresentTilesAreTheBinnedScalarFill) {
   }
 }
 
-TEST(Tiles, RowColHelpers) {
-  const Csr a = finalize_system(grid2d_laplacian(8, 8), 19);
-  const TilePattern p = tile_symbolic(a, 16);
-  for (index_t k = 0; k < p.nt; ++k) {
-    for (index_t i : p.col_tiles_below(k)) {
-      EXPECT_GT(i, k);
-      EXPECT_TRUE(p.has(i, k));
-    }
-    for (index_t j : p.row_tiles_right(k)) {
-      EXPECT_GT(j, k);
-      EXPECT_TRUE(p.has(k, j));
+// The pattern keeps one tile list per block column. Tile presence is
+// structurally symmetric, so the same list is also block row k's tiles
+// right of the diagonal.
+TEST(Tiles, BelowIsBothTheColumnAndTheRowScan) {
+  for (const Csr& a : tile_cases()) {
+    for (const index_t b : {8, 16}) {
+      const TilePattern p = tile_symbolic(a, b);
+      for (index_t k = 0; k < p.nt; ++k) {
+        std::vector<index_t> col;
+        std::vector<index_t> row;
+        for (index_t x = k + 1; x < p.nt; ++x) {
+          if (p.has(x, k)) col.push_back(x);
+          if (p.has(k, x)) row.push_back(x);
+        }
+        EXPECT_TRUE(std::ranges::equal(p.below(k), col)) << k << ", b=" << b;
+        EXPECT_TRUE(std::ranges::equal(p.below(k), row)) << k << ", b=" << b;
+      }
+      EXPECT_GT(estimate_tile_nnz_lu(p), a.nnz() / 2);
     }
   }
-  EXPECT_GT(estimate_tile_nnz_lu(p), a.nnz() / 2);
+}
+
+// Pattern and tile bookkeeping grow with n and the present tiles, not with
+// nt²: a tridiagonal system at b = 4 has nt = 1,000 block columns and
+// under 3,000 present tiles.
+TEST(Tiles, StorageScalesWithPresentTiles) {
+  const Csr a = finalize_system(grid2d_laplacian(4000, 1), 5);
+  PluOptions opts;
+  opts.tile_size = 4;
+  const PluFactorization f(a, opts);
+  const TilePattern& p = f.pattern();
+  const TileMatrix& tm = f.tiles();
+  ASSERT_EQ(p.nt, 1000);
+  EXPECT_EQ(tm.size(), p.nt + 2 * p.col_ptr.back());
+  EXPECT_LT(tm.size(), 3000);
+  const auto bound =
+      static_cast<std::size_t>(4 * (a.n_rows + p.nt + tm.size()));
+  for (const std::size_t size :
+       {p.col_ptr.size(), p.tile_row.size(), p.tile_fill.size(),
+        p.diag_fill.size(), p.env_ptr.size(), p.env.size(), p.iota.size(),
+        static_cast<std::size_t>(tm.size())}) {
+    EXPECT_LE(size, bound);
+  }
 }
 
 TEST(Tiles, LastTileMayBeSmaller) {
@@ -329,7 +358,6 @@ TEST(Tiles, EnvelopeHoldsEveryNumericNonzero) {
   for (const Csr& a : {circuit, grid, grid_md}) {
     for (const index_t b : {8, 16}) {
       const TilePattern p = tile_symbolic(a, b);
-      ASSERT_NE(p.envelope, nullptr);
       auto holds = [](std::span<const index_t> list, index_t x) {
         return std::binary_search(list.begin(), list.end(), x);
       };
@@ -365,11 +393,12 @@ TEST(Tiles, EnvelopeHoldsEveryNumericNonzero) {
             // lists are non-empty.
             EXPECT_FALSE(rows.empty() || cols.empty()) << I << "," << J;
           }
-          const offset_t fill =
-              p.fill_nnz[static_cast<std::size_t>(I) * p.nt + J];
+          const offset_t fill = p.fill(I, J);
           EXPECT_GE(static_cast<offset_t>(rows.size() * cols.size()), fill);
-          // Above the diagonal a tile's lists are its mirror's, transposed.
+          // Above the diagonal a tile's lists and fill are its mirror's,
+          // transposed.
           if (I < J) {
+            EXPECT_EQ(fill, p.fill(J, I));
             EXPECT_TRUE(std::ranges::equal(rows, p.env_cols(J, I)));
             EXPECT_TRUE(std::ranges::equal(cols, p.env_rows(J, I)));
           }
