@@ -93,7 +93,12 @@ std::vector<RhsCompletion> RhsEngine::flush(real_t now_s) {
 }
 
 real_t RhsEngine::estimate_s(index_t nrhs) {
-  return solver_.estimate_s(nrhs, opt_.schedule);
+  const auto it = estimates_.find(nrhs);
+  if (it != estimates_.end()) return it->second;
+  const obs::ScopedDisable no_obs;  // pricing detail, not a run
+  const real_t est = solver_.estimate_s(nrhs, opt_.schedule);
+  estimates_.emplace(nrhs, est);
+  return est;
 }
 
 const RhsStats& RhsEngine::stats() const {
@@ -104,32 +109,51 @@ const RhsStats& RhsEngine::stats() const {
 
 void RhsEngine::execute(RhsBatch batch, std::vector<RhsCompletion>& out) {
   const real_t start_s = batch.closed_s;
+  const auto shed = [&](const RhsEntry& e, RhsCompletion::Status status) {
+    RhsCompletion c;
+    c.id = e.id;
+    c.tag = e.tag;
+    c.status = status;
+    c.arrival_s = e.arrival_s;
+    c.start_s = start_s;
+    c.finish_s = start_s;
+    c.close = batch.reason;
+    ++(status == RhsCompletion::Status::kCancelled ? stats_.cancelled
+                                                   : stats_.deadline_misses);
+    out.push_back(std::move(c));
+  };
 
   // Triage at the batch boundary: members whose token fired or whose
   // deadline already passed are shed without touching the numerics.
   std::vector<RhsEntry*> live;
   live.reserve(batch.members.size());
+  bool any_deadline = false;
   for (RhsEntry& e : batch.members) {
-    RhsCompletion c;
-    c.id = e.id;
-    c.tag = e.tag;
-    c.arrival_s = e.arrival_s;
-    c.start_s = start_s;
-    c.finish_s = start_s;
-    c.close = batch.reason;
     if (e.token != nullptr && e.token->cancel_requested()) {
-      c.status = RhsCompletion::Status::kCancelled;
-      ++stats_.cancelled;
-      out.push_back(std::move(c));
-      continue;
+      shed(e, RhsCompletion::Status::kCancelled);
+    } else if (e.deadline_s <= start_s) {
+      shed(e, RhsCompletion::Status::kDeadlineMiss);
+    } else {
+      live.push_back(&e);
+      any_deadline = any_deadline || e.deadline_s < CancelToken::kNoDeadline;
     }
-    if (e.deadline_s <= start_s) {
-      c.status = RhsCompletion::Status::kDeadlineMiss;
-      ++stats_.deadline_misses;
-      out.push_back(std::move(c));
-      continue;
-    }
-    live.push_back(&e);
+  }
+  // A member is served only if the block finishes by its deadline: price
+  // the block at its live width (the replay solve() charges, bit for bit)
+  // and shed the members it would finish late, until the width settles.
+  // Blocks without deadlines skip the pricing.
+  std::size_t priced = 0;
+  while (any_deadline && !live.empty() && live.size() != priced) {
+    priced = live.size();
+    const real_t finish_s =
+        start_s + estimate_s(static_cast<index_t>(priced));
+    live.erase(std::remove_if(live.begin(), live.end(),
+                              [&](const RhsEntry* e) {
+                                if (e->deadline_s >= finish_s) return false;
+                                shed(*e, RhsCompletion::Status::kDeadlineMiss);
+                                return true;
+                              }),
+               live.end());
   }
 
   // A fully-shed batch executes no block solve and charges no batch

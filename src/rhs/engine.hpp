@@ -10,8 +10,9 @@
 //               deadline and cancel token;
 //   advance() — close every batch the policy says is due (width reached,
 //               oldest entry timed out) and execute each as ONE block
-//               solve; members cancelled or past their deadline are shed
-//               at the batch boundary, never mid-solve;
+//               solve; members cancelled, past their deadline or due
+//               before the block's priced finish are shed at the batch
+//               boundary, never mid-solve;
 //   flush()   — drain the queue through (possibly narrow) final batches.
 //
 // The clock is virtual — the caller passes `now_s`, the engine charges
@@ -24,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "rhs/batcher.hpp"
@@ -94,8 +96,10 @@ class RhsEngine {
   /// Drain the queue: close and execute the remainder too.
   std::vector<RhsCompletion> flush(real_t now_s);
 
-  /// Timing-only virtual cost of a width-`nrhs` block solve (valid before
-  /// the numeric phase; the serve layer prices admission with this).
+  /// Timing-only virtual cost of a width-`nrhs` block solve: the makespan
+  /// a width-`nrhs` block solve charges, bit for bit. Valid before the
+  /// numeric phase; priced once per width and engine (the pattern fixes
+  /// it), so the serve layer can price every coalescing step.
   real_t estimate_s(index_t nrhs);
 
   int depth() const { return batcher_.depth(); }
@@ -111,6 +115,7 @@ class RhsEngine {
   index_t n_ = 0;
   BlockSolver solver_;
   RhsBatcher batcher_;
+  std::map<index_t, real_t> estimates_;  // estimate_s by width
   mutable RhsStats stats_;
 };
 

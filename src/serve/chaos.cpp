@@ -149,6 +149,7 @@ std::string run_serve_scenario(const ServeOptions& sopt,
     std::map<std::pair<int, int>, SessionId> sessions;
     std::vector<RequestId> ids;  // every admitted id, abandon's pick pool
     std::vector<RequestId> solve_ids;  // admitted solves, midcancel's pool
+    std::map<RequestId, real_t> solve_deadlines;  // admitted, with one
     std::map<RequestId, std::uint64_t> refactor_seeds;  // admitted refactors
     offset_t mem_budget = sopt.mem_budget_bytes;
     std::uint64_t s = trace.opt.seed ^ 0xa0761d6478bd642fULL;
@@ -270,7 +271,12 @@ std::string run_serve_scenario(const ServeOptions& sopt,
           r.value_seed = e.value_seed;
           const RequestId id = svc.submit(sid, r);
           ids.push_back(id);
-          if (e.kind == RequestKind::kSolve) solve_ids.push_back(id);
+          if (e.kind == RequestKind::kSolve) {
+            solve_ids.push_back(id);
+            if (e.deadline_s < CancelToken::kNoDeadline) {
+              solve_deadlines.emplace(id, e.deadline_s);
+            }
+          }
           if (e.kind == RequestKind::kRefactor) {
             refactor_seeds.emplace(id, e.value_seed);
           }
@@ -387,6 +393,20 @@ std::string run_serve_scenario(const ServeOptions& sopt,
         }
       }
     }
+    // Invariant 6: no completed solve finishes after its deadline: the
+    // dispatcher coalesces only as wide as every member's deadline allows.
+    // Factors are out: the scheduler cancels them at batch boundaries, so
+    // one may overrun its deadline by a batch.
+    for (const Completion& c : done) {
+      const auto d = solve_deadlines.find(c.id);
+      if (c.ok() && d != solve_deadlines.end() && c.finish_s > d->second) {
+        std::ostringstream os;
+        os.precision(12);
+        os << "completed solve " << c.id << " finished at " << c.finish_s
+           << ", after its deadline " << d->second;
+        return os.str();
+      }
+    }
     return "";
   } catch (const std::exception& e) {
     return std::string("escaped exception: ") + e.what();
@@ -408,13 +428,20 @@ ServeChaosReport run_serve_chaos(const ServeChaosOptions& opt) {
   TH_CHECK_MSG(opt.scenarios >= 1, "serve chaos needs scenarios >= 1");
   opt.serve.validate();
 
+  // Replay at the trace's load against the capacity the service delivers,
+  // so queues build, solves coalesce and deadlines bind; an uncalibrated
+  // trace spaces requests a virtual second apart and never loads it.
+  TraceOptions base = opt.trace;
+  if (base.mean_service_s <= 0) {
+    base.mean_service_s = estimate_mean_service_s(opt.serve, base);
+  }
   ServeChaosReport report;
   for (int sc = 0; sc < opt.scenarios; ++sc) {
     std::uint64_t h = opt.seed ^ (0x9e3779b97f4a7c15ULL *
                                   static_cast<std::uint64_t>(sc + 1));
     const std::uint64_t scenario_seed = mix64(h);
 
-    TraceOptions topt = opt.trace;
+    TraceOptions topt = base;
     topt.seed = scenario_seed;
     // Misbehaving-tenant soak leans on abandonment and deadlines too.
     if (topt.p_abandon <= 0) topt.p_abandon = 0.1;

@@ -48,7 +48,8 @@ struct ServeChaosOptions {
   /// Base service configuration; scenarios run copies of it. A non-zero
   /// mem budget makes kMemRamp meaningful (ramps multiply it).
   ServeOptions serve;
-  /// Base workload shape; each scenario reseeds it.
+  /// Base workload shape; each scenario reseeds it. A zero
+  /// mean_service_s is measured with estimate_mean_service_s(serve, trace).
   TraceOptions trace;
   bool shrink = true;
 };
@@ -89,8 +90,9 @@ std::vector<Misbehavior> shrink_misbehaviors(
     int budget = 100);
 
 /// Run one scenario: replay the trace with the misbehaviors injected and
-/// check the service's accounting, correctness and per-session causality
-/// invariants. Returns an empty string on success, the finding otherwise.
+/// check the service's accounting, correctness, per-session causality and
+/// solve-deadline invariants. Returns an empty string on success, the
+/// finding otherwise.
 std::string run_serve_scenario(const ServeOptions& sopt,
                                const ServeTrace& trace,
                                const std::vector<Misbehavior>& misbehaviors);

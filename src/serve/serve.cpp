@@ -530,7 +530,6 @@ void SolverService::finish(Pending p, Completion::Status status,
       ++stats_.failed;
       break;
   }
-  stats_.busy_s += finish_s - start_s;
   stats_.queue_depth = static_cast<offset_t>(pending_.size());
   if (obs::enabled() && status == Completion::Status::kShed) {
     obs::Recorder::global().instant(obs::Domain::kHost, obs::kServiceTrack,
@@ -601,6 +600,7 @@ void SolverService::run_factor(Session& s, Pending& p, real_t start_s) {
     const ScheduleResult r = s.inst->run_numeric(so);
     const real_t end_s = start_s + r.makespan_s;
     now_s_ = end_s;
+    stats_.busy_s += r.makespan_s;
     s.factored = true;
     s.est_factor_s = r.makespan_s;  // refresh the admission estimate
     if (refactor) {
@@ -624,6 +624,7 @@ void SolverService::run_factor(Session& s, Pending& p, real_t start_s) {
     // poisoned; the next factorization rebuilds it through the donor path.
     const real_t end_s = start_s + e.at_s();
     now_s_ = end_s;
+    stats_.busy_s += e.at_s();
     s.needs_rebuild = true;
     s.factored = false;
     const bool abandoned = e.cause() == CancelCause::kExplicit ||
@@ -758,6 +759,7 @@ void SolverService::run_solve_batch(Session& s, std::vector<Pending> batch,
            residual, "");
   }
   now_s_ = std::max(now_s_, latest_s);
+  stats_.busy_s += latest_s - start_s;  // one block, however many members
   TH_CHECK_MSG(live.empty(),
                "rhs engine lost " << live.size() << " batch members");
 }
@@ -784,41 +786,47 @@ void SolverService::dispatch_one() {
   Session& s = sessions_.at(p.session);
 
   if (p.req.kind == RequestKind::kSolve) {
-    // Coalesce every queued kSolve against the same session (ascending
-    // request id, up to the configured width) into one dispatch — the
-    // members fuse into a single block solve through the session's rhs
-    // engine. Per-member cancellation/deadline triage happens at the
-    // batch boundary inside run_solve_batch.
+    // One round-robin turn is one block solve: coalesce the session's
+    // queued kSolves (ascending request id) up to the width cap into one
+    // dispatch, whether or not other tenants wait. pick_next rotates
+    // tenants per turn, so a tenant behind a flood waits at most one block
+    // of <= max_width right-hand sides per other tenant. Per-member
+    // cancellation/deadline triage happens at the batch boundary inside
+    // run_solve_batch.
     //
-    // Fair share bounds the fusing: while ANOTHER tenant has queued
-    // work, this dispatch takes only its own fair-share pick (width 1),
-    // so a flooding tenant cannot ride the batcher past the round-robin
-    // order. Once the backlog is all one tenant's, coalescing opens up
-    // to the full width.
-    bool other_tenant_waiting = false;
-    for (const auto& [eid, ep] : pending_) {
-      if (sessions_.at(ep.session).tenant != s.tenant) {
-        other_tenant_waiting = true;
-        break;
-      }
-    }
+    // Deadline-aware coalescing: the block widens only while its priced
+    // finish at the new width meets every member's deadline, so a member
+    // that fits alone is served, never shed for the company it keeps. A
+    // member that cannot finish even alone is shed anyway and bounds
+    // nothing; blocks without deadlines skip the pricing.
+    const auto bound_s = [&](const Pending& m) {
+      return start_s + s.est_solve_s <= m.req.deadline_s
+                 ? m.req.deadline_s
+                 : CancelToken::kNoDeadline;
+    };
+    real_t deadline_s = bound_s(p);
     std::vector<Pending> batch;
     batch.push_back(std::move(p));
-    while (!other_tenant_waiting &&
-           static_cast<index_t>(batch.size()) < opt_.rhs.max_width) {
+    while (static_cast<index_t>(batch.size()) < opt_.rhs.max_width) {
       // Stop at the session's next write: later solves must see its
       // factors, not the current ones.
-      RequestId extra = -1;
-      for (const auto& [eid, ep] : pending_) {
-        if (ep.session != batch.front().session) continue;
-        if (ep.req.kind == RequestKind::kSolve) extra = eid;
+      auto eit = pending_.end();
+      for (auto q = pending_.begin(); q != pending_.end(); ++q) {
+        if (q->second.session != batch.front().session) continue;
+        if (q->second.req.kind == RequestKind::kSolve) eit = q;
         break;
       }
-      if (extra < 0) break;
-      auto eit = pending_.find(extra);
+      if (eit == pending_.end()) break;
+      const real_t d = std::min(deadline_s, bound_s(eit->second));
+      if (d < CancelToken::kNoDeadline &&
+          start_s + ensure_engine(s).estimate_s(
+                        static_cast<index_t>(batch.size()) + 1) > d) {
+        break;
+      }
+      deadline_s = d;
       Pending e = std::move(eit->second);
       pending_.erase(eit);
-      unqueue(e.session, extra);
+      unqueue(e.session, e.id);
       batch.push_back(std::move(e));
     }
     stats_.queue_depth = static_cast<offset_t>(pending_.size());

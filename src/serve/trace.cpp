@@ -5,6 +5,7 @@
 #include <map>
 
 #include "gen/generators.hpp"
+#include "obs/obs.hpp"
 #include "rhs/solve_dag.hpp"
 #include "solvers/block_cyclic.hpp"
 #include "support/rng.hpp"
@@ -116,21 +117,40 @@ real_t estimate_mean_service_s(const ServeOptions& sopt,
   InstanceOptions io;
   io.core = SolverCore::kPlu;
   io.grid = make_process_grid(sopt.sched.n_ranks);
-  real_t mean = 0;
+  real_t priced = 0;
   for (int k = 0; k < topt.n_patterns; ++k) {
     const Csr a = trace_pattern_matrix(topt, k);
     const SolverInstance inst(a, io);
-    // Price the pattern the way the service will charge it, weighted by
-    // the workload mix: refactors replay the factorization, everything
-    // else is a triangular solve. (First-contact factors are a vanishing
-    // share of a long trace and are folded into the refactor weight.)
+    // Price the pattern the way admission charges it, weighted by the
+    // workload mix: refactors replay the factorization, everything else
+    // is a width-1 triangular solve. (First-contact factors are a
+    // vanishing share of a long trace and are folded into the refactor
+    // weight.)
     const real_t factor_s = inst.run_timing(sopt.sched).makespan_s;
     rhs::BlockSolver pricer(*inst.plu_factorization(), sopt.sched, io.grid);
     const real_t solve_s = pricer.estimate_s(1, sopt.rhs.schedule);
-    mean += weights[static_cast<std::size_t>(k)] *
-            (topt.p_refactor * factor_s + (1.0 - topt.p_refactor) * solve_s);
+    priced += weights[static_cast<std::size_t>(k)] *
+              (topt.p_refactor * factor_s + (1.0 - topt.p_refactor) * solve_s);
   }
-  return mean;
+
+  // The dispatcher fuses each turn's queued solves into one block solve,
+  // so a loaded service serves a request in less than its width-1 price.
+  // Measure that: replay the trace's request mix at twice the priced rate,
+  // which keeps the service busy and the caller's queue caps full, with no
+  // deadline or abandon (nothing is shed) and no journal, and charge the
+  // busy virtual time to the requests it completed.
+  TraceOptions t = topt;
+  t.mean_service_s = priced;
+  t.load = 2.0;
+  t.p_deadline = 0;
+  t.p_abandon = 0;
+  ServeOptions so = sopt;
+  so.durable = DurableOptions{};
+  const obs::ScopedDisable no_obs;  // calibration, not a run
+  SolverService svc(so);
+  const ServeStats st = replay(svc, synth_trace(t)).stats;
+  return st.completed > 0 ? st.busy_s / static_cast<real_t>(st.completed)
+                          : priced;
 }
 
 LatencySummary latency_summary(std::vector<real_t> samples) {

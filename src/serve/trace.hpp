@@ -69,9 +69,12 @@ std::string trace_tenant_name(int tenant);
 /// Expand options into a concrete event list (sorted by arrival).
 ServeTrace synth_trace(const TraceOptions& opt);
 
-/// Zipf-weighted mean of the per-pattern factorization makespans (one
-/// timing-only simulate per pattern) — the capacity estimate open-loop
-/// arrival rates calibrate against.
+/// The mean service time a saturated service delivers per request — the
+/// capacity estimate open-loop arrival rates calibrate against. Prices the
+/// Zipf-weighted request mix at width 1 (one timing-only simulate per
+/// pattern), then replays the trace at twice that rate through a service
+/// with `sopt`'s queue caps, so solve coalescing counts: busy virtual
+/// seconds per completed request.
 real_t estimate_mean_service_s(const ServeOptions& sopt,
                                const TraceOptions& topt);
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -270,9 +271,15 @@ TEST_F(RhsEngineTest, CancelledAndExpiredMembersAreShedAtTheBoundary) {
   RhsEntry e2 = entry(b2, 2);
   e2.deadline_s = 0.5;  // flush happens at t=1: already unmeetable
   eng.submit(std::move(e2), 0.0);
+  // Due after the flush but before a width-2 block would finish: shed
+  // rather than reported done late.
+  const std::vector<real_t> b3 = rhs_for(203);
+  RhsEntry e3 = entry(b3, 3);
+  e3.deadline_s = 1.0 + 0.5 * (eng.estimate_s(1) + eng.estimate_s(2));
+  eng.submit(std::move(e3), 0.0);
 
   const std::vector<RhsCompletion> done = eng.flush(1.0);
-  ASSERT_EQ(done.size(), 3u);
+  ASSERT_EQ(done.size(), 4u);
   int solved = 0, shed_cancel = 0, shed_deadline = 0;
   for (const RhsCompletion& c : done) {
     switch (c.status) {
@@ -289,14 +296,14 @@ TEST_F(RhsEngineTest, CancelledAndExpiredMembersAreShedAtTheBoundary) {
         break;
       case RhsCompletion::Status::kDeadlineMiss:
         ++shed_deadline;
-        EXPECT_EQ(c.tag, 2u);
+        EXPECT_TRUE(c.tag == 2u || c.tag == 3u) << c.tag;
         EXPECT_EQ(c.finish_s, c.start_s);  // never ran
         break;
     }
   }
   EXPECT_EQ(solved, 1);
   EXPECT_EQ(shed_cancel, 1);
-  EXPECT_EQ(shed_deadline, 1);
+  EXPECT_EQ(shed_deadline, 2);
   const rhs::RhsStats& st = eng.stats();
   EXPECT_EQ(st.submitted, st.solved + st.cancelled + st.deadline_misses);
   EXPECT_EQ(st.close_width + st.close_timeout + st.close_flush, st.batches);
@@ -624,6 +631,103 @@ TEST(ServeRhs, QueuedSolvesCoalesceIntoOneBlockSolve) {
   EXPECT_EQ(rst.batches, 1);       // the dispatcher fused all five
   EXPECT_EQ(rst.widest_batch, 5);  // into one block solve
   EXPECT_EQ(svc.stats().solves, 5);
+}
+
+// A block finishes at its priced width's makespan, not the width-1
+// admission price: the dispatcher widens a block only while that finish
+// meets every member's deadline. Here one solve's deadline falls between
+// the width-1 and width-5 finishes, ahead of four deadline-free solves, so
+// a width-5 block would finish after it.
+TEST(ServeRhs, CoalescedSolveMeetsItsDeadline) {
+  serve::ServeOptions o;
+  o.sched.n_ranks = 1;
+  o.exec_workers = 1;
+  serve::SolverService svc(o);
+  const serve::SessionId sid = svc.open_session("alice", grid(14, 3));
+  serve::Request f;
+  f.kind = serve::RequestKind::kFactor;
+  svc.submit(sid, f);
+  svc.drain();
+
+  BlockSolver pricer(*svc.session_instance(sid)->plu_factorization(),
+                     o.sched, make_process_grid(o.sched.n_ranks));
+  const real_t e1 = pricer.estimate_s(1, o.rhs.schedule);
+  const real_t e5 = pricer.estimate_s(5, o.rhs.schedule);
+  ASSERT_LT(e1, e5);
+  serve::Request urgent;
+  urgent.kind = serve::RequestKind::kSolve;
+  urgent.deadline_s = svc.now_s() + 0.5 * (e1 + e5);
+  const serve::RequestId id = svc.submit(sid, urgent);
+  for (int i = 0; i < 4; ++i) {
+    serve::Request sol;
+    sol.kind = serve::RequestKind::kSolve;
+    sol.value_seed = 40 + static_cast<std::uint64_t>(i);
+    svc.submit(sid, sol);
+  }
+  const std::vector<serve::Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 5u);
+  for (const serve::Completion& c : done) {
+    EXPECT_EQ(c.status, serve::Completion::Status::kDone) << c.detail;
+    if (c.id == id) {
+      EXPECT_LE(c.finish_s, urgent.deadline_s)
+          << "a solve reported done after its deadline";
+    }
+  }
+}
+
+// Two tenants' floods, submitted back to back as a transient step does:
+// each round-robin turn runs one tenant's whole queue as one block solve,
+// and every served column still equals its session's width-1 solve. The
+// completion carries the residual of the served column, not the column, so
+// the check compares it with the residual of SolverInstance::solve on the
+// same b bit for bit.
+TEST(ServeRhs, TwoTenantsCoalescePerTurn) {
+  serve::ServeOptions o;
+  o.sched.n_ranks = 1;
+  o.exec_workers = 1;
+  o.max_queued_global = 64;
+  o.max_queued_per_tenant = 32;
+  o.rhs.max_width = 16;
+  serve::SolverService svc(o);
+  const Csr a = grid(14, 3);
+  const serve::SessionId sid[2] = {svc.open_session("tenant-a", a),
+                                   svc.open_session("tenant-b", a)};
+  for (int t = 0; t < 2; ++t) {
+    serve::Request rf;
+    rf.kind = serve::RequestKind::kRefactor;
+    rf.value_seed = 10 + static_cast<std::uint64_t>(t);
+    svc.submit(sid[t], rf);
+  }
+  svc.drain();
+
+  std::map<serve::RequestId, std::uint64_t> seed_of;
+  for (int t = 0; t < 2; ++t) {
+    for (int i = 0; i < 16; ++i) {
+      serve::Request sol;
+      sol.kind = serve::RequestKind::kSolve;
+      sol.value_seed = 1000 + static_cast<std::uint64_t>(64 * t + i);
+      seed_of[svc.submit(sid[t], sol)] = sol.value_seed;
+    }
+  }
+  const std::vector<serve::Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 32u);
+  const rhs::RhsStats rst = svc.rhs_stats();
+  EXPECT_EQ(rst.batches, 2);
+  EXPECT_EQ(rst.widest_batch, 16);
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    const serve::Completion& c = done[i];
+    ASSERT_EQ(c.status, serve::Completion::Status::kDone) << c.detail;
+    EXPECT_EQ(c.session, sid[i / 16]) << "completion " << i;
+    EXPECT_LT(c.residual, 1e-9);
+    const SolverInstance& inst = *svc.session_instance(c.session);
+    Rng rng(seed_of.at(c.id));
+    std::vector<real_t> x_true(static_cast<std::size_t>(a.n_rows));
+    for (real_t& v : x_true) v = rng.uniform(-1.0, 1.0);
+    const std::vector<real_t> b = spmv(inst.matrix(), x_true);
+    const real_t want = scaled_residual(inst.matrix(), inst.solve(b), b);
+    EXPECT_EQ(std::memcmp(&want, &c.residual, sizeof(real_t)), 0)
+        << "completion " << i << ": " << c.residual << " vs " << want;
+  }
 }
 
 TEST(ServeRhs, RhsStatsSurviveRefactorRetirement) {

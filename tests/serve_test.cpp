@@ -436,9 +436,13 @@ TEST(SolverService, FailureReasonsAreCountedAndPublished) {
 
 // ---- fair-share dispatch --------------------------------------------------
 
+// One round-robin turn is one block of at most rhs.max_width solves of one
+// session, so a tenant behind a flood waits at most one block per other
+// tenant.
 TEST(SolverService, RoundRobinKeepsFloodingTenantFromStarvingOthers) {
   ServeOptions o = small_service();
   o.max_queued_per_tenant = 8;
+  o.rhs.max_width = 2;
   SolverService svc(o);
   const SessionId alice = svc.open_session("alice", grid(12, 1));
   const SessionId bob = svc.open_session("bob", grid(12, 2));
@@ -448,8 +452,8 @@ TEST(SolverService, RoundRobinKeepsFloodingTenantFromStarvingOthers) {
   svc.submit(bob, f);
   svc.drain();
 
-  // Alice floods; Bob submits one. Fair-share must serve Bob within the
-  // first round, not after Alice's whole backlog.
+  // Alice floods; Bob submits one. Fair share must serve Bob within the
+  // first round, after one block of Alice's, not after her whole backlog.
   Request sol;
   sol.kind = RequestKind::kSolve;
   for (int i = 0; i < 5; ++i) svc.submit(alice, sol);
@@ -460,8 +464,15 @@ TEST(SolverService, RoundRobinKeepsFloodingTenantFromStarvingOthers) {
   for (std::size_t i = 0; i < done.size(); ++i) {
     if (done[i].tenant == "bob") bob_at = i;
   }
-  EXPECT_LE(bob_at, 1u) << "bob was starved until position " << bob_at;
+  EXPECT_LE(bob_at, 2u) << "bob was starved until position " << bob_at;
   for (const Completion& c : done) EXPECT_TRUE(c.ok()) << c.detail;
+  // Alice's first turn is one block of width 2: 2 + 1 (Bob) + 2 + 1.
+  EXPECT_EQ(done[0].tenant, "alice");
+  EXPECT_EQ(done[1].tenant, "alice");
+  EXPECT_EQ(done[0].start_s, done[1].start_s);
+  EXPECT_EQ(done[0].finish_s, done[1].finish_s);
+  EXPECT_EQ(svc.rhs_stats().widest_batch, 2);
+  EXPECT_EQ(svc.rhs_stats().batches, 4);
 }
 
 // ---- per-session causality ------------------------------------------------
