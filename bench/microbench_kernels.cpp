@@ -13,6 +13,7 @@
 #include "core/collector.hpp"
 #include "core/container.hpp"
 #include "kernels/dense.hpp"
+#include "kernels/simd.hpp"
 #include "kernels/tile.hpp"
 #include "support/rng.hpp"
 
@@ -58,8 +59,9 @@ void BM_GemmMinus(benchmark::State& state) {
 BENCHMARK(BM_GemmMinus)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 
 // One 64x64 SSSSM tile task: dense L (TSTRF output), U with the given
-// percentage of nonzero entries (fill3d's SSSSM operands have about 10%
-// nonzero U(p,j)). Items are the useful flops, 2*64 per nonzero U(p,j).
+// percentage of nonzero entries (over the inner indices, 77% of fill3d's
+// and 87% of c-71's U(p,j) are nonzero). Items are the useful flops, 2*64
+// per nonzero U(p,j).
 void BM_TileSsssm(benchmark::State& state) {
   const index_t n = 64;
   const double density = static_cast<double>(state.range(0)) / 100.0;
@@ -102,26 +104,43 @@ std::vector<index_t> envelope_list(index_t count, Rng& rng) {
   return all;
 }
 
-// One SSSSM task on envelope panels of 64x64 tiles, shaped like fill3d's
-// median SSSSM task with a nonempty product: L is 17 rows x 25 columns, U
-// 20 rows (12 of them L's columns) x 17 columns with 30% nonzero entries,
-// and C is full but for one of L's rows, so the kernel gathers C's rows,
-// drops one product row and scatters the rest back. Items are the useful
-// flops, 2 per (kept L row, nonzero U(p,j) with p an L column) pair.
-void BM_TileSsssmPacked(benchmark::State& state) {
+// The shape of one SSSSM task on envelope panels of 64x64 tiles: L's row
+// and column counts, U's row count (`shared` of them L's columns, the
+// inner indices) and column count, U's share of nonzero entries, and
+// whether C lacks one of L's rows.
+struct SsssmShape {
+  index_t l_rows, l_cols, u_rows, shared, u_cols;
+  real_t u_density;
+  bool drop_row;
+};
+
+// fill3d's median nonempty SSSSM task: the kernel gathers C's rows, drops
+// one product row and scatters the rest back.
+constexpr SsssmShape kFill3dTask{17, 25, 20, 12, 17, 0.3, true};
+// c-71's median SSSSM task (perfbench transient): 14 x 14 L and U panels
+// meeting in 6 inner indices, 37% of U nonzero, C full.
+constexpr SsssmShape kC71Task{14, 14, 14, 6, 14, 0.37, false};
+
+// One SSSSM task of the given shape, C full but for the dropped row. Items
+// are the useful flops, 2 per (kept L row, nonzero U(p,j) with p an L
+// column) pair.
+void BM_TileSsssmPacked(benchmark::State& state, SsssmShape shape) {
   Rng rng(7);
-  const std::vector<index_t> l_rows = envelope_list(17, rng);
-  const std::vector<index_t> l_cols = envelope_list(25, rng);
-  std::vector<index_t> u_rows(l_cols.begin(), l_cols.begin() + 12);
-  for (index_t x = 0; static_cast<index_t>(u_rows.size()) < 20; ++x) {
+  const std::vector<index_t> l_rows = envelope_list(shape.l_rows, rng);
+  const std::vector<index_t> l_cols = envelope_list(shape.l_cols, rng);
+  std::vector<index_t> u_rows(l_cols.begin(), l_cols.begin() + shape.shared);
+  for (index_t x = 0; static_cast<index_t>(u_rows.size()) < shape.u_rows;
+       ++x) {
     if (!std::binary_search(l_cols.begin(), l_cols.end(), x)) {
       u_rows.push_back(x);
     }
   }
   std::sort(u_rows.begin(), u_rows.end());
-  const std::vector<index_t> u_cols = envelope_list(17, rng);
+  const std::vector<index_t> u_cols = envelope_list(shape.u_cols, rng);
   std::vector<index_t> c_rows = envelope_list(64, rng);
-  c_rows.erase(std::find(c_rows.begin(), c_rows.end(), l_rows[5]));
+  if (shape.drop_row) {
+    c_rows.erase(std::find(c_rows.begin(), c_rows.end(), l_rows[5]));
+  }
   const std::vector<index_t> c_cols = envelope_list(64, rng);
   // The tiles own copies of their lists through one shared owner.
   const auto lists = std::make_shared<const std::vector<std::vector<index_t>>>(
@@ -134,15 +153,16 @@ void BM_TileSsssmPacked(benchmark::State& state) {
   }
   Tile u(64, 64, env[2], env[3], lists);
   for (offset_t i = 0; i < u.panel_size(); ++i) {
-    if (rng.next_real() < 0.3) u.data()[i] = rng.uniform(-1, 1);
+    if (rng.next_real() < shape.u_density) u.data()[i] = rng.uniform(-1, 1);
   }
   Tile c(64, 64, env[4], env[5], lists);
+  const std::int64_t kept = shape.l_rows - (shape.drop_row ? 1 : 0);
   std::int64_t terms = 0;
   for (index_t jj = 0; jj < u.panel_cols(); ++jj) {
     for (index_t p = 0; p < u.panel_rows(); ++p) {
       if (u.data()[p + jj * u.ld()] != 0.0 &&
           std::binary_search(l_cols.begin(), l_cols.end(), u_rows[p])) {
-        terms += static_cast<std::int64_t>(l_rows.size()) - 1;
+        terms += kept;
       }
     }
   }
@@ -153,7 +173,8 @@ void BM_TileSsssmPacked(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * terms);
 }
-BENCHMARK(BM_TileSsssmPacked);
+BENCHMARK_CAPTURE(BM_TileSsssmPacked, fill3d, kFill3dTask);
+BENCHMARK_CAPTURE(BM_TileSsssmPacked, c71, kC71Task);
 
 void BM_ContainerPushPop(benchmark::State& state) {
   Rng rng(6);
@@ -193,4 +214,13 @@ BENCHMARK(BM_CollectorAdmission);
 }  // namespace
 }  // namespace th
 
-BENCHMARK_MAIN();
+// The banner's context names the kernel dispatch path, so a run records
+// which SSSSM body it timed.
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("ssssm_body", th::simd::dispatch_name());
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

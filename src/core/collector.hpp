@@ -88,16 +88,24 @@ class Collector {
   }
 
   bool empty() const { return batch_.empty(); }
+  /// The open batch's task ids, in admission order.
+  const std::vector<index_t>& members() const { return batch_; }
   std::size_t size() const { return batch_.size(); }
 
   /// Close the batch and reset for the next one.
   std::vector<index_t> take() {
     std::vector<index_t> out = std::move(batch_);
-    batch_ = {};
+    clear();
+    return out;
+  }
+
+  /// Drop the open batch and reset for the next one, keeping the list's
+  /// storage.
+  void clear() {
+    batch_.clear();
     used_blocks_ = 0;
     used_shmem_ = 0;
     last_reject_ = RejectReason::kNone;
-    return out;
   }
 
  private:

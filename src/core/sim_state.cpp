@@ -545,7 +545,7 @@ FormedBatch SimState::form_batch(RankState& st) {
 // The paper's aggregate stage: urgent tasks straight from the Prioritizer,
 // topped up from the Container until the Collector is full.
 void SimState::aggregate(RankState& st, FormedBatch& b) {
-  Collector collector(opt.cluster.gpu, opt.collector);
+  collector.clear();
   // With atomic batching off, a second SSSSM update of an admitted target
   // is deferred to a later batch instead of joining this one.
   std::unordered_set<std::uint64_t> targets;
@@ -560,7 +560,6 @@ void SimState::aggregate(RankState& st, FormedBatch& b) {
       return true;  // skipped but not "full"
     }
     if (!collector.try_add(t)) return false;
-    b.ids.push_back(id);
     if (track_pending) in_queue[id] = 0;
     if (serialise) targets.insert(t.target_key());
     return true;
@@ -572,7 +571,7 @@ void SimState::aggregate(RankState& st, FormedBatch& b) {
     if (!entry_stale(id) && !admit(id)) break;  // full; id stays urgent
     st.urgent.pop();
   }
-  b.urgent = static_cast<int>(b.ids.size());
+  b.urgent = static_cast<int>(collector.size());
   // Phase 2: top up from the Container.
   while (!collector.full() && !st.container.empty()) {
     const index_t id = st.container.pop();
@@ -582,6 +581,7 @@ void SimState::aggregate(RankState& st, FormedBatch& b) {
       break;
     }
   }
+  b.ids = collector.members();  // one exact allocation
   b.topup = static_cast<int>(b.ids.size()) - b.urgent;
   b.deferred = static_cast<int>(deferred.size());
   b.close = collector.close_reason();
@@ -592,15 +592,18 @@ void SimState::aggregate(RankState& st, FormedBatch& b) {
 // SSSSM member of the batch also updates (paper §2.3). They feed the
 // modelled accounting only (atomic_tasks, had_conflict); the host runs a
 // target's members in batch order on one lane without them.
-std::vector<char> SimState::conflict_flags(
-    const std::vector<index_t>& ids) const {
+std::vector<char> SimState::conflict_flags(const std::vector<index_t>& ids) {
   std::vector<char> atomic(ids.size(), 0);
-  std::unordered_map<std::uint64_t, std::size_t> first;  // target -> writer
+  by_target.clear();
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const Task& t = graph.task(ids[i]);
-    if (t.type != TaskType::kSsssm) continue;
-    const auto [it, fresh] = first.try_emplace(t.target_key(), i);
-    if (!fresh) atomic[i] = atomic[it->second] = 1;
+    if (t.type == TaskType::kSsssm) by_target.emplace_back(t.target_key(), i);
+  }
+  std::sort(by_target.begin(), by_target.end());
+  for (std::size_t r = 1; r < by_target.size(); ++r) {
+    if (by_target[r].first == by_target[r - 1].first) {
+      atomic[by_target[r].second] = atomic[by_target[r - 1].second] = 1;
+    }
   }
   return atomic;
 }

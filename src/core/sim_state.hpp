@@ -134,7 +134,7 @@ struct SimState {
   // ---- Batch formation -----------------------------------------------------
   FormedBatch form_batch(RankState& st);
   void aggregate(RankState& st, FormedBatch& b);
-  std::vector<char> conflict_flags(const std::vector<index_t>& ids) const;
+  std::vector<char> conflict_flags(const std::vector<index_t>& ids);
   std::uint64_t th_key(const Task& t) const {
     return cp_key.empty() ? prioritizer.key(t) : cp_key[t.id];
   }
@@ -189,6 +189,11 @@ struct SimState {
   ScheduleResult result;
   ScheduleStats& rstats = result.stats();
   std::unordered_set<std::uint64_t> comm_pairs;  // (producer, dest rank)
+  // Batch-formation scratch, reused so forming a batch stays off the
+  // allocator: the TH aggregate stage's Collector and the (target,
+  // member) pairs conflict_flags() sorts.
+  Collector collector{opt.cluster.gpu, opt.collector};
+  std::vector<std::pair<std::uint64_t, std::size_t>> by_target;
 
   // ---- Fault model ---------------------------------------------------------
   const FaultPlan& plan = opt.faults;

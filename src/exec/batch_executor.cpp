@@ -44,17 +44,31 @@ void BatchExecutor::execute(NumericBackend& backend,
   // first-member order; a member joining an existing group is one ordered
   // reduction.
   const std::size_t nb = tasks.size();
-  group_.assign(nb, -1);
-  group_of_.clear();
-  offset_t runs = 0;
+  by_target_.clear();
+  for (std::size_t i = 0; i < nb; ++i) {
+    if (skip == nullptr || (*skip)[i] == 0) {
+      by_target_.emplace_back(tasks[i]->target_key(), i);
+    }
+  }
+  std::sort(by_target_.begin(), by_target_.end());
+  first_.resize(nb);
+  for (std::size_t r = 0; r < by_target_.size(); ++r) {
+    const std::size_t i = by_target_[r].second;
+    const bool head = r == 0 || by_target_[r - 1].first != by_target_[r].first;
+    first_[i] = head ? i : first_[by_target_[r - 1].second];
+  }
+  const offset_t runs = static_cast<offset_t>(by_target_.size());
   long det_reds = 0;
+  group_.assign(nb, -1);
+  groups_ = 0;
   for (std::size_t i = 0; i < nb; ++i) {
     if (skip != nullptr && (*skip)[i] != 0) continue;
-    ++runs;
-    const auto [it, fresh] = group_of_.try_emplace(
-        tasks[i]->target_key(), static_cast<int>(group_of_.size()));
-    if (!fresh) ++det_reds;
-    group_[i] = it->second;
+    if (first_[i] == i) {
+      group_[i] = groups_++;
+    } else {
+      group_[i] = group_[first_[i]];
+      ++det_reds;
+    }
   }
 
   // Group g runs on lane g % width, its members in batch position order:
@@ -163,7 +177,7 @@ void BatchExecutor::execute(NumericBackend& backend,
     }
     rec.span(obs::Domain::kHost, -1, "exec batch", "exec", batch_t0,
              rec.host_now(), "tasks", static_cast<std::int64_t>(nb), "targets",
-             static_cast<std::int64_t>(group_of_.size()));
+             static_cast<std::int64_t>(groups_));
   }
 }
 

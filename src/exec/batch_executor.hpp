@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -108,8 +107,13 @@ class BatchExecutor {
   WorkerPool* pool_;
   ExecStats stats_;
   std::vector<real_t> lane_busy_;  // per-lane CPU seconds, last batch
-  std::vector<int> group_;         // per member: target group, -1 = skipped
-  std::unordered_map<std::uint64_t, int> group_of_;  // target -> group
+  std::vector<int> group_;  // per member: target group, -1 = skipped
+  int groups_ = 0;          // groups in the last batch
+  // (target, position) of every member that runs, sorted by target, and
+  // per member the position of its target's first member; reused, so
+  // grouping a batch allocates nothing once they have grown.
+  std::vector<std::pair<std::uint64_t, std::size_t>> by_target_;
+  std::vector<std::size_t> first_;
 };
 
 }  // namespace th::exec

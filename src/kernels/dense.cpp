@@ -1,5 +1,6 @@
 #include "kernels/dense.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -47,8 +48,8 @@ void trsm_lower_left_unit(index_t m, index_t n, const real_t* l, index_t ldl,
 namespace {
 
 // Portable reference bodies: right-looking, one axpy_minus per nonzero
-// coefficient. The AVX2 bodies below give every element the same IEEE
-// operations in the same order.
+// coefficient. The AVX2 and AVX-512 bodies below give every element the
+// same IEEE operations in the same order.
 void trsm_upper_right_portable(index_t m, index_t n, const real_t* u,
                                index_t ldu, real_t* b, index_t ldb) {
   for (index_t k = 0; k < n; ++k) {
@@ -67,22 +68,48 @@ void trsm_upper_right_portable(index_t m, index_t n, const real_t* u,
   }
 }
 
+// Runs fold(j, col) on every target column j, where col holds C's rows
+// in A's row order: C's column itself under the identity row map, else a
+// gathered copy (0.0 where C lacks the row) that is scattered back after.
+template <typename Fold>
+void gather_fold_scatter(index_t m, index_t n, const index_t* c_rows,
+                         real_t* const* c_cols, Fold&& fold) {
+  thread_local std::vector<real_t> tmp;
+  if (c_rows != nullptr && tmp.size() < static_cast<std::size_t>(m)) {
+    tmp.resize(static_cast<std::size_t>(m));
+  }
+  for (index_t j = 0; j < n; ++j) {
+    real_t* c = c_cols[j];
+    if (c == nullptr) continue;
+    if (c_rows == nullptr) {
+      fold(j, c);
+      continue;
+    }
+    for (index_t i = 0; i < m; ++i) {
+      tmp[i] = c_rows[i] >= 0 ? c[c_rows[i]] : 0.0;
+    }
+    fold(j, tmp.data());
+    for (index_t i = 0; i < m; ++i) {
+      if (c_rows[i] >= 0) c[c_rows[i]] = tmp[i];
+    }
+  }
+}
+
 void gemm_minus_indexed_portable(index_t m, index_t n, index_t k,
                                  const real_t* a, index_t lda,
                                  const index_t* a_idx, const real_t* b,
                                  index_t ldb, const index_t* b_idx,
+                                 const index_t* c_rows,
                                  real_t* const* c_cols) {
-  for (index_t j = 0; j < n; ++j) {
-    if (c_cols[j] == nullptr) continue;
+  gather_fold_scatter(m, n, c_rows, c_cols, [&](index_t j, real_t* c) {
     const real_t* bj = b + j * static_cast<offset_t>(ldb);
     for (index_t q = 0; q < k; ++q) {
       const real_t coef = bj[b_idx != nullptr ? b_idx[q] : q];
       if (coef == 0.0) continue;
       const index_t p = a_idx != nullptr ? a_idx[q] : q;
-      simd::axpy_minus(m, a + p * static_cast<offset_t>(lda), coef,
-                       c_cols[j]);
+      simd::axpy_minus(m, a + p * static_cast<offset_t>(lda), coef, c);
     }
-  }
+  });
 }
 
 #if defined(TH_KERNELS_SIMD_AVX2)
@@ -223,18 +250,177 @@ __attribute__((target("avx2"))) void gather_fold_minus_indexed_avx2(
   fold_minus_avx2(m, f, c);
 }
 
-__attribute__((target("avx2"))) void gemm_minus_indexed_avx2(
+void gemm_minus_indexed_avx2(index_t m, index_t n, index_t k,
+                             const real_t* a, index_t lda,
+                             const index_t* a_idx, const real_t* b,
+                             index_t ldb, const index_t* b_idx,
+                             const index_t* c_rows, real_t* const* c_cols) {
+  gather_fold_scatter(m, n, c_rows, c_cols, [&](index_t j, real_t* c) {
+    const real_t* bj = b + j * static_cast<offset_t>(ldb);
+    if (a_idx == nullptr) {
+      gather_fold_minus_avx2(m, bj, k, a, lda, c);
+    } else {
+      gather_fold_minus_indexed_avx2(m, bj, b_idx, k, a, lda, a_idx, c);
+    }
+  });
+}
+
+// The fused AVX-512 SSSSM body. A's rows run in blocks of up to 64, and
+// each block folds two target columns at a time in 2 x ceil(rows/8) zmm
+// accumulators (one column when a single one is left):
+//
+//   - C's rows are read straight from its columns: a masked gather through
+//     the row map (masked loads under the identity), with lanes past m or
+//     mapped to -1 masked off, and written back the same way after the
+//     fold. There is no scratch copy;
+//   - each inner index q loads A's column once for both targets and
+//     applies acc = acc - x*u under the lane mask (u != 0.0): a masked lane
+//     keeps acc's bits exactly, so the result equals skipping the term,
+//     and a NaN coefficient counts as nonzero, as with != 0.0. An index
+//     whose coefficients are both zero is skipped.
+constexpr index_t kRowBlock = 64;
+
+// One row block of one call.
+struct RowBlock {
+  index_t k;
+  const real_t* a;  // A's first row of the block
+  index_t lda;
+  const index_t* a_idx;
+  const index_t* b_idx;
+  const index_t* rows;  // the block's row map, or null for the identity
+  index_t i0;           // the block's first row
+  __mmask8 tail;        // lanes of the last vector inside m
+};
+
+// The v loops are unrolled before scalar replacement (GCC unroll pragma),
+// so the accumulator arrays live in registers. The masked subtract is a
+// mask_mov over a plain sub rather than _mm512_mask_sub_pd: GCC fuses the
+// plain form into an FMA unless -ffp-contract=off, so the contract tests
+// fail when the flag is missing instead of passing by luck.
+template <int NV, bool kPair>
+__attribute__((target("avx512f,avx512vl"))) void fold_block_avx512(
+    const RowBlock& blk, const real_t* b0, const real_t* b1, real_t* c0,
+    real_t* c1) {
+  const index_t k = blk.k;
+  const real_t* const a = blk.a;
+  const offset_t lda = blk.lda;
+  const index_t* const a_idx = blk.a_idx;
+  const index_t* const b_idx = blk.b_idx;
+  const index_t* const rows = blk.rows;
+  __m512d acc0[NV], acc1[NV];
+  __m256i idx[NV];
+  __mmask8 in[NV], live[NV];
+  // in: lanes inside m. live and idx start as the identity's and are
+  // replaced below under a row map.
+#pragma GCC unroll 8
+  for (int v = 0; v < NV; ++v) {
+    in[v] = live[v] = v == NV - 1 ? blk.tail : static_cast<__mmask8>(0xFF);
+    idx[v] = _mm256_setzero_si256();
+  }
+  if (rows != nullptr) {
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      idx[v] = _mm256_maskz_loadu_epi32(in[v], rows + 8 * v);
+      live[v] = _mm256_mask_cmpge_epi32_mask(in[v], idx[v],
+                                             _mm256_setzero_si256());
+      acc0[v] = _mm512_mask_i32gather_pd(_mm512_setzero_pd(), live[v],
+                                         idx[v], c0, 8);
+      if (kPair) {
+        acc1[v] = _mm512_mask_i32gather_pd(_mm512_setzero_pd(), live[v],
+                                           idx[v], c1, 8);
+      }
+    }
+  } else {
+    c0 += blk.i0;
+    c1 += kPair ? blk.i0 : 0;
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      acc0[v] = _mm512_maskz_loadu_pd(in[v], c0 + 8 * v);
+      if (kPair) acc1[v] = _mm512_maskz_loadu_pd(in[v], c1 + 8 * v);
+    }
+  }
+  const __m512d zero = _mm512_setzero_pd();
+  for (index_t q = 0; q < k; ++q) {
+    const index_t bq = b_idx != nullptr ? b_idx[q] : q;
+    // NEQ_UQ keeps NaN and drops +-0.0, as != 0.0 does.
+    const __m512d vu0 = _mm512_set1_pd(b0[bq]);
+    const __m512d vu1 = kPair ? _mm512_set1_pd(b1[bq]) : zero;
+    const __mmask8 k0 = _mm512_cmp_pd_mask(vu0, zero, _CMP_NEQ_UQ);
+    const __mmask8 k1 = _mm512_cmp_pd_mask(vu1, zero, _CMP_NEQ_UQ);
+    if ((k0 | k1) == 0) continue;
+    const real_t* x = a + (a_idx != nullptr ? a_idx[q] : q) * lda;
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      const __m512d xv = _mm512_maskz_loadu_pd(in[v], x + 8 * v);
+      acc0[v] = _mm512_mask_mov_pd(
+          acc0[v], k0, _mm512_sub_pd(acc0[v], _mm512_mul_pd(xv, vu0)));
+      if (kPair) {
+        acc1[v] = _mm512_mask_mov_pd(
+            acc1[v], k1, _mm512_sub_pd(acc1[v], _mm512_mul_pd(xv, vu1)));
+      }
+    }
+  }
+  if (rows != nullptr) {
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      _mm512_mask_i32scatter_pd(c0, live[v], idx[v], acc0[v], 8);
+      if (kPair) _mm512_mask_i32scatter_pd(c1, live[v], idx[v], acc1[v], 8);
+    }
+  } else {
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      _mm512_mask_storeu_pd(c0 + 8 * v, in[v], acc0[v]);
+      if (kPair) _mm512_mask_storeu_pd(c1 + 8 * v, in[v], acc1[v]);
+    }
+  }
+}
+
+// fold_block_avx512 with its vector count NV = ceil(rows / 8) in [1, 8].
+template <bool kPair>
+__attribute__((target("avx512f,avx512vl"))) void fold_rows_avx512(
+    int nv, const RowBlock& blk, const real_t* b0, const real_t* b1,
+    real_t* c0, real_t* c1) {
+  switch (nv) {
+    case 1: return fold_block_avx512<1, kPair>(blk, b0, b1, c0, c1);
+    case 2: return fold_block_avx512<2, kPair>(blk, b0, b1, c0, c1);
+    case 3: return fold_block_avx512<3, kPair>(blk, b0, b1, c0, c1);
+    case 4: return fold_block_avx512<4, kPair>(blk, b0, b1, c0, c1);
+    case 5: return fold_block_avx512<5, kPair>(blk, b0, b1, c0, c1);
+    case 6: return fold_block_avx512<6, kPair>(blk, b0, b1, c0, c1);
+    case 7: return fold_block_avx512<7, kPair>(blk, b0, b1, c0, c1);
+    default: return fold_block_avx512<8, kPair>(blk, b0, b1, c0, c1);
+  }
+}
+
+__attribute__((target("avx512f,avx512vl"))) void gemm_minus_indexed_avx512(
     index_t m, index_t n, index_t k, const real_t* a, index_t lda,
     const index_t* a_idx, const real_t* b, index_t ldb, const index_t* b_idx,
-    real_t* const* c_cols) {
-  for (index_t j = 0; j < n; ++j) {
-    if (c_cols[j] == nullptr) continue;
-    const real_t* bj = b + j * static_cast<offset_t>(ldb);
-    if (a_idx == nullptr && b_idx == nullptr) {
-      gather_fold_minus_avx2(m, bj, k, a, lda, c_cols[j]);
-    } else {
-      gather_fold_minus_indexed_avx2(m, bj, b_idx, k, a, lda, a_idx,
-                                     c_cols[j]);
+    const index_t* c_rows, real_t* const* c_cols) {
+  for (index_t i0 = 0; i0 < m; i0 += kRowBlock) {
+    const index_t rows = std::min(kRowBlock, m - i0);
+    const int nv = static_cast<int>((rows + 7) / 8);
+    const RowBlock blk{k,
+                       a + i0,
+                       lda,
+                       a_idx,
+                       b_idx,
+                       c_rows != nullptr ? c_rows + i0 : nullptr,
+                       i0,
+                       static_cast<__mmask8>(0xFFu >> (8 * nv - rows))};
+    // Live target columns, two at a time.
+    for (index_t j = 0;;) {
+      while (j < n && c_cols[j] == nullptr) ++j;
+      if (j == n) break;
+      const index_t j0 = j++;
+      while (j < n && c_cols[j] == nullptr) ++j;
+      const real_t* b0 = b + j0 * static_cast<offset_t>(ldb);
+      if (j == n) {
+        fold_rows_avx512<false>(nv, blk, b0, nullptr, c_cols[j0], nullptr);
+        break;
+      }
+      const index_t j1 = j++;
+      fold_rows_avx512<true>(nv, blk, b0, b + j1 * static_cast<offset_t>(ldb),
+                             c_cols[j0], c_cols[j1]);
     }
   }
 }
@@ -258,21 +444,29 @@ void gemm_minus(index_t m, index_t n, index_t k, const real_t* a, index_t lda,
   thread_local std::vector<real_t*> cols;
   cols.resize(static_cast<std::size_t>(n));
   for (index_t j = 0; j < n; ++j) cols[j] = c + j * static_cast<offset_t>(ldc);
-  gemm_minus_indexed(m, n, k, a, lda, nullptr, b, ldb, nullptr, cols.data());
+  gemm_minus_indexed(m, n, k, a, lda, nullptr, b, ldb, nullptr, nullptr,
+                     cols.data());
 }
 
 void gemm_minus_indexed(index_t m, index_t n, index_t k, const real_t* a,
                         index_t lda, const index_t* a_idx, const real_t* b,
                         index_t ldb, const index_t* b_idx,
-                        real_t* const* c_cols) {
+                        const index_t* c_rows, real_t* const* c_cols) {
   TH_CHECK((a_idx == nullptr) == (b_idx == nullptr));
 #if defined(TH_KERNELS_SIMD_AVX2)
+  if (simd::avx512_active()) {
+    gemm_minus_indexed_avx512(m, n, k, a, lda, a_idx, b, ldb, b_idx, c_rows,
+                              c_cols);
+    return;
+  }
   if (simd::avx2_active()) {
-    gemm_minus_indexed_avx2(m, n, k, a, lda, a_idx, b, ldb, b_idx, c_cols);
+    gemm_minus_indexed_avx2(m, n, k, a, lda, a_idx, b, ldb, b_idx, c_rows,
+                            c_cols);
     return;
   }
 #endif
-  gemm_minus_indexed_portable(m, n, k, a, lda, a_idx, b, ldb, b_idx, c_cols);
+  gemm_minus_indexed_portable(m, n, k, a, lda, a_idx, b, ldb, b_idx, c_rows,
+                              c_cols);
 }
 
 }  // namespace th

@@ -40,15 +40,17 @@ void gemm_minus(index_t m, index_t n, index_t k, const real_t* a, index_t lda,
                 const real_t* b, index_t ldb, real_t* c, index_t ldc);
 
 /// The SSSSM body on envelope panels: for each j in [0, n) with c_cols[j]
-/// non-null, c_cols[j][0, m) -= sum over q in [0, k), ascending, of
-/// A(:, a_idx[q]) * B(b_idx[q], j), skipping terms with B(b_idx[q], j) ==
-/// 0. A and B are column-major (leading dimensions lda, ldb). The index
-/// lists select the inner indices both panels hold; both null means the
-/// identity (gemm_minus). c_cols are the target columns (m entries each),
-/// which must not overlap A or B.
+/// non-null and each i in [0, m) with c_rows[i] >= 0,
+/// c_cols[j][c_rows[i]] -= sum over q in [0, k), ascending, of
+/// A(i, a_idx[q]) * B(b_idx[q], j), skipping terms with
+/// B(b_idx[q], j) == 0. A and B are column-major (leading dimensions lda,
+/// ldb). The inner lists select the indices both panels hold; both null
+/// means the identity (gemm_minus). c_rows maps A's rows to rows of C's
+/// columns (-1: C lacks the row, its product is dropped); null means the
+/// identity. c_cols are C's target columns, which must not overlap A or B.
 void gemm_minus_indexed(index_t m, index_t n, index_t k, const real_t* a,
                         index_t lda, const index_t* a_idx, const real_t* b,
                         index_t ldb, const index_t* b_idx,
-                        real_t* const* c_cols);
+                        const index_t* c_rows, real_t* const* c_cols);
 
 }  // namespace th

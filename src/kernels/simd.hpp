@@ -16,23 +16,27 @@
 //     -fopenmp-simd (kernels/CMakeLists.txt probes for it and defines
 //     TH_OMP_SIMD), plain scalar otherwise.
 //
+// SSSSM additionally has a fused AVX-512 body (kernels/dense.cpp,
+// target("avx512f,avx512vl")), selected when the CPU reports both.
+//
 // Bit-exactness contract (factor identity depends on it): every path
 // computes each element as one IEEE-754 multiply followed by one subtract.
-// Two things guarantee that, and nothing else does:
-//
-//   - no FMA-capable target: the AVX2 functions are target("avx2") only
-//     (no "fma", no avx512f), and the default build sets no -march;
-//   - -ffp-contract=off on every TU (src/CMakeLists.txt and the root
-//     CMakeLists.txt). GCC's C++ default is -ffp-contract=fast, which
-//     fuses a * b and a later subtract into an FMA across statements and
-//     across _mm256_mul_pd/_mm256_sub_pd whenever the target has one
-//     (e.g. -march=native); splitting the product into its own statement
-//     does not stop it.
+// The AVX-512 target has FMA, so one thing guarantees that: -ffp-contract=off
+// on every TU (src/CMakeLists.txt and the root CMakeLists.txt). GCC's C++
+// default is -ffp-contract=fast, which fuses a * b and a later subtract
+// into an FMA across statements and across _mm*_mul_pd/_mm*_sub_pd
+// whenever the target has one (the AVX-512 body always, every body under
+// -march=native); splitting the product into its own statement does not
+// stop it. KernelContract.NoFmaContraction runs a sentinel through every
+// body that would round differently if fused.
 //
 // All paths therefore produce bitwise-identical results, and the runtime
 // dispatch never changes numerics — only throughput. DESIGN.md §17 carries
 // the dispatch table.
 #pragma once
+
+#include <algorithm>
+#include <atomic>
 
 #include "support/types.hpp"
 
@@ -101,20 +105,58 @@ __attribute__((target("avx2"))) inline void scale_avx2(index_t n, real_t* x,
 
 }  // namespace detail
 
-/// Whether the runtime dispatch resolved to the AVX2 intrinsic path on
-/// this machine (build-time capable AND the CPU reports avx2).
-inline bool avx2_active() {
+/// A kernel dispatch path, in increasing capability. kAvx512 runs the
+/// fused SSSSM body (kernels/dense.cpp) and the AVX2 bodies elsewhere.
+enum class Isa : int { kPortable = 0, kAvx2 = 1, kAvx512 = 2 };
+
+namespace detail {
+
+// The best path this build and CPU support, probed once.
+inline Isa hw_isa() {
 #if defined(TH_KERNELS_SIMD_AVX2)
-  static const bool hw = __builtin_cpu_supports("avx2") != 0;
+  static const Isa hw = __builtin_cpu_supports("avx512f") &&
+                                __builtin_cpu_supports("avx512vl")
+                            ? Isa::kAvx512
+                        : __builtin_cpu_supports("avx2") ? Isa::kAvx2
+                                                         : Isa::kPortable;
   return hw;
 #else
-  return false;
+  return Isa::kPortable;
 #endif
 }
 
+inline std::atomic<Isa>& isa_cap() {
+  static std::atomic<Isa> cap{Isa::kAvx512};
+  return cap;
+}
+
+}  // namespace detail
+
+/// The path every kernel dispatches to: the best this build and CPU
+/// support, lowered to the cap_isa() cap.
+inline Isa active_isa() {
+  return std::min(detail::hw_isa(),
+                  detail::isa_cap().load(std::memory_order_relaxed));
+}
+
+/// Caps the dispatch at `cap` process-wide and returns the previous cap,
+/// so one machine can run, and tests can compare, every body it supports.
+/// Call it only while no kernel runs; the paths round identically, so it
+/// never changes a result.
+inline Isa cap_isa(Isa cap) {
+  return detail::isa_cap().exchange(cap, std::memory_order_relaxed);
+}
+
+/// Whether the primitives below dispatch to their AVX2 bodies.
+inline bool avx2_active() { return active_isa() >= Isa::kAvx2; }
+
+/// Whether SSSSM dispatches to the fused AVX-512 body.
+inline bool avx512_active() { return active_isa() == Isa::kAvx512; }
+
 /// Human-readable name of the active path, for bench banners and the obs
-/// dispatch table: "avx2", "portable+omp-simd", or "portable".
+/// dispatch table: "avx512", "avx2", "portable+omp-simd", or "portable".
 inline const char* dispatch_name() {
+  if (avx512_active()) return "avx512";
   if (avx2_active()) return "avx2";
 #if defined(TH_OMP_SIMD) || defined(_OPENMP)
   return "portable+omp-simd";

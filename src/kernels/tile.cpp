@@ -235,47 +235,36 @@ void tile_ssssm(Tile& c, const Tile& l, const Tile& u) {
   if (k == 0) return;
 
   // L's rows as C's panel rows; -1 marks a row C's envelope lacks, whose
-  // product is structurally zero and is dropped.
+  // product is structurally zero and is dropped. When L's rows are one run
+  // of C's (C's own rows included), the kernel reads C's columns from the
+  // run's first row on, with no map.
   const auto lr = l.row_idx();
   const auto cr = c.row_idx();
   index_t* rmap = workspace(rmap_buf, static_cast<std::size_t>(m));
+  bool all_mapped = true;
   for (index_t ii = 0, q = 0; ii < m; ++ii) {
     while (q < c.panel_rows() && cr[q] < lr[ii]) ++q;
     rmap[ii] = q < c.panel_rows() && cr[q] == lr[ii] ? q : -1;
+    all_mapped = all_mapped && rmap[ii] >= 0;
   }
+  const bool run = all_mapped && rmap[m - 1] - rmap[0] == m - 1;
+  const offset_t row0 = run ? rmap[0] : 0;
 
   // Target columns: U's columns that C's envelope holds (one C lacks is a
-  // structurally zero product, dropped). The fold works on gathered copies
-  // of C's target rows, scattered back after.
-  thread_local std::vector<real_t*> dst_buf, col_buf;
-  thread_local std::vector<real_t> tmp_buf;
+  // structurally zero product, dropped).
+  thread_local std::vector<real_t*> cols_buf;
   const index_t n = u.panel_cols();
-  real_t** dst = workspace(dst_buf, static_cast<std::size_t>(n));
-  real_t** cols = workspace(col_buf, static_cast<std::size_t>(n));
-  real_t* tmp = workspace(tmp_buf, static_cast<std::size_t>(m) * n);
+  real_t** cols = workspace(cols_buf, static_cast<std::size_t>(n));
   const auto uc = u.col_idx();
   const auto cc = c.col_idx();
   for (index_t j = 0, q = 0; j < n; ++j) {
-    const index_t col = uc[j];
-    while (q < c.panel_cols() && cc[q] < col) ++q;
-    if (q == c.panel_cols() || cc[q] != col) {
-      dst[j] = cols[j] = nullptr;
-      continue;
-    }
-    dst[j] = c.data() + static_cast<offset_t>(q) * c.ld();
-    cols[j] = tmp + static_cast<offset_t>(j) * m;
-    for (index_t ii = 0; ii < m; ++ii) {
-      cols[j][ii] = rmap[ii] >= 0 ? dst[j][rmap[ii]] : 0.0;
-    }
+    while (q < c.panel_cols() && cc[q] < uc[j]) ++q;
+    cols[j] = q < c.panel_cols() && cc[q] == uc[j]
+                  ? c.data() + static_cast<offset_t>(q) * c.ld() + row0
+                  : nullptr;
   }
   gemm_minus_indexed(m, n, k, l.data(), l.ld(), lpos, u.data(), u.ld(), upos,
-                     cols);
-  for (index_t j = 0; j < n; ++j) {
-    if (dst[j] == nullptr) continue;
-    for (index_t ii = 0; ii < m; ++ii) {
-      if (rmap[ii] >= 0) dst[j][rmap[ii]] = cols[j][ii];
-    }
-  }
+                     run ? nullptr : rmap, cols);
 }
 
 }  // namespace th

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
@@ -15,6 +16,7 @@
 #include "exec/batch_executor.hpp"
 #include "exec/worker_pool.hpp"
 #include "gen/generators.hpp"
+#include "kernels/simd.hpp"
 #include "sim/cluster.hpp"
 #include "solvers/driver.hpp"
 #include "sparse/ops.hpp"
@@ -347,6 +349,45 @@ TEST(ParallelFactor, EveryWidthEqualsTheSerialReplayOfItsBatches) {
       }
     }
   }
+}
+
+// FNV-1a over the PLU factor panels: each tile's block coordinates, then
+// its panel's bytes, in TileMatrix::for_each order.
+std::uint64_t plu_factor_hash(const SolverInstance& inst) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    const auto* c = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ c[i]) * 0x100000001b3ULL;
+  };
+  inst.plu_factorization()->tiles().for_each(
+      [&](index_t i, index_t j, const Tile& t) {
+        mix(&i, sizeof i);
+        mix(&j, sizeof j);
+        mix(t.data(), static_cast<std::size_t>(t.panel_size()) * sizeof(real_t));
+      });
+  return h;
+}
+
+TEST(FactorBits, PluPanelsArePinnedOnEveryDispatchPath) {
+  // The kernel contract (DESIGN.md §17) end to end: every dispatch path
+  // this machine supports, at 1 and 4 threads, reproduces one constant,
+  // so a change that moves any factor bit fails on every machine, not
+  // only where the paths differ. CI also runs this under -march=native.
+  const Csr a = finalize_system(circuit_like(600, 2.6, 5, 71), 71);
+  constexpr std::uint64_t kPinned = 0x7fea743067cb5302ULL;
+  InstanceOptions io;
+  io.core = SolverCore::kPlu;
+  io.block = 32;
+  for (int p = 0; p <= static_cast<int>(simd::detail::hw_isa()); ++p) {
+    simd::cap_isa(static_cast<simd::Isa>(p));
+    for (const int threads : {1, 4}) {
+      SolverInstance inst(a, io);
+      factor(inst, threads);
+      EXPECT_EQ(plu_factor_hash(inst), kPinned)
+          << simd::dispatch_name() << " at " << threads << " threads";
+    }
+  }
+  simd::cap_isa(simd::Isa::kAvx512);
 }
 
 TEST(ParallelFactor, SluFactorsSolveAtFourThreads) {

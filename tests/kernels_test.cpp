@@ -321,7 +321,19 @@ bool same_bits(const std::vector<real_t>& x, const std::vector<real_t>& y) {
          std::memcmp(x.data(), y.data(), x.size() * sizeof(real_t)) == 0;
 }
 
-TEST(KernelContract, GemmMinusMatchesRightLookingBitwise) {
+// Runs body once per dispatch path this machine supports, with the
+// dispatch capped at that path, so every body is checked on one machine.
+template <typename Body>
+void on_every_path(Body&& body) {
+  for (int p = 0; p <= static_cast<int>(simd::detail::hw_isa()); ++p) {
+    simd::cap_isa(static_cast<simd::Isa>(p));
+    SCOPED_TRACE(simd::dispatch_name());
+    body();
+  }
+  simd::cap_isa(simd::Isa::kAvx512);
+}
+
+void check_gemm_minus_bitwise() {
   Rng rng(41);
   const real_t inf = std::numeric_limits<real_t>::infinity();
   const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
@@ -354,7 +366,11 @@ TEST(KernelContract, GemmMinusMatchesRightLookingBitwise) {
   }
 }
 
-TEST(KernelContract, TrsmUpperRightMatchesRightLookingBitwise) {
+TEST(KernelContract, GemmMinusMatchesRightLookingBitwise) {
+  on_every_path(check_gemm_minus_bitwise);
+}
+
+void check_trsm_upper_right_bitwise() {
   Rng rng(43);
   const real_t inf = std::numeric_limits<real_t>::infinity();
   const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
@@ -387,6 +403,10 @@ TEST(KernelContract, TrsmUpperRightMatchesRightLookingBitwise) {
   }
 }
 
+TEST(KernelContract, TrsmUpperRightMatchesRightLookingBitwise) {
+  on_every_path(check_trsm_upper_right_bitwise);
+}
+
 TEST(KernelContract, TrsmUpperRightThrowsOnTinyPivot) {
   const index_t n = 3;
   std::vector<real_t> u{2.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 4.0};
@@ -396,8 +416,9 @@ TEST(KernelContract, TrsmUpperRightThrowsOnTinyPivot) {
 
 // a = b = 1 + 2^-30 and c = fl(a*b): mul-then-sub leaves exactly 0, while a
 // fused multiply-subtract leaves -2^-60 (the rounding error of a*b). m in
-// {1, 4, 16} reaches the scalar, 4-wide and 16-wide row bodies.
-TEST(KernelContract, NoFmaContraction) {
+// {1, 4, 16} reaches the scalar, 4-wide and 16-wide row bodies, on every
+// dispatch path.
+void check_no_fma_contraction() {
   volatile real_t av = 1.0 + 0x1.0p-30;  // not a compile-time constant
   const real_t a = av;
   const real_t c = a * a;
@@ -419,6 +440,10 @@ TEST(KernelContract, NoFmaContraction) {
           << "trsm_upper_right m=" << m;
     }
   }
+}
+
+TEST(KernelContract, NoFmaContraction) {
+  on_every_path(check_no_fma_contraction);
 }
 
 // A full, diagonally dominant b×b tile with random entries.
@@ -450,6 +475,126 @@ std::vector<index_t> random_list(index_t b, index_t count, Rng& rng) {
   all.resize(static_cast<std::size_t>(count));
   std::sort(all.begin(), all.end());
   return all;
+}
+
+// The SSSSM body through a row map, as right-looking loops: for each live
+// target column and inner index with a nonzero coefficient, one multiply
+// and one subtract on every row C holds.
+void ref_gemm_minus_indexed(index_t m, index_t n, index_t k, const real_t* a,
+                            index_t lda, const index_t* a_idx,
+                            const real_t* b, index_t ldb, const index_t* b_idx,
+                            const index_t* c_rows, real_t* const* c_cols) {
+  for (index_t j = 0; j < n; ++j) {
+    if (c_cols[j] == nullptr) continue;
+    for (index_t q = 0; q < k; ++q) {
+      const real_t coef = b[b_idx[q] + static_cast<std::size_t>(j) * ldb];
+      if (coef == 0.0) continue;
+      const real_t* x = a + static_cast<std::size_t>(a_idx[q]) * lda;
+      for (index_t i = 0; i < m; ++i) {
+        const index_t r = c_rows != nullptr ? c_rows[i] : i;
+        if (r < 0) continue;
+        const real_t prod = x[i] * coef;
+        c_cols[j][r] = c_cols[j][r] - prod;
+      }
+    }
+  }
+}
+
+// gemm_minus_indexed against the reference, with and without a row map:
+// row counts around the 8-row vectors and 64-row blocks, odd and even
+// counts of live target columns (every fourth column dropped), rows C
+// lacks (every fifth maps to -1), half the coefficients +-0.0, Inf and NaN
+// in operands and coefficients, and more than 64 inner indices.
+void check_gemm_minus_indexed_bitwise() {
+  Rng rng(47);
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  for (index_t m : {1, 7, 8, 9, 22, 63, 64, 65, 128}) {
+    for (index_t n : {1, 2, 3, 5, 6}) {
+      for (index_t k : {1, 13, 70}) {
+        for (const bool mapped : {false, true}) {
+          // A has 5 columns and B 4 rows outside the inner lists.
+          const index_t ka = k + 5, kb = k + 4;
+          const index_t lda = m + 1, ldb = kb + 1;
+          const std::vector<index_t> a_idx = random_list(ka, k, rng);
+          const std::vector<index_t> b_idx = random_list(kb, k, rng);
+          std::vector<real_t> a =
+              signed_zero_values(static_cast<std::size_t>(lda) * ka, rng);
+          a[static_cast<std::size_t>(m - 1) + lda * a_idx[0]] = inf;
+          a[static_cast<std::size_t>(lda) * a_idx[k - 1]] = nan;
+          std::vector<real_t> b = sparse_coefficients(kb, n, ldb, 0.5, rng);
+          b[b_idx[0]] = inf;
+          b[b_idx[k - 1] + static_cast<std::size_t>(n - 1) * ldb] = nan;
+
+          std::vector<index_t> rows(static_cast<std::size_t>(m));
+          for (index_t i = 0; i < m; ++i) rows[i] = i % 5 == 3 ? -1 : i + 3;
+          const index_t mc = mapped ? m + 3 : m, ldc = mc + 2;
+          const std::vector<real_t> c0 =
+              signed_zero_values(static_cast<std::size_t>(ldc) * n, rng);
+          std::vector<real_t> want = c0, got = c0;
+          std::vector<real_t*> want_cols(static_cast<std::size_t>(n));
+          std::vector<real_t*> got_cols(static_cast<std::size_t>(n));
+          for (index_t j = 0; j < n; ++j) {
+            const bool live = j % 4 != 2;
+            want_cols[j] = live ? want.data() + j * ldc : nullptr;
+            got_cols[j] = live ? got.data() + j * ldc : nullptr;
+          }
+          const index_t* c_rows = mapped ? rows.data() : nullptr;
+          ref_gemm_minus_indexed(m, n, k, a.data(), lda, a_idx.data(),
+                                 b.data(), ldb, b_idx.data(), c_rows,
+                                 want_cols.data());
+          gemm_minus_indexed(m, n, k, a.data(), lda, a_idx.data(), b.data(),
+                             ldb, b_idx.data(), c_rows, got_cols.data());
+          EXPECT_TRUE(same_bits(got, want))
+              << "m=" << m << " n=" << n << " k=" << k
+              << " mapped=" << mapped;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelContract, GemmMinusIndexedMatchesRightLookingOnEveryPath) {
+  on_every_path(check_gemm_minus_indexed_bitwise);
+}
+
+// The fused AVX-512 SSSSM body: the indexed cases above, plus the FMA
+// sentinel of NoFmaContraction (c - a*a with c = fl(a*a) is exactly 0
+// unless fused) through the row map and the identity, in column pairs and
+// alone.
+TEST(KernelContract, SsssmAvx512MatchesRightLookingBitwise) {
+  if (simd::detail::hw_isa() != simd::Isa::kAvx512) {
+    GTEST_SKIP() << "the fused AVX-512 SSSSM body needs avx512f and "
+                    "avx512vl; this machine runs the "
+                 << simd::dispatch_name() << " path";
+  }
+  ASSERT_TRUE(simd::avx512_active());
+  check_gemm_minus_indexed_bitwise();
+
+  volatile real_t av = 1.0 + 0x1.0p-30;  // not a compile-time constant
+  const real_t a = av;
+  const real_t c = a * a;
+  ASSERT_NE(std::fma(a, a, -c), 0.0);  // the product is inexact
+  for (index_t m : {1, 8, 9, 64, 65}) {
+    for (index_t n : {1, 2, 3}) {
+      for (const bool mapped : {false, true}) {
+        const std::vector<real_t> x(static_cast<std::size_t>(m), a);
+        const std::vector<real_t> coef(static_cast<std::size_t>(n), a);
+        std::vector<index_t> rows(static_cast<std::size_t>(m));
+        for (index_t i = 0; i < m; ++i) rows[i] = m - 1 - i;
+        std::vector<real_t> y(static_cast<std::size_t>(m) * n, c);
+        std::vector<real_t*> cols(static_cast<std::size_t>(n));
+        for (index_t j = 0; j < n; ++j) cols[j] = y.data() + j * m;
+        const index_t zero = 0;
+        gemm_minus_indexed(m, n, 1, x.data(), m, &zero, coef.data(), 1,
+                           &zero, mapped ? rows.data() : nullptr,
+                           cols.data());
+        for (real_t v : y) {
+          EXPECT_EQ(v, 0.0) << "m=" << m << " n=" << n << " mapped=" << mapped;
+        }
+      }
+    }
+  }
 }
 
 // A zeroed b×b panel over copies of `rows` and `cols`, which it owns.
@@ -656,7 +801,10 @@ TEST(Simd, ScaleMatchesScalarBitwise) {
 TEST(Simd, DispatchNameIsCoherent) {
   const char* name = simd::dispatch_name();
   ASSERT_NE(name, nullptr);
-  if (simd::avx2_active()) {
+  if (simd::avx512_active()) {
+    EXPECT_STREQ(name, "avx512");
+    EXPECT_TRUE(simd::avx2_active());  // the other kernels run AVX2 bodies
+  } else if (simd::avx2_active()) {
     EXPECT_STREQ(name, "avx2");
   } else {
     EXPECT_TRUE(std::strncmp(name, "portable", 8) == 0) << name;
