@@ -22,9 +22,9 @@
 //                                RHS/s throughput and the worst residual
 //                                (PLU core only)
 //     --rhs-batch <spec>         batching engine configuration, a spec
-//                                string "width=N,wait=SEC,sched=priority|
-//                                levelset"; applies to --nrhs and
-//                                to --serve's solve coalescing
+//                                string "width=N,sched=priority|levelset";
+//                                applies to --nrhs and to --serve's solve
+//                                coalescing
 //     --block <int>              tile size / max supernode (default core's)
 //     --ordering <mindeg|rcm|nd|natural>              (default mindeg)
 //     --refine <iters>           iterative-refinement steps (default 0)
@@ -163,7 +163,7 @@
 #include "obs/recorder.hpp"
 #include "order/perm.hpp"
 #include "resilience/checkpoint.hpp"
-#include "rhs/batcher.hpp"
+#include "rhs/engine.hpp"
 #include "serve/chaos.hpp"
 #include "serve/crash_soak.hpp"
 #include "serve/serve.hpp"
@@ -188,7 +188,7 @@ using namespace th;
                "usage: thsolve_cli [--matrix f.mtx | --gen KIND --n N] "
                "[--core plu|slu] [--policy th|pangu|superlu|stream|dmdas] "
                "[--device a100|h100|5090|5060ti|mi50] [--ranks R] "
-               "[--threads N] [--nrhs N] [--rhs-batch width=N,wait=SEC,"
+               "[--threads N] [--nrhs N] [--rhs-batch width=N,"
                "sched=priority|levelset] "
                "[--block B] [--ordering mindeg|rcm|nd|natural] "
                "[--refine I] [--abft] [--abft-retries N] "
@@ -290,7 +290,6 @@ rhs::RhsOptions parse_rhs_batch(const std::string& s) {
     const spec::RhsSpec r = s.empty() ? spec::RhsSpec{} : spec::parse_rhs_spec(s);
     rhs::RhsOptions o;
     o.max_width = static_cast<index_t>(r.width);
-    o.max_wait_s = static_cast<real_t>(r.wait_s);
     o.schedule = rhs::solve_schedule_by_name(r.schedule);
     return o;
   } catch (const spec::SpecError& e) {

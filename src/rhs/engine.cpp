@@ -23,9 +23,6 @@ void RhsStats::publish_metrics() const {
   set("th.rhs.cancelled", cancelled);
   set("th.rhs.deadline_misses", deadline_misses);
   set("th.rhs.batches", batches);
-  set("th.rhs.close.width", close_width);
-  set("th.rhs.close.timeout", close_timeout);
-  set("th.rhs.close.flush", close_flush);
   set("th.rhs.dag.builds", dag_builds);
   set("th.rhs.dag.reuses", dag_reuses);
   set("th.rhs.widest_batch", widest_batch);
@@ -38,9 +35,6 @@ RhsStats& RhsStats::operator+=(const RhsStats& o) {
   cancelled += o.cancelled;
   deadline_misses += o.deadline_misses;
   batches += o.batches;
-  close_width += o.close_width;
-  close_timeout += o.close_timeout;
-  close_flush += o.close_flush;
   dag_builds += o.dag_builds;
   dag_reuses += o.dag_reuses;
   widest_batch = std::max(widest_batch, o.widest_batch);
@@ -60,36 +54,15 @@ const char* rhs_completion_status_name(RhsCompletion::Status s) {
   return "?";
 }
 
+void RhsOptions::validate() const {
+  TH_CHECK_MSG(max_width >= 1,
+               "rhs batch width must be >= 1, got " << max_width);
+}
+
 RhsEngine::RhsEngine(const PluFactorization& fact, const RhsOptions& opt,
                      const ScheduleOptions& sched, const ProcessGrid& grid)
-    : opt_(opt),
-      n_(fact.pattern().n),
-      solver_(fact, sched, grid),
-      batcher_(opt) {
+    : opt_(opt), n_(fact.pattern().n), solver_(fact, sched, grid) {
   opt_.validate();
-}
-
-std::int64_t RhsEngine::submit(RhsEntry e, real_t now_s) {
-  TH_CHECK_MSG(static_cast<index_t>(e.b.size()) == n_,
-               "rhs length " << e.b.size() << " does not match n=" << n_);
-  ++stats_.submitted;
-  return batcher_.submit(std::move(e), now_s);
-}
-
-std::vector<RhsCompletion> RhsEngine::advance(real_t now_s) {
-  std::vector<RhsCompletion> out;
-  while (auto batch = batcher_.poll(now_s)) {
-    execute(std::move(*batch), out);
-  }
-  return out;
-}
-
-std::vector<RhsCompletion> RhsEngine::flush(real_t now_s) {
-  std::vector<RhsCompletion> out;
-  while (auto batch = batcher_.flush(now_s)) {
-    execute(std::move(*batch), out);
-  }
-  return out;
 }
 
 real_t RhsEngine::estimate_s(index_t nrhs) {
@@ -107,28 +80,33 @@ const RhsStats& RhsEngine::stats() const {
   return stats_;
 }
 
-void RhsEngine::execute(RhsBatch batch, std::vector<RhsCompletion>& out) {
-  const real_t start_s = batch.closed_s;
+std::vector<RhsCompletion> RhsEngine::execute(std::vector<RhsEntry> block,
+                                              real_t start_s) {
+  TH_CHECK_MSG(static_cast<index_t>(block.size()) <= opt_.max_width,
+               "rhs block of " << block.size() << " exceeds the width cap "
+                               << opt_.max_width);
+  std::vector<RhsCompletion> out;
+  out.reserve(block.size());
+  stats_.submitted += static_cast<offset_t>(block.size());
   const auto shed = [&](const RhsEntry& e, RhsCompletion::Status status) {
     RhsCompletion c;
-    c.id = e.id;
     c.tag = e.tag;
     c.status = status;
-    c.arrival_s = e.arrival_s;
     c.start_s = start_s;
     c.finish_s = start_s;
-    c.close = batch.reason;
     ++(status == RhsCompletion::Status::kCancelled ? stats_.cancelled
                                                    : stats_.deadline_misses);
     out.push_back(std::move(c));
   };
 
-  // Triage at the batch boundary: members whose token fired or whose
+  // Triage at the block boundary: members whose token fired or whose
   // deadline already passed are shed without touching the numerics.
   std::vector<RhsEntry*> live;
-  live.reserve(batch.members.size());
+  live.reserve(block.size());
   bool any_deadline = false;
-  for (RhsEntry& e : batch.members) {
+  for (RhsEntry& e : block) {
+    TH_CHECK_MSG(static_cast<index_t>(e.b.size()) == n_,
+                 "rhs length " << e.b.size() << " does not match n=" << n_);
     if (e.token != nullptr && e.token->cancel_requested()) {
       shed(e, RhsCompletion::Status::kCancelled);
     } else if (e.deadline_s <= start_s) {
@@ -156,22 +134,10 @@ void RhsEngine::execute(RhsBatch batch, std::vector<RhsCompletion>& out) {
                live.end());
   }
 
-  // A fully-shed batch executes no block solve and charges no batch
-  // accounting — close_width + close_timeout + close_flush == batches by
-  // construction.
-  if (live.empty()) return;
+  // A fully-shed block executes no block solve and charges no batch
+  // accounting.
+  if (live.empty()) return out;
   ++stats_.batches;
-  switch (batch.reason) {
-    case CloseReason::kWidth:
-      ++stats_.close_width;
-      break;
-    case CloseReason::kTimeout:
-      ++stats_.close_timeout;
-      break;
-    case CloseReason::kFlush:
-      ++stats_.close_flush;
-      break;
-  }
 
   const index_t width = static_cast<index_t>(live.size());
   stats_.widest_batch =
@@ -179,13 +145,12 @@ void RhsEngine::execute(RhsBatch batch, std::vector<RhsCompletion>& out) {
 
   // Gather the live members into one n x width column-major block, run it
   // as a single block solve, and scatter the solution columns back out.
-  std::vector<real_t> block(static_cast<std::size_t>(n_) * width);
+  std::vector<real_t> x(static_cast<std::size_t>(n_) * width);
   for (index_t j = 0; j < width; ++j) {
     std::copy(live[j]->b.begin(), live[j]->b.end(),
-              block.begin() + static_cast<std::size_t>(j) * n_);
+              x.begin() + static_cast<std::size_t>(j) * n_);
   }
-  const BlockSolveResult r =
-      solver_.solve(block.data(), width, opt_.schedule);
+  const BlockSolveResult r = solver_.solve(x.data(), width, opt_.schedule);
   const real_t finish_s = start_s + r.makespan_s();
   stats_.busy_s += r.makespan_s();
 
@@ -198,19 +163,17 @@ void RhsEngine::execute(RhsBatch batch, std::vector<RhsCompletion>& out) {
 
   for (index_t j = 0; j < width; ++j) {
     RhsCompletion c;
-    c.id = live[j]->id;
     c.tag = live[j]->tag;
     c.status = RhsCompletion::Status::kDone;
-    c.arrival_s = live[j]->arrival_s;
     c.start_s = start_s;
     c.finish_s = finish_s;
     c.batch_width = width;
-    c.close = batch.reason;
-    const auto col = block.begin() + static_cast<std::size_t>(j) * n_;
+    const auto col = x.begin() + static_cast<std::size_t>(j) * n_;
     c.x.assign(col, col + n_);
     ++stats_.solved;
     out.push_back(std::move(c));
   }
+  return out;
 }
 
 }  // namespace th::rhs

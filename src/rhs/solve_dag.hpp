@@ -4,7 +4,7 @@
 // A factor-once/solve-many service prices the same forward/backward
 // triangular-solve task DAGs thousands of times per factorization. SolveDag
 // builds each (direction, nrhs) pair exactly once per factorization and
-// reuses it across every batch, counting builds vs reuses so the payoff is
+// reuses it across every block, counting builds vs reuses so the payoff is
 // observable (th.rhs.dag.*). BlockSolver solves a block of right-hand sides
 // in two separate steps:
 //
@@ -23,7 +23,8 @@
 //
 // Solve-task costs depend only on the tile pattern, so pricing is valid
 // before the numeric phase: estimate_s runs the same replay, and the serve
-// layer prices solve admission with exactly this.
+// layer prices solve admission and block coalescing with exactly this
+// (through RhsEngine::estimate_s, cached per width).
 #pragma once
 
 #include <map>

@@ -692,9 +692,11 @@ void SolverService::run_solve_batch(Session& s, std::vector<Pending> batch,
   // Per-member admission at the batch boundary: abandoned handles and
   // solves that cannot finish in time are shed before any numerics run.
   // Survivors synthesize their right-hand side from the request's seed and
-  // enter the batching engine (permuted ordering: we factored P A P^T).
+  // join the block (permuted ordering: we factored P A P^T).
   std::map<std::uint64_t, Pending> live;       // keyed by the engine tag
   std::map<std::uint64_t, std::vector<real_t>> raw_b;
+  std::vector<rhs::RhsEntry> block;
+  block.reserve(batch.size());
   for (Pending& p : batch) {
     if (p.token->cancel_requested() || p.req.abandon_at_s <= start_s) {
       finish(std::move(p), Completion::Status::kCancelled, start_s, start_s,
@@ -715,11 +717,10 @@ void SolverService::run_solve_batch(Session& s, std::vector<Pending> batch,
 
     rhs::RhsEntry e;
     e.tag = static_cast<std::uint64_t>(p.id);
-    e.arrival_s = p.arrival_s;
     e.deadline_s = p.req.deadline_s;
     e.token = p.token.get();
     e.b = apply_permutation(b, s.inst->permutation());
-    eng.submit(std::move(e), start_s);
+    block.push_back(std::move(e));
 
     const std::uint64_t tag = static_cast<std::uint64_t>(p.id);
     raw_b.emplace(tag, std::move(b));
@@ -727,12 +728,12 @@ void SolverService::run_solve_batch(Session& s, std::vector<Pending> batch,
   }
   if (live.empty()) return;
 
-  // Real numerics: the coalesced members execute as block solves over the
+  // Real numerics: the survivors execute as one block solve over the
   // session's cached solve DAGs; each member's scaled residual is checked
   // on the unpermuted system so correctness survived both the overload
   // machinery and the batching.
   real_t latest_s = start_s;
-  for (rhs::RhsCompletion& c : eng.flush(start_s)) {
+  for (rhs::RhsCompletion& c : eng.execute(std::move(block), start_s)) {
     Pending p = std::move(live.at(c.tag));
     live.erase(c.tag);
     if (c.status != rhs::RhsCompletion::Status::kDone) {
@@ -786,9 +787,10 @@ void SolverService::dispatch_one() {
   Session& s = sessions_.at(p.session);
 
   if (p.req.kind == RequestKind::kSolve) {
-    // One round-robin turn is one block solve: coalesce the session's
-    // queued kSolves (ascending request id) up to the width cap into one
-    // dispatch, whether or not other tenants wait. pick_next rotates
+    // One round-robin turn is one block solve, and this is the only place
+    // solve blocks form (the engine executes the block as given): coalesce
+    // the session's queued kSolves (ascending request id) up to the width
+    // cap into one dispatch, whether or not other tenants wait. pick_next rotates
     // tenants per turn, so a tenant behind a flood waits at most one block
     // of <= max_width right-hand sides per other tenant. Per-member
     // cancellation/deadline triage happens at the batch boundary inside

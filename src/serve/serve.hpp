@@ -37,12 +37,13 @@
 //     pick per tenant per pass, highest priority first within a tenant)
 //     over ONE shared exec::WorkerPool, so a flooding tenant cannot
 //     starve the others of lanes.
-//   * Batched solves — kSolve requests against one session coalesce
-//     through its rhs::RhsEngine (src/rhs) into a single block solve of
-//     configurable width over the session's cached solve DAGs, executing
-//     real SpTRSV numerics in order on the dispatching thread;
-//     cancellation, abandonment and deadlines are honoured at the batch
-//     boundary.
+//   * Batched solves — the dispatcher is the one place solve blocks are
+//     formed: a round-robin turn coalesces the picked session's queued
+//     kSolve requests (up to the next write, at most rhs.max_width) into
+//     one block, which the session's rhs::RhsEngine (src/rhs) executes as
+//     a single block solve over the cached solve DAGs, running real
+//     SpTRSV numerics in order on the dispatching thread; cancellation,
+//     abandonment and deadlines are honoured at the block boundary.
 //
 // The service clock is *virtual*: it advances by the simulated makespans
 // of the dispatched runs (plus a deterministic solve-cost model), never by
@@ -197,9 +198,10 @@ struct ServeOptions {
   /// Allow a full global queue to shed its lowest-priority entry for a
   /// strictly higher-priority submission (off = plain rejection).
   bool shed_on_full = true;
-  /// Batched multi-RHS solve engine configuration: every session's kSolve
-  /// requests coalesce through an rhs::RhsEngine sharing the session's
-  /// factorization (width cap, close policy, schedule mode).
+  /// Batched multi-RHS solve configuration: the dispatcher coalesces a
+  /// session's queued kSolve requests into blocks of at most max_width,
+  /// each executed by an rhs::RhsEngine sharing the session's
+  /// factorization under `schedule`.
   rhs::RhsOptions rhs;
   /// Durability: write-ahead session journal, CRC-protected artifacts and
   /// crash/restart recovery (serve/journal.hpp). Off unless a journal
@@ -381,8 +383,9 @@ class SolverService {
   void unqueue(SessionId sid, RequestId id);
   void dispatch_one();
   void run_factor(Session& s, Pending& p, real_t start_s);
-  /// Execute a coalesced batch of kSolve requests (admission order) against
-  /// one session as a single block solve through the session's RhsEngine.
+  /// Execute the block dispatch_one formed from one session's kSolve
+  /// requests (admission order): shed abandoned and hopeless members, then
+  /// hand the rest to the session's RhsEngine as one block.
   void run_solve_batch(Session& s, std::vector<Pending> batch,
                        real_t start_s);
   rhs::RhsEngine& ensure_engine(Session& s);

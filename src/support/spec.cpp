@@ -218,9 +218,6 @@ RhsSpec parse_rhs_spec(const std::string& spec) {
     if (key == "width") {
       s.width = static_cast<int>(spec_int(key, val));
       if (s.width < 1) bad(key, "wants a width >= 1, got '" + val + "'");
-    } else if (key == "wait") {
-      s.wait_s = spec_real(key, val);
-      if (s.wait_s < 0) bad(key, "wants a wait >= 0, got '" + val + "'");
     } else if (key == "sched") {
       if (val != "priority" && val != "levelset") {
         bad(key, "wants priority|levelset, got '" + val + "'");
@@ -235,7 +232,7 @@ RhsSpec parse_rhs_spec(const std::string& spec) {
 
 std::string render_rhs_spec(const RhsSpec& s) {
   std::ostringstream os;
-  os << "width=" << s.width << ",wait=" << s.wait_s << ",sched=" << s.schedule;
+  os << "width=" << s.width << ",sched=" << s.schedule;
   return os.str();
 }
 

@@ -66,14 +66,13 @@ std::string render_fault_spec(const FaultPlan& plan);
 /// `thsolve_cli --rhs-batch` flag). A plain struct rather than
 /// rhs::RhsOptions because support sits below src/rhs — the CLI converts.
 struct RhsSpec {
-  int width = 16;               // block-solve width cap (>= 1)
-  double wait_s = 0;            // oldest-entry wait bound (>= 0; 0 = off)
+  int width = 16;                     // block-solve width cap (>= 1)
   std::string schedule = "priority";  // "priority" | "levelset"
 };
 
-/// Parse "width=N,wait=SEC,sched=priority|levelset". Unknown keys,
-/// malformed values, width < 1, wait < 0 and unknown schedules throw
-/// SpecError. parse_rhs_spec(render_rhs_spec(s)) == s exactly.
+/// Parse "width=N,sched=priority|levelset". Unknown keys, malformed
+/// values, width < 1 and unknown schedules throw SpecError.
+/// parse_rhs_spec(render_rhs_spec(s)) == s exactly.
 RhsSpec parse_rhs_spec(const std::string& spec);
 std::string render_rhs_spec(const RhsSpec& s);
 

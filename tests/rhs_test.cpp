@@ -1,13 +1,13 @@
 // Batched multi-RHS SpTRSV serving engine (src/rhs, DESIGN.md §15): the
-// batcher's close policy, the solve-DAG cache, block-solve correctness
-// against the sequential driver, deterministic accumulation across worker
-// counts and batch widths, the single-vs-block bitwise contract, shedding
-// at batch boundaries, obs reconciliation, and the serve-layer integration
-// (solve coalescing).
+// solve-DAG cache, block-solve correctness against the sequential driver,
+// deterministic accumulation across worker counts and batch widths, the
+// single-vs-block bitwise contract, shedding at block boundaries, obs
+// reconciliation, and the serve-layer integration (solve coalescing).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -30,9 +30,6 @@ namespace th {
 namespace {
 
 using rhs::BlockSolver;
-using rhs::CloseReason;
-using rhs::RhsBatch;
-using rhs::RhsBatcher;
 using rhs::RhsCompletion;
 using rhs::RhsEngine;
 using rhs::RhsEntry;
@@ -80,6 +77,26 @@ class RhsEngineTest : public ::testing::Test {
     return e;
   }
 
+  /// Execute `entries` as consecutive blocks of `width` (the last may be
+  /// narrower), all starting at t=0; the completions in execution order.
+  static std::vector<RhsCompletion> run_blocks(RhsEngine& eng,
+                                               std::vector<RhsEntry> entries,
+                                               std::size_t width) {
+    std::vector<RhsCompletion> out;
+    for (std::size_t at = 0; at < entries.size(); at += width) {
+      const auto first = entries.begin() + static_cast<std::ptrdiff_t>(at);
+      const auto last =
+          entries.begin() +
+          static_cast<std::ptrdiff_t>(std::min(entries.size(), at + width));
+      std::vector<RhsEntry> block(std::make_move_iterator(first),
+                                  std::make_move_iterator(last));
+      for (RhsCompletion& c : eng.execute(std::move(block), 0.0)) {
+        out.push_back(std::move(c));
+      }
+    }
+    return out;
+  }
+
   static real_t residual_of(const RhsCompletion& c,
                             const std::vector<real_t>& b) {
     const std::vector<real_t> x =
@@ -96,61 +113,9 @@ Csr* RhsEngineTest::a_ = nullptr;
 SolverInstance* RhsEngineTest::inst_ = nullptr;
 ScheduleOptions* RhsEngineTest::sched_ = nullptr;
 
-// ---- batcher close policy -------------------------------------------------
-
-TEST(RhsBatcher, ClosesAtWidthInAdmissionOrder) {
-  RhsOptions opt;
-  opt.max_width = 3;
-  RhsBatcher q(opt);
-  for (int i = 0; i < 7; ++i) {
-    RhsEntry e;
-    e.tag = static_cast<std::uint64_t>(i);
-    e.b = {1.0};
-    EXPECT_EQ(q.submit(std::move(e), 0.0), i);  // tickets count up
-  }
-  auto b1 = q.poll(0.0);
-  ASSERT_TRUE(b1.has_value());
-  EXPECT_EQ(b1->reason, CloseReason::kWidth);
-  ASSERT_EQ(b1->members.size(), 3u);
-  EXPECT_EQ(b1->members[0].tag, 0u);
-  EXPECT_EQ(b1->members[2].tag, 2u);
-
-  auto b2 = q.poll(0.0);
-  ASSERT_TRUE(b2.has_value());
-  EXPECT_EQ(b2->members[0].tag, 3u);
-  EXPECT_FALSE(q.poll(0.0).has_value());  // one below the width cap
-  EXPECT_EQ(q.depth(), 1);
-
-  auto b3 = q.flush(0.0);
-  ASSERT_TRUE(b3.has_value());
-  EXPECT_EQ(b3->reason, CloseReason::kFlush);
-  EXPECT_EQ(b3->members.size(), 1u);
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.flush(0.0).has_value());
-}
-
-TEST(RhsBatcher, TimeoutClosesAPartialBatch) {
-  RhsOptions opt;
-  opt.max_width = 100;
-  opt.max_wait_s = 1.0;
-  RhsBatcher q(opt);
-  RhsEntry e;
-  e.b = {1.0};
-  q.submit(std::move(e), 0.25);
-  EXPECT_EQ(q.oldest_arrival_s(), 0.25);
-  EXPECT_FALSE(q.poll(1.0).has_value());  // oldest has waited 0.75 s
-  auto b = q.poll(1.25);
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->reason, CloseReason::kTimeout);
-  EXPECT_EQ(b->closed_s, 1.25);
-}
-
 TEST(RhsOptionsValidate, RejectsNonsense) {
   RhsOptions opt;
   opt.max_width = 0;
-  EXPECT_THROW(opt.validate(), Error);
-  opt = RhsOptions{};
-  opt.max_wait_s = -1;
   EXPECT_THROW(opt.validate(), Error);
 }
 
@@ -230,16 +195,18 @@ TEST_F(RhsEngineTest, EngineSolvesABatchAndAccounts) {
   opt.max_width = 4;
   RhsEngine eng(*inst_->plu_factorization(), opt, *sched_);
   std::vector<std::vector<real_t>> bs;
-  for (int i = 0; i < 4; ++i) bs.push_back(rhs_for(100 + i));
+  std::vector<RhsEntry> block;
   for (int i = 0; i < 4; ++i) {
-    eng.submit(entry(bs[i], static_cast<std::uint64_t>(i)), 0.5);
+    bs.push_back(rhs_for(100 + i));
+    block.push_back(entry(bs.back(), static_cast<std::uint64_t>(i)));
   }
-  const std::vector<RhsCompletion> done = eng.advance(0.5);
+  const std::vector<RhsCompletion> done = eng.execute(std::move(block), 0.5);
   ASSERT_EQ(done.size(), 4u);
-  for (const RhsCompletion& c : done) {
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    const RhsCompletion& c = done[i];
+    EXPECT_EQ(c.tag, i);  // block order
     EXPECT_EQ(c.status, RhsCompletion::Status::kDone);
     EXPECT_EQ(c.batch_width, 4);
-    EXPECT_EQ(c.close, CloseReason::kWidth);
     EXPECT_EQ(c.start_s, 0.5);
     EXPECT_GT(c.finish_s, c.start_s);
     EXPECT_LT(residual_of(c, bs[static_cast<std::size_t>(c.tag)]), 1e-10);
@@ -248,10 +215,14 @@ TEST_F(RhsEngineTest, EngineSolvesABatchAndAccounts) {
   EXPECT_EQ(st.submitted, 4);
   EXPECT_EQ(st.solved, 4);
   EXPECT_EQ(st.batches, 1);
-  EXPECT_EQ(st.close_width, 1);
   EXPECT_EQ(st.widest_batch, 4);
   EXPECT_GT(st.busy_s, 0);
-  EXPECT_EQ(eng.depth(), 0);
+
+  // A block wider than the cap is the caller's bug, not a batch to split.
+  std::vector<RhsEntry> wide;
+  for (int i = 0; i < 5; ++i) wide.push_back(entry(bs[0], 9));
+  EXPECT_THROW(eng.execute(std::move(wide), 1.0), Error);
+  EXPECT_EQ(eng.stats().submitted, 4);
 }
 
 TEST_F(RhsEngineTest, CancelledAndExpiredMembersAreShedAtTheBoundary) {
@@ -264,21 +235,20 @@ TEST_F(RhsEngineTest, CancelledAndExpiredMembersAreShedAtTheBoundary) {
   const std::vector<real_t> b0 = rhs_for(200);
   const std::vector<real_t> b1 = rhs_for(201);
   const std::vector<real_t> b2 = rhs_for(202);
-  eng.submit(entry(b0, 0), 0.0);
-  RhsEntry e1 = entry(b1, 1);
-  e1.token = &cancelled;
-  eng.submit(std::move(e1), 0.0);
-  RhsEntry e2 = entry(b2, 2);
-  e2.deadline_s = 0.5;  // flush happens at t=1: already unmeetable
-  eng.submit(std::move(e2), 0.0);
-  // Due after the flush but before a width-2 block would finish: shed
+  std::vector<RhsEntry> block;
+  block.push_back(entry(b0, 0));
+  block.push_back(entry(b1, 1));
+  block.back().token = &cancelled;
+  block.push_back(entry(b2, 2));
+  block.back().deadline_s = 0.5;  // the block starts at t=1: unmeetable
+  // Due after the start but before a width-2 block would finish: shed
   // rather than reported done late.
   const std::vector<real_t> b3 = rhs_for(203);
-  RhsEntry e3 = entry(b3, 3);
-  e3.deadline_s = 1.0 + 0.5 * (eng.estimate_s(1) + eng.estimate_s(2));
-  eng.submit(std::move(e3), 0.0);
+  block.push_back(entry(b3, 3));
+  block.back().deadline_s =
+      1.0 + 0.5 * (eng.estimate_s(1) + eng.estimate_s(2));
 
-  const std::vector<RhsCompletion> done = eng.flush(1.0);
+  const std::vector<RhsCompletion> done = eng.execute(std::move(block), 1.0);
   ASSERT_EQ(done.size(), 4u);
   int solved = 0, shed_cancel = 0, shed_deadline = 0;
   for (const RhsCompletion& c : done) {
@@ -305,8 +275,9 @@ TEST_F(RhsEngineTest, CancelledAndExpiredMembersAreShedAtTheBoundary) {
   EXPECT_EQ(shed_cancel, 1);
   EXPECT_EQ(shed_deadline, 2);
   const rhs::RhsStats& st = eng.stats();
+  EXPECT_EQ(st.submitted, 4);
   EXPECT_EQ(st.submitted, st.solved + st.cancelled + st.deadline_misses);
-  EXPECT_EQ(st.close_width + st.close_timeout + st.close_flush, st.batches);
+  EXPECT_EQ(st.batches, 1);
 }
 
 TEST_F(RhsEngineTest, FullySheddedBatchExecutesNoBlockSolve) {
@@ -314,17 +285,15 @@ TEST_F(RhsEngineTest, FullySheddedBatchExecutesNoBlockSolve) {
   RhsEngine eng(*inst_->plu_factorization(), opt, *sched_);
   CancelToken cancelled;
   cancelled.cancel();
-  RhsEntry e = entry(rhs_for(300), 9);
-  e.token = &cancelled;
-  eng.submit(std::move(e), 0.0);
-  const std::vector<RhsCompletion> done = eng.flush(0.0);
+  std::vector<RhsEntry> block;
+  block.push_back(entry(rhs_for(300), 9));
+  block.back().token = &cancelled;
+  const std::vector<RhsCompletion> done = eng.execute(std::move(block), 0.0);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].status, RhsCompletion::Status::kCancelled);
   EXPECT_EQ(eng.stats().batches, 0);  // nothing ran
   EXPECT_EQ(eng.stats().busy_s, 0);
-  EXPECT_EQ(eng.stats().close_width + eng.stats().close_timeout +
-                eng.stats().close_flush,
-            eng.stats().batches);
+  EXPECT_EQ(eng.stats().dag_builds, 0);
 }
 
 TEST_F(RhsEngineTest, DetModeIsBitwiseAcrossWorkersAndWidths) {
@@ -339,11 +308,13 @@ TEST_F(RhsEngineTest, DetModeIsBitwiseAcrossWorkersAndWidths) {
       RhsOptions opt;
       opt.max_width = width;
       RhsEngine eng(*inst_->plu_factorization(), opt, so);
+      std::vector<RhsEntry> entries;
       for (std::size_t i = 0; i < bs.size(); ++i) {
-        eng.submit(entry(bs[i], i), 0.0);
+        entries.push_back(entry(bs[i], i));
       }
       std::vector<std::vector<real_t>> xs(bs.size());
-      for (RhsCompletion& c : eng.flush(0.0)) {
+      for (RhsCompletion& c : run_blocks(eng, std::move(entries),
+                                         static_cast<std::size_t>(width))) {
         ASSERT_EQ(c.status, RhsCompletion::Status::kDone);
         xs[static_cast<std::size_t>(c.tag)] = std::move(c.x);
       }
@@ -372,13 +343,11 @@ TEST_F(RhsEngineTest, StatsReconcileWithObsRegistry) {
   RhsOptions opt;
   opt.max_width = 2;
   RhsEngine eng(*inst_->plu_factorization(), opt, *sched_);
-  std::vector<std::vector<real_t>> bs;
-  for (int i = 0; i < 5; ++i) bs.push_back(rhs_for(500 + i));
-  for (std::size_t i = 0; i < bs.size(); ++i) {
-    eng.submit(entry(bs[i], i), 0.0);
+  std::vector<RhsEntry> entries;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    entries.push_back(entry(rhs_for(500 + i), i));
   }
-  eng.advance(0.0);
-  eng.flush(0.0);
+  run_blocks(eng, std::move(entries), 2);  // blocks of 2, 2 and 1
 
   const rhs::RhsStats& st = eng.stats();
   st.publish_metrics();
@@ -387,12 +356,9 @@ TEST_F(RhsEngineTest, StatsReconcileWithObsRegistry) {
             static_cast<std::int64_t>(st.submitted));
   EXPECT_EQ(reg.counter("th.rhs.solved").value(),
             static_cast<std::int64_t>(st.solved));
+  EXPECT_EQ(st.batches, 3);
   EXPECT_EQ(reg.counter("th.rhs.batches").value(),
             static_cast<std::int64_t>(st.batches));
-  EXPECT_EQ(reg.counter("th.rhs.close.width").value(),
-            static_cast<std::int64_t>(st.close_width));
-  EXPECT_EQ(reg.counter("th.rhs.close.flush").value(),
-            static_cast<std::int64_t>(st.close_flush));
   EXPECT_EQ(reg.counter("th.rhs.dag.builds").value(),
             static_cast<std::int64_t>(st.dag_builds));
   EXPECT_EQ(reg.counter("th.rhs.dag.reuses").value(),
