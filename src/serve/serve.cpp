@@ -5,6 +5,7 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #ifndef _WIN32
 #include <csignal>
@@ -273,19 +274,34 @@ SessionId SolverService::open_session(const std::string& tenant,
   return sid;
 }
 
-real_t SolverService::estimate_service_s(const Session& s,
-                                         RequestKind kind) const {
-  return kind == RequestKind::kSolve ? s.est_solve_s : s.est_factor_s;
-}
-
-real_t SolverService::backlog_estimate_s() const {
+real_t SolverService::backlog_estimate_s(SessionId sid, RequestKind kind) {
+  // Each session's solves between its writes form one run, which dispatch
+  // coalesces into blocks of at most max_width; a run prices as those
+  // blocks at their widths' block-solve makespans, a write at its factor
+  // estimate.
+  const index_t cap = opt_.rhs.max_width;
+  std::map<SessionId, index_t> run;  // each session's open run of solves
   real_t sum = 0;
-  for (const auto& [id, p] : pending_) {
-    const auto it = sessions_.find(p.session);
-    if (it != sessions_.end()) {
-      sum += estimate_service_s(it->second, p.req.kind);
+  const auto close_run = [&](SessionId id) {
+    const index_t width = std::exchange(run[id], 0);
+    if (width == 0) return;
+    rhs::RhsEngine& eng = ensure_engine(sessions_.at(id));
+    sum += static_cast<real_t>(width / cap) * eng.estimate_s(cap);
+    if (width % cap != 0) sum += eng.estimate_s(width % cap);
+  };
+  const auto add = [&](SessionId id, RequestKind k) {
+    const auto it = sessions_.find(id);
+    if (it == sessions_.end()) return;
+    if (k == RequestKind::kSolve) {
+      ++run[id];
+    } else {
+      close_run(id);
+      sum += it->second.est_factor_s;
     }
-  }
+  };
+  for (const auto& [id, p] : pending_) add(p.session, p.req.kind);
+  add(sid, kind);
+  for (const auto& open : run) close_run(open.first);
   return sum;
 }
 
@@ -400,8 +416,7 @@ RequestId SolverService::submit(SessionId sid, const Request& req) {
 
   // Admission rung 3 — deadline feasibility against the backlog estimate.
   if (req.deadline_s < CancelToken::kNoDeadline) {
-    const real_t eta =
-        now_s_ + backlog_estimate_s() + estimate_service_s(s, req.kind);
+    const real_t eta = now_s_ + backlog_estimate_s(sid, req.kind);
     if (eta > req.deadline_s) {
       ++stats_.rejected_deadline;
       if (obs::enabled()) {

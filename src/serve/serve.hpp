@@ -370,8 +370,9 @@ class SolverService {
     std::unique_ptr<CancelToken> token;
   };
 
-  real_t backlog_estimate_s() const;
-  real_t estimate_service_s(const Session& s, RequestKind kind) const;
+  /// Virtual seconds to serve every queued request plus a new `kind` on
+  /// session `sid`, pricing each session's solves as dispatch groups them.
+  real_t backlog_estimate_s(SessionId sid, RequestKind kind);
   /// Highest priority, then earliest deadline, then FIFO within a tenant,
   /// among the requests that keep per-session causality: no request passes
   /// an older write of its session, and no write passes any older request.

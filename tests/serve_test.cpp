@@ -272,6 +272,47 @@ TEST(SolverService, InfeasibleDeadlineIsRejectedUpFront) {
   EXPECT_EQ(svc.stats().submitted, 0);
 }
 
+// Admission prices a session's queued solves as the blocks dispatch will
+// run them: four deadline-free solves plus an urgent fifth form one width-5
+// block. The urgent deadline lies between that block's finish and five
+// width-1 solves back to back, so pricing each queued solve alone would
+// refuse a request the block serves in time.
+TEST(SolverService, QueuedSolvesArePricedAsTheirBlock) {
+  const ServeOptions o = small_service();
+  SolverService svc(o);
+  const SessionId sid = svc.open_session("alice", grid(14, 3));
+  Request f;
+  f.kind = RequestKind::kFactor;
+  svc.submit(sid, f);
+  svc.drain();
+
+  rhs::BlockSolver pricer(*svc.session_instance(sid)->plu_factorization(),
+                          o.sched, make_process_grid(o.sched.n_ranks));
+  const real_t e1 = pricer.estimate_s(1, o.rhs.schedule);
+  const real_t e5 = pricer.estimate_s(5, o.rhs.schedule);
+  ASSERT_LT(e5, 5 * e1);
+  for (int i = 0; i < 4; ++i) {
+    Request sol;
+    sol.kind = RequestKind::kSolve;
+    sol.value_seed = 60 + static_cast<std::uint64_t>(i);
+    svc.submit(sid, sol);
+  }
+  Request urgent;
+  urgent.kind = RequestKind::kSolve;
+  urgent.deadline_s = svc.now_s() + 0.5 * (e5 + 5 * e1);
+  const serve::RequestId id = svc.submit(sid, urgent);  // must not throw
+  EXPECT_EQ(svc.stats().rejected_deadline, 0);
+
+  const std::vector<Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 5u);
+  for (const Completion& c : done) {
+    EXPECT_EQ(c.status, Completion::Status::kDone) << c.detail;
+    if (c.id == id) {
+      EXPECT_LE(c.finish_s, urgent.deadline_s);
+    }
+  }
+}
+
 // ---- degradation ladder rung 1: priority shedding -------------------------
 
 TEST(SolverService, FullGlobalQueueShedsLowestPriorityYoungestFirst) {
