@@ -34,11 +34,6 @@ const char* rank_recovery_name(RankRecovery r) {
   return "?";
 }
 
-bool valid_crash_event(const std::string& event) {
-  return event == "open" || event == "commit" || event == "retire" ||
-         event == "append";
-}
-
 real_t FaultPlan::estimated_mtbf_s() const {
   if (rank_failures.empty()) return 0;
   real_t latest = 0;

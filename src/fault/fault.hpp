@@ -157,8 +157,13 @@ struct DurabilityCrash {
   offset_t after = 1;  // crash before the after-th matching append (1-based)
 };
 
-/// True for the crash-point event names the journal recognises.
-bool valid_crash_event(const std::string& event);
+/// True for the crash-point event names the journal recognises. Inline so
+/// the spec codec (th_support) parses crash points without linking
+/// th_fault.
+inline bool valid_crash_event(const std::string& event) {
+  return event == "open" || event == "commit" || event == "retire" ||
+         event == "append";
+}
 
 /// A deterministic, seeded description of everything that goes wrong
 /// during one simulated factorisation. Default-constructed plans are

@@ -4,6 +4,7 @@
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/spec.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
@@ -130,6 +131,30 @@ TEST(Format, Helpers) {
   EXPECT_EQ(fmt_si(2.03e6, 2), "2.03M");
   EXPECT_EQ(fmt_si(4.61e9, 2), "4.61G");
   EXPECT_EQ(fmt_percent(0.011, 2), "1.10%");
+}
+
+// ---- --rhs-batch spec codec -----------------------------------------------
+
+TEST(RhsSpec, RoundTripsAndRejectsNonsense) {
+  for (const spec::RhsSpec& s :
+       {spec::RhsSpec{}, spec::RhsSpec{1, "levelset"},
+        spec::RhsSpec{64, "priority"}}) {
+    const spec::RhsSpec back = spec::parse_rhs_spec(spec::render_rhs_spec(s));
+    EXPECT_EQ(back.width, s.width);
+    EXPECT_EQ(back.schedule, s.schedule);
+  }
+  const spec::RhsSpec parsed = spec::parse_rhs_spec("sched=levelset,width=8");
+  EXPECT_EQ(parsed.width, 8);
+  EXPECT_EQ(parsed.schedule, "levelset");
+
+  EXPECT_THROW(spec::parse_rhs_spec("width=0"), spec::SpecError);
+  EXPECT_THROW(spec::parse_rhs_spec("sched=bogus"), spec::SpecError);
+  try {
+    spec::parse_rhs_spec("wait=1");  // the wait bound is gone
+    FAIL() << "expected SpecError";
+  } catch (const spec::SpecError& e) {
+    EXPECT_EQ(e.key(), "wait");
+  }
 }
 
 }  // namespace
