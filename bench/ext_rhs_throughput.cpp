@@ -76,7 +76,9 @@ struct RunOutcome {
 RunOutcome run_engine(const SolverInstance& inst, const ScheduleOptions& so,
                       const rhs::RhsOptions& ropt,
                       const std::vector<std::vector<real_t>>& cols) {
-  rhs::RhsEngine eng(*inst.plu_factorization(), ropt, so);
+  const PluFactorization& fact = *inst.plu_factorization();
+  rhs::RhsEngine eng(fact, ropt, std::make_shared<rhs::SolvePrices>(
+                                     fact.shared_pattern(), so));
   RunOutcome out;
   out.x.resize(cols.size());
   const std::size_t w = static_cast<std::size_t>(ropt.max_width);

@@ -124,6 +124,11 @@ int main() {
     pt.load = load;
     pt.rep = serve::replay(svc, trace);
     pt.rep.stats.publish_metrics();
+    // Solve-price reuse (stdout only; the CSV keeps its columns).
+    const rhs::RhsStats rs = svc.rhs_stats();
+    std::printf("load %.1fx: solve prices %lld built, %lld reused\n", load,
+                static_cast<long long>(rs.dag_builds),
+                static_cast<long long>(rs.dag_reuses));
 
     const serve::ServeStats& st = pt.rep.stats;
     total.sessions_opened += st.sessions_opened;

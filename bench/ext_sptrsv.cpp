@@ -41,13 +41,14 @@ int main() {
           static_cast<std::size_t>(a.n_rows) * static_cast<std::size_t>(nrhs),
           1.0);
       std::vector<real_t> x_base = x_th;
-      const rhs::BlockSolveResult rt =
+      const rhs::BlockSolveResult& rt =
           solver.solve(x_th.data(), nrhs, rhs::SolveSchedule::kPriorityDag);
-      const rhs::BlockSolveResult rb =
+      const rhs::BlockSolveResult& rb =
           solver.solve(x_base.data(), nrhs, rhs::SolveSchedule::kLevelSet);
 
-      const rhs::SolveDag::Graphs& g = solver.dag().graphs(nrhs);
-      const offset_t tasks = g.forward.size() + g.backward.size();
+      const TilePattern& p = inst.plu_factorization()->pattern();
+      const offset_t tasks = build_solve_graph(p, true, nrhs).size() +
+                             build_solve_graph(p, false, nrhs).size();
       const offset_t k_base = rb.kernel_count();
       const offset_t k_th = rt.kernel_count();
       const real_t t_base = rb.makespan_s();

@@ -841,7 +841,7 @@ int main(int argc, char** argv) {
     } else if (nrhs > 0) {
       // Batched multi-RHS phase: solve `nrhs` fresh right-hand sides
       // against the factors just computed, fused into block solves of the
-      // configured width through the solve-DAG cache (src/rhs).
+      // configured width, each width priced once (src/rhs).
       const rhs::RhsOptions& ropt = rhs_opt;
       const auto nn = static_cast<std::size_t>(a.n_rows);
       Rng brng(515151);
@@ -872,7 +872,7 @@ int main(int argc, char** argv) {
           std::copy(pb.begin(), pb.end(),
                     blockbuf.begin() + static_cast<std::size_t>(j) * nn);
         }
-        const rhs::BlockSolveResult br = bsolver.solve(
+        const rhs::BlockSolveResult& br = bsolver.solve(
             blockbuf.data(), static_cast<index_t>(w), ropt.schedule);
         virt_s += br.makespan_s();
         kernels += br.kernel_count();

@@ -70,7 +70,7 @@ class TaskGraph {
   std::vector<offset_t> pred_ptr_;
   std::vector<index_t> pred_;
   std::vector<index_t> in_degree_;
-  mutable std::vector<index_t> levels_;  // computed lazily
+  std::vector<index_t> levels_;  // ASAP levels, filled by finalize()
   mutable std::vector<offset_t> upward_rank_;  // computed lazily
 };
 

@@ -60,18 +60,9 @@ void RhsOptions::validate() const {
 }
 
 RhsEngine::RhsEngine(const PluFactorization& fact, const RhsOptions& opt,
-                     const ScheduleOptions& sched, const ProcessGrid& grid)
-    : opt_(opt), n_(fact.pattern().n), solver_(fact, sched, grid) {
+                     std::shared_ptr<SolvePrices> prices)
+    : opt_(opt), n_(fact.pattern().n), solver_(fact, std::move(prices)) {
   opt_.validate();
-}
-
-real_t RhsEngine::estimate_s(index_t nrhs) {
-  const auto it = estimates_.find(nrhs);
-  if (it != estimates_.end()) return it->second;
-  const obs::ScopedDisable no_obs;  // pricing detail, not a run
-  const real_t est = solver_.estimate_s(nrhs, opt_.schedule);
-  estimates_.emplace(nrhs, est);
-  return est;
 }
 
 const RhsStats& RhsEngine::stats() const {
@@ -150,7 +141,7 @@ std::vector<RhsCompletion> RhsEngine::execute(std::vector<RhsEntry> block,
     std::copy(live[j]->b.begin(), live[j]->b.end(),
               x.begin() + static_cast<std::size_t>(j) * n_);
   }
-  const BlockSolveResult r = solver_.solve(x.data(), width, opt_.schedule);
+  const BlockSolveResult& r = solver_.solve(x.data(), width, opt_.schedule);
   const real_t finish_s = start_s + r.makespan_s();
   stats_.busy_s += r.makespan_s();
 

@@ -2,7 +2,7 @@
 // DESIGN.md §15).
 //
 // Executes one given block of right-hand sides as ONE block solve over the
-// BlockSolver (cached solve DAGs priced under priority-DAG or level-set
+// BlockSolver (per-pattern prices under priority-DAG or level-set
 // scheduling, in-order numerics). The engine forms no batches: the caller
 // decides each block once (the serve dispatcher coalesces a session's
 // queued solves; thsolve_cli --nrhs and the throughput bench chunk their
@@ -24,7 +24,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <vector>
 
 #include "rhs/solve_dag.hpp"
@@ -69,16 +69,18 @@ struct RhsStats {
   offset_t cancelled = 0;        // shed at a block boundary (token fired)
   offset_t deadline_misses = 0;  // shed at a block boundary (deadline)
   offset_t batches = 0;          // block solves executed
-  offset_t dag_builds = 0;       // solve-DAG pairs built (per distinct width)
-  offset_t dag_reuses = 0;       // block solves served from the DAG cache
+  offset_t dag_builds = 0;       // (schedule, width) prices built
+  offset_t dag_reuses = 0;       // price lookups served from the table
   offset_t widest_batch = 0;     // widest block solve executed
   real_t busy_s = 0;             // virtual seconds spent block-solving
 
   /// Mirror these counters into the obs metrics registry under th.rhs.*.
   void publish_metrics() const;
 
-  /// Aggregation across engines (the serve layer sums per-session engines
-  /// plus the stats of engines retired by refactors).
+  /// Aggregation across engines (the serve layer sums one engine per
+  /// block solve). Engines sharing a price table share its
+  /// dag_builds/dag_reuses, so such sums overcount them; the serve layer
+  /// counts each table once instead.
   RhsStats& operator+=(const RhsStats& o);
 };
 
@@ -99,12 +101,10 @@ const char* rhs_completion_status_name(RhsCompletion::Status s);
 
 class RhsEngine {
  public:
-  /// `fact` must outlive the engine (the serve layer retires an engine
-  /// whenever a session's factorization is rebuilt). `sched` is the
-  /// scheduling template for pricing the block solves — the policy is
-  /// overridden per RhsOptions.
+  /// `fact` must outlive the engine. `prices` is the pattern's price
+  /// table, shared with every engine on that pattern.
   RhsEngine(const PluFactorization& fact, const RhsOptions& opt,
-            const ScheduleOptions& sched, const ProcessGrid& grid = {});
+            std::shared_ptr<SolvePrices> prices);
 
   /// Execute `block` (at most max_width members, each b of length n) as
   /// one block solve starting at virtual time `start_s`. Returns one
@@ -116,18 +116,18 @@ class RhsEngine {
 
   /// Timing-only virtual cost of a width-`nrhs` block solve: the makespan
   /// a width-`nrhs` block solve charges, bit for bit. Valid before the
-  /// numeric phase; priced once per width and engine (the pattern fixes
-  /// it), so the serve layer can price every coalescing step.
-  real_t estimate_s(index_t nrhs);
+  /// numeric phase; the price table computes it once per width.
+  real_t estimate_s(index_t nrhs) {
+    return solver_.estimate_s(nrhs, opt_.schedule);
+  }
 
-  /// Accounting, with dag_builds/dag_reuses refreshed from the DAG cache.
+  /// Accounting, with dag_builds/dag_reuses read from the price table.
   const RhsStats& stats() const;
 
  private:
   RhsOptions opt_;
   index_t n_ = 0;
   BlockSolver solver_;
-  std::map<index_t, real_t> estimates_;  // estimate_s by width
   mutable RhsStats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "rhs/solve_dag.hpp"
 
+#include "obs/obs.hpp"
 #include "support/error.hpp"
 
 namespace th::rhs {
@@ -20,47 +21,50 @@ Policy solve_policy(SolveSchedule s) {
                                           : Policy::kLevelPerTask;
 }
 
-SolveDag::SolveDag(const PluFactorization& fact, const ProcessGrid& grid)
-    : fact_(fact), grid_(grid) {}
+SolvePrices::SolvePrices(std::shared_ptr<const TilePattern> pattern,
+                         const ScheduleOptions& base, const ProcessGrid& grid)
+    : pattern_(std::move(pattern)), base_(base), grid_(grid) {}
 
-const SolveDag::Graphs& SolveDag::graphs(index_t nrhs) {
+const BlockSolveResult& SolvePrices::price(index_t nrhs,
+                                           SolveSchedule schedule) {
   TH_CHECK_MSG(nrhs >= 1, "solve DAG width must be >= 1, got " << nrhs);
-  const auto it = cache_.find(nrhs);
+  const auto key = std::make_pair(schedule, nrhs);
+  const auto it = cache_.find(key);
   if (it != cache_.end()) {
     ++reuses_;
     return it->second;
   }
-  Graphs g;
-  g.forward = build_solve_graph(fact_, /*forward=*/true, nrhs, grid_);
-  g.backward = build_solve_graph(fact_, /*forward=*/false, nrhs, grid_);
+  const obs::ScopedDisable no_obs;  // pricing detail, not a run
+  ScheduleOptions run = base_;
+  run.policy = solve_policy(schedule);
+  const auto replay = [&](bool forward) {
+    return simulate(build_solve_graph(*pattern_, forward, nrhs, grid_), run,
+                    nullptr);
+  };
+  BlockSolveResult r{replay(true), replay(false)};
   ++builds_;
-  return cache_.emplace(nrhs, std::move(g)).first->second;
+  return cache_.emplace(key, std::move(r)).first->second;
 }
 
 BlockSolver::BlockSolver(const PluFactorization& fact,
                          const ScheduleOptions& base, const ProcessGrid& grid)
-    : fact_(fact), base_(base), dag_(fact, grid) {}
+    : BlockSolver(fact, std::make_shared<SolvePrices>(fact.shared_pattern(),
+                                                      base, grid)) {}
 
-BlockSolveResult BlockSolver::price(index_t nrhs, SolveSchedule schedule) {
-  const SolveDag::Graphs& g = dag_.graphs(nrhs);
-  ScheduleOptions run = base_;
-  run.policy = solve_policy(schedule);
-  BlockSolveResult out;
-  out.forward = simulate(g.forward, run, nullptr);
-  out.backward = simulate(g.backward, run, nullptr);
-  return out;
+BlockSolver::BlockSolver(const PluFactorization& fact,
+                         std::shared_ptr<SolvePrices> prices)
+    : fact_(fact), prices_(std::move(prices)) {
+  TH_CHECK_MSG(prices_ != nullptr && &prices_->pattern() == &fact.pattern(),
+               "block solver needs a price table over its factorization's "
+               "pattern");
 }
 
-BlockSolveResult BlockSolver::solve(real_t* x, index_t nrhs,
-                                    SolveSchedule schedule, bool) {
+const BlockSolveResult& BlockSolver::solve(real_t* x, index_t nrhs,
+                                           SolveSchedule schedule, bool) {
   TH_CHECK_MSG(x != nullptr, "block solve needs caller storage");
-  const BlockSolveResult out = price(nrhs, schedule);
+  const BlockSolveResult& out = prices_->price(nrhs, schedule);
   tri_solve_in_order(fact_, x, nrhs);
   return out;
-}
-
-real_t BlockSolver::estimate_s(index_t nrhs, SolveSchedule schedule) {
-  return price(nrhs, schedule).makespan_s();
 }
 
 }  // namespace th::rhs

@@ -174,26 +174,25 @@ SolverService::SolverService(const ServeOptions& opt)
 
 SolverService::~SolverService() = default;
 
-std::shared_ptr<SolverInstance> SolverService::obtain_instance(
-    const Csr& a, std::uint64_t hash, SessionId sid, real_t& est_factor_s,
-    real_t& est_solve_s) {
-  const auto hit = cache_.find(hash);
+void SolverService::obtain_instance(const Csr& a, SessionId sid,
+                                    Session& s) {
+  const auto hit = cache_.find(s.pattern_hash);
   if (hit != cache_.end()) {
-    // Cache hit: donor construction copies the cached ordering, tile
-    // pattern and task DAG — no reordering, no symbolic analysis. The
-    // donor ctor verifies the structure byte-for-byte, so a hash collision
-    // throws th::Error here instead of corrupting numerics.
-    auto inst = std::make_shared<SolverInstance>(
+    // Cache hit: donor construction copies the cached ordering and shares
+    // its tile pattern and task DAG — no reordering, no symbolic analysis.
+    // The donor ctor verifies the structure byte-for-byte, so a hash
+    // collision throws th::Error here instead of corrupting numerics.
+    s.inst = std::make_shared<SolverInstance>(
         a, instance_options(opt_.sched), *hit->second.donor);
-    est_factor_s = hit->second.est_factor_s;
-    est_solve_s = hit->second.est_solve_s;
+    s.est_factor_s = hit->second.est_factor_s;
+    s.prices = hit->second.prices;
     ++stats_.cache_hits;
     if (obs::enabled()) {
       obs::Recorder::global().instant(
           obs::Domain::kHost, obs::kServiceTrack, "serve cache hit", "serve",
           now_s_, "session", sid);
     }
-    return inst;
+    return;
   }
   // Cache miss: the full control-plane pipeline (ordering + symbolic),
   // wrapped in a host-clock span. The acceptance check for symbolic
@@ -201,8 +200,7 @@ std::shared_ptr<SolverInstance> SolverService::obtain_instance(
   // per miss and never on a hit.
   const bool obs_on = obs::enabled();
   const real_t h0 = obs_on ? obs::Recorder::global().host_now() : 0;
-  auto inst =
-      std::make_shared<SolverInstance>(a, instance_options(opt_.sched));
+  s.inst = std::make_shared<SolverInstance>(a, instance_options(opt_.sched));
   if (obs_on) {
     obs::Recorder::global().span(obs::Domain::kHost, -1, "serve symbolic",
                                  "serve", h0,
@@ -214,19 +212,18 @@ std::shared_ptr<SolverInstance> SolverService::obtain_instance(
   // makespan feeds deadline-feasibility admission for every later
   // session on this pattern (structure determines timing, so the
   // estimate transfers exactly).
-  ScheduleOptions est = opt_.sched;
   {
     const obs::ScopedDisable no_obs;  // pricing detail, not a run
-    est_factor_s = inst->run_timing(est).makespan_s;
-    // Solve pricing replays the width-1 solve DAGs with a null backend —
-    // the exact model the batching engine runs under, so admission and
-    // execution charge the same clock.
-    rhs::BlockSolver pricer(*inst->plu_factorization(), opt_.sched,
-                            make_process_grid(opt_.sched.n_ranks));
-    est_solve_s = pricer.estimate_s(1, opt_.rhs.schedule);
+    s.est_factor_s = s.inst->run_timing(opt_.sched).makespan_s;
   }
-  cache_.emplace(hash, CacheEntry{inst, est_factor_s, est_solve_s});
-  return inst;
+  // Solve prices replay the solve DAGs with a null backend — the exact
+  // model the batching engine runs under, so admission and execution
+  // charge the same clock. Each width is priced on first use.
+  s.prices = std::make_shared<rhs::SolvePrices>(
+      s.inst->plu_factorization()->shared_pattern(), opt_.sched,
+      make_process_grid(opt_.sched.n_ranks));
+  cache_.emplace(s.pattern_hash,
+                 CacheEntry{s.inst, s.est_factor_s, s.prices});
 }
 
 SessionId SolverService::open_session(const std::string& tenant,
@@ -254,8 +251,7 @@ SessionId SolverService::open_session(const std::string& tenant,
   s.tenant = tenant;
   s.a0 = a;
   s.pattern_hash = hash;
-  s.inst = obtain_instance(a, hash, next_session_, s.est_factor_s,
-                           s.est_solve_s);
+  obtain_instance(a, next_session_, s);
   s.projection =
       mem::project_footprint(s.inst->graph(), opt_.sched.n_ranks);
 
@@ -285,9 +281,9 @@ real_t SolverService::backlog_estimate_s(SessionId sid, RequestKind kind) {
   const auto close_run = [&](SessionId id) {
     const index_t width = std::exchange(run[id], 0);
     if (width == 0) return;
-    rhs::RhsEngine& eng = ensure_engine(sessions_.at(id));
-    sum += static_cast<real_t>(width / cap) * eng.estimate_s(cap);
-    if (width % cap != 0) sum += eng.estimate_s(width % cap);
+    const Session& s = sessions_.at(id);
+    sum += static_cast<real_t>(width / cap) * solve_estimate_s(s, cap);
+    if (width % cap != 0) sum += solve_estimate_s(s, width % cap);
   };
   const auto add = [&](SessionId id, RequestKind k) {
     const auto it = sessions_.find(id);
@@ -596,9 +592,6 @@ void SolverService::run_factor(Session& s, Pending& p, real_t start_s) {
       // work runs.
       Csr a = refactor ? finalize_system(s.a0, p.req.value_seed)
                        : s.inst->matrix();
-      // The batching engine references the instance's factorization; fold
-      // its accounting into the service total before the storage goes away.
-      retire_engine(s);
       s.inst = std::make_shared<SolverInstance>(
           a, instance_options(opt_.sched), *s.inst);
       // The instance holds the refactor's values from here on, even if
@@ -665,25 +658,18 @@ void SolverService::run_factor(Session& s, Pending& p, real_t start_s) {
   }
 }
 
-rhs::RhsEngine& SolverService::ensure_engine(Session& s) {
-  if (!s.engine) {
-    s.engine = std::make_unique<rhs::RhsEngine>(
-        *s.inst->plu_factorization(), opt_.rhs, opt_.sched,
-        make_process_grid(opt_.sched.n_ranks));
-  }
-  return *s.engine;
-}
-
-void SolverService::retire_engine(Session& s) {
-  if (!s.engine) return;
-  rhs_base_ += s.engine->stats();
-  s.engine.reset();
+real_t SolverService::solve_estimate_s(const Session& s, index_t width) const {
+  return s.prices->price(width, opt_.rhs.schedule).makespan_s();
 }
 
 rhs::RhsStats SolverService::rhs_stats() const {
-  rhs::RhsStats out = rhs_base_;
-  for (const auto& [sid, s] : sessions_) {
-    if (s.engine) out += s.engine->stats();
+  rhs::RhsStats out = rhs_stats_;
+  // Engines on one pattern share its price table: count each table once.
+  out.dag_builds = 0;
+  out.dag_reuses = 0;
+  for (const auto& [hash, c] : cache_) {
+    out.dag_builds += c.prices->builds();
+    out.dag_reuses += c.prices->reuses();
   }
   return out;
 }
@@ -700,8 +686,7 @@ void SolverService::run_solve_batch(Session& s, std::vector<Pending> batch,
     return;
   }
 
-  rhs::RhsEngine& eng = ensure_engine(s);
-  const real_t est = s.est_solve_s;
+  const real_t est = solve_estimate_s(s, 1);
   const Csr& a = s.inst->matrix();
 
   // Per-member admission at the batch boundary: abandoned handles and
@@ -743,12 +728,16 @@ void SolverService::run_solve_batch(Session& s, std::vector<Pending> batch,
   }
   if (live.empty()) return;
 
-  // Real numerics: the survivors execute as one block solve over the
-  // session's cached solve DAGs; each member's scaled residual is checked
+  // Real numerics: the survivors execute as one block solve priced from
+  // the pattern's table; each member's scaled residual is checked
   // on the unpermuted system so correctness survived both the overload
   // machinery and the batching.
+  rhs::RhsEngine eng(*s.inst->plu_factorization(), opt_.rhs, s.prices);
+  std::vector<rhs::RhsCompletion> results =
+      eng.execute(std::move(block), start_s);
+  rhs_stats_ += eng.stats();
   real_t latest_s = start_s;
-  for (rhs::RhsCompletion& c : eng.execute(std::move(block), start_s)) {
+  for (rhs::RhsCompletion& c : results) {
     Pending p = std::move(live.at(c.tag));
     live.erase(c.tag);
     if (c.status != rhs::RhsCompletion::Status::kDone) {
@@ -816,8 +805,9 @@ void SolverService::dispatch_one() {
     // that fits alone is served, never shed for the company it keeps. A
     // member that cannot finish even alone is shed anyway and bounds
     // nothing; blocks without deadlines skip the pricing.
+    const real_t alone_s = start_s + solve_estimate_s(s, 1);
     const auto bound_s = [&](const Pending& m) {
-      return start_s + s.est_solve_s <= m.req.deadline_s
+      return alone_s <= m.req.deadline_s
                  ? m.req.deadline_s
                  : CancelToken::kNoDeadline;
     };
@@ -836,8 +826,8 @@ void SolverService::dispatch_one() {
       if (eit == pending_.end()) break;
       const real_t d = std::min(deadline_s, bound_s(eit->second));
       if (d < CancelToken::kNoDeadline &&
-          start_s + ensure_engine(s).estimate_s(
-                        static_cast<index_t>(batch.size()) + 1) > d) {
+          start_s + solve_estimate_s(
+                        s, static_cast<index_t>(batch.size()) + 1) > d) {
         break;
       }
       deadline_s = d;
@@ -995,7 +985,6 @@ bool SolverService::retire_session(SessionId sid) {
     finish(std::move(p), Completion::Status::kCancelled, now_s_, now_s_, -1,
            "session retired");
   }
-  retire_engine(s);
   if (journal_ != nullptr) {
     maybe_crash("retire");
     JournalRecord rec;
@@ -1179,8 +1168,7 @@ void SolverService::recover() {
     const Csr values = f.last_seed == 0
                            ? s.a0
                            : finalize_system(s.a0, f.last_seed);
-    s.inst = obtain_instance(values, f.pattern_hash, sid, s.est_factor_s,
-                             s.est_solve_s);
+    obtain_instance(values, sid, s);
     s.projection =
         mem::project_footprint(s.inst->graph(), opt_.sched.n_ranks);
     if (f.has_commit) {

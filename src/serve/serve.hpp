@@ -40,8 +40,8 @@
 //   * Batched solves — the dispatcher is the one place solve blocks are
 //     formed: a round-robin turn coalesces the picked session's queued
 //     kSolve requests (up to the next write, at most rhs.max_width) into
-//     one block, which the session's rhs::RhsEngine (src/rhs) executes as
-//     a single block solve over the cached solve DAGs, running real
+//     one block, which an rhs::RhsEngine (src/rhs) executes as
+//     a single block solve priced from the pattern's table, running real
 //     SpTRSV numerics in order on the dispatching thread; cancellation,
 //     abandonment and deadlines are honoured at the block boundary.
 //
@@ -317,8 +317,8 @@ class SolverService {
   const SessionJournal* journal() const { return journal_.get(); }
   /// Sessions rehydrated by recovery that no tenant has claimed yet.
   std::vector<SessionId> recovered_sessions() const;
-  /// Aggregated batching engine accounting: live per-session engines plus
-  /// every engine retired by a refactor/rebuild (th.rhs.* when published).
+  /// Aggregated accounting of every executed block solve (th.rhs.* when
+  /// published); dag_builds/dag_reuses sum the per-pattern price tables.
   rhs::RhsStats rhs_stats() const;
   std::size_t cache_size() const { return cache_.size(); }
 
@@ -341,10 +341,8 @@ class SolverService {
     /// the next factor/refactor must rebuild the instance (donor path).
     bool needs_rebuild = false;
     real_t est_factor_s = 0;  // timing-sim estimate (admission backlog)
-    real_t est_solve_s = 0;   // solve-DAG timing estimate (width 1)
-    /// Lazily-built batching engine over the session's current factors;
-    /// retired (stats folded into rhs_base_) whenever `inst` is rebuilt.
-    std::unique_ptr<rhs::RhsEngine> engine;
+    /// The pattern's solve price table (shared with its cache entry).
+    std::shared_ptr<rhs::SolvePrices> prices;
     /// Committed factor generations (the next commit's artifact suffix).
     std::uint32_t generation = 0;
     /// Seed that produced the current values (0 = the original a0 values);
@@ -359,7 +357,8 @@ class SolverService {
   struct CacheEntry {
     std::shared_ptr<SolverInstance> donor;
     real_t est_factor_s = 0;
-    real_t est_solve_s = 0;
+    /// The pattern's solve prices, shared by its sessions and engines.
+    std::shared_ptr<rhs::SolvePrices> prices;
   };
 
   struct Pending {
@@ -386,20 +385,16 @@ class SolverService {
   void run_factor(Session& s, Pending& p, real_t start_s);
   /// Execute the block dispatch_one formed from one session's kSolve
   /// requests (admission order): shed abandoned and hopeless members, then
-  /// hand the rest to the session's RhsEngine as one block.
+  /// hand the rest as one block to an RhsEngine over the session's factors
+  /// and its pattern's price table.
   void run_solve_batch(Session& s, std::vector<Pending> batch,
                        real_t start_s);
-  rhs::RhsEngine& ensure_engine(Session& s);
-  /// Fold a session engine's stats into rhs_base_ and drop it (called
-  /// before the session's instance is rebuilt/replaced).
-  void retire_engine(Session& s);
-  /// Cache-hit/miss instance construction + pricing shared by
+  /// Virtual cost of a width-`width` block solve on the session's pattern.
+  real_t solve_estimate_s(const Session& s, index_t width) const;
+  /// Cache-hit/miss construction of `s.inst` for values `a` on pattern
+  /// `s.pattern_hash`, plus its factor estimate and price table; shared by
   /// open_session() and recovery (sid labels the obs events).
-  std::shared_ptr<SolverInstance> obtain_instance(const Csr& a,
-                                                  std::uint64_t hash,
-                                                  SessionId sid,
-                                                  real_t& est_factor_s,
-                                                  real_t& est_solve_s);
+  void obtain_instance(const Csr& a, SessionId sid, Session& s);
   /// Journal hooks; all no-ops while the journal is disabled.
   void journal_open(SessionId sid, const Session& s);
   void commit_factor(SessionId sid, Session& s, std::uint64_t idem_key);
@@ -428,9 +423,9 @@ class SolverService {
   std::string rr_cursor_;
   std::vector<Completion> completions_;
   ServeStats stats_;
-  /// Stats of engines retired by refactors/rebuilds; rhs_stats() adds the
-  /// live engines on top.
-  rhs::RhsStats rhs_base_;
+  /// Stats of every block solve's engine (rhs_stats() adds the tables'
+  /// dag counts).
+  rhs::RhsStats rhs_stats_;
   /// Durability state (null/zero while the journal is disabled).
   std::unique_ptr<SessionJournal> journal_;
   DurableStats durable_stats_;

@@ -3,6 +3,7 @@
 // PanguLU.
 #pragma once
 
+#include "core/task_graph.hpp"
 #include "support/error.hpp"
 #include "support/types.hpp"
 
@@ -13,6 +14,7 @@ struct ProcessGrid {
   int pc = 1;  // process cols
 
   int size() const { return pr * pc; }
+  bool operator==(const ProcessGrid&) const = default;
 
   /// Owner rank of block (i, j).
   int owner(index_t i, index_t j) const {
@@ -28,6 +30,15 @@ inline ProcessGrid make_process_grid(int n_ranks) {
     if (n_ranks % d == 0) pr = d;
   }
   return ProcessGrid{pr, n_ranks / pr};
+}
+
+/// `g` with every task owned by its target block's rank under `grid`.
+inline TaskGraph with_owners(TaskGraph g, const ProcessGrid& grid) {
+  for (index_t id = 0; id < g.size(); ++id) {
+    Task& t = g.mutable_task(id);
+    t.owner_rank = grid.owner(t.row, t.col);
+  }
+  return g;
 }
 
 }  // namespace th

@@ -95,11 +95,7 @@ offset_t SolverInstance::nnz_lu() const {
 }
 
 void SolverInstance::set_grid(const ProcessGrid& grid) {
-  TaskGraph& g = plu_ ? plu_->mutable_graph() : slu_->mutable_graph();
-  for (index_t id = 0; id < g.size(); ++id) {
-    Task& t = g.mutable_task(id);
-    t.owner_rank = grid.owner(t.row, t.col);
-  }
+  plu_ ? plu_->set_grid(grid) : slu_->set_grid(grid);
 }
 
 ScheduleResult SolverInstance::run_numeric(const ScheduleOptions& opt) {

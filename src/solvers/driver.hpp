@@ -43,14 +43,13 @@ class SolverInstance {
   SolverInstance(const Csr& a, const InstanceOptions& opts);
 
   /// Symbolic-reuse construction (the serve layer's pattern-cache hit
-  /// path, PLU core only): borrow the donor's fill-reducing permutation,
-  /// tile pattern and task DAG — all pure functions of `a`'s sparsity
-  /// structure — and run only the numeric assembly for `a`'s values.
-  /// Neither compute_ordering() nor tile_symbolic()/build_graph() runs.
+  /// path, PLU core only): copy the donor's fill-reducing permutation and
+  /// share its tile pattern and task DAG by pointer — all pure functions
+  /// of `a`'s sparsity structure — then run only the numeric assembly.
   /// `a` must have exactly the donor's sparsity structure (verified
-  /// against the permuted CSR structure; throws th::Error on mismatch);
-  /// `opts.ordering`/`opts.preordered` are ignored in favour of the
-  /// donor's permutation.
+  /// against the permuted CSR structure) and `opts` its block and grid;
+  /// throws th::Error on a mismatch. `opts.ordering`/`opts.preordered`
+  /// are ignored in favour of the donor's permutation.
   SolverInstance(const Csr& a, const InstanceOptions& opts,
                  const SolverInstance& donor);
 
@@ -63,7 +62,8 @@ class SolverInstance {
   double symbolic_seconds() const { return symbolic_s_; }
   offset_t nnz_lu() const;
 
-  /// Re-map task ownership for a different rank count (2-D block-cyclic).
+  /// Re-map task ownership for a different rank count (2-D block-cyclic);
+  /// PLU swaps in a re-owned copy of the DAG it may share with others.
   void set_grid(const ProcessGrid& grid);
 
   /// Simulate with numeric execution (allowed exactly once).

@@ -221,9 +221,8 @@ PluFactorization::PluFactorization(const Csr& a, const PluOptions& opts)
       pattern_(std::make_shared<const TilePattern>(
           tile_symbolic(a, opts.tile_size))),
       tiles_(std::make_unique<TileMatrix>(a, pattern_)),
-      backend_(std::make_unique<Backend>(*tiles_)) {
-  build_graph();
-}
+      backend_(std::make_unique<Backend>(*tiles_)),
+      graph_(std::make_shared<const TaskGraph>(build_graph())) {}
 
 PluFactorization::PluFactorization(const Csr& a, const PluOptions& opts,
                                    const PluFactorization& donor)
@@ -237,16 +236,26 @@ PluFactorization::PluFactorization(const Csr& a, const PluOptions& opts,
   // values into fresh tiles) is new work, so `a` must tile to the donor's
   // pattern — the serve layer guarantees this via its pattern-hash cache
   // key and SolverInstance re-checks the CSR structure before getting here.
+  // The shared DAG carries the donor's owner ranks, hence the grid check.
   TH_CHECK_MSG(a.n_rows == pattern_->n,
                "symbolic donor dimension mismatch: matrix n="
                    << a.n_rows << ", pattern n=" << pattern_->n);
   TH_CHECK_MSG(opts.tile_size == donor.opts_.tile_size,
                "symbolic donor tile size mismatch");
+  TH_CHECK_MSG(opts.grid == donor.opts_.grid,
+               "symbolic donor grid mismatch");
 }
 
-void PluFactorization::build_graph() {
+void PluFactorization::set_grid(const ProcessGrid& grid) {
+  if (grid == opts_.grid) return;
+  graph_ = std::make_shared<const TaskGraph>(with_owners(*graph_, grid));
+  opts_.grid = grid;
+}
+
+TaskGraph PluFactorization::build_graph() const {
   const TilePattern& p = *pattern_;
   const index_t nt = p.nt;
+  TaskGraph graph;
 
   // Device footprint helpers. One CUDA block per column (GETRF/GEESM/SSSSM)
   // or per row (TSTRF), as in Figure 7 of the paper.
@@ -284,7 +293,7 @@ void PluFactorization::build_graph() {
       t.cost.sparse = false;  // diagonal tiles fill in
       t.out_bytes = words_to_bytes(static_cast<offset_t>(bk) * bk);
       t.owner_rank = opts_.grid.owner(k, k);
-      cons(k, k) = graph_.add_task(t);
+      cons(k, k) = graph.add_task(t);
     }
     for (const index_t i : p.below(k)) {
       const index_t bi = p.rows_in_tile(i);
@@ -304,7 +313,7 @@ void PluFactorization::build_graph() {
       t.cost.sparse = tile_density(i, k) < kSparseDensityThreshold;
       t.out_bytes = words_to_bytes(static_cast<offset_t>(bi) * bk);
       t.owner_rank = opts_.grid.owner(i, k);
-      cons(i, k) = graph_.add_task(t);
+      cons(i, k) = graph.add_task(t);
     }
     for (const index_t j : p.below(k)) {
       const index_t bj = p.rows_in_tile(j);
@@ -324,7 +333,7 @@ void PluFactorization::build_graph() {
       t.cost.sparse = tile_density(k, j) < kSparseDensityThreshold;
       t.out_bytes = words_to_bytes(static_cast<offset_t>(bk) * bj);
       t.owner_rank = opts_.grid.owner(k, j);
-      cons(k, j) = graph_.add_task(t);
+      cons(k, j) = graph.add_task(t);
     }
   }
 
@@ -335,8 +344,8 @@ void PluFactorization::build_graph() {
   for (index_t k = 0; k < nt; ++k) {
     const index_t f_k = cons(k, k);
     const auto below = p.below(k);
-    for (const index_t i : below) graph_.add_dependency(f_k, cons(i, k));
-    for (const index_t j : below) graph_.add_dependency(f_k, cons(k, j));
+    for (const index_t i : below) graph.add_dependency(f_k, cons(i, k));
+    for (const index_t j : below) graph.add_dependency(f_k, cons(k, j));
 
     const index_t bk = p.rows_in_tile(k);
     for (offset_t qi = p.col_ptr[k]; qi < p.col_ptr[k + 1]; ++qi) {
@@ -373,16 +382,17 @@ void PluFactorization::build_graph() {
         t.out_bytes = words_to_bytes(static_cast<offset_t>(bi) * bj);
         t.atomic_ok = true;
         t.owner_rank = opts_.grid.owner(i, j);
-        const index_t s = graph_.add_task(t);
-        graph_.add_dependency(l_cons, s);
-        graph_.add_dependency(cons(k, j), s);
+        const index_t s = graph.add_task(t);
+        graph.add_dependency(l_cons, s);
+        graph.add_dependency(cons(k, j), s);
         // The Schur result must land before the tile's own consumer runs.
-        graph_.add_dependency(s, consumer[static_cast<std::size_t>(target)]);
+        graph.add_dependency(s, consumer[static_cast<std::size_t>(target)]);
       }
     }
   }
 
-  graph_.finalize();
+  graph.finalize();
+  return graph;
 }
 
 std::vector<real_t> PluFactorization::solve(

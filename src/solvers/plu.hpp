@@ -27,20 +27,25 @@ struct PluOptions {
 class PluFactorization {
  public:
   PluFactorization(const Csr& a, const PluOptions& opts);
-  /// Donor-copy construction — the serve layer's symbolic-cache fast path.
-  /// Shares the donor's tile pattern and copies its task DAG (both pure
-  /// functions of the sparsity structure); rebuilds only the numeric
-  /// state: fresh tiles assembled from `a`'s values plus a backend bound
-  /// to them.
+  /// Donor construction — the serve layer's symbolic-cache fast path.
+  /// Shares the donor's tile pattern and task DAG by pointer (both pure
+  /// functions of the sparsity structure); builds only the numeric state:
+  /// fresh tiles assembled from `a`'s values plus a backend bound to them.
   /// Requires `a` to have the donor's (permuted) sparsity structure and
-  /// the same tile size; skips tile_symbolic() and build_graph() entirely.
+  /// `opts` its tile size and grid (th::Error otherwise); skips
+  /// tile_symbolic() and build_graph() entirely.
   PluFactorization(const Csr& a, const PluOptions& opts,
                    const PluFactorization& donor);
   ~PluFactorization();
 
-  const TaskGraph& graph() const { return graph_; }
-  TaskGraph& mutable_graph() { return graph_; }
+  const TaskGraph& graph() const { return *graph_; }
   const TilePattern& pattern() const { return *pattern_; }
+  const std::shared_ptr<const TilePattern>& shared_pattern() const {
+    return pattern_;
+  }
+  /// Re-map task ownership to `grid`: swaps in a copy of the task DAG with
+  /// the new owners, so an instance sharing the old DAG keeps its owners.
+  void set_grid(const ProcessGrid& grid);
   TileMatrix& tiles() { return *tiles_; }
   const TileMatrix& tiles() const { return *tiles_; }
 
@@ -68,9 +73,9 @@ class PluFactorization {
   std::shared_ptr<const TilePattern> pattern_;
   std::unique_ptr<TileMatrix> tiles_;
   std::unique_ptr<Backend> backend_;
-  TaskGraph graph_;
+  std::shared_ptr<const TaskGraph> graph_;
 
-  void build_graph();
+  TaskGraph build_graph() const;
 };
 
 }  // namespace th

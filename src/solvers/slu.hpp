@@ -42,7 +42,10 @@ class SluFactorization {
   ~SluFactorization();
 
   const TaskGraph& graph() const { return graph_; }
-  TaskGraph& mutable_graph() { return graph_; }
+  /// Re-map task ownership to `grid` (no other instance shares this DAG).
+  void set_grid(const ProcessGrid& grid) {
+    graph_ = with_owners(std::move(graph_), grid);
+  }
   NumericBackend& backend();
   const SupernodePartition& supernodes() const { return part_; }
 

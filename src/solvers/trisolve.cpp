@@ -64,10 +64,9 @@ void substitute(const Tile& d, real_t* col, bool forward) {
 
 }  // namespace
 
-TaskGraph build_solve_graph(const PluFactorization& fact, bool forward,
-                            index_t nrhs, const ProcessGrid& grid) {
+TaskGraph build_solve_graph(const TilePattern& p, bool forward, index_t nrhs,
+                            const ProcessGrid& grid) {
   TH_CHECK(nrhs >= 1);
-  const TilePattern& p = fact.pattern();
   const index_t nt = p.nt;
   TaskGraph g;
 

@@ -4,10 +4,10 @@
 // soup as factorisation (the paper's related-work section calls SpTRSV out
 // as an essential component), so its modelled cost benefits from the same
 // aggregate-and-batch treatment. This module builds the forward (L x = b)
-// and backward (U x = y) task DAGs over the factored tiles — one diagonal
+// and backward (U x = y) task DAGs over the tile pattern — one diagonal
 // substitution task per block row plus one update task per off-diagonal
 // tile — which the scheduler prices with a timing-only replay
-// (rhs::BlockSolver, DESIGN.md §15). The numerics run once, in order, on
+// (rhs::SolvePrices, DESIGN.md §15). The numerics run once, in order, on
 // the calling thread (tri_solve_in_order): these are the only tile
 // substitution kernels, shared by the single solve and every block solve.
 //
@@ -29,8 +29,8 @@ namespace th {
 /// keeps the scheduler unchanged). Structure and costs depend only on the
 /// tile pattern, so the graph is valid before the numeric phase and a
 /// timing-only simulate() of it prices a solve without touching tiles.
-TaskGraph build_solve_graph(const PluFactorization& fact, bool forward,
-                            index_t nrhs, const ProcessGrid& grid = {});
+TaskGraph build_solve_graph(const TilePattern& p, bool forward, index_t nrhs,
+                            const ProcessGrid& grid = {});
 
 /// The numeric triangular solve, L U X = B in place on `nrhs` right-hand
 /// sides: `x` is n x nrhs column-major in the permuted ordering. Every task

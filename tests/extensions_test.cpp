@@ -47,7 +47,9 @@ TEST(TriSolve, BatchingReducesSolveKernels) {
   const rhs::BlockSolveResult base =
       solver.solve(x_base.data(), 1, rhs::SolveSchedule::kLevelSet);
 
-  EXPECT_EQ(base.forward.kernel_count, solver.dag().graphs(1).forward.size());
+  EXPECT_EQ(base.forward.kernel_count,
+            build_solve_graph(inst->plu_factorization()->pattern(), true, 1)
+                .size());
   EXPECT_LT(th.forward.kernel_count, base.forward.kernel_count);
   EXPECT_LT(th.backward.kernel_count, base.backward.kernel_count);
   // Same numeric answer either way.
@@ -59,11 +61,10 @@ TEST(TriSolve, BatchingReducesSolveKernels) {
 TEST(TriSolve, GraphShapesAreSane) {
   const Csr a = finalize_system(banded_random(180, 8, 0.5, 3), 3);
   auto inst = factored_instance(a, 12);
-  PluFactorization* fact = inst->plu_factorization();
-  rhs::SolveDag dag(*fact);
-  const TaskGraph& f = dag.graphs(2).forward;
-  const TaskGraph& bwd = dag.graphs(2).backward;
-  const index_t nt = fact->pattern().nt;
+  const TilePattern& p = inst->plu_factorization()->pattern();
+  const TaskGraph f = build_solve_graph(p, true, 2);
+  const TaskGraph bwd = build_solve_graph(p, false, 2);
+  const index_t nt = p.nt;
   // nt diagonal tasks plus one update per strictly-lower / upper tile.
   EXPECT_GE(f.size(), nt);
   EXPECT_GE(bwd.size(), nt);

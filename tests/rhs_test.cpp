@@ -1,5 +1,5 @@
 // Batched multi-RHS SpTRSV serving engine (src/rhs, DESIGN.md §15): the
-// solve-DAG cache, block-solve correctness against the sequential driver,
+// solve price table, block-solve correctness against the sequential driver,
 // deterministic accumulation across worker counts and batch widths, the
 // single-vs-block bitwise contract, shedding at block boundaries, obs
 // reconciliation, and the serve-layer integration (solve coalescing).
@@ -70,6 +70,13 @@ class RhsEngineTest : public ::testing::Test {
     return spmv(*a_, xt);
   }
 
+  /// An engine with a price table of its own.
+  static RhsEngine engine(const RhsOptions& opt, const ScheduleOptions& so) {
+    const PluFactorization& fact = *inst_->plu_factorization();
+    return RhsEngine(fact, opt, std::make_shared<rhs::SolvePrices>(
+                                    fact.shared_pattern(), so));
+  }
+
   static RhsEntry entry(const std::vector<real_t>& b, std::uint64_t tag) {
     RhsEntry e;
     e.tag = tag;
@@ -119,7 +126,7 @@ TEST(RhsOptionsValidate, RejectsNonsense) {
   EXPECT_THROW(opt.validate(), Error);
 }
 
-// ---- solve-DAG cache ------------------------------------------------------
+// ---- solve price table -----------------------------------------------------
 
 TEST_F(RhsEngineTest, SolveDagBuildsOncePerWidthThenReuses) {
   BlockSolver solver(*inst_->plu_factorization(), *sched_);
@@ -140,6 +147,64 @@ TEST_F(RhsEngineTest, SolveDagBuildsOncePerWidthThenReuses) {
   solver.solve(wide.data(), 4, SolveSchedule::kPriorityDag);
   EXPECT_EQ(solver.dag().builds(), 2);  // new width: one more build
   EXPECT_EQ(solver.dag().reuses(), 1);
+
+  // The price, not only the graphs, is cached: estimating a priced width
+  // replays nothing, and another schedule is its own (schedule, width).
+  EXPECT_EQ(solver.estimate_s(4, SolveSchedule::kPriorityDag),
+            solver.solve(wide.data(), 4, SolveSchedule::kPriorityDag)
+                .makespan_s());
+  EXPECT_EQ(solver.dag().builds(), 2);
+  EXPECT_EQ(solver.dag().reuses(), 3);
+  solver.solve(b.data(), 1, SolveSchedule::kLevelSet);
+  EXPECT_EQ(solver.dag().builds(), 3);
+  EXPECT_EQ(solver.dag().reuses(), 3);
+}
+
+// Block solves price with obs off: executing blocks publishes no scheduler
+// metrics and records no simulated-time events, so th.sched.* keeps
+// describing the last factorization or timing run.
+TEST_F(RhsEngineTest, BlockSolvesLeaveSchedulerMetricsUntouched) {
+  const obs::Session obs_session(true);
+  inst_->run_timing(*sched_);
+  const auto sched_metrics = [] {
+    std::vector<obs::MetricSample> out;
+    for (obs::MetricSample& m : obs::Registry::global().snapshot()) {
+      if (m.name.rfind("th.sched.", 0) == 0) out.push_back(std::move(m));
+    }
+    return out;
+  };
+  const auto sim_events = [] {
+    offset_t n = 0;
+    for (const obs::Event& e : obs::Recorder::global().events()) {
+      n += e.domain == obs::Domain::kSim;
+    }
+    return n;
+  };
+  const std::vector<obs::MetricSample> before = sched_metrics();
+  const offset_t events_before = sim_events();
+  ASSERT_FALSE(before.empty());
+  ASSERT_GT(events_before, 0);
+
+  RhsOptions opt;
+  opt.max_width = 4;
+  RhsEngine eng = engine(opt, *sched_);
+  std::vector<RhsEntry> entries;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    entries.push_back(entry(rhs_for(600 + i), i));
+  }
+  run_blocks(eng, std::move(entries), 3);  // two width-3 blocks
+  ASSERT_EQ(eng.stats().batches, 2);
+
+  const std::vector<obs::MetricSample> after = sched_metrics();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].name, before[i].name);
+    EXPECT_EQ(after[i].count, before[i].count) << before[i].name;
+    EXPECT_EQ(after[i].value, before[i].value) << before[i].name;
+    EXPECT_EQ(after[i].min, before[i].min) << before[i].name;
+    EXPECT_EQ(after[i].max, before[i].max) << before[i].name;
+  }
+  EXPECT_EQ(sim_events(), events_before);
 }
 
 TEST_F(RhsEngineTest, EstimateIsPositiveAndGrowsSublinearlyWithWidth) {
@@ -193,7 +258,7 @@ TEST_F(RhsEngineTest, LevelSetScheduleIsCorrectButLaunchBound) {
 TEST_F(RhsEngineTest, EngineSolvesABatchAndAccounts) {
   RhsOptions opt;
   opt.max_width = 4;
-  RhsEngine eng(*inst_->plu_factorization(), opt, *sched_);
+  RhsEngine eng = engine(opt, *sched_);
   std::vector<std::vector<real_t>> bs;
   std::vector<RhsEntry> block;
   for (int i = 0; i < 4; ++i) {
@@ -228,7 +293,7 @@ TEST_F(RhsEngineTest, EngineSolvesABatchAndAccounts) {
 TEST_F(RhsEngineTest, CancelledAndExpiredMembersAreShedAtTheBoundary) {
   RhsOptions opt;
   opt.max_width = 8;
-  RhsEngine eng(*inst_->plu_factorization(), opt, *sched_);
+  RhsEngine eng = engine(opt, *sched_);
   CancelToken cancelled;
   cancelled.cancel();
 
@@ -282,7 +347,7 @@ TEST_F(RhsEngineTest, CancelledAndExpiredMembersAreShedAtTheBoundary) {
 
 TEST_F(RhsEngineTest, FullySheddedBatchExecutesNoBlockSolve) {
   RhsOptions opt;
-  RhsEngine eng(*inst_->plu_factorization(), opt, *sched_);
+  RhsEngine eng = engine(opt, *sched_);
   CancelToken cancelled;
   cancelled.cancel();
   std::vector<RhsEntry> block;
@@ -307,7 +372,7 @@ TEST_F(RhsEngineTest, DetModeIsBitwiseAcrossWorkersAndWidths) {
       so.exec.workers = workers;
       RhsOptions opt;
       opt.max_width = width;
-      RhsEngine eng(*inst_->plu_factorization(), opt, so);
+      RhsEngine eng = engine(opt, so);
       std::vector<RhsEntry> entries;
       for (std::size_t i = 0; i < bs.size(); ++i) {
         entries.push_back(entry(bs[i], i));
@@ -342,7 +407,7 @@ TEST_F(RhsEngineTest, StatsReconcileWithObsRegistry) {
   const obs::Session obs_session(true);
   RhsOptions opt;
   opt.max_width = 2;
-  RhsEngine eng(*inst_->plu_factorization(), opt, *sched_);
+  RhsEngine eng = engine(opt, *sched_);
   std::vector<RhsEntry> entries;
   for (std::uint64_t i = 0; i < 5; ++i) {
     entries.push_back(entry(rhs_for(500 + i), i));
@@ -439,7 +504,7 @@ TEST(SolveDagStructure, UpdatesLinkSourceAndTargetDiagonals) {
     const PluFactorization& fact = *inst.plu_factorization();
     const TilePattern& p = fact.pattern();
     for (const bool forward : {true, false}) {
-      const TaskGraph g = build_solve_graph(fact, forward, 3);
+      const TaskGraph g = build_solve_graph(p, forward, 3);
       std::vector<index_t> diag(static_cast<std::size_t>(p.nt), -1);
       std::vector<std::vector<index_t>> updates_into(
           static_cast<std::size_t>(p.nt));
@@ -496,10 +561,11 @@ TEST(SolveDagStructure, UpdatesLinkSourceAndTargetDiagonals) {
   }
 }
 
-// estimate_s and solve price one replay, so the cost admission is charged
-// and the cost a block solve reports are the same number — also with ABFT
-// on and a memory budget tight enough to shrink solve batches. A replay
-// that throws leaves the caller's block untouched.
+// estimate_s and solve read one cached replay, so the cost admission is
+// charged and the cost a block solve reports are the same number — also
+// with ABFT on and a memory budget tight enough to shrink solve batches. A
+// first pricing that throws caches nothing and leaves the caller's block
+// untouched.
 TEST(SolveDagPricing, EstimateEqualsExecutedMakespan) {
   const Csr a = finalize_system(grid2d_laplacian(30, 30), 3);
   InstanceOptions io;
@@ -514,7 +580,8 @@ TEST(SolveDagPricing, EstimateEqualsExecutedMakespan) {
   ScheduleOptions probe;
   probe.n_ranks = 4;
   probe.mem.budget_bytes = offset_t{1} << 40;
-  const TaskGraph wide = build_solve_graph(fact, true, 16, make_process_grid(4));
+  const TaskGraph wide =
+      build_solve_graph(fact.pattern(), true, 16, make_process_grid(4));
   const offset_t high =
       simulate(wide, probe, nullptr).stats().mem.high_water_bytes;
   ASSERT_GT(high, 0);
@@ -563,6 +630,7 @@ TEST(SolveDagPricing, EstimateEqualsExecutedMakespan) {
                CancelledError);
   EXPECT_EQ(std::memcmp(before.data(), x.data(), x.size() * sizeof(real_t)),
             0);
+  EXPECT_EQ(solver.dag().builds(), 0);
 }
 
 // ---- serve integration ----------------------------------------------------

@@ -179,6 +179,40 @@ TEST(SolverService, DonorBuiltInstanceSharesItsDonorsEnvelopeLists) {
   EXPECT_TRUE(shares());
 }
 
+// Solve prices live in the pattern's cache entry, not in an engine: a
+// refactor (which retires the session's engine) and a second session on the
+// same pattern reuse them and price no width again.
+TEST(SolverService, SolvePricesSurviveRefactorsAndSessions) {
+  SolverService svc(small_service());
+  const SessionId s1 = svc.open_session("alice", grid(12, 1));
+  Request f;
+  f.kind = RequestKind::kFactor;
+  Request sol;
+  sol.kind = RequestKind::kSolve;
+  sol.value_seed = 5;
+  svc.submit(s1, f);
+  svc.submit(s1, sol);
+  for (const Completion& c : svc.drain()) EXPECT_TRUE(c.ok()) << c.detail;
+  const rhs::RhsStats first = svc.rhs_stats();
+  ASSERT_EQ(first.solved, 1);
+  ASSERT_GT(first.dag_builds, 0);
+
+  Request rf;
+  rf.kind = RequestKind::kRefactor;
+  rf.value_seed = 6;
+  svc.submit(s1, rf);
+  svc.submit(s1, sol);
+  const SessionId s2 = svc.open_session("bob", grid(12, 2));
+  ASSERT_EQ(svc.stats().cache_hits, 1);
+  svc.submit(s2, f);
+  svc.submit(s2, sol);
+  for (const Completion& c : svc.drain()) EXPECT_TRUE(c.ok()) << c.detail;
+  const rhs::RhsStats later = svc.rhs_stats();
+  EXPECT_EQ(later.solved, 3);
+  EXPECT_EQ(later.dag_builds, first.dag_builds);
+  EXPECT_GT(later.dag_reuses, first.dag_reuses);
+}
+
 TEST(SolverService, CacheStillLendsThePatternAfterItsDonorIsReplaced) {
   // Refactors move the cache's donor to each rebuilt instance, so the
   // replaced ones are freed. Once A retires, B's open must still hit the
