@@ -15,9 +15,9 @@
 //  * A dense-band operating point (banded_random, bandwidth 4x the tile
 //    size) where the tile kernels are O(tile^3)-dominant — the shape the
 //    paper's GPU batches actually have. Here the O(tile^2) checksum work
-//    is a second-order term, and the 15% wall-time budget is enforced by
-//    exit code, making CI the regression gate for the verification
-//    path's cost.
+//    is a second-order term, and the binary exits non-zero when the
+//    median overhead exceeds the 15% wall-time budget. No CI job runs it:
+//    the gate has not yet held in every full run (EXPERIMENTS.md).
 #include <cstdio>
 
 #include "common/bench_common.hpp"
@@ -108,7 +108,8 @@ int main() {
   Table t("ABFT overhead: clean vs checksum-verified numeric execution");
   t.set_header({"Workload", "pairs", "base median (ms)", "abft median (ms)",
                 "overhead median", "overhead q1", "overhead q3", "verified",
-                "detected", "capture (ms)", "verify (ms)", "gate"});
+                "detected", "capture lane-CPU (ms)", "verify lane-CPU (ms)",
+                "gate"});
 
   for (const PaperMatrix& pm : paper_matrices()) {
     if (fast_mode() && pm.role == MatrixRole::kScaleOut) continue;

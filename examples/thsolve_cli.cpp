@@ -748,8 +748,8 @@ int main(int argc, char** argv) {
     }
     if (r.stats().abft.enabled) {
       std::printf("abft: %lld task(s) verified, %lld corrupt detected, "
-                  "%lld retried, %lld accepted after budget, overhead "
-                  "%.1f ms capture + %.1f ms verify\n",
+                  "%lld retried, %lld accepted after budget, lane CPU "
+                  "%.1f ms capture + %.1f ms verify (summed over lanes)\n",
                   static_cast<long long>(r.stats().abft.tasks_verified),
                   static_cast<long long>(r.stats().abft.corrupt_detected),
                   static_cast<long long>(r.stats().abft.retries),

@@ -1,16 +1,17 @@
 // ABFT — algorithm-based fault tolerance for the executed numeric path.
 //
 // Huang–Abraham style row/column checksums protect every tile a batch
-// member writes: the pre-execution sums of the target are captured in a
-// serial prologue, the kernel runs, and the invariant each kernel type
-// preserves is re-verified afterwards (GETRF: sums of A equal the sums of
-// the reconstructed L*U; TSTRF/GEESM: the triangular factor applied to the
-// output reproduces the input's sums; SSSSM: the target's sums move by
-// exactly -L*(U*e) / -(e^T*L)*U). A mismatch marks the member *corrupt*:
-// the scheduler rolls the target back to its pre-batch snapshot and
-// re-runs the task in a later batch with bounded retries, escalating to
-// whole-factorisation iterative refinement when the budget is spent
-// (DESIGN.md §11).
+// member writes. Inside the batch's one fork-join, the lane that owns a
+// target captures its pre-execution sums, runs its members, and
+// re-verifies the invariant each kernel type preserves (GETRF: sums of A
+// equal the sums of the reconstructed L*U; TSTRF/GEESM: the triangular
+// factor applied to the output reproduces the input's sums; SSSSM: the
+// target's sums move by exactly -L*(U*e) / -(e^T*L)*U, with the operands'
+// sums banked when their TSTRF/GEESM verified clean). A mismatch marks
+// the member *corrupt*: the scheduler rolls the target back to its
+// pre-batch snapshot and re-runs the task in a later batch with bounded
+// retries, escalating to whole-factorisation iterative refinement when
+// the budget is spent (DESIGN.md §11).
 #pragma once
 
 #include "support/error.hpp"
@@ -50,8 +51,11 @@ struct AbftStats {
   offset_t retries = 0;           // corrupt members rolled back & re-queued
   offset_t exhausted = 0;         // budget spent: accepted + escalated
   offset_t silent_injected = 0;   // silent corruptions planted (fault plan)
-  real_t capture_s = 0;           // host time capturing checksums/snapshots
-  real_t verify_s = 0;            // host time verifying invariants
+  /// Host CPU seconds capturing checksums/snapshots and verifying
+  /// invariants, each summed over the executor's lanes (per-thread CPU
+  /// clock), so at width w they can exceed the wall time they cover.
+  real_t capture_s = 0;
+  real_t verify_s = 0;
 
   bool any() const {
     return tasks_verified > 0 || corrupt_detected > 0 || retries > 0 ||

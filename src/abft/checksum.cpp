@@ -9,14 +9,24 @@ namespace th::abft {
 // The general-tile sums walk the panel and land in in-tile coordinates:
 // vectors are rows()/cols() long and entries outside the envelope are 0.
 
+// The row-direction loops scatter through row_idx, which keeps them
+// scalar. A panel with every row (diagonal and dense tiles) has the
+// identity for row_idx, so they run contiguous there and vectorise: the
+// sums are the same, element for element.
+
 void add_matvec(const Tile& a, const real_t* x, real_t* y, real_t alpha) {
   const auto rows = a.row_idx();
   const auto cols = a.col_idx();
   const real_t* d = a.data();
+  const bool all_rows = a.panel_rows() == a.rows();
   for (index_t j = 0; j < a.panel_cols(); ++j) {
     const real_t ax = alpha * x[cols[j]];
     const real_t* dc = d + static_cast<offset_t>(j) * a.ld();
-    for (index_t i = 0; i < a.panel_rows(); ++i) y[rows[i]] += dc[i] * ax;
+    if (all_rows) {
+      for (index_t i = 0; i < a.panel_rows(); ++i) y[i] += dc[i] * ax;
+    } else {
+      for (index_t i = 0; i < a.panel_rows(); ++i) y[rows[i]] += dc[i] * ax;
+    }
   }
 }
 
@@ -36,9 +46,15 @@ void row_sums_into(const Tile& a, std::vector<real_t>& out) {
   out.assign(static_cast<std::size_t>(a.rows()), real_t{0});
   const auto rows = a.row_idx();
   const real_t* d = a.data();
+  const bool all_rows = a.panel_rows() == a.rows();
+  real_t* o = out.data();
   for (index_t j = 0; j < a.panel_cols(); ++j) {
     const real_t* dc = d + static_cast<offset_t>(j) * a.ld();
-    for (index_t i = 0; i < a.panel_rows(); ++i) out[rows[i]] += dc[i];
+    if (all_rows) {
+      for (index_t i = 0; i < a.panel_rows(); ++i) o[i] += dc[i];
+    } else {
+      for (index_t i = 0; i < a.panel_rows(); ++i) o[rows[i]] += dc[i];
+    }
   }
 }
 

@@ -31,18 +31,16 @@ BatchResult Executor::execute(const TaskGraph& graph,
   TH_CHECK(eo.skip_numeric == nullptr ||
            eo.skip_numeric->size() == batch.size());
 
-  std::vector<const Task*> tasks;
-  std::vector<TaskCost> costs;
-  tasks.reserve(batch.size());
-  costs.reserve(batch.size());
+  tasks_.clear();
+  costs_.clear();
   for (index_t id : batch) {
-    tasks.push_back(&graph.task(id));
-    costs.push_back(graph.task(id).cost);
+    tasks_.push_back(&graph.task(id));
+    costs_.push_back(graph.task(id).cost);
   }
 
   BatchResult r;
   if (backend_ != nullptr) {
-    batch_exec_->execute(*backend_, tasks, eo.skip_numeric, eo.verify);
+    batch_exec_->execute(*backend_, tasks_, eo.skip_numeric, eo.verify);
     if (eo.run_guards) {
       // Guards scan freshly written factor/update blocks (GETRF diagonals
       // and SSSSM targets); sequential — tiles are small and GuardReport
@@ -51,20 +49,20 @@ BatchResult Executor::execute(const TaskGraph& graph,
         if (eo.skip_numeric != nullptr && (*eo.skip_numeric)[i] != 0) {
           continue;
         }
-        const TaskType ty = tasks[i]->type;
+        const TaskType ty = tasks_[i]->type;
         if (ty != TaskType::kGetrf && ty != TaskType::kSsssm) continue;
-        GuardReport g = backend_->guard_task(*tasks[i], eo.guard);
+        GuardReport g = backend_->guard_task(*tasks_[i], eo.guard);
         if (g.fired()) g.tasks_fired = 1;
         r.guards.merge(g);
       }
     }
   }
 
-  const KernelTiming timing = model_.batch_timing(costs);
+  const KernelTiming timing = model_.batch_timing(costs_);
   r.seconds = timing.total_s();
   r.host_s = timing.host_s;
   r.tasks = static_cast<int>(batch.size());
-  for (const TaskCost& c : costs) r.flops += c.flops;
+  for (const TaskCost& c : costs_) r.flops += c.flops;
   return r;
 }
 

@@ -98,6 +98,10 @@ class Executor {
   KernelCostModel model_;
   NumericBackend* backend_;
   std::unique_ptr<exec::BatchExecutor> batch_exec_;  // null without backend
+  // The batch's members and their costs, reused across batches so that
+  // execute() allocates nothing once they have grown.
+  std::vector<const Task*> tasks_;
+  std::vector<TaskCost> costs_;
 };
 
 }  // namespace th

@@ -5,9 +5,12 @@
 // GEESM/SSSSM body whole, in place. The BatchExecutor runs the members of
 // a batch that share a target tile on one lane, in batch order, so a
 // target's updates arrive in the simulated order at any width (DESIGN.md
-// §10). The modelled GPU still resolves such write conflicts with
-// atomicAdd; that is priced by the cost model
-// (ScheduleOptions::allow_atomic_batching), not executed here.
+// §10). With ABFT on, the same lane also captures the target's checksums
+// before its members run and verifies them after (§11), so every hook
+// that touches a target is called from that target's lane only. The
+// modelled GPU still resolves such write conflicts with atomicAdd; that
+// is priced by the cost model (ScheduleOptions::allow_atomic_batching),
+// not executed here.
 #pragma once
 
 #include <vector>
@@ -61,37 +64,24 @@ class NumericBackend {
 
   // ---- ABFT extension (src/abft, DESIGN.md §11) -------------------------
   //
-  // Checksum-protected execution: before the parallel phase the
-  // BatchExecutor calls abft_capture_plan() serially for every member and
-  // then drains abft_capture_run() jobs on its worker lanes (the heavy
-  // snapshot/checksum work, one job per distinct target); after the phase
-  // it calls abft_verify() grouped by target — concurrently for different
-  // targets — and reports mismatches upward. The *scheduler* then decides
-  // whether to abft_rollback() (re-run later) or accept, and drops the
-  // per-batch context with abft_reset(). The defaults make every backend
-  // trivially ABFT-transparent: capture degrades to the serial
-  // abft_capture() and verify always passes.
+  // Checksum-protected execution, inside the batch's one fork-join: the
+  // lane that owns a target calls abft_capture() for each of its members,
+  // runs them, and then calls abft_verify() for each; lanes for different
+  // targets do this concurrently. Mismatches are reported upward and the
+  // *scheduler* decides whether to abft_rollback() (re-run later) or
+  // accept, then drops the per-batch context with abft_reset(). The
+  // defaults make every backend trivially ABFT-transparent: capture does
+  // nothing and verify always passes.
 
-  /// Snapshot the task's target block and record its pre-execution
-  /// row/column checksums. Serial.
+  /// Snapshot the task's target block, record its pre-execution
+  /// row/column checksums and fold in the member's expected update. Called
+  /// on the target's lane, concurrently for DIFFERENT targets.
   virtual void abft_capture(const Task& t) { (void)t; }
 
-  /// Cheap serial half of capture: register the member and queue its
-  /// target's heavy capture work. Backends without a parallel split do the
-  /// whole capture here.
-  virtual void abft_capture_plan(const Task& t) { abft_capture(t); }
-
-  /// Number of heavy capture jobs queued by abft_capture_plan() calls.
-  virtual std::size_t abft_capture_jobs() { return 0; }
-
-  /// Run queued capture job `job`. Must be safe to call concurrently for
-  /// distinct job indices.
-  virtual void abft_capture_run(std::size_t job) { (void)job; }
-
   /// Check the kernel-type checksum invariant on the freshly written
-  /// target; returns false when the output is corrupt. Called after the
-  /// parallel phase, possibly concurrently for members of DIFFERENT
-  /// targets (the executor serialises members sharing one target).
+  /// target; returns false when the output is corrupt. Called on the
+  /// target's lane after its members ran, concurrently for DIFFERENT
+  /// targets.
   virtual bool abft_verify(const Task& t, real_t rel_tol) {
     (void)t;
     (void)rel_tol;
@@ -132,8 +122,8 @@ class NumericBackend {
   // ---- Inert hooks ------------------------------------------------------
   //
   // Nothing calls these: the runtime runs every member whole through
-  // run_task(). They stay declared because the frozen perfbench harness
-  // overrides them.
+  // run_task() and captures ABFT checksums through abft_capture(). They
+  // stay declared because the frozen perfbench harness overrides them.
 
   /// Inert (see above).
   virtual void prepare_task(const Task& t) { (void)t; }
@@ -159,6 +149,15 @@ class NumericBackend {
     (void)t;
     (void)scratch;
   }
+
+  /// Inert (see above): abft_capture() covers the whole capture.
+  virtual void abft_capture_plan(const Task& t) { (void)t; }
+
+  /// Inert (see above). Returns 0: no capture jobs.
+  virtual std::size_t abft_capture_jobs() { return 0; }
+
+  /// Inert (see above).
+  virtual void abft_capture_run(std::size_t job) { (void)job; }
 };
 
 }  // namespace th

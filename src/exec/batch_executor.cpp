@@ -25,7 +25,7 @@ BatchExecutor::BatchExecutor(const BatchExecOptions& opt)
   if (own_pool_ != nullptr) pool_->set_watchdog(opt.watchdog_s);
   // Sized for the full width: the watchdog may shrink the pool later, but
   // every batch indexes lanes [0, width-at-dispatch).
-  lane_busy_.assign(static_cast<std::size_t>(pool_->width()), 0.0);
+  lanes_.assign(static_cast<std::size_t>(pool_->width()), Lane{});
 }
 
 void BatchExecutor::execute(NumericBackend& backend,
@@ -73,92 +73,78 @@ void BatchExecutor::execute(NumericBackend& backend,
 
   // Group g runs on lane g % width, its members in batch position order:
   // a fixed rule, so per-lane work never depends on OS scheduling, and
-  // concurrent lanes never write one target. `width` is read just before
-  // each fork-join, because the watchdog may shrink the pool in between.
-  const auto for_lane_members = [&](int lane, int width, auto&& fn) {
+  // concurrent lanes never touch one target. `width` is read once: a
+  // watchdog degrade during the fork-join still runs every lane in
+  // [0, width) (the caller claims the hung one).
+  const int width = pool_->width();
+  const auto for_lane_members = [&](int lane, auto&& fn) {
     for (std::size_t i = 0; i < nb; ++i) {
       if (group_[i] >= 0 && group_[i] % width == lane) fn(i);
     }
   };
 
-  // ABFT capture: snapshot + pre-execution checksums for every member that
-  // will run. Planning is serial and cheap; the heavy per-target jobs
-  // (snapshot, sums, SSSSM delta folds) drain on the worker lanes —
-  // distinct jobs touch distinct targets, so they need no coordination.
-  if (verify != nullptr && verify->abft) {
-    const Stopwatch cap;
-    for (std::size_t i = 0; i < nb; ++i) {
-      if (group_[i] >= 0) backend.abft_capture_plan(*tasks[i]);
-    }
-    if (const std::size_t jobs = backend.abft_capture_jobs(); jobs > 0) {
-      const std::size_t cw = static_cast<std::size_t>(pool_->width());
-      pool_->run(
-          [&](int lane) {
-            for (std::size_t j = static_cast<std::size_t>(lane); j < jobs;
-                 j += cw)
-              backend.abft_capture_run(j);
-          },
-          "abft capture");
-    }
-    verify->capture_s += cap.seconds();
+  // With ABFT on, each lane captures its targets' checksums, runs their
+  // members, plants their scheduled silent corruptions (after the kernels
+  // wrote the output, before verification — exactly where a real SDC
+  // would sit when the checksum pass reaches the tile) and verifies them,
+  // all in this one fork-join: a target's capture, kernels and verdict
+  // never leave its lane, so they need no coordination.
+  const bool abft = verify != nullptr && verify->abft;
+  if (verify != nullptr) {
+    for (const auto& sab : verify->sabotage) TH_CHECK(sab.first < nb);
+    verify->outcome.assign(nb, 0);
   }
-
-  const int width = pool_->width();
-  std::fill(lane_busy_.begin(), lane_busy_.end(), 0.0);
+  std::fill(lanes_.begin(), lanes_.end(), Lane{});
   pool_->run(
       [&](int lane) {
+        Lane& ls = lanes_[static_cast<std::size_t>(lane)];
         const real_t t0 = thread_cpu_seconds();
-        for_lane_members(lane, width, [&](std::size_t i) {
+        if (abft) {
+          for_lane_members(lane, [&](std::size_t i) {
+            backend.abft_capture(*tasks[i]);
+          });
+          ls.capture_s = thread_cpu_seconds() - t0;
+        }
+        for_lane_members(lane, [&](std::size_t i) {
           backend.run_task(*tasks[i], false);
         });
-        lane_busy_[static_cast<std::size_t>(lane)] = thread_cpu_seconds() - t0;
+        if (verify != nullptr) {
+          for (const auto& [member, kind] : verify->sabotage) {
+            if (group_[member] >= 0 && group_[member] % width == lane &&
+                backend.inject_fault(*tasks[member], kind))
+              ++ls.sabotaged;
+          }
+        }
+        if (abft) {
+          const real_t v0 = thread_cpu_seconds();
+          for_lane_members(lane, [&](std::size_t i) {
+            if (!backend.abft_verify(*tasks[i], verify->rel_tol))
+              verify->outcome[i] = 1;
+          });
+          ls.verify_s = thread_cpu_seconds() - v0;
+        }
+        ls.busy_s = thread_cpu_seconds() - t0;
       },
       "exec tasks");
-
-  if (verify != nullptr) {
-    // Plant silent corruption into the outputs the kernels just wrote —
-    // after execution, before verification, exactly where a real SDC would
-    // sit when the checksum pass reaches the tile.
-    for (const auto& [member, kind] : verify->sabotage) {
-      TH_CHECK(member < nb);
-      if (group_[member] < 0) continue;
-      if (backend.inject_fault(*tasks[member], kind)) ++verify->sabotaged;
-    }
-    verify->outcome.assign(nb, 0);
-    if (verify->abft) {
-      const Stopwatch ver;
-      // Verification is independent per target, so it runs on the same
-      // per-target groups: members sharing a target stay on one lane (the
-      // backend memoizes the verdict per target, and concurrent verify of
-      // one target would race on it). Outcome slots are per member.
-      verify->verified += runs;
-      if (runs > 0) {
-        const int vw = pool_->width();
-        pool_->run(
-            [&](int lane) {
-              for_lane_members(lane, vw, [&](std::size_t i) {
-                if (!backend.abft_verify(*tasks[i], verify->rel_tol))
-                  verify->outcome[i] = 1;
-              });
-            },
-            "abft verify");
-      }
-      verify->verify_s += ver.seconds();
-    }
-  }
 
   real_t busy = 0;
   real_t span_max = 0;
   for (int l = 0; l < width; ++l) {
-    const real_t lb = lane_busy_[static_cast<std::size_t>(l)];
-    busy += lb;
-    span_max = std::max(span_max, lb);
+    const Lane& ls = lanes_[static_cast<std::size_t>(l)];
+    busy += ls.busy_s;
+    span_max = std::max(span_max, ls.busy_s);
+    if (verify != nullptr) {
+      verify->sabotaged += ls.sabotaged;
+      verify->capture_s += ls.capture_s;
+      verify->verify_s += ls.verify_s;
+    }
   }
+  if (abft) verify->verified += runs;
   // The caller's CPU time minus its lane-0 share isolates the serial part
-  // (grouping, ABFT planning and verification bookkeeping), which sits on
-  // the critical path at any width.
+  // (grouping and bookkeeping), which sits on the critical path at any
+  // width.
   const real_t serial_s = std::max<real_t>(
-      0.0, (thread_cpu_seconds() - caller_t0) - lane_busy_[0]);
+      0.0, (thread_cpu_seconds() - caller_t0) - lanes_[0].busy_s);
   stats_.busy_s += busy + serial_s;
   stats_.span_s += span_max + serial_s;
   stats_.wall_s += wall.seconds();

@@ -6,7 +6,8 @@
 // A target's updates therefore reach it in the simulated order at any
 // width, so results are bit-reproducible across thread counts with no
 // scratch and no serial epilogue, and per-lane work never depends on how
-// the OS schedules the lanes.
+// the OS schedules the lanes. ABFT rides the same fork-join: each lane
+// captures, runs, sabotages and verifies its own targets (DESIGN.md §11).
 #pragma once
 
 #include <cstddef>
@@ -48,8 +49,8 @@ struct ExecStats {
 /// Optional per-batch ABFT exchange for execute(): the scheduler fills the
 /// inputs (enable flag, tolerance, silent corruptions to plant after the
 /// kernels run but before verification — the test stand-in for an SDC
-/// mid-kernel); the executor fills the outputs. Members skipped via `skip`
-/// are neither sabotaged nor verified.
+/// mid-kernel); the executor fills the outputs, accumulating across
+/// batches. Members skipped via `skip` are neither sabotaged nor verified.
 struct BatchVerify {
   bool abft = false;    // capture + verify checksums this batch
   real_t rel_tol = 1e-8;
@@ -60,8 +61,8 @@ struct BatchVerify {
   std::vector<char> outcome;  // per member: 1 = checksum mismatch (corrupt)
   offset_t sabotaged = 0;     // corruptions actually planted
   offset_t verified = 0;      // members checksum-verified
-  real_t capture_s = 0;       // serial capture time (host)
-  real_t verify_s = 0;        // serial verification time (host)
+  real_t capture_s = 0;       // capture CPU seconds, summed over lanes
+  real_t verify_s = 0;        // verify CPU seconds, summed over lanes
 };
 
 struct BatchExecOptions {
@@ -106,7 +107,15 @@ class BatchExecutor {
   std::unique_ptr<WorkerPool> own_pool_;  // null when borrowing shared_pool
   WorkerPool* pool_;
   ExecStats stats_;
-  std::vector<real_t> lane_busy_;  // per-lane CPU seconds, last batch
+  /// Per-lane CPU seconds and planted corruptions of the last batch, each
+  /// written only by its lane and summed after the join.
+  struct Lane {
+    real_t busy_s = 0;
+    real_t capture_s = 0;
+    real_t verify_s = 0;
+    offset_t sabotaged = 0;
+  };
+  std::vector<Lane> lanes_;
   std::vector<int> group_;  // per member: target group, -1 = skipped
   int groups_ = 0;          // groups in the last batch
   // (target, position) of every member that runs, sorted by target, and

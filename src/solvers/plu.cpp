@@ -162,24 +162,11 @@ class PluFactorization::Backend : public NumericBackend {
   }
 
   // ---- ABFT hooks (src/abft/tile_guard.hpp) -----------------------------
-  // Planning, rollback and reset are called serially by the runtime/
-  // scheduler; capture jobs and verify run on the executor's lanes but
-  // only ever concurrently for distinct targets, which is exactly the
-  // TileGuard contract — so the guard needs no locking of its own.
+  // Capture and verify run on the executor's lanes, concurrently only for
+  // distinct targets, which is exactly the TileGuard contract; rollback
+  // and reset are serial.
 
   void abft_capture(const Task& t) override { abft_guard_.capture(t); }
-
-  void abft_capture_plan(const Task& t) override {
-    abft_guard_.capture_plan(t);
-  }
-
-  std::size_t abft_capture_jobs() override {
-    return abft_guard_.capture_jobs();
-  }
-
-  void abft_capture_run(std::size_t job) override {
-    abft_guard_.capture_run(job);
-  }
 
   bool abft_verify(const Task& t, real_t rel_tol) override {
     return abft_guard_.verify(t, rel_tol);

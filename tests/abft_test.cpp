@@ -13,6 +13,8 @@
 
 #include "abft/checksum.hpp"
 #include "gen/generators.hpp"
+#include "obs/obs.hpp"
+#include "obs/recorder.hpp"
 #include "resilience/chaos.hpp"
 #include "sim/cluster.hpp"
 #include "solvers/driver.hpp"
@@ -167,29 +169,130 @@ TEST(AbftEndToEnd, DetectsAndRetriesOnEveryKernelType) {
   const TaskType kinds[] = {TaskType::kGetrf, TaskType::kTstrf,
                             TaskType::kGeesm, TaskType::kSsssm};
   for (const TaskType ty : kinds) {
-    InstanceOptions io;
-    io.core = SolverCore::kPlu;
-    io.block = 16;
-    SolverInstance inst(a, io);
-    const index_t victim = last_task_of(inst.graph(), ty);
-    ASSERT_GE(victim, 0) << "graph has no task of this type";
-    ScheduleOptions so = abft_sched(true);
-    NumericFault nf;
-    nf.task_id = victim;
-    nf.kind = NumericFaultKind::kBitFlip;
-    so.faults.numeric_faults.push_back(nf);
-    const ScheduleResult r = inst.run_numeric(so);
-    EXPECT_EQ(r.stats().abft.silent_injected, 1) << "type " << static_cast<int>(ty);
-    EXPECT_GE(r.stats().abft.corrupt_detected, 1) << "type " << static_cast<int>(ty);
-    EXPECT_GE(r.stats().abft.retries, 1) << "type " << static_cast<int>(ty);
-    EXPECT_EQ(r.stats().abft.exhausted, 0);
-    EXPECT_FALSE(r.stats().faults.escalate_refinement);
-    EXPECT_TRUE(r.stats().faults.fully_accounted());
-    // The retried factorisation is the clean one: rollback restored the
-    // pre-batch tile and the re-run saw identical inputs.
-    EXPECT_NEAR(residual_of(inst, a), res_clean, 1e-12)
-        << "type " << static_cast<int>(ty);
+    // Capture, run and verify share each target's lane, so the width must
+    // not change what is detected: 1 and 4 lanes count alike.
+    std::vector<abft::AbftStats> by_width;
+    for (const int lanes : {1, 4}) {
+      InstanceOptions io;
+      io.core = SolverCore::kPlu;
+      io.block = 16;
+      SolverInstance inst(a, io);
+      const index_t victim = last_task_of(inst.graph(), ty);
+      ASSERT_GE(victim, 0) << "graph has no task of this type";
+      ScheduleOptions so = abft_sched(true);
+      so.exec.workers = lanes;
+      NumericFault nf;
+      nf.task_id = victim;
+      nf.kind = NumericFaultKind::kBitFlip;
+      so.faults.numeric_faults.push_back(nf);
+      const ScheduleResult r = inst.run_numeric(so);
+      const std::string at = "type " + std::to_string(static_cast<int>(ty)) +
+                             " at " + std::to_string(lanes) + " lanes";
+      EXPECT_EQ(r.stats().abft.silent_injected, 1) << at;
+      EXPECT_GE(r.stats().abft.corrupt_detected, 1) << at;
+      EXPECT_GE(r.stats().abft.retries, 1) << at;
+      EXPECT_EQ(r.stats().abft.exhausted, 0) << at;
+      EXPECT_FALSE(r.stats().faults.escalate_refinement) << at;
+      EXPECT_TRUE(r.stats().faults.fully_accounted()) << at;
+      // The retried factorisation is the clean one: rollback restored the
+      // pre-batch tile and the re-run saw identical inputs.
+      EXPECT_NEAR(residual_of(inst, a), res_clean, 1e-12) << at;
+      by_width.push_back(r.stats().abft);
+    }
+    const abft::AbftStats& w1 = by_width[0];
+    const abft::AbftStats& w4 = by_width[1];
+    EXPECT_EQ(w1.tasks_verified, w4.tasks_verified);
+    EXPECT_EQ(w1.corrupt_detected, w4.corrupt_detected);
+    EXPECT_EQ(w1.retries, w4.retries);
+    EXPECT_EQ(w1.exhausted, w4.exhausted);
+    EXPECT_EQ(w1.silent_injected, w4.silent_injected);
   }
+}
+
+/// The first task of type `ty` (TSTRF or GEESM) whose output tile is an
+/// operand of some SSSSM: L(i,k) for TSTRF, U(k,j) for GEESM.
+index_t first_operand_producer(const TaskGraph& g, TaskType ty) {
+  for (index_t id = 0; id < g.size(); ++id) {
+    const Task& p = g.task(id);
+    if (p.type != ty) continue;
+    for (index_t c = 0; c < g.size(); ++c) {
+      const Task& s = g.task(c);
+      if (s.type != TaskType::kSsssm) continue;
+      const bool reads = ty == TaskType::kTstrf
+                             ? s.row == p.row && s.k == p.col
+                             : s.k == p.row && s.col == p.col;
+      if (reads) return id;
+    }
+  }
+  return -1;
+}
+
+TEST(AbftEndToEnd, OperandSumBankFollowsTheOperandsVerdict) {
+  // A clean TSTRF/GEESM banks the operand sums its SSSSM consumers fold.
+  // Corrupt an early one whose output feeds SSSSM members: retried, the
+  // consumers must see the re-run tile's sums; accepted (zero budget),
+  // there are no banked sums and the consumers must sum the corrupt tile
+  // themselves — stale or missing sums would flag them falsely.
+  const Csr a = abft_matrix();
+  const real_t res_clean = clean_residual(a);
+  for (const TaskType ty : {TaskType::kTstrf, TaskType::kGeesm}) {
+    for (const int budget : {-1, 0}) {
+      InstanceOptions io;
+      io.core = SolverCore::kPlu;
+      io.block = 16;
+      SolverInstance inst(a, io);
+      const index_t victim = first_operand_producer(inst.graph(), ty);
+      ASSERT_GE(victim, 0) << "no SSSSM operand of this type";
+      ScheduleOptions so = abft_sched(true);
+      so.abft.max_retries = budget;
+      NumericFault nf;
+      nf.task_id = victim;
+      nf.kind = NumericFaultKind::kBitFlip;
+      so.faults.numeric_faults.push_back(nf);
+      const ScheduleResult r = inst.run_numeric(so);
+      const std::string at = "type " + std::to_string(static_cast<int>(ty)) +
+                             " budget " + std::to_string(budget);
+      EXPECT_EQ(r.stats().abft.silent_injected, 1) << at;
+      EXPECT_EQ(r.stats().abft.corrupt_detected, 1) << at;
+      EXPECT_TRUE(r.stats().faults.fully_accounted()) << at;
+      if (budget != 0) {
+        EXPECT_EQ(r.stats().abft.retries, 1) << at;
+        EXPECT_EQ(r.stats().abft.exhausted, 0) << at;
+        EXPECT_NEAR(residual_of(inst, a), res_clean, 1e-12) << at;
+      } else {
+        EXPECT_EQ(r.stats().abft.retries, 0) << at;
+        EXPECT_EQ(r.stats().abft.exhausted, 1) << at;
+        EXPECT_TRUE(r.stats().faults.escalate_refinement) << at;
+      }
+    }
+  }
+}
+
+TEST(AbftEndToEnd, EachBatchIsOneForkJoin) {
+  // Capture and verify ride the kernels' fork-join: an observed run
+  // records one "exec tasks" span per lane per batch and no separate
+  // capture or verify spans.
+  const Csr a = abft_matrix();
+  InstanceOptions io;
+  io.core = SolverCore::kPlu;
+  io.block = 16;
+  const obs::Session session(true);
+  obs::Recorder& rec = obs::Recorder::global();
+  SolverInstance inst(a, io);
+  ScheduleOptions so = abft_sched(true);
+  so.exec.workers = 4;
+  const ScheduleResult r = inst.run_numeric(so);
+  ASSERT_EQ(rec.dropped(), 0u);
+  offset_t lane_spans = 0;
+  offset_t abft_spans = 0;
+  for (const obs::Event& e : rec.events()) {
+    const std::string name = e.name;
+    if (name == "exec tasks") ++lane_spans;
+    if (name == "abft capture" || name == "abft verify") ++abft_spans;
+  }
+  EXPECT_GT(r.stats().abft.tasks_verified, 0);
+  EXPECT_EQ(lane_spans, static_cast<offset_t>(r.stats().exec.batches) * 4);
+  EXPECT_EQ(abft_spans, 0);
 }
 
 TEST(AbftEndToEnd, DetectsEverySilentKind) {

@@ -262,12 +262,13 @@ Csr exec_matrix() { return finalize_system(banded_random(300, 12, 0.4, 7), 7); }
 constexpr index_t kConflictBlock = 12;
 
 ScheduleResult factor(SolverInstance& inst, int threads,
-                      bool collect_batches = false) {
+                      bool collect_batches = false, bool abft = false) {
   ScheduleOptions so;
   so.policy = Policy::kTrojanHorse;
   so.cluster = single_gpu(device_a100());
   so.exec.workers = threads;
   so.collect_batches = collect_batches;
+  so.abft.enabled = abft;
   return inst.run_numeric(so);
 }
 
@@ -370,9 +371,11 @@ std::uint64_t plu_factor_hash(const SolverInstance& inst) {
 
 TEST(FactorBits, PluPanelsArePinnedOnEveryDispatchPath) {
   // The kernel contract (DESIGN.md §17) end to end: every dispatch path
-  // this machine supports, at 1 and 4 threads, reproduces one constant,
-  // so a change that moves any factor bit fails on every machine, not
-  // only where the paths differ. CI also runs this under -march=native.
+  // this machine supports, at 1 and 4 threads, with ABFT off and on,
+  // reproduces one constant, so a change that moves any factor bit fails
+  // on every machine, not only where the paths differ. ABFT reads tiles
+  // on the lanes that write them and must leave no mark on a clean run.
+  // CI also runs this under -march=native.
   const Csr a = finalize_system(circuit_like(600, 2.6, 5, 71), 71);
   constexpr std::uint64_t kPinned = 0x7fea743067cb5302ULL;
   InstanceOptions io;
@@ -381,10 +384,15 @@ TEST(FactorBits, PluPanelsArePinnedOnEveryDispatchPath) {
   for (int p = 0; p <= static_cast<int>(simd::detail::hw_isa()); ++p) {
     simd::cap_isa(static_cast<simd::Isa>(p));
     for (const int threads : {1, 4}) {
-      SolverInstance inst(a, io);
-      factor(inst, threads);
-      EXPECT_EQ(plu_factor_hash(inst), kPinned)
-          << simd::dispatch_name() << " at " << threads << " threads";
+      for (const bool abft : {false, true}) {
+        SolverInstance inst(a, io);
+        const ScheduleResult r =
+            factor(inst, threads, /*collect_batches=*/false, abft);
+        EXPECT_EQ(r.stats().abft.corrupt_detected, 0);
+        EXPECT_EQ(plu_factor_hash(inst), kPinned)
+            << simd::dispatch_name() << " at " << threads << " threads"
+            << (abft ? " with ABFT" : "");
+      }
     }
   }
   simd::cap_isa(simd::Isa::kAvx512);
