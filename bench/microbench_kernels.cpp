@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks of the host-side primitives: dense
-// kernels, the SSSSM tile task, the BlockTaskMap dispatch, Container
-// operations and the Collector admission path. These measure the *real*
-// host cost of the building blocks (unlike the figure benches, which
-// report modelled GPU time).
+// kernels, the SSSSM tile task, the block triangular solve, the
+// BlockTaskMap dispatch, Container operations and the Collector admission
+// path. These measure the *real* host cost of the building blocks (unlike
+// the figure benches, which report modelled GPU time).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -12,9 +12,12 @@
 
 #include "core/collector.hpp"
 #include "core/container.hpp"
+#include "gen/generators.hpp"
 #include "kernels/dense.hpp"
 #include "kernels/simd.hpp"
 #include "kernels/tile.hpp"
+#include "solvers/driver.hpp"
+#include "solvers/trisolve.hpp"
 #include "support/rng.hpp"
 
 namespace th {
@@ -175,6 +178,41 @@ void BM_TileSsssmPacked(benchmark::State& state, SsssmShape shape) {
 }
 BENCHMARK_CAPTURE(BM_TileSsssmPacked, fill3d, kFill3dTask);
 BENCHMARK_CAPTURE(BM_TileSsssmPacked, c71, kC71Task);
+
+// One block triangular solve (tri_solve_in_order, forward and backward)
+// on the perfbench transient factor: c-71, default ordering, 64-wide
+// tiles. The argument is the block's width. Items are 2 flops per stored
+// factor word per right-hand side, so the rate reads as GF/s beside
+// BM_GemmMinus's.
+void BM_TriSolveBlock(benchmark::State& state) {
+  static const Csr a = finalize_system(circuit_like(4000, 2.6, 5, 71), 71);
+  static const std::unique_ptr<SolverInstance> inst = [] {
+    auto s = std::make_unique<SolverInstance>(a, InstanceOptions{});
+    s->run_numeric(ScheduleOptions{});
+    return s;
+  }();
+  const PluFactorization& fact = *inst->plu_factorization();
+  offset_t words = 0;
+  fact.tiles().for_each(
+      [&](index_t, index_t, const Tile& t) { words += t.panel_size(); });
+  const auto width = static_cast<index_t>(state.range(0));
+  const std::size_t n = static_cast<std::size_t>(a.n_rows);
+  Rng rng(8);
+  std::vector<real_t> b(n * static_cast<std::size_t>(width));
+  for (real_t& v : b) v = rng.uniform(-1, 1);
+  std::vector<real_t> x(b.size());
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::copy(b.begin(), b.end(), x.begin());
+    state.ResumeTiming();
+    tri_solve_in_order(fact, x.data(), width);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * words * width);
+}
+BENCHMARK(BM_TriSolveBlock)->Arg(1)->Arg(8)->Arg(16)->Unit(
+    benchmark::kMillisecond);
 
 void BM_ContainerPushPop(benchmark::State& state) {
   Rng rng(6);

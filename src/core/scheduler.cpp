@@ -73,15 +73,17 @@ ScheduleResult simulate(const TaskGraph& graph, const ScheduleOptions& opt,
   }
 
   // The event loop: one launch per iteration, its batch carried through
-  // the units in a fixed order (DESIGN.md "simulate() anatomy").
+  // the units in a fixed order (DESIGN.md "simulate() anatomy"). One Launch
+  // is reused, so its per-member vectors are allocated once per run.
+  detail::Launch l;
   while (s.completed < s.n) {
     const auto [rank, t0] = s.next_event();
     s.poll_cancel(t0);
     if (s.mem_mode) s.apply_pressure(t0);
     detail::RankState& st = s.ranks[static_cast<std::size_t>(rank)];
     s.drain_arrivals(st, t0);
-    detail::Launch l{.rank = rank, .t0 = t0, .st = &st,
-                     .batch = s.form_batch(st)};
+    l.begin(rank, t0, &st);
+    s.form_batch(st, l.batch);
     if (l.batch.ids.empty()) continue;  // only stale entries were pending
     s.reserve_memory(l);
     s.record_aggregate(l);

@@ -511,8 +511,8 @@ real_t SimState::ready_time(index_t id, real_t floor, bool account) {
   return ready;
 }
 
-FormedBatch SimState::form_batch(RankState& st) {
-  FormedBatch b;
+// Fill `b`, which arrives empty, with the next batch from `st`.
+void SimState::form_batch(RankState& st, FormedBatch& b) {
   if (opt.cpu_mode) {
     // CPU solvers keep all cores busy with whatever is ready: consume the
     // whole pool in one task-parallel step (conflicting SSSSM updates are
@@ -538,8 +538,7 @@ FormedBatch SimState::form_batch(RankState& st) {
       break;
     }
   }
-  b.atomic = conflict_flags(b.ids);
-  return b;
+  conflict_flags(b.ids, b.atomic);
 }
 
 // The paper's aggregate stage: urgent tasks straight from the Prioritizer,
@@ -581,7 +580,7 @@ void SimState::aggregate(RankState& st, FormedBatch& b) {
       break;
     }
   }
-  b.ids = collector.members();  // one exact allocation
+  b.ids.assign(collector.members().begin(), collector.members().end());
   b.topup = static_cast<int>(b.ids.size()) - b.urgent;
   b.deferred = static_cast<int>(deferred.size());
   b.close = collector.close_reason();
@@ -592,8 +591,9 @@ void SimState::aggregate(RankState& st, FormedBatch& b) {
 // SSSSM member of the batch also updates (paper §2.3). They feed the
 // modelled accounting only (atomic_tasks, had_conflict); the host runs a
 // target's members in batch order on one lane without them.
-std::vector<char> SimState::conflict_flags(const std::vector<index_t>& ids) {
-  std::vector<char> atomic(ids.size(), 0);
+void SimState::conflict_flags(const std::vector<index_t>& ids,
+                              std::vector<char>& atomic) {
+  atomic.assign(ids.size(), 0);
   by_target.clear();
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const Task& t = graph.task(ids[i]);
@@ -605,7 +605,6 @@ std::vector<char> SimState::conflict_flags(const std::vector<index_t>& ids) {
       atomic[by_target[r].second] = atomic[by_target[r - 1].second] = 1;
     }
   }
-  return atomic;
 }
 
 // Apply every capacity ramp whose time has come. Launch instants are
@@ -812,7 +811,7 @@ void SimState::reserve_memory(Launch& l) {
     }
     batch.resize(keep);
     // Conflicts may have left with the tail; recompute atomic flags.
-    l.batch.atomic = conflict_flags(batch);
+    conflict_flags(batch, l.batch.atomic);
   }
   // Any input whose authoritative payload sits in the tile store gets its
   // exact bytes restored before a member reads it — including producer

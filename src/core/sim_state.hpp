@@ -81,6 +81,20 @@ struct Launch {
 
   // The executor verifies checksums or plants silent corruption this launch.
   bool verified() const { return bv.abft || !bv.sabotage.empty(); }
+
+  // Start the next launch in place: every field back to its default, but
+  // the per-member vectors keep their capacity, so a run reuses one set of
+  // buffers across all its batches.
+  void begin(int r, real_t t, RankState* s) {
+    Launch next{.rank = r, .t0 = t, .st = s, .batch = {}};
+    next.batch.ids.swap(batch.ids);
+    next.batch.atomic.swap(batch.atomic);
+    next.status.swap(status);
+    next.batch.ids.clear();
+    next.batch.atomic.clear();
+    next.status.clear();
+    *this = std::move(next);
+  }
 };
 
 struct SimState {
@@ -132,9 +146,10 @@ struct SimState {
   }
 
   // ---- Batch formation -----------------------------------------------------
-  FormedBatch form_batch(RankState& st);
+  void form_batch(RankState& st, FormedBatch& b);
   void aggregate(RankState& st, FormedBatch& b);
-  std::vector<char> conflict_flags(const std::vector<index_t>& ids);
+  void conflict_flags(const std::vector<index_t>& ids,
+                      std::vector<char>& atomic);
   std::uint64_t th_key(const Task& t) const {
     return cp_key.empty() ? prioritizer.key(t) : cp_key[t.id];
   }

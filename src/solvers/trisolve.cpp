@@ -1,9 +1,12 @@
 #include "solvers/trisolve.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <span>
+#include <type_traits>
 
 #include "kernels/flops.hpp"
+#include "kernels/simd.hpp"
 #include "support/error.hpp"
 
 namespace th {
@@ -61,6 +64,220 @@ void substitute(const Tile& d, real_t* col, bool forward) {
     }
   }
 }
+
+// Both solve sweeps in the one fixed task order every body runs: per block
+// row k (ascending forward, descending backward) its updates in ascending
+// source order, each from a solved block — the forward sweep pushes
+// solved block k into the rows below it, the backward sweep pulls block
+// row k's sources j > k — then its diagonal task. update(T, dst, src)
+// applies x[dst] -= T x[src]; substitute(D, k, forward) solves block row k.
+template <class Update, class Substitute>
+void sweep_in_order(const PluFactorization& fact, Update&& update,
+                    Substitute&& substitute) {
+  const TilePattern& p = fact.pattern();
+  const index_t nt = p.nt;
+  for (const bool forward : {true, false}) {
+    for (index_t s = 0; s < nt; ++s) {
+      const index_t k = forward ? s : nt - 1 - s;
+      if (!forward) {
+        for (offset_t q = p.col_ptr[k]; q < p.col_ptr[k + 1]; ++q) {
+          update(fact.tiles().upper(k, q), k, p.tile_row[q]);
+        }
+      }
+      substitute(*fact.tiles().tile(k, k), k, forward);
+      if (forward) {
+        for (offset_t q = p.col_ptr[k]; q < p.col_ptr[k + 1]; ++q) {
+          update(fact.tiles().lower(k, q), p.tile_row[q], k);
+        }
+      }
+    }
+  }
+}
+
+// The scalar body: each task loops over the right-hand sides.
+void solve_columns(const PluFactorization& fact, real_t* x, index_t nrhs) {
+  const offset_t bs = fact.pattern().tile_size;
+  const offset_t n = fact.pattern().n;
+  // One update's contribution at a time, folded right after it is
+  // computed, so no per-tile scratch is needed.
+  std::vector<real_t> contrib(static_cast<std::size_t>(bs));
+  sweep_in_order(
+      fact,
+      [&](const Tile& t, index_t dst, index_t src) {
+        for (index_t r = 0; r < nrhs; ++r) {
+          real_t* xr = x + r * n;
+          std::fill_n(contrib.begin(), t.panel_rows(), 0.0);
+          add_update(t, xr + src * bs, contrib.data());
+          fold_update(t.row_idx(), contrib.data(), xr + dst * bs);
+        }
+      },
+      [&](const Tile& d, index_t k, bool forward) {
+        for (index_t r = 0; r < nrhs; ++r) {
+          substitute(d, x + r * n + k * bs, forward);
+        }
+      });
+}
+
+#if defined(TH_KERNELS_SIMD_AVX2)
+// The AVX-512 group bodies. A group of up to kLanes right-hand sides is
+// held RHS-interleaved, xi[row * kLanes + r], so one zmm register carries
+// one row of x across the group, and each tile is streamed once per group.
+// Every lane gets the scalar bodies' operation sequence above: a multiply,
+// then an add or subtract (no FMA: -ffp-contract=off), terms in ascending
+// column order from a +0.0 accumulator, a zero x entry skipped by a
+// per-lane mask (NEQ_UQ drops +-0.0 and keeps NaN, as != 0.0 does). As in
+// the SSSSM body, a masked step is mask_mov over a plain add or subtract,
+// which an FMA target would contract without the flag, so SolveBits.*
+// fails the moment the flag goes.
+constexpr index_t kLanes = 8;
+
+// add_update + fold_update for panel rows [0, NR) of an update tile:
+// xd[rows[i]] -= sum_c t[i + c * ld] * xs[cols[c]], in registers.
+template <int NR>
+__attribute__((target("avx512f,avx512vl"))) void update_rows_avx512(
+    const real_t* t, offset_t ld, index_t pc, const index_t* cols,
+    const index_t* rows, const real_t* xs, real_t* xd) {
+  const __m512d zero = _mm512_setzero_pd();
+  __m512d acc[NR];
+#pragma GCC unroll 16
+  for (int j = 0; j < NR; ++j) acc[j] = zero;
+  for (index_t c = 0; c < pc; ++c) {
+    const __m512d v = _mm512_load_pd(xs + cols[c] * kLanes);
+    const __mmask8 nz = _mm512_cmp_pd_mask(v, zero, _CMP_NEQ_UQ);
+    if (nz == 0) continue;
+    const real_t* tc = t + c * ld;
+#pragma GCC unroll 16
+    for (int j = 0; j < NR; ++j) {
+      const __m512d prod = _mm512_mul_pd(_mm512_set1_pd(tc[j]), v);
+      acc[j] = _mm512_mask_mov_pd(acc[j], nz, _mm512_add_pd(acc[j], prod));
+    }
+  }
+#pragma GCC unroll 16
+  for (int j = 0; j < NR; ++j) {
+    real_t* d = xd + rows[j] * kLanes;
+    _mm512_store_pd(d, _mm512_sub_pd(_mm512_load_pd(d), acc[j]));
+  }
+}
+
+// Runs block(nr, i) over rows [0, m): blocks of nr = 16 rows, then at most
+// one block each of 8, 4, 2 and 1 rows, nr a std::integral_constant.
+template <class Block>
+void for_row_blocks(index_t m, Block&& block) {
+  index_t i = 0;
+  for (; i + 16 <= m; i += 16) block(std::integral_constant<int, 16>{}, i);
+  const auto tail = [&](auto nr) {
+    if (m - i >= nr) {
+      block(nr, i);
+      i += nr;
+    }
+  };
+  tail(std::integral_constant<int, 8>{});
+  tail(std::integral_constant<int, 4>{});
+  tail(std::integral_constant<int, 2>{});
+  tail(std::integral_constant<int, 1>{});
+}
+
+// x[dst] -= T x[src] for the whole group.
+void update_group_avx512(const Tile& t, const real_t* xs, real_t* xd) {
+  for_row_blocks(t.panel_rows(), [&](auto nr, index_t i) {
+    update_rows_avx512<decltype(nr)::value>(
+        t.data() + i, t.ld(), t.panel_cols(), t.col_idx().data(),
+        t.row_idx().data() + i, xs, xd);
+  });
+}
+
+// Forward substitution on rows [i0, i0 + NR) of a w x w unit-lower
+// diagonal tile, left-looking: the rows' lanes stay in registers while
+// columns c < i0 (already final) are applied, then the in-block triangle.
+// Each row still takes its terms in ascending c from final x[c], so the
+// result equals substitute()'s right-looking sweep bit for bit.
+template <int NR>
+__attribute__((target("avx512f,avx512vl"))) void forward_rows_avx512(
+    const real_t* dd, index_t w, index_t i0, real_t* xk) {
+  const __m512d zero = _mm512_setzero_pd();
+  __m512d acc[NR];
+#pragma GCC unroll 16
+  for (int j = 0; j < NR; ++j) acc[j] = _mm512_load_pd(xk + (i0 + j) * kLanes);
+  for (index_t c = 0; c < i0; ++c) {
+    const __m512d v = _mm512_load_pd(xk + c * kLanes);
+    const __mmask8 nz = _mm512_cmp_pd_mask(v, zero, _CMP_NEQ_UQ);
+    if (nz == 0) continue;
+    const real_t* dc = dd + static_cast<offset_t>(c) * w + i0;
+#pragma GCC unroll 16
+    for (int j = 0; j < NR; ++j) {
+      const __m512d prod = _mm512_mul_pd(_mm512_set1_pd(dc[j]), v);
+      acc[j] = _mm512_mask_mov_pd(acc[j], nz, _mm512_sub_pd(acc[j], prod));
+    }
+  }
+#pragma GCC unroll 16
+  for (int c = 0; c < NR; ++c) {
+    const __mmask8 nz = _mm512_cmp_pd_mask(acc[c], zero, _CMP_NEQ_UQ);
+    const real_t* dc = dd + static_cast<offset_t>(i0 + c) * w + i0;
+#pragma GCC unroll 16
+    for (int j = c + 1; j < NR; ++j) {
+      const __m512d prod = _mm512_mul_pd(_mm512_set1_pd(dc[j]), acc[c]);
+      acc[j] = _mm512_mask_mov_pd(acc[j], nz, _mm512_sub_pd(acc[j], prod));
+    }
+  }
+#pragma GCC unroll 16
+  for (int j = 0; j < NR; ++j) _mm512_store_pd(xk + (i0 + j) * kLanes, acc[j]);
+}
+
+// substitute() for the whole group on the interleaved block row xk.
+__attribute__((target("avx512f,avx512vl"))) void substitute_group_avx512(
+    const Tile& d, real_t* xk, bool forward) {
+  const index_t w = d.rows();
+  const real_t* dd = d.data();  // diagonal tiles are full: ld() == w
+  if (forward) {
+    for_row_blocks(w, [&](auto nr, index_t i) {
+      forward_rows_avx512<decltype(nr)::value>(dd, w, i, xk);
+    });
+  } else {
+    // The strided dot product becomes one broadcast multiply-subtract per
+    // (c, i) across the group; no zero skip, as in substitute().
+    for (index_t c = w - 1; c >= 0; --c) {
+      __m512d acc = _mm512_load_pd(xk + c * kLanes);
+      for (index_t i = c + 1; i < w; ++i) {
+        const __m512d u =
+            _mm512_set1_pd(dd[c + static_cast<offset_t>(i) * w]);
+        acc = _mm512_sub_pd(acc,
+                            _mm512_mul_pd(u, _mm512_load_pd(xk + i * kLanes)));
+      }
+      _mm512_store_pd(
+          xk + c * kLanes,
+          _mm512_div_pd(acc,
+                        _mm512_set1_pd(dd[c + static_cast<offset_t>(c) * w])));
+    }
+  }
+}
+
+// tri_solve_in_order's sweep for columns [0, lanes) of x, through one
+// RHS-interleaved copy xi (n * kLanes, 64-byte aligned, lanes >= `lanes`
+// held at zero).
+__attribute__((target("avx512f,avx512vl"))) void solve_group_avx512(
+    const PluFactorization& fact, real_t* x, index_t lanes, real_t* xi) {
+  const offset_t bs = fact.pattern().tile_size;
+  const index_t n = fact.pattern().n;
+  if (lanes < kLanes) std::fill_n(xi, static_cast<offset_t>(n) * kLanes, 0.0);
+  for (index_t r = 0; r < lanes; ++r) {
+    const real_t* xr = x + static_cast<offset_t>(r) * n;
+    for (offset_t i = 0; i < n; ++i) xi[i * kLanes + r] = xr[i];
+  }
+  const auto block = [&](index_t k) { return xi + k * bs * kLanes; };
+  sweep_in_order(
+      fact,
+      [&](const Tile& t, index_t dst, index_t src) {
+        update_group_avx512(t, block(src), block(dst));
+      },
+      [&](const Tile& d, index_t k, bool forward) {
+        substitute_group_avx512(d, block(k), forward);
+      });
+  for (index_t r = 0; r < lanes; ++r) {
+    real_t* xr = x + static_cast<offset_t>(r) * n;
+    for (offset_t i = 0; i < n; ++i) xr[i] = xi[i * kLanes + r];
+  }
+}
+#endif  // TH_KERNELS_SIMD_AVX2
 
 }  // namespace
 
@@ -123,45 +340,24 @@ void tri_solve_in_order(const PluFactorization& fact, real_t* x,
                         index_t nrhs) {
   TH_CHECK(nrhs >= 1);
   const TilePattern& p = fact.pattern();
-  const index_t nt = p.nt;
-  const index_t bs = p.tile_size;
-  const index_t n = p.n;
-  // One update's contribution at a time, folded right after it is
-  // computed, so no per-tile scratch is needed.
-  std::vector<real_t> contrib(static_cast<std::size_t>(bs));
-  // x[block dst] -= T x[block src], for every right-hand side.
-  auto update = [&](const Tile& t, index_t dst, index_t src) {
-    for (index_t r = 0; r < nrhs; ++r) {
-      real_t* xr = x + static_cast<offset_t>(r) * n;
-      std::fill_n(contrib.begin(), t.panel_rows(), 0.0);
-      add_update(t, xr + static_cast<offset_t>(src) * bs, contrib.data());
-      fold_update(t.row_idx(), contrib.data(),
-                  xr + static_cast<offset_t>(dst) * bs);
+#if defined(TH_KERNELS_SIMD_AVX2)
+  // A block streams each tile once per group of kLanes right-hand sides.
+  // Width 1 keeps the scalar body, which is faster for one column.
+  if (nrhs > 1 && simd::avx512_active()) {
+    // The interleaved copy, 64-byte aligned: one spare row of slack.
+    std::vector<real_t> buf(static_cast<std::size_t>(p.n + 1) * kLanes);
+    void* xi = buf.data();
+    std::size_t space = buf.size() * sizeof(real_t);
+    std::align(64, space - kLanes * sizeof(real_t), xi, space);
+    for (index_t r0 = 0; r0 < nrhs; r0 += kLanes) {
+      solve_group_avx512(fact, x + static_cast<offset_t>(r0) * p.n,
+                         std::min(kLanes, nrhs - r0),
+                         static_cast<real_t*>(xi));
     }
-  };
-  // Every block row takes its updates in ascending source order, each
-  // from a solved block: the forward sweep pushes solved block k into the
-  // rows below it, the backward sweep pulls block row k's sources j > k.
-  for (const bool forward : {true, false}) {
-    for (index_t s = 0; s < nt; ++s) {
-      const index_t k = forward ? s : nt - 1 - s;
-      if (!forward) {
-        for (offset_t q = p.col_ptr[k]; q < p.col_ptr[k + 1]; ++q) {
-          update(fact.tiles().upper(k, q), k, p.tile_row[q]);
-        }
-      }
-      const Tile& d = *fact.tiles().tile(k, k);
-      for (index_t r = 0; r < nrhs; ++r) {
-        substitute(d, x + static_cast<offset_t>(r) * n +
-                          static_cast<offset_t>(k) * bs, forward);
-      }
-      if (forward) {
-        for (offset_t q = p.col_ptr[k]; q < p.col_ptr[k + 1]; ++q) {
-          update(fact.tiles().lower(k, q), p.tile_row[q], k);
-        }
-      }
-    }
+    return;
   }
+#endif
+  solve_columns(fact, x, nrhs);
 }
 
 }  // namespace th

@@ -10,6 +10,9 @@
 // (rhs::SolvePrices, DESIGN.md §15). The numerics run once, in order, on
 // the calling thread (tri_solve_in_order): these are the only tile
 // substitution kernels, shared by the single solve and every block solve.
+// A block solve is level-3 on AVX-512 hosts: each tile is streamed once
+// per group of up to 8 right-hand sides held in zmm registers (DESIGN.md
+// §17), with every column's operation sequence unchanged.
 //
 // SpTRSV is first-class here: the serving stack's hot path under
 // factor-once/solve-many load is this module (src/rhs batches tenant
@@ -37,10 +40,15 @@ TaskGraph build_solve_graph(const TilePattern& p, bool forward, index_t nrhs,
 /// of both solve DAGs runs on the calling thread, without the scheduler, in
 /// one fixed topological order — per block row k (ascending forward,
 /// descending backward) its updates in ascending source-block order, each
-/// folded into x right after it is computed, then its diagonal task. Each
-/// task loops over the columns, and every column gets the width-1
-/// operation sequence, so each column of a block solve equals
-/// PluFactorization::solve of that column bit for bit, at any width.
+/// folded into x right after it is computed, then its diagonal task.
+/// Width 1 runs scalar loops. Wider blocks, where simd::avx512_active(),
+/// run the whole sweep once per group of up to 8 columns on an
+/// RHS-interleaved copy: each update tile is read once per group into a
+/// (panel rows x group) register block, and each diagonal substitution
+/// covers the group at once (elsewhere the scalar loops run per column).
+/// Every column gets the width-1 operation sequence on every path, so
+/// each column of a block solve equals PluFactorization::solve of that
+/// column bit for bit, at any width.
 void tri_solve_in_order(const PluFactorization& fact, real_t* x,
                         index_t nrhs);
 

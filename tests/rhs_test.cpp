@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <iterator>
 #include <map>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "gen/generators.hpp"
+#include "kernels/simd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/recorder.hpp"
@@ -22,6 +24,7 @@
 #include "serve/serve.hpp"
 #include "serve/trace.hpp"
 #include "solvers/driver.hpp"
+#include "solvers/trisolve.hpp"
 #include "sparse/ops.hpp"
 #include "support/cancel.hpp"
 #include "support/rng.hpp"
@@ -445,10 +448,34 @@ TEST_F(RhsEngineTest, StatsReconcileWithObsRegistry) {
 
 // ---- single-vs-block bitwise contract -------------------------------------
 
+// An n x width column-major block of right-hand sides: uniform values with
+// exact 0.0 and -0.0 entries mixed in, and (at width > 1) one column of
+// signed zeros only, so the zero-skip masks of the substitution and update
+// kernels see zero and nonzero lanes side by side. In the zero column a
+// term applied where it should be skipped can flip a -0.0 (-0 - d * -0 is
+// +0 for d > 0), so a lost mask shows in the bits.
+std::vector<real_t> rhs_block(std::size_t n, index_t width,
+                              std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<real_t> b(n * static_cast<std::size_t>(width));
+  for (real_t& v : b) {
+    const std::uint64_t r = rng.next_below(10);
+    v = r == 0 ? 0.0 : r == 1 ? -0.0 : rng.uniform(-1, 1);
+  }
+  if (width > 1) {
+    const auto col = b.begin() + static_cast<std::ptrdiff_t>(width / 2 * n);
+    for (auto v = col; v != col + static_cast<std::ptrdiff_t>(n); ++v) {
+      *v = rng.next_below(2) == 0 ? 0.0 : -0.0;
+    }
+  }
+  return b;
+}
+
 // A block solve runs tri_solve_in_order at the block's width and
 // PluFactorization::solve runs it at width 1; each column gets the width-1
 // operation sequence, so every column of a block solve equals the single
-// solve bit for bit — at any width and worker count.
+// solve bit for bit — at any width (partial and whole 8-RHS groups) and
+// worker count.
 TEST(SolveContract, SingleSolveEqualsEveryBlockColumn) {
   const Csr mats[] = {finalize_system(grid2d_laplacian(30, 30), 3),
                       finalize_system(cage_like(400, 5, 0.1, 4), 4)};
@@ -465,10 +492,9 @@ TEST(SolveContract, SingleSolveEqualsEveryBlockColumn) {
       ScheduleOptions so;
       so.exec.workers = workers;
       BlockSolver solver(fact, so);
-      for (const index_t width : {1, 3, 16}) {
-        Rng rng(static_cast<std::uint64_t>(100 * workers + width));
-        std::vector<real_t> b(n * static_cast<std::size_t>(width));
-        for (real_t& v : b) v = rng.uniform(-1, 1);
+      for (const index_t width : {1, 3, 7, 8, 9, 16, 17}) {
+        const std::vector<real_t> b = rhs_block(
+            n, width, static_cast<std::uint64_t>(100 * workers + width));
         std::vector<real_t> x = b;
         solver.solve(x.data(), width, SolveSchedule::kPriorityDag);
         for (index_t j = 0; j < width; ++j) {
@@ -484,6 +510,43 @@ TEST(SolveContract, SingleSolveEqualsEveryBlockColumn) {
       }
     }
   }
+}
+
+// The solve half of the kernel contract (DESIGN.md §17): 16 fixed
+// right-hand sides, solved in blocks of each width on every dispatch path
+// this machine supports, hash to one constant. A change that moves any
+// solve bit, on any path or at any width, fails here. CI also runs this
+// under -march=native.
+TEST(SolveBits, TriSolveIsPinnedOnEveryDispatchPath) {
+  const Csr a = finalize_system(circuit_like(600, 2.6, 5, 71), 71);
+  constexpr std::uint64_t kPinned = 0xacf99f428e37a3b4ULL;
+  InstanceOptions io;
+  io.core = SolverCore::kPlu;
+  io.block = 32;
+  SolverInstance inst(a, io);
+  inst.run_numeric(ScheduleOptions{});
+  const PluFactorization& fact = *inst.plu_factorization();
+  const std::size_t n = static_cast<std::size_t>(a.n_rows);
+  constexpr index_t kCols = 16;
+  const std::vector<real_t> b = rhs_block(n, kCols, 30);
+  for (int p = 0; p <= static_cast<int>(simd::detail::hw_isa()); ++p) {
+    simd::cap_isa(static_cast<simd::Isa>(p));
+    for (const index_t width : {1, 5, 8, 9, 16}) {
+      std::vector<real_t> x = b;
+      for (index_t j0 = 0; j0 < kCols; j0 += width) {
+        tri_solve_in_order(fact, x.data() + j0 * n,
+                           std::min(width, kCols - j0));
+      }
+      // FNV-1a over the solved block's bytes.
+      std::uint64_t h = 0xcbf29ce484222325ULL;
+      const auto* c = reinterpret_cast<const unsigned char*>(x.data());
+      for (std::size_t i = 0; i < x.size() * sizeof(real_t); ++i) {
+        h = (h ^ c[i]) * 0x100000001b3ULL;
+      }
+      EXPECT_EQ(h, kPinned) << simd::dispatch_name() << " width " << width;
+    }
+  }
+  simd::cap_isa(simd::Isa::kAvx512);
 }
 
 // ---- solve DAG: structure and pricing --------------------------------------
