@@ -95,14 +95,16 @@ int main() {
       io.grid = make_process_grid(sopt.sched.n_ranks);
       const SolverInstance inst(a, io);
       // Price dispatches the way the service charges them: factors by
-      // their schedule replay, solves by the batching engine's estimator.
-      // The worst single dispatch is a block solve at the full width cap
-      // (the dispatcher may fuse that many queued solves into one), so the
+      // their schedule replay, solves by the pattern's price table. The
+      // worst single dispatch is a block solve at the full width cap (the
+      // dispatcher may fuse that many queued solves into one), so the
       // structural latency bound prices that, not a width-1 solve.
-      rhs::BlockSolver pricer(*inst.plu_factorization(), sopt.sched, io.grid);
+      rhs::SolvePrices prices(inst.plu_factorization()->shared_pattern(),
+                              sopt.sched, io.grid);
       max_service_s = std::max(
           {max_service_s, inst.run_timing(sopt.sched).makespan_s,
-           pricer.estimate_s(sopt.rhs.max_width, sopt.rhs.schedule)});
+           prices.price(sopt.rhs.max_width, sopt.rhs.schedule)
+               .makespan_s()});
     }
   }
   std::printf("capacity: mean service %.3f ms, slowest pattern %.3f ms, "

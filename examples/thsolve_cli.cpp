@@ -21,7 +21,7 @@
 //                                block solves through src/rhs, printing
 //                                RHS/s throughput and the worst residual
 //                                (PLU core only)
-//     --rhs-batch <spec>         batching engine configuration, a spec
+//     --rhs-batch <spec>         block-solve configuration, a spec
 //                                string "width=N,sched=priority|levelset";
 //                                applies to --nrhs and to --serve's solve
 //                                coalescing
@@ -163,7 +163,7 @@
 #include "obs/recorder.hpp"
 #include "order/perm.hpp"
 #include "resilience/checkpoint.hpp"
-#include "rhs/engine.hpp"
+#include "rhs/solve_dag.hpp"
 #include "serve/chaos.hpp"
 #include "serve/crash_soak.hpp"
 #include "serve/serve.hpp"
@@ -284,7 +284,7 @@ FaultPlan parse_faults(const std::string& s) {
 }
 
 // --rhs-batch travels as a spec::RhsSpec on the wire; the CLI converts it
-// into the rhs engine's native options. An empty flag means the defaults.
+// into rhs::RhsOptions. An empty flag means the defaults.
 rhs::RhsOptions parse_rhs_batch(const std::string& s) {
   try {
     const spec::RhsSpec r = s.empty() ? spec::RhsSpec{} : spec::parse_rhs_spec(s);
@@ -540,6 +540,7 @@ int main(int argc, char** argv) {
       const serve::ReplayReport rep = serve::replay(svc, trace);
       const serve::ServeStats& st = rep.stats;
       st.publish_metrics();
+      svc.rhs_stats().publish_metrics();
       if (svc.journal() != nullptr) {
         const serve::DurableStats& ds = svc.durable_stats();
         ds.publish_metrics();
@@ -715,6 +716,7 @@ int main(int argc, char** argv) {
     }
 
     const ScheduleResult r = inst.run_numeric(so);
+    const offset_t nnz_lu = inst.nnz_lu();  // scans every stored value
     std::printf("reorder %.1f ms, symbolic %.1f ms (host)\n",
                 inst.reorder_seconds() * 1e3, inst.symbolic_seconds() * 1e3);
     std::printf("numeric on %d x %s (%s policy): %.3f ms, %lld kernels, "
@@ -722,16 +724,16 @@ int main(int argc, char** argv) {
                 ranks, so.cluster.gpu.name.c_str(), policy.c_str(),
                 r.makespan_s * 1e3, static_cast<long long>(r.kernel_count),
                 r.mean_batch_size, r.achieved_gflops(),
-                static_cast<long long>(inst.nnz_lu()));
+                static_cast<long long>(nnz_lu));
     if (const PluFactorization* plu = inst.plu_factorization()) {
       // Factor storage against the nonzeros it holds: the envelope
       // panels' padding, next to the process's peak memory.
       const offset_t words = plu->tiles().stored_words();
-      const offset_t nnz = inst.nnz_lu();
       const PeakRss rss = peak_rss();
       std::printf("tiles: %lld stored words for nnz(L+U)=%lld (%.2fx), ",
-                  static_cast<long long>(words), static_cast<long long>(nnz),
-                  nnz > 0 ? static_cast<double>(words) / nnz : 0.0);
+                  static_cast<long long>(words),
+                  static_cast<long long>(nnz_lu),
+                  nnz_lu > 0 ? static_cast<double>(words) / nnz_lu : 0.0);
       if (rss.available()) {
         std::printf("%s %.1f MiB\n", rss.source, rss.mib());
       } else {
@@ -856,9 +858,8 @@ int main(int argc, char** argv) {
       }
 
       rhs::BlockSolver bsolver(*inst.plu_factorization(), so, io.grid);
-      real_t virt_s = 0;
+      rhs::RhsStats counts;
       long long kernels = 0;
-      int batches = 0;
       real_t worst = 0;
       std::vector<real_t> blockbuf;
       for (int at = 0; at < nrhs; at += static_cast<int>(ropt.max_width)) {
@@ -874,9 +875,12 @@ int main(int argc, char** argv) {
         }
         const rhs::BlockSolveResult& br = bsolver.solve(
             blockbuf.data(), static_cast<index_t>(w), ropt.schedule);
-        virt_s += br.makespan_s();
+        counts.busy_s += br.makespan_s();
         kernels += br.kernel_count();
-        ++batches;
+        ++counts.batches;
+        counts.solved += w;
+        counts.widest_batch =
+            std::max(counts.widest_batch, static_cast<offset_t>(w));
         for (int j = 0; j < w; ++j) {
           const std::vector<real_t> px(
               blockbuf.begin() + static_cast<std::size_t>(j) * nn,
@@ -888,15 +892,20 @@ int main(int argc, char** argv) {
                          a, x, rhs_cols[static_cast<std::size_t>(at + j)]));
         }
       }
-      std::printf("rhs: %d rhs in %d batch(es) (width cap %d, %s "
+      counts.dag_builds = bsolver.dag().builds();
+      counts.dag_reuses = bsolver.dag().reuses();
+      counts.publish_metrics();
+      const real_t virt_s = counts.busy_s;
+      std::printf("rhs: %d rhs in %lld batch(es) (width cap %d, %s "
                   "schedule): virtual %.3f ms, %.1f RHS/s, %lld kernels, "
                   "dag %lld build(s) / %lld reuse(s), max scaled residual "
                   "%.2e\n",
-                  nrhs, batches, static_cast<int>(ropt.max_width),
+                  nrhs, static_cast<long long>(counts.batches),
+                  static_cast<int>(ropt.max_width),
                   rhs::solve_schedule_name(ropt.schedule), virt_s * 1e3,
                   virt_s > 0 ? nrhs / virt_s : 0.0, kernels,
-                  static_cast<long long>(bsolver.dag().builds()),
-                  static_cast<long long>(bsolver.dag().reuses()), worst);
+                  static_cast<long long>(counts.dag_builds),
+                  static_cast<long long>(counts.dag_reuses), worst);
       if (worst >= 1e-9) {
         std::fprintf(stderr,
                      "thsolve: batched rhs scaled residual %.2e above 1e-9\n",

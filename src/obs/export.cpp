@@ -109,7 +109,7 @@ void write_unified_trace(std::ostream& out, const Trace* sim,
   }
   if (host_runtime) emit_thread_name(out, kHostPid, 0, "runtime");
   if (service) emit_thread_name(out, kHostPid, kServiceTid, "service");
-  if (rhs) emit_thread_name(out, kHostPid, kRhsTid, "rhs engine");
+  if (rhs) emit_thread_name(out, kHostPid, kRhsTid, "rhs block solves");
   for (int lane = 0; lane <= max_lane; ++lane) {
     emit_thread_name(out, kHostPid, host_tid(lane),
                      "lane " + std::to_string(lane));

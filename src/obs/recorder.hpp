@@ -37,11 +37,11 @@ enum class EventKind : char { kInstant, kSpan };
 /// as a "service" thread next to "runtime" and the lanes.
 constexpr int kServiceTrack = -2;
 
-/// Host-domain track for the batched multi-RHS solve engine (src/rhs): one
-/// span per executed block solve (virtual serve clock, like the service
-/// track), so batching width and close cadence read directly off the
-/// trace. The exporter renders it as an "rhs engine" thread next to
-/// "service".
+/// Host-domain track for batched multi-RHS block solves (src/rhs): the
+/// serve dispatcher emits one span per executed block solve (virtual serve
+/// clock, like the service track), so batching width and close cadence
+/// read directly off the trace. The exporter renders it as an "rhs block
+/// solves" thread next to "service".
 constexpr int kRhsTrack = -3;
 
 struct Event {

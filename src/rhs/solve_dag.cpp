@@ -1,5 +1,8 @@
 #include "rhs/solve_dag.hpp"
 
+#include <algorithm>
+
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 
@@ -19,6 +22,37 @@ SolveSchedule solve_schedule_by_name(const std::string& name) {
 Policy solve_policy(SolveSchedule s) {
   return s == SolveSchedule::kPriorityDag ? Policy::kTrojanHorse
                                           : Policy::kLevelPerTask;
+}
+
+void RhsOptions::validate() const {
+  TH_CHECK_MSG(max_width >= 1,
+               "rhs batch width must be >= 1, got " << max_width);
+}
+
+void RhsStats::publish_metrics() const {
+  if (!obs::enabled()) return;
+  auto& reg = obs::Registry::global();
+  const auto set = [&reg](const char* name, offset_t v) {
+    auto& c = reg.counter(name);
+    c.reset();
+    c.add(static_cast<std::int64_t>(v));
+  };
+  set("th.rhs.solved", solved);
+  set("th.rhs.batches", batches);
+  set("th.rhs.dag.builds", dag_builds);
+  set("th.rhs.dag.reuses", dag_reuses);
+  set("th.rhs.widest_batch", widest_batch);
+  reg.gauge("th.rhs.busy_s").set(busy_s);
+}
+
+RhsStats& RhsStats::operator+=(const RhsStats& o) {
+  solved += o.solved;
+  batches += o.batches;
+  dag_builds += o.dag_builds;
+  dag_reuses += o.dag_reuses;
+  widest_batch = std::max(widest_batch, o.widest_batch);
+  busy_s += o.busy_s;
+  return *this;
 }
 
 SolvePrices::SolvePrices(std::shared_ptr<const TilePattern> pattern,

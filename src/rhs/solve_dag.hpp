@@ -1,5 +1,5 @@
-// Solve price table + block solver — the numeric core of the batched
-// multi-RHS SpTRSV serving engine (`th::rhs`, DESIGN.md §15).
+// Solve price table, block solver and their options and accounting — the
+// batched multi-RHS SpTRSV layer (`th::rhs`, DESIGN.md §15).
 //
 // Solve-task costs depend only on the tile pattern, so SolvePrices prices
 // each (schedule, width) once per pattern — a timing-only replay (null
@@ -16,7 +16,9 @@
 //
 // The serve layer keeps one table per pattern, so prices survive refactors.
 // BlockSolver looks the price up and runs tri_solve_in_order over the
-// whole block on the calling thread.
+// whole block on the calling thread. Blocks form in the caller: the serve
+// dispatcher coalesces a session's queued solves (and triages them),
+// thsolve_cli --nrhs and the throughput bench chunk their columns.
 #pragma once
 
 #include <map>
@@ -76,6 +78,43 @@ class SolvePrices {
   offset_t reuses_ = 0;  // price() calls served from the cache
 };
 
+/// Block-solve configuration. The serve layer nests one of these on
+/// ServeOptions (`--rhs-batch` on the CLI, spec::RhsSpec on the wire).
+struct RhsOptions {
+  /// Block-solve width cap: the serve dispatcher coalesces at most this
+  /// many queued solves into one block.
+  index_t max_width = 16;
+  /// kPriorityDag (aggregate-and-batch) or kLevelSet (per-task baseline).
+  SolveSchedule schedule = SolveSchedule::kPriorityDag;
+  /// Inert: block solves are always bit-identical across worker counts
+  /// and batch widths (tri_solve_in_order). Kept because the frozen
+  /// perfbench harness still sets it.
+  bool det = true;
+
+  /// Throws th::Error on nonsensical configurations.
+  void validate() const;
+};
+
+/// Block-solve accounting, counted by whoever runs the blocks (the serve
+/// dispatcher, thsolve_cli --nrhs, the throughput bench); mirrors into the
+/// obs registry as th.rhs.* via publish_metrics().
+struct RhsStats {
+  offset_t solved = 0;        // right-hand sides solved to completion
+  offset_t batches = 0;       // block solves executed
+  offset_t dag_builds = 0;    // (schedule, width) prices built
+  offset_t dag_reuses = 0;    // price lookups served from the table
+  offset_t widest_batch = 0;  // widest block solve executed
+  real_t busy_s = 0;          // virtual seconds spent block-solving
+
+  /// Mirror these counters into the obs metrics registry under th.rhs.*
+  /// (set semantics: publishing twice does not double-count).
+  void publish_metrics() const;
+
+  /// Sum over runs with price tables of their own (widest_batch takes the
+  /// max); runs sharing a table would double-count its dag_builds/reuses.
+  RhsStats& operator+=(const RhsStats& o);
+};
+
 /// Prices block solves from a price table and computes them in order.
 class BlockSolver {
  public:
@@ -95,12 +134,6 @@ class BlockSolver {
   /// for the frozen perfbench harness, which passes it).
   const BlockSolveResult& solve(real_t* x, index_t nrhs,
                                 SolveSchedule schedule, bool = true);
-
-  /// Timing-only virtual cost of a width-`nrhs` block solve: the makespan
-  /// solve() reports, bit for bit. Valid before the numeric phase.
-  real_t estimate_s(index_t nrhs, SolveSchedule schedule) {
-    return prices_->price(nrhs, schedule).makespan_s();
-  }
 
   const SolvePrices& dag() const { return *prices_; }
 

@@ -189,7 +189,7 @@ std::string run_serve_scenario(const ServeOptions& sopt,
         }
         case MisbehaviorKind::kSolveFlood: {
           // A factor followed by a solve burst against one session: the
-          // batching engine must coalesce whatever is admitted into block
+          // dispatcher must coalesce whatever is admitted into block
           // solves with every member accounted for (invariants 1-2) and
           // every completed member numerically correct (invariant 4).
           try {
@@ -215,7 +215,7 @@ std::string run_serve_scenario(const ServeOptions& sopt,
         }
         case MisbehaviorKind::kMidBatchCancel: {
           if (!solve_ids.empty()) {
-            // Cancel a queued solve handle: the rhs engine must shed the
+            // Cancel a queued solve handle: the dispatcher must shed the
             // member at the batch boundary (cancel() ignores finished ids).
             svc.cancel(solve_ids[static_cast<std::size_t>(mix64(s)) %
                                  solve_ids.size()]);

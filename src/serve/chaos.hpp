@@ -26,9 +26,9 @@ enum class MisbehaviorKind : char {
   kAbandon,     // a handle is cancelled while its request is queued
   kPoison,      // a session open with a structurally invalid matrix
   kMemRamp,     // the memory budget is ramped down mid-session
-  kSolveFlood,  // a factored session floods kSolve requests — the batching
-                // engine must coalesce them without dropping accounting
-  kMidBatchCancel,  // a queued solve handle is cancelled so the rhs engine
+  kSolveFlood,  // a factored session floods kSolve requests — the
+                // dispatcher must coalesce them without dropping accounting
+  kMidBatchCancel,  // a queued solve handle is cancelled so the dispatcher
                     // sheds it at the batch boundary
 };
 

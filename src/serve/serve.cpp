@@ -217,7 +217,7 @@ void SolverService::obtain_instance(const Csr& a, SessionId sid,
     s.est_factor_s = s.inst->run_timing(opt_.sched).makespan_s;
   }
   // Solve prices replay the solve DAGs with a null backend — the exact
-  // model the batching engine runs under, so admission and execution
+  // model block solves are charged under, so admission and execution
   // charge the same clock. Each width is priced on first use.
   s.prices = std::make_shared<rhs::SolvePrices>(
       s.inst->plu_factorization()->shared_pattern(), opt_.sched,
@@ -664,7 +664,7 @@ real_t SolverService::solve_estimate_s(const Session& s, index_t width) const {
 
 rhs::RhsStats SolverService::rhs_stats() const {
   rhs::RhsStats out = rhs_stats_;
-  // Engines on one pattern share its price table: count each table once.
+  // Sessions on one pattern share its price table: count each table once.
   out.dag_builds = 0;
   out.dag_reuses = 0;
   for (const auto& [hash, c] : cache_) {
@@ -686,87 +686,104 @@ void SolverService::run_solve_batch(Session& s, std::vector<Pending> batch,
     return;
   }
 
+  // Triage at the block boundary, before any numerics run: abandoned
+  // handles are cancelled, and solves that cannot finish in time are shed
+  // instead of burning the server on results the tenants will discard.
   const real_t est = solve_estimate_s(s, 1);
-  const Csr& a = s.inst->matrix();
-
-  // Per-member admission at the batch boundary: abandoned handles and
-  // solves that cannot finish in time are shed before any numerics run.
-  // Survivors synthesize their right-hand side from the request's seed and
-  // join the block (permuted ordering: we factored P A P^T).
-  std::map<std::uint64_t, Pending> live;       // keyed by the engine tag
-  std::map<std::uint64_t, std::vector<real_t>> raw_b;
-  std::vector<rhs::RhsEntry> block;
-  block.reserve(batch.size());
+  std::vector<Pending> live;
+  live.reserve(batch.size());
+  bool any_deadline = false;
   for (Pending& p : batch) {
     if (p.token->cancel_requested() || p.req.abandon_at_s <= start_s) {
       finish(std::move(p), Completion::Status::kCancelled, start_s, start_s,
              -1, "handle abandoned at the batch boundary");
-      continue;
-    }
-    if (start_s + est > p.req.deadline_s) {
-      // Cannot finish in time: shed the work instead of burning the server
-      // on a result the tenant will discard.
+    } else if (start_s + est > p.req.deadline_s) {
       finish(std::move(p), Completion::Status::kDeadlineMiss, start_s,
              start_s, -1, "solve cannot finish before its deadline");
-      continue;
+    } else {
+      any_deadline =
+          any_deadline || p.req.deadline_s < CancelToken::kNoDeadline;
+      live.push_back(std::move(p));
     }
-    Rng rng(p.req.value_seed);
-    std::vector<real_t> x_true(static_cast<std::size_t>(a.n_rows));
-    for (real_t& v : x_true) v = rng.uniform(-1.0, 1.0);
-    std::vector<real_t> b = spmv(a, x_true);
-
-    rhs::RhsEntry e;
-    e.tag = static_cast<std::uint64_t>(p.id);
-    e.deadline_s = p.req.deadline_s;
-    e.token = p.token.get();
-    e.b = apply_permutation(b, s.inst->permutation());
-    block.push_back(std::move(e));
-
-    const std::uint64_t tag = static_cast<std::uint64_t>(p.id);
-    raw_b.emplace(tag, std::move(b));
-    live.emplace(tag, std::move(p));
+  }
+  // A member is served only if the block finishes by its deadline: price
+  // the block at its live width (the makespan the solve charges, bit for
+  // bit) and shed the members it would finish late, until the width
+  // settles. Coalescing checked only the width it formed, and prices need
+  // not be monotone in width. Blocks without deadlines skip the pricing.
+  std::size_t priced = 0;
+  while (any_deadline && !live.empty() && live.size() != priced) {
+    priced = live.size();
+    const real_t block_finish_s =
+        start_s + solve_estimate_s(s, static_cast<index_t>(priced));
+    std::vector<Pending> kept;
+    kept.reserve(priced);
+    for (Pending& p : live) {
+      if (p.req.deadline_s >= block_finish_s) {
+        kept.push_back(std::move(p));
+      } else {
+        finish(std::move(p), Completion::Status::kDeadlineMiss, start_s,
+               start_s, -1, "solve cannot finish before its block does");
+      }
+    }
+    live = std::move(kept);
   }
   if (live.empty()) return;
 
-  // Real numerics: the survivors execute as one block solve priced from
-  // the pattern's table; each member's scaled residual is checked
-  // on the unpermuted system so correctness survived both the overload
-  // machinery and the batching.
-  rhs::RhsEngine eng(*s.inst->plu_factorization(), opt_.rhs, s.prices);
-  std::vector<rhs::RhsCompletion> results =
-      eng.execute(std::move(block), start_s);
-  rhs_stats_ += eng.stats();
-  real_t latest_s = start_s;
-  for (rhs::RhsCompletion& c : results) {
-    Pending p = std::move(live.at(c.tag));
-    live.erase(c.tag);
-    if (c.status != rhs::RhsCompletion::Status::kDone) {
-      finish(std::move(p),
-             c.status == rhs::RhsCompletion::Status::kCancelled
-                 ? Completion::Status::kCancelled
-                 : Completion::Status::kDeadlineMiss,
-             start_s, c.finish_s, -1, "shed by the rhs engine at the batch "
-             "boundary");
-      continue;
-    }
-    const std::vector<real_t> x =
-        apply_inverse_permutation(c.x, s.inst->permutation());
-    const real_t residual = scaled_residual(a, x, raw_b.at(c.tag));
-    latest_s = std::max(latest_s, c.finish_s);
+  // Real numerics: each survivor synthesizes its right-hand side from the
+  // request's seed into one n x width block (permuted ordering: we
+  // factored P A P^T), and the block runs as one solve priced from the
+  // pattern's table. Each member's scaled residual is checked on the
+  // unpermuted system, so correctness survived both the overload machinery
+  // and the batching.
+  const Csr& a = s.inst->matrix();
+  const std::vector<index_t>& perm = s.inst->permutation();
+  const std::size_t n = static_cast<std::size_t>(a.n_rows);
+  const index_t width = static_cast<index_t>(live.size());
+  std::vector<std::vector<real_t>> raw_b;
+  raw_b.reserve(live.size());
+  std::vector<real_t> x(n * live.size());
+  for (std::size_t j = 0; j < live.size(); ++j) {
+    Rng rng(live[j].req.value_seed);
+    std::vector<real_t> x_true(n);
+    for (real_t& v : x_true) v = rng.uniform(-1.0, 1.0);
+    raw_b.push_back(spmv(a, x_true));
+    const std::vector<real_t> pb = apply_permutation(raw_b.back(), perm);
+    std::copy(pb.begin(), pb.end(), x.begin() + j * n);
+  }
+  rhs::BlockSolver solver(*s.inst->plu_factorization(), s.prices);
+  const rhs::BlockSolveResult& r =
+      solver.solve(x.data(), width, opt_.rhs.schedule);
+  const real_t finish_s = start_s + r.makespan_s();
+  ++rhs_stats_.batches;
+  rhs_stats_.solved += width;
+  rhs_stats_.widest_batch =
+      std::max(rhs_stats_.widest_batch, static_cast<offset_t>(width));
+  rhs_stats_.busy_s += r.makespan_s();
+  if (obs::enabled()) {
+    obs::Recorder::global().span(
+        obs::Domain::kHost, obs::kRhsTrack, "rhs block solve", "rhs", start_s,
+        finish_s, "width", width, "kernels",
+        static_cast<std::int64_t>(r.kernel_count()));
+  }
+
+  for (std::size_t j = 0; j < live.size(); ++j) {
+    Pending& p = live[j];
+    const std::vector<real_t> xj = apply_inverse_permutation(
+        std::vector<real_t>(x.begin() + j * n, x.begin() + (j + 1) * n),
+        perm);
+    const real_t residual = scaled_residual(a, xj, raw_b[j]);
     ++stats_.solves;
     if (obs::enabled()) {
       obs::Recorder::global().span(obs::Domain::kHost, obs::kServiceTrack,
-                                   "serve solve", "serve", start_s,
-                                   c.finish_s, "request", p.id, "session",
-                                   p.session);
+                                   "serve solve", "serve", start_s, finish_s,
+                                   "request", p.id, "session", p.session);
     }
-    finish(std::move(p), Completion::Status::kDone, start_s, c.finish_s,
+    finish(std::move(p), Completion::Status::kDone, start_s, finish_s,
            residual, "");
   }
-  now_s_ = std::max(now_s_, latest_s);
-  stats_.busy_s += latest_s - start_s;  // one block, however many members
-  TH_CHECK_MSG(live.empty(),
-               "rhs engine lost " << live.size() << " batch members");
+  now_s_ = std::max(now_s_, finish_s);
+  stats_.busy_s += finish_s - start_s;  // one block, however many members
 }
 
 void SolverService::unqueue(SessionId sid, RequestId id) {
@@ -792,13 +809,12 @@ void SolverService::dispatch_one() {
 
   if (p.req.kind == RequestKind::kSolve) {
     // One round-robin turn is one block solve, and this is the only place
-    // solve blocks form (the engine executes the block as given): coalesce
-    // the session's queued kSolves (ascending request id) up to the width
-    // cap into one dispatch, whether or not other tenants wait. pick_next rotates
-    // tenants per turn, so a tenant behind a flood waits at most one block
-    // of <= max_width right-hand sides per other tenant. Per-member
-    // cancellation/deadline triage happens at the batch boundary inside
-    // run_solve_batch.
+    // solve blocks form: coalesce the session's queued kSolves (ascending
+    // request id) up to the width cap into one dispatch, whether or not
+    // other tenants wait. pick_next rotates tenants per turn, so a tenant
+    // behind a flood waits at most one block of <= max_width right-hand
+    // sides per other tenant. Per-member cancellation/deadline triage
+    // happens at the batch boundary inside run_solve_batch.
     //
     // Deadline-aware coalescing: the block widens only while its priced
     // finish at the new width meets every member's deadline, so a member

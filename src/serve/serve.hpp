@@ -40,10 +40,11 @@
 //   * Batched solves — the dispatcher is the one place solve blocks are
 //     formed: a round-robin turn coalesces the picked session's queued
 //     kSolve requests (up to the next write, at most rhs.max_width) into
-//     one block, which an rhs::RhsEngine (src/rhs) executes as
-//     a single block solve priced from the pattern's table, running real
-//     SpTRSV numerics in order on the dispatching thread; cancellation,
-//     abandonment and deadlines are honoured at the block boundary.
+//     one block. The dispatcher is also the one place a block is
+//     triaged — cancellation, abandonment and deadlines are honoured at
+//     the block boundary — and an rhs::BlockSolver (src/rhs) prices the
+//     survivors from the pattern's table and runs real SpTRSV numerics in
+//     order on the dispatching thread.
 //
 // The service clock is *virtual*: it advances by the simulated makespans
 // of the dispatched runs (plus a deterministic solve-cost model), never by
@@ -68,7 +69,7 @@
 
 #include "core/scheduler.hpp"
 #include "exec/worker_pool.hpp"
-#include "rhs/engine.hpp"
+#include "rhs/solve_dag.hpp"
 #include "serve/journal.hpp"
 #include "solvers/driver.hpp"
 #include "support/cancel.hpp"
@@ -200,7 +201,7 @@ struct ServeOptions {
   bool shed_on_full = true;
   /// Batched multi-RHS solve configuration: the dispatcher coalesces a
   /// session's queued kSolve requests into blocks of at most max_width,
-  /// each executed by an rhs::RhsEngine sharing the session's
+  /// each run as one rhs::BlockSolver solve on the session's
   /// factorization under `schedule`.
   rhs::RhsOptions rhs;
   /// Durability: write-ahead session journal, CRC-protected artifacts and
@@ -357,7 +358,7 @@ class SolverService {
   struct CacheEntry {
     std::shared_ptr<SolverInstance> donor;
     real_t est_factor_s = 0;
-    /// The pattern's solve prices, shared by its sessions and engines.
+    /// The pattern's solve prices, shared by its sessions.
     std::shared_ptr<rhs::SolvePrices> prices;
   };
 
@@ -384,9 +385,10 @@ class SolverService {
   void dispatch_one();
   void run_factor(Session& s, Pending& p, real_t start_s);
   /// Execute the block dispatch_one formed from one session's kSolve
-  /// requests (admission order): shed abandoned and hopeless members, then
-  /// hand the rest as one block to an RhsEngine over the session's factors
-  /// and its pattern's price table.
+  /// requests (admission order): shed abandoned members, members that
+  /// cannot finish alone and members due before the block's priced finish,
+  /// then solve the rest as one block with a BlockSolver over the session's
+  /// factors and its pattern's price table.
   void run_solve_batch(Session& s, std::vector<Pending> batch,
                        real_t start_s);
   /// Virtual cost of a width-`width` block solve on the session's pattern.
@@ -423,8 +425,8 @@ class SolverService {
   std::string rr_cursor_;
   std::vector<Completion> completions_;
   ServeStats stats_;
-  /// Stats of every block solve's engine (rhs_stats() adds the tables'
-  /// dag counts).
+  /// Counts of every block solve (rhs_stats() adds the tables' dag
+  /// counts).
   rhs::RhsStats rhs_stats_;
   /// Durability state (null/zero while the journal is disabled).
   std::unique_ptr<SessionJournal> journal_;

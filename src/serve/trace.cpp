@@ -127,8 +127,11 @@ real_t estimate_mean_service_s(const ServeOptions& sopt,
     // vanishing share of a long trace and are folded into the refactor
     // weight.)
     const real_t factor_s = inst.run_timing(sopt.sched).makespan_s;
-    rhs::BlockSolver pricer(*inst.plu_factorization(), sopt.sched, io.grid);
-    const real_t solve_s = pricer.estimate_s(1, sopt.rhs.schedule);
+    const real_t solve_s =
+        rhs::SolvePrices(inst.plu_factorization()->shared_pattern(),
+                         sopt.sched, io.grid)
+            .price(1, sopt.rhs.schedule)
+            .makespan_s();
     priced += weights[static_cast<std::size_t>(k)] *
               (topt.p_refactor * factor_s + (1.0 - topt.p_refactor) * solve_s);
   }

@@ -62,7 +62,7 @@ FaultPlan parse_fault_spec(const std::string& spec);
 /// largest probability (the CLI sets one probability for every class).
 std::string render_fault_spec(const FaultPlan& plan);
 
-/// Batched multi-RHS engine configuration as it travels on the wire (the
+/// Batched multi-RHS solve configuration as it travels on the wire (the
 /// `thsolve_cli --rhs-batch` flag). A plain struct rather than
 /// rhs::RhsOptions because support sits below src/rhs — the CLI converts.
 struct RhsSpec {

@@ -1,15 +1,15 @@
-// Batched multi-RHS SpTRSV serving engine (src/rhs, DESIGN.md §15): the
-// solve price table, block-solve correctness against the sequential driver,
-// deterministic accumulation across worker counts and batch widths, the
-// single-vs-block bitwise contract, shedding at block boundaries, obs
-// reconciliation, and the serve-layer integration (solve coalescing).
+// Batched multi-RHS SpTRSV (src/rhs, DESIGN.md §15): the solve price table,
+// block-solve correctness against the sequential driver, bitwise results
+// across worker counts and batch widths, the single-vs-block bitwise
+// contract, and the serve-layer integration (solve coalescing, triage at
+// the block boundary, th.rhs.* reconciliation).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <iterator>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,7 +19,7 @@
 #include "obs/obs.hpp"
 #include "obs/recorder.hpp"
 #include "order/perm.hpp"
-#include "rhs/engine.hpp"
+#include "rhs/solve_dag.hpp"
 #include "serve/chaos.hpp"
 #include "serve/serve.hpp"
 #include "serve/trace.hpp"
@@ -33,19 +33,17 @@ namespace th {
 namespace {
 
 using rhs::BlockSolver;
-using rhs::RhsCompletion;
-using rhs::RhsEngine;
-using rhs::RhsEntry;
 using rhs::RhsOptions;
+using rhs::SolvePrices;
 using rhs::SolveSchedule;
 
 Csr grid(index_t side, std::uint64_t value_seed) {
   return finalize_system(grid2d_laplacian(side, side), value_seed);
 }
 
-/// One factored PLU instance shared across the engine tests (numerics run
-/// once; every engine constructed on top reuses the factors).
-class RhsEngineTest : public ::testing::Test {
+/// One factored PLU instance shared across the block-solver tests (numerics
+/// run once; every solver constructed on top reuses the factors).
+class BlockSolverTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     a_ = new Csr(grid(20, 7));
@@ -73,45 +71,28 @@ class RhsEngineTest : public ::testing::Test {
     return spmv(*a_, xt);
   }
 
-  /// An engine with a price table of its own.
-  static RhsEngine engine(const RhsOptions& opt, const ScheduleOptions& so) {
-    const PluFactorization& fact = *inst_->plu_factorization();
-    return RhsEngine(fact, opt, std::make_shared<rhs::SolvePrices>(
-                                    fact.shared_pattern(), so));
-  }
-
-  static RhsEntry entry(const std::vector<real_t>& b, std::uint64_t tag) {
-    RhsEntry e;
-    e.tag = tag;
-    e.b = apply_permutation(b, inst_->permutation());
-    return e;
-  }
-
-  /// Execute `entries` as consecutive blocks of `width` (the last may be
-  /// narrower), all starting at t=0; the completions in execution order.
-  static std::vector<RhsCompletion> run_blocks(RhsEngine& eng,
-                                               std::vector<RhsEntry> entries,
-                                               std::size_t width) {
-    std::vector<RhsCompletion> out;
-    for (std::size_t at = 0; at < entries.size(); at += width) {
-      const auto first = entries.begin() + static_cast<std::ptrdiff_t>(at);
-      const auto last =
-          entries.begin() +
-          static_cast<std::ptrdiff_t>(std::min(entries.size(), at + width));
-      std::vector<RhsEntry> block(std::make_move_iterator(first),
-                                  std::make_move_iterator(last));
-      for (RhsCompletion& c : eng.execute(std::move(block), 0.0)) {
-        out.push_back(std::move(c));
+  /// Solve `bs` as consecutive blocks of `width` (the last may be
+  /// narrower); the solutions in the permuted ordering, one per column.
+  static std::vector<std::vector<real_t>> solve_blocks(
+      BlockSolver& solver, const std::vector<std::vector<real_t>>& bs,
+      std::size_t width) {
+    const std::size_t n = static_cast<std::size_t>(a_->n_rows);
+    std::vector<std::vector<real_t>> out;
+    for (std::size_t at = 0; at < bs.size(); at += width) {
+      const std::size_t w = std::min(width, bs.size() - at);
+      std::vector<real_t> x(n * w);
+      for (std::size_t j = 0; j < w; ++j) {
+        const std::vector<real_t> pb =
+            apply_permutation(bs[at + j], inst_->permutation());
+        std::copy(pb.begin(), pb.end(), x.begin() + j * n);
+      }
+      solver.solve(x.data(), static_cast<index_t>(w),
+                   SolveSchedule::kPriorityDag);
+      for (std::size_t j = 0; j < w; ++j) {
+        out.emplace_back(x.begin() + j * n, x.begin() + (j + 1) * n);
       }
     }
     return out;
-  }
-
-  static real_t residual_of(const RhsCompletion& c,
-                            const std::vector<real_t>& b) {
-    const std::vector<real_t> x =
-        apply_inverse_permutation(c.x, inst_->permutation());
-    return scaled_residual(*a_, x, b);
   }
 
   static Csr* a_;
@@ -119,9 +100,9 @@ class RhsEngineTest : public ::testing::Test {
   static ScheduleOptions* sched_;
 };
 
-Csr* RhsEngineTest::a_ = nullptr;
-SolverInstance* RhsEngineTest::inst_ = nullptr;
-ScheduleOptions* RhsEngineTest::sched_ = nullptr;
+Csr* BlockSolverTest::a_ = nullptr;
+SolverInstance* BlockSolverTest::inst_ = nullptr;
+ScheduleOptions* BlockSolverTest::sched_ = nullptr;
 
 TEST(RhsOptionsValidate, RejectsNonsense) {
   RhsOptions opt;
@@ -131,8 +112,11 @@ TEST(RhsOptionsValidate, RejectsNonsense) {
 
 // ---- solve price table -----------------------------------------------------
 
-TEST_F(RhsEngineTest, SolveDagBuildsOncePerWidthThenReuses) {
-  BlockSolver solver(*inst_->plu_factorization(), *sched_);
+TEST_F(BlockSolverTest, SolveDagBuildsOncePerWidthThenReuses) {
+  const PluFactorization& fact = *inst_->plu_factorization();
+  const auto prices =
+      std::make_shared<SolvePrices>(fact.shared_pattern(), *sched_);
+  BlockSolver solver(fact, prices);
   std::vector<real_t> b = apply_permutation(rhs_for(1), inst_->permutation());
   solver.solve(b.data(), 1, SolveSchedule::kPriorityDag);
   EXPECT_EQ(solver.dag().builds(), 1);
@@ -151,9 +135,9 @@ TEST_F(RhsEngineTest, SolveDagBuildsOncePerWidthThenReuses) {
   EXPECT_EQ(solver.dag().builds(), 2);  // new width: one more build
   EXPECT_EQ(solver.dag().reuses(), 1);
 
-  // The price, not only the graphs, is cached: estimating a priced width
+  // The price, not only the graphs, is cached: pricing a priced width
   // replays nothing, and another schedule is its own (schedule, width).
-  EXPECT_EQ(solver.estimate_s(4, SolveSchedule::kPriorityDag),
+  EXPECT_EQ(prices->price(4, SolveSchedule::kPriorityDag).makespan_s(),
             solver.solve(wide.data(), 4, SolveSchedule::kPriorityDag)
                 .makespan_s());
   EXPECT_EQ(solver.dag().builds(), 2);
@@ -166,7 +150,7 @@ TEST_F(RhsEngineTest, SolveDagBuildsOncePerWidthThenReuses) {
 // Block solves price with obs off: executing blocks publishes no scheduler
 // metrics and records no simulated-time events, so th.sched.* keeps
 // describing the last factorization or timing run.
-TEST_F(RhsEngineTest, BlockSolvesLeaveSchedulerMetricsUntouched) {
+TEST_F(BlockSolverTest, BlockSolvesLeaveSchedulerMetricsUntouched) {
   const obs::Session obs_session(true);
   inst_->run_timing(*sched_);
   const auto sched_metrics = [] {
@@ -188,15 +172,11 @@ TEST_F(RhsEngineTest, BlockSolvesLeaveSchedulerMetricsUntouched) {
   ASSERT_FALSE(before.empty());
   ASSERT_GT(events_before, 0);
 
-  RhsOptions opt;
-  opt.max_width = 4;
-  RhsEngine eng = engine(opt, *sched_);
-  std::vector<RhsEntry> entries;
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    entries.push_back(entry(rhs_for(600 + i), i));
-  }
-  run_blocks(eng, std::move(entries), 3);  // two width-3 blocks
-  ASSERT_EQ(eng.stats().batches, 2);
+  BlockSolver solver(*inst_->plu_factorization(), *sched_);
+  std::vector<std::vector<real_t>> bs;
+  for (std::uint64_t i = 0; i < 6; ++i) bs.push_back(rhs_for(600 + i));
+  ASSERT_EQ(solve_blocks(solver, bs, 3).size(), 6u);  // two width-3 blocks
+  ASSERT_EQ(solver.dag().builds() + solver.dag().reuses(), 2);
 
   const std::vector<obs::MetricSample> after = sched_metrics();
   ASSERT_EQ(after.size(), before.size());
@@ -210,10 +190,11 @@ TEST_F(RhsEngineTest, BlockSolvesLeaveSchedulerMetricsUntouched) {
   EXPECT_EQ(sim_events(), events_before);
 }
 
-TEST_F(RhsEngineTest, EstimateIsPositiveAndGrowsSublinearlyWithWidth) {
-  BlockSolver solver(*inst_->plu_factorization(), *sched_);
-  const real_t e1 = solver.estimate_s(1, SolveSchedule::kPriorityDag);
-  const real_t e16 = solver.estimate_s(16, SolveSchedule::kPriorityDag);
+TEST_F(BlockSolverTest, EstimateIsPositiveAndGrowsSublinearlyWithWidth) {
+  SolvePrices prices(inst_->plu_factorization()->shared_pattern(), *sched_);
+  const real_t e1 = prices.price(1, SolveSchedule::kPriorityDag).makespan_s();
+  const real_t e16 =
+      prices.price(16, SolveSchedule::kPriorityDag).makespan_s();
   EXPECT_GT(e1, 0);
   EXPECT_GT(e16, e1);        // wider blocks do more work...
   EXPECT_LT(e16, 16 * e1);   // ...but amortise launches across the block
@@ -221,7 +202,7 @@ TEST_F(RhsEngineTest, EstimateIsPositiveAndGrowsSublinearlyWithWidth) {
 
 // ---- block-solve correctness ----------------------------------------------
 
-TEST_F(RhsEngineTest, BlockSolveMatchesSequentialDriver) {
+TEST_F(BlockSolverTest, BlockSolveMatchesSequentialDriver) {
   const std::vector<real_t> b = rhs_for(42);
   const std::vector<real_t> x_ref = inst_->solve(b);
 
@@ -237,7 +218,7 @@ TEST_F(RhsEngineTest, BlockSolveMatchesSequentialDriver) {
   EXPECT_LT(scaled_residual(*a_, got, b), 1e-10);
 }
 
-TEST_F(RhsEngineTest, LevelSetScheduleIsCorrectButLaunchBound) {
+TEST_F(BlockSolverTest, LevelSetScheduleIsCorrectButLaunchBound) {
   const std::vector<real_t> b = rhs_for(43);
   BlockSolver solver(*inst_->plu_factorization(), *sched_);
 
@@ -256,136 +237,18 @@ TEST_F(RhsEngineTest, LevelSetScheduleIsCorrectButLaunchBound) {
   EXPECT_GT(lvl.makespan_s(), pri.makespan_s());
 }
 
-// ---- engine: batching, shedding, accounting -------------------------------
-
-TEST_F(RhsEngineTest, EngineSolvesABatchAndAccounts) {
-  RhsOptions opt;
-  opt.max_width = 4;
-  RhsEngine eng = engine(opt, *sched_);
-  std::vector<std::vector<real_t>> bs;
-  std::vector<RhsEntry> block;
-  for (int i = 0; i < 4; ++i) {
-    bs.push_back(rhs_for(100 + i));
-    block.push_back(entry(bs.back(), static_cast<std::uint64_t>(i)));
-  }
-  const std::vector<RhsCompletion> done = eng.execute(std::move(block), 0.5);
-  ASSERT_EQ(done.size(), 4u);
-  for (std::size_t i = 0; i < done.size(); ++i) {
-    const RhsCompletion& c = done[i];
-    EXPECT_EQ(c.tag, i);  // block order
-    EXPECT_EQ(c.status, RhsCompletion::Status::kDone);
-    EXPECT_EQ(c.batch_width, 4);
-    EXPECT_EQ(c.start_s, 0.5);
-    EXPECT_GT(c.finish_s, c.start_s);
-    EXPECT_LT(residual_of(c, bs[static_cast<std::size_t>(c.tag)]), 1e-10);
-  }
-  const rhs::RhsStats& st = eng.stats();
-  EXPECT_EQ(st.submitted, 4);
-  EXPECT_EQ(st.solved, 4);
-  EXPECT_EQ(st.batches, 1);
-  EXPECT_EQ(st.widest_batch, 4);
-  EXPECT_GT(st.busy_s, 0);
-
-  // A block wider than the cap is the caller's bug, not a batch to split.
-  std::vector<RhsEntry> wide;
-  for (int i = 0; i < 5; ++i) wide.push_back(entry(bs[0], 9));
-  EXPECT_THROW(eng.execute(std::move(wide), 1.0), Error);
-  EXPECT_EQ(eng.stats().submitted, 4);
-}
-
-TEST_F(RhsEngineTest, CancelledAndExpiredMembersAreShedAtTheBoundary) {
-  RhsOptions opt;
-  opt.max_width = 8;
-  RhsEngine eng = engine(opt, *sched_);
-  CancelToken cancelled;
-  cancelled.cancel();
-
-  const std::vector<real_t> b0 = rhs_for(200);
-  const std::vector<real_t> b1 = rhs_for(201);
-  const std::vector<real_t> b2 = rhs_for(202);
-  std::vector<RhsEntry> block;
-  block.push_back(entry(b0, 0));
-  block.push_back(entry(b1, 1));
-  block.back().token = &cancelled;
-  block.push_back(entry(b2, 2));
-  block.back().deadline_s = 0.5;  // the block starts at t=1: unmeetable
-  // Due after the start but before a width-2 block would finish: shed
-  // rather than reported done late.
-  const std::vector<real_t> b3 = rhs_for(203);
-  block.push_back(entry(b3, 3));
-  block.back().deadline_s =
-      1.0 + 0.5 * (eng.estimate_s(1) + eng.estimate_s(2));
-
-  const std::vector<RhsCompletion> done = eng.execute(std::move(block), 1.0);
-  ASSERT_EQ(done.size(), 4u);
-  int solved = 0, shed_cancel = 0, shed_deadline = 0;
-  for (const RhsCompletion& c : done) {
-    switch (c.status) {
-      case RhsCompletion::Status::kDone:
-        ++solved;
-        EXPECT_EQ(c.tag, 0u);
-        EXPECT_EQ(c.batch_width, 1);  // only the live member ran
-        EXPECT_LT(residual_of(c, b0), 1e-10);
-        break;
-      case RhsCompletion::Status::kCancelled:
-        ++shed_cancel;
-        EXPECT_EQ(c.tag, 1u);
-        EXPECT_TRUE(c.x.empty());
-        break;
-      case RhsCompletion::Status::kDeadlineMiss:
-        ++shed_deadline;
-        EXPECT_TRUE(c.tag == 2u || c.tag == 3u) << c.tag;
-        EXPECT_EQ(c.finish_s, c.start_s);  // never ran
-        break;
-    }
-  }
-  EXPECT_EQ(solved, 1);
-  EXPECT_EQ(shed_cancel, 1);
-  EXPECT_EQ(shed_deadline, 2);
-  const rhs::RhsStats& st = eng.stats();
-  EXPECT_EQ(st.submitted, 4);
-  EXPECT_EQ(st.submitted, st.solved + st.cancelled + st.deadline_misses);
-  EXPECT_EQ(st.batches, 1);
-}
-
-TEST_F(RhsEngineTest, FullySheddedBatchExecutesNoBlockSolve) {
-  RhsOptions opt;
-  RhsEngine eng = engine(opt, *sched_);
-  CancelToken cancelled;
-  cancelled.cancel();
-  std::vector<RhsEntry> block;
-  block.push_back(entry(rhs_for(300), 9));
-  block.back().token = &cancelled;
-  const std::vector<RhsCompletion> done = eng.execute(std::move(block), 0.0);
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0].status, RhsCompletion::Status::kCancelled);
-  EXPECT_EQ(eng.stats().batches, 0);  // nothing ran
-  EXPECT_EQ(eng.stats().busy_s, 0);
-  EXPECT_EQ(eng.stats().dag_builds, 0);
-}
-
-TEST_F(RhsEngineTest, DetModeIsBitwiseAcrossWorkersAndWidths) {
+TEST_F(BlockSolverTest, DetModeIsBitwiseAcrossWorkersAndWidths) {
   std::vector<std::vector<real_t>> bs;
   for (int i = 0; i < 8; ++i) bs.push_back(rhs_for(400 + i));
 
   std::vector<std::vector<real_t>> ref;
   for (const int workers : {1, 2, 4}) {
-    for (const index_t width : {1, 4, 8}) {
+    for (const std::size_t width : {1, 4, 8}) {
       ScheduleOptions so = *sched_;
       so.exec.workers = workers;
-      RhsOptions opt;
-      opt.max_width = width;
-      RhsEngine eng = engine(opt, so);
-      std::vector<RhsEntry> entries;
-      for (std::size_t i = 0; i < bs.size(); ++i) {
-        entries.push_back(entry(bs[i], i));
-      }
-      std::vector<std::vector<real_t>> xs(bs.size());
-      for (RhsCompletion& c : run_blocks(eng, std::move(entries),
-                                         static_cast<std::size_t>(width))) {
-        ASSERT_EQ(c.status, RhsCompletion::Status::kDone);
-        xs[static_cast<std::size_t>(c.tag)] = std::move(c.x);
-      }
+      BlockSolver solver(*inst_->plu_factorization(), so);
+      std::vector<std::vector<real_t>> xs = solve_blocks(solver, bs, width);
+      ASSERT_EQ(xs.size(), bs.size());
       if (ref.empty()) {
         ref = std::move(xs);
         for (std::size_t i = 0; i < bs.size(); ++i) {
@@ -404,46 +267,6 @@ TEST_F(RhsEngineTest, DetModeIsBitwiseAcrossWorkersAndWidths) {
       }
     }
   }
-}
-
-TEST_F(RhsEngineTest, StatsReconcileWithObsRegistry) {
-  const obs::Session obs_session(true);
-  RhsOptions opt;
-  opt.max_width = 2;
-  RhsEngine eng = engine(opt, *sched_);
-  std::vector<RhsEntry> entries;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    entries.push_back(entry(rhs_for(500 + i), i));
-  }
-  run_blocks(eng, std::move(entries), 2);  // blocks of 2, 2 and 1
-
-  const rhs::RhsStats& st = eng.stats();
-  st.publish_metrics();
-  auto& reg = obs::Registry::global();
-  EXPECT_EQ(reg.counter("th.rhs.submitted").value(),
-            static_cast<std::int64_t>(st.submitted));
-  EXPECT_EQ(reg.counter("th.rhs.solved").value(),
-            static_cast<std::int64_t>(st.solved));
-  EXPECT_EQ(st.batches, 3);
-  EXPECT_EQ(reg.counter("th.rhs.batches").value(),
-            static_cast<std::int64_t>(st.batches));
-  EXPECT_EQ(reg.counter("th.rhs.dag.builds").value(),
-            static_cast<std::int64_t>(st.dag_builds));
-  EXPECT_EQ(reg.counter("th.rhs.dag.reuses").value(),
-            static_cast<std::int64_t>(st.dag_reuses));
-  EXPECT_EQ(reg.counter("th.rhs.widest_batch").value(),
-            static_cast<std::int64_t>(st.widest_batch));
-  // publish is set-semantics: publishing twice must not double-count.
-  st.publish_metrics();
-  EXPECT_EQ(reg.counter("th.rhs.submitted").value(),
-            static_cast<std::int64_t>(st.submitted));
-
-  // Each executed block solve left one span on the rhs engine track.
-  offset_t spans = 0;
-  for (const obs::Event& e : obs::Recorder::global().events()) {
-    if (std::string(e.name) == "rhs block solve") ++spans;
-  }
-  EXPECT_EQ(spans, static_cast<offset_t>(st.batches));
 }
 
 // ---- single-vs-block bitwise contract -------------------------------------
@@ -624,7 +447,7 @@ TEST(SolveDagStructure, UpdatesLinkSourceAndTargetDiagonals) {
   }
 }
 
-// estimate_s and solve read one cached replay, so the cost admission is
+// price() and solve read one cached replay, so the cost admission is
 // charged and the cost a block solve reports are the same number — also
 // with ABFT on and a memory budget tight enough to shrink solve batches. A
 // first pricing that throws caches nothing and leaves the caller's block
@@ -656,11 +479,13 @@ TEST(SolveDagPricing, EstimateEqualsExecutedMakespan) {
   tight.mem.budget_bytes = high / 2;
   offset_t shrinks = 0;
   for (const ScheduleOptions* so : {&plain, &tight}) {
-    BlockSolver solver(fact, *so, make_process_grid(so->n_ranks));
+    const auto prices = std::make_shared<SolvePrices>(
+        fact.shared_pattern(), *so, make_process_grid(so->n_ranks));
+    BlockSolver solver(fact, prices);
     for (const SolveSchedule sched :
          {SolveSchedule::kPriorityDag, SolveSchedule::kLevelSet}) {
       for (const index_t width : {1, 3, 16}) {
-        const real_t est = solver.estimate_s(width, sched);
+        const real_t est = prices->price(width, sched).makespan_s();
         Rng rng(static_cast<std::uint64_t>(width));
         std::vector<real_t> x(n * static_cast<std::size_t>(width));
         for (real_t& v : x) v = rng.uniform(-1, 1);
@@ -698,6 +523,35 @@ TEST(SolveDagPricing, EstimateEqualsExecutedMakespan) {
 
 // ---- serve integration ----------------------------------------------------
 
+/// The price the service charges a width-`width` block solve on `sid`.
+real_t block_price_s(const serve::SolverService& svc, serve::SessionId sid,
+                     const serve::ServeOptions& o, index_t width) {
+  SolvePrices prices(
+      svc.session_instance(sid)->plu_factorization()->shared_pattern(),
+      o.sched, make_process_grid(o.sched.n_ranks));
+  return prices.price(width, o.rhs.schedule).makespan_s();
+}
+
+/// Open a session on a 14x14 grid and factor it.
+serve::SessionId open_factored(serve::SolverService& svc) {
+  const serve::SessionId sid = svc.open_session("alice", grid(14, 3));
+  serve::Request f;
+  f.kind = serve::RequestKind::kFactor;
+  svc.submit(sid, f);
+  svc.drain();
+  return sid;
+}
+
+serve::RequestId submit_solve(serve::SolverService& svc, serve::SessionId sid,
+                              std::uint64_t seed,
+                              real_t deadline_s = CancelToken::kNoDeadline) {
+  serve::Request sol;
+  sol.kind = serve::RequestKind::kSolve;
+  sol.value_seed = seed;
+  sol.deadline_s = deadline_s;
+  return svc.submit(sid, sol);
+}
+
 TEST(ServeRhs, QueuedSolvesCoalesceIntoOneBlockSolve) {
   serve::ServeOptions o;
   o.sched.n_ranks = 1;
@@ -723,7 +577,6 @@ TEST(ServeRhs, QueuedSolvesCoalesceIntoOneBlockSolve) {
     EXPECT_LT(c.residual, 1e-9);
   }
   const rhs::RhsStats rst = svc.rhs_stats();
-  EXPECT_EQ(rst.submitted, 5);
   EXPECT_EQ(rst.solved, 5);
   EXPECT_EQ(rst.batches, 1);       // the dispatcher fused all five
   EXPECT_EQ(rst.widest_batch, 5);  // into one block solve
@@ -746,10 +599,8 @@ TEST(ServeRhs, CoalescedSolveMeetsItsDeadline) {
   svc.submit(sid, f);
   svc.drain();
 
-  BlockSolver pricer(*svc.session_instance(sid)->plu_factorization(),
-                     o.sched, make_process_grid(o.sched.n_ranks));
-  const real_t e1 = pricer.estimate_s(1, o.rhs.schedule);
-  const real_t e5 = pricer.estimate_s(5, o.rhs.schedule);
+  const real_t e1 = block_price_s(svc, sid, o, 1);
+  const real_t e5 = block_price_s(svc, sid, o, 5);
   ASSERT_LT(e1, e5);
   serve::Request urgent;
   urgent.kind = serve::RequestKind::kSolve;
@@ -842,8 +693,8 @@ TEST(ServeRhs, RhsStatsSurviveRefactorRetirement) {
   svc.drain();
   EXPECT_EQ(svc.rhs_stats().solved, 1);
 
-  // A refactor rebuilds the instance and retires the session's engine; its
-  // accounting must fold into the service totals, not vanish.
+  // A refactor rebuilds the instance; the block solves run on the old one
+  // must stay in the service totals, not vanish.
   serve::Request rf;
   rf.kind = serve::RequestKind::kRefactor;
   rf.value_seed = 99;
@@ -854,7 +705,152 @@ TEST(ServeRhs, RhsStatsSurviveRefactorRetirement) {
     EXPECT_EQ(c.status, serve::Completion::Status::kDone) << c.detail;
   }
   EXPECT_EQ(svc.rhs_stats().solved, 2);
-  EXPECT_EQ(svc.rhs_stats().submitted, 2);
+  EXPECT_EQ(svc.rhs_stats().batches, 2);
+}
+
+// Triage at the block boundary: a queued solve whose handle is cancelled
+// ends kCancelled without joining the block; the rest run as one block.
+TEST(ServeRhs, CancelledQueuedSolveEndsCancelled) {
+  serve::ServeOptions o;
+  o.sched.n_ranks = 1;
+  o.exec_workers = 1;
+  serve::SolverService svc(o);
+  const serve::SessionId sid = open_factored(svc);
+  submit_solve(svc, sid, 200);
+  const serve::RequestId gone = submit_solve(svc, sid, 201);
+  submit_solve(svc, sid, 202);
+  svc.cancel(gone);
+  const std::vector<serve::Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_EQ(done[0].id, gone);  // triage finishes it before the block runs
+  EXPECT_EQ(done[0].status, serve::Completion::Status::kCancelled);
+  EXPECT_EQ(done[0].finish_s, done[0].start_s);
+  for (std::size_t i = 1; i < done.size(); ++i) {
+    EXPECT_EQ(done[i].status, serve::Completion::Status::kDone)
+        << done[i].detail;
+    EXPECT_LT(done[i].residual, 1e-9);
+  }
+  const rhs::RhsStats rst = svc.rhs_stats();
+  EXPECT_EQ(rst.solved, 2);
+  EXPECT_EQ(rst.batches, 1);
+  EXPECT_EQ(rst.widest_batch, 2);  // only the live members ran
+  EXPECT_EQ(svc.stats().cancelled, 1);
+}
+
+// A block whose every member is shed runs no block solve: no batch, no
+// busy time, no clock advance.
+TEST(ServeRhs, FullyShedBlockRunsNoBlockSolve) {
+  serve::ServeOptions o;
+  o.sched.n_ranks = 1;
+  o.exec_workers = 1;
+  serve::SolverService svc(o);
+  const serve::SessionId sid = open_factored(svc);
+  const rhs::RhsStats before = svc.rhs_stats();
+  const real_t now = svc.now_s();
+  svc.cancel(submit_solve(svc, sid, 300));
+  const std::vector<serve::Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].status, serve::Completion::Status::kCancelled);
+  const rhs::RhsStats after = svc.rhs_stats();
+  EXPECT_EQ(after.batches, before.batches);
+  EXPECT_EQ(after.solved, 0);
+  EXPECT_EQ(after.busy_s, 0);
+  EXPECT_EQ(svc.now_s(), now);
+}
+
+// A member due before even a width-1 block could finish is shed as a
+// deadline miss at the block boundary, and the others are served as one
+// narrower block. Admission accepted its deadline against the backlog it
+// saw; another tenant's factorization, submitted later, runs first in the
+// round-robin turn order ("alice" sorts before "bob").
+TEST(ServeRhs, MemberDueBeforeTheBlockFinishIsShed) {
+  serve::ServeOptions o;
+  o.sched.n_ranks = 1;
+  o.exec_workers = 1;
+  serve::SolverService svc(o);
+  const serve::SessionId bob = svc.open_session("bob", grid(14, 3));
+  serve::Request f;
+  f.kind = serve::RequestKind::kFactor;
+  svc.submit(bob, f);
+  svc.drain();
+
+  // Bob's queued solves form one width-2 block at admission; the urgent
+  // one's deadline is exactly that block's finish.
+  const real_t due_s = svc.now_s() + block_price_s(svc, bob, o, 2);
+  const serve::RequestId s0 = submit_solve(svc, bob, 10);
+  const serve::RequestId late = submit_solve(svc, bob, 11, due_s);
+  const serve::RequestId s2 = submit_solve(svc, bob, 12);
+  const serve::SessionId alice = svc.open_session("alice", grid(14, 4));
+  svc.submit(alice, f);
+
+  const std::vector<serve::Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 4u);
+  EXPECT_EQ(done[0].session, alice);
+  EXPECT_EQ(done[0].status, serve::Completion::Status::kDone);
+  const real_t start_s = done[0].finish_s;
+  ASSERT_GT(start_s + block_price_s(svc, bob, o, 1), due_s);
+
+  EXPECT_EQ(done[1].id, late);
+  EXPECT_EQ(done[1].status, serve::Completion::Status::kDeadlineMiss);
+  EXPECT_EQ(done[1].start_s, start_s);
+  EXPECT_EQ(done[1].finish_s, start_s);  // never ran
+  const real_t finish_s = start_s + block_price_s(svc, bob, o, 2);
+  const serve::RequestId served[] = {s0, s2};
+  for (int i = 0; i < 2; ++i) {
+    const serve::Completion& c = done[2 + static_cast<std::size_t>(i)];
+    EXPECT_EQ(c.id, served[i]);  // block order
+    EXPECT_EQ(c.status, serve::Completion::Status::kDone) << c.detail;
+    EXPECT_EQ(c.start_s, start_s);
+    EXPECT_EQ(c.finish_s, finish_s);
+    EXPECT_LT(c.residual, 1e-9);
+  }
+  const rhs::RhsStats rst = svc.rhs_stats();
+  EXPECT_EQ(rst.solved, 2);
+  EXPECT_EQ(rst.batches, 1);
+  EXPECT_EQ(rst.widest_batch, 2);
+  EXPECT_EQ(svc.stats().deadline_misses, 1);
+}
+
+// The served block solves mirror into th.rhs.* exactly, and each one left
+// one span on the rhs track.
+TEST(ServeRhs, StatsReconcileWithObsRegistry) {
+  const obs::Session obs_session(true);
+  serve::ServeOptions o;
+  o.sched.n_ranks = 1;
+  o.exec_workers = 1;
+  o.rhs.max_width = 2;
+  serve::SolverService svc(o);
+  const serve::SessionId sid = open_factored(svc);
+  for (std::uint64_t i = 0; i < 5; ++i) submit_solve(svc, sid, 500 + i);
+  for (const serve::Completion& c : svc.drain()) {
+    EXPECT_EQ(c.status, serve::Completion::Status::kDone) << c.detail;
+  }
+
+  const rhs::RhsStats st = svc.rhs_stats();
+  st.publish_metrics();
+  auto& reg = obs::Registry::global();
+  EXPECT_EQ(st.solved, 5);
+  EXPECT_EQ(reg.counter("th.rhs.solved").value(),
+            static_cast<std::int64_t>(st.solved));
+  EXPECT_EQ(st.batches, 3);  // blocks of 2, 2 and 1
+  EXPECT_EQ(reg.counter("th.rhs.batches").value(),
+            static_cast<std::int64_t>(st.batches));
+  EXPECT_EQ(reg.counter("th.rhs.dag.builds").value(),
+            static_cast<std::int64_t>(st.dag_builds));
+  EXPECT_EQ(reg.counter("th.rhs.dag.reuses").value(),
+            static_cast<std::int64_t>(st.dag_reuses));
+  EXPECT_EQ(reg.counter("th.rhs.widest_batch").value(),
+            static_cast<std::int64_t>(st.widest_batch));
+  // publish is set-semantics: publishing twice must not double-count.
+  st.publish_metrics();
+  EXPECT_EQ(reg.counter("th.rhs.solved").value(),
+            static_cast<std::int64_t>(st.solved));
+
+  offset_t spans = 0;
+  for (const obs::Event& e : obs::Recorder::global().events()) {
+    if (std::string(e.name) == "rhs block solve") ++spans;
+  }
+  EXPECT_EQ(spans, static_cast<offset_t>(st.batches));
 }
 
 TEST(ServeRhs, SolveFloodAndMidBatchCancelScenariosHold) {

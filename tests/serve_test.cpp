@@ -179,9 +179,9 @@ TEST(SolverService, DonorBuiltInstanceSharesItsDonorsEnvelopeLists) {
   EXPECT_TRUE(shares());
 }
 
-// Solve prices live in the pattern's cache entry, not in an engine: a
-// refactor (which retires the session's engine) and a second session on the
-// same pattern reuse them and price no width again.
+// Solve prices live in the pattern's cache entry, not in a session's
+// instance: a refactor (which rebuilds the instance) and a second session
+// on the same pattern reuse them and price no width again.
 TEST(SolverService, SolvePricesSurviveRefactorsAndSessions) {
   SolverService svc(small_service());
   const SessionId s1 = svc.open_session("alice", grid(12, 1));
@@ -320,10 +320,11 @@ TEST(SolverService, QueuedSolvesArePricedAsTheirBlock) {
   svc.submit(sid, f);
   svc.drain();
 
-  rhs::BlockSolver pricer(*svc.session_instance(sid)->plu_factorization(),
-                          o.sched, make_process_grid(o.sched.n_ranks));
-  const real_t e1 = pricer.estimate_s(1, o.rhs.schedule);
-  const real_t e5 = pricer.estimate_s(5, o.rhs.schedule);
+  rhs::SolvePrices prices(
+      svc.session_instance(sid)->plu_factorization()->shared_pattern(),
+      o.sched, make_process_grid(o.sched.n_ranks));
+  const real_t e1 = prices.price(1, o.rhs.schedule).makespan_s();
+  const real_t e5 = prices.price(5, o.rhs.schedule).makespan_s();
   ASSERT_LT(e5, 5 * e1);
   for (int i = 0; i < 4; ++i) {
     Request sol;
