@@ -875,12 +875,8 @@ int main(int argc, char** argv) {
         }
         const rhs::BlockSolveResult& br = bsolver.solve(
             blockbuf.data(), static_cast<index_t>(w), ropt.schedule);
-        counts.busy_s += br.makespan_s();
+        counts.add_block(static_cast<index_t>(w), br);
         kernels += br.kernel_count();
-        ++counts.batches;
-        counts.solved += w;
-        counts.widest_batch =
-            std::max(counts.widest_batch, static_cast<offset_t>(w));
         for (int j = 0; j < w; ++j) {
           const std::vector<real_t> px(
               blockbuf.begin() + static_cast<std::size_t>(j) * nn,

@@ -29,6 +29,13 @@ void RhsOptions::validate() const {
                "rhs batch width must be >= 1, got " << max_width);
 }
 
+void RhsStats::add_block(index_t width, const BlockSolveResult& r) {
+  ++batches;
+  solved += width;
+  widest_batch = std::max(widest_batch, static_cast<offset_t>(width));
+  busy_s += r.makespan_s();
+}
+
 void RhsStats::publish_metrics() const {
   if (!obs::enabled()) return;
   auto& reg = obs::Registry::global();

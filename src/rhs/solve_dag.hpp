@@ -106,6 +106,9 @@ struct RhsStats {
   offset_t widest_batch = 0;  // widest block solve executed
   real_t busy_s = 0;          // virtual seconds spent block-solving
 
+  /// Count one executed block solve of `width` right-hand sides.
+  void add_block(index_t width, const BlockSolveResult& r);
+
   /// Mirror these counters into the obs metrics registry under th.rhs.*
   /// (set semantics: publishing twice does not double-count).
   void publish_metrics() const;

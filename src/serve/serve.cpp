@@ -755,11 +755,7 @@ void SolverService::run_solve_batch(Session& s, std::vector<Pending> batch,
   const rhs::BlockSolveResult& r =
       solver.solve(x.data(), width, opt_.rhs.schedule);
   const real_t finish_s = start_s + r.makespan_s();
-  ++rhs_stats_.batches;
-  rhs_stats_.solved += width;
-  rhs_stats_.widest_batch =
-      std::max(rhs_stats_.widest_batch, static_cast<offset_t>(width));
-  rhs_stats_.busy_s += r.makespan_s();
+  rhs_stats_.add_block(width, r);
   if (obs::enabled()) {
     obs::Recorder::global().span(
         obs::Domain::kHost, obs::kRhsTrack, "rhs block solve", "rhs", start_s,

@@ -763,7 +763,7 @@ TEST(ServeRhs, FullyShedBlockRunsNoBlockSolve) {
 // narrower block. Admission accepted its deadline against the backlog it
 // saw; another tenant's factorization, submitted later, runs first in the
 // round-robin turn order ("alice" sorts before "bob").
-TEST(ServeRhs, MemberDueBeforeTheBlockFinishIsShed) {
+TEST(ServeRhs, MemberThatCannotFinishAloneIsShed) {
   serve::ServeOptions o;
   o.sched.n_ranks = 1;
   o.exec_workers = 1;
@@ -792,6 +792,7 @@ TEST(ServeRhs, MemberDueBeforeTheBlockFinishIsShed) {
 
   EXPECT_EQ(done[1].id, late);
   EXPECT_EQ(done[1].status, serve::Completion::Status::kDeadlineMiss);
+  EXPECT_EQ(done[1].detail, "solve cannot finish before its deadline");
   EXPECT_EQ(done[1].start_s, start_s);
   EXPECT_EQ(done[1].finish_s, start_s);  // never ran
   const real_t finish_s = start_s + block_price_s(svc, bob, o, 2);
@@ -809,6 +810,97 @@ TEST(ServeRhs, MemberDueBeforeTheBlockFinishIsShed) {
   EXPECT_EQ(rst.batches, 1);
   EXPECT_EQ(rst.widest_batch, 2);
   EXPECT_EQ(svc.stats().deadline_misses, 1);
+}
+
+// A member that fits alone and fits the block as coalesced is still shed
+// when a cancellation shrinks the block to a width that prices later:
+// solve prices need not be monotone in width. On a 20x20 grid over 2 ranks
+// with one-task batches (a count-only Collector capped at 1), a width-15
+// block prices above a width-16 one. Sixteen solves coalesce; the last,
+// a batch-priority one behind fifteen normal ones, so only the width-16
+// finish was checked against it, is due between the two finishes. One of
+// the others is cancelled, and the settle loop prices the live width 15,
+// sheds the late member and serves the other 14 as one block.
+TEST(ServeRhs, MemberDueBeforeTheBlockFinishIsShed) {
+  const Csr a = grid(20, 3);
+  serve::ServeOptions o;
+  o.sched.n_ranks = 2;
+  o.sched.collector.capacity = CollectorOptions::Capacity::kCountOnly;
+  o.sched.collector.max_task_count = 1;
+  o.exec_workers = 1;
+  o.max_queued_global = 32;
+  o.max_queued_per_tenant = 32;
+  o.rhs.max_width = 16;
+  serve::SolverService svc(o);
+  const serve::SessionId sid = svc.open_session("alice", a);
+  serve::Request f;
+  f.kind = serve::RequestKind::kFactor;
+  svc.submit(sid, f);
+  for (const serve::Completion& c : svc.drain()) {
+    ASSERT_EQ(c.status, serve::Completion::Status::kDone) << c.detail;
+  }
+
+  const real_t e1 = block_price_s(svc, sid, o, 1);
+  const real_t e14 = block_price_s(svc, sid, o, 14);
+  const real_t e15 = block_price_s(svc, sid, o, 15);
+  const real_t e16 = block_price_s(svc, sid, o, 16);
+  ASSERT_LT(e16, e15) << "prices became monotone; pick another budget";
+  ASSERT_LE(e1, e16);
+  const real_t start_s = svc.now_s();
+  const real_t due_s = start_s + 0.5 * (e15 + e16);
+  std::vector<serve::RequestId> served;
+  for (std::uint64_t i = 0; i < 15; ++i) {
+    served.push_back(submit_solve(svc, sid, 600 + i));
+  }
+  const serve::RequestId gone = served[3];
+  served.erase(served.begin() + 3);
+  svc.cancel(gone);
+  serve::Request late_req;
+  late_req.kind = serve::RequestKind::kSolve;
+  late_req.value_seed = 615;
+  late_req.deadline_s = due_s;
+  late_req.priority = serve::Priority::kBatch;  // joins the block last
+  const serve::RequestId late = svc.submit(sid, late_req);
+
+  const std::vector<serve::Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 16u);
+  EXPECT_EQ(done[0].id, gone);
+  EXPECT_EQ(done[0].status, serve::Completion::Status::kCancelled);
+  EXPECT_EQ(done[1].id, late);
+  EXPECT_EQ(done[1].status, serve::Completion::Status::kDeadlineMiss);
+  EXPECT_EQ(done[1].detail, "solve cannot finish before its block does");
+  EXPECT_EQ(done[1].start_s, start_s);
+  EXPECT_EQ(done[1].finish_s, start_s);  // never ran
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    const serve::Completion& c = done[2 + i];
+    EXPECT_EQ(c.id, served[i]);  // block order
+    EXPECT_EQ(c.status, serve::Completion::Status::kDone) << c.detail;
+    EXPECT_EQ(c.start_s, start_s);
+    EXPECT_EQ(c.finish_s, start_s + e14);
+    EXPECT_LT(c.residual, 1e-9);
+  }
+  const rhs::RhsStats rst = svc.rhs_stats();
+  EXPECT_EQ(rst.solved, 14);
+  EXPECT_EQ(rst.batches, 1);
+  EXPECT_EQ(rst.widest_batch, 14);
+  EXPECT_EQ(svc.stats().deadline_misses, 1);
+  EXPECT_EQ(svc.stats().cancelled, 1);
+
+  // The same block with nobody cancelled and the late member due exactly
+  // at the width-16 finish: a finish on the deadline meets it, so all 16
+  // are served.
+  const real_t again_s = svc.now_s();
+  for (std::uint64_t i = 0; i < 15; ++i) submit_solve(svc, sid, 700 + i);
+  late_req.deadline_s = again_s + e16;
+  const serve::RequestId on_time = svc.submit(sid, late_req);
+  const std::vector<serve::Completion> all = svc.drain();
+  ASSERT_EQ(all.size(), 16u);
+  for (const serve::Completion& c : all) {
+    EXPECT_EQ(c.status, serve::Completion::Status::kDone) << c.detail;
+    EXPECT_EQ(c.finish_s, again_s + e16);
+  }
+  EXPECT_EQ(all.back().id, on_time);
+  EXPECT_EQ(svc.rhs_stats().widest_batch, 16);
 }
 
 // The served block solves mirror into th.rhs.* exactly, and each one left
