@@ -107,6 +107,19 @@ std::vector<index_t> envelope_list(index_t count, Rng& rng) {
   return all;
 }
 
+// A zeroed 64x64 panel over copies of the lists and their position maps,
+// which it owns.
+Tile make_panel(const std::vector<index_t>& rows,
+                const std::vector<index_t>& cols) {
+  struct Owned {
+    std::vector<index_t> rows, cols;
+    std::vector<std::int16_t> row_pos, col_pos;
+  };
+  const auto o = std::make_shared<const Owned>(
+      Owned{rows, cols, position_map(rows, 64), position_map(cols, 64)});
+  return Tile({o->rows, o->cols, o->row_pos, o->col_pos}, o);
+}
+
 // The shape of one SSSSM task on envelope panels of 64x64 tiles: L's row
 // and column counts, U's row count (`shared` of them L's columns, the
 // inner indices) and column count, U's share of nonzero entries, and
@@ -145,20 +158,15 @@ void BM_TileSsssmPacked(benchmark::State& state, SsssmShape shape) {
     c_rows.erase(std::find(c_rows.begin(), c_rows.end(), l_rows[5]));
   }
   const std::vector<index_t> c_cols = envelope_list(64, rng);
-  // The tiles own copies of their lists through one shared owner.
-  const auto lists = std::make_shared<const std::vector<std::vector<index_t>>>(
-      std::vector<std::vector<index_t>>{l_rows, l_cols, u_rows, u_cols, c_rows,
-                                        c_cols});
-  const auto& env = *lists;
-  Tile l(64, 64, env[0], env[1], lists);
+  Tile l = make_panel(l_rows, l_cols);
   for (offset_t i = 0; i < l.panel_size(); ++i) {
     l.data()[i] = rng.uniform(-1, 1);
   }
-  Tile u(64, 64, env[2], env[3], lists);
+  Tile u = make_panel(u_rows, u_cols);
   for (offset_t i = 0; i < u.panel_size(); ++i) {
     if (rng.next_real() < shape.u_density) u.data()[i] = rng.uniform(-1, 1);
   }
-  Tile c(64, 64, env[4], env[5], lists);
+  Tile c = make_panel(c_rows, c_cols);
   const std::int64_t kept = shape.l_rows - (shape.drop_row ? 1 : 0);
   std::int64_t terms = 0;
   for (index_t jj = 0; jj < u.panel_cols(); ++jj) {
@@ -178,6 +186,45 @@ void BM_TileSsssmPacked(benchmark::State& state, SsssmShape shape) {
 }
 BENCHMARK_CAPTURE(BM_TileSsssmPacked, fill3d, kFill3dTask);
 BENCHMARK_CAPTURE(BM_TileSsssmPacked, c71, kC71Task);
+
+// The triangular tile tasks on a factored 64x64 diagonal tile, over a
+// target panel of the given rows x columns: 23 x 24 is c-71's partial
+// panel shape (perfbench transient), 64 x 64 the full tile. Each
+// iteration restores the target. Items are the dense flops, 2 per
+// (row, column, inner index) of the triangle.
+template <bool kGeesm>
+void tile_trsm_bench(benchmark::State& state) {
+  const auto m = static_cast<index_t>(state.range(0));
+  const auto n = static_cast<index_t>(state.range(1));
+  Rng rng(9);
+  Tile d(64, 64);
+  const std::vector<real_t> dd = random_matrix(64, rng, true);
+  std::copy(dd.begin(), dd.end(), d.data());
+  tile_getrf(d);
+  Tile t = make_panel(envelope_list(m, rng), envelope_list(n, rng));
+  for (offset_t i = 0; i < t.panel_size(); ++i) {
+    t.data()[i] = rng.uniform(-1, 1);
+  }
+  const std::vector<real_t> a0(t.data(), t.data() + t.panel_size());
+  for (auto _ : state) {
+    std::copy(a0.begin(), a0.end(), t.data());
+    if (kGeesm) {
+      tile_geesm(t, d);
+    } else {
+      tile_tstrf(t, d);
+    }
+    benchmark::DoNotOptimize(t.data());
+    benchmark::ClobberMemory();
+  }
+  // GEESM folds m x m into each of n columns, TSTRF n x n into m rows.
+  const std::int64_t tri = kGeesm ? m : n;
+  state.SetItemsProcessed(state.iterations() * (kGeesm ? n : m) * tri *
+                          (tri - 1));
+}
+void BM_TileGeesm(benchmark::State& state) { tile_trsm_bench<true>(state); }
+void BM_TileTstrf(benchmark::State& state) { tile_trsm_bench<false>(state); }
+BENCHMARK(BM_TileGeesm)->Args({23, 24})->Args({64, 64});
+BENCHMARK(BM_TileTstrf)->Args({23, 24})->Args({64, 64});
 
 // One block triangular solve (tri_solve_in_order, forward and backward)
 // on the perfbench transient factor: c-71, default ordering, 64-wide

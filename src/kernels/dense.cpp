@@ -32,8 +32,11 @@ void getrf_nopiv(index_t n, real_t* a, index_t lda) {
   }
 }
 
-void trsm_lower_left_unit(index_t m, index_t n, const real_t* l, index_t ldl,
-                          real_t* b, index_t ldb) {
+namespace {
+
+// Right-looking: one axpy_minus per nonzero coefficient.
+void trsm_lower_left_unit_portable(index_t m, index_t n, const real_t* l,
+                                   index_t ldl, real_t* b, index_t ldb) {
   for (index_t j = 0; j < n; ++j) {
     real_t* colb = b + j * static_cast<offset_t>(ldb);
     for (index_t k = 0; k < m; ++k) {
@@ -44,8 +47,6 @@ void trsm_lower_left_unit(index_t m, index_t n, const real_t* l, index_t ldl,
     }
   }
 }
-
-namespace {
 
 // Portable reference bodies: right-looking, one axpy_minus per nonzero
 // coefficient. The AVX2 and AVX-512 bodies below give every element the
@@ -424,13 +425,128 @@ __attribute__((target("avx512f,avx512vl"))) void gemm_minus_indexed_avx512(
     }
   }
 }
+
+// trsm_upper_right's AVX-512 body: the AVX2 body's left-looking order,
+// each column folded by the SSSSM row-block body (identity lists, one
+// target column), then scaled.
+__attribute__((target("avx512f,avx512vl"))) void trsm_upper_right_avx512(
+    index_t m, index_t n, const real_t* u, index_t ldu, real_t* b,
+    index_t ldb) {
+  for (index_t j = 0; j < n; ++j) {
+    const real_t* ucol = u + j * static_cast<offset_t>(ldu);
+    const real_t ujj = ucol[j];
+    TH_CHECK_MSG(std::fabs(ujj) > kTinyPivot,
+                 "singular U diagonal in trsm_upper_right at " << j);
+    real_t* colj = b + j * static_cast<offset_t>(ldb);
+    for (index_t i0 = 0; i0 < m; i0 += kRowBlock) {
+      const index_t rows = std::min(kRowBlock, m - i0);
+      const int nv = static_cast<int>((rows + 7) / 8);
+      const RowBlock blk{j,       b + i0, ldb, nullptr, nullptr, nullptr, i0,
+                         static_cast<__mmask8>(0xFFu >> (8 * nv - rows))};
+      fold_rows_avx512<false>(nv, blk, ucol, nullptr, colj, nullptr);
+    }
+    simd::detail::scale_avx2(m, colj, 1.0 / ujj);
+  }
+}
+
+// The forward substitution on RHS-interleaved groups. Rows run in blocks,
+// left-looking: a block's lanes stay in registers while the final rows
+// c < i0 are applied, then the in-block triangle. Each element still takes
+// its terms in ascending c from final x[c], so it equals the portable
+// right-looking sweep bit for bit. A zero x[c] is masked per lane
+// (NEQ_UQ drops +-0.0 and keeps NaN, as != 0.0 does), and a masked step is
+// mask_mov over a plain subtract, as in the SSSSM body.
+template <int NR>
+__attribute__((target("avx512f,avx512vl"))) void forward_rows_avx512(
+    const real_t* l, offset_t ldl, index_t i0, real_t* x) {
+  constexpr index_t kL = kGroupLanes;
+  const __m512d zero = _mm512_setzero_pd();
+  __m512d acc[NR];
+#pragma GCC unroll 16
+  for (int j = 0; j < NR; ++j) acc[j] = _mm512_loadu_pd(x + (i0 + j) * kL);
+  for (index_t c = 0; c < i0; ++c) {
+    const __m512d v = _mm512_loadu_pd(x + c * kL);
+    const __mmask8 nz = _mm512_cmp_pd_mask(v, zero, _CMP_NEQ_UQ);
+    if (nz == 0) continue;
+    const real_t* lc = l + c * ldl + i0;
+#pragma GCC unroll 16
+    for (int j = 0; j < NR; ++j) {
+      const __m512d prod = _mm512_mul_pd(_mm512_set1_pd(lc[j]), v);
+      acc[j] = _mm512_mask_mov_pd(acc[j], nz, _mm512_sub_pd(acc[j], prod));
+    }
+  }
+#pragma GCC unroll 16
+  for (int c = 0; c < NR; ++c) {
+    const __mmask8 nz = _mm512_cmp_pd_mask(acc[c], zero, _CMP_NEQ_UQ);
+    const real_t* lc = l + (i0 + c) * ldl + i0;
+#pragma GCC unroll 16
+    for (int j = c + 1; j < NR; ++j) {
+      const __m512d prod = _mm512_mul_pd(_mm512_set1_pd(lc[j]), acc[c]);
+      acc[j] = _mm512_mask_mov_pd(acc[j], nz, _mm512_sub_pd(acc[j], prod));
+    }
+  }
+#pragma GCC unroll 16
+  for (int j = 0; j < NR; ++j) _mm512_storeu_pd(x + (i0 + j) * kL, acc[j]);
+}
+
+// trsm_lower_left_unit on groups of kGroupLanes columns of B, each through
+// an interleaved copy whose lanes past n hold zero.
+void trsm_lower_left_unit_avx512(index_t m, index_t n, const real_t* l,
+                                 index_t ldl, real_t* b, index_t ldb) {
+  constexpr index_t kL = kGroupLanes;
+  thread_local std::vector<real_t> buf;
+  if (buf.size() < static_cast<std::size_t>(m) * kL) {
+    buf.resize(static_cast<std::size_t>(m) * kL);
+  }
+  real_t* x = buf.data();
+  for (index_t j0 = 0; j0 < n; j0 += kL) {
+    const index_t lanes = std::min(kL, n - j0);
+    real_t* b0 = b + j0 * static_cast<offset_t>(ldb);
+    for (index_t i = 0; i < m; ++i) {
+      for (index_t r = 0; r < kL; ++r) {
+        x[i * kL + r] = r < lanes ? b0[i + r * static_cast<offset_t>(ldb)]
+                                  : 0.0;
+      }
+    }
+    forward_group_avx512(m, l, ldl, x);
+    for (index_t i = 0; i < m; ++i) {
+      for (index_t r = 0; r < lanes; ++r) {
+        b0[i + r * static_cast<offset_t>(ldb)] = x[i * kL + r];
+      }
+    }
+  }
+}
 #endif  // TH_KERNELS_SIMD_AVX2
 
 }  // namespace
 
+#if defined(TH_KERNELS_SIMD_AVX2)
+void forward_group_avx512(index_t m, const real_t* l, index_t ldl,
+                          real_t* x) {
+  for_row_blocks(m, [&](auto nr, index_t i) {
+    forward_rows_avx512<decltype(nr)::value>(l, ldl, i, x);
+  });
+}
+#endif
+
+void trsm_lower_left_unit(index_t m, index_t n, const real_t* l, index_t ldl,
+                          real_t* b, index_t ldb) {
+#if defined(TH_KERNELS_SIMD_AVX2)
+  if (simd::avx512_active()) {
+    trsm_lower_left_unit_avx512(m, n, l, ldl, b, ldb);
+    return;
+  }
+#endif
+  trsm_lower_left_unit_portable(m, n, l, ldl, b, ldb);
+}
+
 void trsm_upper_right(index_t m, index_t n, const real_t* u, index_t ldu,
                       real_t* b, index_t ldb) {
 #if defined(TH_KERNELS_SIMD_AVX2)
+  if (simd::avx512_active()) {
+    trsm_upper_right_avx512(m, n, u, ldu, b, ldb);
+    return;
+  }
   if (simd::avx2_active()) {
     trsm_upper_right_avx2(m, n, u, ldu, b, ldb);
     return;

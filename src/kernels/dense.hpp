@@ -12,6 +12,9 @@
 // producing NaNs.
 #pragma once
 
+#include <type_traits>
+
+#include "kernels/simd.hpp"
 #include "support/types.hpp"
 
 namespace th {
@@ -22,9 +25,45 @@ namespace th {
 void getrf_nopiv(index_t n, real_t* a, index_t lda);
 
 /// B := L^{-1} * B, where L is m x m unit lower triangular (diagonal not
-/// read), B is m x n. Used by GEESM: U(k,j) = L(k,k)^{-1} A(k,j).
+/// read), B is m x n. Used by GEESM: U(k,j) = L(k,k)^{-1} A(k,j). On an
+/// AVX-512 path it runs forward_group_avx512 on groups of kGroupLanes
+/// columns.
 void trsm_lower_left_unit(index_t m, index_t n, const real_t* l, index_t ldl,
                           real_t* b, index_t ldb);
+
+/// Runs block(nr, i) over rows [0, m): blocks of nr = 16 rows, then at
+/// most one block each of 8, 4, 2 and 1 rows, nr a std::integral_constant.
+/// The row blocking of the register-resident group bodies.
+template <class Block>
+void for_row_blocks(index_t m, Block&& block) {
+  index_t i = 0;
+  for (; i + 16 <= m; i += 16) block(std::integral_constant<int, 16>{}, i);
+  const auto tail = [&](auto nr) {
+    if (m - i >= nr) {
+      block(nr, i);
+      i += nr;
+    }
+  };
+  tail(std::integral_constant<int, 8>{});
+  tail(std::integral_constant<int, 4>{});
+  tail(std::integral_constant<int, 2>{});
+  tail(std::integral_constant<int, 1>{});
+}
+
+#if defined(TH_KERNELS_SIMD_AVX2)
+/// Right-hand sides per RHS-interleaved group: one zmm register of doubles.
+constexpr index_t kGroupLanes = 8;
+
+/// x := L^{-1} x for kGroupLanes right-hand sides held RHS-interleaved
+/// (x[i * kGroupLanes + r] is row i of side r), L m x m unit lower
+/// triangular with leading dimension ldl (strictly lower part read). Each
+/// lane gets trsm_lower_left_unit's portable operation sequence: a
+/// multiply, then a subtract, terms in ascending k, a zero x[k] skipped.
+/// The GEESM body and the block solve's forward substitution
+/// (solvers/trisolve.cpp). Call it only while simd::avx512_active().
+void forward_group_avx512(index_t m, const real_t* l, index_t ldl,
+                          real_t* x);
+#endif
 
 /// B := B * U^{-1}, where U is n x n upper triangular (non-unit diagonal),
 /// B is m x n. Used by TSTRF: L(i,k) = A(i,k) U(k,k)^{-1}. Rows are

@@ -11,18 +11,22 @@ namespace th {
 
 namespace {
 
-// Panel position of in-tile index x in a sorted list, or -1 when x is not
-// in the envelope.
-index_t find_pos(std::span<const index_t> idx, index_t x) {
-  const auto it = std::lower_bound(idx.begin(), idx.end(), x);
-  return it != idx.end() && *it == x ? static_cast<index_t>(it - idx.begin())
-                                     : -1;
-}
-
 bool sorted_in(std::span<const index_t> idx, index_t extent) {
   for (std::size_t p = 0; p < idx.size(); ++p) {
     if (idx[p] < 0 || idx[p] >= extent) return false;
     if (p > 0 && idx[p - 1] >= idx[p]) return false;
+  }
+  return true;
+}
+
+// Whether `map` sends each listed in-tile index (all in range) to its
+// position (the entries elsewhere are the pattern's to keep at -1).
+bool maps_invert(std::span<const std::int16_t> map,
+                 std::span<const index_t> idx) {
+  for (std::size_t p = 0; p < idx.size(); ++p) {
+    if (map[static_cast<std::size_t>(idx[p])] != static_cast<index_t>(p)) {
+      return false;
+    }
   }
   return true;
 }
@@ -37,31 +41,35 @@ T* workspace(std::vector<T>& buf, std::size_t n) {
 
 }  // namespace
 
-Tile::Tile(index_t rows, index_t cols) : rows_(rows), cols_(cols) {
+Tile::Tile(index_t rows, index_t cols) {
   TH_CHECK(rows > 0 && cols > 0);
-  auto iota = std::make_shared<std::vector<index_t>>(
-      static_cast<std::size_t>(std::max(rows, cols)));
-  std::iota(iota->begin(), iota->end(), 0);
-  row_idx_ = {iota->data(), static_cast<std::size_t>(rows)};
-  col_idx_ = {iota->data(), static_cast<std::size_t>(cols)};
-  lists_owner_ = std::move(iota);
+  // The full envelope: every index listed, each map the identity.
+  struct Full {
+    std::vector<index_t> iota;
+    std::vector<std::int16_t> pos;
+  };
+  auto full = std::make_shared<Full>();
+  full->iota.resize(static_cast<std::size_t>(std::max(rows, cols)));
+  std::iota(full->iota.begin(), full->iota.end(), 0);
+  full->pos = position_map(full->iota, std::max(rows, cols));
+  env_ = {{full->iota.data(), static_cast<std::size_t>(rows)},
+          {full->iota.data(), static_cast<std::size_t>(cols)},
+          {full->pos.data(), static_cast<std::size_t>(rows)},
+          {full->pos.data(), static_cast<std::size_t>(cols)}};
+  lists_owner_ = std::move(full);
   data_.assign(static_cast<std::size_t>(panel_size()), 0.0);
 }
 
-Tile::Tile(index_t rows, index_t cols, std::span<const index_t> row_idx,
-           std::span<const index_t> col_idx,
-           std::shared_ptr<const void> owner)
-    : rows_(rows),
-      cols_(cols),
-      row_idx_(row_idx),
-      col_idx_(col_idx),
-      lists_owner_(std::move(owner)) {
-  TH_CHECK(rows > 0 && cols > 0);
+Tile::Tile(const TileEnvelope& env, std::shared_ptr<const void> owner)
+    : env_(env), lists_owner_(std::move(owner)) {
   TH_CHECK_MSG(lists_owner_ != nullptr, "a tile panel must own its lists");
-  TH_CHECK_MSG(!row_idx.empty() && !col_idx.empty(),
+  TH_CHECK_MSG(!env.rows.empty() && !env.cols.empty(),
                "a tile panel needs at least one row and one column");
-  TH_CHECK_MSG(sorted_in(row_idx, rows) && sorted_in(col_idx, cols),
+  TH_CHECK_MSG(sorted_in(env.rows, rows()) && sorted_in(env.cols, cols()),
                "tile envelope lists must be sorted in-tile indices");
+  TH_CHECK_MSG(maps_invert(env.row_pos, env.rows) &&
+                   maps_invert(env.col_pos, env.cols),
+               "tile position maps must invert the envelope lists");
   data_.assign(static_cast<std::size_t>(panel_size()), 0.0);
 }
 
@@ -80,9 +88,9 @@ void Tile::adopt_panel(std::vector<real_t> data) {
 }
 
 real_t Tile::at(index_t r, index_t c) const {
-  TH_CHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
-  const index_t pr = find_pos(row_idx_, r);
-  const index_t pc = find_pos(col_idx_, c);
+  TH_CHECK(r >= 0 && r < rows() && c >= 0 && c < cols());
+  const index_t pr = env_.row_pos[r];
+  const index_t pc = env_.col_pos[c];
   if (pr < 0 || pc < 0) return 0.0;
   return data_[static_cast<std::size_t>(pc) * ld() + pr];
 }
@@ -94,8 +102,7 @@ TileMatrix::TileMatrix(const Csr& a,
   TH_CHECK(a.n_rows == p.n && a.n_cols == p.n);
   tiles_.reserve(static_cast<std::size_t>(p.nt + 2 * p.col_ptr.back()));
   auto add = [&](index_t i, index_t j) {
-    tiles_.emplace_back(p.rows_in_tile(i), p.rows_in_tile(j),
-                        p.env_rows(i, j), p.env_cols(i, j), pattern_);
+    tiles_.emplace_back(p.envelope(i, j), pattern_);
   };
   for (index_t k = 0; k < p.nt; ++k) {
     add(k, k);
@@ -104,18 +111,24 @@ TileMatrix::TileMatrix(const Csr& a,
   }
   // A's rows are duplicate-free (sparse/convert.hpp), so each entry lands
   // in its own panel entry and every other one stays +0.0. The
-  // envelope covers A's pattern (the fill includes it).
+  // envelope covers A's pattern (the fill includes it). A row's columns
+  // ascend, so its entries in one tile are consecutive: the tile and the
+  // row's panel row are looked up once per run.
   const index_t b = p.tile_size;
   for (index_t r = 0; r < a.n_rows; ++r) {
     const index_t I = r / b;
+    Tile* t = nullptr;
+    index_t J = -1;
+    index_t pr = -1;
     for (offset_t q = a.row_ptr[r]; q < a.row_ptr[r + 1]; ++q) {
       const index_t cidx = a.col_idx[q];
-      const index_t J = cidx / b;
-      Tile* t = tile(I, J);
-      TH_ASSERT(t != nullptr);
-      const index_t pr = find_pos(t->row_idx(), r - I * b);
-      const index_t pc = find_pos(t->col_idx(), cidx - J * b);
-      TH_CHECK_MSG(pr >= 0 && pc >= 0,
+      if (cidx / b != J) {
+        J = cidx / b;
+        t = tile(I, J);
+        pr = t != nullptr ? t->row_pos()[r - I * b] : -1;
+      }
+      const index_t pc = pr >= 0 ? t->col_pos()[cidx - J * b] : -1;
+      TH_CHECK_MSG(pc >= 0,
                    "entry (" << r << "," << cidx
                              << ") of A lies outside its tile's envelope");
       t->data()[static_cast<offset_t>(pc) * t->ld() + pr] = a.values[q];
@@ -214,23 +227,20 @@ void tile_ssssm(Tile& c, const Tile& l, const Tile& u) {
   TH_CHECK(c.rows() == l.rows() && c.cols() == u.cols());
   const index_t m = l.panel_rows();
 
-  // Inner indices: L's columns ∩ U's rows, as positions in each list. An
-  // index missing from either side multiplies an exact zero.
+  // Inner indices: L's columns ∩ U's rows, as positions in each list, in
+  // ascending order. An index missing from either side multiplies an
+  // exact zero.
   thread_local std::vector<index_t> lpos_buf, upos_buf, rmap_buf;
   const auto lc = l.col_idx();
-  const auto ur = u.row_idx();
+  const auto urow = u.row_pos();
   index_t* lpos = workspace(lpos_buf, lc.size());
   index_t* upos = workspace(upos_buf, lc.size());
   index_t k = 0;
-  for (std::size_t a = 0, b = 0; a < lc.size() && b < ur.size();) {
-    if (lc[a] < ur[b]) {
-      ++a;
-    } else if (ur[b] < lc[a]) {
-      ++b;
-    } else {
-      lpos[k] = static_cast<index_t>(a++);
-      upos[k++] = static_cast<index_t>(b++);
-    }
+  for (std::size_t a = 0; a < lc.size(); ++a) {
+    const index_t q = urow[lc[a]];
+    if (q < 0) continue;
+    lpos[k] = static_cast<index_t>(a);
+    upos[k++] = q;
   }
   if (k == 0) return;
 
@@ -239,12 +249,11 @@ void tile_ssssm(Tile& c, const Tile& l, const Tile& u) {
   // of C's (C's own rows included), the kernel reads C's columns from the
   // run's first row on, with no map.
   const auto lr = l.row_idx();
-  const auto cr = c.row_idx();
+  const auto crow = c.row_pos();
   index_t* rmap = workspace(rmap_buf, static_cast<std::size_t>(m));
   bool all_mapped = true;
-  for (index_t ii = 0, q = 0; ii < m; ++ii) {
-    while (q < c.panel_rows() && cr[q] < lr[ii]) ++q;
-    rmap[ii] = q < c.panel_rows() && cr[q] == lr[ii] ? q : -1;
+  for (index_t ii = 0; ii < m; ++ii) {
+    rmap[ii] = crow[lr[ii]];
     all_mapped = all_mapped && rmap[ii] >= 0;
   }
   const bool run = all_mapped && rmap[m - 1] - rmap[0] == m - 1;
@@ -256,12 +265,11 @@ void tile_ssssm(Tile& c, const Tile& l, const Tile& u) {
   const index_t n = u.panel_cols();
   real_t** cols = workspace(cols_buf, static_cast<std::size_t>(n));
   const auto uc = u.col_idx();
-  const auto cc = c.col_idx();
-  for (index_t j = 0, q = 0; j < n; ++j) {
-    while (q < c.panel_cols() && cc[q] < uc[j]) ++q;
-    cols[j] = q < c.panel_cols() && cc[q] == uc[j]
-                  ? c.data() + static_cast<offset_t>(q) * c.ld() + row0
-                  : nullptr;
+  const auto ccol = c.col_pos();
+  for (index_t j = 0; j < n; ++j) {
+    const index_t q = ccol[uc[j]];
+    cols[j] = q >= 0 ? c.data() + static_cast<offset_t>(q) * c.ld() + row0
+                     : nullptr;
   }
   gemm_minus_indexed(m, n, k, l.data(), l.ld(), lpos, u.data(), u.ld(), upos,
                      run ? nullptr : rmap, cols);

@@ -23,27 +23,31 @@ class Tile {
  public:
   /// A full rows × cols tile (every in-tile row and column listed), zeroed.
   Tile(index_t rows, index_t cols);
-  /// A zeroed panel over sorted, non-empty in-tile row and column lists.
-  /// `owner` (required) keeps the lists alive for the tile and its copies;
+  /// A zeroed panel over an envelope's sorted, non-empty in-tile row and
+  /// column lists and their position maps, which span the tile's shape.
+  /// `owner` (required) keeps them alive for the tile and its copies;
   /// TileMatrix passes its pattern.
-  Tile(index_t rows, index_t cols, std::span<const index_t> row_idx,
-       std::span<const index_t> col_idx, std::shared_ptr<const void> owner);
+  Tile(const TileEnvelope& env, std::shared_ptr<const void> owner);
 
   /// The logical tile shape (b × b, smaller on the last block row/col).
-  index_t rows() const { return rows_; }
-  index_t cols() const { return cols_; }
+  index_t rows() const { return static_cast<index_t>(env_.row_pos.size()); }
+  index_t cols() const { return static_cast<index_t>(env_.col_pos.size()); }
 
   /// The envelope: panel row p is in-tile row row_idx()[p], likewise cols.
-  std::span<const index_t> row_idx() const { return row_idx_; }
-  std::span<const index_t> col_idx() const { return col_idx_; }
-  index_t panel_rows() const { return static_cast<index_t>(row_idx_.size()); }
-  index_t panel_cols() const { return static_cast<index_t>(col_idx_.size()); }
+  std::span<const index_t> row_idx() const { return env_.rows; }
+  std::span<const index_t> col_idx() const { return env_.cols; }
+  /// The inverse maps: row_pos()[r] is in-tile row r's panel row, -1 when
+  /// r is outside the envelope; likewise columns. Shared per pattern.
+  std::span<const std::int16_t> row_pos() const { return env_.row_pos; }
+  std::span<const std::int16_t> col_pos() const { return env_.col_pos; }
+  index_t panel_rows() const { return static_cast<index_t>(env_.rows.size()); }
+  index_t panel_cols() const { return static_cast<index_t>(env_.cols.size()); }
   offset_t panel_size() const {
     return static_cast<offset_t>(panel_rows()) * panel_cols();
   }
   /// True when the panel covers the whole tile (diagonal tiles).
   bool full() const {
-    return panel_rows() == rows_ && panel_cols() == cols_;
+    return panel_rows() == rows() && panel_cols() == cols();
   }
 
   /// Number of stored entries that are not zero.
@@ -59,15 +63,11 @@ class Tile {
   /// a spilled or committed payload byte-exact (src/mem, src/serve).
   void adopt_panel(std::vector<real_t> data);
 
-  /// Read one logical element: 0 outside the envelope (bounds-checked;
-  /// tests and diagnostics only).
+  /// Read one logical element: 0 outside the envelope (bounds-checked).
   real_t at(index_t r, index_t c) const;
 
  private:
-  index_t rows_;
-  index_t cols_;
-  std::span<const index_t> row_idx_;
-  std::span<const index_t> col_idx_;
+  TileEnvelope env_;
   std::shared_ptr<const void> lists_owner_;
   std::vector<real_t> data_;
 };

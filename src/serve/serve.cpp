@@ -282,7 +282,11 @@ real_t SolverService::backlog_estimate_s(SessionId sid, RequestKind kind) {
     const index_t width = std::exchange(run[id], 0);
     if (width == 0) return;
     const Session& s = sessions_.at(id);
-    sum += static_cast<real_t>(width / cap) * solve_estimate_s(s, cap);
+    // Price only the widths the run forms: a run narrower than the cap
+    // never replays the cap's solve DAG.
+    if (width / cap != 0) {
+      sum += static_cast<real_t>(width / cap) * solve_estimate_s(s, cap);
+    }
     if (width % cap != 0) sum += solve_estimate_s(s, width % cap);
   };
   const auto add = [&](SessionId id, RequestKind k) {

@@ -19,18 +19,11 @@ namespace {
 // tasks (model only).
 constexpr real_t kSparseDensityThreshold = 0.25;
 
-// True when two sorted index lists share an entry.
-bool lists_meet(std::span<const index_t> a, std::span<const index_t> b) {
-  for (std::size_t p = 0, q = 0; p < a.size() && q < b.size();) {
-    if (a[p] < b[q]) {
-      ++p;
-    } else if (b[q] < a[p]) {
-      ++q;
-    } else {
-      return true;
-    }
-  }
-  return false;
+// True when a sorted index list shares an entry with the list whose
+// position map is `pos`.
+bool lists_meet(std::span<const index_t> a,
+                std::span<const std::int16_t> pos) {
+  return std::ranges::any_of(a, [&](index_t x) { return pos[x] >= 0; });
 }
 
 }  // namespace
@@ -342,7 +335,7 @@ TaskGraph PluFactorization::build_graph() const {
       const index_t l_cons = cons(i, k);
       const real_t l_dens = tile_density(i, k);
       for (offset_t qj = p.col_ptr[k]; qj < p.col_ptr[k + 1]; ++qj) {
-        if (!lists_meet(inner, tiles_->upper(k, qj).row_idx())) continue;
+        if (!lists_meet(inner, tiles_->upper(k, qj).row_pos())) continue;
         const index_t j = p.tile_row[qj];
         const index_t bj = p.rows_in_tile(j);
         // A shared inner index c gives L(r,c) != 0 and U(c,s) != 0 with

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <memory>
 #include <span>
-#include <type_traits>
 
+#include "kernels/dense.hpp"
 #include "kernels/flops.hpp"
 #include "kernels/simd.hpp"
 #include "support/error.hpp"
@@ -129,7 +129,7 @@ void solve_columns(const PluFactorization& fact, real_t* x, index_t nrhs) {
 // the SSSSM body, a masked step is mask_mov over a plain add or subtract,
 // which an FMA target would contract without the flag, so SolveBits.*
 // fails the moment the flag goes.
-constexpr index_t kLanes = 8;
+constexpr index_t kLanes = kGroupLanes;
 
 // add_update + fold_update for panel rows [0, NR) of an update tile:
 // xd[rows[i]] -= sum_c t[i + c * ld] * xs[cols[c]], in registers.
@@ -159,24 +159,6 @@ __attribute__((target("avx512f,avx512vl"))) void update_rows_avx512(
   }
 }
 
-// Runs block(nr, i) over rows [0, m): blocks of nr = 16 rows, then at most
-// one block each of 8, 4, 2 and 1 rows, nr a std::integral_constant.
-template <class Block>
-void for_row_blocks(index_t m, Block&& block) {
-  index_t i = 0;
-  for (; i + 16 <= m; i += 16) block(std::integral_constant<int, 16>{}, i);
-  const auto tail = [&](auto nr) {
-    if (m - i >= nr) {
-      block(nr, i);
-      i += nr;
-    }
-  };
-  tail(std::integral_constant<int, 8>{});
-  tail(std::integral_constant<int, 4>{});
-  tail(std::integral_constant<int, 2>{});
-  tail(std::integral_constant<int, 1>{});
-}
-
 // x[dst] -= T x[src] for the whole group.
 void update_group_avx512(const Tile& t, const real_t* xs, real_t* xd) {
   for_row_blocks(t.panel_rows(), [&](auto nr, index_t i) {
@@ -186,52 +168,13 @@ void update_group_avx512(const Tile& t, const real_t* xs, real_t* xd) {
   });
 }
 
-// Forward substitution on rows [i0, i0 + NR) of a w x w unit-lower
-// diagonal tile, left-looking: the rows' lanes stay in registers while
-// columns c < i0 (already final) are applied, then the in-block triangle.
-// Each row still takes its terms in ascending c from final x[c], so the
-// result equals substitute()'s right-looking sweep bit for bit.
-template <int NR>
-__attribute__((target("avx512f,avx512vl"))) void forward_rows_avx512(
-    const real_t* dd, index_t w, index_t i0, real_t* xk) {
-  const __m512d zero = _mm512_setzero_pd();
-  __m512d acc[NR];
-#pragma GCC unroll 16
-  for (int j = 0; j < NR; ++j) acc[j] = _mm512_load_pd(xk + (i0 + j) * kLanes);
-  for (index_t c = 0; c < i0; ++c) {
-    const __m512d v = _mm512_load_pd(xk + c * kLanes);
-    const __mmask8 nz = _mm512_cmp_pd_mask(v, zero, _CMP_NEQ_UQ);
-    if (nz == 0) continue;
-    const real_t* dc = dd + static_cast<offset_t>(c) * w + i0;
-#pragma GCC unroll 16
-    for (int j = 0; j < NR; ++j) {
-      const __m512d prod = _mm512_mul_pd(_mm512_set1_pd(dc[j]), v);
-      acc[j] = _mm512_mask_mov_pd(acc[j], nz, _mm512_sub_pd(acc[j], prod));
-    }
-  }
-#pragma GCC unroll 16
-  for (int c = 0; c < NR; ++c) {
-    const __mmask8 nz = _mm512_cmp_pd_mask(acc[c], zero, _CMP_NEQ_UQ);
-    const real_t* dc = dd + static_cast<offset_t>(i0 + c) * w + i0;
-#pragma GCC unroll 16
-    for (int j = c + 1; j < NR; ++j) {
-      const __m512d prod = _mm512_mul_pd(_mm512_set1_pd(dc[j]), acc[c]);
-      acc[j] = _mm512_mask_mov_pd(acc[j], nz, _mm512_sub_pd(acc[j], prod));
-    }
-  }
-#pragma GCC unroll 16
-  for (int j = 0; j < NR; ++j) _mm512_store_pd(xk + (i0 + j) * kLanes, acc[j]);
-}
-
 // substitute() for the whole group on the interleaved block row xk.
 __attribute__((target("avx512f,avx512vl"))) void substitute_group_avx512(
     const Tile& d, real_t* xk, bool forward) {
   const index_t w = d.rows();
   const real_t* dd = d.data();  // diagonal tiles are full: ld() == w
   if (forward) {
-    for_row_blocks(w, [&](auto nr, index_t i) {
-      forward_rows_avx512<decltype(nr)::value>(dd, w, i, xk);
-    });
+    forward_group_avx512(w, dd, w, xk);
   } else {
     // The strided dot product becomes one broadcast multiply-subtract per
     // (c, i) across the group; no zero skip, as in substitute().

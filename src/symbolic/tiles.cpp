@@ -8,6 +8,49 @@
 
 namespace th {
 
+namespace {
+constexpr index_t kMaxMapExtent = 32767;  // every position fits int16
+}  // namespace
+
+std::vector<std::int16_t> position_map(std::span<const index_t> idx,
+                                       index_t extent) {
+  TH_CHECK_MSG(extent <= kMaxMapExtent,
+               "position maps hold tiles of at most " << kMaxMapExtent
+                                                      << " rows");
+  std::vector<std::int16_t> map(static_cast<std::size_t>(extent), -1);
+  for (std::size_t q = 0; q < idx.size(); ++q) {
+    TH_CHECK(idx[q] >= 0 && idx[q] < extent);
+    map[static_cast<std::size_t>(idx[q])] = static_cast<std::int16_t>(q);
+  }
+  return map;
+}
+
+TileEnvelope TilePattern::envelope(index_t i, index_t j) const {
+  const auto len = [&](index_t x) {
+    return static_cast<std::size_t>(rows_in_tile(x));
+  };
+  if (i == j) {
+    return {{iota.data(), len(i)},
+            {iota.data(), len(i)},
+            {pos_iota.data(), len(i)},
+            {pos_iota.data(), len(i)}};
+  }
+  const offset_t p = find(i, j);
+  if (p < 0) return {};
+  // Slice s of the lower tile: its rows (s = 2p) or columns (2p + 1).
+  const auto list = [&](offset_t s) -> std::span<const index_t> {
+    return {env.data() + env_ptr[s],
+            static_cast<std::size_t>(env_ptr[s + 1] - env_ptr[s])};
+  };
+  const auto map = [&](offset_t s,
+                        index_t x) -> std::span<const std::int16_t> {
+    return {pos.data() + s * tile_size, len(x)};
+  };
+  const offset_t r = 2 * p + (i < j ? 1 : 0);  // the slice of (i, j)'s rows
+  const offset_t c = 2 * p + (i < j ? 0 : 1);
+  return {list(r), list(c), map(r, i), map(c, j)};
+}
+
 TilePattern tile_symbolic(const Csr& a, index_t tile_size) {
   TH_CHECK(a.n_rows == a.n_cols);
   TH_CHECK(tile_size > 0);
@@ -17,6 +60,7 @@ TilePattern tile_symbolic(const Csr& a, index_t tile_size) {
   p.nt = (a.n_rows + tile_size - 1) / tile_size;
   p.iota.resize(static_cast<std::size_t>(tile_size));
   std::iota(p.iota.begin(), p.iota.end(), 0);
+  p.pos_iota = position_map(p.iota, tile_size);
   p.col_ptr.reserve(static_cast<std::size_t>(p.nt) + 1);
   p.col_ptr.push_back(0);
   p.diag_fill.assign(static_cast<std::size_t>(p.nt), 0);
@@ -69,6 +113,15 @@ TilePattern tile_symbolic(const Csr& a, index_t tile_size) {
     }
     p.col_ptr.push_back(static_cast<offset_t>(p.tile_row.size()));
     below.clear();
+  }
+  // Each envelope slice's position map, b apart.
+  const std::size_t slices = p.env_ptr.size() - 1;
+  p.pos.assign(slices * static_cast<std::size_t>(tile_size), -1);
+  for (std::size_t s = 0; s < slices; ++s) {
+    for (offset_t q = p.env_ptr[s]; q < p.env_ptr[s + 1]; ++q) {
+      p.pos[s * tile_size + p.env[q]] =
+          static_cast<std::int16_t>(q - p.env_ptr[s]);
+    }
   }
   return p;
 }

@@ -10,12 +10,29 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "sparse/csr.hpp"
 
 namespace th {
+
+/// A tile's envelope: its sorted in-tile rows and columns holding an L+U
+/// nonzero, and their position maps: row_pos[x] is in-tile row x's
+/// position in `rows` (its panel row), -1 when x is not in the envelope;
+/// likewise col_pos for the columns. The maps span the tile's extent.
+struct TileEnvelope {
+  std::span<const index_t> rows;
+  std::span<const index_t> cols;
+  std::span<const std::int16_t> row_pos;
+  std::span<const std::int16_t> col_pos;
+};
+
+/// The position map of a sorted list of in-tile indices over [0, extent):
+/// map[idx[p]] = p, -1 elsewhere. Throws when extent > 32767.
+std::vector<std::int16_t> position_map(std::span<const index_t> idx,
+                                       index_t extent);
 
 struct TilePattern {
   index_t n = 0;          // matrix dimension
@@ -36,6 +53,12 @@ struct TilePattern {
   std::vector<offset_t> env_ptr;
   std::vector<index_t> env;
   std::vector<index_t> iota;  // 0..b-1: the full diagonal tiles' lists
+  /// Lower tile p's position maps, stride b: pos[2p * b + x] is in-tile
+  /// row x's panel row and pos[(2p + 1) * b + x] in-tile column x's panel
+  /// column, -1 outside the envelope and past the tile's extent. An upper
+  /// tile reads its mirror's maps swapped, a diagonal tile `pos_iota`.
+  std::vector<std::int16_t> pos;
+  std::vector<std::int16_t> pos_iota;  // 0..b-1
 
   /// Block rows I > k of block column k's tiles, ascending; by symmetry
   /// also the block columns J > k of block row k's tiles.
@@ -61,30 +84,11 @@ struct TilePattern {
   }
 
   /// Envelope of tile (i, j): full on the diagonal, its mirror's lists
-  /// swapped above it, empty when absent.
-  std::span<const index_t> env_rows(index_t i, index_t j) const {
-    return env_list(i, j, i < j);
-  }
-  std::span<const index_t> env_cols(index_t i, index_t j) const {
-    return env_list(i, j, i > j);
-  }
+  /// and maps swapped above it, empty when absent.
+  TileEnvelope envelope(index_t i, index_t j) const;
 
   index_t rows_in_tile(index_t I) const {
     return std::min<index_t>(tile_size, n - I * tile_size);
-  }
-
- private:
-  // The diagonal tile's full list, else the row list of the pair's lower
-  // tile, or with `cols` its column list.
-  std::span<const index_t> env_list(index_t i, index_t j, bool cols) const {
-    if (i == j) {
-      return {iota.data(), static_cast<std::size_t>(rows_in_tile(i))};
-    }
-    const offset_t p = find(i, j);
-    if (p < 0) return {};
-    const offset_t s = 2 * p + (cols ? 1 : 0);
-    return {env.data() + env_ptr[s],
-            static_cast<std::size_t>(env_ptr[s + 1] - env_ptr[s])};
   }
 };
 

@@ -398,6 +398,33 @@ TEST(FactorBits, PluPanelsArePinnedOnEveryDispatchPath) {
   simd::cap_isa(simd::Isa::kAvx512);
 }
 
+TEST(FactorBits, SluValuesArePinnedOnEveryDispatchPath) {
+  // The same contract for the SLU core: its supernode panels run GETRF,
+  // TSTRF, GEESM and the GEMM update through the dense kernels, so every
+  // dispatch path at 1 and 4 threads reproduces one FNV-1a hash of
+  // values().
+  const Csr a = finalize_system(circuit_like(600, 2.6, 5, 71), 71);
+  constexpr std::uint64_t kPinned = 0x716cf35119ba0069ULL;
+  InstanceOptions io;
+  io.core = SolverCore::kSlu;
+  for (int p = 0; p <= static_cast<int>(simd::detail::hw_isa()); ++p) {
+    simd::cap_isa(static_cast<simd::Isa>(p));
+    for (const int threads : {1, 4}) {
+      SolverInstance inst(a, io);
+      factor(inst, threads);
+      const std::vector<real_t> v = inst.slu_factorization()->values();
+      std::uint64_t h = 0xcbf29ce484222325ULL;
+      const auto* c = reinterpret_cast<const unsigned char*>(v.data());
+      for (std::size_t i = 0; i < v.size() * sizeof(real_t); ++i) {
+        h = (h ^ c[i]) * 0x100000001b3ULL;
+      }
+      EXPECT_EQ(h, kPinned) << simd::dispatch_name() << " at " << threads
+                            << " threads";
+    }
+  }
+  simd::cap_isa(simd::Isa::kAvx512);
+}
+
 TEST(ParallelFactor, SluFactorsSolveAtFourThreads) {
   const Csr a = finalize_system(grid2d_laplacian(18, 18), 1);
   InstanceOptions io;

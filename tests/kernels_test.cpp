@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -374,7 +375,7 @@ void check_trsm_upper_right_bitwise() {
   Rng rng(43);
   const real_t inf = std::numeric_limits<real_t>::infinity();
   const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
-  for (index_t m : {1, 3, 15, 16, 17, 64}) {
+  for (index_t m : {1, 3, 15, 16, 17, 64, 65}) {
     // n = 100 with a dense U gives columns with more than one chunk of
     // coefficients.
     for (index_t n : {0, 1, 5, 64, 100}) {
@@ -405,6 +406,70 @@ void check_trsm_upper_right_bitwise() {
 
 TEST(KernelContract, TrsmUpperRightMatchesRightLookingBitwise) {
   on_every_path(check_trsm_upper_right_bitwise);
+}
+
+void ref_trsm_lower_left_unit(index_t m, index_t n, const real_t* l,
+                              index_t ldl, real_t* b, index_t ldb) {
+  for (index_t j = 0; j < n; ++j) {
+    real_t* colb = b + static_cast<std::size_t>(j) * ldb;
+    for (index_t k = 0; k < m; ++k) {
+      const real_t bk = colb[k];
+      if (bk == 0.0) continue;
+      const real_t* coll = l + static_cast<std::size_t>(k) * ldl;
+      for (index_t i = k + 1; i < m; ++i) {
+        const real_t prod = coll[i] * bk;
+        colb[i] = colb[i] - prod;
+      }
+    }
+  }
+}
+
+// trsm_lower_left_unit (GEESM) against the right-looking loops: column
+// counts around the 8-lane groups, row counts around the 16-row blocks,
+// leading dimensions past m, +-0.0 in L and B, Inf and NaN in both, an
+// all-zero column of B and one of L, and garbage on and above L's
+// diagonal, which no path may read.
+void check_trsm_lower_left_unit_bitwise() {
+  Rng rng(53);
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  for (index_t m : {1, 2, 15, 16, 17, 23, 64}) {
+    for (index_t n : {1, 7, 8, 9, 17}) {
+      const index_t ldl = m + 2, ldb = m + 3;
+      std::vector<real_t> l =
+          signed_zero_values(static_cast<std::size_t>(ldl) * m, rng);
+      for (index_t k = 0; k < m; ++k) {
+        for (index_t i = 0; i <= k; ++i) {
+          l[i + static_cast<std::size_t>(k) * ldl] = nan;
+        }
+      }
+      std::vector<real_t> b0 =
+          signed_zero_values(static_cast<std::size_t>(ldb) * n, rng);
+      if (m > 3) {
+        l[(m - 1) + static_cast<std::size_t>(ldl) * 1] = inf;
+        l[(m - 2) + static_cast<std::size_t>(ldl) * 0] = -inf;
+        l[2 + static_cast<std::size_t>(ldl) * 1] = nan;
+        for (index_t i = 3; i < m; ++i) {
+          l[i + static_cast<std::size_t>(ldl) * 2] = 0.0;
+        }
+        b0[1] = inf;
+        b0[0 + static_cast<std::size_t>(ldb) * (n - 1)] = nan;
+        b0[2 + static_cast<std::size_t>(ldb) * (n / 2)] = -inf;
+      }
+      if (n > 2) {
+        std::fill_n(b0.begin() + static_cast<std::size_t>(ldb) * 1, ldb,
+                    0.0);
+      }
+      std::vector<real_t> want = b0, got = b0;
+      ref_trsm_lower_left_unit(m, n, l.data(), ldl, want.data(), ldb);
+      trsm_lower_left_unit(m, n, l.data(), ldl, got.data(), ldb);
+      EXPECT_TRUE(same_bits(got, want)) << "m=" << m << " n=" << n;
+    }
+  }
+}
+
+TEST(KernelContract, TrsmLowerLeftUnitMatchesRightLookingOnEveryPath) {
+  on_every_path(check_trsm_lower_left_unit_bitwise);
 }
 
 TEST(KernelContract, TrsmUpperRightThrowsOnTinyPivot) {
@@ -438,6 +503,25 @@ void check_no_fma_contraction() {
     for (index_t i = 0; i < m; ++i) {
       EXPECT_EQ(b[static_cast<std::size_t>(m + i)], 0.0)
           << "trsm_upper_right m=" << m;
+    }
+
+    // Row r of L^{-1}B with L = I + a e_r e_0^T and B's rows 0 and r set
+    // to a and c is c - a*a, on m columns; r = 1 runs inside one row
+    // block, r = 16 across two.
+    for (const index_t r : {1, 16}) {
+      const index_t rows = r + 1;
+      std::vector<real_t> l(static_cast<std::size_t>(rows) * rows, 0.0);
+      l[r] = a;
+      std::vector<real_t> x(static_cast<std::size_t>(rows) * m, 0.0);
+      for (index_t j = 0; j < m; ++j) {
+        x[static_cast<std::size_t>(j) * rows] = a;
+        x[r + static_cast<std::size_t>(j) * rows] = c;
+      }
+      trsm_lower_left_unit(rows, m, l.data(), rows, x.data(), rows);
+      for (index_t j = 0; j < m; ++j) {
+        EXPECT_EQ(x[r + static_cast<std::size_t>(j) * rows], 0.0)
+            << "trsm_lower_left_unit r=" << r << " n=" << m;
+      }
     }
   }
 }
@@ -597,12 +681,17 @@ TEST(KernelContract, SsssmAvx512MatchesRightLookingBitwise) {
   }
 }
 
-// A zeroed b×b panel over copies of `rows` and `cols`, which it owns.
+// A zeroed b×b panel over copies of `rows` and `cols` and their position
+// maps, which it owns.
 Tile make_panel(index_t b, const std::vector<index_t>& rows,
                 const std::vector<index_t>& cols) {
-  using Lists = std::pair<std::vector<index_t>, std::vector<index_t>>;
-  const auto lists = std::make_shared<const Lists>(rows, cols);
-  return Tile(b, b, lists->first, lists->second, lists);
+  struct Owned {
+    std::vector<index_t> rows, cols;
+    std::vector<std::int16_t> row_pos, col_pos;
+  };
+  const auto o = std::make_shared<const Owned>(
+      Owned{rows, cols, position_map(rows, b), position_map(cols, b)});
+  return Tile({o->rows, o->cols, o->row_pos, o->col_pos}, o);
 }
 
 // A panel with random entries (about `density` of them nonzero).

@@ -348,6 +348,30 @@ TEST(SolverService, QueuedSolvesArePricedAsTheirBlock) {
   }
 }
 
+// A lone deadline-carrying solve is priced at width 1 only: admission
+// replays no solve DAG at the width cap, which no block of this run forms.
+TEST(SolverService, DeadlineAdmissionPricesOnlyTheWidthsTheRunForms) {
+  SolverService svc(small_service());
+  const SessionId sid = svc.open_session("alice", grid(14, 3));
+  Request f;
+  f.kind = RequestKind::kFactor;
+  svc.submit(sid, f);
+  for (const Completion& c : svc.drain()) EXPECT_TRUE(c.ok()) << c.detail;
+  ASSERT_EQ(svc.rhs_stats().dag_builds, 0);
+
+  Request sol;
+  sol.kind = RequestKind::kSolve;
+  sol.value_seed = 9;
+  sol.deadline_s = svc.now_s() + 1e3;
+  svc.submit(sid, sol);
+  EXPECT_EQ(svc.rhs_stats().dag_builds, 1);
+  const std::vector<Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].status, Completion::Status::kDone) << done[0].detail;
+  EXPECT_EQ(svc.rhs_stats().dag_builds, 1);
+  EXPECT_EQ(svc.rhs_stats().widest_batch, 1);
+}
+
 // ---- degradation ladder rung 1: priority shedding -------------------------
 
 TEST(SolverService, FullGlobalQueueShedsLowestPriorityYoungestFirst) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <set>
 #include <span>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -236,8 +239,8 @@ TEST(Tiles, SsssmTasksAreExactlyTheMeetingProducts) {
           if (!p.has(i, k)) continue;
           for (index_t j = k + 1; j < p.nt; ++j) {
             if (!p.has(k, j)) continue;
-            const auto lc = p.env_cols(i, k);
-            const auto ur = p.env_rows(k, j);
+            const auto lc = p.envelope(i, k).cols;
+            const auto ur = p.envelope(k, j).rows;
             if (std::ranges::find_first_of(lc, ur) != lc.end()) {
               meeting.emplace(i, k, j);
             }
@@ -322,6 +325,94 @@ TEST(Tiles, StorageScalesWithPresentTiles) {
   }
 }
 
+// Every tile's position maps span its extent, send each envelope index to
+// its list position and read -1 everywhere else; a diagonal tile's maps
+// are the identity, and an absent tile has no envelope.
+TEST(Tiles, PositionMapsInvertTheEnvelopeLists) {
+  const auto check = [](std::span<const index_t> list,
+                        std::span<const std::int16_t> map, index_t extent) {
+    ASSERT_EQ(static_cast<index_t>(map.size()), extent);
+    for (index_t x = 0; x < extent; ++x) {
+      const auto it = std::ranges::find(list, x);
+      EXPECT_EQ(map[x], it == list.end() ? -1 : it - list.begin()) << x;
+    }
+  };
+  for (const Csr& a : tile_cases()) {
+    for (const index_t b : {8, 16}) {
+      const TilePattern p = tile_symbolic(a, b);
+      for (index_t i = 0; i < p.nt; ++i) {
+        for (index_t j = 0; j < p.nt; ++j) {
+          SCOPED_TRACE(::testing::Message() << "tile (" << i << "," << j
+                                            << "), b=" << b);
+          const TileEnvelope e = p.envelope(i, j);
+          if (!p.has(i, j)) {
+            EXPECT_TRUE(e.rows.empty() && e.cols.empty() &&
+                        e.row_pos.empty() && e.col_pos.empty());
+            continue;
+          }
+          check(e.rows, e.row_pos, p.rows_in_tile(i));
+          check(e.cols, e.col_pos, p.rows_in_tile(j));
+          if (i != j) continue;
+          for (index_t x = 0; x < p.rows_in_tile(i); ++x) {
+            EXPECT_EQ(e.row_pos[x], x);
+            EXPECT_EQ(e.col_pos[x], x);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Assembly places A's entries through the maps and still rejects an entry
+// the envelope lacks, inside a present tile or in an absent one.
+TEST(Tiles, AssemblyRejectsAnEntryOutsideTheEnvelope) {
+  const Csr a = tile_cases()[0];
+  const index_t b = 8;
+  const auto p = std::make_shared<const TilePattern>(tile_symbolic(a, b));
+  EXPECT_NO_THROW(TileMatrix(a, p));
+  // (I, J, x): a present lower tile lacking in-tile row x, and an absent
+  // tile.
+  index_t I = -1, J = -1, x = -1, absent_i = -1, absent_j = -1;
+  for (index_t i = 0; i < p->nt; ++i) {
+    for (index_t j = 0; j < i; ++j) {
+      if (!p->has(i, j)) {
+        absent_i = i;
+        absent_j = j;
+        continue;
+      }
+      const auto row_pos = p->envelope(i, j).row_pos;
+      const auto gap = std::ranges::find(row_pos, -1);
+      if (gap != row_pos.end()) {
+        I = i;
+        J = j;
+        x = static_cast<index_t>(gap - row_pos.begin());
+      }
+    }
+  }
+  ASSERT_GE(I, 0);
+  ASSERT_GE(absent_i, 0);
+  for (const auto& [r, c] :
+       {std::pair{I * b + x, J * b + p->envelope(I, J).cols[0]},
+        std::pair{absent_i * b, absent_j * b}}) {
+    Coo coo;
+    coo.n_rows = coo.n_cols = a.n_rows;
+    for (index_t row = 0; row < a.n_rows; ++row) {
+      for (offset_t q = a.row_ptr[row]; q < a.row_ptr[row + 1]; ++q) {
+        coo.add(row, a.col_idx[q], a.values[q]);
+      }
+    }
+    coo.add(r, c, 1.0);
+    try {
+      TileMatrix(coo_to_csr(coo), p);
+      ADD_FAILURE() << "entry (" << r << "," << c << ") was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("lies outside its tile's envelope"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Tiles, LastTileMayBeSmaller) {
   const Csr a = finalize_system(grid2d_laplacian(5, 5), 23);  // n = 25
   const TilePattern p = tile_symbolic(a, 8);
@@ -370,8 +461,8 @@ TEST(Tiles, EnvelopeHoldsEveryNumericNonzero) {
           ++nonzeros;
           const index_t I = i / b, J = j / b;
           ASSERT_TRUE(p.has(I, J)) << i << "," << j;
-          EXPECT_TRUE(holds(p.env_rows(I, J), i - I * b) &&
-                      holds(p.env_cols(I, J), j - J * b))
+          EXPECT_TRUE(holds(p.envelope(I, J).rows, i - I * b) &&
+                      holds(p.envelope(I, J).cols, j - J * b))
               << "numeric nonzero (" << i << "," << j << ") outside tile ("
               << I << "," << J << ")'s envelope, b=" << b;
         }
@@ -380,8 +471,8 @@ TEST(Tiles, EnvelopeHoldsEveryNumericNonzero) {
       for (index_t I = 0; I < p.nt; ++I) {
         for (index_t J = 0; J < p.nt; ++J) {
           if (!p.has(I, J)) continue;
-          const auto rows = p.env_rows(I, J);
-          const auto cols = p.env_cols(I, J);
+          const auto rows = p.envelope(I, J).rows;
+          const auto cols = p.envelope(I, J).cols;
           EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
           EXPECT_TRUE(std::is_sorted(cols.begin(), cols.end()));
           if (I == J) {
@@ -399,8 +490,8 @@ TEST(Tiles, EnvelopeHoldsEveryNumericNonzero) {
           // transposed.
           if (I < J) {
             EXPECT_EQ(fill, p.fill(J, I));
-            EXPECT_TRUE(std::ranges::equal(rows, p.env_cols(J, I)));
-            EXPECT_TRUE(std::ranges::equal(cols, p.env_rows(J, I)));
+            EXPECT_TRUE(std::ranges::equal(rows, p.envelope(J, I).cols));
+            EXPECT_TRUE(std::ranges::equal(cols, p.envelope(J, I).rows));
           }
         }
       }
