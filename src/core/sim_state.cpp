@@ -271,18 +271,26 @@ std::pair<int, real_t> SimState::next_event() {
   }
 }
 
-// Batch boundary: no batch in flight, executor lanes parked behind their
-// barrier, ledgers quiescent — the one point a cooperative cancellation may
-// unwind from (support/cancel.hpp). The throw frees every run-local
-// structure by plain stack unwinding.
-void SimState::poll_cancel(real_t t0) const {
-  if (opt.cancel == nullptr) return;
-  if (obs_on &&
-      (opt.cancel->cancel_requested() || t0 >= opt.cancel->deadline_s())) {
+// The throw frees every run-local structure by plain stack unwinding.
+void check_cancel(const CancelToken* cancel, real_t t0, index_t completed,
+                  bool obs_on) {
+  if (cancel == nullptr) return;
+  if (obs_on && (cancel->cancel_requested() || t0 >= cancel->deadline_s())) {
     obs::Recorder::global().instant(obs::Domain::kSim, -1, "cancelled",
                                     "serve", t0, "completed", completed);
   }
-  opt.cancel->check(t0);
+  cancel->check(t0);
+}
+
+// Every iteration polls, so a clean run's plan records every instant a
+// replay must poll at, and where that iteration's members start.
+void SimState::poll_cancel(real_t t0) {
+  if (sched_plan != nullptr) {
+    sched_plan->polls.push_back(t0);
+    sched_plan->batch_ptr.push_back(
+        static_cast<index_t>(sched_plan->ids.size()));
+  }
+  check_cancel(opt.cancel, t0, completed, obs_on);
 }
 
 // Coordinated checkpoint at instant t_c: every alive rank pauses for the
@@ -889,6 +897,10 @@ void SimState::log_batch(const Launch& l) {
   const auto conflicted =
       std::count(l.batch.atomic.begin(), l.batch.atomic.end(), 1);
   result.atomic_tasks += conflicted;
+  if (sched_plan != nullptr) {
+    sched_plan->ids.insert(sched_plan->ids.end(), l.batch.ids.begin(),
+                           l.batch.ids.end());
+  }
   if (!collect) return;
   BatchLog::Batch& blog = rstats.batches.batches.emplace_back();
   blog.members = l.batch.ids;
@@ -1129,6 +1141,31 @@ void SimState::wake_successors(const Launch& l) {
   }
 }
 
+// Snapshots reconcile with the ScheduleResult by construction (DESIGN.md
+// §12 lists the name mapping).
+void publish_result_metrics(const ScheduleResult& r, index_t n_tasks,
+                            bool numeric) {
+  auto& reg = obs::Registry::global();
+  reg.counter("th.sched.kernels").add(r.kernel_count);
+  reg.counter("th.sched.tasks").add(n_tasks);
+  reg.counter("th.sched.atomic_tasks").add(r.atomic_tasks);
+  reg.counter("th.sched.deferred_tasks").add(r.deferred_tasks);
+  reg.counter("th.sched.comm_bytes").add(r.comm_bytes);
+  reg.counter("th.sched.comm_messages").add(r.comm_messages);
+  reg.gauge("th.sched.makespan_s").set(r.makespan_s);
+  reg.gauge("th.sched.mean_batch_size").set(r.mean_batch_size);
+  for (const RankStats& rsr : r.stats().ranks) {
+    reg.histogram("th.rank.busy_s").record(rsr.busy_s);
+    reg.histogram("th.rank.kernels").record(static_cast<double>(rsr.kernels));
+  }
+  r.stats().faults.publish_metrics();
+  r.stats().abft.publish_metrics();
+  // Only runs that execute numerics report th.exec.*: a timing-only run
+  // must not overwrite a factor run's gauges.
+  if (numeric) r.stats().exec.publish_metrics();
+  r.stats().mem.publish_metrics();
+}
+
 ScheduleResult SimState::finish() {
   result.makespan_s = result.trace.makespan_seconds();
   result.kernel_count = result.trace.kernel_count();
@@ -1156,33 +1193,13 @@ ScheduleResult SimState::finish() {
   }
 
   if (obs_on) {
-    // Mirror the run's authoritative accounting into the metrics registry
-    // — snapshots reconcile with this ScheduleResult by construction
-    // (DESIGN.md §12 lists the name mapping).
-    auto& reg = obs::Registry::global();
-    reg.counter("th.sched.kernels").add(result.kernel_count);
-    reg.counter("th.sched.tasks").add(n);
-    reg.counter("th.sched.atomic_tasks").add(result.atomic_tasks);
-    reg.counter("th.sched.deferred_tasks").add(result.deferred_tasks);
-    reg.counter("th.sched.comm_bytes").add(result.comm_bytes);
-    reg.counter("th.sched.comm_messages").add(result.comm_messages);
-    reg.gauge("th.sched.makespan_s").set(result.makespan_s);
-    reg.gauge("th.sched.mean_batch_size").set(result.mean_batch_size);
+    publish_result_metrics(result, n, backend != nullptr);
     std::size_t container_peak = 0;
     for (const RankState& st : ranks) {
       container_peak = std::max(container_peak, st.container.peak_size());
     }
+    auto& reg = obs::Registry::global();
     reg.gauge("th.agg.container_peak").set(static_cast<double>(container_peak));
-    for (const RankStats& rsr : rstats.ranks) {
-      reg.histogram("th.rank.busy_s").record(rsr.busy_s);
-      reg.histogram("th.rank.kernels").record(static_cast<double>(rsr.kernels));
-    }
-    rstats.faults.publish_metrics();
-    rstats.abft.publish_metrics();
-    // Only runs that execute numerics report th.exec.*: a timing-only
-    // replay must not overwrite a factor run's gauges.
-    if (backend != nullptr) rstats.exec.publish_metrics();
-    rstats.mem.publish_metrics();
     if (mem_mode) {
       for (const mem::RankLedger& led : ledgers) {
         reg.histogram("th.mem.rank_high_water_bytes")

@@ -11,13 +11,14 @@ Permutation rcm_order(const Csr& a) {
   Permutation order;
   order.reserve(static_cast<std::size_t>(g.n));
   std::vector<char> visited(static_cast<std::size_t>(g.n), 0);
+  BfsWorkspace ws(g.n);
 
   for (index_t root_scan = 0; root_scan < g.n; ++root_scan) {
     if (visited[root_scan]) continue;
     std::vector<char> mask(static_cast<std::size_t>(g.n), 0);
     // Restrict to the unvisited portion of the graph.
     for (index_t v = 0; v < g.n; ++v) mask[v] = !visited[v];
-    const index_t root = pseudo_peripheral(g, root_scan, mask);
+    const index_t root = pseudo_peripheral(g, root_scan, ws, mask);
 
     // Cuthill-McKee: BFS where each vertex's neighbours are expanded in
     // increasing-degree order.

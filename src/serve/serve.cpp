@@ -184,7 +184,8 @@ void SolverService::obtain_instance(const Csr& a, SessionId sid,
     // collision throws th::Error here instead of corrupting numerics.
     s.inst = std::make_shared<SolverInstance>(
         a, instance_options(opt_.sched), *hit->second.donor);
-    s.est_factor_s = hit->second.est_factor_s;
+    s.plan = hit->second.plan;
+    s.est_factor_s = s.plan->makespan_s();
     s.prices = hit->second.prices;
     ++stats_.cache_hits;
     if (obs::enabled()) {
@@ -208,14 +209,16 @@ void SolverService::obtain_instance(const Csr& a, SessionId sid,
                                  "session", sid);
   }
   ++stats_.cache_misses;
-  // First-contact service-time estimate: one timing-only replay. Its
-  // makespan feeds deadline-feasibility admission for every later
-  // session on this pattern (structure determines timing, so the
-  // estimate transfers exactly).
+  // First contact: one timing-only run records the pattern's schedule
+  // plan. Structure determines the schedule, so every clean factorization
+  // on this pattern replays it, and its makespan feeds deadline-
+  // feasibility admission for every later session.
   {
     const obs::ScopedDisable no_obs;  // pricing detail, not a run
-    s.est_factor_s = s.inst->run_timing(opt_.sched).makespan_s;
+    s.plan = std::make_shared<const SchedulePlan>(
+        s.inst->record_plan(opt_.sched));
   }
+  s.est_factor_s = s.plan->makespan_s();
   // Solve prices replay the solve DAGs with a null backend — the exact
   // model block solves are charged under, so admission and execution
   // charge the same clock. Each width is priced on first use.
@@ -223,7 +226,7 @@ void SolverService::obtain_instance(const Csr& a, SessionId sid,
       s.inst->plu_factorization()->shared_pattern(), opt_.sched,
       make_process_grid(opt_.sched.n_ranks));
   cache_.emplace(s.pattern_hash,
-                 CacheEntry{s.inst, s.est_factor_s, s.prices});
+                 CacheEntry{s.inst, s.plan, s.prices});
 }
 
 SessionId SolverService::open_session(const std::string& tenant,
@@ -609,7 +612,9 @@ void SolverService::run_factor(Session& s, Pending& p, real_t start_s) {
       s.needs_rebuild = false;
       s.factored = false;
     }
-    const ScheduleResult r = s.inst->run_numeric(so);
+    // Clean runs replay the pattern's plan; degraded (memory-budget) runs
+    // take the live path by replay()'s rule.
+    const ScheduleResult r = s.inst->run_numeric(so, *s.plan);
     const real_t end_s = start_s + r.makespan_s;
     now_s_ = end_s;
     stats_.busy_s += r.makespan_s;

@@ -341,7 +341,10 @@ class SolverService {
     /// A cancelled/failed factorization leaves partially-written tiles;
     /// the next factor/refactor must rebuild the instance (donor path).
     bool needs_rebuild = false;
-    real_t est_factor_s = 0;  // timing-sim estimate (admission backlog)
+    real_t est_factor_s = 0;  // last factor makespan (admission backlog)
+    /// The pattern's schedule plan: clean factorizations replay it
+    /// (shared with its cache entry).
+    std::shared_ptr<const SchedulePlan> plan;
     /// The pattern's solve price table (shared with its cache entry).
     std::shared_ptr<rhs::SolvePrices> prices;
     /// Committed factor generations (the next commit's artifact suffix).
@@ -357,7 +360,9 @@ class SolverService {
 
   struct CacheEntry {
     std::shared_ptr<SolverInstance> donor;
-    real_t est_factor_s = 0;
+    /// The plan the miss's timing-only run recorded; its makespan is the
+    /// pattern's factor estimate.
+    std::shared_ptr<const SchedulePlan> plan;
     /// The pattern's solve prices, shared by its sessions.
     std::shared_ptr<rhs::SolvePrices> prices;
   };
@@ -394,7 +399,7 @@ class SolverService {
   /// Virtual cost of a width-`width` block solve on the session's pattern.
   real_t solve_estimate_s(const Session& s, index_t width) const;
   /// Cache-hit/miss construction of `s.inst` for values `a` on pattern
-  /// `s.pattern_hash`, plus its factor estimate and price table; shared by
+  /// `s.pattern_hash`, plus its schedule plan and price table; shared by
   /// open_session() and recovery (sid labels the obs events).
   void obtain_instance(const Csr& a, SessionId sid, Session& s);
   /// Journal hooks; all no-ops while the journal is disabled.

@@ -99,16 +99,27 @@ void SolverInstance::set_grid(const ProcessGrid& grid) {
 }
 
 ScheduleResult SolverInstance::run_numeric(const ScheduleOptions& opt) {
+  return run_numeric(opt, SchedulePlan{});  // not replayable: the live path
+}
+
+ScheduleResult SolverInstance::run_numeric(const ScheduleOptions& opt,
+                                           const SchedulePlan& plan) {
   TH_CHECK_MSG(!numeric_done_,
                "run_numeric() may be called once per SolverInstance");
   NumericBackend* backend = plu_ ? &plu_->backend() : &slu_->backend();
-  ScheduleResult r = simulate(graph(), opt, backend);
+  ScheduleResult r = replay(graph(), plan, opt, backend);
   numeric_done_ = true;
   return r;
 }
 
 ScheduleResult SolverInstance::run_timing(const ScheduleOptions& opt) const {
   return simulate(graph(), opt, nullptr);
+}
+
+SchedulePlan SolverInstance::record_plan(const ScheduleOptions& opt) const {
+  SchedulePlan plan;
+  simulate(graph(), opt, nullptr, &plan);
+  return plan;
 }
 
 void SolverInstance::restore_numeric_done() {

@@ -68,8 +68,16 @@ class SolverInstance {
 
   /// Simulate with numeric execution (allowed exactly once).
   ScheduleResult run_numeric(const ScheduleOptions& opt);
+  /// The same, replaying `plan` — recorded by record_plan() on this
+  /// pattern under the same scheduling options — instead of re-running
+  /// the event loop, unless `opt` is not replay_eligible (core/scheduler.hpp).
+  /// Factors and modelled fields equal run_numeric(opt)'s bit for bit.
+  ScheduleResult run_numeric(const ScheduleOptions& opt,
+                             const SchedulePlan& plan);
   /// Timing-only replay (any number of times, before or after numerics).
   ScheduleResult run_timing(const ScheduleOptions& opt) const;
+  /// A timing-only run that records its SchedulePlan.
+  SchedulePlan record_plan(const ScheduleOptions& opt) const;
   bool numeric_done() const { return numeric_done_; }
 
   /// Mark the numeric phase complete without running it — the durability

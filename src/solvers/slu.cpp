@@ -81,39 +81,64 @@ class SluFactorization::Backend : public NumericBackend {
                scratch.data(), mi);
 
     // Scatter-add W into the destination supernode block (t.row, t.col).
+    // Each element is written once, so only its one `+=` sets its bits;
+    // a destination position is looked up once per source row (L target)
+    // or column (U target), never per element.
     Supernode& dst_i = f_.sn_[t.row];
     Supernode& dst_j = f_.sn_[t.col];
-    for (index_t b = 0; b < mj; ++b) {
-      const index_t gc = s.below[uj.pos0 + b];  // global column
+    const real_t* wk = scratch.data();
+    const index_t* rows = s.below.data() + li.pos0;  // global rows
+    const index_t* cols = s.below.data() + uj.pos0;  // global columns
+    const index_t c0 = dst_i.c0;  // the target block's first row
+    if (t.row == t.col) {
+      for (index_t b = 0; b < mj; ++b) {
+        real_t* dcol = dst_i.diag.data() +
+                       static_cast<offset_t>(cols[b] - c0) * dst_i.width();
+        const real_t* wcol = wk + static_cast<offset_t>(b) * mi;
+        for (index_t a = 0; a < mi; ++a) dcol[rows[a] - c0] += wcol[a];
+      }
+    } else if (t.row > t.col) {
+      // L target: row gr lands at lpan position below_pos(t.col, gr).
+      thread_local std::vector<index_t> pos;
+      pos.resize(static_cast<std::size_t>(mi));
       for (index_t a = 0; a < mi; ++a) {
-        const index_t gr = s.below[li.pos0 + a];  // global row
-        real_t* dest = nullptr;
-        if (t.row == t.col) {
-          dest = dst_i.diag.data() +
-                 (gr - dst_i.c0) +
-                 static_cast<offset_t>(gc - dst_i.c0) * dst_i.width();
-        } else if (t.row > t.col) {
-          const index_t pos = f_.below_pos(t.col, gr);
-          if (pos < 0) {
-            // Relaxed-supernode padding: the source row is an explicit
-            // zero, so the contribution is exactly 0 and may be skipped.
-            TH_ASSERT(scratch[a + static_cast<offset_t>(b) * mi] == 0.0);
-            continue;
-          }
-          dest = dst_j.lpan.data() + pos +
-                 static_cast<offset_t>(gc - dst_j.c0) * dst_j.m();
-        } else {
-          const index_t pos = f_.below_pos(t.row, gc);
-          if (pos < 0) {
-            TH_ASSERT(scratch[a + static_cast<offset_t>(b) * mi] == 0.0);
-            continue;
-          }
-          dest = dst_i.upan.data() + (gr - dst_i.c0) +
-                 static_cast<offset_t>(pos) * dst_i.width();
+        pos[a] = f_.below_pos(t.col, rows[a]);
+        // Relaxed-supernode padding: the source row is an explicit zero,
+        // so its contributions are exactly 0 and may be skipped.
+        if (pos[a] < 0) TH_ASSERT(row_is_zero(wk, mi, mj, a));
+      }
+      for (index_t b = 0; b < mj; ++b) {
+        real_t* dcol = dst_j.lpan.data() +
+                       static_cast<offset_t>(cols[b] - dst_j.c0) * dst_j.m();
+        const real_t* wcol = wk + static_cast<offset_t>(b) * mi;
+        for (index_t a = 0; a < mi; ++a) {
+          if (pos[a] >= 0) dcol[pos[a]] += wcol[a];
         }
-        *dest += scratch[a + static_cast<offset_t>(b) * mi];
+      }
+    } else {
+      // U target: column gc lands at upan column below_pos(t.row, gc).
+      for (index_t b = 0; b < mj; ++b) {
+        const index_t p = f_.below_pos(t.row, cols[b]);
+        const real_t* wcol = wk + static_cast<offset_t>(b) * mi;
+        if (p < 0) {
+          TH_ASSERT(std::all_of(wcol, wcol + mi,
+                                [](real_t v) { return v == 0.0; }));
+          continue;
+        }
+        real_t* dcol =
+            dst_i.upan.data() + static_cast<offset_t>(p) * dst_i.width();
+        for (index_t a = 0; a < mi; ++a) dcol[rows[a] - c0] += wcol[a];
       }
     }
+  }
+
+  // Whether row a of the column-major mi x mj block w is all zero.
+  static bool row_is_zero(const real_t* w, index_t mi, index_t mj,
+                          index_t a) {
+    for (index_t b = 0; b < mj; ++b) {
+      if (w[a + static_cast<offset_t>(b) * mi] != 0.0) return false;
+    }
+    return true;
   }
 
   SluFactorization& f_;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -360,6 +361,73 @@ TEST(EnabledPath, TimingOnlyReplayLeavesExecMetrics) {
   EXPECT_EQ(reg.counter("th.exec.batches").value(), batches);
   EXPECT_EQ(reg.counter("th.sched.kernels").value(),
             r.kernel_count + t.kernel_count);
+}
+
+// A factorization that replays a recorded plan publishes the modelled
+// th.sched.* and th.rank.* values — the live run's, sample for sample —
+// and freshly measured th.exec.*, but no th.agg.* metric and no sim-domain
+// event: no aggregation ran.
+TEST(EnabledPath, PlanReplayPublishesScheduleAndExecButNoAggregation) {
+  const Csr a = finalize_system(grid2d_laplacian(12, 12), 1);
+  InstanceOptions io;
+  io.core = SolverCore::kPlu;
+  io.block = 16;
+  ScheduleOptions so;
+  so.policy = Policy::kTrojanHorse;
+  so.cluster = single_gpu(device_a100());
+  so.exec.workers = 2;
+  ASSERT_FALSE(obs::enabled());
+  const SchedulePlan plan = SolverInstance(a, io).record_plan(so);
+
+  struct Observed {
+    std::map<std::string, obs::MetricSample> metrics;
+    int sim_events = 0;
+    ScheduleResult result;
+  };
+  const auto observe = [&](bool replayed) {
+    const obs::Session session(true);
+    SolverInstance inst(a, io);
+    Observed o;
+    o.result = replayed ? inst.run_numeric(so, plan) : inst.run_numeric(so);
+    for (const obs::MetricSample& m : obs::Registry::global().snapshot()) {
+      o.metrics[m.name] = m;
+    }
+    for (const obs::Event& e : obs::Recorder::global().events()) {
+      o.sim_events += e.domain == obs::Domain::kSim;
+    }
+    return o;
+  };
+  const Observed live = observe(false);
+  const Observed rep = observe(true);
+  const auto starts = [](const std::string& name, const char* prefix) {
+    return name.rfind(prefix, 0) == 0;
+  };
+
+  EXPECT_GT(live.sim_events, 0);
+  EXPECT_EQ(rep.sim_events, 0);
+  EXPECT_GT(live.metrics.at("th.agg.urgency_decisions").count, 0);
+  for (const auto& [name, m] : rep.metrics) {
+    if (starts(name, "th.agg.")) {
+      EXPECT_EQ(m.count, 0) << name;
+      EXPECT_EQ(m.value, 0) << name;
+    }
+    if (starts(name, "th.sched.") || starts(name, "th.rank.")) {
+      const obs::MetricSample& l = live.metrics.at(name);
+      EXPECT_EQ(m.count, l.count) << name;
+      EXPECT_EQ(m.value, l.value) << name;
+      EXPECT_EQ(m.min, l.min) << name;
+      EXPECT_EQ(m.max, l.max) << name;
+    }
+  }
+  EXPECT_EQ(rep.metrics.at("th.sched.kernels").count,
+            rep.result.kernel_count);
+  EXPECT_GT(rep.metrics.at("th.sched.batch_size").count, 0);
+  EXPECT_EQ(rep.metrics.at("th.exec.batches").count,
+            rep.result.stats().exec.batches);
+  EXPECT_EQ(rep.result.stats().exec.batches,
+            live.result.stats().exec.batches);
+  EXPECT_EQ(rep.metrics.at("th.exec.workers").value, 2);
+  EXPECT_GT(rep.metrics.at("th.exec.wall_s").value, 0);
 }
 
 }  // namespace

@@ -81,14 +81,19 @@ TEST(Graph, BfsLevelsOnPath) {
   // 1D chain: levels are distances.
   const Csr a = grid2d_laplacian(6, 1);
   const AdjacencyGraph g = build_adjacency(a);
-  const BfsResult r = bfs(g, 0);
-  for (index_t v = 0; v < 6; ++v) EXPECT_EQ(r.level[v], v);
+  BfsWorkspace ws(g.n);
+  bfs(g, 0, ws);
+  for (index_t v = 0; v < 6; ++v) EXPECT_EQ(ws.level[v], v);
+  // A second search resets what the first reached.
+  bfs(g, 5, ws);
+  for (index_t v = 0; v < 6; ++v) EXPECT_EQ(ws.level[v], 5 - v);
 }
 
 TEST(Graph, PseudoPeripheralOnChainIsEndpoint) {
   const Csr a = grid2d_laplacian(9, 1);
   const AdjacencyGraph g = build_adjacency(a);
-  const index_t v = pseudo_peripheral(g, 4);
+  BfsWorkspace ws(g.n);
+  const index_t v = pseudo_peripheral(g, 4, ws);
   EXPECT_TRUE(v == 0 || v == 8);
 }
 

@@ -498,6 +498,84 @@ TEST(SolverService, MidRunAbandonCancelsAtBatchBoundaryAndSessionRecovers) {
   EXPECT_LT(done[1].residual, 1e-9);
 }
 
+// Clean factorizations replay the pattern's schedule plan; a memory
+// budget (here one that never binds) keeps them on the live event loop. A
+// deadline that fires mid-refactor must end both the same way: the same
+// status at the same batch boundary, and a poisoned instance that the
+// next solve refuses and the next factor rebuilds.
+TEST(SolverService, MidRunDeadlineEndsTheSameReplayedOrLive) {
+  struct Outcome {
+    std::vector<Completion> done;
+    std::int64_t urgency_decisions = 0;
+  };
+  const auto run = [](offset_t budget) {
+    const obs::Session obs_session(true);
+    ServeOptions o = small_service();
+    o.mem_budget_bytes = budget;
+    SolverService svc(o);
+    const SessionId alice = svc.open_session("alice", grid(16, 1));
+    const SessionId bob = svc.open_session("bob", grid(16, 2));  // a hit
+    Outcome out;
+    const auto step = [&](SessionId sid, RequestKind kind, real_t deadline) {
+      Request r;
+      r.kind = kind;
+      r.value_seed = 3;
+      r.deadline_s = deadline;
+      svc.submit(sid, r);
+    };
+    const auto drain = [&] {
+      for (Completion& c : svc.drain()) out.done.push_back(std::move(c));
+    };
+    step(alice, RequestKind::kFactor, CancelToken::kNoDeadline);
+    step(bob, RequestKind::kFactor, CancelToken::kNoDeadline);
+    drain();
+    const real_t m = out.done.back().finish_s - out.done.back().start_s;
+    step(alice, RequestKind::kSolve, CancelToken::kNoDeadline);
+    drain();  // the round-robin cursor now rests on alice
+    // Admitted against alice's own estimate, but bob's factor goes first,
+    // so the refactor starts at now + m with half a makespan to run.
+    step(alice, RequestKind::kRefactor, svc.now_s() + 1.5 * m);
+    step(bob, RequestKind::kFactor, CancelToken::kNoDeadline);
+    drain();
+    step(alice, RequestKind::kSolve, CancelToken::kNoDeadline);
+    drain();
+    step(alice, RequestKind::kFactor, CancelToken::kNoDeadline);
+    step(alice, RequestKind::kSolve, CancelToken::kNoDeadline);
+    drain();
+    out.urgency_decisions =
+        obs::Registry::global().counter("th.agg.urgency_decisions").value();
+    return out;
+  };
+  const Outcome replayed = run(0);
+  const Outcome live = run(offset_t{1} << 40);
+  // Only the live runs formed batches.
+  EXPECT_EQ(replayed.urgency_decisions, 0);
+  EXPECT_GT(live.urgency_decisions, 0);
+
+  ASSERT_EQ(replayed.done.size(), 8u);
+  ASSERT_EQ(live.done.size(), replayed.done.size());
+  EXPECT_EQ(replayed.done[3].session, 1);  // bob's factor went first
+  const Completion& cut = replayed.done[4];
+  EXPECT_EQ(cut.kind, RequestKind::kRefactor);
+  EXPECT_EQ(cut.status, Completion::Status::kDeadlineMiss);
+  EXPECT_GT(cut.finish_s, cut.start_s);  // cancelled mid-run
+  EXPECT_NE(cut.detail.find("batch boundary"), std::string::npos);
+  EXPECT_EQ(replayed.done[5].status, Completion::Status::kFailed);  // poisoned
+  EXPECT_TRUE(replayed.done[6].ok());  // rebuilt through the donor path
+  EXPECT_TRUE(replayed.done[7].ok());
+  EXPECT_LT(replayed.done[7].residual, 1e-9);
+  for (std::size_t i = 0; i < live.done.size(); ++i) {
+    const Completion& r = replayed.done[i];
+    const Completion& l = live.done[i];
+    EXPECT_EQ(r.id, l.id) << i;
+    EXPECT_EQ(r.status, l.status) << i;
+    EXPECT_EQ(r.start_s, l.start_s) << i;
+    EXPECT_EQ(r.finish_s, l.finish_s) << i;  // the same boundary's at_s
+    EXPECT_EQ(r.detail, l.detail) << i;
+    EXPECT_EQ(r.residual, l.residual) << i;
+  }
+}
+
 TEST(SolverService, FailureReasonsAreCountedAndPublished) {
   const obs::Session obs_session(true);
   SolverService svc(small_service());
