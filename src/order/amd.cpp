@@ -32,14 +32,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "order/graph.hpp"
 #include "order/reorder.hpp"
 #include "support/error.hpp"
 
 namespace th {
 
-Permutation detail::amd_elimination(const Csr& a) {
-  const AdjacencyGraph g = build_adjacency(a);
+Permutation detail::amd_elimination(const AdjacencyGraph& g) {
   const index_t n = g.n;
   const auto un = static_cast<std::size_t>(n);
   if (n == 0) return {};
@@ -306,7 +304,8 @@ Permutation detail::amd_elimination(const Csr& a) {
 }
 
 Permutation min_degree_order(const Csr& a) {
-  return etree_postorder(a, detail::amd_elimination(a));
+  const AdjacencyGraph g = build_adjacency(a);
+  return etree_postorder(g, detail::amd_elimination(g));
 }
 
 }  // namespace th

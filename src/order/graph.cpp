@@ -1,33 +1,8 @@
 #include "order/graph.hpp"
 
-#include <algorithm>
-
-#include "sparse/convert.hpp"
 #include "support/error.hpp"
 
 namespace th {
-
-AdjacencyGraph build_adjacency(const Csr& a) {
-  TH_CHECK(a.n_rows == a.n_cols);
-  const Csr s = symmetrize_pattern(a);
-  AdjacencyGraph g;
-  g.n = s.n_rows;
-  g.ptr.assign(static_cast<std::size_t>(g.n) + 1, 0);
-  for (index_t r = 0; r < s.n_rows; ++r) {
-    for (offset_t p = s.row_ptr[r]; p < s.row_ptr[r + 1]; ++p) {
-      if (s.col_idx[p] != r) ++g.ptr[r + 1];
-    }
-  }
-  for (index_t r = 0; r < g.n; ++r) g.ptr[r + 1] += g.ptr[r];
-  g.adj.resize(static_cast<std::size_t>(g.ptr.back()));
-  std::vector<offset_t> cursor(g.ptr.begin(), g.ptr.end() - 1);
-  for (index_t r = 0; r < s.n_rows; ++r) {
-    for (offset_t p = s.row_ptr[r]; p < s.row_ptr[r + 1]; ++p) {
-      if (s.col_idx[p] != r) g.adj[cursor[r]++] = s.col_idx[p];
-    }
-  }
-  return g;
-}
 
 void bfs(const AdjacencyGraph& g, index_t start, BfsWorkspace& ws,
          const std::vector<char>& mask) {

@@ -1,25 +1,12 @@
-// Undirected adjacency view used by the ordering algorithms: the pattern of
-// A + A^T with the diagonal removed.
+// Breadth-first search over the adjacency graph (sparse/adjacency.hpp),
+// the building block of RCM and nested dissection.
 #pragma once
 
 #include <vector>
 
-#include "sparse/csr.hpp"
+#include "sparse/adjacency.hpp"
 
 namespace th {
-
-struct AdjacencyGraph {
-  index_t n = 0;
-  std::vector<offset_t> ptr;
-  std::vector<index_t> adj;
-
-  index_t degree(index_t v) const {
-    return static_cast<index_t>(ptr[v + 1] - ptr[v]);
-  }
-};
-
-/// Build the symmetrized, diagonal-free adjacency of a square matrix.
-AdjacencyGraph build_adjacency(const Csr& a);
 
 /// BFS state owned by one ordering call and reused by every bfs() it
 /// makes: `level` is n long, and a call resets only the vertices the

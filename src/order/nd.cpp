@@ -19,7 +19,7 @@ namespace {
 // appending to `out`.
 void dissect(const AdjacencyGraph& g, std::vector<index_t> verts,
              std::vector<char>& mask, BfsWorkspace& ws, index_t leaf_size,
-             const Csr& a_for_leaf, std::vector<index_t>& out) {
+             std::vector<index_t>& out) {
   if (verts.empty()) return;
   if (static_cast<index_t>(verts.size()) <= leaf_size) {
     // Leaf: keep natural relative order; the final etree postorder
@@ -89,12 +89,12 @@ void dissect(const AdjacencyGraph& g, std::vector<index_t> verts,
     }
     // Remove the separator from the mask before recursing into halves.
     for (index_t v : sep) mask[v] = 0;
-    dissect(g, std::move(low), mask, ws, leaf_size, a_for_leaf, out);
-    dissect(g, std::move(high), mask, ws, leaf_size, a_for_leaf, out);
+    dissect(g, std::move(low), mask, ws, leaf_size, out);
+    dissect(g, std::move(high), mask, ws, leaf_size, out);
     out.insert(out.end(), sep.begin(), sep.end());
   }
 
-  dissect(g, std::move(rest), mask, ws, leaf_size, a_for_leaf, out);
+  dissect(g, std::move(rest), mask, ws, leaf_size, out);
 }
 
 }  // namespace
@@ -108,9 +108,9 @@ Permutation nested_dissection_order(const Csr& a, index_t leaf_size) {
   Permutation order;
   order.reserve(all.size());
   BfsWorkspace ws(g.n);
-  dissect(g, std::move(all), mask, ws, leaf_size, a, order);
+  dissect(g, std::move(all), mask, ws, leaf_size, order);
   TH_ASSERT(is_valid_permutation(order));
-  return etree_postorder(a, order);
+  return etree_postorder(g, order);
 }
 
 const char* ordering_name(Ordering o) {

@@ -5,9 +5,8 @@
 
 namespace th {
 
-Permutation etree_postorder(const Csr& a, const Permutation& p) {
-  const std::vector<index_t> post =
-      postorder(elimination_tree(apply_symmetric_permutation(a, p)));
+Permutation etree_postorder(const AdjacencyGraph& g, const Permutation& p) {
+  const std::vector<index_t> post = postorder(elimination_tree(g, p));
   Permutation out(p.size());
   for (std::size_t k = 0; k < p.size(); ++k) out[k] = p[post[k]];
   return out;

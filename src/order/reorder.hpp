@@ -7,8 +7,8 @@
 //                      the paper's default reordering
 //   * Nested dissection — level-set bisection, best for PDE grids
 //
-// All operate on the symmetrized pattern of A and return a new-from-old
-// permutation (see perm.hpp).
+// All read A's adjacency graph (sparse/adjacency.hpp), built once per call
+// and shared with the postorder, and return a new-from-old permutation.
 //
 // Minimum degree and nested dissection finish with an elimination-tree
 // postorder (etree_postorder below). That is an equivalent reordering: the
@@ -20,6 +20,7 @@
 #pragma once
 
 #include "order/perm.hpp"
+#include "sparse/adjacency.hpp"
 #include "sparse/csr.hpp"
 
 namespace th {
@@ -46,16 +47,17 @@ Permutation min_degree_order(const Csr& a);
 /// most `leaf_size` vertices are numbered by the postorder alone.
 Permutation nested_dissection_order(const Csr& a, index_t leaf_size = 64);
 
-/// Compose the postorder of the elimination tree of P A P^T onto `p`:
-/// returns q with q[k] = p[post[k]], post = postorder(elimination_tree(
-/// P A P^T)). The etree of Q A Q^T is then postordered (re-applying this
-/// is the identity) and its fill equals that of P A P^T.
-Permutation etree_postorder(const Csr& a, const Permutation& p);
+/// Compose the postorder of the elimination tree of P A P^T onto `p`,
+/// g being A's adjacency graph: returns q with q[k] = p[post[k]], post =
+/// postorder(elimination_tree(g, p)), which never forms P A P^T. The etree
+/// of Q A Q^T is then postordered (re-applying this is the identity) and
+/// its fill equals that of P A P^T.
+Permutation etree_postorder(const AdjacencyGraph& g, const Permutation& p);
 
 namespace detail {
-/// The AMD elimination order that min_degree_order() postorders. Exposed
-/// only so tests can check that the postorder preserves its fill.
-Permutation amd_elimination(const Csr& a);
+/// The AMD elimination order of g that min_degree_order() postorders.
+/// Exposed only so tests can check that the postorder preserves its fill.
+Permutation amd_elimination(const AdjacencyGraph& g);
 }  // namespace detail
 
 /// Dispatch on the Ordering enum.

@@ -4,7 +4,6 @@
 
 #include "kernels/dense.hpp"
 #include "kernels/flops.hpp"
-#include "sparse/convert.hpp"
 #include "support/error.hpp"
 
 namespace th {
@@ -152,9 +151,9 @@ NumericBackend& SluFactorization::backend() { return *backend_; }
 
 SluFactorization::SluFactorization(const Csr& a, const SluOptions& opts)
     : opts_(opts) {
-  const Csr sym = symmetrize_pattern(a);
-  const EliminationTree etree = elimination_tree(sym);
-  const FillPattern fill = symbolic_fill(sym, etree);
+  const AdjacencyGraph g = build_adjacency(a);
+  const EliminationTree etree = elimination_tree(g);
+  const FillPattern fill = symbolic_fill(g, etree);
   part_ = find_supernodes(fill, etree, opts.max_supernode,
                           opts.relax_slack);
 
@@ -191,7 +190,7 @@ SluFactorization::SluFactorization(const Csr& a, const SluOptions& opts)
     sn.upan.assign(static_cast<std::size_t>(w) * sn.m(), 0.0);
   }
 
-  assemble(sym, fill);
+  assemble(a);
   backend_ = std::make_unique<Backend>(*this);
   build_graph();
 }
@@ -213,37 +212,27 @@ index_t SluFactorization::below_pos(index_t s, index_t r) const {
   return static_cast<index_t>(it - below.begin());
 }
 
-void SluFactorization::assemble(const Csr& a, const FillPattern& fill) {
-  (void)fill;
-  const Csc acsc = csr_to_csc(a);
-  const index_t ns = part_.count();
-  for (index_t s = 0; s < ns; ++s) {
-    Supernode& sn = sn_[s];
-    const index_t w = sn.width();
-    // Diagonal block and L panel from the columns of the supernode.
-    for (index_t j = sn.c0; j < sn.c1; ++j) {
-      for (offset_t p = acsc.col_ptr[j]; p < acsc.col_ptr[j + 1]; ++p) {
-        const index_t i = acsc.row_idx[p];
-        if (i < sn.c0) continue;  // upper part, handled via rows below
-        const real_t v = acsc.values[p];
-        if (i < sn.c1) {
-          sn.diag[(i - sn.c0) + static_cast<offset_t>(j - sn.c0) * w] = v;
-        } else {
-          const index_t pos = below_pos(s, i);
-          TH_CHECK_MSG(pos >= 0, "A entry outside symbolic L pattern");
-          sn.lpan[pos + static_cast<offset_t>(j - sn.c0) * sn.m()] = v;
-        }
-      }
-    }
-    // U panel from the rows of the supernode (columns beyond it).
-    for (index_t r = sn.c0; r < sn.c1; ++r) {
-      for (offset_t p = a.row_ptr[r]; p < a.row_ptr[r + 1]; ++p) {
-        const index_t j = a.col_idx[p];
-        if (j < sn.c1) continue;
+void SluFactorization::assemble(const Csr& a) {
+  // Entry (i, j) lands in the supernode of column min(i, j): in its
+  // diagonal block, its L panel (i below it) or its U panel (j right of it).
+  for (index_t i = 0; i < a.n_rows; ++i) {
+    for (offset_t p = a.row_ptr[i]; p < a.row_ptr[i + 1]; ++p) {
+      const index_t j = a.col_idx[p];
+      const index_t s = part_.sn_of_col[std::min(i, j)];
+      Supernode& sn = sn_[s];
+      const index_t w = sn.width();
+      if (std::max(i, j) < sn.c1) {
+        sn.diag[(i - sn.c0) + static_cast<offset_t>(j - sn.c0) * w] =
+            a.values[p];
+      } else if (i > j) {
+        const index_t pos = below_pos(s, i);
+        TH_CHECK_MSG(pos >= 0, "A entry outside symbolic L pattern");
+        sn.lpan[pos + static_cast<offset_t>(j - sn.c0) * sn.m()] =
+            a.values[p];
+      } else {
         const index_t pos = below_pos(s, j);
         TH_CHECK_MSG(pos >= 0, "A entry outside symbolic U pattern");
-        sn.upan[(r - sn.c0) + static_cast<offset_t>(pos) * w] =
-            a.values[p];
+        sn.upan[(i - sn.c0) + static_cast<offset_t>(pos) * w] = a.values[p];
       }
     }
   }

@@ -94,7 +94,7 @@ class SluFactorization {
   // absent.
   index_t below_pos(index_t s, index_t r) const;
 
-  void assemble(const Csr& a, const FillPattern& fill);
+  void assemble(const Csr& a);
   void build_graph();
 };
 

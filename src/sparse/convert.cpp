@@ -20,38 +20,21 @@ void Csr::check() const {
   }
 }
 
-void Csc::check() const {
-  TH_CHECK(n_rows >= 0 && n_cols >= 0);
-  TH_CHECK(static_cast<index_t>(col_ptr.size()) == n_cols + 1);
-  TH_CHECK(col_ptr.front() == 0);
-  TH_CHECK(col_ptr.back() == nnz());
-  TH_CHECK(row_idx.size() == values.size());
-  for (index_t c = 0; c < n_cols; ++c) {
-    TH_CHECK(col_ptr[c] <= col_ptr[c + 1]);
-    for (offset_t p = col_ptr[c]; p < col_ptr[c + 1]; ++p) {
-      TH_CHECK(row_idx[p] >= 0 && row_idx[p] < n_rows);
-      if (p > col_ptr[c]) TH_CHECK(row_idx[p - 1] < row_idx[p]);
-    }
-  }
-}
-
-namespace {
-
-// Shared compression kernel: compress `entries` along `major(t)` with minor
-// index `minor(t)`, summing duplicates.
-template <typename MajorFn, typename MinorFn>
-void compress(const Coo& a, index_t n_major, index_t n_minor, MajorFn major,
-              MinorFn minor, std::vector<offset_t>& ptr,
-              std::vector<index_t>& idx, std::vector<real_t>& val) {
+Csr coo_to_csr(const Coo& a) {
   for (const Triplet& t : a.entries) {
     TH_CHECK_MSG(t.row >= 0 && t.row < a.n_rows && t.col >= 0 &&
                      t.col < a.n_cols,
                  "COO entry (" << t.row << "," << t.col << ") out of range");
   }
-  (void)n_minor;
-  // Count per major index.
-  ptr.assign(static_cast<std::size_t>(n_major) + 1, 0);
-  for (const Triplet& t : a.entries) ++ptr[static_cast<std::size_t>(major(t)) + 1];
+  Csr out;
+  out.n_rows = a.n_rows;
+  out.n_cols = a.n_cols;
+  std::vector<offset_t>& ptr = out.row_ptr;
+  std::vector<index_t>& idx = out.col_idx;
+  std::vector<real_t>& val = out.values;
+  // Count per row.
+  ptr.assign(static_cast<std::size_t>(a.n_rows) + 1, 0);
+  for (const Triplet& t : a.entries) ++ptr[static_cast<std::size_t>(t.row) + 1];
   std::partial_sum(ptr.begin(), ptr.end(), ptr.begin());
 
   // Scatter.
@@ -59,19 +42,19 @@ void compress(const Coo& a, index_t n_major, index_t n_minor, MajorFn major,
   idx.resize(a.entries.size());
   val.resize(a.entries.size());
   for (const Triplet& t : a.entries) {
-    const offset_t p = cursor[static_cast<std::size_t>(major(t))]++;
-    idx[static_cast<std::size_t>(p)] = minor(t);
+    const offset_t p = cursor[static_cast<std::size_t>(t.row)]++;
+    idx[static_cast<std::size_t>(p)] = t.col;
     val[static_cast<std::size_t>(p)] = t.value;
   }
 
-  // Sort each major slice by minor index and sum duplicates in place.
+  // Sort each row by column and sum duplicates in place.
   std::vector<offset_t> perm;
   std::vector<index_t> tmp_idx;
   std::vector<real_t> tmp_val;
   offset_t write = 0;
   std::vector<offset_t> new_ptr(ptr.size());
   new_ptr[0] = 0;
-  for (index_t m = 0; m < n_major; ++m) {
+  for (index_t m = 0; m < a.n_rows; ++m) {
     const offset_t lo = ptr[static_cast<std::size_t>(m)];
     const offset_t hi = ptr[static_cast<std::size_t>(m) + 1];
     const std::size_t len = static_cast<std::size_t>(hi - lo);
@@ -88,7 +71,7 @@ void compress(const Coo& a, index_t n_major, index_t n_minor, MajorFn major,
     }
     for (std::size_t k = 0; k < len; ++k) {
       if (k > 0 && tmp_idx[k] == tmp_idx[k - 1]) {
-        // Duplicate within this slice: accumulate into the last written slot.
+        // Duplicate within this row: accumulate into the last written slot.
         val[static_cast<std::size_t>(write - 1)] += tmp_val[k];
       } else {
         idx[static_cast<std::size_t>(write)] = tmp_idx[k];
@@ -101,35 +84,12 @@ void compress(const Coo& a, index_t n_major, index_t n_minor, MajorFn major,
   ptr = std::move(new_ptr);
   idx.resize(static_cast<std::size_t>(write));
   val.resize(static_cast<std::size_t>(write));
-}
-
-}  // namespace
-
-Csr coo_to_csr(const Coo& a) {
-  Csr out;
-  out.n_rows = a.n_rows;
-  out.n_cols = a.n_cols;
-  compress(
-      a, a.n_rows, a.n_cols, [](const Triplet& t) { return t.row; },
-      [](const Triplet& t) { return t.col; }, out.row_ptr, out.col_idx,
-      out.values);
-  return out;
-}
-
-Csc coo_to_csc(const Coo& a) {
-  Csc out;
-  out.n_rows = a.n_rows;
-  out.n_cols = a.n_cols;
-  compress(
-      a, a.n_cols, a.n_rows, [](const Triplet& t) { return t.col; },
-      [](const Triplet& t) { return t.row; }, out.col_ptr, out.row_idx,
-      out.values);
   return out;
 }
 
 namespace {
 
-// Transpose the storage of a CSR-like triple into the opposite compression.
+// Transpose the storage of a compressed triple into the opposite compression.
 void transpose_storage(index_t n_major, index_t n_minor,
                        const std::vector<offset_t>& ptr,
                        const std::vector<index_t>& idx,
@@ -154,24 +114,6 @@ void transpose_storage(index_t n_major, index_t n_minor,
 }
 
 }  // namespace
-
-Csc csr_to_csc(const Csr& a) {
-  Csc out;
-  out.n_rows = a.n_rows;
-  out.n_cols = a.n_cols;
-  transpose_storage(a.n_rows, a.n_cols, a.row_ptr, a.col_idx, a.values,
-                    out.col_ptr, out.row_idx, out.values);
-  return out;
-}
-
-Csr csc_to_csr(const Csc& a) {
-  Csr out;
-  out.n_rows = a.n_rows;
-  out.n_cols = a.n_cols;
-  transpose_storage(a.n_cols, a.n_rows, a.col_ptr, a.row_idx, a.values,
-                    out.row_ptr, out.col_idx, out.values);
-  return out;
-}
 
 Csr transpose(const Csr& a) {
   Csr out;

@@ -10,15 +10,6 @@ namespace th {
 /// COO -> CSR with duplicate summation and per-row column sorting.
 Csr coo_to_csr(const Coo& a);
 
-/// COO -> CSC with duplicate summation and per-column row sorting.
-Csc coo_to_csc(const Coo& a);
-
-/// CSR -> CSC (exact transpose of the storage, same matrix).
-Csc csr_to_csc(const Csr& a);
-
-/// CSC -> CSR.
-Csr csc_to_csr(const Csc& a);
-
 /// Explicit transpose: returns B = A^T in CSR form.
 Csr transpose(const Csr& a);
 

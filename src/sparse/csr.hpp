@@ -1,9 +1,4 @@
-// Compressed sparse row / column containers.
-//
-// Both formats share the same three-array layout; the distinction is purely
-// semantic (which dimension is compressed), so they are separate strong
-// types to prevent accidental mixing — a lesson distributed solvers learn
-// the hard way.
+// Compressed sparse row container.
 #pragma once
 
 #include <vector>
@@ -26,19 +21,6 @@ struct Csr {
 
   /// Validate structural invariants (monotone pointers, in-range indices,
   /// sorted rows). Intended for tests and after deserialization.
-  void check() const;
-};
-
-/// Compressed sparse column matrix; same invariants column-wise.
-struct Csc {
-  index_t n_rows = 0;
-  index_t n_cols = 0;
-  std::vector<offset_t> col_ptr;  // size n_cols + 1
-  std::vector<index_t> row_idx;   // size nnz
-  std::vector<real_t> values;     // size nnz
-
-  offset_t nnz() const { return static_cast<offset_t>(row_idx.size()); }
-
   void check() const;
 };
 

@@ -2,11 +2,13 @@
 // derived quantities the schedulers need: postorder, per-node level
 // (distance from root), and tree height. The etree is the dependency
 // skeleton of the numeric factorisation (Figure 6(b) of the paper).
+// It is read from the adjacency graph (sparse/adjacency.hpp), whose type
+// guarantees the symmetric structure, so nothing here symmetrizes.
 #pragma once
 
 #include <vector>
 
-#include "sparse/csr.hpp"
+#include "sparse/adjacency.hpp"
 
 namespace th {
 
@@ -21,8 +23,19 @@ struct EliminationTree {
   index_t n() const { return static_cast<index_t>(parent.size()); }
 };
 
-/// Compute the elimination tree of the symmetrized pattern of A.
-EliminationTree elimination_tree(const Csr& a);
+/// The elimination tree of P A P^T (perm[new] = old; empty = natural
+/// order), where g is A's adjacency graph. P A P^T is never formed: its
+/// row k is g's row perm[k], renumbered through perm's inverse.
+EliminationTree elimination_tree(const AdjacencyGraph& g,
+                                 const std::vector<index_t>& perm = {});
+
+/// Every node's children, ascending, in one flat list: v's children are
+/// child[ptr[v]] .. child[ptr[v + 1] - 1].
+struct EtreeChildren {
+  std::vector<index_t> ptr;
+  std::vector<index_t> child;
+};
+EtreeChildren etree_children(const EliminationTree& t);
 
 /// Postorder of the etree: children before parents, deterministic.
 std::vector<index_t> postorder(const EliminationTree& t);

@@ -2,21 +2,14 @@
 
 #include <algorithm>
 
-#include "sparse/convert.hpp"
 #include "support/error.hpp"
 
 namespace th {
 
-FillPattern symbolic_fill(const Csr& a, const EliminationTree& t) {
-  TH_CHECK(a.n_rows == a.n_cols);
-  const Csr s = symmetrize_pattern(a);
-  const index_t n = s.n_rows;
+FillPattern symbolic_fill(const AdjacencyGraph& g, const EliminationTree& t) {
+  const index_t n = g.n;
   TH_CHECK(t.n() == n);
-
-  std::vector<std::vector<index_t>> children(static_cast<std::size_t>(n));
-  for (index_t v = 0; v < n; ++v) {
-    if (t.parent[v] != -1) children[t.parent[v]].push_back(v);
-  }
+  const EtreeChildren kids = etree_children(t);
 
   FillPattern f;
   f.n = n;
@@ -29,18 +22,17 @@ FillPattern symbolic_fill(const Csr& a, const EliminationTree& t) {
     std::vector<index_t>& col = cols[j];
     col.push_back(j);
     mark[j] = j;
-    // Entries of A_sym at or below the diagonal in column j (== row j by
-    // symmetry).
-    for (offset_t p = s.row_ptr[j]; p < s.row_ptr[j + 1]; ++p) {
-      const index_t i = s.col_idx[p];
+    // Neighbours below the diagonal in column j (== row j by symmetry).
+    for (offset_t p = g.ptr[j]; p < g.ptr[j + 1]; ++p) {
+      const index_t i = g.adj[p];
       if (i > j && mark[i] != j) {
         mark[i] = j;
         col.push_back(i);
       }
     }
     // Merge children columns (minus their diagonals, minus anything <= j).
-    for (const index_t c : children[j]) {
-      for (const index_t i : cols[c]) {
+    for (index_t q = kids.ptr[j]; q < kids.ptr[j + 1]; ++q) {
+      for (const index_t i : cols[kids.child[q]]) {
         if (i > j && mark[i] != j) {
           mark[i] = j;
           col.push_back(i);
@@ -60,7 +52,8 @@ FillPattern symbolic_fill(const Csr& a, const EliminationTree& t) {
 }
 
 FillPattern symbolic_fill(const Csr& a) {
-  return symbolic_fill(a, elimination_tree(a));
+  const AdjacencyGraph g = build_adjacency(a);
+  return symbolic_fill(g, elimination_tree(g));
 }
 
 }  // namespace th

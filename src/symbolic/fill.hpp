@@ -1,7 +1,7 @@
 // Scalar symbolic factorisation: the exact nonzero pattern of L (and, by
-// structural symmetry, U^T) for an LU factorisation without pivoting of a
-// structurally symmetric matrix. This is the "symbolic" phase of Figure 1
-// and the input to supernode detection.
+// structural symmetry, U^T) for an LU factorisation without pivoting of
+// A's symmetrized pattern, read from its adjacency graph. This is the
+// "symbolic" phase of Figure 1 and the input to supernode detection.
 #pragma once
 
 #include <vector>
@@ -25,12 +25,14 @@ struct FillPattern {
   }
 };
 
-/// Exact fill pattern via child-merge on the elimination tree:
-///   struct(L(:,j)) = struct(A_sym(j:n, j)) ∪ ⋃_{c: parent(c)=j} struct(L(:,c)) \ {c}
-/// Runs in O(|L|) time and memory.
-FillPattern symbolic_fill(const Csr& a, const EliminationTree& t);
+/// Exact fill pattern via child-merge on the elimination tree t of g:
+///   struct(L(:,j)) = {j} ∪ {i > j adjacent to j in g}
+///                    ∪ ⋃_{c: parent(c)=j} struct(L(:,c)) \ {c}
+/// g is A + A^T's structure, so this is the fill of A's symmetrized
+/// pattern. Runs in O(|L|) time and memory.
+FillPattern symbolic_fill(const AdjacencyGraph& g, const EliminationTree& t);
 
-/// Convenience: symmetrize, build etree, compute fill.
+/// Convenience: build A's adjacency, its etree, and the fill.
 FillPattern symbolic_fill(const Csr& a);
 
 }  // namespace th

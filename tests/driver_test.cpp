@@ -1,11 +1,17 @@
 // SolverInstance / run_solver API contract tests.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+#include <vector>
+
 #include "gen/generators.hpp"
 #include "order/reorder.hpp"
 #include "sim/cluster.hpp"
 #include "solvers/driver.hpp"
 #include "sparse/convert.hpp"
+#include "sparse/ops.hpp"
+#include "symbolic/fill.hpp"
 
 namespace th {
 namespace {
@@ -140,6 +146,57 @@ TEST(SolverInstance, PluNnzLuEstimateMatchesExactForDiagDominantGrid) {
   // matches the symbolic fill (no pivoting, no dropping).
   EXPECT_NEAR(static_cast<double>(exact), static_cast<double>(estimate),
               0.02 * static_cast<double>(estimate));
+}
+
+// A grid with one-sided couplings (A(i, j) != 0, A(j, i) == 0) off its
+// band, in both triangles: the analysis must symmetrize the structure
+// itself.
+Csr one_sided_grid() {
+  const Csr grid = grid2d_laplacian(12, 12);
+  const index_t n = grid.n_rows;
+  Coo c;
+  c.n_rows = c.n_cols = n;
+  for (index_t r = 0; r < n; ++r) {
+    for (offset_t p = grid.row_ptr[r]; p < grid.row_ptr[r + 1]; ++p) {
+      c.add(r, grid.col_idx[p], grid.values[p]);
+    }
+  }
+  for (index_t i = 0; i < n; i += 7) {
+    const index_t j = (i * 37 + 11) % n;
+    if (std::abs(i - j) > 12) c.add(i, j, 1.0);  // not a grid edge
+  }
+  return finalize_system(coo_to_csr(c), 5);
+}
+
+TEST(SolverInstance, StructurallyUnsymmetricInputUnderEveryOrdering) {
+  const Csr a = one_sided_grid();
+  ASSERT_FALSE(is_pattern_symmetric(a));
+  const Csr sym = symmetrize_pattern(a);
+  std::vector<real_t> b(static_cast<std::size_t>(a.n_rows));
+  for (std::size_t j = 0; j < b.size(); ++j) {
+    b[j] = static_cast<real_t>(j % 5) - 2.0;
+  }
+  for (SolverCore core : {SolverCore::kSlu, SolverCore::kPlu}) {
+    for (Ordering o : {Ordering::kNatural, Ordering::kRcm,
+                       Ordering::kMinDegree, Ordering::kNestedDissection}) {
+      SCOPED_TRACE(std::string(solver_core_name(core)) + " " +
+                   ordering_name(o));
+      InstanceOptions io;
+      io.core = core;
+      io.ordering = o;
+      io.block = 16;
+      SolverInstance inst(a, io);
+      // The fill is that of the explicitly symmetrized pattern.
+      const Csr psym = apply_symmetric_permutation(sym, inst.permutation());
+      SluOptions so;
+      so.max_supernode = io.block;
+      EXPECT_EQ(inst.nnz_lu(), core == SolverCore::kPlu
+                                   ? symbolic_fill(psym).nnz_lu()
+                                   : SluFactorization(psym, so).nnz_lu());
+      inst.run_numeric(gpu_opts());
+      EXPECT_LT(scaled_residual(a, inst.solve(b), b), 1e-12);
+    }
+  }
 }
 
 TEST(RunSolver, ReportFieldsConsistent) {

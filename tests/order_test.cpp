@@ -212,7 +212,7 @@ TEST(Amd, CliqueWithPendantsIsEliminatedWithoutFill) {
     edges.emplace_back(u, m + u);
   }
   const Csr a = from_edges(2 * m, edges);
-  const Permutation elim = detail::amd_elimination(a);
+  const Permutation elim = detail::amd_elimination(build_adjacency(a));
   ASSERT_TRUE(is_valid_permutation(elim));
   for (index_t k = 0; k < m; ++k) EXPECT_GE(elim[k], m) << k;
   EXPECT_EQ(nnz_lu(a, min_degree_order(a)), a.nnz());
@@ -231,7 +231,7 @@ TEST(Amd, CliquesAroundAHubMergeAndKeepTheHubLast) {
     }
   }
   const Csr a = from_edges(hub + 1, edges);
-  const Permutation elim = detail::amd_elimination(a);
+  const Permutation elim = detail::amd_elimination(build_adjacency(a));
   ASSERT_TRUE(is_valid_permutation(elim));
   EXPECT_EQ(elim.back(), hub);
   for (index_t k = 0; k < t * m; ++k) {
@@ -286,13 +286,22 @@ std::vector<std::pair<std::string, Csr>> stand_ins() {
 
 TEST(Postorder, PreservesFillOfAnyPermutation) {
   for (const auto& [name, a] : stand_ins()) {
+    const AdjacencyGraph g = build_adjacency(a);
     const std::pair<const char*, Permutation> perms[] = {
         {"natural", identity_permutation(a.n_rows)},
         {"rcm", rcm_order(a)},
-        {"amd-elimination", detail::amd_elimination(a)},
+        {"amd-elimination", detail::amd_elimination(g)},
     };
     for (const auto& [pname, p] : perms) {
-      const Permutation q = etree_postorder(a, p);
+      // The etree read through p's inverse is the etree of the explicitly
+      // permuted pattern.
+      const EliminationTree tp = elimination_tree(g, p);
+      const EliminationTree te =
+          elimination_tree(build_adjacency(apply_symmetric_permutation(a, p)));
+      EXPECT_EQ(tp.parent, te.parent) << name << " " << pname;
+      EXPECT_EQ(tp.depth, te.depth) << name << " " << pname;
+      EXPECT_EQ(tp.height, te.height) << name << " " << pname;
+      const Permutation q = etree_postorder(g, p);
       ASSERT_TRUE(is_valid_permutation(q)) << name << " " << pname;
       EXPECT_EQ(nnz_lu(a, q), nnz_lu(a, p)) << name << " " << pname;
     }
@@ -304,7 +313,7 @@ TEST(Postorder, MinDegreeAndNdOutputsArePostordered) {
     for (Ordering o : {Ordering::kMinDegree, Ordering::kNestedDissection}) {
       const Permutation p = compute_ordering(a, o);
       const EliminationTree t =
-          elimination_tree(apply_symmetric_permutation(a, p));
+          elimination_tree(build_adjacency(apply_symmetric_permutation(a, p)));
       EXPECT_EQ(postorder(t), identity_permutation(a.n_rows))
           << name << " " << ordering_name(o);
     }

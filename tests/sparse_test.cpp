@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "sparse/adjacency.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/io.hpp"
 #include "sparse/ops.hpp"
@@ -41,17 +42,6 @@ TEST(Convert, DuplicatesAreSummed) {
   EXPECT_DOUBLE_EQ(a.values[0], 4.0);
 }
 
-TEST(Convert, CsrCscRoundTrip) {
-  const Csr a = coo_to_csr(small_coo());
-  const Csc c = csr_to_csc(a);
-  c.check();
-  const Csr back = csc_to_csr(c);
-  back.check();
-  EXPECT_EQ(back.row_ptr, a.row_ptr);
-  EXPECT_EQ(back.col_idx, a.col_idx);
-  EXPECT_EQ(back.values, a.values);
-}
-
 TEST(Convert, TransposeTwiceIsIdentity) {
   const Csr a = coo_to_csr(small_coo());
   const Csr att = transpose(transpose(a));
@@ -73,6 +63,42 @@ TEST(Convert, SymmetrizePatternIsSymmetric) {
       EXPECT_DOUBLE_EQ(dense_s[i], dense_a[i]);
     }
   }
+}
+
+TEST(Adjacency, IsTheSymmetrizedPatternWithoutItsDiagonal) {
+  // One-sided couplings in both triangles, a row with only transposed
+  // entries, a missing diagonal and an isolated vertex.
+  Coo c;
+  c.n_rows = c.n_cols = 7;
+  c.add(0, 0, 1.0);
+  c.add(0, 3, 2.0);
+  c.add(1, 1, 3.0);
+  c.add(1, 0, 4.0);
+  c.add(2, 5, 5.0);
+  c.add(2, 6, 6.0);
+  c.add(3, 0, 7.0);
+  c.add(3, 3, 8.0);
+  c.add(4, 1, 9.0);
+  c.add(4, 2, 1.5);
+  c.add(6, 6, 2.5);
+  const Csr a = coo_to_csr(c);
+  ASSERT_FALSE(is_pattern_symmetric(a));
+  const Csr s = symmetrize_pattern(a);
+  AdjacencyGraph want;
+  want.n = s.n_rows;
+  want.ptr.push_back(0);
+  for (index_t r = 0; r < s.n_rows; ++r) {
+    for (offset_t p = s.row_ptr[r]; p < s.row_ptr[r + 1]; ++p) {
+      if (s.col_idx[p] != r) want.adj.push_back(s.col_idx[p]);
+    }
+    want.ptr.push_back(static_cast<offset_t>(want.adj.size()));
+  }
+  const AdjacencyGraph g = build_adjacency(a);
+  EXPECT_EQ(g.n, want.n);
+  EXPECT_EQ(g.ptr, want.ptr);
+  EXPECT_EQ(g.adj, want.adj);
+  EXPECT_EQ(g.degree(0), 2);  // 1 only through A^T, 3 both ways
+  EXPECT_EQ(g.degree(5), 1);  // no row of its own
 }
 
 TEST(Convert, OutOfRangeEntryThrows) {

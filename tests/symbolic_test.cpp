@@ -52,7 +52,7 @@ std::vector<char> dense_fill(const Csr& a) {
 TEST(Etree, ChainMatrixIsPathTree) {
   // Tridiagonal: parent(v) = v+1.
   const Csr a = grid2d_laplacian(8, 1);
-  const EliminationTree t = elimination_tree(a);
+  const EliminationTree t = elimination_tree(build_adjacency(a));
   for (index_t v = 0; v + 1 < 8; ++v) EXPECT_EQ(t.parent[v], v + 1);
   EXPECT_EQ(t.parent[7], -1);
   EXPECT_EQ(t.height, 8);
@@ -60,7 +60,7 @@ TEST(Etree, ChainMatrixIsPathTree) {
 
 TEST(Etree, ParentsAlwaysLarger) {
   const Csr a = finalize_system(cage_like(150, 5, 0.1, 8), 8);
-  const EliminationTree t = elimination_tree(a);
+  const EliminationTree t = elimination_tree(build_adjacency(a));
   for (index_t v = 0; v < t.n(); ++v) {
     if (t.parent[v] != -1) {
       EXPECT_GT(t.parent[v], v);
@@ -70,7 +70,7 @@ TEST(Etree, ParentsAlwaysLarger) {
 
 TEST(Etree, PostorderChildrenBeforeParents) {
   const Csr a = finalize_system(grid2d_laplacian(7, 7), 8);
-  const EliminationTree t = elimination_tree(a);
+  const EliminationTree t = elimination_tree(build_adjacency(a));
   const std::vector<index_t> post = postorder(t);
   std::vector<index_t> position(post.size());
   for (std::size_t i = 0; i < post.size(); ++i) position[post[i]] = i;
@@ -119,8 +119,9 @@ TEST(Fill, DiagonalFirstAndSorted) {
 
 TEST(Supernodes, PartitionCoversAllColumns) {
   const Csr a = finalize_system(grid2d_laplacian(10, 10), 3);
-  const EliminationTree t = elimination_tree(a);
-  const FillPattern f = symbolic_fill(a, t);
+  const AdjacencyGraph g = build_adjacency(a);
+  const EliminationTree t = elimination_tree(g);
+  const FillPattern f = symbolic_fill(g, t);
   const SupernodePartition part = find_supernodes(f, t, 8);
   EXPECT_EQ(part.start.front(), 0);
   EXPECT_EQ(part.start.back(), a.n_rows);
@@ -135,16 +136,18 @@ TEST(Supernodes, PartitionCoversAllColumns) {
 
 TEST(Supernodes, MaxSizeOneIsScalar) {
   const Csr a = finalize_system(grid2d_laplacian(6, 6), 3);
-  const EliminationTree t = elimination_tree(a);
-  const FillPattern f = symbolic_fill(a, t);
+  const AdjacencyGraph g = build_adjacency(a);
+  const EliminationTree t = elimination_tree(g);
+  const FillPattern f = symbolic_fill(g, t);
   const SupernodePartition part = find_supernodes(f, t, 1);
   EXPECT_EQ(part.count(), a.n_rows);
 }
 
 TEST(Supernodes, LargerCapNeverIncreasesCount) {
   const Csr a = finalize_system(grid3d_laplacian(5, 5, 5), 4);
-  const EliminationTree t = elimination_tree(a);
-  const FillPattern f = symbolic_fill(a, t);
+  const AdjacencyGraph g = build_adjacency(a);
+  const EliminationTree t = elimination_tree(g);
+  const FillPattern f = symbolic_fill(g, t);
   const index_t c8 = find_supernodes(f, t, 8).count();
   const index_t c64 = find_supernodes(f, t, 64).count();
   EXPECT_LE(c64, c8);
