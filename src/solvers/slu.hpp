@@ -49,6 +49,19 @@ class SluFactorization {
   NumericBackend& backend();
   const SupernodePartition& supernodes() const { return part_; }
 
+  /// A run of supernode s's `below` rows owned by one target supernode.
+  struct Segment {
+    index_t target_sn;  // supernode the rows belong to
+    index_t pos0;       // first position within below_rows
+    index_t pos1;       // one past last position
+    index_t size() const { return pos1 - pos0; }
+  };
+  /// Supernode s's rows below its columns, sorted, and their segments.
+  const std::vector<index_t>& below(index_t s) const { return sn_[s].below; }
+  const std::vector<Segment>& segments(index_t s) const {
+    return sn_[s].segments;
+  }
+
   /// Exact nnz(L+U) of the supernodal data structure (panel entries,
   /// diagonal counted once).
   offset_t nnz_lu() const;
@@ -63,13 +76,6 @@ class SluFactorization {
  private:
   class Backend;
   friend class Backend;
-
-  struct Segment {
-    index_t target_sn;  // supernode the rows belong to
-    index_t pos0;       // first position within below_rows
-    index_t pos1;       // one past last position
-    index_t size() const { return pos1 - pos0; }
-  };
 
   struct Supernode {
     index_t c0, c1;                 // column range [c0, c1)
