@@ -1,7 +1,6 @@
 #include "core/task_graph.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "support/error.hpp"
 
@@ -28,6 +27,11 @@ index_t TaskGraph::add_task(Task t) {
   return t.id;
 }
 
+void TaskGraph::reserve(index_t tasks, offset_t edges) {
+  tasks_.reserve(static_cast<std::size_t>(tasks));
+  edges_.reserve(static_cast<std::size_t>(edges));
+}
+
 void TaskGraph::add_dependency(index_t producer, index_t consumer) {
   TH_CHECK(!finalized_);
   TH_CHECK_MSG(producer != consumer, "self-dependency on task " << producer);
@@ -38,51 +42,67 @@ void TaskGraph::add_dependency(index_t producer, index_t consumer) {
 
 void TaskGraph::finalize() {
   TH_CHECK(!finalized_);
-  std::sort(edges_.begin(), edges_.end());
-  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-
   const index_t n = size();
+
+  // Bucket the edges by producer (a counting sort), then sort and dedup
+  // each producer's short consumer list in place.
   succ_ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
-  pred_ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& [p, c] : edges_) {
-    ++succ_ptr_[p + 1];
-    ++pred_ptr_[c + 1];
-  }
-  for (index_t i = 0; i < n; ++i) {
-    succ_ptr_[i + 1] += succ_ptr_[i];
-    pred_ptr_[i + 1] += pred_ptr_[i];
-  }
+  for (const auto& e : edges_) ++succ_ptr_[e.first + 1];
+  for (index_t i = 0; i < n; ++i) succ_ptr_[i + 1] += succ_ptr_[i];
   succ_.resize(edges_.size());
-  pred_.resize(edges_.size());
-  std::vector<offset_t> scur(succ_ptr_.begin(), succ_ptr_.end() - 1);
-  std::vector<offset_t> pcur(pred_ptr_.begin(), pred_ptr_.end() - 1);
-  for (const auto& [p, c] : edges_) {
-    succ_[scur[p]++] = c;
-    pred_[pcur[c]++] = p;
+  {
+    std::vector<offset_t> cur(succ_ptr_.begin(), succ_ptr_.end() - 1);
+    for (const auto& [p, c] : edges_) succ_[cur[p]++] = c;
+  }
+  edges_ = {};
+  offset_t kept = 0;
+  for (index_t t = 0; t < n; ++t) {
+    const auto first = succ_.begin() + succ_ptr_[t];
+    std::sort(first, succ_.begin() + succ_ptr_[t + 1]);
+    const auto last = std::unique(first, succ_.begin() + succ_ptr_[t + 1]);
+    succ_ptr_[t] = kept;  // [t + 1] is read before it is rewritten
+    for (auto it = first; it != last; ++it) succ_[kept++] = *it;
+  }
+  succ_ptr_[n] = kept;
+  succ_.resize(static_cast<std::size_t>(kept));
+
+  // Predecessors in one pass over the successors in producer order, so
+  // each task's list ascends.
+  pred_ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const index_t c : succ_) ++pred_ptr_[c + 1];
+  for (index_t i = 0; i < n; ++i) pred_ptr_[i + 1] += pred_ptr_[i];
+  pred_.resize(succ_.size());
+  {
+    std::vector<offset_t> cur(pred_ptr_.begin(), pred_ptr_.end() - 1);
+    for (index_t t = 0; t < n; ++t) {
+      for (offset_t q = succ_ptr_[t]; q < succ_ptr_[t + 1]; ++q) {
+        pred_[cur[succ_[q]]++] = t;
+      }
+    }
   }
   in_degree_.assign(static_cast<std::size_t>(n), 0);
   for (index_t t = 0; t < n; ++t) {
     in_degree_[t] = static_cast<index_t>(pred_ptr_[t + 1] - pred_ptr_[t]);
   }
 
-  // Kahn's algorithm both validates acyclicity and computes ASAP levels.
+  // Kahn's algorithm both validates acyclicity and computes ASAP levels;
+  // `order` is its FIFO queue, read at `head`.
   levels_.assign(static_cast<std::size_t>(n), 0);
   std::vector<index_t> deg = in_degree_;
-  std::queue<index_t> q;
+  std::vector<index_t> order;
+  order.reserve(static_cast<std::size_t>(n));
   for (index_t t = 0; t < n; ++t) {
-    if (deg[t] == 0) q.push(t);
+    if (deg[t] == 0) order.push_back(t);
   }
-  index_t seen = 0;
-  while (!q.empty()) {
-    const index_t t = q.front();
-    q.pop();
-    ++seen;
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const index_t t = order[head];
     for (offset_t p = succ_ptr_[t]; p < succ_ptr_[t + 1]; ++p) {
       const index_t s = succ_[p];
       levels_[s] = std::max(levels_[s], levels_[t] + 1);
-      if (--deg[s] == 0) q.push(s);
+      if (--deg[s] == 0) order.push_back(s);
     }
   }
+  const index_t seen = static_cast<index_t>(order.size());
   TH_CHECK_MSG(seen == n, "task graph has a cycle (" << n - seen
                                                      << " tasks unreachable)");
   finalized_ = true;

@@ -17,6 +17,9 @@ class TaskGraph {
   /// Add a task; returns its id. Tasks may be added in any order.
   index_t add_task(Task t);
 
+  /// Capacity for `tasks` tasks and `edges` dependencies, before adding.
+  void reserve(index_t tasks, offset_t edges);
+
   /// Declare that `consumer` cannot start before `producer` finished.
   /// Duplicate edges are tolerated (deduplicated in finalize()).
   void add_dependency(index_t producer, index_t consumer);
@@ -62,7 +65,7 @@ class TaskGraph {
 
  private:
   std::vector<Task> tasks_;
-  std::vector<std::pair<index_t, index_t>> edges_;
+  std::vector<std::pair<index_t, index_t>> edges_;  // released by finalize()
   bool finalized_ = false;
   // CSR adjacency, built by finalize().
   std::vector<offset_t> succ_ptr_;

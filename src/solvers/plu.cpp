@@ -235,26 +235,52 @@ void PluFactorization::set_grid(const ProcessGrid& grid) {
 TaskGraph PluFactorization::build_graph() const {
   const TilePattern& p = *pattern_;
   const index_t nt = p.nt;
-  TaskGraph graph;
+  const offset_t n_lower = p.col_ptr[nt];
 
   // Device footprint helpers. One CUDA block per column (GETRF/GEESM/SSSSM)
   // or per row (TSTRF), as in Figure 7 of the paper.
   // Tile density from the exact scalar fill prices the modelled kernels:
   // their flops (PanguLU's kernels skip zeros) and the sparse/dense
-  // efficiency flag. The host kernels run on the envelope panels.
-  auto tile_density = [&](index_t i, index_t j) {
+  // efficiency flag. The host kernels run on the envelope panels. A lower
+  // tile at position q and its mirror both hold tile_fill[q].
+  auto density = [&](offset_t fill, index_t i, index_t j) {
     const real_t area = static_cast<real_t>(p.rows_in_tile(i)) *
                         static_cast<real_t>(p.rows_in_tile(j));
-    return std::min<real_t>(1.0, static_cast<real_t>(p.fill(i, j)) / area);
+    return std::min<real_t>(1.0, static_cast<real_t>(fill) / area);
   };
 
-  // Task ids for the final (consumer) task of each tile, by TileMatrix
-  // slot, so SSSSM producers can attach dependencies: for tile (i,j), the
-  // consumer is GETRF (i==j), TSTRF (i>j, step j) or GEESM (i<j, step i).
-  std::vector<index_t> consumer(static_cast<std::size_t>(tiles_->size()), -1);
-  auto cons = [&](index_t i, index_t j) -> index_t& {
-    return consumer[static_cast<std::size_t>(tiles_->slot(i, j))];
+  // SSSSM (i,k,j) exists iff L(i,k)'s envelope columns meet U(k,j)'s
+  // envelope rows: otherwise every product term multiplies a structural
+  // zero. U(k,j)'s rows are its mirror L(j,k)'s columns, so the relation
+  // is symmetric in i and j, and it always holds for i == j. Calls
+  // f(a, b) for each meeting pair a < b of positions in below(k).
+  auto for_each_meeting_pair = [&](index_t k, auto&& f) {
+    const offset_t q0 = p.col_ptr[k];
+    const auto m = static_cast<index_t>(p.col_ptr[k + 1] - q0);
+    for (index_t a = 0; a < m; ++a) {
+      const auto inner = tiles_->lower(k, q0 + a).col_idx();
+      for (index_t b = a + 1; b < m; ++b) {
+        if (lists_meet(inner, tiles_->upper(k, q0 + b).row_pos())) f(a, b);
+      }
+    }
   };
+
+  // Every task and edge is counted before any is added.
+  offset_t ssssm = 0;
+  for (index_t k = 0; k < nt; ++k) {
+    ssssm += p.col_ptr[k + 1] - p.col_ptr[k];
+    for_each_meeting_pair(k, [&](index_t, index_t) { ssssm += 2; });
+  }
+  TaskGraph graph;
+  graph.reserve(static_cast<index_t>(nt + 2 * n_lower + ssssm),
+                2 * n_lower + 3 * ssssm);
+
+  // Each tile's final (consumer) task, by pattern position, so SSSSM
+  // producers can attach dependencies: GETRF on the diagonal, TSTRF below
+  // it (step j), GEESM above it (step i).
+  std::vector<index_t> diag_id(static_cast<std::size_t>(nt));
+  std::vector<index_t> lower_id(static_cast<std::size_t>(n_lower));
+  std::vector<index_t> upper_id(static_cast<std::size_t>(n_lower));
 
   // Pass 1: create GETRF / TSTRF / GEESM tasks (the per-tile consumers).
   for (index_t k = 0; k < nt; ++k) {
@@ -266,17 +292,19 @@ TaskGraph PluFactorization::build_graph() const {
       t.row = t.col = k;
       t.cost.flops = std::max<offset_t>(
           1, static_cast<offset_t>(static_cast<real_t>(getrf_flops(bk)) *
-                                   tile_density(k, k)));
+                                   density(p.diag_fill[k], k, k)));
       t.cost.bytes = words_to_bytes(2 * static_cast<offset_t>(bk) * bk);
       t.cost.cuda_blocks = bk;
       t.cost.shmem_per_block = static_cast<offset_t>(bk) * 8;
       t.cost.sparse = false;  // diagonal tiles fill in
       t.out_bytes = words_to_bytes(static_cast<offset_t>(bk) * bk);
       t.owner_rank = opts_.grid.owner(k, k);
-      cons(k, k) = graph.add_task(t);
+      diag_id[k] = graph.add_task(t);
     }
-    for (const index_t i : p.below(k)) {
+    for (offset_t q = p.col_ptr[k]; q < p.col_ptr[k + 1]; ++q) {
+      const index_t i = p.tile_row[q];
       const index_t bi = p.rows_in_tile(i);
+      const real_t dens = density(p.tile_fill[q], i, k);
       Task t;
       t.type = TaskType::kTstrf;
       t.k = k;
@@ -284,19 +312,21 @@ TaskGraph PluFactorization::build_graph() const {
       t.col = k;
       t.cost.flops = std::max<offset_t>(
           1, static_cast<offset_t>(static_cast<real_t>(trsm_flops(bk, bi)) *
-                                   tile_density(i, k)));
+                                   dens));
       t.cost.bytes =
           words_to_bytes(2 * static_cast<offset_t>(bi) * bk +
                          static_cast<offset_t>(bk) * bk);
       t.cost.cuda_blocks = bi;  // one block per row of the target
       t.cost.shmem_per_block = static_cast<offset_t>(bk) * 8;
-      t.cost.sparse = tile_density(i, k) < kSparseDensityThreshold;
+      t.cost.sparse = dens < kSparseDensityThreshold;
       t.out_bytes = words_to_bytes(static_cast<offset_t>(bi) * bk);
       t.owner_rank = opts_.grid.owner(i, k);
-      cons(i, k) = graph.add_task(t);
+      lower_id[q] = graph.add_task(t);
     }
-    for (const index_t j : p.below(k)) {
+    for (offset_t q = p.col_ptr[k]; q < p.col_ptr[k + 1]; ++q) {
+      const index_t j = p.tile_row[q];
       const index_t bj = p.rows_in_tile(j);
+      const real_t dens = density(p.tile_fill[q], k, j);
       Task t;
       t.type = TaskType::kGeesm;
       t.k = k;
@@ -304,44 +334,68 @@ TaskGraph PluFactorization::build_graph() const {
       t.col = j;
       t.cost.flops = std::max<offset_t>(
           1, static_cast<offset_t>(static_cast<real_t>(trsm_flops(bk, bj)) *
-                                   tile_density(k, j)));
+                                   dens));
       t.cost.bytes =
           words_to_bytes(2 * static_cast<offset_t>(bk) * bj +
                          static_cast<offset_t>(bk) * bk);
       t.cost.cuda_blocks = bj;  // one block per column of the target
       t.cost.shmem_per_block = static_cast<offset_t>(bk) * 8;
-      t.cost.sparse = tile_density(k, j) < kSparseDensityThreshold;
+      t.cost.sparse = dens < kSparseDensityThreshold;
       t.out_bytes = words_to_bytes(static_cast<offset_t>(bk) * bj);
       t.owner_rank = opts_.grid.owner(k, j);
-      cons(k, j) = graph.add_task(t);
+      upper_id[q] = graph.add_task(t);
     }
   }
 
-  // Pass 2: SSSSM tasks + all dependencies. SSSSM (i,k,j) exists iff
-  // L(i,k)'s envelope columns meet U(k,j)'s envelope rows: otherwise every
-  // product term multiplies a structural zero. Block row k's tiles right
-  // of the diagonal are the mirrors of block column k's below it.
+  // Pass 2: SSSSM tasks + all dependencies. Block row k's tiles right of
+  // the diagonal are the mirrors of block column k's below it. For a
+  // meeting pair a < b, the target tiles (i, j) and (j, i) are the pair
+  // whose lower tile sits in block column i = below(k)[a]: pos[a * m + b]
+  // holds its position, found by one forward search along below(i).
+  std::vector<offset_t> pos;
   for (index_t k = 0; k < nt; ++k) {
-    const index_t f_k = cons(k, k);
-    const auto below = p.below(k);
-    for (const index_t i : below) graph.add_dependency(f_k, cons(i, k));
-    for (const index_t j : below) graph.add_dependency(f_k, cons(k, j));
+    const offset_t q0 = p.col_ptr[k];
+    const auto m = static_cast<index_t>(p.col_ptr[k + 1] - q0);
+    const index_t f_k = diag_id[k];
+    for (offset_t q = q0; q < q0 + m; ++q) {
+      graph.add_dependency(f_k, lower_id[q]);
+    }
+    for (offset_t q = q0; q < q0 + m; ++q) {
+      graph.add_dependency(f_k, upper_id[q]);
+    }
+
+    pos.assign(static_cast<std::size_t>(m) * m, -1);
+    index_t a_prev = -1;
+    auto hint = p.tile_row.begin();
+    for_each_meeting_pair(k, [&](index_t a, index_t b) {
+      const index_t i = p.tile_row[q0 + a];
+      if (a != a_prev) {
+        a_prev = a;
+        hint = p.tile_row.begin() + p.col_ptr[i];
+      }
+      const auto last = p.tile_row.begin() + p.col_ptr[i + 1];
+      hint = std::lower_bound(hint, last, p.tile_row[q0 + b]);
+      // A shared inner index c gives L(r,c) != 0 and U(c,s) != 0 with
+      // c < r, s, so the scalar fill holds (r,s): the target is present.
+      TH_ASSERT(hint != last && *hint == p.tile_row[q0 + b]);
+      pos[static_cast<std::size_t>(a) * m + b] = hint - p.tile_row.begin();
+    });
 
     const index_t bk = p.rows_in_tile(k);
-    for (offset_t qi = p.col_ptr[k]; qi < p.col_ptr[k + 1]; ++qi) {
-      const index_t i = p.tile_row[qi];
+    for (index_t a = 0; a < m; ++a) {
+      const index_t i = p.tile_row[q0 + a];
       const index_t bi = p.rows_in_tile(i);
-      const auto inner = tiles_->lower(k, qi).col_idx();
-      const index_t l_cons = cons(i, k);
-      const real_t l_dens = tile_density(i, k);
-      for (offset_t qj = p.col_ptr[k]; qj < p.col_ptr[k + 1]; ++qj) {
-        if (!lists_meet(inner, tiles_->upper(k, qj).row_pos())) continue;
-        const index_t j = p.tile_row[qj];
+      const index_t l_cons = lower_id[q0 + a];
+      const real_t l_dens = density(p.tile_fill[q0 + a], i, k);
+      for (index_t b = 0; b < m; ++b) {
+        const offset_t at =
+            a < b ? pos[static_cast<std::size_t>(a) * m + b]
+                  : pos[static_cast<std::size_t>(b) * m + a];
+        if (a != b && at < 0) continue;
+        const index_t j = p.tile_row[q0 + b];
         const index_t bj = p.rows_in_tile(j);
-        // A shared inner index c gives L(r,c) != 0 and U(c,s) != 0 with
-        // c < r, s, so the scalar fill holds (r,s): C(i,j) is present.
-        const offset_t target = tiles_->slot(i, j);
-        TH_ASSERT(target >= 0);
+        const index_t target =
+            a == b ? diag_id[i] : (a < b ? upper_id[at] : lower_id[at]);
         Task t;
         t.type = TaskType::kSsssm;
         t.k = k;
@@ -350,7 +404,8 @@ TaskGraph PluFactorization::build_graph() const {
         // Column-column SSSSM: every nonzero of L(i,k) multiplies the
         // dense columns of U(k,j) — flops scale with both densities.
         const real_t ldens = std::max<real_t>(l_dens, 0.01);
-        const real_t udens = std::max<real_t>(tile_density(k, j), 0.01);
+        const real_t udens =
+            std::max<real_t>(density(p.tile_fill[q0 + b], k, j), 0.01);
         t.cost.flops = std::max<offset_t>(
             1, gemm_flops(bi, bj, bk, ldens * udens));
         t.cost.bytes = words_to_bytes(static_cast<offset_t>(bi) * bk +
@@ -364,9 +419,9 @@ TaskGraph PluFactorization::build_graph() const {
         t.owner_rank = opts_.grid.owner(i, j);
         const index_t s = graph.add_task(t);
         graph.add_dependency(l_cons, s);
-        graph.add_dependency(cons(k, j), s);
+        graph.add_dependency(upper_id[q0 + b], s);
         // The Schur result must land before the tile's own consumer runs.
-        graph.add_dependency(s, consumer[static_cast<std::size_t>(target)]);
+        graph.add_dependency(s, target);
       }
     }
   }

@@ -153,18 +153,17 @@ SluFactorization::SluFactorization(const Csr& a, const SluOptions& opts)
     : opts_(opts) {
   const AdjacencyGraph g = build_adjacency(a);
   const EliminationTree etree = elimination_tree(g);
-  const FillPattern fill = symbolic_fill(g, etree);
-  part_ = find_supernodes(fill, etree, opts.max_supernode,
-                          opts.relax_slack);
+  const SupernodalStructure sym = supernodal_symbolic(g, etree);
+  part_ = find_supernodes(sym, etree, opts.max_supernode, opts.relax_slack);
 
-  // Build supernode skeletons from the fill pattern.
+  // Build supernode skeletons from the fundamental supernodes' row sets.
   const index_t ns = part_.count();
   sn_.resize(static_cast<std::size_t>(ns));
   for (index_t s = 0; s < ns; ++s) {
     Supernode& sn = sn_[s];
     sn.c0 = part_.start[s];
     sn.c1 = part_.start[s + 1];
-    const std::vector<index_t> rows = supernode_rows(fill, part_, s);
+    const std::vector<index_t> rows = supernode_rows(sym, part_, s);
     const index_t w = sn.width();
     TH_CHECK_MSG(static_cast<index_t>(rows.size()) >= w,
                  "supernode pattern shorter than its width");

@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "support/error.hpp"
-#include "symbolic/fill.hpp"
+#include "symbolic/supernodes.hpp"
 
 namespace th {
 
@@ -66,13 +66,17 @@ TilePattern tile_symbolic(const Csr& a, index_t tile_size) {
   p.diag_fill.assign(static_cast<std::size_t>(p.nt), 0);
   p.env_ptr.push_back(0);
 
-  // Exact scalar fill binned into tiles: L's entry (i,j), i > j, counts
-  // once in tile (i/b, j/b) and once in its mirror, which holds U's (j,i)
-  // — so twice in a diagonal tile — and the pivot (j,j) counts once. Block
-  // column J's fill columns are consecutive, so per J a global row mark
-  // (rows of the lower tiles (I,J)) and per-tile column marks give the
-  // envelope of each (I,J); the mirror (J,I) reads it transposed.
-  const FillPattern f = symbolic_fill(a);
+  // L's structure binned into tiles: L's entry (i,j), i > j, counts once
+  // in tile (i/b, j/b) and once in its mirror, which holds U's (j,i) — so
+  // twice in a diagonal tile — and the pivot (j,j) counts once. Block
+  // column J's columns are consecutive, so per J a global row mark (rows of
+  // the lower tiles (I,J)) and per-tile column marks give the envelope of
+  // each (I,J); the mirror (J,I) reads it transposed. The columns come as
+  // pieces [lo, lo + w) of fundamental supernodes s clipped to J: column j
+  // of a piece holds rows(s) ∩ [j, n), so a row r >= lo + w is in all w of
+  // its columns and a row r in the piece in the r - lo + 1 up to r.
+  const AdjacencyGraph g = build_adjacency(a);
+  const SupernodalStructure sym = supernodal_symbolic(g, elimination_tree(g));
   std::vector<char> row_mark(static_cast<std::size_t>(p.n), 0);
   std::vector<char> col_mark(static_cast<std::size_t>(p.nt) * tile_size, 0);
   std::vector<offset_t> count(static_cast<std::size_t>(p.nt), 0);
@@ -89,17 +93,29 @@ TilePattern tile_symbolic(const Csr& a, index_t tile_size) {
   for (index_t J = 0; J < p.nt; ++J) {
     const index_t j0 = J * tile_size;
     const index_t bj = p.rows_in_tile(J);
-    for (index_t j = j0; j < j0 + bj; ++j) {
-      for (offset_t q = f.col_ptr[j]; q < f.col_ptr[j + 1]; ++q) {
-        const index_t i = f.row_idx[q];
+    const index_t s_last = sym.part.sn_of_col[j0 + bj - 1];
+    for (index_t s = sym.part.sn_of_col[j0]; s <= s_last; ++s) {
+      const index_t lo = std::max(sym.part.start[s], j0);
+      const index_t w = std::min(sym.part.start[s + 1], j0 + bj) - lo;
+      // Rows lo..lo+w-1 open the column list: Σ (1 + 2(r - lo)) = w².
+      p.diag_fill[J] += static_cast<offset_t>(w) * w;
+      index_t last_tile = J;
+      for (const index_t i : sym.column(lo).subspan(w)) {
         const index_t I = i / tile_size;
-        if (I == J) {  // diagonal tiles are full
-          p.diag_fill[J] += i == j ? 1 : 2;
+        if (I == J) {
+          p.diag_fill[J] += 2 * static_cast<offset_t>(w);
           continue;
         }
-        if (count[I]++ == 0) below.push_back(I);
+        if (I != last_tile) {  // rows ascend: the piece's first row in I
+          last_tile = I;
+          if (count[I] == 0) below.push_back(I);
+          std::fill_n(col_mark.begin() +
+                          (static_cast<std::ptrdiff_t>(I) * tile_size +
+                           (lo - j0)),
+                      w, 1);
+        }
+        count[I] += w;
         row_mark[i] = 1;
-        col_mark[static_cast<std::size_t>(I) * tile_size + (j - j0)] = 1;
       }
     }
     std::sort(below.begin(), below.end());
