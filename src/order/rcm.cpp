@@ -10,28 +10,28 @@ Permutation rcm_order(const Csr& a) {
   const AdjacencyGraph g = build_adjacency(a);
   Permutation order;
   order.reserve(static_cast<std::size_t>(g.n));
-  std::vector<char> visited(static_cast<std::size_t>(g.n), 0);
+  // unvisited[v] == !visited: the mask that restricts each component's
+  // pseudo-peripheral search to the rest of the graph, cleared as the BFS
+  // reaches vertices, so no component pays for the whole graph.
+  std::vector<char> unvisited(static_cast<std::size_t>(g.n), 1);
   BfsWorkspace ws(g.n);
 
   for (index_t root_scan = 0; root_scan < g.n; ++root_scan) {
-    if (visited[root_scan]) continue;
-    std::vector<char> mask(static_cast<std::size_t>(g.n), 0);
-    // Restrict to the unvisited portion of the graph.
-    for (index_t v = 0; v < g.n; ++v) mask[v] = !visited[v];
-    const index_t root = pseudo_peripheral(g, root_scan, ws, mask);
+    if (!unvisited[root_scan]) continue;
+    const index_t root = pseudo_peripheral(g, root_scan, ws, unvisited);
 
     // Cuthill-McKee: BFS where each vertex's neighbours are expanded in
     // increasing-degree order.
     std::vector<index_t> frontier{root};
-    visited[root] = 1;
+    unvisited[root] = 0;
     std::size_t head = 0;
     while (head < frontier.size()) {
       const index_t v = frontier[head++];
       std::vector<index_t> nbrs;
       for (offset_t p = g.ptr[v]; p < g.ptr[v + 1]; ++p) {
         const index_t u = g.adj[p];
-        if (!visited[u]) {
-          visited[u] = 1;
+        if (unvisited[u]) {
+          unvisited[u] = 0;
           nbrs.push_back(u);
         }
       }

@@ -74,6 +74,57 @@ TEST(TaskGraph, CycleDetected) {
   EXPECT_THROW(g.finalize(), Error);
 }
 
+// finalize() buckets edges by producer: neither duplicates nor the order
+// the edges arrive in may show in the frozen graph.
+TEST(TaskGraph, FinalizeIgnoresDuplicatesAndInsertionOrder) {
+  constexpr index_t kTasks = 60;
+  std::vector<std::pair<index_t, index_t>> edges;
+  std::mt19937 rng(7);
+  for (index_t c = 1; c < kTasks; ++c) {  // a DAG: producers precede
+    for (int e = 0; e < 4; ++e) {
+      edges.emplace_back(static_cast<index_t>(rng() % c), c);
+    }
+  }
+  const auto build = [](const std::vector<std::pair<index_t, index_t>>& es) {
+    TaskGraph g;
+    for (index_t t = 0; t < kTasks; ++t) {
+      g.add_task(make_task(TaskType::kSsssm, t, t, t));
+    }
+    for (const auto& [p, c] : es) g.add_dependency(p, c);
+    g.finalize();
+    return g;
+  };
+  const auto lists = [](const TaskGraph& g, index_t t) {
+    const auto [sb, se] = g.successors(t);
+    const auto [pb, pe] = g.predecessors(t);
+    return std::pair{std::vector<index_t>(sb, se),
+                     std::vector<index_t>(pb, pe)};
+  };
+  const TaskGraph once = build(edges);
+  std::vector<std::pair<index_t, index_t>> noisy = edges;
+  noisy.insert(noisy.end(), edges.begin(), edges.begin() + 50);
+  std::shuffle(noisy.begin(), noisy.end(), rng);
+  const TaskGraph shuffled = build(noisy);
+  for (index_t t = 0; t < kTasks; ++t) {
+    const auto [succ, pred] = lists(once, t);
+    EXPECT_TRUE(std::is_sorted(succ.begin(), succ.end()));
+    EXPECT_TRUE(std::adjacent_find(succ.begin(), succ.end()) == succ.end());
+    EXPECT_TRUE(std::is_sorted(pred.begin(), pred.end()));
+    EXPECT_TRUE(std::adjacent_find(pred.begin(), pred.end()) == pred.end());
+    EXPECT_EQ(lists(shuffled, t), lists(once, t)) << t;
+    EXPECT_EQ(shuffled.in_degree(t), once.in_degree(t)) << t;
+    EXPECT_EQ(once.in_degree(t), static_cast<index_t>(pred.size()));
+  }
+  EXPECT_EQ(shuffled.levels(), once.levels());
+
+  // Closing the chain 0 -> ... -> kTasks - 1 back to 0 makes a cycle.
+  std::vector<std::pair<index_t, index_t>> cyclic = noisy;
+  for (index_t c = 1; c < kTasks; ++c) cyclic.emplace_back(c - 1, c);
+  cyclic.emplace_back(kTasks - 1, 0);
+  std::shuffle(cyclic.begin(), cyclic.end(), rng);
+  EXPECT_THROW(build(cyclic), Error);
+}
+
 TEST(TaskGraph, SelfDependencyRejected) {
   TaskGraph g;
   const index_t a = g.add_task(make_task(TaskType::kGetrf, 0, 0, 0));

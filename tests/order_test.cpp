@@ -142,6 +142,39 @@ TEST(Rcm, HandlesDisconnectedComponents) {
   EXPECT_TRUE(is_valid_permutation(nested_dissection_order(a)));
 }
 
+// 40,000 vertices in 15,000 interleaved components: vertex v belongs to
+// component v % 15,000, a path of two or three vertices. RCM must order
+// each component as one contiguous run, and it once refilled an n-long
+// mask per component.
+TEST(Rcm, ManyComponentsAreEachContiguous) {
+  constexpr index_t kN = 40000;
+  constexpr index_t kComponents = 15000;
+  Coo c;
+  c.n_rows = c.n_cols = kN;
+  for (index_t v = 0; v < kN; ++v) {
+    c.add(v, v, 4.0);
+    if (v + kComponents < kN) {
+      c.add(v, v + kComponents, -1.0);
+      c.add(v + kComponents, v, -1.0);
+    }
+  }
+  const Permutation p = rcm_order(coo_to_csr(c));
+  ASSERT_TRUE(is_valid_permutation(p));
+  ASSERT_EQ(static_cast<index_t>(p.size()), kN);
+  std::vector<index_t> first(kComponents, kN);
+  std::vector<index_t> last(kComponents, -1);
+  std::vector<index_t> size(kComponents, 0);
+  for (index_t k = 0; k < kN; ++k) {
+    const index_t comp = p[k] % kComponents;
+    first[comp] = std::min(first[comp], k);
+    last[comp] = std::max(last[comp], k);
+    ++size[comp];
+  }
+  for (index_t comp = 0; comp < kComponents; ++comp) {
+    EXPECT_EQ(last[comp] - first[comp] + 1, size[comp]) << comp;
+  }
+}
+
 offset_t fill_nnz(const Csr& a, const Permutation& p) {
   return symbolic_fill(apply_symmetric_permutation(a, p)).nnz_l();
 }
