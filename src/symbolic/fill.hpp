@@ -1,7 +1,9 @@
 // Scalar symbolic factorisation: the exact nonzero pattern of L (and, by
 // structural symmetry, U^T) for an LU factorisation without pivoting of
-// A's symmetrized pattern, read from its adjacency graph. This is the
-// "symbolic" phase of Figure 1 and the input to supernode detection.
+// A's symmetrized pattern, read from its adjacency graph, one sorted row
+// list per column. No solver path builds it: both cores read L's
+// structure from supernodal_symbolic (symbolic/supernodes.hpp), and this
+// stays as the column-by-column reference the tests compare against.
 #pragma once
 
 #include <vector>
