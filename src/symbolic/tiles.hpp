@@ -92,7 +92,8 @@ struct TilePattern {
   }
 };
 
-/// Build the tile pattern of A from its scalar symbolic fill: the present
+/// Build the tile pattern of A from L's exact structure, binned from the
+/// fundamental supernodes' row sets (supernodal_symbolic): the present
 /// tiles (those with fill, plus the diagonal), their fill counts and
 /// envelopes. The pattern is closed under the Schur updates that exist: if
 /// L(i,k)'s envelope columns meet U(k,j)'s envelope rows, tile (i,j) has
